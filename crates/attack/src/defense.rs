@@ -387,7 +387,7 @@ mod tests {
             &[DeployStrategy::Random],
             &[0.0, 1.0],
             11,
-            &BatchRunner::new().serial(),
+            &BatchRunner::new().workers(1),
         );
         assert!(points[0].mean_after > 0.0, "undefended hijack pollutes");
         assert_eq!(
@@ -400,7 +400,7 @@ mod tests {
     fn zero_fraction_matches_undefended_sweep() {
         let g = graph();
         let exps = strip_exps(&g);
-        let undefended = crate::experiment::run_experiments_batch(&g, &exps);
+        let undefended = crate::experiment::run_experiments(&g, &exps, &BatchRunner::new());
         let mean_after =
             undefended.iter().map(|i| i.after_fraction).sum::<f64>() / exps.len() as f64;
         for strategy in DeployStrategy::ALL {
@@ -411,7 +411,7 @@ mod tests {
                 &[strategy],
                 &[0.0],
                 9,
-                &BatchRunner::new().serial(),
+                &BatchRunner::new().workers(1),
             );
             assert!((points[0].mean_after - mean_after).abs() < 1e-15);
             assert_eq!(points[0].deployed, 0);

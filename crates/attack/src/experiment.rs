@@ -3,8 +3,8 @@
 use std::fmt;
 
 use aspp_routing::{
-    AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, ExportMode, RouteWorkspace,
-    RoutingEngine, RoutingOutcome, TieBreak,
+    AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, ExportMode, RoutingEngine,
+    RoutingOutcome, TieBreak,
 };
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
@@ -179,7 +179,8 @@ impl fmt::Display for HijackImpact {
     }
 }
 
-/// Runs one experiment on `graph` (the paper's Section IV-B simulation).
+/// Runs one experiment on `graph` from cold state (the paper's Section IV-B
+/// simulation) — the per-cell reference [`run_experiments`] is pinned to.
 ///
 /// # Panics
 ///
@@ -187,36 +188,15 @@ impl fmt::Display for HijackImpact {
 /// (propagated from the routing engine).
 #[must_use]
 pub fn run_experiment(graph: &AsGraph, exp: &HijackExperiment) -> HijackImpact {
-    run_experiment_with(graph, exp, &mut RouteWorkspace::with_cache_capacity(0))
-}
-
-/// Runs one experiment, reusing `ws` for scratch state and the clean-pass
-/// cache. Sweeps that revisit a victim (λ sweeps, attacker sweeps) should
-/// prefer this over [`run_experiment`] and keep one workspace per thread.
-///
-/// # Panics
-///
-/// Same as [`run_experiment`].
-#[must_use]
-pub fn run_experiment_with(
-    graph: &AsGraph,
-    exp: &HijackExperiment,
-    ws: &mut RouteWorkspace,
-) -> HijackImpact {
     let _span = aspp_obs::trace::span("attack.experiment");
-    let engine = RoutingEngine::new(graph);
-    let outcome = engine.compute_with(&exp.to_spec(), ws);
-    impact_of(exp, &outcome)
+    impact_of(exp, &RoutingEngine::new(graph).compute(&exp.to_spec()))
 }
 
 /// Reduces a routing outcome to the experiment's impact metrics, auditing
 /// the equilibrium first (a no-op unless `debug-audit` / `ASPP_AUDIT=1`).
-/// This is the single reduction shared by the serial, chunk-parallel, and
-/// batch harnesses, so every path reports identical numbers by
-/// construction.
+/// Shared by [`run_experiment`] and [`run_experiments`], so both report
+/// identical numbers by construction.
 fn impact_of(exp: &HijackExperiment, outcome: &RoutingOutcome<'_>) -> HijackImpact {
-    // No-op unless `debug-audit` / ASPP_AUDIT=1: every equilibrium the
-    // sweep machinery consumes is invariant-checked before use.
     aspp_routing::audit::check_outcome(outcome);
     HijackImpact {
         experiment: *exp,
@@ -228,62 +208,17 @@ fn impact_of(exp: &HijackExperiment, outcome: &RoutingOutcome<'_>) -> HijackImpa
     }
 }
 
-/// Runs many experiments across worker threads (scoped, no `'static`
-/// bounds), preserving input order. Used by the figure sweeps, where each
-/// data point is an independent equilibrium computation.
-///
-/// Each worker owns one contiguous chunk of the input and writes results
-/// straight into the matching output chunk — no locks, no slot cells — and
-/// carries its own [`RouteWorkspace`], so consecutive experiments against
-/// the same victim share cached clean passes. Results are identical to
-/// mapping [`run_experiment`] serially.
-#[must_use]
-pub fn run_experiments_parallel(graph: &AsGraph, exps: &[HijackExperiment]) -> Vec<HijackImpact> {
-    let _span = aspp_obs::trace::span("attack.experiments_parallel");
-    if exps.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(exps.len());
-    let chunk = exps.len().div_ceil(workers);
-    let mut results: Vec<Option<HijackImpact>> = vec![None; exps.len()];
-
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in exps.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut ws = RouteWorkspace::new();
-                for (exp, out) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *out = Some(run_experiment_with(graph, exp, &mut ws));
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every experiment ran"))
-        .collect()
-}
-
-/// Runs many experiments through the batch equilibrium engine
-/// ([`aspp_routing::batch`]), preserving input order.
+/// Runs many experiments through `runner` (the batch equilibrium engine,
+/// [`aspp_routing::batch`]), preserving input order.
 ///
 /// All cells sharing a victim form one steal unit, so each victim's clean
 /// pass is computed once per batch and every λ/strategy/export-mode cell
 /// against it rides the warm workspace (cached clean pass + delta attacked
-/// pass). Results are bit-identical to mapping [`run_experiment`] serially;
-/// this is the default harness behind the figure sweeps and `aspp sweep`.
+/// pass). Results are bit-identical to mapping [`run_experiment`] serially
+/// at every worker count; this is the harness behind the figure sweeps and
+/// `aspp sweep`.
 #[must_use]
-pub fn run_experiments_batch(graph: &AsGraph, exps: &[HijackExperiment]) -> Vec<HijackImpact> {
-    run_experiments_with_runner(graph, exps, &BatchRunner::new())
-}
-
-/// Like [`run_experiments_batch`] with an explicit batch handle — the
-/// `aspp sweep --serial` escape hatch passes `BatchRunner::new().serial()`.
-#[must_use]
-pub fn run_experiments_with_runner(
+pub fn run_experiments(
     graph: &AsGraph,
     exps: &[HijackExperiment],
     runner: &BatchRunner,
@@ -351,37 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let g = InternetConfig::small().seed(33).build();
-        let exps: Vec<HijackExperiment> = (0..6)
-            .map(|i| HijackExperiment::new(Asn(100 + i), Asn(20_000 + i)).padding(3))
-            .collect();
-        let serial: Vec<HijackImpact> = exps.iter().map(|e| run_experiment(&g, e)).collect();
-        let parallel = run_experiments_parallel(&g, &exps);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn parallel_with_shared_victims_matches_serial() {
-        // Repeated victims across padding levels exercise the per-worker
-        // clean-pass cache; results must still be byte-identical to serial.
-        let g = InternetConfig::small().seed(34).build();
-        let mut exps = Vec::new();
-        for pad in 1..6 {
-            for m in [Asn(20_001), Asn(20_002), Asn(20_003)] {
-                exps.push(HijackExperiment::new(Asn(100), m).padding(pad));
-            }
-        }
-        let serial: Vec<HijackImpact> = exps.iter().map(|e| run_experiment(&g, e)).collect();
-        assert_eq!(serial, run_experiments_parallel(&g, &exps));
-        assert!(run_experiments_parallel(&g, &[]).is_empty());
-    }
-
-    #[test]
     fn batch_matches_serial() {
         // Repeated victims across λ levels and strategies: the batch path
-        // must agree with the serial oracle bit for bit, at every worker
-        // configuration.
+        // must agree with the per-cell reference bit for bit, at every
+        // worker configuration.
         let g = InternetConfig::small().seed(36).build();
         let mut exps = Vec::new();
         for pad in 1..6 {
@@ -395,30 +303,11 @@ mod tests {
             }
         }
         let serial: Vec<HijackImpact> = exps.iter().map(|e| run_experiment(&g, e)).collect();
-        assert_eq!(serial, run_experiments_batch(&g, &exps));
-        assert_eq!(
-            serial,
-            run_experiments_with_runner(&g, &exps, &BatchRunner::new().serial())
-        );
-        assert_eq!(
-            serial,
-            run_experiments_with_runner(&g, &exps, &BatchRunner::new().workers(3))
-        );
-        assert!(run_experiments_batch(&g, &[]).is_empty());
-    }
-
-    #[test]
-    fn workspace_reuse_matches_fresh_runs() {
-        let g = InternetConfig::small().seed(35).build();
-        let mut ws = RouteWorkspace::new();
-        for pad in 1..5 {
-            let exp = HijackExperiment::new(Asn(100), Asn(20_001)).padding(pad);
-            assert_eq!(
-                run_experiment(&g, &exp),
-                run_experiment_with(&g, &exp, &mut ws)
-            );
+        for workers in [0, 1, 3] {
+            let runner = BatchRunner::new().workers(workers);
+            assert_eq!(serial, run_experiments(&g, &exps, &runner));
         }
-        assert!(ws.cache_hits() + ws.cache_misses() > 0);
+        assert!(run_experiments(&g, &[], &BatchRunner::new()).is_empty());
     }
 
     #[test]

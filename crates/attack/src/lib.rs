@@ -33,7 +33,4 @@ pub mod sweep;
 
 pub use aspp_routing::{BatchRunner, ExportMode, RouteWorkspace};
 pub use defense::{deployment_order, run_defense_sweep, DefensePoint, DeployStrategy};
-pub use experiment::{
-    run_experiment, run_experiment_with, run_experiments_batch, run_experiments_parallel,
-    run_experiments_with_runner, HijackExperiment, HijackImpact,
-};
+pub use experiment::{run_experiment, run_experiments, HijackExperiment, HijackImpact};

@@ -1,6 +1,6 @@
 //! Experiment sweeps reproducing the paper's Figures 7–12.
 
-use aspp_routing::{AttackStrategy, ExportMode, RouteWorkspace};
+use aspp_routing::{AttackStrategy, BatchRunner, ExportMode};
 use aspp_topology::tier::TierMap;
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
@@ -8,9 +8,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::experiment::{
-    run_experiment_with, run_experiments_batch, HijackExperiment, HijackImpact,
-};
+use crate::experiment::{run_experiments, HijackExperiment, HijackImpact};
 
 /// Samples `n` distinct tier-1 attacker/victim pairs (Figure 7: "80
 /// instances of such hijacking cases with 3 prepended instances").
@@ -119,7 +117,7 @@ pub fn pair_experiments(
 /// engine, so repeated victims amortize their clean passes.
 #[must_use]
 pub fn run_ranked(graph: &AsGraph, exps: &[HijackExperiment]) -> Vec<HijackImpact> {
-    let mut impacts = run_experiments_batch(graph, exps);
+    let mut impacts = run_experiments(graph, exps, &BatchRunner::new());
     // total_cmp: a NaN fraction (impossible today, but a degenerate
     // population could produce one) must not panic mid-sort.
     impacts.sort_by(|a, b| b.after_fraction.total_cmp(&a.after_fraction));
@@ -158,14 +156,14 @@ pub fn prepend_sweep(
                 .export_mode(mode)
         })
         .collect();
-    run_experiments_batch(graph, &exps)
+    run_experiments(graph, &exps, &BatchRunner::new())
 }
 
 /// Builds the full strategy-matrix sweep for one victim/attacker pair:
 /// every [`AttackStrategy`] × export mode × λ in `paddings` — the cell grid
-/// behind `aspp sweep` and the `strategy_matrix_*` benchmarks. Cells are
-/// ordered λ-major within each (strategy, mode) series so each series is a
-/// ready-to-plot Figure-9-style curve.
+/// behind `aspp sweep` and the equivalence suites. Cells are ordered λ-major
+/// within each (strategy, mode) series so each series is a ready-to-plot
+/// Figure-9-style curve.
 #[must_use]
 pub fn strategy_matrix(
     victim: Asn,
@@ -193,33 +191,6 @@ pub fn strategy_matrix(
         }
     }
     exps
-}
-
-/// Serial variant of [`prepend_sweep`] that reuses `ws` across λ values and
-/// across calls. The clean pass is keyed by `(victim, prepending config,
-/// tie-break)`, so re-running a sweep — or sweeping several attackers
-/// against the same victim and λ grid — serves the victim's clean passes
-/// from cache and only computes the attacked passes. Results are identical
-/// to [`prepend_sweep`].
-#[must_use]
-pub fn prepend_sweep_with(
-    graph: &AsGraph,
-    victim: Asn,
-    attacker: Asn,
-    paddings: impl IntoIterator<Item = usize>,
-    mode: ExportMode,
-    ws: &mut RouteWorkspace,
-) -> Vec<HijackImpact> {
-    let _span = aspp_obs::trace::span("attack.prepend_sweep");
-    paddings
-        .into_iter()
-        .map(|p| {
-            let exp = HijackExperiment::new(victim, attacker)
-                .padding(p)
-                .export_mode(mode);
-            run_experiment_with(graph, &exp, ws)
-        })
-        .collect()
 }
 
 /// Picks one AS per requested tier, deterministically: the lowest-ASN member
@@ -356,26 +327,6 @@ mod tests {
                 assert!(exps.iter().all(|e| e.victim() != e.attacker()));
             }
         }
-    }
-
-    #[test]
-    fn workspace_sweep_matches_parallel_sweep() {
-        let g = graph();
-        let mut ws = RouteWorkspace::new();
-        for _ in 0..2 {
-            let reused = prepend_sweep_with(
-                &g,
-                Asn(100),
-                Asn(101),
-                1..=6,
-                ExportMode::Compliant,
-                &mut ws,
-            );
-            let fresh = prepend_sweep(&g, Asn(100), Asn(101), 1..=6, ExportMode::Compliant);
-            assert_eq!(fresh, reused);
-        }
-        // The second sweep served every clean pass from cache.
-        assert_eq!(ws.cache_hits(), 6);
     }
 
     #[test]

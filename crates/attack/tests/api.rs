@@ -6,7 +6,7 @@ use aspp_attack::sweep::{
     best_connected_stub, pair_experiments, prepend_sweep, representative_of_tier, run_ranked,
     tier1_pair_experiments,
 };
-use aspp_attack::{run_experiment, run_experiments_parallel, ExportMode, HijackExperiment};
+use aspp_attack::{run_experiment, run_experiments, BatchRunner, ExportMode, HijackExperiment};
 use aspp_routing::RoutingEngine;
 use aspp_topology::gen::InternetConfig;
 use aspp_topology::AsGraph;
@@ -51,11 +51,12 @@ fn impact_gain_is_consistent() {
 }
 
 #[test]
-fn parallel_runner_handles_single_and_empty_batches() {
+fn runner_handles_single_and_empty_batches() {
     let g = internet(502);
-    assert!(run_experiments_parallel(&g, &[]).is_empty());
+    let runner = BatchRunner::new();
+    assert!(run_experiments(&g, &[], &runner).is_empty());
     let one = [HijackExperiment::new(Asn(20_001), Asn(100))];
-    let results = run_experiments_parallel(&g, &one);
+    let results = run_experiments(&g, &one, &runner);
     assert_eq!(results.len(), 1);
     assert_eq!(results[0], run_experiment(&g, &one[0]));
 }

@@ -126,20 +126,12 @@ impl DefenseStudy {
     }
 }
 
-/// Runs the deployment study with the default batch runner.
+/// Runs the deployment study through `runner`.
 ///
 /// # Panics
 ///
 /// Panics if the graph is too small to sample the configured pair count
 /// (propagated from the routing engine).
-#[must_use]
-pub fn run(graph: &AsGraph, config: &DefenseConfig) -> DefenseStudy {
-    run_with_runner(graph, config, &BatchRunner::new())
-}
-
-/// Runs the deployment study on an explicit batch handle (the
-/// `aspp defense --serial` escape hatch passes
-/// `BatchRunner::new().serial()`).
 #[must_use]
 pub fn run_with_runner(
     graph: &AsGraph,
@@ -195,7 +187,7 @@ mod tests {
             fractions: vec![0.0, 0.5, 1.0],
             seed: 2,
         };
-        run(&graph, &config)
+        run_with_runner(&graph, &config, &BatchRunner::new())
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! future-work monitor-placement study), [`extensions::stealth`] (the
 //! visibility comparison against origin-hijack and forged-adjacency
 //! baselines), [`extensions::mitigations`] (reactive defenses), and
-//! [`defense::run`] (proactive per-AS defense policies — ROV, ASPA,
-//! peerlock-lite, first-AS enforcement — swept over deployment strategies
-//! and adoption fractions).
+//! [`defense::run_with_runner`] (proactive per-AS defense policies — ROV,
+//! ASPA, peerlock-lite, first-AS enforcement — swept over deployment
+//! strategies and adoption fractions).
 
 pub mod case_study;
 pub mod defense;

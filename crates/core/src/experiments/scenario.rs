@@ -120,28 +120,17 @@ pub fn estimator_config(scale: Scale, seed: u64) -> EstimatorConfig {
     }
 }
 
-/// Runs the Monte-Carlo estimator through `runner` at `scale`.
-#[must_use]
-pub fn estimate_with_runner(
-    graph: &AsGraph,
-    scale: Scale,
-    seed: u64,
-    runner: &BatchRunner,
-) -> Estimate {
-    let _span = aspp_obs::trace::span("experiments.estimate");
-    estimate_with(graph, &estimator_config(scale, seed), runner)
-}
-
 /// Cross-validates the estimator against exact enumeration over the same
-/// pools: returns the estimate, the ground truth, and whether the exact
-/// mean pollution lies inside the 95% bootstrap CI.
+/// pools, both through `runner`: returns the estimate, the ground truth,
+/// and whether the exact mean pollution lies inside the 95% bootstrap CI.
 #[must_use]
 pub fn cross_validate(
     graph: &AsGraph,
     config: &EstimatorConfig,
+    runner: &BatchRunner,
 ) -> (Estimate, ExactEnumeration, bool) {
-    let est = estimate_with(graph, config, &BatchRunner::new());
-    let exact = exact_enumeration(graph, config);
+    let est = estimate_with(graph, config, runner);
+    let exact = exact_enumeration(graph, config, runner);
     let within =
         est.pollution_ci.0 <= exact.mean_pollution && exact.mean_pollution <= est.pollution_ci.1;
     (est, exact, within)
@@ -156,7 +145,7 @@ mod tests {
         let graph = Scale::Smoke.internet(17);
         let scenario = canonical_timeline(&graph, Scale::Smoke, 17);
         assert_eq!(scenario.times(), vec![0, 1, 2, 3, 4]);
-        let run = scenario.run(&graph);
+        let run = scenario.run_with(&graph, &BatchRunner::new());
         assert_eq!(run.steps.len(), 5);
         // t2: the subprefix hijacker captures while the strip only transits.
         assert!(run.steps[2].captured > 0.5, "{}", run.steps[2].captured);
@@ -174,7 +163,7 @@ mod tests {
     fn smoke_cross_validation_brackets_the_exact_mean() {
         let graph = Scale::Smoke.internet(13);
         let config = estimator_config(Scale::Smoke, 13);
-        let (est, exact, within) = cross_validate(&graph, &config);
+        let (est, exact, within) = cross_validate(&graph, &config, &BatchRunner::new());
         assert!(
             within,
             "exact {} outside CI [{}, {}]",

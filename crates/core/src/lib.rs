@@ -45,9 +45,8 @@ pub use aspp_types as types;
 /// Convenience re-exports of the most used items.
 pub mod prelude {
     pub use aspp_attack::{
-        defense, run_experiment, run_experiment_with, run_experiments_batch,
-        run_experiments_parallel, run_experiments_with_runner, scenarios, sweep, BatchRunner,
-        DefensePoint, DeployStrategy, ExportMode, HijackExperiment, HijackImpact, RouteWorkspace,
+        defense, run_experiment, run_experiments, scenarios, sweep, BatchRunner, DefensePoint,
+        DeployStrategy, ExportMode, HijackExperiment, HijackImpact, RouteWorkspace,
     };
     pub use aspp_data::{measure, stats::Cdf, Corpus, CorpusConfig};
     pub use aspp_dataplane::{forwarding, simulate_traceroute, Region, RegionMap, Traceroute};

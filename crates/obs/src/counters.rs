@@ -41,9 +41,6 @@ pub enum Counter {
     /// Delta attempts that detected the non-monotone corner and fell back
     /// to a full second propagation (delta→full aborts).
     DeltaFallback,
-    /// Attacked passes that skipped a doomed delta attempt because the
-    /// hostile-spec memo had already recorded a fallback for that spec.
-    HostileMemoHit,
     /// Equilibria checked by the invariant auditor.
     AuditCheck,
     /// Invariant violations found by the auditor.
@@ -99,7 +96,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of distinct counters.
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 27;
 
     /// All counters, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -111,7 +108,6 @@ impl Counter {
         Counter::DeltaPass,
         Counter::DeltaFrontierNode,
         Counter::DeltaFallback,
-        Counter::HostileMemoHit,
         Counter::AuditCheck,
         Counter::AuditViolation,
         Counter::FeedRecordIn,
@@ -146,7 +142,6 @@ impl Counter {
             Counter::DeltaPass => "delta_passes",
             Counter::DeltaFrontierNode => "delta_frontier_nodes",
             Counter::DeltaFallback => "delta_fallbacks",
-            Counter::HostileMemoHit => "hostile_memo_hits",
             Counter::AuditCheck => "audit_checks",
             Counter::AuditViolation => "audit_violations",
             Counter::FeedRecordIn => "feed_records_in",

@@ -5,9 +5,8 @@
 //! topology's size and fingerprint, the seed, the strategy matrix the run
 //! swept, per-phase wall times, and a [`MetricsSnapshot`] of the engine
 //! counters accumulated during the run. The CLI writes one next to every
-//! `results/` artifact (`--manifest PATH` / `ASPP_MANIFEST=PATH`) and
-//! `aspp-bench` embeds one in `BENCH_engine.json`, so every recorded
-//! number carries its provenance.
+//! `results/` artifact (`--manifest PATH` / `ASPP_MANIFEST=PATH`), so every
+//! recorded number carries its provenance.
 //!
 //! The JSON schema (`"schema": 1`) is documented in `EXPERIMENTS.md`.
 

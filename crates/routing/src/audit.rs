@@ -31,7 +31,7 @@
 //! not a boolean. [`check_outcome`] is a no-op unless auditing is
 //! [`enabled`] — compiled in via the `debug-audit` cargo feature or switched
 //! on at runtime with `ASPP_AUDIT=1` — so it can sit on the hot paths
-//! (`run_experiment_with`, the detection eval) for free. When enabled, the
+//! (`run_experiments`, the detection eval) for free. When enabled, the
 //! engine additionally replays every delta attacked pass through the full
 //! propagation and asserts bit identity.
 

@@ -95,7 +95,6 @@ pub struct BatchRunner {
     /// Worker-thread count; `0` means "one per available core, capped at
     /// the number of steal units".
     workers: usize,
-    cache_capacity: usize,
 }
 
 impl Default for BatchRunner {
@@ -105,38 +104,19 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner with automatic worker count and the default per-worker
-    /// clean-pass cache capacity.
+    /// A runner with automatic worker count.
     #[must_use]
     pub fn new() -> Self {
-        BatchRunner {
-            workers: 0,
-            cache_capacity: RouteWorkspace::DEFAULT_CACHE_CAPACITY,
-        }
+        BatchRunner { workers: 0 }
     }
 
     /// Pins the worker count (`0` restores the automatic choice). The
-    /// count is always capped at the number of steal units.
+    /// count is always capped at the number of steal units. `workers(1)`
+    /// is serial execution: one workspace, victims processed in
+    /// first-appearance order, no threads spawned — identical results.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Forces single-worker execution: one workspace, victims processed in
-    /// first-appearance order, no threads spawned. Results are identical
-    /// to the parallel configuration — this is an escape hatch for
-    /// debugging and for single-core hosts, not a different semantics.
-    #[must_use]
-    pub fn serial(self) -> Self {
-        self.workers(1)
-    }
-
-    /// Sets the per-worker clean-pass cache capacity (see
-    /// [`RouteWorkspace::with_cache_capacity`]).
-    #[must_use]
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -208,7 +188,7 @@ impl BatchRunner {
         if workers <= 1 {
             // Single-worker fast path: one shared scratch table and bucket
             // queue for the entire batch, no threads, no locks.
-            let mut ws = RouteWorkspace::with_cache_capacity(self.cache_capacity);
+            let mut ws = RouteWorkspace::new();
             let mut out: Vec<Option<T>> = (0..cells.len()).map(|_| None).collect();
             for (_, idxs) in &groups {
                 for &i in idxs {
@@ -229,7 +209,7 @@ impl BatchRunner {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let mut ws = RouteWorkspace::with_cache_capacity(self.cache_capacity);
+                    let mut ws = RouteWorkspace::new();
                     let mut claimed = 0usize;
                     loop {
                         let g = cursor.fetch_add(1, Ordering::Relaxed);
@@ -297,20 +277,6 @@ fn steal_units(victims: impl IntoIterator<Item = Asn>) -> Vec<(Asn, Vec<usize>)>
     groups
 }
 
-/// One-shot convenience over [`BatchRunner::new`]`.run(..)`.
-///
-/// # Panics
-///
-/// Same as [`BatchRunner::run`].
-#[must_use]
-pub fn compute_batch<'g, T, F>(graph: &'g AsGraph, specs: &[DestinationSpec], reduce: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &RoutingOutcome<'g>) -> T + Sync,
-{
-    BatchRunner::new().run(graph, specs, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,9 +318,9 @@ mod tests {
             .collect();
         for runner in [
             BatchRunner::new(),
-            BatchRunner::new().serial(),
+            BatchRunner::new().workers(1),
             BatchRunner::new().workers(2),
-            BatchRunner::new().workers(7).cache_capacity(0),
+            BatchRunner::new().workers(7),
         ] {
             let got = runner.run(&g, &specs, |_, o| polluted(o));
             assert_eq!(got, expected);
@@ -392,8 +358,8 @@ mod tests {
             .collect();
         for runner in [
             BatchRunner::new(),
-            BatchRunner::new().serial(),
-            BatchRunner::new().workers(3).cache_capacity(0),
+            BatchRunner::new().workers(1),
+            BatchRunner::new().workers(3),
         ] {
             let got = runner.run_with_policy(&g, &cells, |_, o| polluted(o));
             assert_eq!(got, expected);
@@ -406,12 +372,9 @@ mod tests {
         let specs = matrix_specs();
         let cells: Vec<(DestinationSpec, NoDefense)> =
             specs.iter().map(|s| (s.clone(), NoDefense)).collect();
-        let via_run = BatchRunner::new()
-            .serial()
-            .run(&g, &specs, |_, o| polluted(o));
-        let via_cells = BatchRunner::new()
-            .serial()
-            .run_with_policy(&g, &cells, |_, o| polluted(o));
+        let runner = BatchRunner::new().workers(1);
+        let via_run = runner.run(&g, &specs, |_, o| polluted(o));
+        let via_cells = runner.run_with_policy(&g, &cells, |_, o| polluted(o));
         assert_eq!(via_run, via_cells);
     }
 
@@ -419,14 +382,14 @@ mod tests {
     fn reduce_sees_input_indices_in_order() {
         let g = graph();
         let specs = matrix_specs();
-        let idxs = compute_batch(&g, &specs, |i, _| i);
+        let idxs = BatchRunner::new().run(&g, &specs, |i, _| i);
         assert_eq!(idxs, (0..specs.len()).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_batch_is_empty() {
         let g = graph();
-        let out: Vec<usize> = compute_batch(&g, &[], |i, _| i);
+        let out: Vec<usize> = BatchRunner::new().run(&g, &[], |i, _| i);
         assert!(out.is_empty());
     }
 
@@ -449,7 +412,7 @@ mod tests {
     fn worker_count_caps_at_units() {
         let r = BatchRunner::new().workers(64);
         assert_eq!(r.worker_count(3), 3);
-        assert_eq!(BatchRunner::new().serial().worker_count(8), 1);
+        assert_eq!(BatchRunner::new().workers(1).worker_count(8), 1);
         assert!(BatchRunner::new().worker_count(8) >= 1);
         assert_eq!(BatchRunner::new().worker_count(0), 1);
     }

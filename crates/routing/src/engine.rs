@@ -35,12 +35,14 @@
 //!
 //! # Delta re-convergence
 //!
-//! The attacked equilibrium is computed **incrementally** from the clean one
-//! ([`RoutingEngine::compute_with`]); the full second Dijkstra survives only
-//! as a fallback and as the reference oracle
-//! ([`RoutingEngine::compute_full_with`]). The delta pass starts from a copy
-//! of the clean pass, seeds the frontier with `M`'s stripped exports, and
-//! relaxes outward; a popped label either
+//! Whenever `delta_applicable` holds (no import filter, a parent-closed
+//! rejection chain, a seed that does not lengthen `M`'s own exports) the
+//! attacked equilibrium is computed **incrementally** from the clean one;
+//! the full second Dijkstra is the fallback, the path every policied or
+//! poisoned pass takes, and — reached through any accept-all non-`NOOP`
+//! [`DefensePolicy`] — the reference the equivalence tests compare against.
+//! The delta pass starts from a copy of the clean pass, seeds the frontier
+//! with `M`'s stripped exports, and relaxes outward; a popped label either
 //!
 //! * loses to the node's clean label — the frontier stops, the node (and
 //!   everything behind it) keeps its clean route verbatim; or
@@ -84,11 +86,8 @@
 //! single random memory access and the whole table stays L1-resident at
 //! paper scale. Epoch stamping makes starting a pass O(1): nothing is
 //! re-zeroed. A [`RouteWorkspace`] additionally memoizes, per cached clean
-//! pass, the `Arc`-shared route table (hits never clone it), the packed
-//! clean-key ranking table the delta pass prunes against, and the set of
-//! attack specs whose delta attempt is known to hit the non-monotone corner
-//! (fallback is a pure function of `(graph, spec)`, so one observed
-//! fallback predicts all repeats).
+//! pass, the `Arc`-shared route table (hits never clone it) and the packed
+//! clean-key ranking table the delta pass prunes against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -510,11 +509,6 @@ struct CleanEntry {
     keys: Option<Arc<[u128]>>,
 }
 
-/// Upper bound on the delta-hostile memo in [`RouteWorkspace`]; like the
-/// clean-pass cache, big enough for a full λ sweep, small enough that the
-/// linear scan is free.
-const DELTA_HOSTILE_CAPACITY: usize = 32;
-
 /// Labels with effective length at or beyond this spill from the per-length
 /// `Vec` buckets into a per-class binary heap. Only extreme prepending
 /// configurations produce such labels; everything paper-shaped stays in the
@@ -746,9 +740,7 @@ fn packed_len(key: u128) -> u32 {
 ///   never clone it) and lazily memoizes the packed clean-key ranking table,
 ///   so repeated computations over the same victim skip the redundant clean
 ///   pass entirely and give the **delta attacked pass** its starting
-///   equilibrium and pruning keys for free. A companion memo remembers
-///   attack specs whose delta pass is known to fall back, so repeats go
-///   straight to the full pass.
+///   equilibrium and pruning keys for free.
 ///
 /// Results are **bit-identical** to [`RoutingEngine::compute`]: the clean
 /// pass is deterministic, so replaying a cached copy and recomputing it
@@ -785,10 +777,6 @@ pub struct RouteWorkspace {
     scratch: Vec<NodeScratch>,
     epoch: u32,
     clean_cache: Vec<CleanEntry>,
-    /// Attack specs whose delta pass is known to hit the non-monotone
-    /// corner; repeats go straight to the full pass instead of re-paying a
-    /// doomed delta attempt. Valid for the stamped graph only.
-    delta_hostile: Vec<(Asn, AttackerModel, TieBreak, Arc<PrependConfig>)>,
     cache_capacity: usize,
     stamp: Option<GraphStamp>,
     hits: u64,
@@ -825,7 +813,6 @@ impl RouteWorkspace {
             scratch: Vec::new(),
             epoch: 0,
             clean_cache: Vec::new(),
-            delta_hostile: Vec::new(),
             cache_capacity: capacity,
             stamp: None,
             hits: 0,
@@ -843,7 +830,6 @@ impl RouteWorkspace {
     pub fn clear(&mut self) {
         self.queue.clear();
         self.clean_cache.clear();
-        self.delta_hostile.clear();
         self.stamp = None;
     }
 
@@ -993,28 +979,7 @@ impl<'g> RoutingEngine<'g> {
         spec: &DestinationSpec,
         ws: &mut RouteWorkspace,
     ) -> RoutingOutcome<'g> {
-        self.compute_inner(spec, ws, true, &NoDefense)
-    }
-
-    /// Like [`compute_with`](Self::compute_with) but forces the attacked
-    /// pass to run as a full whole-graph propagation, never the delta path.
-    ///
-    /// The result is bit-identical to [`compute_with`](Self::compute_with);
-    /// this exists as the validation oracle for the delta pass (see
-    /// `tests/delta_equivalence.rs`) and as the before/after baseline in the
-    /// benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the victim (or configured attacker) is not in the graph, or
-    /// if attacker == victim.
-    #[must_use]
-    pub fn compute_full_with(
-        &self,
-        spec: &DestinationSpec,
-        ws: &mut RouteWorkspace,
-    ) -> RoutingOutcome<'g> {
-        self.compute_inner(spec, ws, false, &NoDefense)
+        self.compute_with_policy(spec, ws, &NoDefense)
     }
 
     /// Like [`compute_with`](Self::compute_with) with a per-AS
@@ -1031,7 +996,10 @@ impl<'g> RoutingEngine<'g> {
     /// attacked pass with the full from-scratch propagation rather than
     /// delta re-convergence: an import filter can orphan a node's clean
     /// route (its clean parent adopts a malicious route the node refuses),
-    /// which violates the delta pass's replacement invariant.
+    /// which violates the delta pass's replacement invariant. A policy that
+    /// accepts everything therefore yields the whole-graph reference for
+    /// [`compute_with`](Self::compute_with) — the oracle of
+    /// `tests/delta_equivalence.rs` and `tests/flat_equivalence.rs`.
     ///
     /// # Example
     ///
@@ -1068,40 +1036,7 @@ impl<'g> RoutingEngine<'g> {
         ws: &mut RouteWorkspace,
         policy: &P,
     ) -> RoutingOutcome<'g> {
-        self.compute_inner(spec, ws, true, policy)
-    }
-
-    /// Like [`compute_with_policy`](Self::compute_with_policy) but forcing
-    /// the attacked pass to run as a full whole-graph propagation — the
-    /// policied analogue of [`compute_full_with`](Self::compute_full_with),
-    /// and the validation oracle for the policied delta pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the victim (or configured attacker) is not in the graph, or
-    /// if attacker == victim.
-    #[must_use]
-    pub fn compute_full_with_policy<P: DefensePolicy>(
-        &self,
-        spec: &DestinationSpec,
-        ws: &mut RouteWorkspace,
-        policy: &P,
-    ) -> RoutingOutcome<'g> {
-        self.compute_inner(spec, ws, false, policy)
-    }
-
-    fn compute_inner<P: DefensePolicy>(
-        &self,
-        spec: &DestinationSpec,
-        ws: &mut RouteWorkspace,
-        use_delta: bool,
-        policy: &P,
-    ) -> RoutingOutcome<'g> {
-        let _span = aspp_obs::trace::span(if use_delta {
-            "engine.compute"
-        } else {
-            "engine.compute_full"
-        });
+        let _span = aspp_obs::trace::span("engine.compute");
         let v_idx = self
             .graph
             .index_of(spec.victim)
@@ -1120,11 +1055,7 @@ impl<'g> RoutingEngine<'g> {
         let attacked = spec.attacker.as_ref().and_then(|att| {
             let m_idx = self.graph.index_of(att.asn).expect("checked above");
             let m_route = clean.get(m_idx)?;
-            // Delta soundness additionally requires the rejection chain to
-            // be closed under clean parents: every chain node's clean
-            // parent must itself reject malicious labels, or a chain node
-            // could be left holding a clean route its adopting parent no
-            // longer exports. M's own clean chain is parent-closed by
+            // M's own clean chain is closed under clean parents by
             // construction; a poisoned splice generally is not.
             let mut chain_parent_closed = true;
             let (base_len, chain) = match att.strategy {
@@ -1178,6 +1109,7 @@ impl<'g> RoutingEngine<'g> {
                 mode: att.mode,
                 pinned: m_route,
                 chain,
+                chain_parent_closed,
             };
             // Per-attack policy inputs, computed once per attacked pass —
             // the per-offer hook is then branch-and-mask only. Elided (with
@@ -1194,52 +1126,18 @@ impl<'g> RoutingEngine<'g> {
                     m_route.class,
                 )
             };
-            // Delta re-convergence is sound only without an active policy:
-            // its frontier pruning relies on every invalidated clean export
-            // being *replaced* by an adopted malicious label (the offer a
-            // node receives from an adopting clean parent never ranks below
-            // the export it displaced, so the node always re-converges).
-            // An import filter breaks exactly that replacement guarantee —
-            // a deployer that rejects its clean parent's now-malicious
-            // offer would be left holding a dangling route the parent no
-            // longer exports. Policied passes therefore always run the full
-            // propagation.
-            if use_delta && P::NOOP && chain_parent_closed {
-                // Whether the delta pass survives is a pure function of
-                // (graph, spec), so a spec that fell back once will fall
-                // back every time: remember it and skip the doomed attempt.
-                // The memo is keyed by spec alone, so only the NOOP default
-                // may consult (or feed) it — a policy changes which offers
-                // exist and therefore which specs fall back.
-                let known_hostile = P::NOOP
-                    && ws.cache_capacity > 0
-                    && ws.delta_hostile.iter().any(|h| {
-                        h.0 == spec.victim && h.1 == *att && h.2 == spec.tie && h.3 == spec.prepend
-                    });
-                if known_hostile {
-                    counters::incr(Counter::HostileMemoHit);
-                } else {
-                    let keys = self.clean_keys(spec, ws, &clean);
-                    if let Some(pass) =
-                        self.propagate_delta(spec, v_idx, ws, &seed, &clean, &keys, policy, &facts)
-                    {
-                        ws.delta_passes += 1;
-                        counters::incr(Counter::DeltaPass);
-                        if crate::audit::enabled() {
-                            // debug-audit oracle: the delta pass must be
-                            // bit-identical to a from-scratch propagation.
-                            let full = self.propagate(spec, v_idx, ws, Some(&seed), policy, &facts);
-                            crate::audit::assert_delta_matches_full(self.graph, spec, &pass, &full);
-                        }
-                        return Some(pass);
+            if seed.delta_applicable::<P>(spec.tie) {
+                let keys = self.clean_keys(spec, ws, &clean);
+                if let Some(pass) = self.propagate_delta(spec, v_idx, ws, &seed, &clean, &keys) {
+                    ws.delta_passes += 1;
+                    counters::incr(Counter::DeltaPass);
+                    if crate::audit::enabled() {
+                        // debug-audit oracle: the delta pass must be
+                        // bit-identical to a from-scratch propagation.
+                        let full = self.propagate(spec, v_idx, ws, Some(&seed), policy, &facts);
+                        crate::audit::assert_delta_matches_full(self.graph, spec, &pass, &full);
                     }
-                    if P::NOOP && ws.cache_capacity > 0 {
-                        if ws.delta_hostile.len() >= DELTA_HOSTILE_CAPACITY {
-                            ws.delta_hostile.remove(0);
-                        }
-                        ws.delta_hostile
-                            .push((spec.victim, *att, spec.tie, spec.prepend.clone()));
-                    }
+                    return Some(pass);
                 }
                 ws.delta_fallbacks += 1;
                 counters::incr(Counter::DeltaFallback);
@@ -1284,7 +1182,6 @@ impl<'g> RoutingEngine<'g> {
         let stamp = GraphStamp::of(self.graph);
         if ws.stamp != Some(stamp) {
             ws.clean_cache.clear();
-            ws.delta_hostile.clear();
             ws.stamp = Some(stamp);
         }
         if let Some(pos) = ws
@@ -1491,13 +1388,12 @@ impl<'g> RoutingEngine<'g> {
     /// the clean label wins, and untouched nodes keep their clean route
     /// verbatim.
     ///
-    /// Returns `None` when the non-monotone corner is detected (an adoption
-    /// that lengthens a route, or — under [`TieBreak::PreferClean`] — fails
-    /// to shorten it); the caller must then run the full pass. Otherwise the
+    /// Requires [`AttackSeed::delta_applicable`]. Returns `None` when the
+    /// non-monotone corner is detected (an adoption that [`worsened`] the
+    /// route it replaced); the caller must then run the full pass. Otherwise the
     /// returned pass is bit-identical to [`propagate`](Self::propagate) with
     /// the same seed.
-    #[allow(clippy::too_many_arguments)]
-    fn propagate_delta<P: DefensePolicy>(
+    fn propagate_delta(
         &self,
         spec: &DestinationSpec,
         v_idx: usize,
@@ -1505,21 +1401,9 @@ impl<'g> RoutingEngine<'g> {
         att: &AttackSeed,
         clean: &Pass,
         keys: &[u128],
-        policy: &P,
-        facts: &AttackFacts,
     ) -> Option<Pass> {
-        // A replaced export worsens iff the adopted route is longer than the
-        // clean one it displaces; under PreferClean the flipped via-attacker
-        // tie bit alone worsens it, so only strictly shorter adoptions are
-        // safe there.
-        let worsened = |new_len: u32, clean_len: u32| match spec.tie {
-            TieBreak::PreferClean => new_len >= clean_len,
-            TieBreak::LowestNeighborAsn | TieBreak::PreferAttacker => new_len > clean_len,
-        };
-        // The attacker's own seed replaces its clean exports too.
-        if worsened(att.base_len, att.pinned.len) {
-            return None;
-        }
+        // Only a NOOP policy is delta-applicable, so the hook is compiled out.
+        let (policy, facts) = (&NoDefense, &AttackFacts::default());
         let n = self.graph.len();
         let csr = self.graph.csr();
         let pad = self.pad_table(spec);
@@ -1539,7 +1423,7 @@ impl<'g> RoutingEngine<'g> {
         scratch[att.m_idx].adopted_epoch = epoch;
         let mut frontier = 0u64;
 
-        self.seed_attacker_exports::<true, P>(
+        self.seed_attacker_exports::<true, NoDefense>(
             spec, csr, &pad, att, v_idx, queue, scratch, keys, epoch, policy, facts,
         );
 
@@ -1563,7 +1447,8 @@ impl<'g> RoutingEngine<'g> {
             if clean_key < pack_pref(label.class, label.len, label.tie_key) {
                 continue;
             }
-            if clean_key != PACKED_NO_CLEAN && worsened(label.len, packed_len(clean_key)) {
+            if clean_key != PACKED_NO_CLEAN && worsened(spec.tie, label.len, packed_len(clean_key))
+            {
                 return None;
             }
             s.adopted_epoch = epoch;
@@ -1577,7 +1462,7 @@ impl<'g> RoutingEngine<'g> {
                     via_attacker: true,
                 }),
             );
-            self.export_from::<true, P>(
+            self.export_from::<true, NoDefense>(
                 spec,
                 csr,
                 &pad,
@@ -1808,6 +1693,39 @@ struct AttackSeed {
     mode: ExportMode,
     pinned: NodeRoute,
     chain: Vec<usize>,
+    /// Whether every chain node but the (pinned) attacker has its clean
+    /// parent on the chain too.
+    chain_parent_closed: bool,
+}
+
+impl AttackSeed {
+    /// The single gate of delta re-convergence (proof sketch in DESIGN.md).
+    /// Its frontier pruning is sound iff every clean export the attack
+    /// invalidates is *replaced* by a malicious label that ranks no worse:
+    ///
+    /// * **replacement guarantee** — no import filter (`P::NOOP`): a deployer
+    ///   rejecting its clean parent's now-malicious offer would be left
+    ///   holding a route the parent no longer exports;
+    /// * **parent-closed chain** — every node that rejects malicious labels
+    ///   (loop prevention) has a clean parent that rejects them too, so no
+    ///   chain node's clean route is withdrawn under it;
+    /// * **monotone lengths** — the attacker's own seed does not lengthen
+    ///   the exports it replaces (each later adoption is probed with the same
+    ///   [`worsened`] test inside the pass, which aborts to the full pass).
+    fn delta_applicable<P: DefensePolicy>(&self, tie: TieBreak) -> bool {
+        P::NOOP && self.chain_parent_closed && !worsened(tie, self.base_len, self.pinned.len)
+    }
+}
+
+/// Whether replacing a clean export of length `clean_len` by a malicious one
+/// of length `new_len` worsens it for the receivers: iff it grew — or, under
+/// [`TieBreak::PreferClean`], failed to shrink, because the flipped
+/// via-attacker tie bit alone ranks it lower.
+fn worsened(tie: TieBreak, new_len: u32, clean_len: u32) -> bool {
+    match tie {
+        TieBreak::PreferClean => new_len >= clean_len,
+        TieBreak::LowestNeighborAsn | TieBreak::PreferAttacker => new_len > clean_len,
+    }
 }
 
 /// Heap label; ordered so that `BinaryHeap<Reverse<Label>>` pops the most
@@ -2826,6 +2744,51 @@ mod tests {
         assert_eq!(ws.cache_misses(), 4);
         ws.clear();
         assert_eq!(ws.cached_passes(), 0);
+    }
+
+    #[test]
+    fn bucket_queue_pops_in_heap_order_across_the_spill_boundary() {
+        let mut queue = BucketQueue::default();
+        let mut heap = BinaryHeap::new();
+        let mut node = 0u32;
+        let mut push = |queue: &mut BucketQueue, heap: &mut BinaryHeap<_>, class, len| {
+            for tie_asn in [9u32, 4] {
+                node += 1;
+                let tie_key = (u8::from(node.is_multiple_of(3)), tie_asn);
+                let (parent, via_attacker) = (node + 100, node.is_multiple_of(2));
+                queue.push(
+                    class,
+                    len,
+                    pack_bucket_rank(tie_key, node, parent, via_attacker),
+                );
+                heap.push(Reverse(Label {
+                    class,
+                    len,
+                    tie_key,
+                    parent_asn_order: tie_asn,
+                    node,
+                    parent,
+                    via_attacker,
+                }));
+            }
+        };
+        for class in [
+            RouteClass::FromProvider,
+            RouteClass::FromCustomer,
+            RouteClass::FromPeer,
+        ] {
+            for len in [1_000_000, BUCKET_SPILL_LEN as u32, 255, 3, 256, 255] {
+                push(&mut queue, &mut heap, class, len);
+            }
+        }
+        // A re-export of the first pop lands in the spill heap mid-scan.
+        let Reverse(first) = heap.pop().unwrap();
+        assert_eq!(queue.pop(), Some(first));
+        push(&mut queue, &mut heap, first.class, first.len + 297);
+        while let Some(Reverse(expected)) = heap.pop() {
+            assert_eq!(queue.pop(), Some(expected));
+        }
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]

@@ -100,8 +100,8 @@ use crate::engine::{AttackStrategy, Pass, RoutingOutcome};
 pub trait DefensePolicy {
     /// Marks the policy as a compile-time no-op. When `true` the engine
     /// elides the hook entirely (the monomorphized hot path is identical
-    /// to the pre-policy engine) and keeps policy-independent memos — such
-    /// as the delta-hostile spec memo — enabled.
+    /// to the pre-policy engine) and may serve the attacked pass by delta
+    /// re-convergence.
     ///
     /// Only [`NoDefense`] should set this.
     const NOOP: bool = false;

@@ -174,12 +174,6 @@ fn measure(
     (pollution, interception)
 }
 
-/// Runs the estimator with a default [`BatchRunner`].
-#[must_use]
-pub fn estimate(graph: &AsGraph, config: &EstimatorConfig) -> Estimate {
-    estimate_with(graph, config, &BatchRunner::new())
-}
-
 /// Runs the estimator through `runner`.
 ///
 /// Draws are made up-front from the seeded RNG, resolved through the
@@ -259,11 +253,16 @@ pub fn estimate_with(graph: &AsGraph, config: &EstimatorConfig, runner: &BatchRu
     }
 }
 
-/// Enumerates every (victim, attacker) pair of the configured pools and
-/// measures the full population — the ground truth for cross-validation.
-/// Quadratic in the pool sizes; only affordable below Internet scale.
+/// Enumerates every (victim, attacker) pair of the configured pools through
+/// `runner` and measures the full population — the ground truth for
+/// cross-validation. Quadratic in the pool sizes; only affordable below
+/// Internet scale.
 #[must_use]
-pub fn exact_enumeration(graph: &AsGraph, config: &EstimatorConfig) -> ExactEnumeration {
+pub fn exact_enumeration(
+    graph: &AsGraph,
+    config: &EstimatorConfig,
+    runner: &BatchRunner,
+) -> ExactEnumeration {
     let _span = aspp_obs::trace::span("scenario.exact");
     let victims = victim_pool(graph, config.victims, config.seed);
     let attackers = attacker_pool(graph, config.attackers, config.seed);
@@ -277,7 +276,7 @@ pub fn exact_enumeration(graph: &AsGraph, config: &EstimatorConfig) -> ExactEnum
         })
         .collect();
     let specs: Vec<DestinationSpec> = cells.iter().map(|&(v, m)| spec_for(config, v, m)).collect();
-    let measured: Vec<(f64, f64)> = BatchRunner::new().run(graph, &specs, |_, outcome| {
+    let measured: Vec<(f64, f64)> = runner.run(graph, &specs, |_, outcome| {
         counters::incr(Counter::McSample);
         measure(outcome, config, None)
     });
@@ -390,7 +389,7 @@ mod tests {
     #[test]
     fn ci_brackets_the_mean_and_is_ordered() {
         let g = graph();
-        let est = estimate(&g, &config());
+        let est = estimate_with(&g, &config(), &BatchRunner::new());
         assert_eq!(est.points.len(), 60);
         assert!(est.pollution_ci.0 <= est.mean_pollution + 1e-12);
         assert!(est.mean_pollution <= est.pollution_ci.1 + 1e-12);
@@ -410,7 +409,7 @@ mod tests {
             strategy: AttackStrategy::OriginHijack,
             ..config()
         };
-        let est = estimate(&g, &cfg);
+        let est = estimate_with(&g, &cfg, &BatchRunner::new());
         assert_eq!(est.mean_interception, 0.0);
         assert!(est.mean_pollution > 0.0, "hijack pollutes someone");
     }
@@ -422,7 +421,7 @@ mod tests {
             vantages: Some(20),
             ..config()
         };
-        let est = estimate(&g, &cfg);
+        let est = estimate_with(&g, &cfg, &BatchRunner::new());
         for p in &est.points {
             assert!((0.0..=1.0).contains(&p.pollution));
             // 20 vantages ⇒ pollution quantized to i/20.
@@ -439,7 +438,7 @@ mod tests {
             attackers: 6,
             ..config()
         };
-        let exact = exact_enumeration(&g, &cfg);
+        let exact = exact_enumeration(&g, &cfg, &BatchRunner::new());
         // 6×6 minus the diagonal collisions actually present in the pools.
         assert!(exact.cells >= 30 && exact.cells <= 36, "{}", exact.cells);
         assert!((0.0..=1.0).contains(&exact.mean_pollution));
@@ -448,16 +447,14 @@ mod tests {
     #[test]
     fn bootstrap_is_seed_stable() {
         let g = graph();
-        let a = estimate(&g, &config());
-        let b = estimate(&g, &config());
+        let a = estimate_with(&g, &config(), &BatchRunner::new());
+        let b = estimate_with(&g, &config(), &BatchRunner::new());
         assert_eq!(a, b);
-        let c = estimate(
-            &g,
-            &EstimatorConfig {
-                seed: 8,
-                ..config()
-            },
-        );
+        let reseeded = EstimatorConfig {
+            seed: 8,
+            ..config()
+        };
+        let c = estimate_with(&g, &reseeded, &BatchRunner::new());
         assert_ne!(a.points, c.points, "different seed, different draws");
     }
 }

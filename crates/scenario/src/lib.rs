@@ -25,6 +25,7 @@
 //! # Example
 //!
 //! ```
+//! use aspp_routing::BatchRunner;
 //! use aspp_scenario::timeline::{Action, Scenario};
 //! use aspp_topology::gen::InternetConfig;
 //! use aspp_types::{Asn, Ipv4Prefix};
@@ -36,7 +37,7 @@
 //!     .at(0, Action::attack(Asn(100)))
 //!     .at(1, Action::Escalate { lambda: 8 })
 //!     .at(2, Action::SubprefixHijack { attacker: Asn(101) });
-//! let run = scenario.run(&graph);
+//! let run = scenario.run_with(&graph, &BatchRunner::new());
 //! assert_eq!(run.steps.len(), 3);
 //! // The subprefix hijacker captures traffic the strip never could.
 //! assert!(run.steps[2].captured > run.steps[2].polluted_fraction);
@@ -48,5 +49,5 @@
 pub mod estimate;
 pub mod timeline;
 
-pub use estimate::{estimate, estimate_with, exact_enumeration, Estimate, EstimatorConfig};
+pub use estimate::{estimate_with, exact_enumeration, Estimate, EstimatorConfig};
 pub use timeline::{Action, Scenario, ScenarioRun, StepReport, StepState};

@@ -301,12 +301,6 @@ impl Scenario {
         [lo, hi].into_iter().take(state.hijackers.len()).collect()
     }
 
-    /// Runs every step with a default [`BatchRunner`].
-    #[must_use]
-    pub fn run(&self, graph: &AsGraph) -> ScenarioRun {
-        self.run_with(graph, &BatchRunner::new())
-    }
-
     /// Runs every step, computing each step's per-prefix equilibria through
     /// `runner` (input order preserved, so the run is deterministic at any
     /// worker count).
@@ -531,7 +525,7 @@ mod tests {
             .at(0, Action::attack(Asn(100)))
             .at(1, Action::Escalate { lambda: 1 })
             .at(2, Action::SubprefixHijack { attacker: Asn(101) });
-        let run = s.run(&g);
+        let run = s.run_with(&g, &BatchRunner::new());
         assert_eq!(run.steps.len(), 3);
         let polluted_high = run.steps[0].polluted_fraction;
         let polluted_low = run.steps[1].polluted_fraction;
@@ -549,7 +543,7 @@ mod tests {
     #[test]
     fn quiescent_scenario_has_one_clean_step() {
         let g = graph();
-        let run = Scenario::new(Asn(20_000), prefix()).run(&g);
+        let run = Scenario::new(Asn(20_000), prefix()).run_with(&g, &BatchRunner::new());
         assert_eq!(run.steps.len(), 1);
         let step = &run.steps[0];
         assert_eq!(step.polluted_fraction, 0.0);
@@ -565,7 +559,7 @@ mod tests {
             .base_lambda(6)
             .monitors(30)
             .at(0, Action::attack(Asn(100)))
-            .run(&g);
+            .run_with(&g, &BatchRunner::new());
         let step = &run.steps[0];
         if step.polluted_fraction > 0.0 {
             assert!(step.alarms > 0, "polluted strip step must alarm");
@@ -581,7 +575,7 @@ mod tests {
             .at(0, Action::attack(Asn(100)))
             .at(1, Action::SubprefixHijack { attacker: Asn(101) });
         let runs: Vec<ScenarioRun> = [
-            BatchRunner::new().serial(),
+            BatchRunner::new().workers(1),
             BatchRunner::new().workers(2),
             BatchRunner::new().workers(8),
         ]

@@ -1,25 +1,9 @@
 //! `aspp` — command-line front end for the ASPP interception study.
 //!
-//! ```text
-//! aspp case-study                       reproduce §III / Figure 1 / Table I
-//! aspp usage      [--paper] [--seed N]  Figures 5–6 corpus measurement
-//! aspp impact     [--paper] [--seed N] [--figure 7..12|all]
-//! aspp detection  [--paper] [--seed N]  Figures 13–14
-//! aspp selection  [--paper] [--seed N]  vantage-point selection study
-//! aspp stealth    [--seed N]            MOAS / link-anomaly / ASPP visibility
-//! aspp simulate   --victim A --attacker B [options]
-//! aspp corpus     --out FILE [--prefixes N] [--seed N]
-//! aspp measure    FILE                  measure an existing corpus file
-//! aspp audit      [--paper] [--seed N]  invariant-audit attacked equilibria
-//! aspp audit      --topology FILE | --corpus FILE [--lenient]
-//! aspp feed       [--replay] [--paper] [--shards N] [--baseline] [options]
-//! aspp serve      [--corpus FILE] [--restore FILE] [--checkpoint FILE] [options]
-//! aspp sweep      [--paper] [--seed N] [--pairs N] [--lambda-max N] [--serial]
-//! aspp defense    [--paper] [--seed N] [--policy P,..] [--deploy D,..] [options]
-//! aspp scenario   [--scale S] [--seed N] [--serial] [--workers N] [--out FILE]
-//! aspp estimate   [--scale S] [--seed N] [--samples N] [--exact] [options]
-//! aspp gen        [--scale S] [--seed N] [--out FILE]   synthesize a topology
-//! ```
+//! Every subcommand is one row of [`COMMANDS`]: its name, what the shared
+//! prologue sets up for it, the flags it accepts and the function that runs
+//! it. The parser and the `aspp help` text are both generated from that
+//! table, so a flag a subcommand does not declare is rejected by name.
 //!
 //! Every subcommand additionally understands the observability flags
 //! (see the Observability section of `README.md`):
@@ -51,238 +35,435 @@ use aspp_repro::obs::trace;
 use aspp_repro::prelude::*;
 use aspp_repro::report::pct;
 
-/// Observability options shared by every subcommand, extracted from the
-/// argument list before subcommand parsing (see [`ObsOpts::extract`]).
-struct ObsOpts {
-    trace_json: Option<String>,
-    metrics: Option<MetricsFormat>,
-    manifest_path: Option<String>,
-}
-
-#[derive(Clone, Copy)]
-enum MetricsFormat {
-    Table,
-    Json,
-}
-
-impl ObsOpts {
-    /// Splits the global observability flags out of `args`, returning the
-    /// remaining subcommand arguments alongside the parsed options.
-    /// `--manifest` falls back to `ASPP_MANIFEST` when absent.
-    fn extract(args: &[String]) -> Result<(Vec<String>, ObsOpts), String> {
-        let mut rest = Vec::with_capacity(args.len());
-        let mut opts = ObsOpts {
-            trace_json: None,
-            metrics: None,
-            manifest_path: std::env::var("ASPP_MANIFEST")
-                .ok()
-                .filter(|p| !p.is_empty()),
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut take = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
-            match arg.as_str() {
-                "--trace-json" => opts.trace_json = Some(take("--trace-json")?),
-                "--manifest" => opts.manifest_path = Some(take("--manifest")?),
-                "--metrics" => {
-                    opts.metrics = Some(match take("--metrics")?.as_str() {
-                        "table" => MetricsFormat::Table,
-                        "json" => MetricsFormat::Json,
-                        other => return Err(format!("unknown metrics format {other:?}")),
-                    });
-                }
-                _ => rest.push(arg.clone()),
-            }
-        }
-        Ok((rest, opts))
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first().cloned() else {
-        eprintln!("{}", usage_text());
-        return ExitCode::FAILURE;
+    let fail = |message: String| {
+        eprintln!("error: {message}");
+        ExitCode::FAILURE
     };
-    let (rest, obs) = match ObsOpts::extract(&args[1..]) {
-        Ok(split) => split,
-        Err(message) => {
-            eprintln!("error: {message}");
+    let command = match args.first().map(String::as_str) {
+        None => {
+            eprintln!("{}", usage_text());
             return ExitCode::FAILURE;
         }
+        Some("help" | "--help" | "-h") => {
+            out!("{}", usage_text());
+            return ExitCode::SUCCESS;
+        }
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(command) => command,
+            None => return fail(format!("unknown command {name:?}\n{}", usage_text())),
+        },
     };
-
+    let mut manifest = RunManifest::new(&format!("aspp {}", command.name));
+    let mut run = match Run::parse(command, &args[1..], &mut manifest) {
+        Ok(run) => run,
+        Err(message) => return fail(message),
+    };
+    let metrics = run.value("--metrics").map(String::from);
+    if let Some(other) = metrics.as_deref().filter(|&f| f != "table" && f != "json") {
+        return fail(format!("unknown metrics format {other:?}"));
+    }
+    let manifest_path = run.value("--manifest").map(String::from).or_else(|| {
+        std::env::var("ASPP_MANIFEST")
+            .ok()
+            .filter(|p| !p.is_empty())
+    });
     trace::init_from_env();
-    if let Some(path) = &obs.trace_json {
+    if let Some(path) = run.value("--trace-json") {
         if let Err(e) = trace::init_json_file(path) {
-            eprintln!("error: opening trace file {path}: {e}");
-            return ExitCode::FAILURE;
+            return fail(format!("opening trace file {path}: {e}"));
         }
     }
 
-    let mut manifest = RunManifest::new(&format!("aspp {command}"));
-    manifest.args = rest.clone();
     let counters_before = MetricsSnapshot::capture();
     let started = Instant::now();
-
-    let result = match command.as_str() {
-        "case-study" => cmd_case_study(&rest, &mut manifest),
-        "usage" => cmd_usage(&rest, &mut manifest),
-        "impact" => cmd_impact(&rest, &mut manifest),
-        "detection" => cmd_detection(&rest, &mut manifest),
-        "selection" => cmd_selection(&rest, &mut manifest),
-        "stealth" => cmd_stealth(&rest, &mut manifest),
-        "mitigate" => cmd_mitigate(&rest, &mut manifest),
-        "simulate" => cmd_simulate(&rest, &mut manifest),
-        "corpus" => cmd_corpus(&rest, &mut manifest),
-        "measure" => cmd_measure(&rest),
-        "audit" => cmd_audit(&rest, &mut manifest),
-        "feed" => cmd_feed(&rest, &mut manifest),
-        "serve" => cmd_serve(&rest, &mut manifest),
-        "sweep" => cmd_sweep(&rest, &mut manifest),
-        "defense" => cmd_defense(&rest, &mut manifest),
-        "scenario" => cmd_scenario(&rest, &mut manifest),
-        "estimate" => cmd_estimate(&rest, &mut manifest),
-        "gen" => cmd_gen(&rest, &mut manifest),
-        "help" | "--help" | "-h" => {
-            out!("{}", usage_text());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{}", usage_text())),
-    };
+    let result = (command.run)(&mut run);
 
     let delta = MetricsSnapshot::capture().since(&counters_before);
     manifest.metrics = delta;
     if manifest.phases.is_empty() {
-        manifest.push_phase("total", started.elapsed().as_secs_f64() * 1e3);
+        manifest.push_phase("total", ms(started));
     }
-    if let Some(path) = &obs.manifest_path {
+    if let Some(path) = &manifest_path {
         if let Err(e) = manifest.write(path) {
-            eprintln!("error: writing manifest {path}: {e}");
-            return ExitCode::FAILURE;
+            return fail(format!("writing manifest {path}: {e}"));
         }
     }
-    match obs.metrics {
-        Some(MetricsFormat::Table) => eprintln!("{delta}"),
-        Some(MetricsFormat::Json) => eprintln!("{}", delta.to_json()),
+    match metrics.as_deref() {
+        Some("json") => eprintln!("{}", delta.to_json()),
+        Some(_) => eprintln!("{delta}"),
         None => {}
     }
     trace::flush();
 
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
+        Err(message) => fail(message),
+    }
+}
+
+/// A flag a subcommand accepts: `(name, value placeholder)`; an empty
+/// placeholder makes it a bare switch.
+type Flag = (&'static str, &'static str);
+
+/// Splits a flag table like `"--pairs N --violate --out FILE"` into its
+/// flags.
+fn flags_of(table: &'static str) -> impl Iterator<Item = Flag> {
+    let mut words = table.split_whitespace().peekable();
+    std::iter::from_fn(move || {
+        let name = words.next()?;
+        Some((name, words.next_if(|w| !w.starts_with("--")).unwrap_or("")))
+    })
+}
+
+/// What the shared prologue reads and records before a subcommand runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Setup {
+    /// Nothing: the subcommand reads its own inputs.
+    Bare,
+    /// `--seed` (default 2024), recorded in the manifest.
+    Seeded,
+    /// `--seed` plus `--scale` / `--paper` (default smoke), both recorded;
+    /// [`Run::internet`] builds the synthetic Internet they name.
+    Scaled,
+}
+
+impl Setup {
+    fn flags(self) -> &'static str {
+        match self {
+            Setup::Bare => "",
+            Setup::Seeded => "--seed N",
+            Setup::Scaled => "--scale S --paper --seed N",
         }
     }
 }
 
-/// Records `graph`'s identity (size and structural fingerprint) in the
-/// manifest.
-fn record_topology(manifest: &mut RunManifest, graph: &AsGraph) {
-    manifest.topology = Some(TopologyInfo {
-        nodes: graph.len() as u64,
-        links: graph.link_count() as u64,
-        fingerprint: graph.fingerprint(),
-    });
+/// One `aspp` subcommand: a row of the table the parser and `aspp help`
+/// are both generated from.
+struct Command {
+    name: &'static str,
+    setup: Setup,
+    /// Flags beyond the ones `setup` implies (see [`flags_of`]).
+    flags: &'static str,
+    /// Placeholder of the positional argument, if the subcommand takes one.
+    positional: Option<&'static str>,
+    /// What `aspp help` says under the generated synopsis.
+    note: &'static str,
+    run: fn(&mut Run) -> Result<(), String>,
 }
 
-/// Records the scale label and seed in the manifest.
-fn record_scale(manifest: &mut RunManifest, scale: Scale, seed: u64) {
-    manifest.seed = Some(seed);
-    manifest.scale = Some(
-        match scale {
-            Scale::Paper => "paper",
-            Scale::Smoke => "smoke",
-            Scale::Internet => "internet",
-            Scale::InternetSmoke => "internet-smoke",
+/// The observability flags every subcommand accepts; they stay out of the
+/// manifest's argument record.
+const GLOBAL: &str = "--trace-json PATH --metrics table|json --manifest PATH";
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = Flag> {
+        flags_of(self.setup.flags()).chain(flags_of(self.flags))
+    }
+}
+
+const BASE: Command = Command {
+    name: "",
+    setup: Setup::Scaled,
+    flags: "",
+    positional: None,
+    note: "",
+    run: cmd_usage,
+};
+
+/// Every subcommand, in `aspp help` order.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "case-study",
+        setup: Setup::Seeded,
+        note: "reproduce §III / Figure 1 / Table I",
+        run: cmd_case_study,
+        ..BASE
+    },
+    Command {
+        name: "usage",
+        note: "Figures 5–6 corpus measurement",
+        run: cmd_usage,
+        ..BASE
+    },
+    Command {
+        name: "impact",
+        flags: "--figure 7|8|9|10|11|12|all",
+        run: cmd_impact,
+        ..BASE
+    },
+    Command {
+        name: "detection",
+        note: "Figures 13–14",
+        run: cmd_detection,
+        ..BASE
+    },
+    Command {
+        name: "selection",
+        note: "vantage-point selection study",
+        run: cmd_selection,
+        ..BASE
+    },
+    Command {
+        name: "stealth",
+        setup: Setup::Seeded,
+        note: "MOAS / link-anomaly / ASPP visibility",
+        run: cmd_stealth,
+        ..BASE
+    },
+    Command {
+        name: "mitigate",
+        note: "reactive mitigations",
+        run: cmd_mitigate,
+        ..BASE
+    },
+    Command {
+        name: "simulate",
+        setup: Setup::Seeded,
+        flags: "--victim ASN --attacker ASN --padding N --keep N --violate \
+                --strategy strip|strip-all|forge|origin|poison --poison ASN \
+                --scale small|medium|large",
+        note: "--victim and --attacker are required",
+        run: cmd_simulate,
+        ..BASE
+    },
+    Command {
+        name: "corpus",
+        setup: Setup::Seeded,
+        flags: "--out FILE --prefixes N --monitors N",
+        note: "--out is required",
+        run: cmd_corpus,
+        ..BASE
+    },
+    Command {
+        name: "measure",
+        setup: Setup::Bare,
+        positional: Some("FILE"),
+        note: "measure an existing corpus file",
+        run: cmd_measure,
+        ..BASE
+    },
+    Command {
+        name: "audit",
+        flags: "--topology FILE --corpus FILE --lenient",
+        note: "invariant-audit attacked equilibria, or strictly (--lenient: leniently) \
+               ingest a CAIDA topology or a corpus file",
+        run: cmd_audit,
+        ..BASE
+    },
+    Command {
+        name: "feed",
+        flags: "--shards N --capacity N --prefixes N --monitors N --attack-ratio F \
+                --withdraw-ratio F --baseline --out FILE --corpus-out FILE --in FILE \
+                --corpus FILE --lenient",
+        note: "--in replays a wire file and requires --corpus (the RIB seeds)",
+        run: cmd_feed,
+        ..BASE
+    },
+    Command {
+        name: "serve",
+        flags: "--shards N --capacity N --batch N --corpus FILE --restore FILE \
+                --checkpoint FILE --checkpoint-every N",
+        note: "JSONL queries on stdin/stdout",
+        run: cmd_serve,
+        ..BASE
+    },
+    Command {
+        name: "sweep",
+        flags: "--pairs N --lambda-max N --workers N",
+        run: cmd_sweep,
+        ..BASE
+    },
+    Command {
+        name: "defense",
+        flags: "--pairs N --lambda N --policy rov,aspa,peerlock,first-as|all \
+                --deploy random,by-tier,top-degree|all --fractions F,F,.. --workers N \
+                --out FILE",
+        run: cmd_defense,
+        ..BASE
+    },
+    Command {
+        name: "scenario",
+        flags: "--workers N --out FILE",
+        note: "scripted multi-actor timeline (strip, λ escalation, subprefix hijack, \
+               path poisoning, MOAS) with per-step equilibria, LPM capture, alarms, and churn",
+        run: cmd_scenario,
+        ..BASE
+    },
+    Command {
+        name: "estimate",
+        flags: "--samples N --resamples N --exact --workers N --out FILE",
+        note: "seeded Monte-Carlo impact estimator with bootstrap CIs \
+               (--exact cross-validates against full enumeration)",
+        run: cmd_estimate,
+        ..BASE
+    },
+    Command {
+        name: "gen",
+        flags: "--out FILE",
+        note: "synthesize a topology (CAIDA serial-2 with --out)",
+        run: cmd_gen,
+        ..BASE
+    },
+];
+
+/// The scale names `--scale` accepts, and the manifest's label for each.
+const SCALES: [(&str, Scale); 4] = [
+    ("smoke", Scale::Smoke),
+    ("paper", Scale::Paper),
+    ("internet", Scale::Internet),
+    ("internet-smoke", Scale::InternetSmoke),
+];
+
+/// The `aspp help` text, generated from [`COMMANDS`].
+fn usage_text() -> String {
+    // Appends `words` to `text` after `lead`, wrapped at 79 columns.
+    fn wrap(text: &mut String, lead: String, words: impl Iterator<Item = String>) {
+        let mut line = lead;
+        for word in words {
+            if line.chars().count() + 1 + word.chars().count() > 79 {
+                text.push_str(&line);
+                text.push('\n');
+                line = " ".repeat(17);
+            }
+            line.push(' ');
+            line.push_str(&word);
         }
-        .to_string(),
+        text.push_str(&line);
+        text.push('\n');
+    }
+    let mut text = String::from(
+        "aspp — ASPP-based BGP prefix interception: simulation, measurement, detection\n\nUSAGE:\n",
     );
+    for command in COMMANDS {
+        let flags = command.flags().map(|(name, meta)| match meta {
+            "" => format!("[{name}]"),
+            meta => format!("[{name} {meta}]"),
+        });
+        wrap(
+            &mut text,
+            format!("  aspp {:<10}", command.name),
+            flags.chain(command.positional.map(String::from)),
+        );
+        if !command.note.is_empty() {
+            let words = command.note.split_whitespace().map(String::from);
+            wrap(&mut text, " ".repeat(17), words);
+        }
+    }
+    let scaled: Vec<&str> = COMMANDS
+        .iter()
+        .filter(|c| c.setup == Setup::Scaled)
+        .map(|c| c.name)
+        .collect();
+    text.push_str(&format!(
+        "\nSCALES ({}):\n  --scale {}   (~150 / ~1.5k / ~80k / ~20k\n  \
+         ASes; --paper is shorthand for --scale paper)\n\n\
+         OBSERVABILITY (every subcommand; see README.md):\n  \
+         --trace-json PATH     write span timings as JSON lines to PATH\n  \
+         --metrics table|json  print an engine-counter snapshot to stderr\n  \
+         --manifest PATH       write a run-provenance manifest (JSON) to PATH\n  \
+         ASPP_LOG=trace        span timings to stderr    ASPP_MANIFEST=PATH",
+        scaled.join("/"),
+        SCALES.map(|(n, _)| n).join("|"),
+    ));
+    text
 }
 
-fn usage_text() -> &'static str {
-    "aspp — ASPP-based BGP prefix interception: simulation, measurement, detection
-
-USAGE:
-  aspp case-study
-  aspp usage      [--paper] [--seed N]
-  aspp impact     [--paper] [--seed N] [--figure 7|8|9|10|11|12|all]
-  aspp detection  [--paper] [--seed N]
-  aspp selection  [--paper] [--seed N]
-  aspp stealth    [--seed N]
-  aspp mitigate   [--seed N]
-  aspp simulate   --victim ASN --attacker ASN [--padding N] [--keep N]
-                  [--violate] [--strategy strip|strip-all|forge|origin|poison]
-                  [--poison ASN]
-                  [--scale small|medium|large] [--seed N]
-  aspp corpus     --out FILE [--prefixes N] [--monitors N] [--seed N]
-  aspp measure    FILE
-  aspp audit      [--paper] [--seed N]
-  aspp audit      --topology FILE [--lenient]
-  aspp audit      --corpus FILE [--lenient]
-  aspp feed       [--replay] [--paper] [--seed N] [--shards N] [--capacity N]
-                  [--prefixes N] [--monitors N] [--attack-ratio F]
-                  [--withdraw-ratio F] [--baseline] [--out FILE]
-                  [--corpus-out FILE] [--in FILE --corpus FILE] [--lenient]
-  aspp serve      [--scale S] [--seed N] [--shards N] [--capacity N]
-                  [--batch N] [--corpus FILE] [--restore FILE]
-                  [--checkpoint FILE] [--checkpoint-every N]
-                  JSONL queries on stdin/stdout
-  aspp sweep      [--paper] [--seed N] [--pairs N] [--lambda-max N]
-                  [--batch] [--serial] [--workers N]
-  aspp defense    [--paper] [--seed N] [--pairs N] [--lambda N]
-                  [--policy rov,aspa,peerlock,first-as|all]
-                  [--deploy random,by-tier,top-degree|all]
-                  [--fractions F,F,..] [--serial] [--workers N] [--out FILE]
-  aspp scenario   [--scale S] [--seed N] [--serial] [--workers N] [--out FILE]
-                  scripted multi-actor timeline (strip, λ escalation,
-                  subprefix hijack, path poisoning, MOAS) with per-step
-                  equilibria, LPM capture, alarms, and churn
-  aspp estimate   [--scale S] [--seed N] [--samples N] [--resamples N]
-                  [--exact] [--serial] [--workers N] [--out FILE]
-                  seeded Monte-Carlo impact estimator with bootstrap CIs
-                  (--exact cross-validates against full enumeration)
-  aspp gen        [--scale smoke|paper|internet|internet-smoke] [--seed N]
-                  [--out FILE]
-
-SCALES (usage/impact/detection/selection/audit/feed/sweep/scenario/estimate/gen):
-  --scale smoke|paper|internet|internet-smoke   (~150 / ~1.5k / ~80k / ~20k
-  ASes; --paper remains shorthand for --scale paper)
-
-OBSERVABILITY (every subcommand; see README.md):
-  --trace-json PATH     write span timings as JSON lines to PATH
-  --metrics table|json  print an engine-counter snapshot to stderr
-  --manifest PATH       write a run-provenance manifest (JSON) to PATH
-  ASPP_LOG=trace        span timings to stderr    ASPP_MANIFEST=PATH"
+/// One parsed invocation: the flags given (every one declared by the
+/// subcommand), the prologue's scale and seed, and the run's manifest.
+struct Run<'a> {
+    command: &'static Command,
+    given: Vec<(&'static str, &'a str)>,
+    positional: Option<&'a str>,
+    scale: Scale,
+    seed: u64,
+    manifest: &'a mut RunManifest,
 }
 
-/// Minimal flag parser: `--key value` pairs, bare `--flag` booleans, and
-/// positional arguments.
-struct Flags<'a> {
-    args: &'a [String],
-}
+impl<'a> Run<'a> {
+    /// Parses `args` against `command`'s flag table — an undeclared flag, a
+    /// value flag without its value, or a stray argument is an error naming
+    /// it — then runs the shared prologue the command's [`Setup`] asks for.
+    fn parse(
+        command: &'static Command,
+        args: &'a [String],
+        manifest: &'a mut RunManifest,
+    ) -> Result<Self, String> {
+        let mut run = Run {
+            command,
+            given: Vec::new(),
+            positional: None,
+            scale: Scale::Smoke,
+            seed: 2024,
+            manifest,
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let global = flags_of(GLOBAL).find(|(name, _)| name == arg);
+            let mut recorded = vec![arg.clone()];
+            if let Some((name, meta)) = global.or_else(|| run.flag(arg)) {
+                let value = match meta {
+                    "" => "",
+                    _ => {
+                        let value = it.next().ok_or(format!("{name} requires a value"))?;
+                        recorded.push(value.clone());
+                        value
+                    }
+                };
+                run.given.push((name, value));
+            } else if !arg.starts_with("--")
+                && command.positional.is_some()
+                && run.positional.is_none()
+            {
+                run.positional = Some(arg);
+            } else {
+                return Err(format!(
+                    "unknown argument {arg:?} for `aspp {}`",
+                    command.name
+                ));
+            }
+            if global.is_none() {
+                run.manifest.args.extend(recorded);
+            }
+        }
+        if command.setup != Setup::Bare {
+            run.seed = run.parsed("--seed")?.unwrap_or(run.seed);
+            run.manifest.seed = Some(run.seed);
+        }
+        if command.setup == Setup::Scaled {
+            let name = match run.value("--scale") {
+                Some(name) => name,
+                None if run.has("--paper") => "paper",
+                None => "smoke",
+            };
+            let &(label, scale) = SCALES.iter().find(|(n, _)| *n == name).ok_or(format!(
+                "unknown scale {name:?} (expected {})",
+                SCALES.map(|(n, _)| n).join(", ")
+            ))?;
+            run.scale = scale;
+            run.manifest.scale = Some(label.to_string());
+        }
+        Ok(run)
+    }
 
-impl<'a> Flags<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Flags { args }
+    /// The flag `name` as this run's subcommand declares it.
+    fn flag(&self, name: &str) -> Option<Flag> {
+        self.command.flags().find(|(n, _)| *n == name)
+    }
+
+    /// The value given for `name` (`""` for a switch), first occurrence.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        debug_assert!(
+            GLOBAL.contains(name) || self.flag(name).is_some(),
+            "{name} is not in the flag table of `aspp {}`",
+            self.command.name
+        );
+        self.given.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
     }
 
     fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-
-    fn value(&self, name: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        self.value(name).is_some()
     }
 
     fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
@@ -295,87 +476,83 @@ impl<'a> Flags<'a> {
         }
     }
 
-    fn positional(&self) -> Option<&'a str> {
-        self.args
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .map(String::as_str)
+    /// Records `graph`'s identity (size and structural fingerprint) in the
+    /// manifest.
+    fn record_topology(&mut self, graph: &AsGraph) {
+        self.manifest.topology = Some(TopologyInfo {
+            nodes: graph.len() as u64,
+            links: graph.link_count() as u64,
+            fingerprint: graph.fingerprint(),
+        });
     }
 
-    fn scale(&self) -> Result<Scale, String> {
-        if let Some(name) = self.value("--scale") {
-            return match name {
-                "smoke" => Ok(Scale::Smoke),
-                "paper" => Ok(Scale::Paper),
-                "internet" => Ok(Scale::Internet),
-                "internet-smoke" => Ok(Scale::InternetSmoke),
-                other => Err(format!(
-                    "unknown scale {other:?} (expected smoke, paper, internet, internet-smoke)"
-                )),
-            };
+    /// Builds the synthetic Internet at the run's scale and seed and
+    /// records it.
+    fn internet(&mut self) -> AsGraph {
+        let graph = self.scale.internet(self.seed);
+        self.record_topology(&graph);
+        graph
+    }
+
+    /// The batch runner `--workers` asks for (`0`, the default: one per
+    /// core; `1`: serial).
+    fn runner(&self) -> Result<BatchRunner, String> {
+        Ok(BatchRunner::new().workers(self.parsed("--workers")?.unwrap_or(0)))
+    }
+
+    /// Writes `text` to the `--out` file, when one was given.
+    fn write_out(&self, text: &str) -> Result<(), String> {
+        match self.value("--out") {
+            Some(path) => std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}")),
+            None => Ok(()),
         }
-        Ok(if self.has("--paper") {
-            Scale::Paper
-        } else {
-            Scale::Smoke
-        })
-    }
-
-    fn seed(&self) -> Result<u64, String> {
-        Ok(self.parsed::<u64>("--seed")?.unwrap_or(2024))
     }
 }
 
-fn cmd_case_study(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let seed = flags.seed()?;
-    manifest.seed = Some(seed);
-    out!("{}", case_study::run(seed).render());
+fn ms(since: Instant) -> f64 {
+    since.elapsed().as_secs_f64() * 1e3
+}
+
+fn cmd_case_study(run: &mut Run) -> Result<(), String> {
+    out!("{}", case_study::run(run.seed).render());
     Ok(())
 }
 
-fn cmd_usage(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let (scale, seed) = (flags.scale()?, flags.seed()?);
-    record_scale(manifest, scale, seed);
-    out!("{}", usage::run(scale, seed).render());
+fn cmd_usage(run: &mut Run) -> Result<(), String> {
+    out!("{}", usage::run(run.scale, run.seed).render());
     Ok(())
 }
 
-fn cmd_impact(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
-    let which = flags.value("--figure").unwrap_or("all");
+fn cmd_impact(run: &mut Run) -> Result<(), String> {
+    let (scale, seed) = (run.scale, run.seed);
+    let graph = run.internet();
+    let which = run.value("--figure").unwrap_or("all");
     let mut printed = false;
-    let mut run = |name: &str, strategy: &str, text: &dyn Fn() -> String| {
+    let mut figure = |name: &str, strategy: &str, text: &dyn Fn() -> String| {
         if which == "all" || which == name {
             let t0 = Instant::now();
             out!("{}", text());
-            manifest.push_phase(&format!("fig{name}"), t0.elapsed().as_secs_f64() * 1e3);
-            manifest.push_strategy(strategy);
+            run.manifest.push_phase(&format!("fig{name}"), ms(t0));
+            run.manifest.push_strategy(strategy);
             printed = true;
         }
     };
-    run("7", "fig7: tier1 pairs, StripPadding sweep", &|| {
+    figure("7", "fig7: tier1 pairs, StripPadding sweep", &|| {
         impact::fig7(&graph, scale, seed).render()
     });
-    run("8", "fig8: random pairs, StripPadding sweep", &|| {
+    figure("8", "fig8: random pairs, StripPadding sweep", &|| {
         impact::fig8(&graph, scale, seed).render()
     });
-    run("9", "fig9: T1 victim vs T1 attacker", &|| {
+    figure("9", "fig9: T1 victim vs T1 attacker", &|| {
         impact::fig9(&graph).render()
     });
-    run("10", "fig10: T1 victim vs T3 attacker", &|| {
+    figure("10", "fig10: T1 victim vs T3 attacker", &|| {
         impact::fig10(&graph).render()
     });
-    run("11", "fig11: small victim vs T1 attacker", &|| {
+    figure("11", "fig11: small victim vs T1 attacker", &|| {
         impact::fig11(&graph).render()
     });
-    run("12", "fig12: small victim vs small attacker", &|| {
+    figure("12", "fig12: small victim vs small attacker", &|| {
         impact::fig12(&graph).render()
     });
     if printed {
@@ -385,106 +562,79 @@ fn cmd_impact(args: &[String], manifest: &mut RunManifest) -> Result<(), String>
     }
 }
 
-fn cmd_detection(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
+fn cmd_detection(run: &mut Run) -> Result<(), String> {
+    let graph = run.internet();
     let t0 = Instant::now();
-    out!("{}", detection::fig13(&graph, scale, seed).render());
-    manifest.push_phase("fig13", t0.elapsed().as_secs_f64() * 1e3);
+    out!("{}", detection::fig13(&graph, run.scale, run.seed).render());
+    run.manifest.push_phase("fig13", ms(t0));
     let t1 = Instant::now();
-    out!("{}", detection::fig14(&graph, scale, seed).render());
-    manifest.push_phase("fig14", t1.elapsed().as_secs_f64() * 1e3);
+    out!("{}", detection::fig14(&graph, run.scale, run.seed).render());
+    run.manifest.push_phase("fig14", ms(t1));
     Ok(())
 }
 
-fn cmd_selection(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
-    out!(
-        "{}",
-        detection::vantage_selection(&graph, scale, seed).render()
-    );
+fn cmd_selection(run: &mut Run) -> Result<(), String> {
+    let graph = run.internet();
+    let study = detection::vantage_selection(&graph, run.scale, run.seed);
+    out!("{}", study.render());
     Ok(())
 }
 
-fn cmd_stealth(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let seed = flags.seed()?;
-    record_scale(manifest, Scale::Smoke, seed);
-    let graph = Scale::Smoke.internet(seed);
-    record_topology(manifest, &graph);
-    out!("{}", extensions::stealth(&graph, seed).render());
+fn cmd_stealth(run: &mut Run) -> Result<(), String> {
+    // Always the smoke Internet: `run.scale` of a `Seeded` command.
+    run.manifest.scale = Some("smoke".to_string());
+    let graph = run.internet();
+    out!("{}", extensions::stealth(&graph, run.seed).render());
     Ok(())
 }
 
-fn cmd_mitigate(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let (scale, seed) = (flags.scale()?, flags.seed()?);
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
+fn cmd_mitigate(run: &mut Run) -> Result<(), String> {
+    let graph = run.internet();
     out!("{}", extensions::mitigations(&graph).render());
     Ok(())
 }
 
-fn cmd_simulate(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let victim = Asn(flags
-        .parsed::<u32>("--victim")?
-        .ok_or("--victim ASN is required")?);
-    let attacker = Asn(flags
-        .parsed::<u32>("--attacker")?
-        .ok_or("--attacker ASN is required")?);
-    let padding = flags.parsed::<usize>("--padding")?.unwrap_or(3);
-    let keep = flags.parsed::<usize>("--keep")?.unwrap_or(1);
-    let seed = flags.seed()?;
-    let graph = match flags.value("--scale").unwrap_or("small") {
-        "small" => InternetConfig::small().seed(seed).build(),
-        "medium" => InternetConfig::medium().seed(seed).build(),
-        "large" => InternetConfig::large().seed(seed).build(),
+fn cmd_simulate(run: &mut Run) -> Result<(), String> {
+    let asn = |name: &str| -> Result<Asn, String> {
+        let raw = run.parsed::<u32>(name)?;
+        Ok(Asn(raw.ok_or(format!("{name} ASN is required"))?))
+    };
+    let (victim, attacker) = (asn("--victim")?, asn("--attacker")?);
+    let padding = run.parsed::<usize>("--padding")?.unwrap_or(3);
+    let keep = run.parsed::<usize>("--keep")?.unwrap_or(1);
+    let config = match run.value("--scale").unwrap_or("small") {
+        "small" => InternetConfig::small(),
+        "medium" => InternetConfig::medium(),
+        "large" => InternetConfig::large(),
         other => return Err(format!("unknown scale {other:?}")),
     };
-    if !graph.contains(victim) {
-        return Err(format!("victim AS{victim} not in the generated topology"));
-    }
-    if !graph.contains(attacker) {
-        return Err(format!(
-            "attacker AS{attacker} not in the generated topology"
-        ));
+    let graph = config.seed(run.seed).build();
+    for (role, asn) in [("victim", victim), ("attacker", attacker)] {
+        if !graph.contains(asn) {
+            return Err(format!("{role} AS{asn} not in the generated topology"));
+        }
     }
 
-    let strategy = match flags.value("--strategy").unwrap_or("strip") {
+    let strategy = match run.value("--strategy").unwrap_or("strip") {
         "strip" => AttackStrategy::StripPadding { keep },
         "strip-all" => AttackStrategy::StripAllPadding,
         "forge" => AttackStrategy::ForgeDirect,
         "origin" => AttackStrategy::OriginHijack,
-        "poison" => {
-            let poisoned = flags
+        "poison" => AttackStrategy::PoisonPath {
+            poisoned: Asn(run
                 .parsed::<u32>("--poison")?
-                .ok_or("--strategy poison requires --poison ASN")?;
-            AttackStrategy::PoisonPath {
-                poisoned: Asn(poisoned),
-            }
-        }
+                .ok_or("--strategy poison requires --poison ASN")?),
+        },
         other => return Err(format!("unknown strategy {other:?}")),
     };
-    let mode = if flags.has("--violate") {
+    let mode = if run.has("--violate") {
         ExportMode::ViolateValleyFree
     } else {
         ExportMode::Compliant
     };
 
-    manifest.seed = Some(seed);
-    record_topology(manifest, &graph);
-    manifest.push_strategy(&format!(
+    run.record_topology(&graph);
+    run.manifest.push_strategy(&format!(
         "victim=AS{victim} attacker=AS{attacker} {strategy:?} {mode:?} padding={padding}"
     ));
 
@@ -519,50 +669,48 @@ fn cmd_simulate(args: &[String], manifest: &mut RunManifest) -> Result<(), Strin
     Ok(())
 }
 
-fn cmd_corpus(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let out = flags.value("--out").ok_or("--out FILE is required")?;
-    let prefixes = flags.parsed::<usize>("--prefixes")?.unwrap_or(100);
-    let monitor_count = flags.parsed::<usize>("--monitors")?.unwrap_or(30);
-    let seed = flags.seed()?;
-    let graph = InternetConfig::medium().seed(seed).build();
-    manifest.seed = Some(seed);
-    record_topology(manifest, &graph);
+fn cmd_corpus(run: &mut Run) -> Result<(), String> {
+    let out = run.value("--out").ok_or("--out FILE is required")?;
+    let prefixes = run.parsed::<usize>("--prefixes")?.unwrap_or(100);
+    let monitor_count = run.parsed::<usize>("--monitors")?.unwrap_or(30);
+    let graph = InternetConfig::medium().seed(run.seed).build();
+    run.record_topology(&graph);
     let corpus = CorpusConfig::new(prefixes)
         .monitors_top_degree(monitor_count)
-        .seed(seed)
+        .seed(run.seed)
         .generate(&graph);
-    std::fs::write(out, corpus.to_text()).map_err(|e| format!("writing {out}: {e}"))?;
-    out!(
-        "wrote {out}: {} table entries, {} updates, {} monitors",
-        corpus.table_entry_count(),
-        corpus.updates().len(),
-        corpus.monitors().count(),
-    );
+    run.write_out(&corpus.to_text())?;
+    out!("wrote {out}: {}", corpus_counts(&corpus));
     Ok(())
 }
 
-fn cmd_audit(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let lenient = flags.has("--lenient");
-    if let Some(path) = flags.value("--topology") {
+fn corpus_counts(corpus: &Corpus) -> String {
+    format!(
+        "{} table entries, {} updates, {} monitors",
+        corpus.table_entry_count(),
+        corpus.updates().len(),
+        corpus.monitors().count(),
+    )
+}
+
+fn cmd_audit(run: &mut Run) -> Result<(), String> {
+    let lenient = run.has("--lenient");
+    if let Some(path) = run.value("--topology") {
         return audit_topology_file(path, lenient);
     }
-    if let Some(path) = flags.value("--corpus") {
+    if let Some(path) = run.value("--corpus") {
         return audit_corpus_file(path, lenient);
     }
-    audit_equilibria(flags.scale()?, flags.seed()?, manifest)
+    audit_equilibria(run)
 }
 
 /// Recomputes the attack-strategy matrix and verifies every converged
 /// equilibrium against the paper's routing invariants (valley-freeness,
 /// export legality, loop-free next-hop chains, local optimality).
-fn audit_equilibria(scale: Scale, seed: u64, manifest: &mut RunManifest) -> Result<(), String> {
+fn audit_equilibria(run: &mut Run) -> Result<(), String> {
     use aspp_repro::routing::audit;
 
-    let graph = scale.internet(seed);
-    record_scale(manifest, scale, seed);
-    record_topology(manifest, &graph);
+    let graph = run.internet();
     // Deterministic victim/attacker sample spanning the hierarchy: a
     // well-connected core AS, a mid-degree transit AS, and an edge stub.
     let by_degree = graph.asns_by_degree();
@@ -629,21 +777,25 @@ fn audit_equilibria(scale: Scale, seed: u64, manifest: &mut RunManifest) -> Resu
 
     for strategy in strategies {
         for mode in modes {
-            manifest.push_strategy(&format!("{strategy:?} {mode:?} padding=3"));
+            run.manifest
+                .push_strategy(&format!("{strategy:?} {mode:?} padding=3"));
         }
     }
-    manifest.push_phase("compute", compute_time.as_secs_f64() * 1e3);
-    manifest.push_phase("audit", audit_time.as_secs_f64() * 1e3);
+    let (compute_ms, audit_ms) = (
+        compute_time.as_secs_f64() * 1e3,
+        audit_time.as_secs_f64() * 1e3,
+    );
+    run.manifest.push_phase("compute", compute_ms);
+    run.manifest.push_phase("audit", audit_ms);
 
     out!(
-        "audited {equilibria} equilibria on {} ASes (seed {seed}): {} route entries checked",
+        "audited {equilibria} equilibria on {} ASes (seed {}): {} route entries checked",
         graph.len(),
+        run.seed,
         routes_checked,
     );
     out!(
-        "compute {:.1} ms, audit {:.1} ms (audit/compute = {:.2}x)",
-        compute_time.as_secs_f64() * 1e3,
-        audit_time.as_secs_f64() * 1e3,
+        "compute {compute_ms:.1} ms, audit {audit_ms:.1} ms (audit/compute = {:.2}x)",
         audit_time.as_secs_f64() / compute_time.as_secs_f64().max(1e-12),
     );
     if dirty.is_empty() {
@@ -662,28 +814,20 @@ fn audit_equilibria(scale: Scale, seed: u64, manifest: &mut RunManifest) -> Resu
 
 fn audit_topology_file(path: &str, lenient: bool) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let counts = |g: &AsGraph| format!("{} ASes, {} links", g.len(), g.link_count());
     if lenient {
         let (graph, report) = aspp_repro::topology::io::from_caida_lenient(&text);
         out!("{path}: {report}");
         for note in &report.notes {
             out!("  {note}");
         }
-        out!(
-            "topology: {} ASes, {} links",
-            graph.len(),
-            graph.link_count()
-        );
-        Ok(())
+        out!("topology: {}", counts(&graph));
     } else {
         let graph = aspp_repro::topology::io::from_caida_strict(&text)
             .map_err(|e| format!("{path}: {e}"))?;
-        out!(
-            "{path}: OK — {} ASes, {} links",
-            graph.len(),
-            graph.link_count()
-        );
-        Ok(())
+        out!("{path}: OK — {}", counts(&graph));
     }
+    Ok(())
 }
 
 fn audit_corpus_file(path: &str, lenient: bool) -> Result<(), String> {
@@ -694,54 +838,35 @@ fn audit_corpus_file(path: &str, lenient: bool) -> Result<(), String> {
         for note in &report.notes {
             out!("  {note}");
         }
-        out!(
-            "corpus: {} table entries, {} updates, {} monitors",
-            corpus.table_entry_count(),
-            corpus.updates().len(),
-            corpus.monitors().count(),
-        );
-        Ok(())
+        out!("corpus: {}", corpus_counts(&corpus));
     } else {
         let corpus = Corpus::parse_strict(&text).map_err(|e| format!("{path}: {e}"))?;
-        out!(
-            "{path}: OK — {} table entries, {} updates, {} monitors",
-            corpus.table_entry_count(),
-            corpus.updates().len(),
-            corpus.monitors().count(),
-        );
-        Ok(())
+        out!("{path}: OK — {}", corpus_counts(&corpus));
     }
+    Ok(())
 }
 
 /// `aspp feed` — synthesize (or replay from a wire file) an update stream
 /// and drive it through the sharded detection pipeline.
-fn cmd_feed(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
+fn cmd_feed(run: &mut Run) -> Result<(), String> {
     use aspp_repro::feed::{decode_records, decode_records_lenient, encode_records, run_feed};
     use std::sync::Arc;
 
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    let shards = flags.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
-    let capacity = flags.parsed::<usize>("--capacity")?.unwrap_or(1024).max(1);
-    // `--replay` names the default (and only) mode; accepted for clarity.
-    let _ = flags.has("--replay");
-
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
+    let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
+    let capacity = run.parsed::<usize>("--capacity")?.unwrap_or(1024).max(1);
+    let graph = run.internet();
 
     // Acquire the stream: decode a wire file, or synthesize one.
     let t0 = Instant::now();
-    let (seeds, updates, attacks) = if let Some(path) = flags.value("--in") {
-        let corpus_path = flags
+    let (seeds, updates, attacks) = if let Some(path) = run.value("--in") {
+        let corpus_path = run
             .value("--corpus")
             .ok_or("--in requires --corpus FILE (the RIB seed corpus)")?;
         let text = std::fs::read_to_string(corpus_path)
             .map_err(|e| format!("reading {corpus_path}: {e}"))?;
         let seeds = Corpus::parse_strict(&text).map_err(|e| format!("{corpus_path}: {e}"))?;
         let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let updates = if flags.has("--lenient") {
+        let updates = if run.has("--lenient") {
             let (updates, report) = decode_records_lenient(&bytes);
             out!("{path}: {report}");
             for note in &report.notes {
@@ -753,27 +878,29 @@ fn cmd_feed(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
         };
         (seeds, updates, 0)
     } else {
-        let prefixes = flags.parsed::<usize>("--prefixes")?.unwrap_or(match scale {
-            Scale::Paper => 120,
-            Scale::Smoke => 40,
-            Scale::Internet => 160,
-            Scale::InternetSmoke => 60,
-        });
-        let monitors = flags.parsed::<usize>("--monitors")?.unwrap_or(30);
-        let attack_ratio = flags.parsed::<f64>("--attack-ratio")?.unwrap_or(0.15);
-        let withdraw_ratio = flags.parsed::<f64>("--withdraw-ratio")?.unwrap_or(0.3);
+        let prefixes = run
+            .parsed::<usize>("--prefixes")?
+            .unwrap_or(match run.scale {
+                Scale::Paper => 120,
+                Scale::Smoke => 40,
+                Scale::Internet => 160,
+                Scale::InternetSmoke => 60,
+            });
+        let monitors = run.parsed::<usize>("--monitors")?.unwrap_or(30);
+        let attack_ratio = run.parsed::<f64>("--attack-ratio")?.unwrap_or(0.15);
+        let withdraw_ratio = run.parsed::<f64>("--withdraw-ratio")?.unwrap_or(0.3);
         let feed = ReplayConfig::new(prefixes)
             .monitors_top_degree(monitors)
             .attack_ratio(attack_ratio)
             .withdraw_ratio(withdraw_ratio)
-            .seed(seed)
+            .seed(run.seed)
             .generate(&graph);
-        if let Some(path) = flags.value("--out") {
+        if let Some(path) = run.value("--out") {
             let bytes = encode_records(feed.updates());
             std::fs::write(path, &bytes).map_err(|e| format!("writing {path}: {e}"))?;
             out!("wrote {path}: {} bytes (wire format)", bytes.len());
         }
-        if let Some(path) = flags.value("--corpus-out") {
+        if let Some(path) = run.value("--corpus-out") {
             std::fs::write(path, feed.corpus.to_text())
                 .map_err(|e| format!("writing {path}: {e}"))?;
             out!("wrote {path}: RIB seeds + updates (text corpus)");
@@ -782,15 +909,16 @@ fn cmd_feed(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
         let updates = feed.updates().to_vec();
         (feed.corpus, updates, attacks)
     };
-    manifest.push_phase("generate", t0.elapsed().as_secs_f64() * 1e3);
-    manifest.push_strategy(&format!("shards={shards} capacity={capacity}"));
+    run.manifest.push_phase("generate", ms(t0));
+    run.manifest
+        .push_strategy(&format!("shards={shards} capacity={capacity}"));
 
     let graph = Arc::new(graph);
     let config = FeedConfig::new(shards).capacity(capacity);
 
     // Optional single-shard baseline: same stream, shards = 1, and the
     // merged alarm sequences must agree bit for bit.
-    let baseline = if flags.has("--baseline") && shards > 1 {
+    let baseline = if run.has("--baseline") && shards > 1 {
         let t = Instant::now();
         let report = run_feed(
             &graph,
@@ -798,7 +926,7 @@ fn cmd_feed(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
             &updates,
             &FeedConfig::new(1).capacity(capacity),
         );
-        manifest.push_phase("baseline", t.elapsed().as_secs_f64() * 1e3);
+        run.manifest.push_phase("baseline", ms(t));
         Some(report)
     } else {
         None
@@ -806,7 +934,7 @@ fn cmd_feed(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
 
     let t1 = Instant::now();
     let report = run_feed(&graph, &seeds, &updates, &config);
-    manifest.push_phase("feed", t1.elapsed().as_secs_f64() * 1e3);
+    run.manifest.push_phase("feed", ms(t1));
 
     out!(
         "feed: {} records over {} prefixes, {} shards (capacity {capacity})",
@@ -886,43 +1014,37 @@ fn cmd_feed(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
 /// `status`, `prefix`, `ingest` (wire file), `checkpoint`, `drain`.
 /// `--restore FILE` resumes from a checkpoint; `--checkpoint FILE` sets
 /// the default target (also written on graceful drain).
-fn cmd_serve(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
+fn cmd_serve(run: &mut Run) -> Result<(), String> {
     use aspp_repro::feed::{DetectionService, FeedEngine};
     use std::sync::Arc;
 
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    let shards = flags.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
-    let capacity = flags.parsed::<usize>("--capacity")?.unwrap_or(1024).max(1);
-    let batch = flags.parsed::<usize>("--batch")?.unwrap_or(256).max(1);
-
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
-    manifest.push_strategy(&format!(
+    let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
+    let capacity = run.parsed::<usize>("--capacity")?.unwrap_or(1024).max(1);
+    let batch = run.parsed::<usize>("--batch")?.unwrap_or(256).max(1);
+    let graph = run.internet();
+    run.manifest.push_strategy(&format!(
         "serve shards={shards} capacity={capacity} batch={batch}"
     ));
 
     let config = FeedConfig::new(shards).capacity(capacity).batch(batch);
     let mut engine = FeedEngine::new(Arc::new(graph), &config);
-    if let Some(path) = flags.value("--corpus") {
+    if let Some(path) = run.value("--corpus") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let seeds = Corpus::parse_strict(&text).map_err(|e| format!("{path}: {e}"))?;
         engine.seed_from_corpus(&seeds);
     }
 
     let mut service = DetectionService::new(engine);
-    if let Some(path) = flags.value("--checkpoint") {
+    if let Some(path) = run.value("--checkpoint") {
         service = service.checkpoint_file(path);
     }
-    if let Some(every) = flags.parsed::<u64>("--checkpoint-every")? {
-        if flags.value("--checkpoint").is_none() {
+    if let Some(every) = run.parsed::<u64>("--checkpoint-every")? {
+        if !run.has("--checkpoint") {
             return Err("--checkpoint-every requires --checkpoint FILE".into());
         }
         service = service.checkpoint_every(every);
     }
-    if let Some(path) = flags.value("--restore") {
+    if let Some(path) = run.value("--restore") {
         service
             .restore_from_file(std::path::Path::new(path))
             .map_err(|e| e.to_string())?;
@@ -937,36 +1059,23 @@ fn cmd_serve(args: &[String], manifest: &mut RunManifest) -> Result<(), String> 
 
 /// `aspp sweep` — the full strategy-matrix sweep (every attack strategy ×
 /// export mode × λ) over sampled victim/attacker pairs, run on the batch
-/// equilibrium engine by default. `--serial` is the escape hatch back to
-/// the pre-batch per-cell harness (identical results, no amortization).
-fn cmd_sweep(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
+/// equilibrium engine (`--workers 1` is serial, with identical results).
+fn cmd_sweep(run: &mut Run) -> Result<(), String> {
     use aspp_repro::attack::sweep::{random_pair_experiments, strategy_matrix};
 
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    let pairs = flags.parsed::<usize>("--pairs")?.unwrap_or(match scale {
+    let pairs = run.parsed::<usize>("--pairs")?.unwrap_or(match run.scale {
         Scale::Paper => 8,
         Scale::Smoke => 4,
         Scale::Internet => 3,
         Scale::InternetSmoke => 2,
     });
-    let lambda_max = flags.parsed::<usize>("--lambda-max")?.unwrap_or(8).max(1);
-    let serial = flags.has("--serial");
-    // `--batch` names the default mode; accepted for clarity.
-    let _ = flags.has("--batch");
-    if serial && flags.has("--batch") {
-        return Err("--serial and --batch are mutually exclusive".into());
-    }
-    let workers = flags.parsed::<usize>("--workers")?.unwrap_or(0);
-
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
+    let lambda_max = run.parsed::<usize>("--lambda-max")?.unwrap_or(8).max(1);
+    let runner = run.runner()?;
+    let graph = run.internet();
 
     // Sample distinct pairs over the whole population (λ here is a
     // placeholder; the matrix below sets the real λ grid).
-    let sampled = random_pair_experiments(&graph, pairs, 1, seed);
+    let sampled = random_pair_experiments(&graph, pairs, 1, run.seed);
     let mut exps = Vec::with_capacity(sampled.len() * 4 * 2 * lambda_max);
     for pair in &sampled {
         exps.extend(strategy_matrix(
@@ -975,35 +1084,22 @@ fn cmd_sweep(args: &[String], manifest: &mut RunManifest) -> Result<(), String> 
             1..=lambda_max,
         ));
     }
-    manifest.push_strategy(&format!(
-        "strategy matrix: {} pairs x 4 strategies x 2 modes x lambda 1..={lambda_max} ({})",
+    run.manifest.push_strategy(&format!(
+        "strategy matrix: {} pairs x 4 strategies x 2 modes x lambda 1..={lambda_max}",
         sampled.len(),
-        if serial { "serial" } else { "batch" },
     ));
 
     let t0 = Instant::now();
-    let impacts = if serial {
-        exps.iter().map(|e| run_experiment(&graph, e)).collect()
-    } else {
-        run_experiments_with_runner(&graph, &exps, &BatchRunner::new().workers(workers))
-    };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    manifest.push_phase(
-        if serial {
-            "sweep_serial"
-        } else {
-            "sweep_batch"
-        },
-        wall_ms,
-    );
+    let impacts = run_experiments(&graph, &exps, &runner);
+    let wall_ms = ms(t0);
+    run.manifest.push_phase("sweep", wall_ms);
 
     out!(
-        "sweep: {} cells ({} pairs, lambda 1..={lambda_max}) on {} ASes in {:.1} ms [{}]",
+        "sweep: {} cells ({} pairs, lambda 1..={lambda_max}) on {} ASes in {:.1} ms",
         impacts.len(),
         sampled.len(),
         graph.len(),
         wall_ms,
-        if serial { "serial" } else { "batch" },
     );
 
     // Mean pollution per (strategy, mode) series at the λ extremes.
@@ -1014,24 +1110,16 @@ fn cmd_sweep(args: &[String], manifest: &mut RunManifest) -> Result<(), String> 
         "pollute(l=1)",
         "pollute(l=max)",
     );
-    let strategy_label = |s: AttackStrategy| match s {
-        AttackStrategy::StripPadding { .. } => "strip",
-        AttackStrategy::StripAllPadding => "strip-all",
-        AttackStrategy::ForgeDirect => "forge",
-        AttackStrategy::OriginHijack => "origin",
-        AttackStrategy::PoisonPath { .. } => "poison",
-    };
-    let mode_label = |m: ExportMode| match m {
-        ExportMode::Compliant => "compliant",
-        ExportMode::ViolateValleyFree => "violate",
-    };
-    for strategy in [
-        AttackStrategy::StripPadding { keep: 1 },
-        AttackStrategy::StripAllPadding,
-        AttackStrategy::ForgeDirect,
-        AttackStrategy::OriginHijack,
+    for (strategy, strategy_label) in [
+        (AttackStrategy::StripPadding { keep: 1 }, "strip"),
+        (AttackStrategy::StripAllPadding, "strip-all"),
+        (AttackStrategy::ForgeDirect, "forge"),
+        (AttackStrategy::OriginHijack, "origin"),
     ] {
-        for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
+        for (mode, mode_label) in [
+            (ExportMode::Compliant, "compliant"),
+            (ExportMode::ViolateValleyFree, "violate"),
+        ] {
             let series = |lambda: usize| {
                 let cells: Vec<f64> = impacts
                     .iter()
@@ -1045,9 +1133,7 @@ fn cmd_sweep(args: &[String], manifest: &mut RunManifest) -> Result<(), String> 
                 cells.iter().sum::<f64>() / (cells.len().max(1) as f64)
             };
             out!(
-                "{:<12} {:<10} {:>11}% {:>11}%",
-                strategy_label(strategy),
-                mode_label(mode),
+                "{strategy_label:<12} {mode_label:<10} {:>11}% {:>11}%",
                 pct(series(1)),
                 pct(series(lambda_max)),
             );
@@ -1056,110 +1142,72 @@ fn cmd_sweep(args: &[String], manifest: &mut RunManifest) -> Result<(), String> 
     Ok(())
 }
 
+/// Parses a comma-separated flag value item by item.
+fn list_of<T>(raw: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    raw.split(',').map(|s| item(s.trim())).collect()
+}
+
 /// `aspp defense` — sweep defense policies (ROV, ASPA, peerlock-lite,
 /// first-AS enforcement) over deployment strategies and adoption
 /// fractions, reporting interception success at every grid cell for the
 /// paper's strip attack and an origin-hijack contrast.
-fn cmd_defense(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
+fn cmd_defense(run: &mut Run) -> Result<(), String> {
     use aspp_repro::experiments::defense::{self, DefenseConfig};
 
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    let mut config = DefenseConfig::at_scale(scale, seed);
-    if let Some(pairs) = flags.parsed::<usize>("--pairs")? {
+    let mut config = DefenseConfig::at_scale(run.scale, run.seed);
+    if let Some(pairs) = run.parsed::<usize>("--pairs")? {
         config.pairs = pairs.max(1);
     }
-    if let Some(lambda) = flags.parsed::<usize>("--lambda")? {
+    if let Some(lambda) = run.parsed::<usize>("--lambda")? {
         config.lambda = lambda.max(1);
     }
-    if let Some(raw) = flags.value("--policy") {
-        if raw != "all" {
-            config.kinds = raw
-                .split(',')
-                .map(|name| {
-                    PolicyKind::parse(name.trim()).ok_or(format!(
-                        "unknown policy {name:?} (expected rov, aspa, peerlock, first-as)"
-                    ))
-                })
-                .collect::<Result<_, _>>()?;
-        }
+    if let Some(raw) = run.value("--policy").filter(|&raw| raw != "all") {
+        config.kinds = list_of(raw, |name| {
+            PolicyKind::parse(name).ok_or(format!(
+                "unknown policy {name:?} (expected rov, aspa, peerlock, first-as)"
+            ))
+        })?;
     }
-    if let Some(raw) = flags.value("--deploy") {
-        if raw != "all" {
-            config.strategies = raw
-                .split(',')
-                .map(|name| {
-                    DeployStrategy::parse(name.trim()).ok_or(format!(
-                        "unknown deployment strategy {name:?} (expected random, by-tier, top-degree)"
-                    ))
-                })
-                .collect::<Result<_, _>>()?;
-        }
+    if let Some(raw) = run.value("--deploy").filter(|&raw| raw != "all") {
+        config.strategies = list_of(raw, |name| {
+            DeployStrategy::parse(name).ok_or(format!(
+                "unknown deployment strategy {name:?} (expected random, by-tier, top-degree)"
+            ))
+        })?;
     }
-    if let Some(raw) = flags.value("--fractions") {
-        config.fractions = raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid fraction {s:?}"))
-                    .and_then(|f| {
-                        if (0.0..=1.0).contains(&f) {
-                            Ok(f)
-                        } else {
-                            Err(format!("fraction {f} outside [0, 1]"))
-                        }
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        if config.fractions.is_empty() {
-            return Err("--fractions needs at least one value".into());
-        }
+    if let Some(raw) = run.value("--fractions") {
+        config.fractions = list_of(raw, |s| match s.parse::<f64>() {
+            Ok(f) if (0.0..=1.0).contains(&f) => Ok(f),
+            Ok(f) => Err(format!("fraction {f} outside [0, 1]")),
+            Err(_) => Err(format!("invalid fraction {s:?}")),
+        })?;
     }
-    let serial = flags.has("--serial");
-    let workers = flags.parsed::<usize>("--workers")?.unwrap_or(0);
-    if serial && workers > 1 {
-        return Err("--serial and --workers are mutually exclusive".into());
-    }
-
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
-    manifest.push_strategy(&format!(
-        "defense grid: {} policies x {} strategies x {} fractions x {} pairs (lambda={}, {})",
+    let runner = run.runner()?;
+    let graph = run.internet();
+    run.manifest.push_strategy(&format!(
+        "defense grid: {} policies x {} strategies x {} fractions x {} pairs (lambda={})",
         config.kinds.len(),
         config.strategies.len(),
         config.fractions.len(),
         config.pairs,
         config.lambda,
-        if serial { "serial" } else { "batch" },
     ));
 
-    let runner = if serial {
-        BatchRunner::new().serial()
-    } else {
-        BatchRunner::new().workers(workers)
-    };
     let t0 = Instant::now();
     let study = defense::run_with_runner(&graph, &config, &runner);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    manifest.push_phase("defense_sweep", wall_ms);
+    let wall_ms = ms(t0);
+    run.manifest.push_phase("defense_sweep", wall_ms);
 
     out!(
-        "defense: {} grid cells x {} pairs x 2 attacks on {} ASes in {:.1} ms [{}]",
+        "defense: {} grid cells x {} pairs x 2 attacks on {} ASes in {:.1} ms",
         config.kinds.len() * config.strategies.len() * config.fractions.len(),
         config.pairs,
         graph.len(),
         wall_ms,
-        if serial { "serial" } else { "batch" },
     );
     let text = study.render();
     out!("{text}");
-    if let Some(path) = flags.value("--out") {
-        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(())
+    run.write_out(&text)
 }
 
 /// `aspp scenario` — run the canonical multi-actor timeline: the paper's
@@ -1167,98 +1215,58 @@ fn cmd_defense(args: &[String], manifest: &mut RunManifest) -> Result<(), String
 /// hijack at t2, path poisoning at t3, and a MOAS origin conflict at t4,
 /// each step a full per-prefix equilibrium batch with data-plane LPM
 /// capture, detector alarms, and inter-step churn.
-fn cmd_scenario(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
+fn cmd_scenario(run: &mut Run) -> Result<(), String> {
     use aspp_repro::experiments::scenario;
 
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    let serial = flags.has("--serial");
-    let workers = flags.parsed::<usize>("--workers")?.unwrap_or(0);
-    if serial && workers > 1 {
-        return Err("--serial and --workers are mutually exclusive".into());
-    }
-
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
-
-    let runner = if serial {
-        BatchRunner::new().serial()
-    } else {
-        BatchRunner::new().workers(workers)
-    };
+    let runner = run.runner()?;
+    let graph = run.internet();
     let t0 = Instant::now();
-    let run = scenario::run_with_runner(&graph, scale, seed, &runner);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    manifest.push_phase("scenario", wall_ms);
-    manifest.push_strategy(&format!(
-        "scenario: victim=AS{} {} steps on {} ASes ({})",
-        run.victim,
-        run.steps.len(),
+    let timeline = scenario::run_with_runner(&graph, run.scale, run.seed, &runner);
+    let wall_ms = ms(t0);
+    run.manifest.push_phase("scenario", wall_ms);
+    run.manifest.push_strategy(&format!(
+        "scenario: victim=AS{} {} steps on {} ASes",
+        timeline.victim,
+        timeline.steps.len(),
         graph.len(),
-        if serial { "serial" } else { "batch" },
     ));
 
     out!(
-        "scenario: {} timeline steps on {} ASes in {:.1} ms [{}]",
-        run.steps.len(),
+        "scenario: {} timeline steps on {} ASes in {:.1} ms",
+        timeline.steps.len(),
         graph.len(),
         wall_ms,
-        if serial { "serial" } else { "batch" },
     );
-    let text = run.render();
+    let text = timeline.render();
     out!("{text}");
-    if let Some(path) = flags.value("--out") {
-        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(())
+    run.write_out(&text)
 }
 
 /// `aspp estimate` — the seeded Monte-Carlo impact estimator: sampled
 /// (victim, attacker) pairs and optional vantage subsets, with bootstrap
 /// confidence intervals. `--exact` additionally enumerates every pool
 /// cell and reports whether the exact mean lies inside the 95% CI.
-fn cmd_estimate(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
+fn cmd_estimate(run: &mut Run) -> Result<(), String> {
     use aspp_repro::experiments::scenario::{self, cross_validate};
 
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    let serial = flags.has("--serial");
-    let workers = flags.parsed::<usize>("--workers")?.unwrap_or(0);
-    if serial && workers > 1 {
-        return Err("--serial and --workers are mutually exclusive".into());
-    }
-    let mut config = scenario::estimator_config(scale, seed);
-    if let Some(samples) = flags.parsed::<usize>("--samples")? {
+    let mut config = scenario::estimator_config(run.scale, run.seed);
+    if let Some(samples) = run.parsed::<usize>("--samples")? {
         config.samples = samples.max(1);
     }
-    if let Some(resamples) = flags.parsed::<usize>("--resamples")? {
+    if let Some(resamples) = run.parsed::<usize>("--resamples")? {
         config.resamples = resamples.max(1);
     }
-
-    record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
-    manifest.push_strategy(&format!(
-        "estimate: {} samples over {}x{} pools, {} resamples ({})",
-        config.samples,
-        config.victims,
-        config.attackers,
-        config.resamples,
-        if serial { "serial" } else { "batch" },
+    let runner = run.runner()?;
+    let graph = run.internet();
+    run.manifest.push_strategy(&format!(
+        "estimate: {} samples over {}x{} pools, {} resamples",
+        config.samples, config.victims, config.attackers, config.resamples,
     ));
 
-    let runner = if serial {
-        BatchRunner::new().serial()
-    } else {
-        BatchRunner::new().workers(workers)
-    };
     let t0 = Instant::now();
-    let mut text = if flags.has("--exact") {
-        let (est, exact, within) = cross_validate(&graph, &config);
-        manifest.push_phase("estimate_cross_validate", t0.elapsed().as_secs_f64() * 1e3);
+    let mut text = if run.has("--exact") {
+        let (est, exact, within) = cross_validate(&graph, &config, &runner);
+        run.manifest.push_phase("estimate_cross_validate", ms(t0));
         let mut text = est.render();
         text.push_str(&format!(
             "exact enumeration: {} cells, mean pollution {}%, mean interception {}%\n\
@@ -1275,56 +1283,42 @@ fn cmd_estimate(args: &[String], manifest: &mut RunManifest) -> Result<(), Strin
         text
     } else {
         let est = mc_estimate::estimate_with(&graph, &config, &runner);
-        manifest.push_phase("estimate", t0.elapsed().as_secs_f64() * 1e3);
+        run.manifest.push_phase("estimate", ms(t0));
         est.render()
     };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    text.push_str(&format!(
-        "wall: {:.1} ms on {} ASes [{}]\n",
-        wall_ms,
-        graph.len(),
-        if serial { "serial" } else { "batch" },
-    ));
+    text.push_str(&format!("wall: {:.1} ms on {} ASes\n", ms(t0), graph.len()));
     out!("{text}");
-    if let Some(path) = flags.value("--out") {
-        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(())
+    run.write_out(&text)
 }
 
 /// `aspp gen` — build the synthetic Internet at a named scale and write it
 /// in CAIDA serial-2 format, for external tools and the internet-scale CI
 /// job. Without `--out` it only reports the generated graph's identity.
-fn cmd_gen(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
+fn cmd_gen(run: &mut Run) -> Result<(), String> {
     use aspp_repro::topology::io::to_caida;
 
-    let flags = Flags::new(args);
-    let scale = flags.scale()?;
-    let seed = flags.seed()?;
-    record_scale(manifest, scale, seed);
     let t0 = Instant::now();
-    let graph = scale.internet(seed);
-    manifest.push_phase("generate", t0.elapsed().as_secs_f64() * 1e3);
-    record_topology(manifest, &graph);
-    if let Some(path) = flags.value("--out") {
+    let graph = run.internet();
+    run.manifest.push_phase("generate", ms(t0));
+    if let Some(path) = run.value("--out") {
         let t = Instant::now();
-        std::fs::write(path, to_caida(&graph)).map_err(|e| format!("writing {path}: {e}"))?;
-        manifest.push_phase("serialize", t.elapsed().as_secs_f64() * 1e3);
+        run.write_out(&to_caida(&graph))?;
+        run.manifest.push_phase("serialize", ms(t));
         out!("wrote {path} (CAIDA serial-2)");
     }
     out!(
-        "generated {} ASes, {} links (scale {}, seed {seed}, fingerprint {:016x})",
+        "generated {} ASes, {} links (scale {}, seed {}, fingerprint {:016x})",
         graph.len(),
         graph.link_count(),
-        manifest.scale.as_deref().unwrap_or("?"),
+        run.manifest.scale.as_deref().unwrap_or("?"),
+        run.seed,
         graph.fingerprint(),
     );
     Ok(())
 }
 
-fn cmd_measure(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(args);
-    let path = flags.positional().ok_or("a corpus FILE is required")?;
+fn cmd_measure(run: &mut Run) -> Result<(), String> {
+    let path = run.positional.ok_or("a corpus FILE is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let corpus = Corpus::parse(&text).map_err(|e| e.to_string())?;
     let summary = measure::usage_summary(&corpus);

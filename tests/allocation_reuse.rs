@@ -40,12 +40,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn run_round(graph: &AsGraph, ws: &mut RouteWorkspace) {
+    let engine = RoutingEngine::new(graph);
     let asns: Vec<Asn> = graph.asns().collect();
     for pad in 1..=5 {
         for attacker in [asns[10], asns[20]] {
             let exp = HijackExperiment::new(asns[0], attacker).padding(pad);
-            let impact = run_experiment_with(graph, &exp, ws);
-            assert!(impact.population > 0);
+            let outcome = engine.compute_with(&exp.to_spec(), ws);
+            assert!(outcome.population() > 0);
         }
     }
 }
@@ -94,7 +95,7 @@ fn warm_workspace_rounds_allocate_identically() {
     );
 
     // Arc-shared spec state: cloning a fully-configured spec — what the
-    // batch engine and the workspace's delta memo do per cell — must bump
+    // batch engine and the clean-pass cache do per cell — must bump
     // refcounts, never copy the prepend table.
     let asns: Vec<Asn> = graph.asns().collect();
     let spec = DestinationSpec::new(asns[0])

@@ -1,4 +1,4 @@
-//! Batch-engine equivalence: `BatchRunner` / `run_experiments_batch` must
+//! Batch-engine equivalence: `BatchRunner` / `run_experiments` must
 //! be **bit-identical** to the serial path — per-cell
 //! `RoutingEngine::compute_with` at the route-table level, and per-cell
 //! `run_experiment` at the impact level — across the full
@@ -42,20 +42,20 @@ fn full_matrix_batch_is_bit_identical_to_serial_impacts() {
     let expected = serial_impacts(&graph, &matrix);
     for runner in [
         BatchRunner::new(),
-        BatchRunner::new().serial(),
+        BatchRunner::new().workers(1),
         BatchRunner::new().workers(3),
-        BatchRunner::new().workers(5).cache_capacity(0),
+        BatchRunner::new().workers(5),
     ] {
-        let got = run_experiments_with_runner(&graph, &matrix, &runner);
+        let got = run_experiments(&graph, &matrix, &runner);
         assert_eq!(got, expected, "runner {runner:?} diverges from serial");
     }
-    assert_eq!(run_experiments_batch(&graph, &matrix), expected);
 }
 
 #[test]
 fn full_matrix_batch_route_tables_match_serial_compute_with() {
     // The strongest form: compare the entire final route table of every
-    // cell, not just the reduced impact numbers.
+    // cell, not just the reduced impact numbers, against cold per-cell
+    // `compute`.
     let graph = Scale::Smoke.internet(29);
     let matrix = full_matrix(&graph, 2, 29);
     let specs: Vec<DestinationSpec> = matrix.iter().map(HijackExperiment::to_spec).collect();
@@ -66,14 +66,8 @@ fn full_matrix_batch_route_tables_match_serial_compute_with() {
         asns.sort();
         asns.into_iter().map(|a| outcome.route(a)).collect()
     };
-    let expected: Vec<Vec<Option<RouteInfo>>> = specs
-        .iter()
-        .map(|s| {
-            // Fresh workspace per cell: the plain `compute` path.
-            let mut ws = RouteWorkspace::new();
-            table(&engine.compute_with(s, &mut ws))
-        })
-        .collect();
+    let expected: Vec<Vec<Option<RouteInfo>>> =
+        specs.iter().map(|s| table(&engine.compute(s))).collect();
 
     for runner in [BatchRunner::new(), BatchRunner::new().workers(4)] {
         let got = runner.run(&graph, &specs, |_, outcome| table(outcome));
@@ -99,11 +93,7 @@ proptest! {
         prop_assert!(!matrix.is_empty());
 
         let expected = serial_impacts(&graph, &matrix);
-        let batch = run_experiments_with_runner(
-            &graph,
-            &matrix,
-            &BatchRunner::new().workers(workers),
-        );
+        let batch = run_experiments(&graph, &matrix, &BatchRunner::new().workers(workers));
         prop_assert_eq!(batch, expected);
     }
 }

@@ -13,24 +13,97 @@ fn stdout(output: &Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
+/// Every subcommand and one of its value flags.
+const SUBCOMMANDS: [(&str, &str); 18] = [
+    ("case-study", "--seed"),
+    ("usage", "--scale"),
+    ("impact", "--figure"),
+    ("detection", "--seed"),
+    ("selection", "--scale"),
+    ("stealth", "--seed"),
+    ("mitigate", "--seed"),
+    ("simulate", "--victim"),
+    ("corpus", "--out"),
+    ("measure", "--manifest"),
+    ("audit", "--topology"),
+    ("feed", "--shards"),
+    ("serve", "--checkpoint-every"),
+    ("sweep", "--workers"),
+    ("defense", "--deploy"),
+    ("scenario", "--out"),
+    ("estimate", "--samples"),
+    ("gen", "--metrics"),
+];
+
 #[test]
 fn help_lists_every_command() {
     let out = aspp(&["help"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for cmd in [
-        "case-study",
-        "usage",
-        "impact",
-        "detection",
-        "selection",
-        "stealth",
-        "mitigate",
-        "simulate",
-        "corpus",
-        "measure",
-    ] {
-        assert!(text.contains(cmd), "help misses {cmd}");
+    for (cmd, _) in SUBCOMMANDS {
+        assert!(text.contains(&format!("aspp {cmd}")), "help misses {cmd}");
+    }
+}
+
+#[test]
+fn every_subcommand_rejects_undeclared_flags_by_name() {
+    for (cmd, _) in SUBCOMMANDS {
+        let out = aspp(&[cmd, "--no-such-flag"]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!out.status.success(), "{cmd} accepted --no-such-flag");
+        assert!(stderr.contains("--no-such-flag"), "{cmd}: {stderr}");
+    }
+    // The regression: a typo used to run with the default seed and exit 0.
+    assert!(!aspp(&["gen", "--sede", "7"]).status.success());
+    // Flags another subcommand declares are still undeclared here.
+    assert!(!aspp(&["gen", "--workers", "2"]).status.success());
+    assert!(!aspp(&["sweep", "--batch"]).status.success());
+}
+
+#[test]
+fn every_subcommand_rejects_a_value_flag_without_its_value() {
+    for (cmd, flag) in SUBCOMMANDS {
+        let out = aspp(&[cmd, flag]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!out.status.success(), "{cmd} accepted a bare {flag}");
+        assert!(
+            stderr.contains(&format!("{flag} requires a value")),
+            "{cmd} {flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn estimate_exact_runs_on_the_requested_workers_with_identical_output() {
+    let run = |workers: &str| {
+        let out = aspp(&[
+            "estimate",
+            "--seed",
+            "5",
+            "--exact",
+            "--workers",
+            workers,
+            "--metrics",
+            "json",
+        ]);
+        assert!(out.status.success());
+        let text = stdout(&out);
+        assert!(text.contains("exact enumeration:"), "{text}");
+        // All but the timing line.
+        let results: Vec<String> = text
+            .lines()
+            .filter(|l| !l.starts_with("wall:"))
+            .map(String::from)
+            .collect();
+        (results, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (serial, metrics) = run("1");
+    assert_eq!(serial, run("2").0);
+    // With the counters compiled in (`--features obs`): one worker claims
+    // every victim in turn and never steals, in the estimate and in the
+    // exact enumeration alike.
+    if metrics.contains("\"counters_compiled_in\":true") {
+        assert!(metrics.contains("\"batch_steals\":0"), "{metrics}");
     }
 }
 

@@ -2,9 +2,11 @@
 //! topology, any `AttackStrategy`, either `ExportMode`, and every tie-break
 //! rule, `RoutingEngine::compute_with` (delta re-convergence, falling back
 //! to a full pass only in the documented non-monotone corner) must produce
-//! exactly what `RoutingEngine::compute_full_with` (whole-graph second
-//! pass) produces — per-node routes, observed paths, and `HijackImpact`
-//! fractions compared bit-for-bit, not approximately.
+//! exactly what the whole-graph second pass produces — per-node routes,
+//! observed paths, and `HijackImpact` fractions compared bit-for-bit, not
+//! approximately. The reference is reached through the public API: any
+//! non-`NOOP` policy forces the full propagation, and one deployed nowhere
+//! accepts every offer.
 
 use aspp_repro::prelude::*;
 use proptest::prelude::*;
@@ -78,27 +80,20 @@ proptest! {
             [tie_pick as usize];
 
         let engine = RoutingEngine::new(&graph);
+        let whole_graph = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::empty(graph.len()));
         let mut ws_full = RouteWorkspace::new();
         let mut ws_delta = RouteWorkspace::new();
         for exp in all_experiments(victim, attacker, tie) {
             let spec = exp.to_spec();
-            let full = engine.compute_full_with(&spec, &mut ws_full);
+            let full = engine.compute_with_policy(&spec, &mut ws_full, &whole_graph);
             let delta = engine.compute_with(&spec, &mut ws_delta);
             assert_outcomes_identical(&graph, &full, &delta);
 
-            // The workspace-level impact numbers must agree bit-for-bit too.
-            let impact_full = run_experiment(&graph, &exp);
-            let impact_delta = run_experiment_with(&graph, &exp, &mut ws_delta);
-            prop_assert_eq!(impact_full.experiment, impact_delta.experiment);
-            prop_assert_eq!(
-                impact_full.after_fraction.to_bits(),
-                impact_delta.after_fraction.to_bits()
-            );
-            prop_assert_eq!(
-                impact_full.before_fraction.to_bits(),
-                impact_delta.before_fraction.to_bits()
-            );
-            prop_assert_eq!(impact_full.polluted_count, impact_delta.polluted_count);
+            // The cold per-cell impact numbers must agree bit-for-bit too.
+            let impact = run_experiment(&graph, &exp);
+            prop_assert_eq!(impact.after_fraction.to_bits(), delta.polluted_fraction().to_bits());
+            prop_assert_eq!(impact.before_fraction.to_bits(), delta.baseline_fraction().to_bits());
+            prop_assert_eq!(impact.polluted_count, delta.polluted_count());
         }
         prop_assert_eq!(ws_full.delta_passes(), 0);
         prop_assert!(

@@ -164,6 +164,22 @@ fn sibling_chain_equivalence() {
 }
 
 #[test]
+fn spill_heap_equilibria_equivalence() {
+    // λ=300 pushes every clean label past the engine's 256-length bucket
+    // range into the spill heap; the strip brings the malicious labels back
+    // into the buckets, so the attacked pass drains both in one scan.
+    let graph = InternetConfig::small().seed(61).build();
+    let clean = DestinationSpec::new(Asn(20_003)).origin_padding(300);
+    let attacked = clean.clone().attacker(AttackerModel::new(Asn(100)));
+    for spec in [clean, attacked] {
+        assert_equivalent(&graph, &spec);
+        let outcome = RoutingEngine::new(&graph).compute(&spec);
+        let report = aspp_repro::routing::audit::audit_outcome(&outcome);
+        assert!(report.is_clean(), "{report}");
+    }
+}
+
+#[test]
 fn per_neighbor_policies_equivalence() {
     let graph = InternetConfig::small().seed(44).build();
     let victim = Asn(20_007);

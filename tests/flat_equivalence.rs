@@ -138,8 +138,11 @@ fn paper_matrix_flat_tables_and_paths_match_references() {
         let spec = exp.to_spec();
         let mut delta_ws = RouteWorkspace::new();
         let outcome = engine.compute_with(&spec, &mut delta_ws);
+        // Deployed nowhere, the policy accepts every offer; being non-NOOP,
+        // it forces the whole-graph propagation.
+        let whole_graph = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::empty(graph.len()));
         let mut full_ws = RouteWorkspace::new();
-        let oracle = engine.compute_full_with(&spec, &mut full_ws);
+        let oracle = engine.compute_with_policy(&spec, &mut full_ws, &whole_graph);
         assert_eq!(
             table(&outcome),
             table(&oracle),

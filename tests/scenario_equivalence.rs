@@ -79,7 +79,7 @@ fn subprefix_hijack_captures_what_the_exact_prefix_strip_cannot() {
 #[test]
 fn moas_step_blackholes_instead_of_intercepting() {
     let graph = Scale::Smoke.internet(41);
-    let run = canonical_timeline(&graph, Scale::Smoke, 41).run(&graph);
+    let run = canonical_timeline(&graph, Scale::Smoke, 41).run_with(&graph, &BatchRunner::new());
     let moas = run.steps.last().expect("timeline has steps");
     assert!(matches!(
         moas.state.attacker,
@@ -121,7 +121,7 @@ fn single_step_scenario_is_bit_identical_to_compute_with() {
     };
 
     for runner in [
-        BatchRunner::new().serial(),
+        BatchRunner::new().workers(1),
         BatchRunner::new().workers(2),
         BatchRunner::new().workers(8),
     ] {
@@ -215,7 +215,7 @@ proptest! {
 fn estimator_is_deterministic_across_worker_counts() {
     let graph = Scale::Smoke.internet(71);
     let config = estimator_config(Scale::Smoke, 71);
-    let serial = mc_estimate::estimate_with(&graph, &config, &BatchRunner::new().serial());
+    let serial = mc_estimate::estimate_with(&graph, &config, &BatchRunner::new().workers(1));
     for workers in [1, 2, 8] {
         let got = mc_estimate::estimate_with(&graph, &config, &BatchRunner::new().workers(workers));
         assert_eq!(got, serial, "estimate diverges at {workers} workers");
@@ -230,7 +230,7 @@ fn paper_scale_ci_brackets_exact_enumeration_at_1000_samples() {
     let graph = Scale::Paper.internet(2024);
     let config = estimator_config(Scale::Paper, 2024);
     assert!(config.samples >= 1000, "paper scale draws n >= 1000");
-    let (est, exact, within) = cross_validate(&graph, &config);
+    let (est, exact, within) = cross_validate(&graph, &config, &BatchRunner::new());
     assert!(
         within,
         "exact mean {} outside 95% CI [{}, {}]",

@@ -1,9 +1,9 @@
 //! Serial-equivalence guarantee for the reusable route workspace: for any
 //! random topology and experiment batch, `run_experiment` (fresh state per
-//! call), `run_experiment_with` (one shared workspace, clean-pass cache
-//! active) and `run_experiments_parallel` (chunked workers, one workspace
-//! each) must produce **bit-identical** `HijackImpact` values, field by
-//! field — f64 fractions compared exactly, not approximately.
+//! call), `compute_with` on one shared workspace (clean-pass cache active)
+//! and `run_experiments` (parallel workers, one workspace each) must produce
+//! **bit-identical** impact values, field by field — f64 fractions compared
+//! exactly, not approximately.
 
 use aspp_repro::prelude::*;
 use proptest::prelude::*;
@@ -68,15 +68,20 @@ proptest! {
         let serial: Vec<HijackImpact> =
             exps.iter().map(|e| run_experiment(&graph, e)).collect();
 
+        let engine = RoutingEngine::new(&graph);
         let mut ws = RouteWorkspace::new();
-        let reused: Vec<HijackImpact> =
-            exps.iter().map(|e| run_experiment_with(&graph, e, &mut ws)).collect();
+        for (s, exp) in serial.iter().zip(&exps) {
+            let reused = engine.compute_with(&exp.to_spec(), &mut ws);
+            prop_assert_eq!(s.before_fraction.to_bits(), reused.baseline_fraction().to_bits());
+            prop_assert_eq!(s.after_fraction.to_bits(), reused.polluted_fraction().to_bits());
+            prop_assert_eq!(s.polluted_count, reused.polluted_count());
+            prop_assert_eq!(s.population, reused.population());
+            prop_assert_eq!(s.attack_feasible, reused.has_attack());
+        }
         prop_assert!(ws.cache_hits() > 0, "interleaved sweep must hit the cache");
 
-        let parallel = run_experiments_parallel(&graph, &exps);
-
-        for ((s, r), p) in serial.iter().zip(&reused).zip(&parallel) {
-            assert_bit_identical(s, r);
+        let parallel = run_experiments(&graph, &exps, &BatchRunner::new().workers(4));
+        for (s, p) in serial.iter().zip(&parallel) {
             assert_bit_identical(s, p);
         }
     }
