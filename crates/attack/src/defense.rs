@@ -16,11 +16,12 @@
 //!   defenses only *remove* attacker-derived offers and the clean
 //!   equilibrium is policy-independent, pollution is monotonically
 //!   non-increasing along each curve by construction, not by luck.
-//! * **One batch, one clean pass per victim.** The whole
+//! * **One batch, one clean pass per (victim, λ).** The whole
 //!   policy × strategy × fraction × experiment grid is flattened into a
 //!   single [`BatchRunner::run_with_policy`] call, so every cell sharing a
-//!   victim — across *all* deployment maps — serves from one cached clean
-//!   pass and rides the delta attacked path.
+//!   clean equilibrium — across *all* deployment maps — forms one steal
+//!   unit served from one cached clean pass per worker that joins it
+//!   (policied attacked passes run the full propagation).
 
 use std::fmt;
 use std::sync::Arc;
@@ -226,8 +227,9 @@ pub fn run_defense_sweep(
     }
 
     // Flatten to one batch: grid-major, experiment-minor. Steal units are
-    // keyed by victim, so the same victim's cells across all deployment
-    // maps share one cached clean pass regardless of this ordering.
+    // keyed by clean equilibrium (victim, λ, tie-break), so one
+    // experiment's cells across all deployment maps share one cached clean
+    // pass regardless of this ordering.
     let cells: Vec<(DestinationSpec, Arc<DeployedPolicy>)> = grid
         .iter()
         .flat_map(|cell| exps.iter().map(|e| (e.to_spec(), Arc::clone(&cell.policy))))

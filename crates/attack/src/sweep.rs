@@ -206,10 +206,9 @@ pub fn representative_of_tier(graph: &AsGraph, tier: u32) -> Option<Asn> {
 /// attacker). Returns `None` if the graph has no stubs.
 #[must_use]
 pub fn best_connected_stub(graph: &AsGraph) -> Option<Asn> {
-    let tiers = TierMap::classify(graph);
     graph
         .asns()
-        .filter(|&a| tiers.is_stub(graph, a))
+        .filter(|&a| graph.customers(a).next().is_none())
         .max_by_key(|&a| (graph.peers(a).count(), std::cmp::Reverse(a.value())))
 }
 

@@ -1,15 +1,17 @@
 //! Attack-impact experiments — the paper's Figures 7 through 12.
 //!
 //! Every driver here runs on the batch equilibrium engine
-//! (`aspp_routing::batch`, via [`run_ranked`] and [`prepend_sweep`]): cells
-//! sharing a victim form one steal unit, so each victim's clean pass is
-//! computed once per figure and the λ/strategy cells ride the warm
-//! workspace. Results are bit-identical to the serial per-cell path.
+//! (`aspp_routing::batch`, via [`run_ranked`], [`prepend_sweep`] and
+//! [`run_experiments`]): cells sharing a clean equilibrium — one victim at
+//! one λ — form one steal unit, so a λ sweep is eight units spread over the
+//! workers and each (victim, λ) clean pass is computed once per batch, with
+//! the export-mode cells riding it. Results are bit-identical to the serial
+//! per-cell path.
 
 use aspp_attack::sweep::{
     best_connected_stub, prepend_sweep, random_pair_experiments, run_ranked, tier1_pair_experiments,
 };
-use aspp_attack::{ExportMode, HijackImpact};
+use aspp_attack::{run_experiments, BatchRunner, ExportMode, HijackExperiment, HijackImpact};
 use aspp_topology::tier::{customer_cone, TierMap};
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
@@ -214,6 +216,8 @@ pub fn fig11(graph: &AsGraph) -> PrependSweep {
         .expect("fresh customer link");
     augmented.sort_neighbors();
 
+    // Two batches, unlike Figure 12: the curves run on different graphs,
+    // so no clean pass of one serves the other.
     PrependSweep {
         label: "Figure 11 — small well-peered AS hijacks a tier-1",
         victim,
@@ -264,18 +268,26 @@ pub fn fig12(graph: &AsGraph) -> PrependSweep {
         .filter(|&a| a != victim && tiers.tier_of(a).unwrap_or(0) >= 3)
         .find(|&a| graph.customers(a).next().is_some() && graph.providers(a).count() >= 2)
         .unwrap_or(stubs[1]);
+    // Both curves in one batch: each λ's clean pass serves its compliant
+    // and its violating cell.
+    let exps: Vec<HijackExperiment> = [ExportMode::Compliant, ExportMode::ViolateValleyFree]
+        .into_iter()
+        .flat_map(|mode| {
+            LAMBDA_RANGE.map(move |p| {
+                HijackExperiment::new(victim, attacker)
+                    .padding(p)
+                    .export_mode(mode)
+            })
+        })
+        .collect();
+    let mut compliant = run_experiments(graph, &exps, &BatchRunner::new());
+    let violating = compliant.split_off(exps.len() / 2);
     PrependSweep {
         label: "Figure 12 — small AS hijacks small AS",
         victim,
         attacker,
-        compliant: prepend_sweep(graph, victim, attacker, LAMBDA_RANGE, ExportMode::Compliant),
-        violating: Some(prepend_sweep(
-            graph,
-            victim,
-            attacker,
-            LAMBDA_RANGE,
-            ExportMode::ViolateValleyFree,
-        )),
+        compliant,
+        violating: Some(violating),
     }
 }
 

@@ -56,16 +56,20 @@ pub enum Counter {
     /// Deepest shard-queue occupancy observed across the run (a high-water
     /// mark maintained with [`record_max`], not a monotone sum).
     FeedShardDepthHighWater,
-    /// Victim steal units processed by the batch sweep engine (one unit
-    /// per distinct victim in the batch).
+    /// Steal units processed by the batch sweep engine: one unit per
+    /// distinct clean equilibrium — (victim, prepending config, tie-break)
+    /// — in the batch, so a λ sweep over one victim counts once per λ. The
+    /// wire name `batch_victims` predates that grain and is kept for the
+    /// CI greps and checked-in artifacts that read it.
     BatchVictim,
     /// Propagation passes that began by epoch-bumping an already-sized
     /// scratch table instead of allocating one — the batch engine's
     /// cross-victim pass-structure reuse.
     BatchScratchReuse,
-    /// Steal-unit claims beyond a batch worker's first: how often a worker
-    /// outran its fair share and pulled extra victims off the shared
-    /// cursor.
+    /// Steal units a batch worker served beyond its first, with other
+    /// workers present: extra units pulled off the shared cursor plus units
+    /// joined in the finish phase. Scheduling-dependent; a lone worker
+    /// records none.
     BatchSteal,
     /// Record batches handed to feed shard workers (one per channel
     /// crossing; `feed_records_in / feed_batches` is the amortization

@@ -718,12 +718,14 @@ fn audit_pass<P: DefensePolicy>(
     // (pigeonhole) — no visited set needed. One carve-out: an origin
     // hijacker claims to originate the prefix itself, so a tainted chain
     // legitimately ends at the attacker (whose pinned clean route is its
-    // own table entry, not part of the announced path).
+    // own table entry, not part of the announced path — so it is not walked
+    // either: an ROV deployer above the hijacker can lose its clean route
+    // to a parent that adopted the hijack and refuse the replacement).
     let hijack_m = attack
         .filter(|c| c.export_class == RouteClass::Origin)
         .map(|c| c.m_idx);
     for (i, route) in pass.iter().enumerate() {
-        if route.is_none() || i == v_idx {
+        if route.is_none() || i == v_idx || Some(i) == hijack_m {
             continue;
         }
         let asn = graph.asn_at(i);
@@ -938,6 +940,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn origin_hijackers_pinned_route_may_dangle_under_partial_rov() {
+        use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
+        use aspp_topology::AsGraph;
+        use aspp_types::Asn;
+        // AS5 -> {victim AS1, AS4}; AS4 -> {AS2, AS3}; AS2, AS3 -> hijacker
+        // AS9. AS3 and AS4 adopt the hijack (customer beats provider), so
+        // ROV deployer AS2 — AS9's clean next hop — loses its clean route
+        // to AS4 and refuses the replacement: it holds no route at all.
+        let mut graph = AsGraph::new();
+        for (provider, customer) in [(5, 1), (5, 4), (4, 2), (4, 3), (2, 9), (3, 9)] {
+            graph
+                .add_provider_customer(Asn(provider), Asn(customer))
+                .unwrap();
+        }
+        let spec = DestinationSpec::new(Asn(1))
+            .attacker(AttackerModel::new(Asn(9)).strategy(AttackStrategy::OriginHijack));
+        let policy =
+            DeployedPolicy::new(PolicyKind::Rov, DeploymentMap::from_asns(&graph, [Asn(2)]));
+        let outcome = RoutingEngine::new(&graph).compute_with_policy(
+            &spec,
+            &mut crate::RouteWorkspace::new(),
+            &policy,
+        );
+        assert!(outcome.is_polluted(Asn(4)) && outcome.route(Asn(2)).is_none());
+        assert_eq!(outcome.route(Asn(9)).unwrap().next_hop, Some(Asn(2)));
+        let audit = audit_outcome_with(&outcome, &policy);
+        assert!(audit.is_clean(), "{audit}");
     }
 
     #[test]

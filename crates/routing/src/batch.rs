@@ -5,26 +5,36 @@
 //! [`RoutingEngine::compute`] call at a time, every cell pays a full
 //! pass-structure lifetime: a fresh `NodeScratch` table, fresh scheduler
 //! buckets, and a clean pass recomputed from nothing even though the
-//! neighboring cell shares the same victim. This module amortizes that cost
-//! across an entire sweep:
+//! neighboring cell shares the same clean equilibrium. This module
+//! amortizes that cost across an entire sweep:
 //!
 //! * **One pass-structure lifetime for many victims.** Each worker owns a
 //!   single [`RouteWorkspace`] for the whole batch. Starting the next
-//!   victim's pass is an epoch bump over the already-sized scratch table
+//!   pass is an epoch bump over the already-sized scratch table
 //!   (O(1), no re-zeroing, no reallocation — see
 //!   [`RouteWorkspace::scratch_reuses`]) and the bucket queue's `Vec`
 //!   spines are reused as-is. The packed-`u128` branchless decision compare
 //!   (`pack_pref` in the engine) is shared with the single-shot path,
 //!   so batched cells decide routes exactly the way serial cells do.
-//! * **Work stealing *across* victims, not inside a pass.** A propagation
-//!   pass is inherently sequential (the bucket scan is a priority order),
-//!   so the parallel grain is one victim: all cells sharing a victim form
-//!   one steal unit, claimed from a shared atomic cursor. A worker that
-//!   steals a victim computes that victim's clean pass once into its warm
-//!   workspace cache and then serves every λ/strategy/export-mode cell
-//!   from it (attacked passes ride the delta path). Units are claimed
-//!   dynamically, so a worker stuck on a hub victim does not stall the
-//!   rest of the sweep.
+//! * **Work stealing *across* clean equilibria, not inside a pass.** A
+//!   propagation pass is inherently sequential (the bucket scan is a
+//!   priority order), so the parallel grain is the thing cells actually
+//!   share: all cells with one clean equilibrium — the same
+//!   (victim, prepending config, tie-break), which is exactly the
+//!   workspace's clean-cache key — form one steal unit, claimed from a
+//!   shared atomic cursor. A Figure-9-style λ sweep over one victim is
+//!   therefore eight units, not one. A worker that claims a unit computes
+//!   its clean pass once and then serves every strategy/export-mode/policy
+//!   cell from it (attacked passes ride the delta path). Because a unit
+//!   *is* a cache key, a worker never revisits an earlier unit's clean
+//!   pass and its workspace holds exactly one.
+//! * **A finish phase for the last units.** Cells inside a unit are claimed
+//!   one at a time from the unit's own cursor. A worker that finds the
+//!   unit cursor exhausted joins any unit that still has unclaimed cells,
+//!   recomputes that unit's clean pass once in its *own* workspace and
+//!   computes the cells it claims there — so a one-pair grid (one unit,
+//!   many cells) still uses every worker, and no worker idles while
+//!   another drains a long unit alone.
 //!
 //! # Bit-identity to the serial path
 //!
@@ -35,10 +45,13 @@
 //! `compute_with` against an isolated per-worker workspace, workspace
 //! state only ever changes *which* of two bit-identical paths (cached vs
 //! recomputed clean pass, delta vs full attacked pass) produces the
-//! result, and cells never exchange data across workers. Scheduling order
-//! affects wall-clock only; results are written back by input index.
-//! `tests/batch_equivalence.rs` pins this across the full
-//! 4-strategy × 2-export-mode × λ=1..8 matrix.
+//! result, and cells never exchange data across workers — a worker that
+//! joins another's unit recomputes the clean pass rather than borrowing it.
+//! Scheduling order affects wall-clock (and the scheduling counters
+//! `batch_steals` and, with several workers, `clean_cache_misses`) only;
+//! results are written back by input index. `tests/batch_equivalence.rs`
+//! pins this across the full 4-strategy × 2-export-mode × λ=1..8 matrix and
+//! on one-unit batches at every worker count.
 //!
 //! # Per-cell defense policies
 //!
@@ -46,9 +59,9 @@
 //! [`DestinationSpec`] to a `(spec, policy)` pair, which is how deployment
 //! sweeps (policy × strategy × adoption-fraction grids) ride the same
 //! machinery: the clean pass is policy-*independent* — defenses only filter
-//! attacker-derived imports — so every cell sharing a victim still serves
-//! from the one cached clean pass regardless of which [`DefensePolicy`]
-//! each cell carries. [`BatchRunner::run`] is the [`NoDefense`]
+//! attacker-derived imports — so every cell of a unit still serves from the
+//! one cached clean pass regardless of which [`DefensePolicy`] each cell
+//! carries. [`BatchRunner::run`] is the [`NoDefense`]
 //! specialization; because `NoDefense` sets
 //! [`DefensePolicy::NOOP`], that instantiation monomorphizes
 //! back to the exact pre-policy hot loop and keeps the bit-identity
@@ -75,7 +88,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
@@ -93,7 +105,7 @@ use crate::policy::{DefensePolicy, NoDefense};
 #[derive(Clone, Copy, Debug)]
 pub struct BatchRunner {
     /// Worker-thread count; `0` means "one per available core, capped at
-    /// the number of steal units".
+    /// the number of cells".
     workers: usize,
 }
 
@@ -111,8 +123,8 @@ impl BatchRunner {
     }
 
     /// Pins the worker count (`0` restores the automatic choice). The
-    /// count is always capped at the number of steal units. `workers(1)`
-    /// is serial execution: one workspace, victims processed in
+    /// count is always capped at the number of cells. `workers(1)` is
+    /// serial execution: one workspace, units processed in
     /// first-appearance order, no threads spawned — identical results.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
@@ -126,8 +138,9 @@ impl BatchRunner {
     /// `reduce` receives the input index and the outcome; it runs on the
     /// worker that computed the cell, so the (potentially large) outcome
     /// never crosses a thread boundary — only the reduced value does.
-    /// Specs sharing a victim form one steal unit and are computed by one
-    /// worker against its warm workspace, in input order within the unit.
+    /// Specs sharing a clean equilibrium (victim, prepending config,
+    /// tie-break) form one steal unit and are claimed in input order
+    /// within the unit.
     ///
     /// # Panics
     ///
@@ -148,12 +161,12 @@ impl BatchRunner {
     /// policy: cell `i` is computed via
     /// [`RoutingEngine::compute_with_policy`] with `cells[i].1`.
     ///
-    /// Cells sharing a victim still form one steal unit and serve from one
-    /// cached clean pass even when their policies differ — defenses filter
-    /// attacker-derived imports only, so the clean equilibrium is the same
-    /// under every policy. This is what makes deployment sweeps (one spec
-    /// × many deployment maps) cheap: only the attacked delta pass is
-    /// recomputed per cell.
+    /// Cells sharing a clean equilibrium still form one steal unit and
+    /// serve from one cached clean pass even when their policies differ —
+    /// defenses filter attacker-derived imports only, so the clean
+    /// equilibrium is the same under every policy. This is what makes
+    /// deployment sweeps (one spec × many deployment maps) cheap: only the
+    /// attacked pass is recomputed per cell.
     ///
     /// `P` is typically [`std::sync::Arc`]`<`[`DeployedPolicy`]`>` so a
     /// whole fraction-grid of cells can share a handful of deployment
@@ -177,77 +190,67 @@ impl BatchRunner {
         F: Fn(usize, &RoutingOutcome<'g>) -> T + Sync,
     {
         let _span = aspp_obs::trace::span("batch");
-        if cells.is_empty() {
-            return Vec::new();
-        }
-        let groups = steal_units(cells.iter().map(|(spec, _)| spec.victim()));
-        counters::add(Counter::BatchVictim, groups.len() as u64);
-        let workers = self.worker_count(groups.len());
+        let units = steal_units(cells.iter().map(|(spec, _)| spec));
+        counters::add(Counter::BatchVictim, units.len() as u64);
+        let workers = self.worker_count(cells.len());
         let engine = RoutingEngine::new(graph);
+        let next_unit = AtomicUsize::new(0);
 
-        if workers <= 1 {
-            // Single-worker fast path: one shared scratch table and bucket
-            // queue for the entire batch, no threads, no locks.
-            let mut ws = RouteWorkspace::new();
-            let mut out: Vec<Option<T>> = (0..cells.len()).map(|_| None).collect();
-            for (_, idxs) in &groups {
-                for &i in idxs {
+        let work = || {
+            // A unit is a clean-cache key, so one slot is all a worker
+            // ever hits; more would keep finished units' passes alive.
+            let mut ws = RouteWorkspace::with_cache_capacity(1);
+            let mut done: Vec<(usize, T)> = Vec::new();
+            let mut served = 0usize;
+            // Claim whole units off the shared cursor; once it runs dry,
+            // finish whatever the other workers are still draining. Cell
+            // claims only ever advance, so one forward scan finds it all.
+            let claimed =
+                std::iter::from_fn(|| units.get(next_unit.fetch_add(1, Ordering::Relaxed)));
+            let unfinished = units.iter().filter(|unit| unit.has_unclaimed());
+            for unit in claimed.chain(unfinished) {
+                let before = done.len();
+                while let Some(i) = unit.claim() {
                     let (spec, policy) = &cells[i];
                     let outcome = engine.compute_with_policy(spec, &mut ws, policy);
-                    out[i] = Some(reduce(i, &outcome));
+                    debug_assert!(ws.cached_passes() <= 1, "a worker hoards clean passes");
+                    done.push((i, reduce(i, &outcome)));
+                }
+                if done.len() > before {
+                    served += 1;
+                    // A lone worker has nobody to steal from.
+                    if served > 1 && workers > 1 {
+                        counters::incr(Counter::BatchSteal);
+                    }
                 }
             }
             counters::add(Counter::BatchScratchReuse, ws.scratch_reuses());
-            return out
-                .into_iter()
-                .map(|r| r.expect("every cell computed"))
-                .collect();
-        }
+            done
+        };
 
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<T>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut ws = RouteWorkspace::new();
-                    let mut claimed = 0usize;
-                    loop {
-                        let g = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((_, idxs)) = groups.get(g) else {
-                            break;
-                        };
-                        claimed += 1;
-                        if claimed > 1 {
-                            // Every unit after a worker's first is a steal:
-                            // the worker outran its fair share and grabbed
-                            // more from the shared cursor.
-                            counters::incr(Counter::BatchSteal);
-                        }
-                        let mut unit: Vec<(usize, T)> = Vec::with_capacity(idxs.len());
-                        for &i in idxs {
-                            let (spec, policy) = &cells[i];
-                            let outcome = engine.compute_with_policy(spec, &mut ws, policy);
-                            unit.push((i, reduce(i, &outcome)));
-                        }
-                        // One lock per steal unit, not per cell.
-                        let mut out = results.lock().expect("no poisoned writer");
-                        for (i, t) in unit {
-                            out[i] = Some(t);
-                        }
-                    }
-                    counters::add(Counter::BatchScratchReuse, ws.scratch_reuses());
-                });
+        // The calling thread is worker 0, so `workers(1)` spawns nothing.
+        let done = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for handle in spawned {
+                done.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
             }
+            done
         });
-        results
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
+        let mut out: Vec<Option<T>> = (0..cells.len()).map(|_| None).collect();
+        for (i, t) in done {
+            out[i] = Some(t);
+        }
+        out.into_iter()
             .map(|r| r.expect("every cell computed"))
             .collect()
     }
 
-    fn worker_count(&self, units: usize) -> usize {
+    fn worker_count(&self, cells: usize) -> usize {
         let auto = || {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -258,23 +261,56 @@ impl BatchRunner {
         } else {
             self.workers
         };
-        n.min(units).max(1)
+        n.min(cells).max(1)
     }
 }
 
-/// Groups cell indices into steal units: one unit per victim, victims in
-/// first-appearance order, indices in input order within a unit.
-fn steal_units(victims: impl IntoIterator<Item = Asn>) -> Vec<(Asn, Vec<usize>)> {
-    let mut groups: Vec<(Asn, Vec<usize>)> = Vec::new();
-    let mut by_victim: HashMap<Asn, usize> = HashMap::new();
-    for (i, victim) in victims.into_iter().enumerate() {
-        let slot = *by_victim.entry(victim).or_insert_with(|| {
-            groups.push((victim, Vec::new()));
-            groups.len() - 1
-        });
-        groups[slot].1.push(i);
+/// One steal unit: the input indices of every cell sharing one clean
+/// equilibrium, in input order, plus the cursor cells are claimed from.
+#[derive(Debug, Default)]
+struct Unit {
+    cells: Vec<usize>,
+    cursor: AtomicUsize,
+}
+
+impl Unit {
+    /// Claims the next unclaimed cell's input index. `Relaxed` suffices:
+    /// the cursor only hands out tickets — everything a ticket leads to
+    /// was written before the workers were spawned.
+    fn claim(&self) -> Option<usize> {
+        self.cells
+            .get(self.cursor.fetch_add(1, Ordering::Relaxed))
+            .copied()
     }
-    groups
+
+    fn has_unclaimed(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) < self.cells.len()
+    }
+}
+
+/// Groups cell indices into steal units: one unit per clean equilibrium
+/// ([`DestinationSpec::clean_key`]), units in first-appearance order,
+/// indices in input order within a unit.
+fn steal_units<'a>(specs: impl IntoIterator<Item = &'a DestinationSpec>) -> Vec<Unit> {
+    let mut units: Vec<Unit> = Vec::new();
+    // A victim swept over λ owns one unit per λ: (unit, its first spec).
+    let mut by_victim: HashMap<Asn, Vec<(usize, &DestinationSpec)>> = HashMap::new();
+    for (i, spec) in specs.into_iter().enumerate() {
+        let of_victim = by_victim.entry(spec.victim()).or_default();
+        let known = of_victim
+            .iter()
+            .find(|(_, first)| first.clean_key() == spec.clean_key());
+        let unit = match known {
+            Some(&(unit, _)) => unit,
+            None => {
+                units.push(Unit::default());
+                of_victim.push((units.len() - 1, spec));
+                units.len() - 1
+            }
+        };
+        units[unit].cells.push(i);
+    }
+    units
 }
 
 #[cfg(test)]
@@ -394,22 +430,47 @@ mod tests {
     }
 
     #[test]
-    fn steal_units_group_by_victim_in_first_appearance_order() {
+    fn steal_units_group_by_clean_key_in_first_appearance_order() {
+        use crate::decision::TieBreak;
+        let attacked = |s: DestinationSpec| s.attacker(AttackerModel::new(Asn(9)));
         let specs = [
-            DestinationSpec::new(Asn(2)),
-            DestinationSpec::new(Asn(1)),
             DestinationSpec::new(Asn(2)).origin_padding(3),
+            DestinationSpec::new(Asn(1)),
+            // Same victim, different λ: its own clean equilibrium.
+            DestinationSpec::new(Asn(2)).origin_padding(4),
+            // Equal key, not adjacent, attacker irrelevant: joins unit 0.
+            attacked(DestinationSpec::new(Asn(2)).origin_padding(3)),
+            // Same victim and λ, different tie-break: separate again.
+            DestinationSpec::new(Asn(2))
+                .origin_padding(3)
+                .tie_break(TieBreak::PreferClean),
+            attacked(DestinationSpec::new(Asn(2)).origin_padding(4)),
         ];
-        let units = steal_units(specs.iter().map(DestinationSpec::victim));
+        let units: Vec<Vec<usize>> = steal_units(&specs).into_iter().map(|u| u.cells).collect();
         assert_eq!(
             units,
-            vec![(Asn(2), vec![0, 2]), (Asn(1), vec![1])],
-            "victims keep first-appearance order; cells keep input order"
+            vec![vec![0, 3], vec![1], vec![2, 5], vec![4]],
+            "units keep first-appearance order; cells keep input order"
         );
     }
 
     #[test]
-    fn worker_count_caps_at_units() {
+    fn unit_cells_are_claimed_once_in_input_order() {
+        let unit = Unit {
+            cells: vec![4, 7, 9],
+            cursor: AtomicUsize::new(0),
+        };
+        assert!(unit.has_unclaimed());
+        assert_eq!(
+            std::iter::from_fn(|| unit.claim()).collect::<Vec<_>>(),
+            [4, 7, 9]
+        );
+        assert!(!unit.has_unclaimed());
+        assert_eq!(unit.claim(), None);
+    }
+
+    #[test]
+    fn worker_count_caps_at_cells() {
         let r = BatchRunner::new().workers(64);
         assert_eq!(r.worker_count(3), 3);
         assert_eq!(BatchRunner::new().workers(1).worker_count(8), 1);

@@ -342,6 +342,14 @@ impl DestinationSpec {
     pub fn tie_break_rule(&self) -> TieBreak {
         self.tie
     }
+
+    /// What the clean equilibrium depends on: specs with equal keys share
+    /// one clean pass whatever their attackers do. Both the workspace cache
+    /// and the batch scheduler's steal units ([`crate::batch`]) are keyed
+    /// by it.
+    pub(crate) fn clean_key(&self) -> (Asn, TieBreak, &Arc<PrependConfig>) {
+        (self.victim, self.tie, &self.prepend)
+    }
 }
 
 /// One AS's best route in a computed outcome.
@@ -507,6 +515,13 @@ struct CleanEntry {
     prepend: Arc<PrependConfig>,
     pass: Arc<Pass>,
     keys: Option<Arc<[u128]>>,
+}
+
+impl CleanEntry {
+    /// Whether this entry is `spec`'s clean equilibrium.
+    fn holds(&self, spec: &DestinationSpec) -> bool {
+        (self.victim, self.tie, &self.prepend) == spec.clean_key()
+    }
 }
 
 /// Labels with effective length at or beyond this spill from the per-length
@@ -1184,11 +1199,7 @@ impl<'g> RoutingEngine<'g> {
             ws.clean_cache.clear();
             ws.stamp = Some(stamp);
         }
-        if let Some(pos) = ws
-            .clean_cache
-            .iter()
-            .position(|e| e.victim == spec.victim && e.tie == spec.tie && e.prepend == spec.prepend)
-        {
+        if let Some(pos) = ws.clean_cache.iter().position(|e| e.holds(spec)) {
             ws.hits += 1;
             counters::incr(Counter::CleanCacheHit);
             // Move-to-front LRU; the cache is small, so the rotate is cheap.
@@ -1241,11 +1252,7 @@ impl<'g> RoutingEngine<'g> {
         // `clean_pass` just ran, so on a cache-enabled workspace the front
         // entry is exactly this equilibrium.
         match ws.clean_cache.first_mut() {
-            Some(e)
-                if e.victim == spec.victim && e.tie == spec.tie && e.prepend == spec.prepend =>
-            {
-                Arc::clone(e.keys.get_or_insert_with(build))
-            }
+            Some(e) if e.holds(spec) => Arc::clone(e.keys.get_or_insert_with(build)),
             _ => build(),
         }
     }

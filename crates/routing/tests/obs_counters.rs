@@ -14,7 +14,8 @@ use std::sync::Mutex;
 use aspp_obs::counters::Counter;
 use aspp_obs::MetricsSnapshot;
 use aspp_routing::{
-    AttackerModel, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine, TieBreak,
+    AttackerModel, BatchRunner, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine,
+    TieBreak,
 };
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
@@ -76,6 +77,42 @@ fn clean_cache_hits_and_misses_match_workspace() {
         // The global counters and the workspace's own tallies agree.
         assert_eq!(delta.cache_hits(), ws.cache_hits());
         assert_eq!(delta.get(Counter::CleanCacheMiss), ws.cache_misses());
+    } else {
+        assert!(delta.is_empty(), "disabled build must report empty metrics");
+    }
+}
+
+#[test]
+fn batch_unit_is_one_clean_miss_then_hits() {
+    let _guard = LOCK.lock().unwrap();
+    let graph = dual_homed();
+    // A Figure-12-shaped batch: one pair, λ = 1..=8 under both export
+    // modes, mode-major — so the two cells of one clean equilibrium sit
+    // eight apart in the input.
+    let specs: Vec<DestinationSpec> = [ExportMode::Compliant, ExportMode::ViolateValleyFree]
+        .into_iter()
+        .flat_map(|mode| {
+            (1..=8).map(move |padding| {
+                DestinationSpec::new(Asn(2))
+                    .origin_padding(padding)
+                    .attacker(AttackerModel::new(Asn(3)).mode(mode))
+            })
+        })
+        .collect();
+
+    let before = MetricsSnapshot::capture();
+    // Serial, so the tallies are exact; the worker's debug assertion also
+    // checks that its workspace never holds a second clean pass.
+    let polluted = BatchRunner::new()
+        .workers(1)
+        .run(&graph, &specs, |_, o| o.polluted_count());
+    let delta = MetricsSnapshot::capture().since(&before);
+
+    assert_eq!(polluted.len(), 16);
+    if MetricsSnapshot::compiled_in() {
+        assert_eq!(delta.get(Counter::BatchVictim), 8, "one unit per λ");
+        assert_eq!(delta.get(Counter::CleanCacheMiss), 8);
+        assert_eq!(delta.get(Counter::CleanCacheHit), 8);
     } else {
         assert!(delta.is_empty(), "disabled build must report empty metrics");
     }

@@ -5,9 +5,9 @@
 //! other tier-1 ASes" (Section VI-B). Lower tiers are defined by provider
 //! distance from the core: a tier-k AS buys transit from some tier-(k-1) AS.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-use aspp_types::Asn;
+use aspp_types::{Asn, Relationship};
 
 use crate::AsGraph;
 
@@ -39,7 +39,8 @@ use crate::AsGraph;
 /// ```
 #[derive(Clone, Debug)]
 pub struct TierMap {
-    tiers: HashMap<Asn, u32>,
+    /// `(asn, tier)` for every AS of the classified graph, sorted by ASN.
+    tiers: Vec<(Asn, u32)>,
 }
 
 impl TierMap {
@@ -53,39 +54,45 @@ impl TierMap {
     /// Sibling links are ignored for tier computation.
     #[must_use]
     pub fn classify(graph: &AsGraph) -> Self {
-        let mut tiers: HashMap<Asn, u32> = HashMap::with_capacity(graph.len());
-        let mut queue: VecDeque<Asn> = VecDeque::new();
-
-        for asn in graph.asns() {
-            if graph.providers(asn).next().is_none() {
-                tiers.insert(asn, 1);
-                queue.push_back(asn);
+        // Multi-source BFS down provider->customer edges over the CSR's
+        // dense node indices: the queue pops in non-decreasing tier order,
+        // so the first visit of a node is at its minimum tier.
+        let csr = graph.csr();
+        let mut tier = vec![Self::UNREACHABLE; csr.len()];
+        let mut queue: VecDeque<u32> = VecDeque::new();
+        for (idx, t) in tier.iter_mut().enumerate() {
+            let has_provider = csr
+                .neighbors(idx)
+                .iter()
+                .any(|e| e.rel() == Relationship::Provider);
+            if !has_provider {
+                *t = 1;
+                queue.push_back(idx as u32);
             }
         }
-
-        // Multi-source BFS down provider->customer edges.
-        while let Some(asn) = queue.pop_front() {
-            let next_tier = tiers[&asn] + 1;
-            for customer in graph.customers(asn) {
-                let entry = tiers.entry(customer).or_insert(u32::MAX);
-                if next_tier < *entry {
-                    *entry = next_tier;
-                    queue.push_back(customer);
+        while let Some(idx) = queue.pop_front() {
+            let next_tier = tier[idx as usize] + 1;
+            for entry in csr.neighbors(idx as usize) {
+                let customer = entry.node() as usize;
+                if entry.rel() == Relationship::Customer && tier[customer] == Self::UNREACHABLE {
+                    tier[customer] = next_tier;
+                    queue.push_back(entry.node());
                 }
             }
         }
 
-        for asn in graph.asns() {
-            tiers.entry(asn).or_insert(Self::UNREACHABLE);
-        }
-
+        let mut tiers: Vec<(Asn, u32)> = csr.asn_table().iter().copied().zip(tier).collect();
+        tiers.sort_unstable_by_key(|&(asn, _)| asn);
         TierMap { tiers }
     }
 
     /// The tier of `asn`, or `None` if it was not in the classified graph.
     #[must_use]
     pub fn tier_of(&self, asn: Asn) -> Option<u32> {
-        self.tiers.get(&asn).copied()
+        self.tiers
+            .binary_search_by_key(&asn, |&(a, _)| a)
+            .ok()
+            .map(|pos| self.tiers[pos].1)
     }
 
     /// Iterates over all tier-1 (provider-free core) ASes.
@@ -97,16 +104,16 @@ impl TierMap {
     pub fn in_tier(&self, t: u32) -> impl Iterator<Item = Asn> + '_ {
         self.tiers
             .iter()
-            .filter(move |&(_, &tier)| tier == t)
-            .map(|(&asn, _)| asn)
+            .filter(move |&&(_, tier)| tier == t)
+            .map(|&(asn, _)| asn)
     }
 
     /// The deepest finite tier present.
     #[must_use]
     pub fn max_tier(&self) -> u32 {
         self.tiers
-            .values()
-            .copied()
+            .iter()
+            .map(|&(_, tier)| tier)
             .filter(|&t| t != Self::UNREACHABLE)
             .max()
             .unwrap_or(0)
@@ -132,8 +139,7 @@ impl TierMap {
         for (i, &a) in t1.iter().enumerate() {
             for &b in &t1[i + 1..] {
                 match graph.relationship(a, b) {
-                    Some(aspp_types::Relationship::Peer)
-                    | Some(aspp_types::Relationship::Sibling) => {}
+                    Some(Relationship::Peer) | Some(Relationship::Sibling) => {}
                     _ => return Err((a, b)),
                 }
             }
@@ -176,10 +182,8 @@ pub fn customer_cone(graph: &AsGraph, asn: Asn) -> HashSet<Asn> {
     queue.push_back(asn);
     while let Some(current) = queue.pop_front() {
         for (neighbor, rel) in graph.neighbors(current) {
-            if matches!(
-                rel,
-                aspp_types::Relationship::Customer | aspp_types::Relationship::Sibling
-            ) && cone.insert(neighbor)
+            if matches!(rel, Relationship::Customer | Relationship::Sibling)
+                && cone.insert(neighbor)
             {
                 queue.push_back(neighbor);
             }
@@ -191,7 +195,131 @@ pub fn customer_cone(graph: &AsGraph, asn: Asn) -> HashSet<Asn> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aspp_types::Relationship;
+    use crate::gen::InternetConfig;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The classifier this module shipped before the dense rewrite — a
+    /// hash-map BFS through `providers()`/`customers()` — kept as the
+    /// reference the CSR one is checked against.
+    fn classify_reference(graph: &AsGraph) -> HashMap<Asn, u32> {
+        let mut tiers: HashMap<Asn, u32> = HashMap::with_capacity(graph.len());
+        let mut queue: VecDeque<Asn> = VecDeque::new();
+        for asn in graph.asns() {
+            if graph.providers(asn).next().is_none() {
+                tiers.insert(asn, 1);
+                queue.push_back(asn);
+            }
+        }
+        while let Some(asn) = queue.pop_front() {
+            let next_tier = tiers[&asn] + 1;
+            for customer in graph.customers(asn) {
+                let entry = tiers.entry(customer).or_insert(u32::MAX);
+                if next_tier < *entry {
+                    *entry = next_tier;
+                    queue.push_back(customer);
+                }
+            }
+        }
+        for asn in graph.asns() {
+            tiers.entry(asn).or_insert(TierMap::UNREACHABLE);
+        }
+        tiers
+    }
+
+    fn assert_matches_reference(graph: &AsGraph) {
+        let tiers = TierMap::classify(graph);
+        let reference = classify_reference(graph);
+        assert_eq!(tiers.tiers.len(), reference.len());
+        for (&asn, &tier) in &reference {
+            assert_eq!(tiers.tier_of(asn), Some(tier), "tier of AS{asn}");
+        }
+        let finite = reference.values().filter(|&&t| t != TierMap::UNREACHABLE);
+        assert_eq!(tiers.max_tier(), finite.copied().max().unwrap_or(0));
+        for t in [1, 2, 3, TierMap::UNREACHABLE] {
+            let mut want: Vec<Asn> = reference
+                .iter()
+                .filter(|&(_, &tier)| tier == t)
+                .map(|(&asn, _)| asn)
+                .collect();
+            want.sort();
+            assert_eq!(tiers.in_tier(t).collect::<Vec<_>>(), want, "tier {t}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dense_classifier_matches_reference_on_generated_internets(seed in any::<u64>()) {
+            let graph = InternetConfig::small()
+                .tier2_count(6).tier3_count(8).stub_count(14).seed(seed).build();
+            assert_matches_reference(&graph);
+        }
+
+        /// Arbitrary link soup over a few ASNs: provider loops, sibling
+        /// links, isolated peers, ASNs inserted out of order.
+        #[test]
+        fn dense_classifier_matches_reference_on_arbitrary_links(
+            links in proptest::collection::vec((1u32..12, 1u32..12, 0usize..4), 0..30),
+        ) {
+            let rels = [
+                Relationship::Customer,
+                Relationship::Peer,
+                Relationship::Provider,
+                Relationship::Sibling,
+            ];
+            let mut graph = AsGraph::new();
+            for (a, b, rel) in links {
+                // Self-loops and duplicate links are rejected; skip them.
+                let _ = graph.add_link(Asn(a), Asn(b), rels[rel]);
+            }
+            assert_matches_reference(&graph);
+        }
+    }
+
+    #[test]
+    fn siblings_do_not_carry_tiers() {
+        let mut g = hierarchy();
+        // 100's sibling has no provider of its own: tier 1 by definition,
+        // not tier 3 by inheritance; and 11's sibling hangs off nothing.
+        g.add_sibling(Asn(100), Asn(101)).unwrap();
+        g.add_sibling(Asn(11), Asn(12)).unwrap();
+        g.add_provider_customer(Asn(12), Asn(120)).unwrap();
+        let tiers = TierMap::classify(&g);
+        assert_eq!(tiers.tier_of(Asn(101)), Some(1));
+        assert_eq!(tiers.tier_of(Asn(12)), Some(1));
+        assert_eq!(tiers.tier_of(Asn(120)), Some(2));
+        assert_matches_reference(&g);
+    }
+
+    #[test]
+    fn provider_loop_without_an_entry_point_is_unreachable_beside_a_core() {
+        let mut g = hierarchy();
+        // 50 -> 51 -> 52 -> 50, nobody provider-free, plus a stub below it.
+        g.add_provider_customer(Asn(50), Asn(51)).unwrap();
+        g.add_provider_customer(Asn(51), Asn(52)).unwrap();
+        g.add_provider_customer(Asn(52), Asn(50)).unwrap();
+        g.add_provider_customer(Asn(52), Asn(53)).unwrap();
+        let tiers = TierMap::classify(&g);
+        for asn in [Asn(50), Asn(51), Asn(52), Asn(53)] {
+            assert_eq!(tiers.tier_of(asn), Some(TierMap::UNREACHABLE));
+        }
+        assert_eq!(tiers.max_tier(), 3, "the loop does not count as a tier");
+        assert_eq!(tiers.in_tier(TierMap::UNREACHABLE).count(), 4);
+        assert_matches_reference(&g);
+    }
+
+    #[test]
+    fn multihomed_stub_with_providers_at_different_tiers() {
+        let mut g = hierarchy();
+        // 200 buys from tier-3 AS100 and from tier-2 AS10: tier 3, and the
+        // deeper provider must not overwrite it whatever the visit order.
+        g.add_provider_customer(Asn(100), Asn(200)).unwrap();
+        g.add_provider_customer(Asn(10), Asn(200)).unwrap();
+        let tiers = TierMap::classify(&g);
+        assert_eq!(tiers.tier_of(Asn(200)), Some(3));
+        assert!(tiers.is_stub(&g, Asn(200)));
+        assert_matches_reference(&g);
+    }
 
     /// Small hierarchy:
     ///   1 -- 2 (peers, tier-1 clique)

@@ -546,10 +546,10 @@ fn cmd_impact(run: &mut Run) -> Result<(), String> {
     figure("9", "fig9: T1 victim vs T1 attacker", &|| {
         impact::fig9(&graph).render()
     });
-    figure("10", "fig10: T1 victim vs T3 attacker", &|| {
+    figure("10", "fig10: T3 victim vs T1 attacker", &|| {
         impact::fig10(&graph).render()
     });
-    figure("11", "fig11: small victim vs T1 attacker", &|| {
+    figure("11", "fig11: T1 victim vs small attacker", &|| {
         impact::fig11(&graph).render()
     });
     figure("12", "fig12: small victim vs small attacker", &|| {

@@ -3,7 +3,8 @@
 //! `RoutingEngine::compute_with` at the route-table level, and per-cell
 //! `run_experiment` at the impact level — across the full
 //! 4-strategy × 2-export-mode × λ=1..8 matrix, every runner
-//! configuration, and proptest-randomized victim/attacker pairs.
+//! configuration, proptest-randomized victim/attacker pairs, and a
+//! one-unit batch that only parallelises through the finish phase.
 
 use aspp_repro::attack::sweep::{random_pair_experiments, strategy_matrix};
 use aspp_repro::experiments::Scale;
@@ -61,17 +62,96 @@ fn full_matrix_batch_route_tables_match_serial_compute_with() {
     let specs: Vec<DestinationSpec> = matrix.iter().map(HijackExperiment::to_spec).collect();
 
     let engine = RoutingEngine::new(&graph);
-    let table = |outcome: &RoutingOutcome<'_>| -> Vec<Option<RouteInfo>> {
-        let mut asns: Vec<Asn> = outcome.asns().collect();
-        asns.sort();
-        asns.into_iter().map(|a| outcome.route(a)).collect()
-    };
-    let expected: Vec<Vec<Option<RouteInfo>>> =
-        specs.iter().map(|s| table(&engine.compute(s))).collect();
+    let expected: Vec<Vec<Option<RouteInfo>>> = specs
+        .iter()
+        .map(|s| route_table(&engine.compute(s)))
+        .collect();
 
     for runner in [BatchRunner::new(), BatchRunner::new().workers(4)] {
-        let got = runner.run(&graph, &specs, |_, outcome| table(outcome));
+        let got = runner.run(&graph, &specs, |_, outcome| route_table(outcome));
         assert_eq!(got, expected, "route tables diverge under {runner:?}");
+    }
+}
+
+/// Sorted-by-ASN final route table of one outcome.
+fn route_table(outcome: &RoutingOutcome<'_>) -> Vec<Option<RouteInfo>> {
+    let mut asns: Vec<Asn> = outcome.asns().collect();
+    asns.sort();
+    asns.into_iter().map(|a| outcome.route(a)).collect()
+}
+
+#[test]
+fn one_unit_batch_is_finished_by_every_worker_and_matches_per_cell_compute() {
+    use aspp_repro::routing::{DeployedPolicy, DeploymentMap, PolicyKind, RouteWorkspace};
+    use std::collections::HashSet;
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::Duration;
+
+    // One victim at one λ: 3 attackers × 4 strategies × 2 modes = 24 cells
+    // sharing a single clean equilibrium, i.e. a single steal unit.
+    let graph = Scale::Smoke.internet(31);
+    let victim = random_pair_experiments(&graph, 1, 1, 31)[0].victim();
+    let mut attackers: Vec<Asn> = graph.asns().filter(|&a| a != victim).collect();
+    attackers.sort();
+    let specs: Vec<DestinationSpec> = [0, attackers.len() / 2, attackers.len() - 1]
+        .into_iter()
+        .flat_map(|at| strategy_matrix(victim, attackers[at], 4..=4))
+        .map(|e| e.to_spec())
+        .collect();
+    assert_eq!(specs.len(), 24);
+
+    let everyone = DeploymentMap::from_indices(graph.len(), 0..graph.len());
+    let half = DeploymentMap::from_indices(graph.len(), 0..graph.len() / 2);
+    let policies = [
+        Arc::new(DeployedPolicy::new(PolicyKind::Aspa, everyone)),
+        Arc::new(DeployedPolicy::new(PolicyKind::PeerlockLite, half)),
+    ];
+    let cells: Vec<(DestinationSpec, Arc<DeployedPolicy>)> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.clone(), Arc::clone(&policies[i % 2])))
+        .collect();
+
+    let engine = RoutingEngine::new(&graph);
+    let expected: Vec<_> = specs
+        .iter()
+        .map(|s| route_table(&engine.compute(s)))
+        .collect();
+    let expected_policied: Vec<_> = cells
+        .iter()
+        .map(|(s, p)| {
+            let mut cold = RouteWorkspace::with_cache_capacity(0);
+            route_table(&engine.compute_with_policy(s, &mut cold, p))
+        })
+        .collect();
+    assert_ne!(expected, expected_policied, "the policies must bite");
+
+    for workers in [1usize, 2, 3, 7] {
+        // Every thread parks in its first reduce until all `workers` have
+        // claimed a cell of the one unit, so the owner cannot drain it
+        // alone. Bounded: a scheduler that never shares the unit fails the
+        // head count below instead of hanging.
+        let seen = Mutex::new(HashSet::new());
+        let all_here = Condvar::new();
+        let arrive = || {
+            let mut seen = seen.lock().unwrap();
+            if seen.insert(std::thread::current().id()) {
+                all_here.notify_all();
+                let _parked = all_here
+                    .wait_timeout_while(seen, Duration::from_secs(20), |s| s.len() < workers)
+                    .unwrap();
+            }
+        };
+        let runner = BatchRunner::new().workers(workers);
+        let got = runner.run(&graph, &specs, |_, outcome| {
+            arrive();
+            route_table(outcome)
+        });
+        assert_eq!(got, expected, "NoDefense at workers({workers})");
+        assert_eq!(seen.lock().unwrap().len(), workers);
+
+        let got = runner.run_with_policy(&graph, &cells, |_, outcome| route_table(outcome));
+        assert_eq!(got, expected_policied, "policied at workers({workers})");
     }
 }
 

@@ -207,6 +207,82 @@ fn stealth_matrix_shows_aspp_evasion() {
     assert!(text.contains("origin hijack"));
 }
 
+/// The manifest's `strategy_matrix` must name the roles the figures
+/// actually run: each entry is pinned beside the phrase of its figure's
+/// printed label (`RankedImpacts::label` / `PrependSweep::label`), where
+/// "A hijacks B" makes A the attacker and B the victim.
+#[test]
+fn impact_manifest_names_each_figures_roles() {
+    const FIGURES: [(&str, &str); 6] = [
+        (
+            "fig7: tier1 pairs, StripPadding sweep",
+            "Figure 7 — polluted ASes in attacks between tier-1 ASes",
+        ),
+        (
+            "fig8: random pairs, StripPadding sweep",
+            "Figure 8 — polluted ASes in attacks between random ASes",
+        ),
+        (
+            "fig9: T1 victim vs T1 attacker",
+            "Figure 9 — pollution vs prepended ASNs, tier-1 hijacks tier-1",
+        ),
+        (
+            "fig10: T3 victim vs T1 attacker",
+            "Figure 10 — pollution vs prepended ASNs, tier-1 hijacks tier-3",
+        ),
+        (
+            "fig11: T1 victim vs small attacker",
+            "Figure 11 — small well-peered AS hijacks a tier-1",
+        ),
+        (
+            "fig12: small victim vs small attacker",
+            "Figure 12 — small AS hijacks small AS",
+        ),
+    ];
+    let dir = std::env::temp_dir().join("aspp_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("impact_manifest.json");
+    let out = aspp(&["impact", "--manifest", file.to_str().unwrap()]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let manifest = std::fs::read_to_string(&file).unwrap();
+    std::fs::remove_file(file).ok();
+
+    let entries: Vec<String> = FIGURES.iter().map(|(e, _)| format!("{e:?}")).collect();
+    let expected = format!("\"strategy_matrix\":[{}]", entries.join(","));
+    assert!(manifest.contains(&expected), "{manifest}");
+    for (entry, label) in FIGURES {
+        assert!(text.contains(label), "{entry}: no {label:?} in the output");
+    }
+}
+
+#[test]
+fn defense_output_is_worker_count_independent_on_one_pair() {
+    // One pair is one or two steal units; extra workers can only help by
+    // joining them, and must not change a digit.
+    let run = |workers: &str| {
+        let out = aspp(&[
+            "defense",
+            "--scale",
+            "smoke",
+            "--pairs",
+            "1",
+            "--workers",
+            workers,
+        ]);
+        assert!(out.status.success());
+        // All but the timing line ("defense: … in 2.3 ms").
+        let table: Vec<String> = stdout(&out)
+            .lines()
+            .filter(|l| !l.ends_with(" ms"))
+            .map(String::from)
+            .collect();
+        assert!(table.len() > 4, "{table:?}");
+        table
+    };
+    assert_eq!(run("1"), run("2"));
+}
+
 #[test]
 fn impact_figure_selector_works() {
     let out = aspp(&["impact", "--figure", "9"]);
