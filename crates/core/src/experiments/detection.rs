@@ -2,9 +2,12 @@
 
 use aspp_attack::sweep::random_pair_experiments;
 use aspp_data::stats::Cdf;
-use aspp_detect::eval::{accuracy_vs_monitors, polluted_fraction_before_detection, AccuracyPoint};
+use aspp_detect::eval::{
+    accuracy_vs_monitors, effective_attacks, polluted_before_detection, AccuracyPoint,
+};
 use aspp_detect::monitors::top_degree;
-use aspp_detect::selection::{compare_selections, SelectionComparison};
+use aspp_detect::selection::{compare_selections, prepare, SelectionComparison};
+use aspp_routing::BatchRunner;
 use aspp_topology::AsGraph;
 
 use super::Scale;
@@ -55,7 +58,7 @@ pub fn fig13(graph: &AsGraph, scale: Scale, seed: u64) -> AccuracyCurve {
     let exps = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
     let counts = scale.monitor_counts();
     AccuracyCurve {
-        points: accuracy_vs_monitors(graph, &exps, &counts),
+        points: accuracy_vs_monitors(graph, &exps, &counts, &BatchRunner::new()),
     }
 }
 
@@ -96,25 +99,15 @@ impl DetectionLatency {
 pub fn fig14(graph: &AsGraph, scale: Scale, seed: u64) -> DetectionLatency {
     let exps = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
     let monitors = top_degree(graph, scale.latency_monitors());
-    let mut fractions = Vec::new();
-    let mut undetected = 0usize;
-    let mut total = 0usize;
-    for exp in &exps {
-        // Skip infeasible/ineffective attacks the same way Figure 13 does.
-        let engine = aspp_routing::RoutingEngine::new(graph);
-        let outcome = engine.compute(&exp.to_spec());
-        if !outcome.has_attack() || outcome.polluted_count() == 0 || outcome.changed_count() == 0 {
-            continue;
-        }
-        total += 1;
-        match polluted_fraction_before_detection(graph, exp, &monitors) {
-            Some(f) => fractions.push(f),
-            None => undetected += 1,
-        }
-    }
+    // One entry per effective attack, the same set Figure 13 evaluates.
+    let detected_at = effective_attacks(graph, &exps, &BatchRunner::new(), |_, outcome| {
+        polluted_before_detection(outcome, &monitors)
+    });
+    let total = detected_at.len();
+    let fractions: Vec<f64> = detected_at.into_iter().flatten().collect();
     DetectionLatency {
+        undetected: total - fractions.len(),
         fractions: Cdf::from_samples(fractions),
-        undetected,
         total,
     }
 }
@@ -164,7 +157,11 @@ pub fn vantage_selection(graph: &AsGraph, scale: Scale, seed: u64) -> SelectionS
     // — the old scheme — overlap with high probability on small graphs.)
     let mut pool = random_pair_experiments(graph, 2 * train_n, 3, seed);
     let held_out = pool.split_off(pool.len() / 2);
-    let training = pool;
+    // Each half's equilibria are computed once and shared by every budget
+    // and strategy below.
+    let runner = BatchRunner::new();
+    let training = prepare(graph, &pool, &runner);
+    let held_out = prepare(graph, &held_out, &runner);
     SelectionStudy {
         comparisons: budgets
             .into_iter()

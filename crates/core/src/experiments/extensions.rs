@@ -6,7 +6,7 @@ use aspp_attack::mitigation::{deaggregation, padding_reduction, MitigationReport
 use aspp_attack::HijackExperiment;
 use aspp_detect::eval::visibility_matrix;
 use aspp_detect::monitors::top_degree;
-use aspp_routing::AttackStrategy;
+use aspp_routing::{AttackStrategy, BatchRunner};
 use aspp_topology::tier::TierMap;
 use aspp_topology::AsGraph;
 use aspp_types::{Asn, Ipv4Prefix};
@@ -102,7 +102,7 @@ pub fn stealth(graph: &AsGraph, seed: u64) -> StealthStudy {
         .expect("graph has tier-2 transit away from the victim");
     let monitors = top_degree(graph, (graph.len() / 4).max(10));
     let _ = seed; // placement is deterministic; the seed names the topology
-    let rows = visibility_matrix(graph, victim, attacker, 4, &monitors)
+    let rows = visibility_matrix(graph, victim, attacker, 4, &monitors, &BatchRunner::new())
         .into_iter()
         .map(|(strategy, report)| StealthRow {
             strategy,

@@ -6,10 +6,14 @@
 //! (Section II-B). This module checks that property mechanically by walking
 //! hop-by-hop forwarding decisions: each AS hands the packet to its best
 //! route's next hop; the attacker forwards intercepted traffic over its own
-//! (clean) route; an origin hijacker has nowhere to send it.
+//! (clean) route; an origin hijacker has nowhere to send it. The hop loop
+//! itself is [`lpm_walk`]'s — a single destination is a forwarding table
+//! with one entry.
 
-use aspp_routing::{AttackStrategy, RoutingOutcome};
-use aspp_types::Asn;
+use aspp_routing::RoutingOutcome;
+use aspp_types::{Asn, Ipv4Prefix};
+
+use crate::lpm::{lpm_walk, LpmDelivery, PrefixTable};
 
 /// The fate of a packet sent from one AS toward the victim prefix.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,55 +95,16 @@ impl Delivery {
 /// ```
 #[must_use]
 pub fn walk(outcome: &RoutingOutcome<'_>, src: Asn) -> Delivery {
-    let victim = outcome.victim();
-    let attacker = outcome.attacker();
-    let strategy = outcome
-        .spec()
-        .attacker_model()
-        .map(aspp_routing::AttackerModel::attack_strategy);
-
-    let mut path = vec![src];
-    let mut current = src;
-    let mut intercepted = false;
-    let mut at_attacker_forwarding = false;
-
-    loop {
-        if current == victim {
-            return Delivery::Delivered { intercepted, path };
-        }
-        if Some(current) == attacker && !at_attacker_forwarding {
-            intercepted = true;
-            if matches!(strategy, Some(AttackStrategy::OriginHijack)) {
-                // The blackholer owns the traffic now; it goes nowhere.
-                return Delivery::Blackholed { at: current, path };
-            }
-            // The interceptor forwards over its own clean route from here.
-            at_attacker_forwarding = true;
-        }
-
-        let next = if at_attacker_forwarding || Some(current) != attacker {
-            // Inside the attacker's forwarding segment, and for every normal
-            // AS, the clean-route next hop applies when the AS kept a clean
-            // route; otherwise the (attacked) best route's next hop.
-            let info = if at_attacker_forwarding {
-                outcome.clean_route(current)
-            } else {
-                outcome.route(current)
-            };
-            match info.and_then(|r| r.next_hop) {
-                Some(n) => n,
-                None => return Delivery::Blackholed { at: current, path },
-            }
-        } else {
-            unreachable!("attacker handled above");
-        };
-
-        if path.contains(&next) {
-            path.push(next);
-            return Delivery::Looped { path };
-        }
-        path.push(next);
-        current = next;
+    // The default route covers every address, so longest-prefix match has
+    // exactly one candidate at every hop.
+    let mut table = PrefixTable::new();
+    table.announce(Ipv4Prefix::containing(0, 0), outcome);
+    match lpm_walk(&table, src, 0) {
+        LpmDelivery::Delivered {
+            intercepted, path, ..
+        } => Delivery::Delivered { intercepted, path },
+        LpmDelivery::Blackholed { at, path } => Delivery::Blackholed { at, path },
+        LpmDelivery::Looped { path } => Delivery::Looped { path },
     }
 }
 
@@ -159,10 +124,9 @@ pub struct DeliveryStats {
 /// Walks the data plane from every AS and aggregates the fates.
 #[must_use]
 pub fn delivery_stats(outcome: &RoutingOutcome<'_>) -> DeliveryStats {
-    let graph_asns: Vec<Asn> = outcome_graph_asns(outcome);
     let mut stats = DeliveryStats::default();
     let mut total = 0usize;
-    for asn in graph_asns {
+    for asn in outcome.asns() {
         if asn == outcome.victim() {
             continue;
         }
@@ -186,10 +150,6 @@ pub fn delivery_stats(outcome: &RoutingOutcome<'_>) -> DeliveryStats {
         stats.looped /= n;
     }
     stats
-}
-
-fn outcome_graph_asns(outcome: &RoutingOutcome<'_>) -> Vec<Asn> {
-    outcome.asns().collect()
 }
 
 #[cfg(test)]

@@ -121,11 +121,12 @@ impl<'o, 'g> PrefixTable<'o, 'g> {
 /// Walks the data plane from `src` toward the probe address `addr`,
 /// longest-prefix-matching across every entry of `table` at each hop.
 ///
-/// Per-hop rules mirror [`walk`](crate::forwarding::walk) within the chosen
-/// entry: an interception attacker forwards over its clean route (the
-/// packet is then committed to that entry's clean segment — the tunnel
-/// toward the origin), an origin hijacker blackholes, everyone else follows
-/// their best route. The longest-match selection re-runs at every ordinary
+/// This is the crate's one hop loop ([`walk`](crate::forwarding::walk) is
+/// its one-entry case). Within the chosen entry an interception attacker
+/// forwards over its clean route (the packet is then committed to that
+/// entry's clean segment — the tunnel toward the origin), an origin
+/// hijacker blackholes, everyone else follows their best route's next hop.
+/// The longest-match selection re-runs at every ordinary
 /// hop, so an AS that never learned the more-specific entry hands the
 /// packet over on the covering prefix and a downstream AS that did learn it
 /// pulls the packet back onto the more-specific — exactly the partial-

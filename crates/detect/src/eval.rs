@@ -1,14 +1,112 @@
 //! Detection-quality evaluation: the paper's Figure 13 (accuracy vs number
 //! of monitors) and Figure 14 (fraction of ASes polluted before detection).
+//!
+//! Every sweep here is the loop behind the impact figures — one attacked
+//! equilibrium per (victim, attacker) pair, reduced on the spot — so it
+//! rides the same [`BatchRunner`]: [`effective_attacks`] is this crate's one
+//! batch entry. It maps the experiments through the caller's runner, audits
+//! each equilibrium, drops the attacks that changed nothing
+//! ([`is_effective`]) and hands each survivor to a reducer on the worker
+//! that computed it. [`detect_attack`] and
+//! [`polluted_fraction_before_detection`] are the cold per-cell references,
+//! built from the same per-outcome functions the batch reducers use.
 
 use aspp_attack::HijackExperiment;
-use aspp_routing::{RouteWorkspace, RoutingEngine, RoutingOutcome};
+use aspp_routing::{
+    audit, AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, PrependConfig,
+    PrependingPolicy, RoutingEngine, RoutingOutcome,
+};
 use aspp_topology::AsGraph;
-use aspp_types::Asn;
+use aspp_types::{AsPath, Asn};
 
+use crate::baseline::{detect_link_anomalies, detect_moas, VisibilityReport};
 use crate::detector::{Confidence, Detector};
 use crate::monitors::top_degree;
 use crate::view::RouteView;
+
+/// Whether the attack in `outcome` is worth detecting: the attacker had a
+/// route to strip, polluted at least one AS, and changed at least one
+/// announced path. The single effectiveness filter of the detection
+/// evaluation — Figures 13 and 14 and the vantage-selection study all
+/// count exactly the attacks this accepts.
+#[must_use]
+pub fn is_effective(outcome: &RoutingOutcome<'_>) -> bool {
+    outcome.has_attack() && outcome.polluted_count() > 0 && outcome.changed_count() > 0
+}
+
+/// [`BatchRunner::run`] with every equilibrium audited before it is reduced
+/// (a no-op unless `debug-audit` / `ASPP_AUDIT=1`): the detection
+/// evaluation only ever judges invariant-clean equilibria.
+fn run_audited<'g, T, F>(
+    graph: &'g AsGraph,
+    specs: &[DestinationSpec],
+    runner: &BatchRunner,
+    reduce: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &RoutingOutcome<'g>) -> T + Sync,
+{
+    runner.run(graph, specs, |i, outcome| {
+        audit::check_outcome(outcome);
+        reduce(i, outcome)
+    })
+}
+
+/// Computes every experiment's attacked equilibrium through `runner` and
+/// reduces each **effective** attack ([`is_effective`]) with `reduce`,
+/// returning the reduced values of the survivors in input order.
+///
+/// `reduce` runs on the worker that computed the equilibrium, so the outcome
+/// never crosses a thread; experiments sharing a victim, λ and tie-break
+/// share one clean pass ([`aspp_routing::batch`]). Results are identical at
+/// every worker count.
+///
+/// # Example
+///
+/// ```
+/// use aspp_attack::sweep::random_pair_experiments;
+/// use aspp_detect::eval::effective_attacks;
+/// use aspp_routing::BatchRunner;
+/// use aspp_topology::gen::InternetConfig;
+///
+/// let g = InternetConfig::small().seed(2).build();
+/// let exps = random_pair_experiments(&g, 10, 3, 7);
+/// let polluted = effective_attacks(&g, &exps, &BatchRunner::new(), |_, outcome| {
+///     outcome.polluted_count()
+/// });
+/// assert!(polluted.len() <= exps.len());
+/// assert!(polluted.iter().all(|&n| n > 0));
+/// ```
+#[must_use]
+pub fn effective_attacks<'g, T, F>(
+    graph: &'g AsGraph,
+    exps: &[HijackExperiment],
+    runner: &BatchRunner,
+    reduce: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&HijackExperiment, &RoutingOutcome<'g>) -> T + Sync,
+{
+    let _span = aspp_obs::trace::span("detect.effective_attacks");
+    let specs: Vec<DestinationSpec> = exps.iter().map(HijackExperiment::to_spec).collect();
+    run_audited(graph, &specs, runner, |i, outcome| {
+        is_effective(outcome).then(|| reduce(&exps[i], outcome))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// The before/after views of `outcome` as seen from `monitors`.
+fn monitor_views(outcome: &RoutingOutcome<'_>, monitors: &[Asn]) -> (RouteView, RouteView) {
+    let before = monitors
+        .iter()
+        .filter_map(|&m| outcome.clean_observed_path(m));
+    let after = monitors.iter().filter_map(|&m| outcome.observed_path(m));
+    (RouteView::from_paths(before), RouteView::from_paths(after))
+}
 
 /// Result of running the detector against one simulated attack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,46 +124,44 @@ pub struct DetectionResult {
     pub any_alarm: bool,
 }
 
-/// Runs the hijack in `exp` on `graph`, lets the given monitors watch, and
-/// reports whether the detector catches it.
+/// The detector's verdict on one effective attack by `attacker`, given the
+/// monitors' views before and after it.
+fn verdict(
+    detector: &Detector<'_>,
+    attacker: Asn,
+    before: &RouteView,
+    after: &RouteView,
+) -> DetectionResult {
+    let alarms = detector.scan(before, after);
+    let named = || alarms.iter().filter(|a| a.suspect == attacker);
+    DetectionResult {
+        feasible: true,
+        effective: true,
+        detected: named().next().is_some(),
+        detected_high: named().any(|a| a.confidence == Confidence::High),
+        any_alarm: !alarms.is_empty(),
+    }
+}
+
+/// Runs the hijack in `exp` on `graph` from cold state, lets the given
+/// monitors watch, and reports whether the detector catches it — the
+/// per-cell reference [`accuracy_vs_monitors`] is pinned to.
 #[must_use]
 pub fn detect_attack(graph: &AsGraph, exp: &HijackExperiment, monitors: &[Asn]) -> DetectionResult {
     let _span = aspp_obs::trace::span("detect.attack");
-    let engine = RoutingEngine::new(graph);
-    let outcome = engine.compute(&exp.to_spec());
-    // No-op unless `debug-audit` / ASPP_AUDIT=1: the detection evaluation
-    // only ever judges invariant-clean equilibria.
-    aspp_routing::audit::check_outcome(&outcome);
-    let feasible = outcome.has_attack();
-    let effective = outcome.polluted_count() > 0 && outcome.changed_count() > 0;
-    if !feasible || !effective {
+    let outcome = RoutingEngine::new(graph).compute(&exp.to_spec());
+    audit::check_outcome(&outcome);
+    if !is_effective(&outcome) {
         return DetectionResult {
-            feasible,
-            effective,
+            feasible: outcome.has_attack(),
+            effective: false,
             detected: false,
             detected_high: false,
             any_alarm: false,
         };
     }
-    let before = RouteView::from_paths(
-        monitors
-            .iter()
-            .filter_map(|&m| outcome.clean_observed_path(m)),
-    );
-    let after = RouteView::from_paths(monitors.iter().filter_map(|&m| outcome.observed_path(m)));
-    let detector = Detector::new(graph);
-    let alarms = detector.scan(&before, &after);
-    let detected = alarms.iter().any(|a| a.suspect == exp.attacker());
-    let detected_high = alarms
-        .iter()
-        .any(|a| a.suspect == exp.attacker() && a.confidence == Confidence::High);
-    DetectionResult {
-        feasible,
-        effective,
-        detected,
-        detected_high,
-        any_alarm: !alarms.is_empty(),
-    }
+    let (before, after) = monitor_views(&outcome, monitors);
+    verdict(&Detector::new(graph), exp.attacker(), &before, &after)
 }
 
 /// One point of the Figure 13 curve.
@@ -87,18 +183,21 @@ pub struct AccuracyPoint {
 
 /// Sweeps the number of top-degree monitors and measures detection accuracy
 /// over the given attack experiments (paper: 200 random attacker/victim
-/// pairs, top-`d` monitors by degree).
+/// pairs, top-`d` monitors by degree). Each point equals the fold of
+/// [`detect_attack`] over `exps` with the top-`d` monitors, at every worker
+/// count of `runner`.
 ///
 /// # Example
 ///
 /// ```
 /// use aspp_attack::sweep::random_pair_experiments;
 /// use aspp_detect::eval::accuracy_vs_monitors;
+/// use aspp_routing::BatchRunner;
 /// use aspp_topology::gen::InternetConfig;
 ///
 /// let g = InternetConfig::small().seed(2).build();
 /// let exps = random_pair_experiments(&g, 10, 3, 7);
-/// let curve = accuracy_vs_monitors(&g, &exps, &[5, 40]);
+/// let curve = accuracy_vs_monitors(&g, &exps, &[5, 40], &BatchRunner::new());
 /// assert_eq!(curve.len(), 2);
 /// // More monitors never hurt.
 /// assert!(curve[1].accuracy >= curve[0].accuracy);
@@ -108,127 +207,56 @@ pub fn accuracy_vs_monitors(
     graph: &AsGraph,
     exps: &[HijackExperiment],
     monitor_counts: &[usize],
+    runner: &BatchRunner,
 ) -> Vec<AccuracyPoint> {
     let _span = aspp_obs::trace::span("detect.accuracy_vs_monitors");
-    // The top-d monitor sets are prefixes of one ranked list; compute the
-    // attack equilibrium once per experiment and reuse its observed paths
-    // for every monitor count. Experiments run across worker threads.
+    // The top-d monitor sets are prefixes of one ranked list: each attack's
+    // equilibrium is computed once and its ranked observed paths are reused
+    // for every monitor count.
     let max_count = monitor_counts.iter().copied().max().unwrap_or(0);
     let ranked = top_degree(graph, max_count);
-
-    #[derive(Clone, Copy, Default)]
-    struct Tally {
-        attacks: usize,
-        alarmed: usize,
-        attributed: usize,
-        high: usize,
-    }
-
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(exps.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let merged: parking_lot_free::Mutex<Vec<Tally>> =
-        parking_lot_free::Mutex::new(vec![Tally::default(); monitor_counts.len()]);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let engine = RoutingEngine::new(graph);
-                let detector = Detector::new(graph);
-                // One workspace per worker: the heap is reused across every
-                // equilibrium, and repeated victims share clean passes.
-                let mut ws = RouteWorkspace::new();
-                let mut local = vec![Tally::default(); monitor_counts.len()];
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= exps.len() {
-                        break;
-                    }
-                    let exp = &exps[i];
-                    let outcome = engine.compute_with(&exp.to_spec(), &mut ws);
-                    if !outcome.has_attack()
-                        || outcome.polluted_count() == 0
-                        || outcome.changed_count() == 0
-                    {
-                        continue;
-                    }
-                    let clean_paths: Vec<_> = ranked
-                        .iter()
-                        .map(|&m| outcome.clean_observed_path(m))
-                        .collect();
-                    let attacked_paths: Vec<_> =
-                        ranked.iter().map(|&m| outcome.observed_path(m)).collect();
-                    for (ci, &d) in monitor_counts.iter().enumerate() {
-                        let before = RouteView::from_paths(
-                            clean_paths.iter().take(d).filter_map(Clone::clone),
-                        );
-                        let after = RouteView::from_paths(
-                            attacked_paths.iter().take(d).filter_map(Clone::clone),
-                        );
-                        let alarms = detector.scan(&before, &after);
-                        local[ci].attacks += 1;
-                        if !alarms.is_empty() {
-                            local[ci].alarmed += 1;
-                        }
-                        if alarms.iter().any(|a| a.suspect == exp.attacker()) {
-                            local[ci].attributed += 1;
-                        }
-                        if alarms.iter().any(|a| {
-                            a.suspect == exp.attacker() && a.confidence == Confidence::High
-                        }) {
-                            local[ci].high += 1;
-                        }
-                    }
-                }
-                let mut m = merged.lock();
-                for (acc, l) in m.iter_mut().zip(local) {
-                    acc.attacks += l.attacks;
-                    acc.alarmed += l.alarmed;
-                    acc.attributed += l.attributed;
-                    acc.high += l.high;
-                }
-            });
-        }
-    })
-    .expect("worker threads never panic");
-
-    let tallies = merged.into_inner();
+    let detector = Detector::new(graph);
+    let per_attack = effective_attacks(graph, exps, runner, |exp, outcome| {
+        let clean: Vec<Option<AsPath>> = ranked
+            .iter()
+            .map(|&m| outcome.clean_observed_path(m))
+            .collect();
+        let attacked: Vec<Option<AsPath>> =
+            ranked.iter().map(|&m| outcome.observed_path(m)).collect();
+        let view = |paths: &[Option<AsPath>], d: usize| {
+            RouteView::from_paths(paths.iter().take(d).flatten().cloned())
+        };
+        monitor_counts
+            .iter()
+            .map(|&d| {
+                verdict(
+                    &detector,
+                    exp.attacker(),
+                    &view(&clean, d),
+                    &view(&attacked, d),
+                )
+            })
+            .collect::<Vec<DetectionResult>>()
+    });
     monitor_counts
         .iter()
-        .zip(tallies)
-        .map(|(&d, t)| AccuracyPoint {
-            monitor_count: d,
-            accuracy: ratio(t.alarmed, t.attacks),
-            accuracy_attributed: ratio(t.attributed, t.attacks),
-            accuracy_high: ratio(t.high, t.attacks),
-            attacks: t.attacks,
+        .enumerate()
+        .map(|(ci, &d)| {
+            let tally = |hit: fn(&DetectionResult) -> bool| {
+                ratio(
+                    per_attack.iter().filter(|r| hit(&r[ci])).count(),
+                    per_attack.len(),
+                )
+            };
+            AccuracyPoint {
+                monitor_count: d,
+                accuracy: tally(|r| r.any_alarm),
+                accuracy_attributed: tally(|r| r.detected),
+                accuracy_high: tally(|r| r.detected_high),
+                attacks: per_attack.len(),
+            }
         })
         .collect()
-}
-
-/// Tiny mutex shim so this module only depends on std.
-mod parking_lot_free {
-    pub use std::sync::Mutex as StdMutex;
-
-    /// A `Mutex` wrapper with `parking_lot`-style `lock()` ergonomics.
-    #[derive(Debug, Default)]
-    pub struct Mutex<T>(StdMutex<T>);
-
-    impl<T> Mutex<T> {
-        pub fn new(value: T) -> Self {
-            Mutex(StdMutex::new(value))
-        }
-
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().expect("no poisoning: workers do not panic")
-        }
-
-        pub fn into_inner(self) -> T {
-            self.0.into_inner().expect("no poisoning")
-        }
-    }
 }
 
 fn ratio(num: usize, den: usize) -> f64 {
@@ -239,28 +267,18 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-/// The Figure 14 metric for one attack: the fraction of **all** ASes already
-/// polluted when the detector first raises an alarm naming the attacker.
+/// The Figure 14 metric for one attacked equilibrium: the fraction of
+/// **all** ASes already polluted when the detector first raises an alarm for
+/// the victim prefix.
 ///
 /// Pollution spreads outward from the attacker in rounds of AS-hop distance;
 /// at round `r` the monitors whose own routes have switched (distance ≤ r)
 /// report attacked paths while the rest still report clean ones. The
 /// detection round is the first `r` at which the combined view raises any
-/// alarm for the victim prefix. Returns `None` when the attack is never
-/// detected (or never effective).
+/// alarm. Returns `None` when the attack is never detected.
 #[must_use]
-pub fn polluted_fraction_before_detection(
-    graph: &AsGraph,
-    exp: &HijackExperiment,
-    monitors: &[Asn],
-) -> Option<f64> {
-    let _span = aspp_obs::trace::span("detect.polluted_before_detection");
-    let engine = RoutingEngine::new(graph);
-    let outcome = engine.compute(&exp.to_spec());
-    if !outcome.has_attack() || outcome.polluted_count() == 0 || outcome.changed_count() == 0 {
-        return None;
-    }
-    let detector = Detector::new(graph);
+pub fn polluted_before_detection(outcome: &RoutingOutcome<'_>, monitors: &[Asn]) -> Option<f64> {
+    let detector = Detector::new(outcome.graph());
     let before = RouteView::from_paths(
         monitors
             .iter()
@@ -272,17 +290,35 @@ pub fn polluted_fraction_before_detection(
         .max()?; // no polluted monitor -> undetectable by route change
 
     for round in 0..=max_round {
-        let after = hybrid_view(&outcome, monitors, round);
+        let after = hybrid_view(outcome, monitors, round);
         let alarms = detector.scan(&before, &after);
         if !alarms.is_empty() {
-            let polluted_so_far = graph
+            let polluted_so_far = outcome
                 .asns()
                 .filter(|&a| outcome.pollution_distance(a).is_some_and(|d| d <= round))
                 .count();
-            return Some(polluted_so_far as f64 / graph.len() as f64);
+            return Some(polluted_so_far as f64 / outcome.graph().len() as f64);
         }
     }
     None
+}
+
+/// [`polluted_before_detection`] for the hijack in `exp`, computed on
+/// `graph` from cold state — the per-cell reference of the Figure 14
+/// reduction. `None` also when the attack is not effective.
+#[must_use]
+pub fn polluted_fraction_before_detection(
+    graph: &AsGraph,
+    exp: &HijackExperiment,
+    monitors: &[Asn],
+) -> Option<f64> {
+    let _span = aspp_obs::trace::span("detect.polluted_before_detection");
+    let outcome = RoutingEngine::new(graph).compute(&exp.to_spec());
+    audit::check_outcome(&outcome);
+    if !is_effective(&outcome) {
+        return None;
+    }
+    polluted_before_detection(&outcome, monitors)
 }
 
 /// Result of the false-positive evaluation: how often *legitimate* traffic
@@ -304,11 +340,7 @@ impl FalsePositiveReport {
     /// High-confidence false-positive rate.
     #[must_use]
     pub fn high_rate(&self) -> f64 {
-        if self.scenarios == 0 {
-            0.0
-        } else {
-            self.high_alarm as f64 / self.scenarios as f64
-        }
+        ratio(self.high_alarm, self.scenarios)
     }
 }
 
@@ -321,45 +353,42 @@ pub fn false_positive_rate(
     graph: &AsGraph,
     victims: &[Asn],
     monitors: &[Asn],
+    runner: &BatchRunner,
 ) -> FalsePositiveReport {
-    use aspp_routing::{DestinationSpec, PrependConfig, PrependingPolicy};
-
-    let engine = RoutingEngine::new(graph);
+    // Two clean equilibria per victim, before then after the change;
+    // provider-free victims have no differential TE story.
+    let specs: Vec<DestinationSpec> = victims
+        .iter()
+        .filter_map(|&victim| {
+            let primary = graph.providers(victim).min()?;
+            let mut config = PrependConfig::new();
+            config.set(victim, PrependingPolicy::per_neighbor(2, [(primary, 0)]));
+            Some([
+                DestinationSpec::new(victim).origin_padding(3),
+                DestinationSpec::new(victim).prepend_config(config),
+            ])
+        })
+        .flatten()
+        .collect();
+    let views = run_audited(graph, &specs, runner, |_, outcome| {
+        RouteView::from_paths(monitors.iter().filter_map(|&m| outcome.observed_path(m)))
+    });
     let detector = Detector::new(graph);
-    let mut ws = RouteWorkspace::new();
     let mut report = FalsePositiveReport::default();
-    for &victim in victims {
-        let mut providers: Vec<Asn> = graph.providers(victim).collect();
-        providers.sort();
-        let Some(&primary) = providers.first() else {
-            continue; // provider-free victims have no differential TE story
-        };
-        let before_spec = DestinationSpec::new(victim).origin_padding(3);
-        let mut config = PrependConfig::new();
-        config.set(victim, PrependingPolicy::per_neighbor(2, [(primary, 0)]));
-        let after_spec = DestinationSpec::new(victim).prepend_config(config);
-
-        let before_out = engine.compute_with(&before_spec, &mut ws);
-        let after_out = engine.compute_with(&after_spec, &mut ws);
-        let before =
-            RouteView::from_paths(monitors.iter().filter_map(|&m| before_out.observed_path(m)));
-        let after =
-            RouteView::from_paths(monitors.iter().filter_map(|&m| after_out.observed_path(m)));
+    for pair in views.chunks_exact(2) {
+        let alarms = detector.scan(&pair[0], &pair[1]);
         report.scenarios += 1;
-        let alarms = detector.scan(&before, &after);
-        if !alarms.is_empty() {
-            report.any_alarm += 1;
-        }
-        if alarms.iter().any(|a| a.confidence == Confidence::High) {
-            report.high_alarm += 1;
-        }
+        report.any_alarm += usize::from(!alarms.is_empty());
+        report.high_alarm += usize::from(alarms.iter().any(|a| a.confidence == Confidence::High));
     }
     report
 }
 
 /// Runs the same attack three ways (ASPP strip, forged adjacency, origin
 /// hijack) and reports which detectors see each — the paper's stealth
-/// comparison. Only the monitors' views feed each detector.
+/// comparison. Only the monitors' views feed each detector. The three
+/// strategies share one victim and padding, so they are one steal unit of
+/// `runner`: one clean pass, three attacked passes.
 #[must_use]
 pub fn visibility_matrix(
     graph: &AsGraph,
@@ -367,44 +396,28 @@ pub fn visibility_matrix(
     attacker: Asn,
     padding: usize,
     monitors: &[Asn],
-) -> Vec<(
-    aspp_routing::AttackStrategy,
-    crate::baseline::VisibilityReport,
-)> {
-    use aspp_routing::{AttackStrategy, AttackerModel, DestinationSpec};
-
-    let engine = RoutingEngine::new(graph);
-    let detector = Detector::new(graph);
-    // All three strategies share one victim and padding, so the clean pass
-    // is computed once and served from the workspace cache twice.
-    let mut ws = RouteWorkspace::new();
+    runner: &BatchRunner,
+) -> Vec<(AttackStrategy, VisibilityReport)> {
     let strategies = [
         AttackStrategy::StripPadding { keep: 1 },
         AttackStrategy::ForgeDirect,
         AttackStrategy::OriginHijack,
     ];
-    strategies
-        .into_iter()
-        .map(|strategy| {
-            let spec = DestinationSpec::new(victim)
-                .origin_padding(padding)
-                .attacker(AttackerModel::new(attacker).strategy(strategy));
-            let outcome = engine.compute_with(&spec, &mut ws);
-            let before = RouteView::from_paths(
-                monitors
-                    .iter()
-                    .filter_map(|&m| outcome.clean_observed_path(m)),
-            );
-            let after =
-                RouteView::from_paths(monitors.iter().filter_map(|&m| outcome.observed_path(m)));
-            let report = crate::baseline::VisibilityReport {
-                moas: crate::baseline::detect_moas(&before, &after).is_some(),
-                link_anomaly: !crate::baseline::detect_link_anomalies(graph, &after).is_empty(),
-                aspp: !detector.scan(&before, &after).is_empty(),
-            };
-            (strategy, report)
-        })
-        .collect()
+    let specs = strategies.map(|strategy| {
+        DestinationSpec::new(victim)
+            .origin_padding(padding)
+            .attacker(AttackerModel::new(attacker).strategy(strategy))
+    });
+    let detector = Detector::new(graph);
+    run_audited(graph, &specs, runner, |i, outcome| {
+        let (before, after) = monitor_views(outcome, monitors);
+        let report = VisibilityReport {
+            moas: detect_moas(&before, &after).is_some(),
+            link_anomaly: !detect_link_anomalies(graph, &after).is_empty(),
+            aspp: !detector.scan(&before, &after).is_empty(),
+        };
+        (strategies[i], report)
+    })
 }
 
 /// Builds the monitors' combined view at pollution round `round`: monitors
@@ -466,7 +479,7 @@ mod tests {
     fn accuracy_grows_with_monitor_count() {
         let g = InternetConfig::small().seed(14).build();
         let exps = random_pair_experiments(&g, 20, 4, 5);
-        let curve = accuracy_vs_monitors(&g, &exps, &[3, 30, 120]);
+        let curve = accuracy_vs_monitors(&g, &exps, &[3, 30, 120], &BatchRunner::new());
         assert_eq!(curve.len(), 3);
         assert!(curve[0].accuracy <= curve[1].accuracy + 1e-9);
         assert!(curve[1].accuracy <= curve[2].accuracy + 1e-9);
@@ -494,7 +507,7 @@ mod tests {
         let g = InternetConfig::small().seed(15).build();
         let victims: Vec<Asn> = (0..25).map(|i| Asn(20_000 + i)).collect();
         let monitors = top_degree(&g, 40);
-        let report = false_positive_rate(&g, &victims, &monitors);
+        let report = false_positive_rate(&g, &victims, &monitors, &BatchRunner::new());
         assert!(report.scenarios >= 20);
         // The same-segment rule is specific: legitimate per-neighbor padding
         // changes the first hop with the padding, so segments differ and
@@ -514,7 +527,7 @@ mod tests {
         use aspp_routing::AttackStrategy;
         use figure3::*;
         let g = figure3_topology();
-        let matrix = visibility_matrix(&g, V, M, 3, &[B, D, E]);
+        let matrix = visibility_matrix(&g, V, M, 3, &[B, D, E], &BatchRunner::new());
         for (strategy, report) in matrix {
             match strategy {
                 AttackStrategy::StripPadding { .. } | AttackStrategy::StripAllPadding => {

@@ -4,14 +4,16 @@
 //! investigate the best vantage point selection to guarantee the detection
 //! of the interception attacks", Section VIII).
 //!
-//! [`greedy_selection`] builds a monitor set by greedy marginal coverage
-//! over a training set of simulated attacks: at each step it adds the
-//! candidate AS whose addition newly detects the most still-undetected
-//! attacks. [`SelectionComparison`] pits the greedy set against same-budget
-//! top-degree and random sets on held-out attacks.
+//! [`prepare`] computes a set of simulated attacks once — one batch through
+//! [`effective_attacks`] — into [`PreparedAttacks`], which every function
+//! below takes by reference. [`greedy_selection`] builds a monitor set by
+//! greedy marginal coverage over a prepared training set: at each step it
+//! adds the candidate AS whose addition newly detects the most
+//! still-undetected attacks. [`SelectionComparison`] pits the greedy set
+//! against same-budget top-degree and random sets on held-out attacks.
 
 use aspp_attack::HijackExperiment;
-use aspp_routing::{RoutingEngine, RoutingOutcome};
+use aspp_routing::{BatchRunner, RoutingOutcome};
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn};
 use rand::rngs::StdRng;
@@ -19,10 +21,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::detector::Detector;
+use crate::eval::effective_attacks;
 use crate::monitors::top_degree;
 use crate::view::RouteView;
 
 /// Precomputed per-attack state so candidate evaluation is cheap.
+#[derive(Debug)]
 struct PreparedAttack {
     clean_paths: Vec<(Asn, AsPath)>,
     attacked_paths: Vec<(Asn, AsPath)>,
@@ -31,27 +35,31 @@ struct PreparedAttack {
     changed: Vec<Asn>,
 }
 
-fn prepare(graph: &AsGraph, exps: &[HijackExperiment]) -> Vec<PreparedAttack> {
-    let engine = RoutingEngine::new(graph);
-    exps.iter()
-        .filter_map(|exp| {
-            let outcome = engine.compute(&exp.to_spec());
-            if !outcome.has_attack()
-                || outcome.polluted_count() == 0
-                || outcome.changed_count() == 0
-            {
-                return None;
-            }
-            Some(collect_paths(graph, &outcome))
-        })
-        .collect()
+/// The effective attacks of one experiment set, each reduced to every AS's
+/// announced path before and after it: what [`prepare`] returns and the
+/// selection functions evaluate monitor sets against, any number of times,
+/// without touching the routing engine again.
+#[derive(Debug)]
+pub struct PreparedAttacks(Vec<PreparedAttack>);
+
+/// Computes each experiment's equilibrium once through `runner` and keeps
+/// the effective attacks ([`crate::eval::is_effective`]), in input order.
+#[must_use]
+pub fn prepare(
+    graph: &AsGraph,
+    exps: &[HijackExperiment],
+    runner: &BatchRunner,
+) -> PreparedAttacks {
+    PreparedAttacks(effective_attacks(graph, exps, runner, |_, outcome| {
+        collect_paths(outcome)
+    }))
 }
 
-fn collect_paths(graph: &AsGraph, outcome: &RoutingOutcome<'_>) -> PreparedAttack {
+fn collect_paths(outcome: &RoutingOutcome<'_>) -> PreparedAttack {
     let mut clean_paths = Vec::new();
     let mut attacked_paths = Vec::new();
     let mut changed = Vec::new();
-    for asn in graph.asns() {
+    for asn in outcome.asns() {
         let clean = outcome.clean_observed_path(asn);
         let attacked = outcome.observed_path(asn);
         if clean != attacked {
@@ -93,11 +101,13 @@ fn detects(detector: &Detector<'_>, attack: &PreparedAttack, monitors: &[Asn]) -
 ///
 /// ```no_run
 /// use aspp_attack::sweep::random_pair_experiments;
-/// use aspp_detect::selection::greedy_selection;
+/// use aspp_detect::selection::{greedy_selection, prepare};
+/// use aspp_routing::BatchRunner;
 /// use aspp_topology::gen::InternetConfig;
 ///
 /// let graph = InternetConfig::small().seed(5).build();
 /// let train = random_pair_experiments(&graph, 10, 3, 1);
+/// let train = prepare(&graph, &train, &BatchRunner::new());
 /// let candidates: Vec<_> = graph.asns().collect();
 /// let monitors = greedy_selection(&graph, &train, &candidates, 8);
 /// assert!(monitors.len() <= 8);
@@ -105,12 +115,12 @@ fn detects(detector: &Detector<'_>, attack: &PreparedAttack, monitors: &[Asn]) -
 #[must_use]
 pub fn greedy_selection(
     graph: &AsGraph,
-    training: &[HijackExperiment],
+    training: &PreparedAttacks,
     candidates: &[Asn],
     budget: usize,
 ) -> Vec<Asn> {
     let detector = Detector::new(graph);
-    let attacks = prepare(graph, training);
+    let attacks = &training.0;
     let mut selected: Vec<Asn> = Vec::new();
     let mut covered: Vec<bool> = vec![false; attacks.len()];
 
@@ -174,9 +184,9 @@ pub fn greedy_selection(
 
 /// Detection accuracy of a fixed monitor set over held-out attacks.
 #[must_use]
-pub fn evaluate_selection(graph: &AsGraph, attacks: &[HijackExperiment], monitors: &[Asn]) -> f64 {
+pub fn evaluate_selection(graph: &AsGraph, attacks: &PreparedAttacks, monitors: &[Asn]) -> f64 {
     let detector = Detector::new(graph);
-    let prepared = prepare(graph, attacks);
+    let prepared = &attacks.0;
     if prepared.is_empty() {
         return 0.0;
     }
@@ -207,8 +217,8 @@ pub struct SelectionComparison {
 #[must_use]
 pub fn compare_selections(
     graph: &AsGraph,
-    training: &[HijackExperiment],
-    held_out: &[HijackExperiment],
+    training: &PreparedAttacks,
+    held_out: &PreparedAttacks,
     budget: usize,
     seed: u64,
 ) -> SelectionComparison {
@@ -243,10 +253,11 @@ mod tests {
     use aspp_attack::sweep::random_pair_experiments;
     use aspp_topology::gen::InternetConfig;
 
-    fn setup() -> (AsGraph, Vec<HijackExperiment>, Vec<HijackExperiment>) {
+    fn setup() -> (AsGraph, PreparedAttacks, PreparedAttacks) {
         let graph = InternetConfig::small().seed(321).build();
-        let train = random_pair_experiments(&graph, 14, 4, 1);
-        let test = random_pair_experiments(&graph, 14, 4, 2);
+        let runner = BatchRunner::new();
+        let train = prepare(&graph, &random_pair_experiments(&graph, 14, 4, 1), &runner);
+        let test = prepare(&graph, &random_pair_experiments(&graph, 14, 4, 2), &runner);
         (graph, train, test)
     }
 
@@ -296,8 +307,9 @@ mod tests {
     fn empty_training_falls_back_to_degree() {
         let (graph, _, _) = setup();
         let candidates: Vec<Asn> = graph.asns().collect();
-        let monitors = greedy_selection(&graph, &[], &candidates, 5);
+        let none = prepare(&graph, &[], &BatchRunner::new());
+        let monitors = greedy_selection(&graph, &none, &candidates, 5);
         assert_eq!(monitors, top_degree(&graph, 5));
-        assert_eq!(evaluate_selection(&graph, &[], &monitors), 0.0);
+        assert_eq!(evaluate_selection(&graph, &none, &monitors), 0.0);
     }
 }

@@ -7,9 +7,9 @@ use aspp_detect::baseline::{detect_link_anomalies, detect_moas};
 use aspp_detect::eval::{accuracy_vs_monitors, detect_attack, visibility_matrix};
 use aspp_detect::monitors::{random_monitors, stub_monitors, top_degree};
 use aspp_detect::realtime::StreamingDetector;
-use aspp_detect::selection::{compare_selections, evaluate_selection};
+use aspp_detect::selection::{compare_selections, evaluate_selection, prepare};
 use aspp_detect::{Confidence, Detector, RouteView};
-use aspp_routing::{AttackerModel, DestinationSpec, RoutingEngine};
+use aspp_routing::{AttackerModel, BatchRunner, DestinationSpec, RoutingEngine};
 use aspp_topology::gen::InternetConfig;
 use aspp_types::{AsPath, Asn, Ipv4Prefix};
 use rand::rngs::StdRng;
@@ -80,7 +80,7 @@ fn random_monitor_sampler_is_unbiased_in_size() {
 fn accuracy_curve_attack_counts_stable_across_monitor_counts() {
     let g = InternetConfig::small().seed(303).build();
     let exps = random_pair_experiments(&g, 10, 3, 6);
-    let curve = accuracy_vs_monitors(&g, &exps, &[5, 25, 60]);
+    let curve = accuracy_vs_monitors(&g, &exps, &[5, 25, 60], &BatchRunner::new());
     assert!(curve.windows(2).all(|w| w[0].attacks == w[1].attacks));
     for p in &curve {
         assert!(p.accuracy_high <= p.accuracy_attributed + 1e-9);
@@ -134,8 +134,9 @@ fn streaming_detector_matches_batch_detector() {
 #[test]
 fn selection_comparison_is_deterministic() {
     let g = InternetConfig::small().seed(304).build();
-    let train = random_pair_experiments(&g, 10, 4, 1);
-    let test = random_pair_experiments(&g, 10, 4, 2);
+    let runner = BatchRunner::new();
+    let train = prepare(&g, &random_pair_experiments(&g, 10, 4, 1), &runner);
+    let test = prepare(&g, &random_pair_experiments(&g, 10, 4, 2), &runner);
     let a = compare_selections(&g, &train, &test, 6, 9);
     let b = compare_selections(&g, &train, &test, 6, 9);
     assert_eq!(a.greedy_monitors, b.greedy_monitors);
@@ -145,7 +146,11 @@ fn selection_comparison_is_deterministic() {
 #[test]
 fn evaluate_selection_with_no_monitors_detects_nothing() {
     let g = InternetConfig::small().seed(305).build();
-    let exps = random_pair_experiments(&g, 8, 4, 3);
+    let exps = prepare(
+        &g,
+        &random_pair_experiments(&g, 8, 4, 3),
+        &BatchRunner::new(),
+    );
     assert_eq!(evaluate_selection(&g, &exps, &[]), 0.0);
 }
 
@@ -153,7 +158,7 @@ fn evaluate_selection_with_no_monitors_detects_nothing() {
 fn visibility_matrix_covers_all_strategies_once() {
     use figure3::*;
     let g = figure3_topology();
-    let matrix = visibility_matrix(&g, V, M, 3, &[B, D, E]);
+    let matrix = visibility_matrix(&g, V, M, 3, &[B, D, E], &BatchRunner::new());
     assert_eq!(matrix.len(), 3);
     let strategies: std::collections::HashSet<String> =
         matrix.iter().map(|(s, _)| format!("{s:?}")).collect();

@@ -14,159 +14,117 @@
 use crate::json::JsonWriter;
 use std::fmt;
 
-/// Every counter the workspace maintains. The discriminant doubles as the
-/// index into the counter array and into [`MetricsSnapshot::values`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares [`Counter`] from one table of `(Variant, "wire_name")` rows
+/// (each row's doc comment becomes the variant's): the enum, `COUNT`, `ALL`
+/// and `name()` all expand from the same list, in table order.
+macro_rules! counters {
+    ($($(#[$doc:meta])* ($variant:ident, $name:literal),)+) => {
+        /// Every counter the workspace maintains. The discriminant doubles
+        /// as the index into the counter array and into
+        /// [`MetricsSnapshot::values`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl Counter {
+            /// All counters, in snapshot order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant,)+];
+
+            /// Number of distinct counters.
+            pub const COUNT: usize = [$($name,)+].len();
+
+            /// The counter's stable snake_case name, used as the JSON key
+            /// and the table row label.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Clean (no-attack) passes served from a [`RouteWorkspace`] cache.
     ///
     /// [`RouteWorkspace`]: https://docs.rs/aspp-routing
-    CleanCacheHit,
+    (CleanCacheHit, "clean_cache_hits"),
     /// Clean passes that had to be computed from scratch.
-    CleanCacheMiss,
+    (CleanCacheMiss, "clean_cache_misses"),
     /// Labels pushed into the bucket-queue scheduler (spills included).
-    QueuePush,
+    (QueuePush, "queue_pushes"),
     /// Labels whose effective length overflowed the per-length buckets into
     /// the per-class spill heap.
-    QueueSpill,
+    (QueueSpill, "queue_spills"),
     /// Offers dropped at push time by the lazy decrease-key filter (a
     /// better offer for the same node was already queued).
-    FilterDrop,
+    (FilterDrop, "filter_drops"),
     /// Attacked passes served by delta re-convergence.
-    DeltaPass,
+    (DeltaPass, "delta_passes"),
     /// Nodes re-converged by delta frontiers, cumulatively — the total
     /// frontier size across all delta passes.
-    DeltaFrontierNode,
+    (DeltaFrontierNode, "delta_frontier_nodes"),
     /// Delta attempts that detected the non-monotone corner and fell back
     /// to a full second propagation (delta→full aborts).
-    DeltaFallback,
+    (DeltaFallback, "delta_fallbacks"),
     /// Equilibria checked by the invariant auditor.
-    AuditCheck,
+    (AuditCheck, "audit_checks"),
     /// Invariant violations found by the auditor.
-    AuditViolation,
+    (AuditViolation, "audit_violations"),
     /// Update records accepted into the feed pipeline.
-    FeedRecordIn,
+    (FeedRecordIn, "feed_records_in"),
     /// Wire-format frames rejected by the feed codec (lenient decode).
-    FeedFrameBad,
+    (FeedFrameBad, "feed_frames_bad"),
     /// Dispatcher stalls on a full shard channel (blocking backpressure).
-    FeedBackpressureWait,
+    (FeedBackpressureWait, "feed_backpressure_waits"),
     /// Alarms emitted by the feed pipeline's merged output.
-    FeedAlarm,
+    (FeedAlarm, "feed_alarms"),
     /// Deepest shard-queue occupancy observed across the run (a high-water
     /// mark maintained with [`record_max`], not a monotone sum).
-    FeedShardDepthHighWater,
+    (FeedShardDepthHighWater, "feed_shard_depth_high_water"),
     /// Steal units processed by the batch sweep engine: one unit per
     /// distinct clean equilibrium — (victim, prepending config, tie-break)
     /// — in the batch, so a λ sweep over one victim counts once per λ. The
     /// wire name `batch_victims` predates that grain and is kept for the
     /// CI greps and checked-in artifacts that read it.
-    BatchVictim,
+    (BatchVictim, "batch_victims"),
     /// Propagation passes that began by epoch-bumping an already-sized
     /// scratch table instead of allocating one — the batch engine's
     /// cross-victim pass-structure reuse.
-    BatchScratchReuse,
+    (BatchScratchReuse, "batch_scratch_reuses"),
     /// Steal units a batch worker served beyond its first, with other
     /// workers present: extra units pulled off the shared cursor plus units
     /// joined in the finish phase. Scheduling-dependent; a lone worker
     /// records none.
-    BatchSteal,
+    (BatchSteal, "batch_steals"),
     /// Record batches handed to feed shard workers (one per channel
     /// crossing; `feed_records_in / feed_batches` is the amortization
     /// factor of the batched dispatch).
-    FeedBatch,
+    (FeedBatch, "feed_batches"),
     /// Checkpoints written by the feed engine or detection service.
-    FeedCheckpointWrite,
+    (FeedCheckpointWrite, "feed_checkpoint_writes"),
     /// Checkpoints successfully restored into a feed engine.
-    FeedCheckpointRestore,
+    (FeedCheckpointRestore, "feed_checkpoint_restores"),
     /// JSONL commands answered by the resident detection service.
-    ServeQuery,
+    (ServeQuery, "serve_queries"),
     /// Attacker-derived route offers evaluated by a deploying AS's defense
     /// policy (offers at non-deploying ASes are not checks).
-    PolicyCheck,
+    (PolicyCheck, "policy_checks"),
     /// Attacker-derived route offers rejected by a deploying AS's defense
     /// policy.
-    PolicyReject,
+    (PolicyReject, "policy_rejects"),
     /// Timeline steps executed by the scenario engine (one equilibrium
     /// table per step).
-    ScenarioStep,
+    (ScenarioStep, "scenario_steps"),
     /// (victim, attacker) cells evaluated by the Monte-Carlo impact
     /// estimator — exact-enumeration cells included.
-    McSample,
+    (McSample, "mc_samples"),
     /// Bootstrap resamples drawn when forming the estimator's confidence
     /// intervals.
-    McResample,
-}
-
-impl Counter {
-    /// Number of distinct counters.
-    pub const COUNT: usize = 27;
-
-    /// All counters, in snapshot order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::CleanCacheHit,
-        Counter::CleanCacheMiss,
-        Counter::QueuePush,
-        Counter::QueueSpill,
-        Counter::FilterDrop,
-        Counter::DeltaPass,
-        Counter::DeltaFrontierNode,
-        Counter::DeltaFallback,
-        Counter::AuditCheck,
-        Counter::AuditViolation,
-        Counter::FeedRecordIn,
-        Counter::FeedFrameBad,
-        Counter::FeedBackpressureWait,
-        Counter::FeedAlarm,
-        Counter::FeedShardDepthHighWater,
-        Counter::BatchVictim,
-        Counter::BatchScratchReuse,
-        Counter::BatchSteal,
-        Counter::FeedBatch,
-        Counter::FeedCheckpointWrite,
-        Counter::FeedCheckpointRestore,
-        Counter::ServeQuery,
-        Counter::PolicyCheck,
-        Counter::PolicyReject,
-        Counter::ScenarioStep,
-        Counter::McSample,
-        Counter::McResample,
-    ];
-
-    /// The counter's stable snake_case name, used as the JSON key and the
-    /// table row label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::CleanCacheHit => "clean_cache_hits",
-            Counter::CleanCacheMiss => "clean_cache_misses",
-            Counter::QueuePush => "queue_pushes",
-            Counter::QueueSpill => "queue_spills",
-            Counter::FilterDrop => "filter_drops",
-            Counter::DeltaPass => "delta_passes",
-            Counter::DeltaFrontierNode => "delta_frontier_nodes",
-            Counter::DeltaFallback => "delta_fallbacks",
-            Counter::AuditCheck => "audit_checks",
-            Counter::AuditViolation => "audit_violations",
-            Counter::FeedRecordIn => "feed_records_in",
-            Counter::FeedFrameBad => "feed_frames_bad",
-            Counter::FeedBackpressureWait => "feed_backpressure_waits",
-            Counter::FeedAlarm => "feed_alarms",
-            Counter::FeedShardDepthHighWater => "feed_shard_depth_high_water",
-            Counter::BatchVictim => "batch_victims",
-            Counter::BatchScratchReuse => "batch_scratch_reuses",
-            Counter::BatchSteal => "batch_steals",
-            Counter::FeedBatch => "feed_batches",
-            Counter::FeedCheckpointWrite => "feed_checkpoint_writes",
-            Counter::FeedCheckpointRestore => "feed_checkpoint_restores",
-            Counter::ServeQuery => "serve_queries",
-            Counter::PolicyCheck => "policy_checks",
-            Counter::PolicyReject => "policy_rejects",
-            Counter::ScenarioStep => "scenario_steps",
-            Counter::McSample => "mc_samples",
-            Counter::McResample => "mc_resamples",
-        }
-    }
+    (McResample, "mc_resamples"),
 }
 
 #[cfg(feature = "enabled")]

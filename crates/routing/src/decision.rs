@@ -2,17 +2,13 @@
 //!
 //! "BGP first selects the route based on local routing policy, which has a
 //! higher priority in the decision process than the AS path length"
-//! (Section II-A). The concrete order implemented here, matching the paper's
-//! simulation methodology:
+//! (Section II-A). The concrete order the engine ranks routes by (its packed
+//! preference key), matching the paper's simulation methodology:
 //!
 //! 1. route class (origin > customer > peer > provider) — the local
 //!    preference induced by business relationships;
 //! 2. effective AS-path length, **prepends included**;
 //! 3. a deterministic tie-break ([`TieBreak`]).
-
-use core::cmp::Ordering;
-
-use aspp_types::{Asn, RouteClass};
 
 /// Deterministic final tie-break between equally-preferred routes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -26,164 +22,4 @@ pub enum TieBreak {
     PreferClean,
     /// Prefer the route that traverses the attacker; models the worst case.
     PreferAttacker,
-}
-
-/// A route candidate as seen by one AS during route selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct RouteCandidate {
-    /// How the route was learned (drives local preference).
-    pub class: RouteClass,
-    /// Effective AS-path length, prepends included.
-    pub effective_len: u32,
-    /// The neighbor that announced the route; `None` when self-originated.
-    pub next_hop: Option<Asn>,
-    /// Whether the route descends from the attacker's modified announcement.
-    pub via_attacker: bool,
-}
-
-impl RouteCandidate {
-    /// A self-originated route (class [`RouteClass::Origin`], length 0).
-    #[must_use]
-    pub fn origin() -> Self {
-        RouteCandidate {
-            class: RouteClass::Origin,
-            effective_len: 0,
-            next_hop: None,
-            via_attacker: false,
-        }
-    }
-
-    /// Compares two candidates under the decision process; `Ordering::Less`
-    /// means `self` is preferred.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use aspp_routing::{RouteCandidate, TieBreak};
-    /// use aspp_types::{Asn, RouteClass};
-    /// use core::cmp::Ordering;
-    ///
-    /// let customer_long = RouteCandidate {
-    ///     class: RouteClass::FromCustomer, effective_len: 9,
-    ///     next_hop: Some(Asn(2)), via_attacker: false,
-    /// };
-    /// let peer_short = RouteCandidate {
-    ///     class: RouteClass::FromPeer, effective_len: 2,
-    ///     next_hop: Some(Asn(3)), via_attacker: false,
-    /// };
-    /// // Policy beats length: the customer route wins despite being longer.
-    /// assert_eq!(customer_long.compare(&peer_short, TieBreak::default()), Ordering::Less);
-    /// ```
-    #[must_use]
-    pub fn compare(&self, other: &RouteCandidate, tie: TieBreak) -> Ordering {
-        self.class
-            .cmp(&other.class)
-            .then_with(|| self.effective_len.cmp(&other.effective_len))
-            .then_with(|| match tie {
-                TieBreak::LowestNeighborAsn => cmp_next_hop(self.next_hop, other.next_hop),
-                TieBreak::PreferClean => self
-                    .via_attacker
-                    .cmp(&other.via_attacker)
-                    .then_with(|| cmp_next_hop(self.next_hop, other.next_hop)),
-                TieBreak::PreferAttacker => other
-                    .via_attacker
-                    .cmp(&self.via_attacker)
-                    .then_with(|| cmp_next_hop(self.next_hop, other.next_hop)),
-            })
-    }
-
-    /// Returns `true` if `self` is strictly preferred over `other`.
-    #[must_use]
-    pub fn beats(&self, other: &RouteCandidate, tie: TieBreak) -> bool {
-        self.compare(other, tie) == Ordering::Less
-    }
-}
-
-fn cmp_next_hop(a: Option<Asn>, b: Option<Asn>) -> Ordering {
-    // Self-originated (None) outranks everything; then lowest ASN.
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => x.cmp(&y),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cand(class: RouteClass, len: u32, hop: u32, via: bool) -> RouteCandidate {
-        RouteCandidate {
-            class,
-            effective_len: len,
-            next_hop: Some(Asn(hop)),
-            via_attacker: via,
-        }
-    }
-
-    #[test]
-    fn class_dominates_length() {
-        let customer = cand(RouteClass::FromCustomer, 10, 5, false);
-        let provider = cand(RouteClass::FromProvider, 1, 6, false);
-        assert!(customer.beats(&provider, TieBreak::default()));
-    }
-
-    #[test]
-    fn length_breaks_class_ties() {
-        let a = cand(RouteClass::FromPeer, 3, 5, false);
-        let b = cand(RouteClass::FromPeer, 4, 4, false);
-        assert!(a.beats(&b, TieBreak::default()));
-    }
-
-    #[test]
-    fn prepending_lengthens_and_loses() {
-        // The ASPP mechanism in one assertion: same class, padded route loses.
-        let padded = cand(RouteClass::FromProvider, 7, 1, false);
-        let stripped = cand(RouteClass::FromProvider, 4, 2, true);
-        assert!(stripped.beats(&padded, TieBreak::default()));
-    }
-
-    #[test]
-    fn lowest_neighbor_asn_tiebreak() {
-        let a = cand(RouteClass::FromPeer, 3, 10, false);
-        let b = cand(RouteClass::FromPeer, 3, 20, false);
-        assert!(a.beats(&b, TieBreak::LowestNeighborAsn));
-        assert!(!b.beats(&a, TieBreak::LowestNeighborAsn));
-    }
-
-    #[test]
-    fn clean_and_attacker_preferences() {
-        let clean = cand(RouteClass::FromPeer, 3, 20, false);
-        let dirty = cand(RouteClass::FromPeer, 3, 10, true);
-        assert!(clean.beats(&dirty, TieBreak::PreferClean));
-        assert!(dirty.beats(&clean, TieBreak::PreferAttacker));
-        // Under the neutral rule the lower next-hop wins.
-        assert!(dirty.beats(&clean, TieBreak::LowestNeighborAsn));
-    }
-
-    #[test]
-    fn origin_beats_everything() {
-        let origin = RouteCandidate::origin();
-        let customer = cand(RouteClass::FromCustomer, 1, 1, false);
-        assert!(origin.beats(&customer, TieBreak::default()));
-    }
-
-    #[test]
-    fn compare_is_total_and_antisymmetric() {
-        let candidates = [
-            RouteCandidate::origin(),
-            cand(RouteClass::FromCustomer, 2, 1, false),
-            cand(RouteClass::FromCustomer, 2, 2, true),
-            cand(RouteClass::FromPeer, 1, 3, false),
-            cand(RouteClass::FromProvider, 9, 4, true),
-        ];
-        for a in &candidates {
-            for b in &candidates {
-                let ab = a.compare(b, TieBreak::default());
-                let ba = b.compare(a, TieBreak::default());
-                assert_eq!(ab, ba.reverse());
-            }
-        }
-    }
 }

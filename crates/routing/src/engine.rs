@@ -1073,32 +1073,39 @@ impl<'g> RoutingEngine<'g> {
             // M's own clean chain is closed under clean parents by
             // construction; a poisoned splice generally is not.
             let mut chain_parent_closed = true;
-            let (base_len, chain) = match att.strategy {
+            // The one place that knows what each strategy claims: the base
+            // path M announces (without M itself) and who rejects it.
+            let (base_path, chain) = match att.strategy {
                 AttackStrategy::StripPadding { keep } => {
-                    // Reconstruct M's received path to find the strippable
-                    // padding; claimed path = M's real route, shortened.
-                    let m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
-                    let padding = m_path.origin_padding();
-                    let removed = padding.saturating_sub(keep);
-                    (m_route.len - removed as u32, chain_of(&clean, m_idx))
+                    // Claimed path = M's real received route, with the
+                    // origin padding stripped down to `keep` copies.
+                    let mut m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
+                    m_path.strip_origin_padding(keep);
+                    (m_path, chain_of(&clean, m_idx))
                 }
                 AttackStrategy::StripAllPadding => {
-                    let m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
-                    (m_path.unique_len() as u32, chain_of(&clean, m_idx))
+                    let mut m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
+                    m_path.strip_all_padding();
+                    (m_path, chain_of(&clean, m_idx))
                 }
                 // Claimed path [M V]: length 1 before M's own prepend. The
                 // interceptor must not displace its own forwarding route, so
                 // its clean chain still rejects the announcement ("M should
                 // carefully select whom to announce to", Section II-B).
-                AttackStrategy::ForgeDirect => (1, chain_of(&clean, m_idx)),
+                AttackStrategy::ForgeDirect => (
+                    AsPath::origin_with_padding(spec.victim, 1),
+                    chain_of(&clean, m_idx),
+                ),
                 // Claimed path [M]: the attacker owns the prefix outright
                 // and does not care about a forwarding route.
-                AttackStrategy::OriginHijack => (0, vec![m_idx]),
+                AttackStrategy::OriginHijack => (AsPath::new(), vec![m_idx]),
                 // Claimed path [M P ASn … V]: the stripped route plus the
                 // poisoned splice. Loop prevention at P joins the rejection
                 // chain alongside M's own forwarding chain.
                 AttackStrategy::PoisonPath { poisoned } => {
-                    let m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
+                    let mut m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
+                    m_path.strip_all_padding();
+                    m_path.prepend(poisoned);
                     let mut chain = chain_of(&clean, m_idx);
                     if let Some(p_idx) = self.graph.index_of(poisoned) {
                         if !chain.contains(&p_idx) {
@@ -1110,12 +1117,12 @@ impl<'g> RoutingEngine<'g> {
                             chain_parent_closed = false;
                         }
                     }
-                    (m_path.unique_len() as u32 + 1, chain)
+                    (m_path, chain)
                 }
             };
             let seed = AttackSeed {
                 m_idx,
-                base_len,
+                base_len: base_path.len() as u32,
                 clean_class: match att.strategy {
                     // An origin hijacker poses as the prefix owner.
                     AttackStrategy::OriginHijack => RouteClass::Origin,
@@ -1152,13 +1159,15 @@ impl<'g> RoutingEngine<'g> {
                         let full = self.propagate(spec, v_idx, ws, Some(&seed), policy, &facts);
                         crate::audit::assert_delta_matches_full(self.graph, spec, &pass, &full);
                     }
-                    return Some(pass);
+                    return Some((pass, base_path));
                 }
                 ws.delta_fallbacks += 1;
                 counters::incr(Counter::DeltaFallback);
             }
-            Some(self.propagate(spec, v_idx, ws, Some(&seed), policy, &facts))
+            let pass = self.propagate(spec, v_idx, ws, Some(&seed), policy, &facts);
+            Some((pass, base_path))
         });
+        let (attacked, base_path) = attacked.unzip();
 
         RoutingOutcome {
             spec: spec.clone(),
@@ -1169,6 +1178,7 @@ impl<'g> RoutingEngine<'g> {
                 .and_then(|a| self.graph.index_of(a.asn)),
             clean,
             attacked,
+            base_path,
             graph: self.graph,
         }
     }
@@ -1865,6 +1875,9 @@ pub struct RoutingOutcome<'g> {
     /// refcount instead of cloning the route table.
     clean: Arc<Pass>,
     attacked: Option<Pass>,
+    /// The base path the attacker claimed (without the attacker itself), as
+    /// built beside the attacked pass; `Some` exactly when `attacked` is.
+    base_path: Option<AsPath>,
     graph: &'g AsGraph,
 }
 
@@ -1998,17 +2011,7 @@ impl RoutingOutcome<'_> {
     /// "% of paths traversing attacker, after hijack". Zero if no attack.
     #[must_use]
     pub fn polluted_fraction(&self) -> f64 {
-        let Some(attacked) = &self.attacked else {
-            return 0.0;
-        };
-        let polluted = attacked
-            .iter()
-            .enumerate()
-            .filter(|&(i, r)| {
-                Some(i) != self.m_idx && i != self.v_idx && r.is_some_and(|r| r.via_attacker)
-            })
-            .count();
-        polluted as f64 / self.population().max(1) as f64
+        self.polluted_count() as f64 / self.population().max(1) as f64
     }
 
     /// Fraction of ASes (victim and attacker excluded) whose **clean** best
@@ -2056,16 +2059,20 @@ impl RoutingOutcome<'_> {
     /// The number of ASes polluted in the attacked equilibrium.
     #[must_use]
     pub fn polluted_count(&self) -> usize {
-        let Some(attacked) = &self.attacked else {
-            return 0;
-        };
-        attacked
-            .iter()
-            .enumerate()
-            .filter(|&(i, r)| {
-                Some(i) != self.m_idx && i != self.v_idx && r.is_some_and(|r| r.via_attacker)
-            })
-            .count()
+        self.attacked.as_ref().map_or(0, |attacked| {
+            attacked
+                .iter()
+                .enumerate()
+                .filter(|&(i, r)| self.pollutes(i, r))
+                .count()
+        })
+    }
+
+    /// Whether node `i`, holding `route` in the attacked pass, counts as
+    /// polluted: it adopted the attacker's route and is neither endpoint.
+    #[inline]
+    fn pollutes(&self, i: usize, route: Option<NodeRoute>) -> bool {
+        Some(i) != self.m_idx && i != self.v_idx && route.is_some_and(|r| r.via_attacker)
     }
 
     /// Hop distance from the attacker along the polluted route's propagation
@@ -2092,32 +2099,13 @@ impl RoutingOutcome<'_> {
     /// (the attacker claims to *be* the origin).
     #[must_use]
     pub fn attacker_base_path(&self) -> Option<AsPath> {
-        let m_idx = self.m_idx?;
-        self.attacked.as_ref()?;
-        match self
-            .spec
-            .attacker_model()
-            .map_or(AttackStrategy::default(), |a| a.attack_strategy())
-        {
-            AttackStrategy::StripPadding { keep } => {
-                let mut p = reconstruct_received(self.graph, &self.spec, &self.clean, None, m_idx)?;
-                p.strip_origin_padding(keep);
-                Some(p)
-            }
-            AttackStrategy::StripAllPadding => {
-                let mut p = reconstruct_received(self.graph, &self.spec, &self.clean, None, m_idx)?;
-                p.strip_all_padding();
-                Some(p)
-            }
-            AttackStrategy::ForgeDirect => Some(AsPath::origin_with_padding(self.spec.victim(), 1)),
-            AttackStrategy::OriginHijack => Some(AsPath::new()),
-            AttackStrategy::PoisonPath { poisoned } => {
-                let mut p = reconstruct_received(self.graph, &self.spec, &self.clean, None, m_idx)?;
-                p.strip_all_padding();
-                p.prepend(poisoned);
-                Some(p)
-            }
-        }
+        self.base_path.clone()
+    }
+
+    /// The attacker's node index with its claimed base path — the
+    /// `attack_base` of [`reconstruct_into`] for the attacked pass.
+    fn attack_base(&self) -> Option<(usize, &AsPath)> {
+        self.m_idx.zip(self.base_path.as_ref())
     }
 
     /// The AS path `asn` would announce to a route collector in the final
@@ -2138,19 +2126,11 @@ impl RoutingOutcome<'_> {
     fn observed_in(&self, attacked: bool, asn: Asn) -> Option<AsPath> {
         let idx = self.graph.index_of(asn)?;
         let (pass, base) = if attacked {
-            let pass = self.attacked.as_ref()?;
-            let base = self.m_idx.zip(self.attacker_base_path());
-            (pass, base)
+            (self.attacked.as_ref()?, self.attack_base())
         } else {
             (&*self.clean, None)
         };
-        let received = reconstruct_received(
-            self.graph,
-            &self.spec,
-            pass,
-            base.as_ref().map(|(m, p)| (*m, p)),
-            idx,
-        )?;
+        let received = reconstruct_received(self.graph, &self.spec, pass, base, idx)?;
         Some(received.prepended(asn))
     }
 
@@ -2173,8 +2153,7 @@ impl RoutingOutcome<'_> {
         let Some(attacked) = &self.attacked else {
             return 0;
         };
-        let base = self.m_idx.zip(self.attacker_base_path());
-        let base_ref = base.as_ref().map(|(m, p)| (*m, p));
+        let base_ref = self.attack_base();
         let mut arena = PathArena::new();
         let mut changed = 0usize;
         for i in 0..self.graph.len() {
@@ -2200,20 +2179,13 @@ impl RoutingOutcome<'_> {
 
     /// Iterates over all polluted ASNs.
     pub fn polluted_asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        let m_idx = self.m_idx;
-        let v_idx = self.v_idx;
-        self.attacked
-            .iter()
-            .flat_map(move |attacked| {
-                attacked.iter().enumerate().filter_map(move |(i, r)| {
-                    if Some(i) != m_idx && i != v_idx && r.is_some_and(|r| r.via_attacker) {
-                        Some(i)
-                    } else {
-                        None
-                    }
-                })
-            })
-            .map(|i| self.graph.asn_at(i))
+        self.attacked.iter().flat_map(move |attacked| {
+            attacked
+                .iter()
+                .enumerate()
+                .filter(move |&(i, r)| self.pollutes(i, r))
+                .map(move |(i, _)| self.graph.asn_at(i))
+        })
     }
 }
 

@@ -55,7 +55,7 @@ mod table;
 
 pub use audit::{AuditReport, AuditViolation, OutcomeAudit, PassKind};
 pub use batch::BatchRunner;
-pub use decision::{RouteCandidate, TieBreak};
+pub use decision::TieBreak;
 pub use engine::{
     AttackStrategy, AttackerModel, DestinationSpec, ExportMode, RouteInfo, RouteWorkspace,
     RoutingEngine, RoutingOutcome,

@@ -29,7 +29,8 @@ fn main() {
         "attack", "MOAS", "link-anomaly", "ASPP detector"
     );
     println!("{}", "-".repeat(62));
-    for (strategy, report) in visibility_matrix(&graph, victim, attacker, 4, &monitors) {
+    let runner = BatchRunner::new();
+    for (strategy, report) in visibility_matrix(&graph, victim, attacker, 4, &monitors, &runner) {
         let name = match strategy {
             AttackStrategy::StripPadding { .. } => "ASPP strip (paper)",
             AttackStrategy::StripAllPadding => "ASPP strip-all",

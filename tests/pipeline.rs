@@ -150,7 +150,12 @@ fn random_attacks_all_produce_consistent_metrics() {
 fn detection_improves_with_monitor_diversity() {
     let graph = internet(9005);
     let exps = random_pair_experiments(&graph, 12, 4, 5);
-    let curve = aspp_repro::detect::eval::accuracy_vs_monitors(&graph, &exps, &[2, 30, 140]);
+    let curve = aspp_repro::detect::eval::accuracy_vs_monitors(
+        &graph,
+        &exps,
+        &[2, 30, 140],
+        &BatchRunner::new(),
+    );
     assert!(curve[0].accuracy <= curve[2].accuracy + 1e-9);
     // Every point agrees on the number of effective attacks.
     assert!(curve.windows(2).all(|w| w[0].attacks == w[1].attacks));
