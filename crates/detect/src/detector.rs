@@ -97,37 +97,26 @@ impl<'g> Detector<'g> {
         r_now: &AsPath,
         view_now: &RouteView,
     ) -> Option<Alarm> {
+        if !padding_decreased(r_prev.hops(), r_now.hops()) {
+            return None;
+        }
         let index = ViewIndex::build(view_now);
-        let mut scratch = Vec::new();
-        self.check_slices(d, r_prev.hops(), r_now.hops(), &index, &mut scratch)
+        self.judge_one(d, r_now.hops(), &index, &mut Vec::new())
     }
 
-    /// The check at the core of every rule, on raw hop slices so the scan
-    /// loop allocates nothing on the (overwhelmingly common) no-alarm path.
-    /// `scratch` holds the collapsed current path between calls.
-    fn check_slices(
+    /// The index-only half of the check: the same-segment rule, then the
+    /// three relationship hints, for a shortened route `now` at `d` that
+    /// already passed [`padding_decreased`]. On raw hop slices, so only an
+    /// alarm allocates; `scratch` holds the collapsed path between calls.
+    fn judge_one(
         &self,
         d: Asn,
-        prev: &[Asn],
         now: &[Asn],
         index: &ViewIndex,
         scratch: &mut Vec<Asn>,
     ) -> Option<Alarm> {
-        let &origin = now.last()?;
-        if prev.last() != Some(&origin) {
-            return None; // different prefix owner: MOAS territory, not ASPP.
-        }
+        let (&suspect, &origin) = (now.first()?, now.last()?);
         let lambda_now = origin_padding(now);
-        let lambda_prev = origin_padding(prev);
-        if lambda_now >= lambda_prev {
-            return None;
-        }
-        let &suspect = now.first()?;
-        if suspect == origin {
-            // The "shortened" route begins at the origin itself: the owner
-            // reduced its own padding, which is legitimate engineering.
-            return None;
-        }
         collapse_into(now, scratch);
         let segment: &[Asn] = if scratch.len() >= 3 {
             &scratch[1..scratch.len() - 1]
@@ -190,65 +179,110 @@ impl<'g> Detector<'g> {
         None
     }
 
-    /// Scans every AS present in both views and returns all alarms for
-    /// routes whose origin padding decreased (paper: "for each routing
-    /// change to a shorter AS-path due to fewer padded ASNs from AS d").
-    ///
-    /// The `before` view plays the role of `r_{t-1}`; `after` of `r_t`.
-    #[must_use]
-    pub fn scan(&self, before: &RouteView, after: &RouteView) -> Vec<Alarm> {
-        let index = ViewIndex::build(after);
-        self.scan_with_index(before, after, &index)
-    }
-
-    /// [`scan`](Self::scan) against a caller-maintained index of `after`,
-    /// for streaming callers that keep views and index alive across updates
-    /// instead of rebuilding them per record.
-    pub(crate) fn scan_with_index(
-        &self,
-        before: &RouteView,
-        after: &RouteView,
-        index: &ViewIndex,
-    ) -> Vec<Alarm> {
+    /// Judges `candidates` against the index of the current view and
+    /// returns the distinct alarms, strongest first. The order depends only
+    /// on the order *within* each AS's group (the sort is stable and its key
+    /// ends in `observed_at`), never on the order of the groups.
+    pub(crate) fn judge(&self, candidates: &[Candidate], index: &ViewIndex) -> Vec<Alarm> {
         let mut alarms = Vec::new();
         let mut scratch = Vec::new();
-        for d in after.observed_asns() {
-            let prev_routes = before.routes_of(d);
-            if prev_routes.is_empty() {
-                continue;
-            }
-            for full_now in after.routes_of(d) {
-                let now_hops = full_now.hops();
-                let now_stripped = strip_head(now_hops);
-                for full_prev in prev_routes {
-                    let prev_hops = full_prev.hops();
-                    // The received path r^d_t starts at d's next hop.
-                    if let (Some(r_now), Some(r_prev)) = (now_stripped, strip_head(prev_hops)) {
-                        if let Some(alarm) =
-                            self.check_slices(d, r_prev, r_now, index, &mut scratch)
-                        {
-                            if !alarms.contains(&alarm) {
-                                alarms.push(alarm);
-                            }
-                        }
-                    }
-                    // Also check the announcement as a whole: if the padding
-                    // decrease happened at `d` itself, `d` is the suspect —
-                    // this is what a vantage point on the attacker (or a
-                    // suffix route through it) observes.
-                    if let Some(alarm) =
-                        self.check_slices(d, prev_hops, now_hops, index, &mut scratch)
-                    {
-                        if !alarms.contains(&alarm) {
-                            alarms.push(alarm);
-                        }
-                    }
+        for c in candidates {
+            if let Some(alarm) = self.judge_one(c.d, &c.now, index, &mut scratch) {
+                if !alarms.contains(&alarm) {
+                    alarms.push(alarm);
                 }
             }
         }
         alarms.sort_by_key(|a| (std::cmp::Reverse(a.confidence), a.suspect, a.observed_at));
         alarms
     }
+
+    /// Scans every AS present in both views and returns all alarms for
+    /// routes whose origin padding decreased (paper: "for each routing
+    /// change to a shorter AS-path due to fewer padded ASNs from AS d").
+    ///
+    /// The `before` view plays the role of `r_{t-1}`; `after` of `r_t`.
+    /// The index over `after` is only built when some route did shorten.
+    #[must_use]
+    pub fn scan(&self, before: &RouteView, after: &RouteView) -> Vec<Alarm> {
+        let mut candidates = Vec::new();
+        for d in after.observed_asns() {
+            candidate_pairs(d, before, after, &mut candidates);
+        }
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        self.judge(&candidates, &ViewIndex::build(after))
+    }
+}
+
+/// A route change at one AS that passed the path-only half of Figure 4
+/// ([`padding_decreased`]) and still has to be judged against the rest of
+/// the view. Everything the rules read from the pair is on the shortened
+/// route, so that is all a candidate keeps.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Candidate {
+    /// The AS whose route changed.
+    pub(crate) d: Asn,
+    /// The shortened route `r_t`: `d`'s received path, or its whole
+    /// announcement.
+    now: Vec<Asn>,
+}
+
+/// Appends the candidates of AS `d` — one group — to `out`: every distinct
+/// shortened route among `d`'s routes in `after` × its routes in `before` ×
+/// {received path, whole announcement}, in that loop order. A pure function
+/// of `d`'s two route lists, which is what lets a streaming caller re-derive
+/// a group only when one of the lists changed.
+pub(crate) fn candidate_pairs(
+    d: Asn,
+    before: &RouteView,
+    after: &RouteView,
+    out: &mut Vec<Candidate>,
+) {
+    let (before, after) = (before.routes_of(d), after.routes_of(d));
+    let group = out.len();
+    let mut push = |now: &[Asn]| {
+        // Equal shortened routes at one AS are judged alike.
+        if !out[group..].iter().any(|c| c.now == now) {
+            out.push(Candidate {
+                d,
+                now: now.to_vec(),
+            });
+        }
+    };
+    for full_now in after {
+        let now_hops = full_now.hops();
+        let now_stripped = strip_head(now_hops);
+        for full_prev in before {
+            let prev_hops = full_prev.hops();
+            // The received path r^d_t starts at d's next hop.
+            if let (Some(r_now), Some(r_prev)) = (now_stripped, strip_head(prev_hops)) {
+                if padding_decreased(r_prev, r_now) {
+                    push(r_now);
+                }
+            }
+            // Also check the announcement as a whole: if the padding
+            // decrease happened at `d` itself, `d` is the suspect — this is
+            // what a vantage point on the attacker (or a suffix route
+            // through it) observes.
+            if padding_decreased(prev_hops, now_hops) {
+                push(now_hops);
+            }
+        }
+    }
+}
+
+/// The path-only half of the check: same origin, fewer origin pads on `now`
+/// than on `prev`, and the shortened route does not begin at the origin.
+fn padding_decreased(prev: &[Asn], now: &[Asn]) -> bool {
+    let (Some(&suspect), Some(&origin)) = (now.first(), now.last()) else {
+        return false;
+    };
+    // A different prefix owner is MOAS territory, not ASPP; a shortened
+    // route that begins at the origin itself is the owner reducing its own
+    // padding, which is legitimate engineering.
+    prev.last() == Some(&origin) && suspect != origin && origin_padding(now) < origin_padding(prev)
 }
 
 /// Pre-indexed view: origin padding per (transit segment, origin), and a

@@ -9,15 +9,36 @@
 //!
 //! # Hot path
 //!
-//! A resident service processes each update in amortized O(changed routes),
-//! not O(view): every tracked prefix keeps its *before*/*after*
-//! [`RouteView`]s and the scan index (`ViewIndex`) alive across updates,
-//! mutated incrementally as announcements replace paths — instead of
-//! rebuilding all three from the path maps on every record, which dominated
-//! the feed pipeline's per-record cost. The incremental structures hold
-//! exactly the route sets a from-scratch rebuild would (see `RouteView`
-//! docs), so alarm output is unchanged; `reference_oracle_equivalence`
-//! below pins that against a direct from-scratch reimplementation.
+//! The paper's check is triggered by *one* route change at one AS, and a
+//! resident service has to cost what changed, not what it holds. Per tracked
+//! prefix the detector keeps, alive across updates and mutated in lockstep:
+//!
+//! * the *before*/*after* [`RouteView`]s and the scan index (`ViewIndex`)
+//!   over the after-view — a replaced path adds and removes only its own
+//!   suffixes;
+//! * the standing *candidates*: every route change `(d, r_prev, r_now)` that
+//!   passes the path-only half of Figure 4 (same origin, fewer pads, not the
+//!   origin's own doing). An announcement judges these against the index —
+//!   usually there are none — instead of walking the view.
+//!
+//! The candidate set is exact, not a heuristic: the candidates of an AS `d`
+//! are a pure function of `d`'s route lists in the two views
+//! (`candidate_pairs`), and a route list changes, in content or in order,
+//! only when a suffix headed by `d` enters or leaves a view — which is
+//! precisely what `RouteView::{add,remove}_path_with` report. Re-deriving
+//! the groups of the reported ASes therefore leaves the same candidates a
+//! walk over every observed AS would find, and judging them is the other
+//! half of the one Figure 4 implementation the batch
+//! [`Detector::scan`] runs. [`ReferenceDetector`] — rebuild everything from
+//! the path maps on every record, scan every AS — is the oracle the tests
+//! hold this to, record by record.
+//!
+//! The raised-alarm keys that keep the stream idempotent are held per
+//! prefix, so a withdrawal re-arms its own prefix's keys without touching
+//! any other's. They live *beside* the per-prefix state, not inside it: a
+//! key observed at a transit AS is re-armed by no monitor's withdrawal and
+//! so outlives the prefix's last monitor, and a later announcement of the
+//! same prefix must still find it.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -27,7 +48,7 @@ use aspp_data::{UpdateAction, UpdateRecord};
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn, Ipv4Prefix};
 
-use crate::detector::{Alarm, Detector, ViewIndex};
+use crate::detector::{candidate_pairs, Alarm, Candidate, Detector, ViewIndex};
 use crate::view::RouteView;
 
 /// An alarm raised by the streaming detector, tagged with its trigger.
@@ -42,8 +63,12 @@ pub struct StreamAlarm {
 }
 
 /// Everything the detector tracks for one prefix: the authoritative path
-/// maps, plus the derived views and scan index kept in lockstep so `process`
-/// never rebuilds them.
+/// maps, plus the derived views, scan index and candidates kept in lockstep
+/// so `process` never rebuilds them.
+///
+/// The mutators push the head AS of every suffix that entered or left a
+/// view onto `touched`; the caller hands that list to
+/// [`refresh`](Self::refresh) once the update is applied.
 #[derive(Clone, Debug, Default)]
 struct PrefixState {
     /// Current announced path per monitor.
@@ -56,53 +81,100 @@ struct PrefixState {
     previous_view: RouteView,
     /// Scan index over `current_view`, incrementally maintained.
     index: ViewIndex,
+    /// `candidate_pairs` of every observed AS, one contiguous group per AS.
+    candidates: Vec<Candidate>,
 }
 
 impl PrefixState {
     /// Replaces the monitor's current path, returning the displaced one;
     /// view and index follow.
-    fn current_insert(&mut self, monitor: Asn, path: AsPath) -> Option<AsPath> {
+    fn current_insert(
+        &mut self,
+        monitor: Asn,
+        path: AsPath,
+        touched: &mut Vec<Asn>,
+    ) -> Option<AsPath> {
         let old = self.current.insert(monitor, path.clone());
         if old.as_ref() != Some(&path) {
-            if let Some(old) = &old {
-                let index = &mut self.index;
-                self.current_view
-                    .remove_path_with(old, |gone| index.remove_route(gone.hops()));
-            }
             let index = &mut self.index;
-            self.current_view
-                .add_path_with(&path, |new| index.add_route(new.hops()));
+            if let Some(old) = &old {
+                self.current_view.remove_path_with(old, |gone| {
+                    index.remove_route(gone.hops());
+                    touched.extend(gone.first());
+                });
+            }
+            self.current_view.add_path_with(&path, |new| {
+                index.add_route(new.hops());
+                touched.extend(new.first());
+            });
         }
         old
     }
 
     /// Removes the monitor's current path (withdrawal); view and index
     /// follow.
-    fn current_remove(&mut self, monitor: Asn) -> Option<AsPath> {
-        let old = self.current.remove(&monitor);
-        if let Some(old) = &old {
+    fn current_remove(&mut self, monitor: Asn, touched: &mut Vec<Asn>) {
+        if let Some(old) = self.current.remove(&monitor) {
             let index = &mut self.index;
-            self.current_view
-                .remove_path_with(old, |gone| index.remove_route(gone.hops()));
+            self.current_view.remove_path_with(&old, |gone| {
+                index.remove_route(gone.hops());
+                touched.extend(gone.first());
+            });
         }
-        old
     }
 
     /// Replaces the monitor's previous path; the before-view follows.
-    fn previous_insert(&mut self, monitor: Asn, path: AsPath) {
+    fn previous_insert(&mut self, monitor: Asn, path: AsPath, touched: &mut Vec<Asn>) {
         let old = self.previous.insert(monitor, path.clone());
         if old.as_ref() != Some(&path) {
             if let Some(old) = &old {
-                self.previous_view.remove_path(old);
+                self.previous_view
+                    .remove_path_with(old, |gone| touched.extend(gone.first()));
             }
-            self.previous_view.add_path(&path);
+            self.previous_view
+                .add_path_with(&path, |new| touched.extend(new.first()));
         }
     }
 
     /// Removes the monitor's previous path; the before-view follows.
-    fn previous_remove(&mut self, monitor: Asn) {
+    fn previous_remove(&mut self, monitor: Asn, touched: &mut Vec<Asn>) {
         if let Some(old) = self.previous.remove(&monitor) {
-            self.previous_view.remove_path(&old);
+            self.previous_view
+                .remove_path_with(&old, |gone| touched.extend(gone.first()));
+        }
+    }
+
+    /// Brings the candidates back in line after an update: drops and
+    /// re-derives the groups of the `touched` ASes (sorted and de-duplicated
+    /// here), and only those. Nothing to do when no suffix entered or left.
+    fn refresh(&mut self, touched: &mut Vec<Asn>) {
+        if touched.is_empty() {
+            return;
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        self.candidates
+            .retain(|c| touched.binary_search(&c.d).is_err());
+        for &d in touched.iter() {
+            candidate_pairs(
+                d,
+                &self.previous_view,
+                &self.current_view,
+                &mut self.candidates,
+            );
+        }
+    }
+
+    /// Derives the candidates of every observed AS from scratch.
+    fn derive_candidates(&mut self) {
+        self.candidates.clear();
+        for d in self.current_view.observed_asns() {
+            candidate_pairs(
+                d,
+                &self.previous_view,
+                &self.current_view,
+                &mut self.candidates,
+            );
         }
     }
 
@@ -183,8 +255,12 @@ pub struct StreamingDetector<G = Arc<AsGraph>> {
     /// moment their last monitor withdraws, so a resident service's memory
     /// tracks *live* state, not every prefix ever seen.
     states: HashMap<Ipv4Prefix, PrefixState>,
-    /// Alarms already raised, to keep the stream idempotent.
-    raised: HashSet<(Ipv4Prefix, Asn, Asn)>,
+    /// `(suspect, observed_at)` of the alarms already raised, per prefix, to
+    /// keep the stream idempotent. Not part of `states`: a prefix's keys
+    /// outlive its last monitor (see the module docs). No entry is empty.
+    raised: HashMap<Ipv4Prefix, HashSet<(Asn, Asn)>>,
+    /// Scratch: the ASes whose candidate groups the last update re-derived.
+    touched: Vec<Asn>,
 }
 
 impl<'g> StreamingDetector<&'g AsGraph> {
@@ -214,7 +290,8 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
         StreamingDetector {
             graph,
             states: HashMap::new(),
-            raised: HashSet::new(),
+            raised: HashMap::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -226,9 +303,12 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
 
     /// Installs a RIB-snapshot route (no detection is run on seeds).
     pub fn seed(&mut self, monitor: Asn, prefix: Ipv4Prefix, path: AsPath) {
+        let touched = &mut self.touched;
+        touched.clear();
         let st = self.states.entry(prefix).or_default();
-        st.current_insert(monitor, path.clone());
-        st.previous_insert(monitor, path);
+        st.current_insert(monitor, path.clone(), touched);
+        st.previous_insert(monitor, path, touched);
+        st.refresh(touched);
     }
 
     /// Seeds every monitor table of a corpus as the RIB snapshot.
@@ -268,7 +348,11 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
         let key = |(p, m, _): &(Ipv4Prefix, Asn, AsPath)| (p.addr(), p.len(), *m);
         current.sort_by_key(key);
         previous.sort_by_key(key);
-        let mut raised: Vec<_> = self.raised.iter().copied().collect();
+        let mut raised: Vec<_> = self
+            .raised
+            .iter()
+            .flat_map(|(&p, keys)| keys.iter().map(move |&(a, b)| (p, a, b)))
+            .collect();
         raised.sort_by_key(|&(p, a, b)| (p.addr(), p.len(), a, b));
         DetectorState {
             current,
@@ -284,23 +368,39 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
     pub fn import_state(&mut self, state: &DetectorState) {
         self.states.clear();
         self.raised.clear();
+        // The candidates are derived wholesale once every row is in, so what
+        // each row touched is dropped unread.
+        let touched = &mut self.touched;
         for (prefix, monitor, path) in &state.current {
             self.states
                 .entry(*prefix)
                 .or_default()
-                .current_insert(*monitor, path.clone());
+                .current_insert(*monitor, path.clone(), touched);
+            touched.clear();
         }
         for (prefix, monitor, path) in &state.previous {
-            self.states
-                .entry(*prefix)
-                .or_default()
-                .previous_insert(*monitor, path.clone());
+            self.states.entry(*prefix).or_default().previous_insert(
+                *monitor,
+                path.clone(),
+                touched,
+            );
+            touched.clear();
         }
-        self.raised.extend(state.raised.iter().copied());
+        for st in self.states.values_mut() {
+            st.derive_candidates();
+        }
+        for &(prefix, suspect, observed_at) in &state.raised {
+            self.raised
+                .entry(prefix)
+                .or_default()
+                .insert((suspect, observed_at));
+        }
     }
 
     /// Applies one update and returns any *new* alarms it exposes.
     pub fn process(&mut self, update: &UpdateRecord) -> Vec<StreamAlarm> {
+        let touched = &mut self.touched;
+        touched.clear();
         match &update.action {
             UpdateAction::Withdraw => {
                 // A withdrawal cannot shorten padding; it tears down the
@@ -312,42 +412,48 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
                 // withdrawal is reported again instead of being masked by
                 // idempotence state from the earlier episode).
                 if let Some(st) = self.states.get_mut(&update.prefix) {
-                    st.current_remove(update.monitor);
-                    st.previous_remove(update.monitor);
+                    st.current_remove(update.monitor, touched);
+                    st.previous_remove(update.monitor, touched);
                     if st.is_dead() {
                         self.states.remove(&update.prefix);
+                    } else {
+                        st.refresh(touched);
                     }
                 }
-                self.raised.retain(|&(prefix, _, observed_at)| {
-                    !(prefix == update.prefix && observed_at == update.monitor)
-                });
+                if let Some(keys) = self.raised.get_mut(&update.prefix) {
+                    keys.retain(|&(_, observed_at)| observed_at != update.monitor);
+                    if keys.is_empty() {
+                        self.raised.remove(&update.prefix);
+                    }
+                }
                 Vec::new()
             }
             UpdateAction::Announce(path) => {
                 let st = self.states.entry(update.prefix).or_default();
-                if let Some(old) = st.current_insert(update.monitor, path.clone()) {
-                    st.previous_insert(update.monitor, old);
+                if let Some(old) = st.current_insert(update.monitor, path.clone(), touched) {
+                    st.previous_insert(update.monitor, old, touched);
+                }
+                st.refresh(touched);
+                if st.candidates.is_empty() {
+                    return Vec::new();
                 }
 
-                // Compare the stored previous paths against the current
-                // ones, over the live views and index.
-                let mut out = Vec::new();
-                let scan = Detector::new(self.graph.borrow()).scan_with_index(
-                    &st.previous_view,
-                    &st.current_view,
-                    &st.index,
-                );
-                for alarm in scan {
-                    let key = (update.prefix, alarm.suspect, alarm.observed_at);
-                    if self.raised.insert(key) {
-                        out.push(StreamAlarm {
-                            prefix: update.prefix,
-                            triggered_by_seq: update.seq,
-                            alarm,
-                        });
-                    }
+                // Judge the standing route changes — previous paths against
+                // current ones — over the live index.
+                let alarms = Detector::new(self.graph.borrow()).judge(&st.candidates, &st.index);
+                if alarms.is_empty() {
+                    return Vec::new();
                 }
-                out
+                let raised = self.raised.entry(update.prefix).or_default();
+                alarms
+                    .into_iter()
+                    .filter(|alarm| raised.insert((alarm.suspect, alarm.observed_at)))
+                    .map(|alarm| StreamAlarm {
+                        prefix: update.prefix,
+                        triggered_by_seq: update.seq,
+                        alarm,
+                    })
+                    .collect()
             }
         }
     }
@@ -361,11 +467,103 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
     }
 }
 
+/// The streaming detector without any of the incremental machinery, kept as
+/// the oracle [`StreamingDetector`] is held to (as `BgpSimulation` is for
+/// the routing engine): on every record both views are rebuilt from the
+/// path maps, [`Detector::scan`] walks every observed AS and builds its own
+/// index, and the raised keys sit in one global set that every withdrawal
+/// filters. Same alarms, record by record; cost proportional to everything
+/// it holds.
+#[derive(Clone, Debug)]
+pub struct ReferenceDetector<'g> {
+    graph: &'g AsGraph,
+    current: HashMap<Ipv4Prefix, HashMap<Asn, AsPath>>,
+    previous: HashMap<Ipv4Prefix, HashMap<Asn, AsPath>>,
+    raised: HashSet<(Ipv4Prefix, Asn, Asn)>,
+}
+
+impl<'g> ReferenceDetector<'g> {
+    /// Creates an oracle over the relationship graph.
+    #[must_use]
+    pub fn new(graph: &'g AsGraph) -> Self {
+        ReferenceDetector {
+            graph,
+            current: HashMap::new(),
+            previous: HashMap::new(),
+            raised: HashSet::new(),
+        }
+    }
+
+    /// Installs a RIB-snapshot route, as [`StreamingDetector::seed`] does.
+    pub fn seed(&mut self, monitor: Asn, prefix: Ipv4Prefix, path: AsPath) {
+        self.current
+            .entry(prefix)
+            .or_default()
+            .insert(monitor, path.clone());
+        self.previous
+            .entry(prefix)
+            .or_default()
+            .insert(monitor, path);
+    }
+
+    /// Applies one update and returns any *new* alarms it exposes.
+    pub fn process(&mut self, update: &UpdateRecord) -> Vec<StreamAlarm> {
+        let routes = self.current.entry(update.prefix).or_default();
+        match &update.action {
+            UpdateAction::Withdraw => {
+                routes.remove(&update.monitor);
+                self.previous
+                    .entry(update.prefix)
+                    .or_default()
+                    .remove(&update.monitor);
+                self.raised.retain(|&(prefix, _, observed_at)| {
+                    !(prefix == update.prefix && observed_at == update.monitor)
+                });
+                return Vec::new();
+            }
+            UpdateAction::Announce(path) => {
+                let old = routes.insert(update.monitor, path.clone());
+                if let Some(old) = old {
+                    self.previous
+                        .entry(update.prefix)
+                        .or_default()
+                        .insert(update.monitor, old);
+                }
+            }
+        }
+        let before = RouteView::from_paths(
+            self.previous
+                .get(&update.prefix)
+                .into_iter()
+                .flat_map(|m| m.values().cloned()),
+        );
+        let after = RouteView::from_paths(
+            self.current
+                .get(&update.prefix)
+                .into_iter()
+                .flat_map(|m| m.values().cloned()),
+        );
+        let mut out = Vec::new();
+        for alarm in Detector::new(self.graph).scan(&before, &after) {
+            let key = (update.prefix, alarm.suspect, alarm.observed_at);
+            if self.raised.insert(key) {
+                out.push(StreamAlarm {
+                    prefix: update.prefix,
+                    triggered_by_seq: update.seq,
+                    alarm,
+                });
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use aspp_attack::scenarios::{figure3, figure3_topology};
     use aspp_routing::{AttackerModel, DestinationSpec, RoutingEngine};
+    use std::collections::BTreeMap;
 
     fn update(seq: u64, monitor: Asn, prefix: Ipv4Prefix, path: &str) -> UpdateRecord {
         UpdateRecord {
@@ -683,73 +881,134 @@ mod tests {
         }
     }
 
-    /// A from-scratch reference implementation of `process` — views and
-    /// index rebuilt from the path maps on every record, exactly the
-    /// pre-incremental algorithm — must agree with the optimized hot path
-    /// on a churny pseudo-random stream.
-    #[test]
-    fn reference_oracle_equivalence() {
-        use crate::detector::Detector;
+    fn attack_graph() -> AsGraph {
+        let mut g = AsGraph::new();
+        g.add_provider_customer(Asn(10), Asn(1)).unwrap();
+        g.add_provider_customer(Asn(10), Asn(66)).unwrap();
+        g.add_provider_customer(Asn(10), Asn(55)).unwrap();
+        g.add_provider_customer(Asn(66), Asn(77)).unwrap();
+        g
+    }
 
-        struct Reference<'g> {
-            graph: &'g AsGraph,
-            current: HashMap<Ipv4Prefix, HashMap<Asn, AsPath>>,
-            previous: HashMap<Ipv4Prefix, HashMap<Asn, AsPath>>,
-            raised: HashSet<(Ipv4Prefix, Asn, Asn)>,
+    /// The standing candidates, one list per AS in stored order.
+    fn groups(st: &PrefixState) -> BTreeMap<Asn, Vec<Candidate>> {
+        let mut groups = BTreeMap::<Asn, Vec<Candidate>>::new();
+        for c in &st.candidates {
+            groups.entry(c.d).or_default().push(c.clone());
         }
+        groups
+    }
 
-        impl<'g> Reference<'g> {
-            fn process(&mut self, update: &UpdateRecord) -> Vec<StreamAlarm> {
-                let routes = self.current.entry(update.prefix).or_default();
-                match &update.action {
-                    UpdateAction::Withdraw => {
-                        routes.remove(&update.monitor);
-                        self.previous
-                            .entry(update.prefix)
-                            .or_default()
-                            .remove(&update.monitor);
-                        self.raised.retain(|&(prefix, _, observed_at)| {
-                            !(prefix == update.prefix && observed_at == update.monitor)
-                        });
-                        return Vec::new();
-                    }
-                    UpdateAction::Announce(path) => {
-                        let old = routes.insert(update.monitor, path.clone());
-                        if let Some(old) = old {
-                            self.previous
-                                .entry(update.prefix)
-                                .or_default()
-                                .insert(update.monitor, old);
-                        }
-                    }
-                }
-                let before = RouteView::from_paths(
-                    self.previous
-                        .get(&update.prefix)
-                        .into_iter()
-                        .flat_map(|m| m.values().cloned()),
-                );
-                let after = RouteView::from_paths(
-                    self.current
-                        .get(&update.prefix)
-                        .into_iter()
-                        .flat_map(|m| m.values().cloned()),
-                );
-                let mut out = Vec::new();
-                for alarm in Detector::new(self.graph).scan(&before, &after) {
-                    let key = (update.prefix, alarm.suspect, alarm.observed_at);
-                    if self.raised.insert(key) {
-                        out.push(StreamAlarm {
-                            prefix: update.prefix,
-                            triggered_by_seq: update.seq,
-                            alarm,
-                        });
-                    }
-                }
-                out
+    /// After any seed/announce/withdraw interleaving, the candidates kept in
+    /// lockstep are the ones `candidate_pairs` finds when re-run over every
+    /// observed AS: same groups, same order within a group.
+    #[test]
+    fn incremental_candidates_match_full_derivation() {
+        let g = attack_graph();
+        let mut stream = StreamingDetector::new(&g);
+        let monitors = [Asn(77), Asn(55), Asn(88)];
+        let tails = ["66 10 1 1 1", "66 10 1 1", "66 10 1", "10 1 1 1", "10 1"];
+        let prefixes: Vec<Ipv4Prefix> = (0..3u32)
+            .map(|i| Ipv4Prefix::containing(0x0a00_0000 | (i << 8), 24))
+            .collect();
+        let mut rng: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut standing = 0usize;
+        for seq in 0..3000u64 {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = rng >> 24;
+            let monitor = monitors[(r % 3) as usize];
+            let prefix = prefixes[((r >> 4) % 3) as usize];
+            let path: AsPath = format!("{monitor} {}", tails[((r >> 8) % 5) as usize])
+                .parse()
+                .unwrap();
+            match (r >> 12) % 8 {
+                0 => drop(stream.process(&withdraw(seq, monitor, prefix))),
+                1 => stream.seed(monitor, prefix, path),
+                _ => drop(stream.process(&UpdateRecord {
+                    seq,
+                    monitor,
+                    prefix,
+                    action: UpdateAction::Announce(path),
+                })),
+            }
+            for (prefix, st) in &stream.states {
+                let mut rederived = st.clone();
+                rederived.derive_candidates();
+                assert_eq!(groups(st), groups(&rederived), "{prefix} after seq {seq}");
+                standing += st.candidates.len();
             }
         }
+        assert!(standing > 0, "churn never left a candidate standing");
+    }
 
+    /// A re-announcement that changes no view re-derives no group.
+    #[test]
+    fn duplicate_reannouncement_rederives_nothing() {
+        let g = attack_graph();
+        let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
+        let mut stream = StreamingDetector::new(&g);
+        stream.seed(Asn(77), prefix, "77 66 10 1 1 1".parse().unwrap());
+        stream.seed(Asn(55), prefix, "55 10 1 1 1".parse().unwrap());
+        stream.process(&update(1, Asn(77), prefix, "77 66 10 1"));
+        assert!(!stream.touched.is_empty(), "the attack moved both views");
+        let before = groups(&stream.states[&prefix]);
+        assert!(
+            !before.is_empty(),
+            "the shortened routes stand as candidates"
+        );
+
+        let again = stream.process(&update(2, Asn(55), prefix, "55 10 1 1 1"));
+        assert!(again.is_empty());
+        assert!(stream.touched.is_empty(), "{:?}", stream.touched);
+        assert_eq!(groups(&stream.states[&prefix]), before);
+    }
+
+    /// A raised key observed at a *transit* AS is re-armed by no monitor's
+    /// withdrawal, so it outlives the prefix's state: after every monitor
+    /// withdrew and the same attack is announced again, the alarms seen at
+    /// the monitor fire again and the one seen at the transit AS does not —
+    /// exactly what the global-set oracle does.
+    #[test]
+    fn transit_keys_outlive_the_pruned_prefix_state() {
+        let g = attack_graph();
+        let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
+        let episode = |seq: u64| {
+            [
+                update(seq, Asn(55), prefix, "55 10 1 1 1"),
+                update(seq + 1, Asn(77), prefix, "77 66 10 1 1 1"),
+                update(seq + 2, Asn(77), prefix, "77 66 10 1"),
+                withdraw(seq + 3, Asn(77), prefix),
+                withdraw(seq + 4, Asn(55), prefix),
+            ]
+        };
+        let mut stream = StreamingDetector::new(&g);
+        let mut oracle = ReferenceDetector::new(&g);
+        let mut attacks = Vec::new();
+        for u in episode(1).iter().chain(&episode(6)) {
+            let got = stream.process(u);
+            assert_eq!(got, oracle.process(u), "diverged at seq {}", u.seq);
+            if !got.is_empty() {
+                attacks.push(got);
+            }
+            if u.seq == 5 {
+                assert_eq!(stream.tracked_prefixes(), 0, "state must be pruned");
+            }
+        }
+        let [first, second] = &attacks[..] else {
+            panic!("one alarming record per episode: {attacks:?}");
+        };
+        let at = |alarms: &[StreamAlarm], d| alarms.iter().any(|a| a.alarm.observed_at == Asn(d));
+        assert!(at(first, 77) && at(first, 66), "{first:?}");
+        assert!(at(second, 77) && !at(second, 66), "{second:?}");
+    }
+
+    /// [`ReferenceDetector`] — views and index rebuilt from the path maps on
+    /// every record, exactly the pre-incremental algorithm — must agree
+    /// with the optimized hot path on a churny pseudo-random stream.
+    #[test]
+    fn reference_oracle_equivalence() {
         let mut g = AsGraph::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_provider_customer(Asn(10), Asn(66)).unwrap();
@@ -759,12 +1018,7 @@ mod tests {
         g.add_peering(Asn(55), Asn(66)).unwrap();
 
         let mut optimized = StreamingDetector::new(&g);
-        let mut reference = Reference {
-            graph: &g,
-            current: HashMap::new(),
-            previous: HashMap::new(),
-            raised: HashSet::new(),
-        };
+        let mut reference = ReferenceDetector::new(&g);
 
         let monitors = [Asn(77), Asn(55), Asn(88)];
         let tails = ["66 10 1 1 1", "66 10 1 1", "66 10 1", "10 1 1 1", "10 1"];

@@ -369,6 +369,12 @@ impl FeedEngine {
     /// slice. (The pool's first version had every worker rescan the whole
     /// corpus and filter, an O(shards × seeds) startup that dominated at
     /// millions of prefixes.)
+    ///
+    /// Each slice is seeded prefix by prefix rather than in the corpus's
+    /// monitor-major order, so consecutive seeds land in one prefix's state
+    /// instead of a different one each time. The sort is stable: a prefix's
+    /// monitors arrive in corpus order either way, hence so does every
+    /// entry of its views.
     pub fn seed_from_corpus(&mut self, seeds: &Corpus) {
         let shards = self.detectors.len();
         let mut parts: Vec<Vec<(Asn, Ipv4Prefix, &AsPath)>> = vec![Vec::new(); shards];
@@ -378,9 +384,10 @@ impl FeedEngine {
             }
         }
         std::thread::scope(|scope| {
-            for (detector, part) in self.detectors.iter_mut().zip(&parts) {
+            for (detector, mut part) in self.detectors.iter_mut().zip(parts) {
                 scope.spawn(move || {
-                    for &(monitor, prefix, path) in part {
+                    part.sort_by_key(|&(_, prefix, _)| prefix);
+                    for (monitor, prefix, path) in part {
                         detector.seed(monitor, prefix, path.clone());
                     }
                 });
@@ -774,6 +781,20 @@ mod tests {
                 "every record reaches exactly one shard"
             );
             assert_eq!(report.alarm_latencies_ns.len(), expected.len());
+        }
+    }
+
+    #[test]
+    fn prefix_major_seeding_leaves_the_monitor_major_state() {
+        // The engine seeds each shard prefix by prefix; the serial detector
+        // walks the corpus monitor by monitor. Same state either way.
+        let (graph, seeds, _) = attack_world();
+        let mut serial = StreamingDetector::new(&graph);
+        serial.seed_from_corpus(&seeds);
+        for shards in [1, 2, 8] {
+            let mut engine = FeedEngine::new(Arc::clone(&graph), &FeedConfig::new(shards));
+            engine.seed_from_corpus(&seeds);
+            assert_eq!(engine.export_state(), serial.export_state(), "{shards}");
         }
     }
 

@@ -27,6 +27,7 @@
 //! per line. Responses are rendered through `aspp-obs`'s [`JsonWriter`],
 //! the same escaping used by every other machine-readable surface.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -74,8 +75,13 @@ fn string_field(line: &str, key: &str) -> Option<String> {
     None
 }
 
-/// A resident [`FeedEngine`] plus the accumulated alarm log and the JSONL
-/// command loop.
+/// A resident [`FeedEngine`] plus the alarm summary its queries answer from
+/// and the JSONL command loop.
+///
+/// The service keeps no alarm log: the protocol reports the lifetime total,
+/// and per prefix the count and the last alarm, so that is what is held —
+/// memory and `prefix` latency follow the prefixes that ever alarmed, not
+/// the age of the session.
 ///
 /// # Example
 ///
@@ -96,7 +102,9 @@ fn string_field(line: &str, key: &str) -> Option<String> {
 #[derive(Debug)]
 pub struct DetectionService {
     engine: FeedEngine,
-    alarms: Vec<StreamAlarm>,
+    alarms: u64,
+    /// Per prefix that ever alarmed: how often, and the latest alarm.
+    alarms_of: HashMap<Ipv4Prefix, (u64, StreamAlarm)>,
     records_in: u64,
     batches_in: u64,
     restores: u64,
@@ -112,7 +120,8 @@ impl DetectionService {
     pub fn new(engine: FeedEngine) -> Self {
         DetectionService {
             engine,
-            alarms: Vec::new(),
+            alarms: 0,
+            alarms_of: HashMap::new(),
             records_in: 0,
             batches_in: 0,
             restores: 0,
@@ -178,12 +187,6 @@ impl DetectionService {
         &self.engine
     }
 
-    /// Every alarm raised over the service's lifetime, in merge order.
-    #[must_use]
-    pub fn alarms(&self) -> &[StreamAlarm] {
-        &self.alarms
-    }
-
     /// Runs the query loop until `drain` or end of input, writing one JSON
     /// line per request. This is the blocking heart of `aspp serve`.
     ///
@@ -234,7 +237,7 @@ impl DetectionService {
         w.field_u64("cursor", self.engine.cursor());
         w.field_u64("records_in", self.records_in);
         w.field_u64("batches_in", self.batches_in);
-        w.field_u64("alarms", self.alarms.len() as u64);
+        w.field_u64("alarms", self.alarms);
         w.field_u64("tracked_prefixes", self.engine.tracked_prefixes() as u64);
         w.field_u64("shards", self.engine.shards() as u64);
         w.field_u64("restores", self.restores);
@@ -250,12 +253,12 @@ impl DetectionService {
             Ok(p) => p,
             Err(e) => return fail(&format!("bad prefix {text:?}: {e}")),
         };
-        let hits: Vec<&StreamAlarm> = self.alarms.iter().filter(|a| a.prefix == prefix).collect();
+        let hits = self.alarms_of.get(&prefix);
         let mut w = ok("prefix");
         w.field_str("prefix", &text);
         w.field_u64("monitors", self.engine.monitors_of(prefix) as u64);
-        w.field_u64("alarms", hits.len() as u64);
-        if let Some(last) = hits.last() {
+        w.field_u64("alarms", hits.map_or(0, |(count, _)| *count));
+        if let Some((_, last)) = hits {
             let mut a = JsonWriter::object();
             a.field_u64("suspect", u64::from(last.alarm.suspect.0));
             a.field_u64("observed_at", u64::from(last.alarm.observed_at.0));
@@ -282,7 +285,19 @@ impl DetectionService {
                 self.records_since_checkpoint += report.records_in;
                 let new = report.alarms.len();
                 let rate = report.records_per_sec();
-                self.alarms.extend(report.alarms);
+                self.alarms += new as u64;
+                for alarm in report.alarms {
+                    match self.alarms_of.entry(alarm.prefix) {
+                        Entry::Occupied(mut seen) => {
+                            let (count, last) = seen.get_mut();
+                            *count += 1;
+                            *last = alarm;
+                        }
+                        Entry::Vacant(first) => {
+                            first.insert((1, alarm));
+                        }
+                    }
+                }
                 let mut w = ok("ingest");
                 w.field_str("file", &file);
                 w.field_u64("records", report.records_in);
@@ -353,7 +368,7 @@ impl DetectionService {
     fn drain(&mut self) -> (String, bool) {
         let mut w = ok("drain");
         w.field_u64("records_in", self.records_in);
-        w.field_u64("alarms", self.alarms.len() as u64);
+        w.field_u64("alarms", self.alarms);
         w.field_u64("cursor", self.engine.cursor());
         if let Some(path) = self.checkpoint_file.clone() {
             match self.write_checkpoint(&path) {
@@ -427,6 +442,30 @@ mod tests {
         std::env::temp_dir().join(format!("aspp_service_{}_{name}", std::process::id()))
     }
 
+    /// The unsigned value of the first `"key":N` in a reply.
+    fn u64_field(reply: &str, key: &str) -> u64 {
+        let from = reply.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let digits = reply[from..].bytes().take_while(u8::is_ascii_digit).count();
+        reply[from..from + digits].parse().expect(key)
+    }
+
+    /// The `last_alarm` object of a `prefix` reply, when it carries one.
+    fn last_alarm(reply: &str) -> Option<&str> {
+        let from = reply.find("\"last_alarm\":")?;
+        let to = from + reply[from..].find('}')?;
+        Some(&reply[from..=to])
+    }
+
+    fn ingest(service: &mut DetectionService, file: &Path) -> String {
+        let request = format!("{{\"cmd\":\"ingest\",\"file\":\"{}\"}}", file.display());
+        service.handle(&request).0
+    }
+
+    fn prefix_reply(service: &mut DetectionService, prefix: &str) -> String {
+        let request = format!("{{\"cmd\":\"prefix\",\"prefix\":\"{prefix}\"}}");
+        service.handle(&request).0
+    }
+
     #[test]
     fn string_field_handles_the_flat_protocol() {
         assert_eq!(
@@ -480,23 +519,71 @@ mod tests {
         let stream = tmp("ingest.bin");
         fs::write(&stream, encode_records(&updates)).unwrap();
         let input = format!(
-            "{{\"cmd\":\"ingest\",\"file\":\"{}\"}}\n{{\"cmd\":\"prefix\",\"prefix\":\"10.0.0.0/24\"}}\n",
+            "{{\"cmd\":\"ingest\",\"file\":\"{}\"}}\n{{\"cmd\":\"prefix\",\"prefix\":\"10.0.0.0/24\"}}\n{{\"cmd\":\"status\"}}\n",
             stream.display()
         );
         let mut out = Vec::new();
         service.run(input.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        let raised = service.alarms().len();
-        assert!(raised >= 1, "the interception must alarm");
+        let raised = u64_field(lines[0], "alarms");
+        assert!(raised >= 1, "the interception must alarm: {}", lines[0]);
         assert!(lines[0].contains("\"records\":1"), "{}", lines[0]);
-        assert!(
-            lines[0].contains(&format!("\"alarms\":{raised}")),
-            "{}",
-            lines[0]
-        );
-        assert!(lines[1].contains("\"last_alarm\""), "{}", lines[1]);
+        // The one stream prefix carries every alarm; status and the drain
+        // summary report the same lifetime total.
+        assert_eq!(u64_field(lines[1], "alarms"), raised, "{}", lines[1]);
+        let last = last_alarm(lines[1]).expect("prefix reply names the last alarm");
+        assert!(last.contains("\"triggered_by_seq\":1"), "{last}");
+        assert_eq!(u64_field(lines[2], "alarms"), raised, "{}", lines[2]);
+        assert_eq!(u64_field(lines[3], "alarms"), raised, "{}", lines[3]);
         assert_eq!(service.engine().cursor(), 1);
+        let _ = fs::remove_file(&stream);
+    }
+
+    /// The `prefix` query reads a per-prefix summary, not an alarm log: its
+    /// reply does not move (and stays cheap) however many alarms other
+    /// prefixes raise afterwards, and a prefix nobody announced reads zero.
+    #[test]
+    fn prefix_reply_is_unmoved_by_alarms_on_other_prefixes() {
+        let (mut service, updates) = service();
+        let stream = tmp("summary_own.bin");
+        fs::write(&stream, encode_records(&updates)).unwrap();
+        ingest(&mut service, &stream);
+        let before = prefix_reply(&mut service, "10.0.0.0/24");
+        assert!(last_alarm(&before).is_some(), "{before}");
+        let own = u64_field(&service.status(), "alarms");
+
+        // The same interception against 5 000 other prefixes.
+        let mut others = Vec::new();
+        for i in 0..5_000u32 {
+            let prefix = Ipv4Prefix::containing(0x0b00_0000 | (i << 8), 24);
+            for (monitor, path) in [
+                (55, "55 10 1 1 1"),
+                (77, "77 66 10 1 1 1"),
+                (77, "77 66 10 1"),
+            ] {
+                others.push(UpdateRecord {
+                    seq: others.len() as u64 + 2,
+                    monitor: Asn(monitor),
+                    prefix,
+                    action: UpdateAction::Announce(path.parse().unwrap()),
+                });
+            }
+        }
+        fs::write(&stream, encode_records(&others)).unwrap();
+        let reply = ingest(&mut service, &stream);
+        assert!(u64_field(&reply, "alarms") >= 10_000, "{reply}");
+        assert_eq!(
+            u64_field(&service.status(), "alarms"),
+            own + u64_field(&reply, "alarms")
+        );
+
+        assert_eq!(prefix_reply(&mut service, "10.0.0.0/24"), before);
+        let untracked = prefix_reply(&mut service, "192.0.2.0/24");
+        assert!(
+            untracked.contains("\"monitors\":0,\"alarms\":0") && last_alarm(&untracked).is_none(),
+            "{untracked}"
+        );
         let _ = fs::remove_file(&stream);
     }
 
@@ -544,11 +631,13 @@ mod tests {
             prefix: p,
             action: UpdateAction::Announce("55 10 1".parse().unwrap()),
         });
+        // A late padded witness through AS10: it convicts the shortening
+        // monitor 55 reported in record 2, so the lost tail carries an alarm.
         stream.push(UpdateRecord {
             seq: 3,
-            monitor: Asn(77),
+            monitor: Asn(88),
             prefix: p,
-            action: UpdateAction::Announce("77 66 10 1".parse().unwrap()),
+            action: UpdateAction::Announce("88 10 1 1 1".parse().unwrap()),
         });
         let head = tmp("cadence_head.bin");
         let tail = tmp("cadence_tail.bin");
@@ -564,27 +653,28 @@ mod tests {
 
         // First life: the head ingest crosses the cadence and checkpoints
         // unprompted; the tail ingest stays below it and does not.
-        let (head_resp, _) = service.handle(&format!(
-            "{{\"cmd\":\"ingest\",\"file\":\"{}\"}}",
-            head.display()
-        ));
+        let head_resp = ingest(&mut service, &head);
         assert!(head_resp.contains("\"auto_checkpoint\""), "{head_resp}");
         assert_eq!(service.auto_checkpoints(), 1);
-        let (tail_resp, _) = service.handle(&format!(
-            "{{\"cmd\":\"ingest\",\"file\":\"{}\"}}",
-            tail.display()
-        ));
+        let tail_resp = ingest(&mut service, &tail);
         assert!(!tail_resp.contains("\"auto_checkpoint\""), "{tail_resp}");
         assert_eq!(service.engine().cursor(), 3);
         let status = service.status();
         assert!(status.contains("\"auto_checkpoints\":1"), "{status}");
         assert!(status.contains("\"batches_in\":"), "{status}");
-        let full_alarms = service.alarms().to_vec();
+        let tail_alarms = u64_field(&tail_resp, "alarms");
+        assert!(tail_alarms >= 1, "the tail must alarm: {tail_resp}");
+        let full_prefix = prefix_reply(&mut service, "10.0.0.0/24");
+        assert_eq!(
+            u64_field(&full_prefix, "alarms"),
+            u64_field(&head_resp, "alarms") + tail_alarms
+        );
         // Kill between cadences: drop without drain — no final checkpoint.
         drop(service);
 
         // Second life: restore lands on the cadence point (cursor 2, not
-        // 3), and replaying the lost tail reconverges to the same alarms.
+        // 3), and replaying the lost tail reconverges to the same alarms:
+        // as many as the uninterrupted tail raised, ending on the same one.
         let engine = FeedEngine::new(graph, &FeedConfig::new(2));
         let mut revived = DetectionService::new(engine);
         revived.restore_from_file(&ckpt).unwrap();
@@ -593,20 +683,16 @@ mod tests {
             2,
             "the post-cadence record is the only loss"
         );
-        let (replay, _) = revived.handle(&format!(
-            "{{\"cmd\":\"ingest\",\"file\":\"{}\"}}",
-            tail.display()
-        ));
+        let replay = ingest(&mut revived, &tail);
         assert!(replay.contains("\"ok\":true"), "{replay}");
         assert_eq!(revived.engine().cursor(), 3);
-        let tail_alarms: Vec<&StreamAlarm> = full_alarms
-            .iter()
-            .filter(|a| a.triggered_by_seq > 2)
-            .collect();
+        assert_eq!(u64_field(&replay, "alarms"), tail_alarms, "{replay}");
+        let revived_prefix = prefix_reply(&mut revived, "10.0.0.0/24");
+        assert_eq!(u64_field(&revived_prefix, "alarms"), tail_alarms);
         assert_eq!(
-            revived.alarms().iter().collect::<Vec<_>>(),
-            tail_alarms,
-            "replayed tail must raise the uninterrupted run's tail alarms"
+            last_alarm(&revived_prefix),
+            last_alarm(&full_prefix),
+            "replayed tail must end on the uninterrupted run's last alarm"
         );
         for f in [&head, &tail, &ckpt] {
             let _ = fs::remove_file(f);
