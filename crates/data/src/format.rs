@@ -14,7 +14,6 @@
 //! order — the same two views RouteViews/RIPE publish.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use aspp_routing::RouteTable;
 use aspp_types::{AsPath, Asn, AsppError, IngestReport, Ipv4Prefix};
@@ -59,54 +58,11 @@ pub struct Corpus {
     updates: Vec<UpdateRecord>,
 }
 
-/// Error from [`Corpus::parse`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CorpusParseError {
-    line_no: usize,
-    message: String,
-}
-
-impl CorpusParseError {
-    fn new(line_no: usize, message: impl Into<String>) -> Self {
-        CorpusParseError {
-            line_no,
-            message: message.into(),
-        }
-    }
-
-    /// 1-based line number of the offending line.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line_no
-    }
-}
-
-impl fmt::Display for CorpusParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "corpus parse error at line {}: {}",
-            self.line_no, self.message
-        )
-    }
-}
-
-impl std::error::Error for CorpusParseError {}
-
-impl From<CorpusParseError> for AsppError {
-    fn from(e: CorpusParseError) -> Self {
-        AsppError::at_line("corpus", e.line_no, e.message)
-    }
-}
-
 /// How [`Corpus::parse_with`] treats records that parse but are suspect:
 /// conflicting duplicate `TABLE` rows and non-increasing `UPDATE` sequence
 /// numbers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ParseMode {
-    /// Historical behavior: duplicate `TABLE` rows silently overwrite
-    /// (last wins) and sequence numbers are not validated.
-    Legacy,
     /// Reject suspect records with a line-numbered error.
     Strict,
     /// Keep going: skip malformed lines, resolve conflicting duplicates
@@ -188,26 +144,10 @@ impl Corpus {
         out
     }
 
-    /// Parses the text format produced by [`to_text`](Self::to_text).
-    ///
-    /// Malformed lines are rejected with a line number; duplicate `TABLE`
-    /// rows for the same `(monitor, prefix)` silently overwrite (last wins)
-    /// and sequence numbers are not validated — use
-    /// [`parse_strict`](Self::parse_strict) to reject both, or
-    /// [`parse_lenient`](Self::parse_lenient) to account for them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CorpusParseError`] carrying the offending line number for
-    /// any malformed record.
-    pub fn parse(text: &str) -> Result<Self, CorpusParseError> {
-        Self::parse_with(text, ParseMode::Legacy).map(|(corpus, _)| corpus)
-    }
-
-    /// Strict-mode [`parse`](Self::parse) with the workspace-uniform error
-    /// type: additionally rejects conflicting duplicate `TABLE` rows (same
+    /// Parses the text format produced by [`to_text`](Self::to_text),
+    /// strictly: malformed lines, conflicting duplicate `TABLE` rows (same
     /// monitor and prefix, different path) and non-increasing `UPDATE`
-    /// sequence numbers, instead of silently absorbing them.
+    /// sequence numbers are all rejected.
     ///
     /// # Errors
     ///
@@ -224,18 +164,16 @@ impl Corpus {
     /// assert!(err.to_string().contains("conflicting"));
     /// ```
     pub fn parse_strict(text: &str) -> Result<Self, AsppError> {
-        Self::parse_with(text, ParseMode::Strict)
-            .map(|(corpus, _)| corpus)
-            .map_err(AsppError::from)
+        Self::parse_with(text, ParseMode::Strict).map(|(corpus, _)| corpus)
     }
 
-    /// Lenient-mode [`parse`](Self::parse): never fails, instead
-    /// *accounting* for every record in the returned [`IngestReport`] —
-    /// malformed lines are skipped with a line-numbered note, conflicting
-    /// duplicate `TABLE` rows are resolved with deterministic first-wins
-    /// precedence, and out-of-order updates are kept but counted as
-    /// conflicts. `report.total()` always equals the number of non-comment
-    /// record lines: nothing is silently dropped.
+    /// Lenient twin of [`parse_strict`](Self::parse_strict): never fails,
+    /// instead *accounting* for every record in the returned
+    /// [`IngestReport`] — malformed lines are skipped with a line-numbered
+    /// note, conflicting duplicate `TABLE` rows are resolved with
+    /// deterministic first-wins precedence, and out-of-order updates are
+    /// kept but counted as conflicts. `report.total()` always equals the
+    /// number of non-comment record lines: nothing is silently dropped.
     ///
     /// # Example
     ///
@@ -253,7 +191,7 @@ impl Corpus {
         Self::parse_with(text, ParseMode::Lenient).expect("lenient parse never fails")
     }
 
-    fn parse_with(text: &str, mode: ParseMode) -> Result<(Self, IngestReport), CorpusParseError> {
+    fn parse_with(text: &str, mode: ParseMode) -> Result<(Self, IngestReport), AsppError> {
         let mut corpus = Corpus::new();
         let mut report = IngestReport::default();
         let mut last_seq: Option<u64> = None;
@@ -263,7 +201,7 @@ impl Corpus {
                     report.skip($line_no, $msg);
                     continue;
                 }
-                return Err(CorpusParseError::new($line_no, $msg));
+                return Err(AsppError::at_line("corpus", $line_no, $msg));
             }};
         }
         for (i, line) in text.lines().enumerate() {
@@ -293,7 +231,8 @@ impl Corpus {
                     match corpus.tables.get(&monitor).and_then(|t| t.get(&prefix)) {
                         Some(existing) if *existing != path => match mode {
                             ParseMode::Strict => {
-                                return Err(CorpusParseError::new(
+                                return Err(AsppError::at_line(
+                                    "corpus",
                                     line_no,
                                     format!("conflicting duplicate TABLE row {monitor}|{prefix}"),
                                 ));
@@ -304,10 +243,6 @@ impl Corpus {
                                     "conflicting duplicate TABLE row {monitor}|{prefix}: kept first path"
                                 ),
                             ),
-                            ParseMode::Legacy => {
-                                // Historical last-write-wins.
-                                corpus.add_table_entry(monitor, prefix, path);
-                            }
                         },
                         _ => {
                             corpus.add_table_entry(monitor, prefix, path);
@@ -353,7 +288,8 @@ impl Corpus {
                     };
                     let out_of_order = last_seq.is_some_and(|last| seq <= last);
                     if out_of_order && mode == ParseMode::Strict {
-                        return Err(CorpusParseError::new(
+                        return Err(AsppError::at_line(
+                            "corpus",
                             line_no,
                             format!(
                                 "non-increasing sequence number {seq} (previous {})",
@@ -423,7 +359,7 @@ mod tests {
     fn round_trip() {
         let c = sample();
         let text = c.to_text();
-        let parsed = Corpus::parse(&text).unwrap();
+        let parsed = Corpus::parse_strict(&text).unwrap();
         assert_eq!(parsed, c);
     }
 
@@ -442,7 +378,7 @@ mod tests {
     #[test]
     fn parse_skips_comments_and_blanks() {
         let text = "# header\n\n  \nTABLE|1|10.0.0.0/8|1 2\n";
-        let c = Corpus::parse(text).unwrap();
+        let c = Corpus::parse_strict(text).unwrap();
         assert_eq!(c.table_entry_count(), 1);
     }
 
@@ -458,20 +394,9 @@ mod tests {
             ("TABLE|1|10.0.0.1/8|1", 1),
         ];
         for (text, line) in cases {
-            let err = Corpus::parse(text).unwrap_err();
-            assert_eq!(err.line(), line, "for {text:?}: {err}");
+            let err = Corpus::parse_strict(text).unwrap_err();
+            assert_eq!(err.line(), Some(line), "for {text:?}: {err}");
         }
-    }
-
-    #[test]
-    fn legacy_parse_keeps_last_duplicate_table_row() {
-        let text = "TABLE|7018|10.0.0.0/8|7018 1\nTABLE|7018|10.0.0.0/8|7018 2\n";
-        let c = Corpus::parse(text).unwrap();
-        let path = c
-            .table_of(Asn(7018))
-            .and_then(|t| t.get(&"10.0.0.0/8".parse().unwrap()))
-            .unwrap();
-        assert_eq!(path.to_string(), "7018 2");
     }
 
     #[test]
@@ -548,7 +473,7 @@ mod tests {
                     path.into_iter().map(Asn).collect(),
                 );
             }
-            let parsed = Corpus::parse(&c.to_text()).unwrap();
+            let parsed = Corpus::parse_strict(&c.to_text()).unwrap();
             prop_assert_eq!(parsed, c);
         }
     }

@@ -24,7 +24,7 @@
 //! assert!(!fractions.is_empty());
 //! // Round-trip through the on-disk format.
 //! let text = corpus.to_text();
-//! let parsed = aspp_data::Corpus::parse(&text).unwrap();
+//! let parsed = aspp_data::Corpus::parse_strict(&text).unwrap();
 //! assert_eq!(parsed.table_entry_count(), corpus.table_entry_count());
 //! ```
 
@@ -37,4 +37,4 @@ pub mod measure;
 pub mod stats;
 
 pub use corpus::{tier1_monitors, CorpusConfig, DepthDistribution};
-pub use format::{Corpus, CorpusParseError, UpdateAction, UpdateRecord};
+pub use format::{Corpus, UpdateAction, UpdateRecord};

@@ -25,7 +25,7 @@ use crate::stats::{normalized_histogram, Cdf};
 /// use aspp_types::Asn;
 ///
 /// let text = "TABLE|9|10.0.0.0/24|9 1 1\nTABLE|9|10.0.1.0/24|9 2\n";
-/// let corpus = Corpus::parse(text).unwrap();
+/// let corpus = Corpus::parse_strict(text).unwrap();
 /// let fractions = measure::table_prepending_fractions(&corpus);
 /// assert!((fractions[&Asn(9)] - 0.5).abs() < 1e-9);
 /// ```
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn table_fractions() {
-        let corpus = Corpus::parse(corpus_text()).unwrap();
+        let corpus = Corpus::parse_strict(corpus_text()).unwrap();
         let f = table_prepending_fractions(&corpus);
         assert!((f[&Asn(9)] - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(f[&Asn(8)], 0.0);
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn filtered_fractions() {
-        let corpus = Corpus::parse(corpus_text()).unwrap();
+        let corpus = Corpus::parse_strict(corpus_text()).unwrap();
         let f = table_prepending_fractions_for(&corpus, &[Asn(9)]);
         assert_eq!(f.len(), 1);
         assert!(f.contains_key(&Asn(9)));
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn update_fractions_skip_withdrawals() {
-        let corpus = Corpus::parse(corpus_text()).unwrap();
+        let corpus = Corpus::parse_strict(corpus_text()).unwrap();
         let f = update_prepending_fractions(&corpus);
         assert_eq!(f[&Asn(9)], 1.0); // one announce, padded
         assert_eq!(f[&Asn(8)], 0.0);
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn depth_distributions() {
-        let corpus = Corpus::parse(corpus_text()).unwrap();
+        let corpus = Corpus::parse_strict(corpus_text()).unwrap();
         let table = table_depth_distribution(&corpus);
         // Depths: 3 (route "9 1 1 1") and 2 (route "9 3 3").
         assert!((table[&3] - 0.5).abs() < 1e-9);
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn summary_headline_numbers() {
-        let corpus = Corpus::parse(corpus_text()).unwrap();
+        let corpus = Corpus::parse_strict(corpus_text()).unwrap();
         let s = usage_summary(&corpus);
         assert!(s.mean_table_fraction > 0.0);
         assert!(s.max_table_fraction >= s.mean_table_fraction);

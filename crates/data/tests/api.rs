@@ -19,7 +19,7 @@ fn zero_prefix_corpus_is_empty_but_valid() {
     let corpus = CorpusConfig::new(0).seed(1).generate(&g);
     assert_eq!(corpus.table_entry_count(), 0);
     assert!(corpus.updates().is_empty());
-    let parsed = Corpus::parse(&corpus.to_text()).unwrap();
+    let parsed = Corpus::parse_strict(&corpus.to_text()).unwrap();
     assert_eq!(parsed, corpus);
     let summary = usage_summary(&corpus);
     assert_eq!(summary.mean_table_fraction, 0.0);
@@ -160,6 +160,6 @@ fn corpus_text_is_stable_across_serializations() {
     let g = InternetConfig::small().seed(406).build();
     let corpus = CorpusConfig::new(12).seed(9).generate(&g);
     let once = corpus.to_text();
-    let twice = Corpus::parse(&once).unwrap().to_text();
+    let twice = Corpus::parse_strict(&once).unwrap().to_text();
     assert_eq!(once, twice, "canonical form is a fixed point");
 }

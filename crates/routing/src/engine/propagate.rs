@@ -1,0 +1,405 @@
+//! The propagation core: the one label-correcting loop behind the clean
+//! pass, the full attacked pass and the delta attacked pass.
+//!
+//! # Delta re-convergence
+//!
+//! Whenever [`AttackSeed::delta_applicable`] holds, the attacked equilibrium
+//! is computed **incrementally** from the clean one; the full pass is the
+//! fallback, the path every policied or poisoned pass takes, and — reached
+//! through any accept-all non-`NOOP` [`DefensePolicy`] — the reference the
+//! equivalence tests compare against.
+//! The delta pass starts from a copy of the clean pass, seeds the frontier
+//! with `M`'s stripped exports, and relaxes outward; a popped label either
+//!
+//! * loses to the node's clean label — the frontier stops, the node (and
+//!   everything behind it) keeps its clean route verbatim; or
+//! * wins (or ties) — the node is re-converged onto the attacker label and
+//!   re-exports it.
+//!
+//! **Monotonicity argument.** The attacked pass differs from the clean pass
+//! only in `M`'s exports, and those can only *improve* receiver labels: the
+//! stripped length satisfies `base_len ≤ len(r1)` while class and export
+//! targets stay the same or widen (an origin hijack claims `Origin`, a
+//! compliant ASPP attacker additionally reaches peers). Inductively, every
+//! node a better label reaches re-exports a label no worse than its clean
+//! export, so re-convergence only propagates improvements; any node the
+//! frontier never reaches has exactly its clean route in the attacked
+//! equilibrium, and the popped-in-preference-order schedule makes each
+//! adopted label the same one the full pass would have selected.
+//!
+//! A tie between an attacker label and the stored clean label means the
+//! clean parent itself was re-converged (under the lowest-ASN tie-break, a
+//! tie implies the same parent), i.e. the clean option no longer exists, so
+//! ties adopt the attacker label.
+//!
+//! **The rare non-monotone corner.** Policy beats length, so a node can be
+//! re-converged onto a *longer* route of better class (e.g. a stripped route
+//! arriving customer-learned where the clean route was peer-learned). Its
+//! re-export to non-sibling neighbors then *worsens* in key, which can strip
+//! downstream nodes of their clean floor — the one case where the attacked
+//! equilibrium is not pointwise ≤ the clean one. The delta pass detects this
+//! at adoption time ([`worsened`]: `len` grew while class improved; under
+//! [`TieBreak::PreferClean`] any non-shrinking adoption, because the flipped
+//! tie flag alone worsens replaced exports) and the caller falls back to the
+//! full pass, so results are **bit-identical** to the two-full-pass engine
+//! in every case — property-tested across all attack strategies and both
+//! export modes in `tests/delta_equivalence.rs`.
+
+use aspp_obs::counters::{self, Counter};
+use aspp_topology::{AsGraph, CsrIndex};
+use aspp_types::{Asn, Relationship, RouteClass};
+
+use super::queue::{pack_bucket_rank, BucketQueue};
+use super::route::{NodeRoute, Pass};
+use super::spec::{DestinationSpec, ExportMode};
+use super::workspace::{NodeScratch, RouteWorkspace};
+use crate::decision::TieBreak;
+use crate::policy::{AttackFacts, DefensePolicy};
+use crate::prepend::PrependingPolicy;
+
+/// Everything about one attack that its attacked pass reads.
+pub(super) struct AttackSeed {
+    pub(super) m_idx: usize,
+    pub(super) base_len: u32,
+    pub(super) clean_class: RouteClass,
+    pub(super) mode: ExportMode,
+    pub(super) pinned: NodeRoute,
+    pub(super) chain: Vec<usize>,
+    /// Whether every chain node but the (pinned) attacker has its clean
+    /// parent on the chain too.
+    pub(super) chain_parent_closed: bool,
+    /// Per-attack policy inputs, computed once so the per-offer hook is
+    /// branch-and-mask only; the default (unread) under a `NOOP` policy.
+    pub(super) facts: AttackFacts,
+}
+
+impl AttackSeed {
+    /// The single gate of delta re-convergence (proof sketch in DESIGN.md).
+    /// Its frontier pruning is sound iff every clean export the attack
+    /// invalidates is *replaced* by a malicious label that ranks no worse:
+    ///
+    /// * **replacement guarantee** — no import filter (`P::NOOP`): a deployer
+    ///   rejecting its clean parent's now-malicious offer would be left
+    ///   holding a route the parent no longer exports;
+    /// * **parent-closed chain** — every node that rejects malicious labels
+    ///   (loop prevention) has a clean parent that rejects them too, so no
+    ///   chain node's clean route is withdrawn under it;
+    /// * **monotone lengths** — the attacker's own seed does not lengthen
+    ///   the exports it replaces (each later adoption is probed with the same
+    ///   [`worsened`] test inside the pass, which aborts to the full pass).
+    pub(super) fn delta_applicable<P: DefensePolicy>(&self, tie: TieBreak) -> bool {
+        P::NOOP && self.chain_parent_closed && !worsened(tie, self.base_len, self.pinned.len)
+    }
+
+    /// The [`export_row`] of the attack itself: customers, siblings and peers
+    /// always hear it, providers when the attacker violates the valley-free
+    /// rule or the class it claims may climb anyway (paper Figures 11–12).
+    fn export_row(&self) -> [Option<RouteClass>; 4] {
+        row_where(self.clean_class, |rel| {
+            self.mode == ExportMode::ViolateValleyFree
+                || rel != Relationship::Provider
+                || self.clean_class.may_export_to(rel)
+        })
+    }
+}
+
+/// Whether replacing a clean export of length `clean_len` by a malicious one
+/// of length `new_len` worsens it for the receivers: iff it grew — or, under
+/// [`TieBreak::PreferClean`], failed to shrink, because the flipped
+/// via-attacker tie bit alone ranks it lower.
+fn worsened(tie: TieBreak, new_len: u32, clean_len: u32) -> bool {
+    match tie {
+        TieBreak::PreferClean => new_len >= clean_len,
+        TieBreak::LowestNeighborAsn | TieBreak::PreferAttacker => new_len > clean_len,
+    }
+}
+
+/// A label's preference key `(class, effective length, tie-break)` packed
+/// into one integer, ordered exactly like the tuple compare.
+pub(crate) fn pack_pref(class: RouteClass, len: u32, tie_key: (u8, u32)) -> u128 {
+    ((class as u128) << 72)
+        | ((len as u128) << 40)
+        | ((tie_key.0 as u128) << 32)
+        | (tie_key.1 as u128)
+}
+
+/// Packed clean key of a node with no clean route: orders after every real
+/// preference key, so the delta pass never rejects an offer against it, and
+/// its embedded length field is `u32::MAX`, so no adoption over it can
+/// register as worsened.
+pub(super) const PACKED_NO_CLEAN: u128 = u128::MAX;
+
+/// The effective length embedded in a [`pack_pref`]-packed key.
+fn packed_len(key: u128) -> u32 {
+    (key >> 40) as u32
+}
+
+/// The tie-break component of a label's preference key. Factored out so the
+/// delta pass ranks a clean [`NodeRoute`] with exactly the key the export
+/// path ([`PassCtx::offer`]) would have built for it.
+pub(crate) fn tie_key_for(tie: TieBreak, via_attacker: bool, parent_asn: Asn) -> (u8, u32) {
+    match tie {
+        TieBreak::LowestNeighborAsn => (0, parent_asn.value()),
+        TieBreak::PreferClean => (u8::from(via_attacker), parent_asn.value()),
+        TieBreak::PreferAttacker => (u8::from(!via_attacker), parent_asn.value()),
+    }
+}
+
+/// One valley-free export table row: the class a route of class `class`
+/// acquires at a receiver related by `rel` (indexed by `rel as usize`), or
+/// `None` where export is forbidden. Hoists the per-edge permission and
+/// class matches out of the edge loop.
+pub(crate) fn export_row(class: RouteClass) -> [Option<RouteClass>; 4] {
+    row_where(class, |rel| class.may_export_to(rel))
+}
+
+/// The row that hands `class` to every kind of neighbor `allowed` admits.
+fn row_where(class: RouteClass, allowed: impl Fn(Relationship) -> bool) -> [Option<RouteClass>; 4] {
+    let mut row = [None; 4];
+    for rel in [
+        Relationship::Customer,
+        Relationship::Provider,
+        Relationship::Peer,
+        Relationship::Sibling,
+    ] {
+        if allowed(rel) {
+            row[rel as usize] = Some(class_at_receiver(class, rel));
+        }
+    }
+    row
+}
+
+/// The class a route acquires at the receiver when exported over a link
+/// where the receiver sees the exporter as `rel_of_receiver_from_exporter`
+/// reversed. Sibling links inherit the exporter's class (same
+/// administration), with `Origin` degrading to `FromCustomer`.
+pub(crate) fn class_at_receiver(
+    exporter_class: RouteClass,
+    rel_of_receiver: Relationship,
+) -> RouteClass {
+    match rel_of_receiver {
+        Relationship::Sibling => match exporter_class {
+            RouteClass::Origin => RouteClass::FromCustomer,
+            other => other,
+        },
+        other => RouteClass::from_neighbor(other.reverse()),
+    }
+}
+
+/// Dense per-node prepending policies for `spec`: one hash lookup per
+/// *configured* AS per pass instead of one per exporting node. Empty when
+/// nobody pads — callers index with `pad.get(i).copied().flatten()`.
+fn pad_table<'s>(graph: &AsGraph, spec: &'s DestinationSpec) -> Vec<Option<&'s PrependingPolicy>> {
+    if spec.prepending().is_empty() {
+        return Vec::new();
+    }
+    let mut pad = vec![None; graph.len()];
+    for (asn, policy) in spec.prepending().iter() {
+        if let Some(idx) = graph.index_of(asn) {
+            pad[idx] = Some(policy);
+        }
+    }
+    pad
+}
+
+/// What one pass reads and writes besides its route table. Its methods are
+/// the export side of the loop in [`propagate`]; `DELTA` selects the delta
+/// pass's clean-key pruning at compile time (`keys` is empty and unread
+/// otherwise).
+struct PassCtx<'a, P> {
+    tie: TieBreak,
+    csr: &'a CsrIndex,
+    pad: Vec<Option<&'a PrependingPolicy>>,
+    queue: &'a mut BucketQueue,
+    scratch: &'a mut [NodeScratch],
+    /// The clean pass's [`pack_pref`] key per node.
+    keys: &'a [u128],
+    epoch: u32,
+    policy: &'a P,
+    facts: AttackFacts,
+}
+
+impl<P: DefensePolicy> PassCtx<'_, P> {
+    /// Offers the route `node` holds — `len` hops, attacker-derived when
+    /// `via` — to every kind of neighbor `row` has a class for. Each step adds
+    /// the exporter's own ASN plus whatever it pads toward that neighbor.
+    fn export<const DELTA: bool>(
+        &mut self,
+        node: usize,
+        row: [Option<RouteClass>; 4],
+        len: u32,
+        via: bool,
+    ) {
+        let csr = self.csr;
+        let pad_policy = self.pad.get(node).copied().flatten();
+        let tie_key = tie_key_for(self.tie, via, csr.asn_at(node));
+        for &entry in csr.neighbors(node) {
+            let Some(class) = row[entry.rel() as usize] else {
+                continue;
+            };
+            let x = entry.node();
+            let len =
+                len + 1 + pad_policy.map_or(0, |p| p.extra_for(csr.asn_at(x as usize))) as u32;
+            if via {
+                self.offer::<DELTA, true>(class, len, tie_key, node as u32, x);
+            } else {
+                self.offer::<DELTA, false>(class, len, tie_key, node as u32, x);
+            }
+        }
+    }
+
+    /// The push-time filter: drops offers to settled, on-chain (when `VIA`)
+    /// or — in the delta pass — clean-dominated targets, then applies the
+    /// lazy decrease-key (an offer that does not beat the best one already
+    /// queued for its node is redundant: the better offer pops first and
+    /// settles the node the same way). The mutable state it reads lives in
+    /// the target's single [`NodeScratch`] entry.
+    ///
+    /// When `VIA` (an attacker-derived offer) and the policy is not the
+    /// compile-time `NOOP`, the receiver's [`DefensePolicy`] is consulted
+    /// before anything else is recorded: a rejected offer vanishes as if the
+    /// export never happened — it neither queues nor clobbers the lazy
+    /// decrease-key rank. The `!P::NOOP` guard is a constant, so the default
+    /// monomorphization compiles to the exact pre-policy hot path.
+    #[inline]
+    fn offer<const DELTA: bool, const VIA: bool>(
+        &mut self,
+        class: RouteClass,
+        len: u32,
+        tie_key: (u8, u32),
+        parent: u32,
+        node: u32,
+    ) {
+        let s = &mut self.scratch[node as usize];
+        if s.adopted_epoch == self.epoch || (VIA && s.chain_epoch == self.epoch) {
+            return;
+        }
+        if VIA
+            && !P::NOOP
+            && !self
+                .policy
+                .accepts_attacker_route(node as usize, class, &self.facts)
+        {
+            return;
+        }
+        let pref = pack_pref(class, len, tie_key);
+        if DELTA && self.keys[node as usize] < pref {
+            return;
+        }
+        // `offer_rank` is the packed preference key extended by the remaining
+        // `Ord` fields, so it can be derived instead of re-packed.
+        let rank = (pref << 33) | ((parent as u128) << 1) | u128::from(VIA);
+        if s.offer_epoch == self.epoch && s.offer_rank <= rank {
+            counters::incr(Counter::FilterDrop);
+            return;
+        }
+        s.offer_epoch = self.epoch;
+        s.offer_rank = rank;
+        self.queue
+            .push(class, len, pack_bucket_rank(tie_key, node, parent, VIA));
+    }
+}
+
+/// The label-correcting Dijkstra of the engine docs — the only function that
+/// pops the queue. A full pass (`DELTA = false`, no `delta_from`) starts from
+/// an all-absent table and settles the victim; a delta pass starts from the
+/// clean table and its packed keys. Either then pins the attacker (none in a
+/// clean pass), exports the path it claims and settles labels in preference
+/// order, `policy` filtering attacker-derived offers at their receivers.
+///
+/// Only a delta pass returns `None`: an adoption [`worsened`] the route it
+/// replaced, and the caller must run the full pass. A delta pass that
+/// survives is bit-identical to the full pass for the same seed.
+pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
+    graph: &AsGraph,
+    spec: &DestinationSpec,
+    v_idx: usize,
+    ws: &mut RouteWorkspace,
+    attack: Option<&AttackSeed>,
+    delta_from: Option<(&Pass, &[u128])>,
+    policy: &P,
+) -> Option<Pass> {
+    debug_assert_eq!(DELTA, delta_from.is_some());
+    let tie = spec.tie_break_rule();
+    ws.begin_pass(graph.len(), attack.map_or(&[][..], |a| &a.chain));
+    let (mut best, keys) = match delta_from {
+        Some((clean, keys)) => (clean.clone(), keys),
+        None => (Pass::absent(graph.len()), &[][..]),
+    };
+    let mut cx = PassCtx {
+        tie,
+        csr: graph.csr(),
+        pad: pad_table(graph, spec),
+        queue: &mut ws.queue,
+        scratch: &mut ws.scratch[..],
+        keys,
+        epoch: ws.epoch,
+        policy,
+        facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
+    };
+
+    // The victim's route is final from the start: `Origin` in a full pass,
+    // its clean copy in a delta pass.
+    cx.scratch[v_idx].adopted_epoch = cx.epoch;
+    if !DELTA {
+        let origin = NodeRoute {
+            class: RouteClass::Origin,
+            len: 0,
+            parent: None,
+            via_attacker: false,
+        };
+        best.set(v_idx, Some(origin));
+        cx.export::<DELTA>(v_idx, export_row(RouteClass::Origin), 0, false);
+    }
+    // Attacker: pin its clean route and export the path it claims instead.
+    if let Some(att) = attack {
+        best.set(att.m_idx, Some(att.pinned));
+        cx.scratch[att.m_idx].adopted_epoch = cx.epoch;
+        cx.export::<DELTA>(att.m_idx, att.export_row(), att.base_len, true);
+    }
+
+    let mut frontier = 0u64;
+    while let Some(label) = cx.queue.pop() {
+        let node = label.node as usize;
+        if cx.scratch[node].adopted_epoch == cx.epoch {
+            // Settled by a more preferred label.
+            continue;
+        }
+        // Chain-masked targets were filtered at push (loop prevention).
+        debug_assert!(!label.via_attacker || cx.scratch[node].chain_epoch != cx.epoch);
+        if DELTA {
+            debug_assert!(label.via_attacker, "the delta frontier is all-malicious");
+            // Re-rank against the clean key (the push-time filter only
+            // dropped strict losers): a loser stops the frontier, a tie
+            // adopts, and an adoption that `worsened` its route voids the
+            // whole attempt. (`PACKED_NO_CLEAN` keys pass both checks: they
+            // rank last and their length is `u32::MAX`.)
+            let clean_key = keys[node];
+            if clean_key < pack_pref(label.class, label.len, label.tie_key) {
+                continue;
+            }
+            if clean_key != PACKED_NO_CLEAN && worsened(tie, label.len, packed_len(clean_key)) {
+                return None;
+            }
+            frontier += 1;
+        }
+        cx.scratch[node].adopted_epoch = cx.epoch;
+        let route = NodeRoute {
+            class: label.class,
+            len: label.len,
+            parent: Some(label.parent as usize),
+            via_attacker: label.via_attacker,
+        };
+        best.set(node, Some(route));
+        // The attacker itself never reaches this point: it was settled (and
+        // chain-masked) above, so its pinned route is never re-exported —
+        // only the claimed one is.
+        debug_assert!(attack.is_none_or(|a| a.m_idx != node));
+        let row = export_row(label.class);
+        cx.export::<DELTA>(node, row, label.len, label.via_attacker);
+    }
+    if DELTA {
+        counters::add(Counter::DeltaFrontierNode, frontier);
+    }
+    Some(best)
+}

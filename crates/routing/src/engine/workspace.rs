@@ -1,0 +1,410 @@
+//! Reusable per-thread pass state: the epoch-stamped [`NodeScratch`] table
+//! every pass filters its offers through, and the [`RouteWorkspace`] that
+//! owns it together with the label queue and the clean-pass cache.
+
+use std::sync::Arc;
+
+use aspp_obs::counters::{self, Counter};
+use aspp_topology::AsGraph;
+use aspp_types::Asn;
+
+use super::propagate::{pack_pref, propagate, tie_key_for, PACKED_NO_CLEAN};
+use super::queue::BucketQueue;
+use super::route::Pass;
+use super::spec::DestinationSpec;
+use crate::decision::TieBreak;
+use crate::policy::NoDefense;
+use crate::prepend::PrependConfig;
+
+/// All per-node scratch state of one propagation pass, packed into 32
+/// aligned bytes so the per-edge push filter costs one random memory access
+/// instead of four and the whole table stays L1-resident on paper-scale
+/// topologies.
+///
+/// The epochs implement O(1) whole-array invalidation: a field is live only
+/// while its epoch equals the workspace's current pass epoch, so starting a
+/// new pass is one counter bump and nothing is re-zeroed. (A `u32` epoch
+/// wraps after 2³² passes; [`RouteWorkspace::begin_pass`] re-zeroes the
+/// table at the wrap so stale stamps can never collide.)
+///
+/// * `offer_rank` (with `offer_epoch`) is a lazy decrease-key: the best
+///   offer rank queued for this node so far. An offer that does not
+///   beat it is provably redundant — the recorded offer pops first (same
+///   node, and the rank order is `Ord` order) and settles the node the same
+///   way — so it is dropped at push. Strict `(class, len)` scan progress
+///   guarantees nothing better can arrive after adoption.
+/// * `chain_epoch` marks membership in the attacker's claimed AS chain
+///   (loop prevention); `adopted_epoch` marks a settled node — finalized in
+///   the full pass, adopted-malicious in the delta pass.
+///
+/// The delta pass's clean-route ranking table deliberately lives *outside*
+/// this struct (see [`CleanEntry::keys`]): the clean and full passes never
+/// read it, and keeping it out halves their scratch footprint.
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(align(32))]
+pub(super) struct NodeScratch {
+    pub(super) offer_rank: u128,
+    pub(super) offer_epoch: u32,
+    pub(super) chain_epoch: u32,
+    pub(super) adopted_epoch: u32,
+}
+
+/// One memoized clean (no-attack) pass, keyed by everything that influences
+/// it: the victim, the prepending configuration and the tie-break rule.
+///
+/// The pass itself is behind an [`Arc`] so a cache hit hands out a shared
+/// reference instead of cloning the whole route table, and `keys` memoizes
+/// the delta pass's packed clean-route ranking table (built lazily on the
+/// first delta attempt against this equilibrium, then reused by every later
+/// one).
+#[derive(Clone, Debug)]
+struct CleanEntry {
+    victim: Asn,
+    tie: TieBreak,
+    prepend: Arc<PrependConfig>,
+    pass: Arc<Pass>,
+    keys: Option<Arc<[u128]>>,
+}
+
+impl CleanEntry {
+    /// Whether this entry is `spec`'s clean equilibrium.
+    fn holds(&self, spec: &DestinationSpec) -> bool {
+        (self.victim, self.tie, &self.prepend) == spec.clean_key()
+    }
+}
+
+/// Reusable per-thread scratch state for route computation.
+///
+/// [`RoutingEngine::compute`] starts from cold scratch state and, when an
+/// attacker is present, recomputes the clean (no-attack) equilibrium for
+/// every call. Sweeps — λ sweeps, attacker-placement sweeps, detection
+/// evaluations — issue thousands of such calls against the same victim, so a
+/// `RouteWorkspace` keeps three things alive across calls:
+///
+/// * the bucket-queue label scheduler, so its buckets are reused instead of
+///   regrown;
+/// * the per-node `NodeScratch` table (offer ranks, adoption/chain epoch
+///   stamps — epoch-stamped, never re-zeroed); and
+/// * a small LRU cache of clean passes keyed by `(victim, prepending
+///   config, tie-break)` — each entry `Arc`-shares its route table (hits
+///   never clone it) and lazily memoizes the packed clean-key ranking table,
+///   so repeated computations over the same victim skip the redundant clean
+///   pass entirely and give the **delta attacked pass** its starting
+///   equilibrium and pruning keys for free.
+///
+/// Results are **bit-identical** to [`RoutingEngine::compute`]: the clean
+/// pass is deterministic, so replaying a cached copy and recomputing it
+/// produce the same routes, and the delta pass falls back to the full
+/// second pass whenever incremental re-convergence could diverge. The cache
+/// watches the graph's [`version`](AsGraph::version) and is dropped
+/// automatically if the workspace is reused against a mutated (or
+/// different) graph.
+///
+/// A workspace is cheap to construct and intended to live one-per-thread;
+/// it is `Send` but not shared (`&mut` access only).
+///
+/// [`RoutingEngine::compute`]: crate::RoutingEngine::compute
+///
+/// # Example
+///
+/// ```
+/// use aspp_routing::{DestinationSpec, RouteWorkspace, RoutingEngine};
+/// use aspp_topology::AsGraph;
+/// use aspp_types::Asn;
+///
+/// let mut graph = AsGraph::new();
+/// graph.add_provider_customer(Asn(1), Asn(2)).unwrap();
+/// let engine = RoutingEngine::new(&graph);
+/// let mut ws = RouteWorkspace::new();
+/// for pad in 1..4 {
+///     let spec = DestinationSpec::new(Asn(2)).origin_padding(pad);
+///     let outcome = engine.compute_with(&spec, &mut ws);
+///     assert!(outcome.route(Asn(1)).is_some());
+/// }
+/// ```
+#[derive(Debug)]
+pub struct RouteWorkspace {
+    pub(super) queue: BucketQueue,
+    /// One [`NodeScratch`] per node; all epoch fields key off `epoch`.
+    pub(super) scratch: Vec<NodeScratch>,
+    pub(super) epoch: u32,
+    clean_cache: Vec<CleanEntry>,
+    cache_capacity: usize,
+    /// Address, mutation counter and node count of the graph the cached
+    /// passes were computed against: a workspace reused across graphs (or
+    /// across mutations of one graph) drops its stale cache instead of
+    /// serving wrong routes.
+    stamp: Option<(usize, u64, usize)>,
+    hits: u64,
+    misses: u64,
+    pub(super) delta_passes: u64,
+    pub(super) delta_fallbacks: u64,
+    scratch_reuses: u64,
+}
+
+impl Default for RouteWorkspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl RouteWorkspace {
+    /// Clean-pass cache capacity used by [`new`](Self::new): large enough to
+    /// hold every λ of a Figure-9-style sweep with room to spare, small
+    /// enough that the linear key scan stays trivial.
+    pub const DEFAULT_CACHE_CAPACITY: usize = 32;
+
+    /// A workspace with the default clean-pass cache capacity.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_cache_capacity(Self::DEFAULT_CACHE_CAPACITY)
+    }
+
+    /// A workspace whose clean-pass cache holds at most `capacity` passes
+    /// (`0` disables caching; the scheduler buckets are still reused).
+    #[must_use]
+    pub fn with_cache_capacity(capacity: usize) -> Self {
+        RouteWorkspace {
+            queue: BucketQueue::default(),
+            scratch: Vec::new(),
+            epoch: 0,
+            clean_cache: Vec::new(),
+            cache_capacity: capacity,
+            stamp: None,
+            hits: 0,
+            misses: 0,
+            delta_passes: 0,
+            delta_fallbacks: 0,
+            scratch_reuses: 0,
+        }
+    }
+
+    /// Drops all cached passes, keeping the configured capacity, the
+    /// counters, and — deliberately — every scratch allocation (scheduler
+    /// buckets, scratch table, cache slots), so a cleared workspace computes
+    /// again without growing the heap.
+    pub fn clear(&mut self) {
+        self.clean_cache.clear();
+        self.stamp = None;
+    }
+
+    /// Number of clean passes served from cache so far.
+    #[must_use]
+    pub fn cache_hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Number of clean passes that had to be computed (cache misses, plus
+    /// every pass when caching is disabled).
+    #[must_use]
+    pub fn cache_misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Number of clean passes currently held in the cache.
+    #[must_use]
+    pub fn cached_passes(&self) -> usize {
+        self.clean_cache.len()
+    }
+
+    /// Number of attacked passes served by delta re-convergence.
+    #[must_use]
+    pub fn delta_passes(&self) -> u64 {
+        self.delta_passes
+    }
+
+    /// Number of attacked passes where the delta pass detected the
+    /// non-monotone corner (an adoption that worsened the route it replaced)
+    /// and fell back to a full propagation.
+    #[must_use]
+    pub fn delta_fallbacks(&self) -> u64 {
+        self.delta_fallbacks
+    }
+
+    /// Number of passes that started by epoch-bumping an already-sized
+    /// scratch table instead of growing it — the amortization the batch
+    /// engine ([`crate::batch`]) buys by keeping one workspace alive across
+    /// many victims.
+    #[must_use]
+    pub fn scratch_reuses(&self) -> u64 {
+        self.scratch_reuses
+    }
+
+    /// Starts a fresh propagation pass over a graph of `n` nodes: empties
+    /// the queue (a voided delta attempt leaves labels behind), bumps the
+    /// pass epoch (retiring every offer, adoption and chain mark in O(1),
+    /// without re-zeroing the scratch array) and marks `chain` as the
+    /// attacker's claimed AS chain.
+    pub(super) fn begin_pass(&mut self, n: usize, chain: &[usize]) {
+        self.queue.clear();
+        if self.scratch.len() < n {
+            self.scratch.resize(n, NodeScratch::default());
+        } else if n > 0 {
+            self.scratch_reuses += 1;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // u32 wrap: re-zero once so stale stamps can't alias epoch 1.
+            self.scratch.fill(NodeScratch::default());
+            self.epoch = 1;
+        }
+        for &i in chain {
+            self.scratch[i].chain_epoch = self.epoch;
+        }
+    }
+
+    /// Looks up (or computes and caches) the clean equilibrium for `spec`.
+    /// Hits cost one `Arc` bump — the route table itself is shared, never
+    /// cloned. A capacity-0 workspace holds nothing, so every call misses.
+    pub(super) fn clean_pass(
+        &mut self,
+        graph: &AsGraph,
+        spec: &DestinationSpec,
+        v_idx: usize,
+    ) -> Arc<Pass> {
+        let stamp = (
+            std::ptr::from_ref(graph) as usize,
+            graph.version(),
+            graph.len(),
+        );
+        if self.stamp != Some(stamp) {
+            self.clean_cache.clear();
+            self.stamp = Some(stamp);
+        }
+        if let Some(pos) = self.clean_cache.iter().position(|e| e.holds(spec)) {
+            self.hits += 1;
+            counters::incr(Counter::CleanCacheHit);
+            // Move-to-front LRU; the cache is small, so the rotate is cheap.
+            self.clean_cache[..=pos].rotate_right(1);
+            return Arc::clone(&self.clean_cache[0].pass);
+        }
+        self.misses += 1;
+        counters::incr(Counter::CleanCacheMiss);
+        let pass = propagate::<false, _>(graph, spec, v_idx, self, None, None, &NoDefense)
+            .expect("only a delta pass aborts");
+        let pass = Arc::new(pass);
+        if self.cache_capacity > 0 {
+            self.clean_cache.truncate(self.cache_capacity - 1);
+            let (victim, tie, prepend) = spec.clean_key();
+            self.clean_cache.insert(
+                0,
+                CleanEntry {
+                    victim,
+                    tie,
+                    prepend: Arc::clone(prepend),
+                    pass: Arc::clone(&pass),
+                    keys: None,
+                },
+            );
+        }
+        pass
+    }
+
+    /// The delta pass's clean-route ranking table for `clean`: every node's
+    /// [`pack_pref`]-packed clean preference key ([`PACKED_NO_CLEAN`] where
+    /// it has no clean route). Memoized on the pass's [`CleanEntry`] so a λ
+    /// sweep's repeated delta passes over one cached equilibrium build it
+    /// exactly once; with caching disabled it is rebuilt per call.
+    pub(super) fn clean_keys(
+        &mut self,
+        graph: &AsGraph,
+        spec: &DestinationSpec,
+        clean: &Pass,
+    ) -> Arc<[u128]> {
+        let tie = spec.tie_break_rule();
+        let build = || {
+            clean
+                .iter()
+                .map(|r| match r {
+                    Some(c) => {
+                        let p_asn = c.parent.map_or(Asn(0), |p| graph.asn_at(p));
+                        pack_pref(c.class, c.len, tie_key_for(tie, false, p_asn))
+                    }
+                    None => PACKED_NO_CLEAN,
+                })
+                .collect()
+        };
+        // `clean_pass` just ran, so on a cache-enabled workspace the front
+        // entry is exactly this equilibrium.
+        match self.clean_cache.first_mut() {
+            Some(e) if e.holds(spec) => Arc::clone(e.keys.get_or_insert_with(build)),
+            _ => build(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests_support::facebook_graph;
+    use crate::engine::{AttackerModel, RoutingEngine};
+    use aspp_topology::gen::InternetConfig;
+    use aspp_types::well_known;
+
+    #[test]
+    fn workspace_results_bit_identical_with_cache_hits() {
+        let graph = InternetConfig::small().seed(5).build();
+        let engine = RoutingEngine::new(&graph);
+        let asns: Vec<Asn> = graph.asns().collect();
+        let (victim, attacker) = (asns[3], asns[asns.len() - 2]);
+        assert_ne!(victim, attacker);
+        let mut ws = RouteWorkspace::new();
+        for _round in 0..3 {
+            for pad in 1..5 {
+                let spec = DestinationSpec::new(victim)
+                    .origin_padding(pad)
+                    .attacker(AttackerModel::new(attacker));
+                let fresh = engine.compute(&spec);
+                let reused = engine.compute_with(&spec, &mut ws);
+                for asn in graph.asns() {
+                    assert_eq!(fresh.route(asn), reused.route(asn));
+                    assert_eq!(fresh.observed_path(asn), reused.observed_path(asn));
+                }
+            }
+        }
+        // Four distinct (victim, padding) keys; rounds two and three hit.
+        assert_eq!(ws.cache_misses(), 4);
+        assert_eq!(ws.cache_hits(), 8);
+    }
+
+    #[test]
+    fn workspace_cache_dropped_on_graph_mutation() {
+        use well_known::*;
+        let mut graph = facebook_graph();
+        let mut ws = RouteWorkspace::new();
+        {
+            let engine = RoutingEngine::new(&graph);
+            let spec = DestinationSpec::new(FACEBOOK).origin_padding(2);
+            let _ = engine.compute_with(&spec, &mut ws);
+            let _ = engine.compute_with(&spec, &mut ws);
+            assert_eq!(ws.cache_hits(), 1);
+        }
+        graph.add_provider_customer(ATT, Asn(65_000)).unwrap();
+        {
+            let engine = RoutingEngine::new(&graph);
+            let spec = DestinationSpec::new(FACEBOOK).origin_padding(2);
+            let out = engine.compute_with(&spec, &mut ws);
+            assert!(out.route(Asn(65_000)).is_some());
+            assert_eq!(ws.cache_hits(), 1, "stale pass must not be served");
+            assert_eq!(ws.cached_passes(), 1);
+        }
+    }
+
+    #[test]
+    fn workspace_cache_respects_capacity() {
+        let g = facebook_graph();
+        let engine = RoutingEngine::new(&g);
+        let mut ws = RouteWorkspace::with_cache_capacity(2);
+        for pad in [1usize, 2, 3, 1] {
+            let spec = DestinationSpec::new(well_known::FACEBOOK).origin_padding(pad);
+            let _ = engine.compute_with(&spec, &mut ws);
+        }
+        // LRU of capacity 2: pad=1 was evicted by pad=3, so the final pad=1
+        // call misses again.
+        assert_eq!(ws.cached_passes(), 2);
+        assert_eq!(ws.cache_hits(), 0);
+        assert_eq!(ws.cache_misses(), 4);
+        ws.clear();
+        assert_eq!(ws.cached_passes(), 0);
+    }
+}

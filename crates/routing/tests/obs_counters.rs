@@ -13,6 +13,7 @@ use std::sync::Mutex;
 
 use aspp_obs::counters::Counter;
 use aspp_obs::MetricsSnapshot;
+use aspp_routing::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
 use aspp_routing::{
     AttackerModel, BatchRunner, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine,
     TieBreak,
@@ -124,6 +125,21 @@ fn delta_pass_and_fallback_counts_are_exact() {
     let graph = dual_homed();
     let engine = RoutingEngine::new(&graph);
     let mut ws = RouteWorkspace::new();
+    // The labels one compute pushed and the offers its lazy decrease-key
+    // dropped: the work of the one propagation loop, pinned per kind of pass
+    // so an edit to it cannot change the work silently.
+    let mut work = |spec: &DestinationSpec, policy: Option<&DeployedPolicy>| {
+        let before = MetricsSnapshot::capture();
+        let _ = match policy {
+            Some(policy) => engine.compute_with_policy(spec, &mut ws, policy),
+            None => engine.compute_with(spec, &mut ws),
+        };
+        let delta = MetricsSnapshot::capture().since(&before);
+        (
+            delta.get(Counter::QueuePush),
+            delta.get(Counter::FilterDrop),
+        )
+    };
 
     let before = MetricsSnapshot::capture();
     // λ=4 under the default tie-break: stripping to one origin copy
@@ -131,21 +147,32 @@ fn delta_pass_and_fallback_counts_are_exact() {
     // Three runs = three delta passes (the first also pays the clean-pass
     // miss).
     let spec = attacked_spec(4);
-    for _ in 0..3 {
-        let _ = engine.compute_with(&spec, &mut ws);
-    }
+    let cold = work(&spec, None);
+    let _ = work(&spec, None);
+    let surviving_delta = work(&spec, None);
     // λ=1: nothing to strip, so the attacker's length-3 customer-class
     // offer displaces AS5's length-2 peer-class clean route — policy beats
     // length, the adoption lengthens the route, and the delta attempt
     // aborts mid-flight: a deterministic delta→full fallback, every run.
     let corner = attacked_spec(1);
-    let _ = engine.compute_with(&corner, &mut ws);
-    let _ = engine.compute_with(&corner, &mut ws);
+    let _ = work(&corner, None);
+    let aborted_delta_then_full = work(&corner, None);
     // Under PreferClean the same seed cannot strictly shorten the
     // attacker's own exports, so delta is not applicable at all: the full
     // pass runs directly and nothing is counted as an attempt.
-    let _ = engine.compute_with(&corner.tie_break(TieBreak::PreferClean), &mut ws);
+    let prefer_clean = corner.tie_break(TieBreak::PreferClean);
+    let _ = work(&prefer_clean, None);
+    let full_only = work(&prefer_clean, None);
     let delta = MetricsSnapshot::capture().since(&before);
+    // ASPA everywhere on the λ=4 attack: policied, so a full pass too, and
+    // AS5 rejects the provider-learned route the attacker re-announces.
+    let aspa = DeployedPolicy::new(
+        PolicyKind::Aspa,
+        DeploymentMap::from_indices(graph.len(), 0..graph.len()),
+    );
+    let before = MetricsSnapshot::capture();
+    let policied = work(&spec, Some(&aspa));
+    let policy = MetricsSnapshot::capture().since(&before);
 
     assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (3, 2));
     if MetricsSnapshot::compiled_in() {
@@ -157,6 +184,22 @@ fn delta_pass_and_fallback_counts_are_exact() {
         // AS5 and its stub AS6 onto the attacker: 2 frontier nodes × 3
         // passes.
         assert_eq!(delta.get(Counter::DeltaFrontierNode), 6);
+        // (queue_pushes, filter_drops) per kind of pass, read off the
+        // two-loop engine this one replaced. Clean pass + delta: AS2→AS1,
+        // AS1→{AS3, AS5}, AS5→AS6 (AS5's offer back to AS3 loses to AS1's),
+        // then the attacker's offer to AS5 and AS5's to AS6.
+        assert_eq!(cold, (6, 1));
+        assert_eq!(surviving_delta, (2, 0));
+        // The voided attempt pushed the attacker's offer to AS5; the full
+        // pass pushes it again beside AS2→AS1 and AS5→AS6, and AS1's
+        // peer-class offer to AS5 loses to it at the filter.
+        assert_eq!(aborted_delta_then_full, (4, 1));
+        assert_eq!(full_only, (3, 1));
+        // AS1 is on the chain and AS5 refuses, so the attack pushes nothing:
+        // the three labels are the clean routes of AS1, AS5 and AS6.
+        assert_eq!(policied, (3, 0));
+        assert_eq!(policy.get(Counter::PolicyCheck), 1);
+        assert_eq!(policy.get(Counter::PolicyReject), 1);
     } else {
         assert!(delta.is_empty(), "disabled build must report empty metrics");
     }
@@ -180,6 +223,7 @@ fn queue_counters_track_propagation_work() {
         // labels total, all short enough for the buckets.
         assert_eq!(delta.get(Counter::QueuePush), 3);
         assert_eq!(delta.get(Counter::QueueSpill), 0);
+        assert_eq!(delta.get(Counter::FilterDrop), 0);
         assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
     } else {
         assert!(delta.is_empty(), "disabled build must report empty metrics");

@@ -15,81 +15,13 @@
 //! With this module a user can run every experiment in this workspace on a
 //! real CAIDA `as-rel` snapshot instead of the synthetic generator.
 
-use std::fmt;
-
 use aspp_types::{Asn, AsppError, IngestReport, Relationship};
 
 use crate::{AsGraph, GraphError};
 
-/// Error from [`from_caida`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseTopologyError {
-    line_no: usize,
-    message: String,
-}
-
-impl ParseTopologyError {
-    fn new(line_no: usize, message: impl Into<String>) -> Self {
-        ParseTopologyError {
-            line_no,
-            message: message.into(),
-        }
-    }
-
-    /// 1-based line number of the offending record.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line_no
-    }
-}
-
-impl fmt::Display for ParseTopologyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "topology parse error at line {}: {}",
-            self.line_no, self.message
-        )
-    }
-}
-
-impl std::error::Error for ParseTopologyError {}
-
-impl From<ParseTopologyError> for AsppError {
-    fn from(e: ParseTopologyError) -> Self {
-        AsppError::at_line("topology", e.line_no, e.message)
-    }
-}
-
-/// Parses a CAIDA serial-2 style relationship file.
-///
-/// Duplicate links are tolerated when they agree and rejected when they
-/// conflict; self-loops are always rejected.
-///
-/// # Errors
-///
-/// Returns [`ParseTopologyError`] with the line number for malformed
-/// records, unknown relationship codes, self-loops, and conflicting
-/// duplicates.
-///
-/// # Example
-///
-/// ```
-/// use aspp_topology::io::from_caida;
-/// use aspp_types::{Asn, Relationship};
-///
-/// let text = "# as-rel\n3356|32934|-1\n7018|3356|0\n";
-/// let graph = from_caida(text).unwrap();
-/// assert_eq!(graph.relationship(Asn(3356), Asn(32934)), Some(Relationship::Customer));
-/// assert_eq!(graph.relationship(Asn(7018), Asn(3356)), Some(Relationship::Peer));
-/// ```
-pub fn from_caida(text: &str) -> Result<AsGraph, ParseTopologyError> {
-    parse_caida(text, true).map(|(graph, _)| graph)
-}
-
-/// Strict-mode [`from_caida`] with the workspace-uniform error type: rejects
-/// malformed records, unknown relationship codes, self-loops, and
-/// conflicting duplicate edges with a line-numbered [`AsppError`].
+/// Parses a CAIDA serial-2 style relationship file, strictly: malformed
+/// records, unknown relationship codes, self-loops and conflicting duplicate
+/// links are rejected (duplicates that agree are tolerated).
 ///
 /// # Errors
 ///
@@ -99,20 +31,25 @@ pub fn from_caida(text: &str) -> Result<AsGraph, ParseTopologyError> {
 ///
 /// ```
 /// use aspp_topology::io::from_caida_strict;
+/// use aspp_types::{Asn, Relationship};
+///
+/// let graph = from_caida_strict("# as-rel\n3356|32934|-1\n7018|3356|0\n").unwrap();
+/// assert_eq!(graph.relationship(Asn(3356), Asn(32934)), Some(Relationship::Customer));
+/// assert_eq!(graph.relationship(Asn(7018), Asn(3356)), Some(Relationship::Peer));
 ///
 /// let err = from_caida_strict("1|2|-1\n1|2|0\n").unwrap_err();
 /// assert_eq!(err.line(), Some(2));
 /// assert!(err.to_string().contains("conflicting"));
 /// ```
 pub fn from_caida_strict(text: &str) -> Result<AsGraph, AsppError> {
-    from_caida(text).map_err(AsppError::from)
+    parse_caida(text, true).map(|(graph, _)| graph)
 }
 
-/// Lenient-mode [`from_caida`]: never fails, instead *accounting* for every
-/// record in the returned [`IngestReport`] — malformed lines are skipped
-/// with a line-numbered note, and conflicting duplicate edges are resolved
-/// with deterministic first-wins precedence (the relationship seen first
-/// stays) and counted as conflicts. `report.total()` always equals the
+/// Lenient twin of [`from_caida_strict`]: never fails, instead *accounting*
+/// for every record in the returned [`IngestReport`] — malformed lines are
+/// skipped with a line-numbered note, and conflicting duplicate edges are
+/// resolved with deterministic first-wins precedence (the relationship seen
+/// first stays) and counted as conflicts. `report.total()` always equals the
 /// number of non-comment record lines: nothing is silently dropped.
 ///
 /// # Example
@@ -131,7 +68,7 @@ pub fn from_caida_lenient(text: &str) -> (AsGraph, IngestReport) {
     parse_caida(text, false).expect("lenient parse never fails")
 }
 
-fn parse_caida(text: &str, strict: bool) -> Result<(AsGraph, IngestReport), ParseTopologyError> {
+fn parse_caida(text: &str, strict: bool) -> Result<(AsGraph, IngestReport), AsppError> {
     let mut graph = AsGraph::new();
     let mut report = IngestReport::default();
     // In lenient mode a malformed record is skipped (with a note) where
@@ -139,7 +76,7 @@ fn parse_caida(text: &str, strict: bool) -> Result<(AsGraph, IngestReport), Pars
     macro_rules! reject {
         ($line_no:expr, $msg:expr) => {{
             if strict {
-                return Err(ParseTopologyError::new($line_no, $msg));
+                return Err(AsppError::at_line("topology", $line_no, $msg));
             }
             report.skip($line_no, $msg);
             continue;
@@ -179,7 +116,8 @@ fn parse_caida(text: &str, strict: bool) -> Result<(AsGraph, IngestReport), Pars
                 if graph.relationship(a, b) == Some(rel) {
                     report.accept();
                 } else if strict {
-                    return Err(ParseTopologyError::new(
+                    return Err(AsppError::at_line(
+                        "topology",
                         line_no,
                         format!("conflicting duplicate link {a}|{b}"),
                     ));
@@ -205,12 +143,12 @@ fn parse_caida(text: &str, strict: bool) -> Result<(AsGraph, IngestReport), Pars
 /// # Example
 ///
 /// ```
-/// use aspp_topology::io::{from_caida, to_caida};
+/// use aspp_topology::io::{from_caida_strict, to_caida};
 /// use aspp_topology::gen::InternetConfig;
 ///
 /// let graph = InternetConfig::small().seed(1).build();
 /// let text = to_caida(&graph);
-/// let reparsed = from_caida(&text).unwrap();
+/// let reparsed = from_caida_strict(&text).unwrap();
 /// assert_eq!(reparsed.len(), graph.len());
 /// assert_eq!(reparsed.link_count(), graph.link_count());
 /// ```
@@ -250,7 +188,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_every_link() {
         let graph = InternetConfig::small().seed(5).build();
-        let reparsed = from_caida(&to_caida(&graph)).unwrap();
+        let reparsed = from_caida_strict(&to_caida(&graph)).unwrap();
         assert_eq!(reparsed.len(), graph.len());
         for (a, b, rel) in graph.links() {
             assert_eq!(reparsed.relationship(a, b), Some(rel), "{a}|{b}");
@@ -259,7 +197,7 @@ mod tests {
 
     #[test]
     fn parses_all_relationship_codes() {
-        let g = from_caida("1|2|-1\n2|3|0\n3|4|2\n").unwrap();
+        let g = from_caida_strict("1|2|-1\n2|3|0\n3|4|2\n").unwrap();
         assert_eq!(g.relationship(Asn(1), Asn(2)), Some(Relationship::Customer));
         assert_eq!(g.relationship(Asn(2), Asn(1)), Some(Relationship::Provider));
         assert_eq!(g.relationship(Asn(2), Asn(3)), Some(Relationship::Peer));
@@ -268,15 +206,8 @@ mod tests {
 
     #[test]
     fn tolerates_agreeing_duplicates() {
-        let g = from_caida("1|2|-1\n1|2|-1\n").unwrap();
+        let g = from_caida_strict("1|2|-1\n1|2|-1\n").unwrap();
         assert_eq!(g.link_count(), 1);
-    }
-
-    #[test]
-    fn rejects_conflicting_duplicates() {
-        let err = from_caida("1|2|-1\n1|2|0\n").unwrap_err();
-        assert_eq!(err.line(), 2);
-        assert!(err.to_string().contains("conflicting"));
     }
 
     #[test]
@@ -289,15 +220,15 @@ mod tests {
             ("1|1|0", 1),
             ("# ok\n\n1|2|-1\nbroken", 4),
         ] {
-            let err = from_caida(text).unwrap_err();
-            assert_eq!(err.line(), line, "for {text:?}");
+            let err = from_caida_strict(text).unwrap_err();
+            assert_eq!(err.line(), Some(line), "for {text:?}");
         }
     }
 
     #[test]
     fn empty_and_comment_only_files_parse() {
-        assert!(from_caida("").unwrap().is_empty());
-        assert!(from_caida("# nothing here\n\n").unwrap().is_empty());
+        assert!(from_caida_strict("").unwrap().is_empty());
+        assert!(from_caida_strict("# nothing here\n\n").unwrap().is_empty());
     }
 
     #[test]
@@ -359,7 +290,7 @@ mod tests {
         fn prop_round_trip(seed in any::<u64>()) {
             let graph = InternetConfig::small()
                 .tier2_count(6).tier3_count(6).stub_count(10).seed(seed).build();
-            let reparsed = from_caida(&to_caida(&graph)).unwrap();
+            let reparsed = from_caida_strict(&to_caida(&graph)).unwrap();
             prop_assert_eq!(reparsed.link_count(), graph.link_count());
             for (a, b, rel) in graph.links() {
                 prop_assert_eq!(reparsed.relationship(a, b), Some(rel));

@@ -2,7 +2,7 @@
 
 use aspp_topology::gen::{InternetConfig, CONTENT_BASE, STUB_BASE, TIER1_BASE};
 use aspp_topology::infer::{consensus_infer, gao_infer, InferParams, InferenceAccuracy};
-use aspp_topology::io::{from_caida, to_caida};
+use aspp_topology::io::{from_caida_strict, to_caida};
 use aspp_topology::metrics::{degree_distribution, GraphStats};
 use aspp_topology::tier::{customer_cone, TierMap};
 use aspp_topology::AsGraph;
@@ -11,7 +11,7 @@ use aspp_types::{AsPath, Asn, Relationship};
 #[test]
 fn generated_internet_survives_caida_round_trip_with_tiers_intact() {
     let graph = InternetConfig::small().seed(123).build();
-    let reparsed = from_caida(&to_caida(&graph)).unwrap();
+    let reparsed = from_caida_strict(&to_caida(&graph)).unwrap();
     let tiers_a = TierMap::classify(&graph);
     let tiers_b = TierMap::classify(&reparsed);
     for asn in graph.asns() {

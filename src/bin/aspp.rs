@@ -476,6 +476,18 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// A λ flag (`--padding`, `--lambda`, `--lambda-max`), bounded where it
+    /// enters: no BGP UPDATE carries more than 65 535 ASNs, and past the
+    /// bound the run dies in an allocation (λ copies of the origin per
+    /// reconstructed path) or overflows the route table's 28-bit lengths.
+    fn lambda(&self, name: &str) -> Result<Option<usize>, String> {
+        const MAX: usize = 65_535;
+        match self.parsed::<usize>(name)? {
+            Some(n) if n > MAX => Err(format!("{name} must be at most {MAX}, got {n}")),
+            lambda => Ok(lambda),
+        }
+    }
+
     /// Records `graph`'s identity (size and structural fingerprint) in the
     /// manifest.
     fn record_topology(&mut self, graph: &AsGraph) {
@@ -600,7 +612,7 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
         Ok(Asn(raw.ok_or(format!("{name} ASN is required"))?))
     };
     let (victim, attacker) = (asn("--victim")?, asn("--attacker")?);
-    let padding = run.parsed::<usize>("--padding")?.unwrap_or(3);
+    let padding = run.lambda("--padding")?.unwrap_or(3);
     let keep = run.parsed::<usize>("--keep")?.unwrap_or(1);
     let config = match run.value("--scale").unwrap_or("small") {
         "small" => InternetConfig::small(),
@@ -1069,7 +1081,7 @@ fn cmd_sweep(run: &mut Run) -> Result<(), String> {
         Scale::Internet => 3,
         Scale::InternetSmoke => 2,
     });
-    let lambda_max = run.parsed::<usize>("--lambda-max")?.unwrap_or(8).max(1);
+    let lambda_max = run.lambda("--lambda-max")?.unwrap_or(8).max(1);
     let runner = run.runner()?;
     let graph = run.internet();
 
@@ -1158,7 +1170,7 @@ fn cmd_defense(run: &mut Run) -> Result<(), String> {
     if let Some(pairs) = run.parsed::<usize>("--pairs")? {
         config.pairs = pairs.max(1);
     }
-    if let Some(lambda) = run.parsed::<usize>("--lambda")? {
+    if let Some(lambda) = run.lambda("--lambda")? {
         config.lambda = lambda.max(1);
     }
     if let Some(raw) = run.value("--policy").filter(|&raw| raw != "all") {
@@ -1320,7 +1332,7 @@ fn cmd_gen(run: &mut Run) -> Result<(), String> {
 fn cmd_measure(run: &mut Run) -> Result<(), String> {
     let path = run.positional.ok_or("a corpus FILE is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let corpus = Corpus::parse(&text).map_err(|e| e.to_string())?;
+    let corpus = Corpus::parse_strict(&text).map_err(|e| format!("{path}: {e}"))?;
     let summary = measure::usage_summary(&corpus);
     out!(
         "monitors: {}   table entries: {}   updates: {}",

@@ -161,6 +161,37 @@ fn simulate_validates_inputs() {
 }
 
 #[test]
+fn lambda_flags_are_bounded_where_they_enter() {
+    let simulate = ["simulate", "--victim", "20000", "--attacker", "100"];
+    let cases: [(&[&str], &str); 3] = [
+        (&simulate, "--padding"),
+        (&["defense", "--scale", "smoke", "--pairs", "1"], "--lambda"),
+        (
+            &["sweep", "--scale", "smoke", "--pairs", "1"],
+            "--lambda-max",
+        ),
+    ];
+    for (command, flag) in cases {
+        // One past the bound, and the value that used to abort the process
+        // in a multi-gigabyte allocation.
+        for lambda in ["65536", "4294967296"] {
+            let out = aspp(&[command, &[flag, lambda]].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{flag} {lambda}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{flag} must be at most 65535")),
+                "{flag} {lambda}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{flag} {lambda}: {stderr}");
+        }
+    }
+    // The bound itself is a legal λ (and lands far into the spill heap).
+    let out = aspp(&[&simulate[..], &["--padding", "65535"]].concat());
+    assert!(out.status.success());
+    assert!(stdout(&out).contains("λ=65535"));
+}
+
+#[test]
 fn corpus_then_measure_round_trips() {
     let dir = std::env::temp_dir().join("aspp_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -12,7 +12,7 @@ fn corpus_pair() -> (Corpus, Corpus) {
         .monitors_top_degree(15)
         .seed(31337)
         .generate(&graph);
-    let reparsed = Corpus::parse(&corpus.to_text()).expect("own format parses");
+    let reparsed = Corpus::parse_strict(&corpus.to_text()).expect("own format parses");
     (corpus, reparsed)
 }
 

@@ -32,7 +32,7 @@ fn injected_attack_is_caught_from_the_replayed_stream() {
 
     // Round-trip through the on-disk format first: the detector consumes
     // exactly what a collector archive would contain.
-    let reloaded = Corpus::parse(&corpus.to_text()).unwrap();
+    let reloaded = Corpus::parse_strict(&corpus.to_text()).unwrap();
 
     let mut detector = StreamingDetector::new(&graph);
     detector.seed_from_corpus(&reloaded);
@@ -91,6 +91,6 @@ fn injection_skips_self_attacks() {
             .seed(7_009)
             .generate(&graph);
         // Always parseable regardless.
-        assert!(Corpus::parse(&corpus.to_text()).is_ok());
+        assert!(Corpus::parse_strict(&corpus.to_text()).is_ok());
     }
 }

@@ -61,7 +61,7 @@ proptest! {
     fn attacked_equivalence_on_random_internets(
         seed in any::<u64>(),
         pad in 2usize..6,
-        picks in (0usize..100, 0usize..100),
+        picks in (0usize..100, 0usize..100, 0usize..100),
         violate in any::<bool>(),
     ) {
         let graph = InternetConfig::small()
@@ -71,10 +71,15 @@ proptest! {
         let attacker = asns[picks.1 % asns.len()];
         if victim == attacker { return Ok(()); }
         let mode = if violate { ExportMode::ViolateValleyFree } else { ExportMode::Compliant };
-        let spec = DestinationSpec::new(victim)
-            .origin_padding(pad)
-            .attacker(AttackerModel::new(attacker).mode(mode));
+        let attacker = AttackerModel::new(attacker).mode(mode);
+        let spec = DestinationSpec::new(victim).origin_padding(pad).attacker(attacker);
         assert_equivalent(&graph, &spec);
+        // The same attack routed around a random AS: the one strategy whose
+        // rejection chain is not parent-closed, so it always takes the full
+        // attacked pass and no delta oracle ever sees it.
+        let poisoned = asns[picks.2 % asns.len()];
+        let poison = attacker.strategy(AttackStrategy::PoisonPath { poisoned });
+        assert_equivalent(&graph, &spec.attacker(poison));
     }
 
     #[test]
@@ -92,8 +97,9 @@ proptest! {
             AttackStrategy::ForgeDirect,
             AttackStrategy::OriginHijack,
         ][which];
-        // StripAllPadding is covered by the dedicated test below; the three
-        // above exercise the distinct export/poison paths.
+        // StripAllPadding is covered by the dedicated test below and
+        // PoisonPath by the one above; these three exercise the distinct
+        // export paths.
         let spec = DestinationSpec::new(victim)
             .origin_padding(4)
             .attacker(AttackerModel::new(attacker).strategy(strategy));

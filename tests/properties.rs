@@ -139,7 +139,7 @@ proptest! {
         let graph = InternetConfig::small()
             .tier2_count(8).tier3_count(8).stub_count(12).seed(seed).build();
         let corpus = CorpusConfig::new(prefixes).monitors_top_degree(6).seed(seed).generate(&graph);
-        let parsed = Corpus::parse(&corpus.to_text()).expect("own output parses");
+        let parsed = Corpus::parse_strict(&corpus.to_text()).expect("own output parses");
         prop_assert_eq!(parsed, corpus);
     }
 }
