@@ -173,9 +173,7 @@ impl fmt::Display for DefensePoint {
 ///
 /// Points are returned strategy-major, then policy, then fraction (in the
 /// caller's order), so consecutive runs of `fractions.len()` points form
-/// one ready-to-plot curve. Every equilibrium is audited against its own
-/// deployment map when auditing is enabled (`debug-audit` /
-/// `ASPP_AUDIT=1`).
+/// one ready-to-plot curve.
 ///
 /// # Panics
 ///
@@ -234,10 +232,7 @@ pub fn run_defense_sweep(
         .iter()
         .flat_map(|cell| exps.iter().map(|e| (e.to_spec(), Arc::clone(&cell.policy))))
         .collect();
-    let fractions_pair: Vec<(f64, f64)> = runner.run_with_policy(graph, &cells, |i, outcome| {
-        // No-op unless `debug-audit` / ASPP_AUDIT=1: check each policied
-        // equilibrium against its *own* deployment map.
-        aspp_routing::audit::check_outcome_with(outcome, &cells[i].1);
+    let fractions_pair: Vec<(f64, f64)> = runner.run_with_policy(graph, &cells, |_, outcome| {
         (outcome.baseline_fraction(), outcome.polluted_fraction())
     });
 

@@ -192,12 +192,10 @@ pub fn run_experiment(graph: &AsGraph, exp: &HijackExperiment) -> HijackImpact {
     impact_of(exp, &RoutingEngine::new(graph).compute(&exp.to_spec()))
 }
 
-/// Reduces a routing outcome to the experiment's impact metrics, auditing
-/// the equilibrium first (a no-op unless `debug-audit` / `ASPP_AUDIT=1`).
-/// Shared by [`run_experiment`] and [`run_experiments`], so both report
-/// identical numbers by construction.
+/// Reduces a routing outcome to the experiment's impact metrics. Shared by
+/// [`run_experiment`] and [`run_experiments`], so both report identical
+/// numbers by construction.
 fn impact_of(exp: &HijackExperiment, outcome: &RoutingOutcome<'_>) -> HijackImpact {
-    aspp_routing::audit::check_outcome(outcome);
     HijackImpact {
         experiment: *exp,
         before_fraction: outcome.baseline_fraction(),

@@ -4,17 +4,17 @@
 //! Every sweep here is the loop behind the impact figures — one attacked
 //! equilibrium per (victim, attacker) pair, reduced on the spot — so it
 //! rides the same [`BatchRunner`]: [`effective_attacks`] is this crate's one
-//! batch entry. It maps the experiments through the caller's runner, audits
-//! each equilibrium, drops the attacks that changed nothing
-//! ([`is_effective`]) and hands each survivor to a reducer on the worker
-//! that computed it. [`detect_attack`] and
-//! [`polluted_fraction_before_detection`] are the cold per-cell references,
-//! built from the same per-outcome functions the batch reducers use.
+//! batch entry. It maps the experiments through the caller's runner, drops
+//! the attacks that changed nothing ([`is_effective`]) and hands each
+//! survivor to a reducer on the worker that computed it. [`detect_attack`]
+//! and [`polluted_fraction_before_detection`] are the cold per-cell
+//! references, built from the same per-outcome functions the batch reducers
+//! use.
 
 use aspp_attack::HijackExperiment;
 use aspp_routing::{
-    audit, AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, PrependConfig,
-    PrependingPolicy, RoutingEngine, RoutingOutcome,
+    AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, PrependConfig, PrependingPolicy,
+    RoutingEngine, RoutingOutcome,
 };
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn};
@@ -32,25 +32,6 @@ use crate::view::RouteView;
 #[must_use]
 pub fn is_effective(outcome: &RoutingOutcome<'_>) -> bool {
     outcome.has_attack() && outcome.polluted_count() > 0 && outcome.changed_count() > 0
-}
-
-/// [`BatchRunner::run`] with every equilibrium audited before it is reduced
-/// (a no-op unless `debug-audit` / `ASPP_AUDIT=1`): the detection
-/// evaluation only ever judges invariant-clean equilibria.
-fn run_audited<'g, T, F>(
-    graph: &'g AsGraph,
-    specs: &[DestinationSpec],
-    runner: &BatchRunner,
-    reduce: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &RoutingOutcome<'g>) -> T + Sync,
-{
-    runner.run(graph, specs, |i, outcome| {
-        audit::check_outcome(outcome);
-        reduce(i, outcome)
-    })
 }
 
 /// Computes every experiment's attacked equilibrium through `runner` and
@@ -91,12 +72,13 @@ where
 {
     let _span = aspp_obs::trace::span("detect.effective_attacks");
     let specs: Vec<DestinationSpec> = exps.iter().map(HijackExperiment::to_spec).collect();
-    run_audited(graph, &specs, runner, |i, outcome| {
-        is_effective(outcome).then(|| reduce(&exps[i], outcome))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    runner
+        .run(graph, &specs, |i, outcome| {
+            is_effective(outcome).then(|| reduce(&exps[i], outcome))
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// The before/after views of `outcome` as seen from `monitors`.
@@ -150,7 +132,6 @@ fn verdict(
 pub fn detect_attack(graph: &AsGraph, exp: &HijackExperiment, monitors: &[Asn]) -> DetectionResult {
     let _span = aspp_obs::trace::span("detect.attack");
     let outcome = RoutingEngine::new(graph).compute(&exp.to_spec());
-    audit::check_outcome(&outcome);
     if !is_effective(&outcome) {
         return DetectionResult {
             feasible: outcome.has_attack(),
@@ -314,7 +295,6 @@ pub fn polluted_fraction_before_detection(
 ) -> Option<f64> {
     let _span = aspp_obs::trace::span("detect.polluted_before_detection");
     let outcome = RoutingEngine::new(graph).compute(&exp.to_spec());
-    audit::check_outcome(&outcome);
     if !is_effective(&outcome) {
         return None;
     }
@@ -370,7 +350,7 @@ pub fn false_positive_rate(
         })
         .flatten()
         .collect();
-    let views = run_audited(graph, &specs, runner, |_, outcome| {
+    let views = runner.run(graph, &specs, |_, outcome| {
         RouteView::from_paths(monitors.iter().filter_map(|&m| outcome.observed_path(m)))
     });
     let detector = Detector::new(graph);
@@ -409,7 +389,7 @@ pub fn visibility_matrix(
             .attacker(AttackerModel::new(attacker).strategy(strategy))
     });
     let detector = Detector::new(graph);
-    run_audited(graph, &specs, runner, |i, outcome| {
+    runner.run(graph, &specs, |i, outcome| {
         let (before, after) = monitor_views(outcome, monitors);
         let report = VisibilityReport {
             moas: detect_moas(&before, &after).is_some(),

@@ -122,41 +122,15 @@ pub(crate) fn read_u64(bytes: &[u8], at: usize) -> u64 {
 }
 
 /// A checksum-validated frame whose fields have *not* been decoded yet — a
-/// zero-copy view borrowing the wire buffer.
-///
-/// This is the currency of the pipeline's batched dispatch: the dispatcher
-/// validates frame boundaries and checksums once ([`scan_frames`]), reads
-/// only the routing fields it needs ([`shard_prefix`](Self::shard_prefix)),
-/// and ships views to shard workers, which pay the allocating field decode
-/// ([`decode`](Self::decode)) in parallel.
+/// zero-copy view borrowing the wire buffer. It splits the boundary and
+/// checksum walk ([`scan_frames`]) from the allocating field decode
+/// ([`decode`](Self::decode)), which `aspp-perf` times as separate layers.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordView<'a> {
     payload: &'a [u8],
 }
 
 impl<'a> RecordView<'a> {
-    /// The record's sequence number, read in place.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        read_u64(self.payload, 0)
-    }
-
-    /// The observing monitor, read in place.
-    #[must_use]
-    pub fn monitor(&self) -> Asn {
-        Asn(read_u32(self.payload, 8))
-    }
-
-    /// The prefix used for shard routing, host bits masked. For any frame
-    /// that also passes [`decode`](Self::decode) this equals the record's
-    /// prefix (encoded addresses carry no host bits); for a malformed frame
-    /// it still yields *some* deterministic shard, so the field error
-    /// surfaces in the owning worker rather than silently here.
-    #[must_use]
-    pub fn shard_prefix(&self) -> Ipv4Prefix {
-        Ipv4Prefix::containing(read_u32(self.payload, 12), self.payload[16].min(32))
-    }
-
     /// Fully decodes the payload into an owned record. `frame_no` is the
     /// 1-based frame index used in error context.
     ///
@@ -168,9 +142,7 @@ impl<'a> RecordView<'a> {
     }
 }
 
-/// Decodes a checksum-validated payload's fields. Split out of the frame
-/// walk so the strict reader and the zero-copy dispatch path share one
-/// field-validation implementation.
+/// Decodes a checksum-validated payload's fields.
 fn decode_payload(payload: &[u8], frame_no: usize) -> Result<UpdateRecord, AsppError> {
     let err = |message: String| AsppError::at_line("feed", frame_no, message);
     let payload_len = payload.len();
@@ -304,8 +276,7 @@ impl<'a> FrameReader<'a> {
 
     /// Validates the next frame's boundary and checksum *without* decoding
     /// its fields, yielding a zero-copy [`RecordView`]. The strict iterator
-    /// is `next_view` + [`RecordView::decode`]; the pipeline's dispatcher
-    /// stops here and defers the decode to shard workers.
+    /// is `next_view` + [`RecordView::decode`].
     pub fn next_view(&mut self) -> Option<Result<RecordView<'a>, AsppError>> {
         if self.fused {
             return None;
@@ -390,14 +361,15 @@ impl<'a> FrameReader<'a> {
 
 /// Walks a full wire stream strictly, validating every frame boundary and
 /// checksum, and returns one zero-copy [`RecordView`] per frame with the
-/// field decode deferred. This is the dispatcher half of the pipeline's
-/// zero-copy ingest: one pass over the buffer, no per-record allocation.
+/// field decode deferred: one pass over the buffer, no per-record
+/// allocation.
 ///
 /// # Errors
 ///
 /// The first structural problem (bad header, bad prelude, checksum
 /// mismatch, truncation) aborts with its frame-indexed error, exactly as
-/// [`decode_records`] would.
+/// [`decode_records`] would; a malformed *field* passes the scan and fails
+/// [`RecordView::decode`].
 pub fn scan_frames(bytes: &[u8]) -> Result<Vec<RecordView<'_>>, AsppError> {
     let mut reader = FrameReader::new(bytes)?;
     let mut views = Vec::with_capacity(reader.declared_records() as usize);
@@ -480,6 +452,26 @@ pub fn decode_records_lenient(bytes: &[u8]) -> (Vec<UpdateRecord>, IngestReport)
         }
     }
     (records, report)
+}
+
+#[cfg(test)]
+/// Test support: rewrites the payload of frame `frame_no` (1-based) in place
+/// and recomputes its checksum — a frame that scans clean and decodes badly.
+pub(crate) fn tamper_frame(bytes: &mut [u8], frame_no: usize, edit: fn(&mut [u8])) {
+    let mut at = HEADER_LEN;
+    for _ in 1..frame_no {
+        at += FRAME_PRELUDE_LEN + read_u32(bytes, at) as usize;
+    }
+    let payload = at + FRAME_PRELUDE_LEN;
+    let end = payload + read_u32(bytes, at) as usize;
+    edit(&mut bytes[payload..end]);
+    let sum = fnv1a32(
+        bytes[at..at + 4]
+            .iter()
+            .chain(&bytes[payload..end])
+            .copied(),
+    );
+    bytes[at + 4..payload].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -598,9 +590,6 @@ mod tests {
         let views = scan_frames(&bytes).unwrap();
         assert_eq!(views.len(), records.len());
         for (i, (view, expected)) in views.iter().zip(&records).enumerate() {
-            assert_eq!(view.seq(), expected.seq);
-            assert_eq!(view.monitor(), expected.monitor);
-            assert_eq!(view.shard_prefix(), expected.prefix);
             assert_eq!(&view.decode(i + 1).unwrap(), expected);
         }
     }

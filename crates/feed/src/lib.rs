@@ -6,10 +6,12 @@
 //! - [`codec`]: a compact length-prefixed binary wire format for
 //!   [`UpdateRecord`](aspp_data::UpdateRecord) streams — versioned header,
 //!   per-frame FNV-1a checksums, frame-indexed errors on corruption, and a
-//!   zero-copy [`RecordView`] scan path for the ingest hot loop.
+//!   zero-copy [`RecordView`] scan apart from the field decode.
 //! - [`pipeline`]: a sharded worker pool around the resident [`FeedEngine`].
-//!   Updates are hash-partitioned by prefix onto bounded channels in
-//!   batches with blocking backpressure; each shard owns a
+//!   A wire stream is decoded whole before any of it is dispatched, so a
+//!   rejected stream changes nothing; updates are then hash-partitioned by
+//!   prefix onto bounded channels in batches with blocking backpressure;
+//!   each shard owns a
 //!   [`StreamingDetector`](aspp_detect::realtime::StreamingDetector)
 //!   seeded from the clean equilibrium, and the merged alarm output is
 //!   deterministic regardless of shard count, batch size, or thread
@@ -17,7 +19,8 @@
 //! - [`checkpoint`]: checksummed serialization of the engine's live state
 //!   (path maps, raised alarms, stream cursor) so a killed service can
 //!   restore and replay the stream tail bit-identically.
-//! - [`service`]: the resident JSONL query loop behind `aspp serve`.
+//! - [`service`]: the resident JSONL query loop behind `aspp serve`;
+//!   checkpoint files are renamed into place, never written in place.
 //! - [`replay`]: a driver synthesizing paper-scale streams — clean churn,
 //!   withdraw/re-announce episodes, and injected ASPP interceptions at
 //!   configurable rates — for throughput measurement and file replay.

@@ -28,8 +28,8 @@
 //! the same escaping used by every other machine-readable surface.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::fs;
-use std::io::{BufRead, Write};
+use std::fs::{self, File};
+use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use aspp_detect::realtime::StreamAlarm;
@@ -194,7 +194,7 @@ impl DetectionService {
     ///
     /// Only I/O errors on `input`/`output` abort the loop; request-level
     /// failures are `"ok":false` responses.
-    pub fn run(&mut self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
+    pub fn run(&mut self, input: impl BufRead, mut output: impl Write) -> io::Result<()> {
         let _span = trace::span("serve");
         for line in input.lines() {
             let line = line?;
@@ -359,7 +359,7 @@ impl DetectionService {
 
     fn write_checkpoint(&self, path: &Path) -> Result<usize, String> {
         let bytes = Checkpoint::capture(&self.engine).encode();
-        fs::write(path, &bytes)
+        replace_file(path, &bytes)
             .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
         Ok(bytes.len())
     }
@@ -386,6 +386,32 @@ impl DetectionService {
     }
 }
 
+/// Where a file bound for `path` is staged: `<path>.tmp`, in the same
+/// directory so the final rename never crosses a filesystem.
+fn temporary_beside(path: &Path) -> PathBuf {
+    path.with_added_extension("tmp")
+}
+
+/// Replaces `path` with `bytes` without ever exposing a partial file: the
+/// bytes are staged [`temporary_beside`] it, synced, and renamed over the
+/// target, so a kill at any point leaves either the previous contents or
+/// the new, never a torn file.
+fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = temporary_beside(path);
+    let mut file = File::create(&tmp)?;
+    let renamed = file
+        .write_all(bytes)
+        .and_then(|()| file.sync_all())
+        .and_then(|()| fs::rename(&tmp, path));
+    if renamed.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    renamed?;
+    // The rename is durable once its directory is.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
 /// Starts a success response for `cmd`.
 fn ok(cmd: &str) -> JsonWriter {
     let mut w = JsonWriter::object();
@@ -405,7 +431,7 @@ fn fail(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_records;
+    use crate::codec::{encode_records, tamper_frame};
     use crate::pipeline::FeedConfig;
     use aspp_data::{Corpus, UpdateAction, UpdateRecord};
     use aspp_topology::AsGraph;
@@ -712,6 +738,108 @@ mod tests {
         assert!(text.contains("\"checkpoint\""), "{text}");
         assert!(Checkpoint::decode(&fs::read(&ckpt).unwrap()).is_ok());
         let _ = fs::remove_file(&ckpt);
+    }
+
+    /// Every checkpoint write — explicit, cadence, drain — stages beside the
+    /// target and renames over it: nothing but the target is left behind,
+    /// and a write that cannot be staged leaves the last good checkpoint
+    /// byte for byte.
+    #[test]
+    fn checkpoint_writes_replace_the_target_atomically() {
+        let dir = tmp("atomic");
+        fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("state.ckpt");
+        let stream = dir.join("stream.bin");
+        let files_in_dir = || -> Vec<PathBuf> {
+            let mut files: Vec<PathBuf> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| *path != stream)
+                .collect();
+            files.sort();
+            files
+        };
+        let (service, updates) = service();
+        fs::write(&stream, encode_records(&updates)).unwrap();
+        let mut service = service.checkpoint_file(&ckpt).checkpoint_every(1);
+
+        let reply = service.handle("{\"cmd\":\"checkpoint\"}").0;
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert_eq!(files_in_dir(), std::slice::from_ref(&ckpt));
+        let first = fs::read(&ckpt).unwrap();
+
+        let reply = ingest(&mut service, &stream);
+        assert!(reply.contains("\"auto_checkpoint\""), "{reply}");
+        assert_eq!(files_in_dir(), std::slice::from_ref(&ckpt));
+        let previous = fs::read(&ckpt).unwrap();
+        assert_ne!(previous, first, "the cadence checkpoint replaced the first");
+
+        // The staging path is taken: the write fails, the target is intact.
+        fs::create_dir(temporary_beside(&ckpt)).unwrap();
+        let reply = service.handle("{\"cmd\":\"checkpoint\"}").0;
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains("cannot write checkpoint"), "{reply}");
+        assert_eq!(fs::read(&ckpt).unwrap(), previous);
+        let (graph, _, _) = attack_world();
+        let mut revived = DetectionService::new(FeedEngine::new(graph, &FeedConfig::new(1)));
+        revived.restore_from_file(&ckpt).unwrap();
+        assert_eq!(revived.engine().cursor(), 1);
+        fs::remove_dir(temporary_beside(&ckpt)).unwrap();
+
+        let (reply, stop) = service.handle("{\"cmd\":\"drain\"}");
+        assert!(stop && reply.contains("\"checkpoint_bytes\""), "{reply}");
+        assert_eq!(files_in_dir(), std::slice::from_ref(&ckpt));
+        assert_eq!(fs::read(&ckpt).unwrap(), previous, "nothing moved since");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A stream with a bad frame changes nothing, over the protocol too: the
+    /// service answers `"ok":false`, `status` does not move, and the
+    /// corrected file gets the reply a fresh service gives.
+    #[test]
+    fn rejected_ingest_leaves_the_service_as_it_was() {
+        let (mut fresh, _) = service();
+        let (mut service, mut updates) = service();
+        updates.push(UpdateRecord {
+            seq: 2,
+            monitor: Asn(55),
+            prefix: updates[0].prefix,
+            action: UpdateAction::Announce("55 10 1".parse().unwrap()),
+        });
+        let good = tmp("reject_good.bin");
+        let bad = tmp("reject_bad.bin");
+        let mut bytes = encode_records(&updates);
+        fs::write(&good, &bytes).unwrap();
+        tamper_frame(&mut bytes, 2, |payload| payload[17] = 2);
+        fs::write(&bad, &bytes).unwrap();
+
+        let input = format!(
+            "{{\"cmd\":\"status\"}}\n{{\"cmd\":\"ingest\",\"file\":\"{}\"}}\n{{\"cmd\":\"status\"}}\n{{\"cmd\":\"ingest\",\"file\":\"{}\"}}\n",
+            bad.display(),
+            good.display()
+        );
+        let mut out = Vec::new();
+        service.run(input.as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[1].contains("\"ok\":false"), "{}", lines[1]);
+        assert!(
+            lines[1].contains("line 2: unknown action tag 2"),
+            "{}",
+            lines[1]
+        );
+        assert_eq!(lines[2], lines[0], "status must not move");
+
+        // Everything but the timing field, which closes the reply.
+        fn timeless(reply: &str) -> &str {
+            reply.split(",\"records_per_sec\"").next().unwrap_or(reply)
+        }
+        let expected = ingest(&mut fresh, &good);
+        assert!(u64_field(&expected, "alarms") >= 1, "{expected}");
+        assert_eq!(timeless(lines[3]), timeless(&expected));
+        for f in [&good, &bad] {
+            let _ = fs::remove_file(f);
+        }
     }
 
     #[test]

@@ -28,12 +28,15 @@
 //!    so the comparison needs no loop-prevention carve-out.
 //!
 //! Violations carry the offending AS so a failure reads like a diagnostic,
-//! not a boolean. [`check_outcome`] is a no-op unless auditing is
-//! [`enabled`] — compiled in via the `debug-audit` cargo feature or switched
-//! on at runtime with `ASPP_AUDIT=1` — so it can sit on the hot paths
-//! (`run_experiments`, the detection eval) for free. When enabled, the
-//! engine additionally replays every delta attacked pass through the full
-//! propagation and asserts bit identity.
+//! not a boolean. When auditing is [`enabled`] — compiled in via the
+//! `debug-audit` cargo feature or switched on at runtime with
+//! `ASPP_AUDIT=1` — [`compute_with_policy`] audits every outcome it returns
+//! against the policy it was computed with and panics with the report on a
+//! violation, so no caller can run un-audited; it also replays every delta
+//! attacked pass through the full propagation and asserts bit identity.
+//! Disabled, both cost one cached flag load per compute.
+//!
+//! [`compute_with_policy`]: crate::RoutingEngine::compute_with_policy
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -383,38 +386,10 @@ pub fn audit_outcome_with<P: DefensePolicy>(
     audit
 }
 
-/// Audits `outcome` when auditing is [`enabled`], panicking with the full
-/// report on any violation; a no-op otherwise. Cheap enough to sit on hot
-/// paths unconditionally.
-pub fn check_outcome(outcome: &RoutingOutcome<'_>) {
-    if enabled() {
-        assert_outcome_clean(outcome);
-    }
-}
-
-/// The policied analogue of [`check_outcome`]: audits against `policy` when
-/// auditing is [`enabled`], a no-op otherwise.
-pub fn check_outcome_with<P: DefensePolicy>(outcome: &RoutingOutcome<'_>, policy: &P) {
-    if enabled() {
-        assert_outcome_clean_with(outcome, policy);
-    }
-}
-
-/// Audits `outcome` unconditionally.
-///
-/// # Panics
-///
-/// Panics with the full audit report if any invariant is violated.
-pub fn assert_outcome_clean(outcome: &RoutingOutcome<'_>) {
-    assert_outcome_clean_with(outcome, &NoDefense);
-}
-
-/// Audits `outcome` against `policy` unconditionally.
-///
-/// # Panics
-///
-/// Panics with the full audit report if any invariant is violated.
-pub fn assert_outcome_clean_with<P: DefensePolicy>(outcome: &RoutingOutcome<'_>, policy: &P) {
+/// The engine's own exit check (`compute_with_policy`, when auditing is
+/// [`enabled`]): panics with the full report if `outcome` violates any
+/// invariant under the `policy` it was computed with.
+pub(crate) fn assert_audit_clean<P: DefensePolicy>(outcome: &RoutingOutcome<'_>, policy: &P) {
     let audit = audit_outcome_with(outcome, policy);
     assert!(
         audit.is_clean(),
@@ -817,7 +792,6 @@ mod tests {
             let audit = audit_outcome(&outcome);
             assert!(audit.is_clean(), "spec {spec:?} failed audit:\n{audit}",);
             assert!(audit.clean.routes_checked() > 0);
-            assert_outcome_clean(&outcome);
         }
     }
 
@@ -992,6 +966,59 @@ mod tests {
             .violations()
             .any(|v| matches!(v, AuditViolation::PolicyViolation { asn } if *asn == NTT)));
         assert!(audit.to_string().contains("defense policy rejects"));
+    }
+
+    /// A policy double that rejects each node's first attacker-derived offer
+    /// and accepts every later one: strict while the pass runs (China
+    /// Telecom is offered the stripped route once), lenient by the time the
+    /// outcome is audited.
+    struct LenientAfterThePass(std::cell::RefCell<std::collections::HashSet<usize>>);
+
+    impl DefensePolicy for LenientAfterThePass {
+        fn accepts_attacker_route(&self, node: usize, _: RouteClass, _: &AttackFacts) -> bool {
+            !self.0.borrow_mut().insert(node)
+        }
+    }
+
+    /// Computes the Facebook interception under [`LenientAfterThePass`] and
+    /// returns the caller-side audit of what came back.
+    fn audit_under_a_policy_that_turns_lenient() -> OutcomeAudit {
+        let graph = facebook_graph();
+        let spec = DestinationSpec::new(FACEBOOK)
+            .origin_padding(5)
+            .attacker(AttackerModel::new(KOREA_TELECOM));
+        let policy = LenientAfterThePass(Default::default());
+        let mut ws = crate::RouteWorkspace::new();
+        let outcome = RoutingEngine::new(&graph).compute_with_policy(&spec, &mut ws, &policy);
+        audit_outcome_with(&outcome, &policy)
+    }
+
+    /// Auditing is the engine's job, not the caller's: with `debug-audit`
+    /// the compute itself panics with the report…
+    #[cfg(feature = "debug-audit")]
+    #[test]
+    #[should_panic(
+        expected = "AS4134 has no route although its neighbor AS9318 legally exports one"
+    )]
+    fn engine_panics_on_its_own_unclean_outcome() {
+        let _ = audit_under_a_policy_that_turns_lenient();
+    }
+
+    /// …and without it (and without `ASPP_AUDIT`) the same call hands the
+    /// outcome back: China Telecom filtered its only route during the pass
+    /// and would take it now, which only the caller's audit sees.
+    #[cfg(not(feature = "debug-audit"))]
+    #[test]
+    fn engine_returns_an_unclean_outcome_when_auditing_is_off() {
+        if enabled() {
+            return;
+        }
+        let audit = audit_under_a_policy_that_turns_lenient();
+        let hidden = AuditViolation::HiddenRoute {
+            asn: CHINA_TELECOM,
+            offered_by: KOREA_TELECOM,
+        };
+        assert_eq!(audit.violations().collect::<Vec<_>>(), [&hidden]);
     }
 
     #[test]

@@ -189,7 +189,9 @@ impl<'g> RoutingEngine<'g> {
     /// # Panics
     ///
     /// Panics if the victim (or configured attacker) is not in the graph, or
-    /// if attacker == victim.
+    /// if attacker == victim — and, when auditing is
+    /// [`enabled`](crate::audit::enabled), with the audit report if the
+    /// outcome violates an equilibrium invariant under `policy`.
     #[must_use]
     pub fn compute_with_policy<P: DefensePolicy>(
         &self,
@@ -290,7 +292,7 @@ impl<'g> RoutingEngine<'g> {
         });
         let (attacked, base_path) = attacked.unzip();
 
-        RoutingOutcome {
+        let outcome = RoutingOutcome {
             spec: spec.clone(),
             v_idx,
             m_idx: attacker.map(|(_, m_idx)| m_idx),
@@ -298,7 +300,14 @@ impl<'g> RoutingEngine<'g> {
             attacked,
             base_path,
             graph: self.graph,
+        };
+        if crate::audit::enabled() {
+            // debug-audit oracle: every equilibrium leaves the engine
+            // checked against the policy it was computed with, so no caller
+            // has to remember to.
+            crate::audit::assert_audit_clean(&outcome, policy);
         }
+        outcome
     }
 
     /// The attacked equilibrium for `seed`: re-converged from `clean` by a

@@ -612,6 +612,9 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
         Ok(Asn(raw.ok_or(format!("{name} ASN is required"))?))
     };
     let (victim, attacker) = (asn("--victim")?, asn("--attacker")?);
+    if victim == attacker {
+        return Err("--victim and --attacker must differ".into());
+    }
     let padding = run.lambda("--padding")?.unwrap_or(3);
     let keep = run.parsed::<usize>("--keep")?.unwrap_or(1);
     let config = match run.value("--scale").unwrap_or("small") {

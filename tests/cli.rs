@@ -158,6 +158,16 @@ fn simulate_validates_inputs() {
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy"));
+
+    // The engine asserts the two differ, so the flags must be checked first.
+    let out = aspp(&["simulate", "--victim", "100", "--attacker", "100"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: --victim and --attacker must differ"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

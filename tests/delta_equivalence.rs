@@ -119,7 +119,8 @@ fn strategy_matrix_equilibria_audit_clean() {
     ] {
         for exp in all_experiments(victim, attacker, tie) {
             let outcome = engine.compute(&exp.to_spec());
-            aspp_repro::routing::audit::assert_outcome_clean(&outcome);
+            let audit = aspp_repro::routing::audit::audit_outcome(&outcome);
+            assert!(audit.is_clean(), "{exp:?} failed audit:\n{audit}");
         }
     }
 }
