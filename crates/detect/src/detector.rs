@@ -182,8 +182,15 @@ impl<'g> Detector<'g> {
     /// Judges `candidates` against the index of the current view and
     /// returns the distinct alarms, strongest first. The order depends only
     /// on the order *within* each AS's group (the sort is stable and its key
-    /// ends in `observed_at`), never on the order of the groups.
-    pub(crate) fn judge(&self, candidates: &[Candidate], index: &ViewIndex) -> Vec<Alarm> {
+    /// ends in `observed_at`), never on the order of the groups. Equal
+    /// alarms and ties of the sort share a [`Candidate::key`], so judging
+    /// every candidate of some keys and none of the others yields exactly
+    /// the full set's alarms of those keys, in the same order.
+    pub(crate) fn judge<'c>(
+        &self,
+        candidates: impl IntoIterator<Item = &'c Candidate>,
+        index: &ViewIndex,
+    ) -> Vec<Alarm> {
         let mut alarms = Vec::new();
         let mut scratch = Vec::new();
         for c in candidates {
@@ -227,6 +234,14 @@ pub(crate) struct Candidate {
     /// The shortened route `r_t`: `d`'s received path, or its whole
     /// announcement.
     now: Vec<Asn>,
+}
+
+impl Candidate {
+    /// The `(suspect, observed_at)` key of the alarm judging this candidate
+    /// can raise: the shortened route's first hop, seen at `d`.
+    pub(crate) fn key(&self) -> (Asn, Asn) {
+        (self.now[0], self.d)
+    }
 }
 
 /// Appends the candidates of AS `d` — one group — to `out`: every distinct

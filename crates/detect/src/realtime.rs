@@ -39,6 +39,23 @@
 //! key observed at a transit AS is re-armed by no monitor's withdrawal and
 //! so outlives the prefix's last monitor, and a later announcement of the
 //! same prefix must still find it.
+//!
+//! An announcement judges only the candidates that can still be news: those
+//! whose `(suspect, observed_at)` key is not raised yet. This is exact too.
+//! A candidate's alarm carries the candidate's own key, so the alarms of a
+//! raised key come from raised-key candidates only — and they are the very
+//! alarms the idempotence filter would drop. The candidates of one key are
+//! skipped or judged together, and equal alarms and ties of judging's
+//! stable sort share a key, so the alarms of the judged keys come out
+//! exactly as, and in the order, they did when every candidate was judged.
+//! A withdrawal re-arms keys, and the candidates behind them are judged
+//! again from the next announcement on.
+//!
+//! The state a checkpoint stores leaves the detector through one walk,
+//! [`StateRows`]: the path-map rows in canonical order, borrowed. A
+//! checkpoint is encoded straight from them;
+//! [`export_state`](StreamingDetector::export_state) is the same rows with
+//! the paths cloned.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -204,6 +221,67 @@ pub struct DetectorState {
     pub raised: Vec<(Ipv4Prefix, Asn, Asn)>,
 }
 
+/// A [`DetectorState`] whose paths are borrowed from the detectors holding
+/// them: the same rows, in the same canonical order. It is the one walk over
+/// a detector's mutable state — a checkpoint is encoded from it without
+/// cloning a path, and [`to_state`](Self::to_state) is its owned form.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StateRows<'a> {
+    /// `(prefix, monitor, path)` rows of the current-path map, sorted.
+    pub current: Vec<(Ipv4Prefix, Asn, &'a AsPath)>,
+    /// `(prefix, monitor, path)` rows of the previous-path map, sorted.
+    pub previous: Vec<(Ipv4Prefix, Asn, &'a AsPath)>,
+    /// `(prefix, suspect, observed_at)` raised-alarm keys, sorted.
+    pub raised: Vec<(Ipv4Prefix, Asn, Asn)>,
+}
+
+impl<'a> StateRows<'a> {
+    /// The rows of `detectors`, merged and sorted. The detectors must hold
+    /// disjoint prefixes, as the shards of a feed engine do; then every
+    /// `(prefix, monitor)` is one row and the order is canonical.
+    #[must_use]
+    pub fn of<G: 'a>(detectors: impl IntoIterator<Item = &'a StreamingDetector<G>>) -> Self {
+        let mut rows = StateRows::default();
+        let mut states = Vec::new();
+        for detector in detectors {
+            states.extend(&detector.states);
+            for (&prefix, keys) in &detector.raised {
+                let row = |&(suspect, observed_at)| (prefix, suspect, observed_at);
+                rows.raised.extend(keys.iter().map(row));
+            }
+        }
+        // Prefix-major: sort the prefixes, then each prefix's few monitors.
+        states.sort_unstable_by_key(|&(&prefix, _)| prefix);
+        for (&prefix, st) in states {
+            for (rows, paths) in [
+                (&mut rows.current, &st.current),
+                (&mut rows.previous, &st.previous),
+            ] {
+                let from = rows.len();
+                rows.extend(paths.iter().map(|(&monitor, path)| (prefix, monitor, path)));
+                rows[from..].sort_unstable_by_key(|&(_, monitor, _)| monitor);
+            }
+        }
+        rows.raised.sort_unstable();
+        rows
+    }
+
+    /// The owned form: the same rows, every path cloned.
+    #[must_use]
+    pub fn to_state(&self) -> DetectorState {
+        let owned = |rows: &[(Ipv4Prefix, Asn, &AsPath)]| {
+            rows.iter()
+                .map(|&(prefix, monitor, path)| (prefix, monitor, path.clone()))
+                .collect()
+        };
+        DetectorState {
+            current: owned(&self.current),
+            previous: owned(&self.previous),
+            raised: self.raised.clone(),
+        }
+    }
+}
+
 /// Incremental multi-prefix detector state.
 ///
 /// # Example
@@ -335,30 +413,7 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
     /// Exports the mutable stream state in canonical (sorted) form.
     #[must_use]
     pub fn export_state(&self) -> DetectorState {
-        let mut current = Vec::new();
-        let mut previous = Vec::new();
-        for (&prefix, st) in &self.states {
-            for (&monitor, path) in &st.current {
-                current.push((prefix, monitor, path.clone()));
-            }
-            for (&monitor, path) in &st.previous {
-                previous.push((prefix, monitor, path.clone()));
-            }
-        }
-        let key = |(p, m, _): &(Ipv4Prefix, Asn, AsPath)| (p.addr(), p.len(), *m);
-        current.sort_by_key(key);
-        previous.sort_by_key(key);
-        let mut raised: Vec<_> = self
-            .raised
-            .iter()
-            .flat_map(|(&p, keys)| keys.iter().map(move |&(a, b)| (p, a, b)))
-            .collect();
-        raised.sort_by_key(|&(p, a, b)| (p.addr(), p.len(), a, b));
-        DetectorState {
-            current,
-            previous,
-            raised,
-        }
+        StateRows::of([self]).to_state()
     }
 
     /// Replaces the mutable stream state with an exported snapshot,
@@ -439,8 +494,14 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
                 }
 
                 // Judge the standing route changes — previous paths against
-                // current ones — over the live index.
-                let alarms = Detector::new(self.graph.borrow()).judge(&st.candidates, &st.index);
+                // current ones — over the live index, skipping those whose
+                // alarm is raised already (exact: see the module docs).
+                let raised = self.raised.get(&update.prefix);
+                let open = st
+                    .candidates
+                    .iter()
+                    .filter(|c| raised.is_none_or(|keys| !keys.contains(&c.key())));
+                let alarms = Detector::new(self.graph.borrow()).judge(open, &st.index);
                 if alarms.is_empty() {
                     return Vec::new();
                 }
@@ -1002,6 +1063,67 @@ mod tests {
         let at = |alarms: &[StreamAlarm], d| alarms.iter().any(|a| a.alarm.observed_at == Asn(d));
         assert!(at(first, 77) && at(first, 66), "{first:?}");
         assert!(at(second, 77) && !at(second, 66), "{second:?}");
+    }
+
+    /// An announcement judges only candidates whose key is not raised yet:
+    /// a standing, raised candidate stays silent while a new key on the same
+    /// prefix alarms, and once its observer withdraws (re-arming the key)
+    /// and repeats the attack, it alarms again — record by record what the
+    /// oracle, which judges everything, emits.
+    #[test]
+    fn settled_candidates_are_skipped_but_new_keys_and_rearmed_keys_alarm() {
+        let mut g = attack_graph();
+        g.add_provider_customer(Asn(66), Asn(88)).unwrap();
+        let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
+        let mut stream = StreamingDetector::new(&g);
+        let mut oracle = ReferenceDetector::new(&g);
+        for (monitor, path) in [
+            (55, "55 10 1 1 1"),
+            (77, "77 66 10 1 1 1"),
+            (88, "88 66 10 1 1 1"),
+        ] {
+            stream.seed(Asn(monitor), prefix, path.parse().unwrap());
+            oracle.seed(Asn(monitor), prefix, path.parse().unwrap());
+        }
+        let settled = (Asn(66), Asn(77));
+        let mut replay = |u: UpdateRecord| {
+            let got = stream.process(&u);
+            assert_eq!(got, oracle.process(&u), "diverged at seq {}", u.seq);
+            let keys: Vec<_> = got
+                .iter()
+                .map(|a| (a.alarm.suspect, a.alarm.observed_at))
+                .collect();
+            let raised = stream.raised.get(&prefix).cloned().unwrap_or_default();
+            (keys, stream.states[&prefix].candidates.clone(), raised)
+        };
+
+        let (first, standing, raised) = replay(update(1, Asn(77), prefix, "77 66 10 1"));
+        assert!(first.contains(&settled), "{first:?}");
+        assert!(standing.iter().any(|c| c.key() == settled));
+        assert!(raised.contains(&settled));
+
+        // 88 is intercepted too: its key is news, 77's standing one is not.
+        let (second, standing, _) = replay(update(2, Asn(88), prefix, "88 66 10 1"));
+        assert!(second.contains(&(Asn(66), Asn(88))), "{second:?}");
+        assert!(
+            second
+                .iter()
+                .all(|&(_, observed_at)| observed_at != Asn(77)),
+            "{second:?}"
+        );
+        assert!(
+            standing.iter().any(|c| c.key() == settled),
+            "the settled candidate still stands, unjudged"
+        );
+
+        // 77 withdraws (re-arming its keys) and the attack repeats.
+        assert!(replay(withdraw(3, Asn(77), prefix)).0.is_empty());
+        // The padded route back at 77 is a witness again: it convicts 88's
+        // own announcement, a new key — but 77's is not raised by it.
+        let (recovered, _, _) = replay(update(4, Asn(77), prefix, "77 66 10 1 1 1"));
+        assert_eq!(recovered, [(Asn(88), Asn(88))]);
+        let (again, _, _) = replay(update(5, Asn(77), prefix, "77 66 10 1"));
+        assert!(again.contains(&settled), "{again:?}");
     }
 
     /// [`ReferenceDetector`] — views and index rebuilt from the path maps on

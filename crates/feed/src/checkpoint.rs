@@ -28,8 +28,15 @@
 //! [`Checkpoint::decode`] before a single row is interpreted. The state is
 //! stored *merged* (not per-shard): rows are keyed purely by prefix, so one
 //! checkpoint restores into an engine of any shard count.
+//!
+//! One function writes the format. [`Checkpoint::encode`] hands it the
+//! snapshot's owned rows; `Checkpoint::encode_engine`, which the detection
+//! service writes with, hands it the rows of a live engine borrowed through
+//! [`StateRows`] — the same bytes, with no path cloned.
 
-use aspp_detect::realtime::DetectorState;
+use std::borrow::Borrow;
+
+use aspp_detect::realtime::{DetectorState, StateRows};
 use aspp_obs::counters::{self, Counter};
 use aspp_types::{AsPath, Asn, AsppError, Ipv4Prefix};
 
@@ -96,40 +103,30 @@ impl Checkpoint {
     /// `u16::MAX` hops — both far beyond anything the detector produces.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(16 + 32 * self.state.current.len());
-        body.extend_from_slice(&self.cursor.to_le_bytes());
-        for rows in [&self.state.current, &self.state.previous] {
-            let count = u32::try_from(rows.len()).expect("row count fits u32");
-            body.extend_from_slice(&count.to_le_bytes());
-            for (prefix, monitor, path) in rows {
-                body.extend_from_slice(&prefix.addr().to_le_bytes());
-                body.push(prefix.len());
-                body.extend_from_slice(&monitor.0.to_le_bytes());
-                let hops = path.hops();
-                let count = u16::try_from(hops.len()).expect("hop count fits u16");
-                body.extend_from_slice(&count.to_le_bytes());
-                for hop in hops {
-                    body.extend_from_slice(&hop.0.to_le_bytes());
-                }
-            }
-        }
-        let count = u32::try_from(self.state.raised.len()).expect("row count fits u32");
-        body.extend_from_slice(&count.to_le_bytes());
-        for (prefix, suspect, observed_at) in &self.state.raised {
-            body.extend_from_slice(&prefix.addr().to_le_bytes());
-            body.push(prefix.len());
-            body.extend_from_slice(&suspect.0.to_le_bytes());
-            body.extend_from_slice(&observed_at.0.to_le_bytes());
-        }
+        let DetectorState {
+            current,
+            previous,
+            raised,
+        } = &self.state;
+        encode_rows(self.cursor, current, previous, raised)
+    }
 
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-        out.extend_from_slice(&fnv1a32(body.iter().copied()).to_le_bytes());
-        out.extend_from_slice(&body);
-        counters::incr(Counter::FeedCheckpointWrite);
-        out
+    /// Encodes a running engine's state: the bytes of
+    /// `Checkpoint::capture(engine).encode()`, written from rows borrowed
+    /// from the engine's detectors, so no path is cloned and no snapshot
+    /// is built. Bumps the `feed_checkpoint_writes` counter.
+    ///
+    /// # Panics
+    ///
+    /// As [`encode`](Self::encode).
+    #[must_use]
+    pub(crate) fn encode_engine(engine: &FeedEngine) -> Vec<u8> {
+        let StateRows {
+            current,
+            previous,
+            raised,
+        } = engine.state_rows();
+        encode_rows(engine.cursor(), &current, &previous, &raised)
     }
 
     /// Deserializes and integrity-checks a checkpoint.
@@ -195,6 +192,71 @@ impl Checkpoint {
         }
         Ok(Checkpoint { cursor, state })
     }
+}
+
+/// Bytes of a path row before its hops: addr, prefix length, monitor, hop
+/// count.
+const PATH_ROW_LEN: usize = 4 + 1 + 4 + 2;
+
+/// Bytes of a raised row: addr, prefix length, suspect, observed_at.
+const RAISED_ROW_LEN: usize = 4 + 1 + 4 + 4;
+
+/// The one writer of the format: header and body from rows in canonical
+/// order, each path owned (`P = AsPath`) or borrowed (`P = &AsPath`). The
+/// output is sized exactly up front and the header goes in first with a
+/// zero checksum, filled in last, so the body is written once, in place.
+fn encode_rows<P: Borrow<AsPath>>(
+    cursor: u64,
+    current: &[(Ipv4Prefix, Asn, P)],
+    previous: &[(Ipv4Prefix, Asn, P)],
+    raised: &[(Ipv4Prefix, Asn, Asn)],
+) -> Vec<u8> {
+    let path_rows = |rows: &[(Ipv4Prefix, Asn, P)]| -> usize {
+        rows.iter()
+            .map(|(_, _, path)| PATH_ROW_LEN + 4 * path.borrow().hops().len())
+            .sum()
+    };
+    // Header, cursor, the three row counts, the rows.
+    let len = HEADER_LEN
+        + 8
+        + 3 * 4
+        + path_rows(current)
+        + path_rows(previous)
+        + RAISED_ROW_LEN * raised.len();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
+    out.extend_from_slice(&0u32.to_le_bytes()); // checksum, filled in last
+    out.extend_from_slice(&cursor.to_le_bytes());
+    for rows in [current, previous] {
+        let count = u32::try_from(rows.len()).expect("row count fits u32");
+        out.extend_from_slice(&count.to_le_bytes());
+        for (prefix, monitor, path) in rows {
+            out.extend_from_slice(&prefix.addr().to_le_bytes());
+            out.push(prefix.len());
+            out.extend_from_slice(&monitor.0.to_le_bytes());
+            let hops = path.borrow().hops();
+            let count = u16::try_from(hops.len()).expect("hop count fits u16");
+            out.extend_from_slice(&count.to_le_bytes());
+            for hop in hops {
+                out.extend_from_slice(&hop.0.to_le_bytes());
+            }
+        }
+    }
+    let count = u32::try_from(raised.len()).expect("row count fits u32");
+    out.extend_from_slice(&count.to_le_bytes());
+    for (prefix, suspect, observed_at) in raised {
+        out.extend_from_slice(&prefix.addr().to_le_bytes());
+        out.push(prefix.len());
+        out.extend_from_slice(&suspect.0.to_le_bytes());
+        out.extend_from_slice(&observed_at.0.to_le_bytes());
+    }
+    debug_assert_eq!(out.len(), len, "the checkpoint was sized exactly");
+    let checksum = fnv1a32(out[HEADER_LEN..].iter().copied());
+    out[12..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    counters::incr(Counter::FeedCheckpointWrite);
+    out
 }
 
 /// A bounds-checked reader over the checkpoint body. Every read that would

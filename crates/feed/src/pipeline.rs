@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use aspp_data::stats::Cdf;
 use aspp_data::{Corpus, UpdateRecord};
-use aspp_detect::realtime::{DetectorState, StreamAlarm, StreamingDetector};
+use aspp_detect::realtime::{DetectorState, StateRows, StreamAlarm, StreamingDetector};
 use aspp_obs::counters::{self, Counter};
 use aspp_obs::trace;
 use aspp_topology::AsGraph;
@@ -412,26 +412,20 @@ impl FeedEngine {
         Ok(self.ingest(&decode_records(bytes)?))
     }
 
+    /// The engine's whole mutable state as borrowed rows, merged across
+    /// shards and sorted once. Prefixes live on exactly one shard, so the
+    /// merge is a disjoint union; together with [`cursor`](Self::cursor)
+    /// this is everything a checkpoint needs.
+    #[must_use]
+    pub(crate) fn state_rows(&self) -> StateRows<'_> {
+        StateRows::of(&self.detectors)
+    }
+
     /// Exports the engine's whole mutable state as one canonical (sorted)
-    /// snapshot, merged across shards. Prefixes live on exactly one shard,
-    /// so the merge is a disjoint union; together with
-    /// [`cursor`](Self::cursor) this is everything a checkpoint needs.
+    /// snapshot: the owned form of the rows a checkpoint is encoded from.
     #[must_use]
     pub fn export_state(&self) -> DetectorState {
-        let mut merged = DetectorState::default();
-        for detector in &self.detectors {
-            let state = detector.export_state();
-            merged.current.extend(state.current);
-            merged.previous.extend(state.previous);
-            merged.raised.extend(state.raised);
-        }
-        let key = |(p, m, _): &(Ipv4Prefix, Asn, AsPath)| (p.addr(), p.len(), *m);
-        merged.current.sort_by_key(key);
-        merged.previous.sort_by_key(key);
-        merged
-            .raised
-            .sort_by_key(|&(p, a, b)| (p.addr(), p.len(), a, b));
-        merged
+        self.state_rows().to_state()
     }
 
     /// Replaces the engine's state with a snapshot, repartitioning rows by

@@ -31,6 +31,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::fs::{self, File};
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
+use std::str::Chars;
 
 use aspp_detect::realtime::StreamAlarm;
 use aspp_obs::counters::{self, Counter};
@@ -42,8 +43,11 @@ use crate::checkpoint::Checkpoint;
 use crate::pipeline::FeedEngine;
 
 /// Extracts the string value of a top-level `key` from one flat JSON
-/// object line. Handles the escapes [`JsonWriter`] emits; nested objects
-/// and non-string values are out of scope by design (the protocol is flat).
+/// object line. Decodes JSON's escapes — every one [`JsonWriter`] emits,
+/// `\uXXXX` and surrogate pairs included; a value that is unterminated or
+/// carries a malformed `\u` escape (a lone surrogate, say) reads as absent.
+/// Nested objects and non-string values are out of scope by design (the
+/// protocol is flat).
 fn string_field(line: &str, key: &str) -> Option<String> {
     let needle = format!("\"{key}\"");
     let mut from = 0;
@@ -64,6 +68,9 @@ fn string_field(line: &str, key: &str) -> Option<String> {
                     'n' => out.push('\n'),
                     'r' => out.push('\r'),
                     't' => out.push('\t'),
+                    'b' => out.push('\u{8}'),
+                    'f' => out.push('\u{c}'),
+                    'u' => out.push(unicode_escape(&mut chars)?),
                     other => out.push(other),
                 },
                 '"' => return Some(out),
@@ -73,6 +80,30 @@ fn string_field(line: &str, key: &str) -> Option<String> {
         return None;
     }
     None
+}
+
+/// Decodes the `XXXX` of a `\uXXXX` escape — and, for a high surrogate, the
+/// `\uXXXX` low surrogate that must follow it. `None` for bad hex or a lone
+/// surrogate.
+fn unicode_escape(chars: &mut Chars<'_>) -> Option<char> {
+    let high = hex4(chars)?;
+    if !(0xd800..0xdc00).contains(&high) {
+        // `from_u32` refuses a lone low surrogate.
+        return char::from_u32(high);
+    }
+    *chars = chars.as_str().strip_prefix("\\u")?.chars();
+    let low = hex4(chars).filter(|low| (0xdc00..0xe000).contains(low))?;
+    char::from_u32(0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00))
+}
+
+/// Reads four hex digits off `chars`.
+fn hex4(chars: &mut Chars<'_>) -> Option<u32> {
+    let rest = chars.as_str();
+    let digits = rest
+        .get(..4)
+        .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))?;
+    *chars = rest[4..].chars();
+    u32::from_str_radix(digits, 16).ok()
 }
 
 /// A resident [`FeedEngine`] plus the alarm summary its queries answer from
@@ -358,7 +389,7 @@ impl DetectionService {
     }
 
     fn write_checkpoint(&self, path: &Path) -> Result<usize, String> {
-        let bytes = Checkpoint::capture(&self.engine).encode();
+        let bytes = Checkpoint::encode_engine(&self.engine);
         replace_file(path, &bytes)
             .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
         Ok(bytes.len())
@@ -509,6 +540,56 @@ mod tests {
         assert_eq!(string_field(r#"{"cmd":"x"}"#, "file"), None);
         assert_eq!(string_field(r#"{"cmd": 7}"#, "cmd"), None);
         assert_eq!(string_field(r#"{"cmd":"unterminated"#, "cmd"), None);
+    }
+
+    #[test]
+    fn string_field_round_trips_what_json_writer_escapes() {
+        for value in [
+            "\u{1}",
+            "a\u{1f}b",
+            "back\u{8}space",
+            "form\u{c}feed",
+            "10.0.0.0/24",
+            "caf\u{e9} \u{2192} \u{1d11e}",
+            "tab\t nl\n cr\r quote\" backslash\\",
+        ] {
+            let mut w = JsonWriter::object();
+            w.field_str("cmd", "ingest");
+            w.field_str("file", value);
+            let line = w.finish();
+            assert_eq!(
+                string_field(&line, "file").as_deref(),
+                Some(value),
+                "{line}"
+            );
+        }
+        // JSON escapes JsonWriter never writes, a surrogate pair among them.
+        assert_eq!(
+            string_field(r#"{"file":"\b\f\/\u00e9\ud834\udd1e"}"#, "file").as_deref(),
+            Some("\u{8}\u{c}/\u{e9}\u{1d11e}")
+        );
+        for malformed in [
+            r#"{"file":"\ud834"}"#,
+            r#"{"file":"\ud834x"}"#,
+            r#"{"file":"\ud834\u0041"}"#,
+            r#"{"file":"\udd1e"}"#,
+            r#"{"file":"\u12"}"#,
+            r#"{"file":"\u+123"}"#,
+        ] {
+            assert_eq!(string_field(malformed, "file"), None, "{malformed}");
+        }
+    }
+
+    #[test]
+    fn escaped_prefix_requests_resolve_to_the_prefix() {
+        let (mut service, _) = service();
+        let plain = prefix_reply(&mut service, "10.0.0.0/24");
+        assert!(plain.contains("\"monitors\":2"), "{plain}");
+        for escaped in [r"10.0.0.0\/24", r"\u0031\u0030.0.0.0/24"] {
+            assert_eq!(prefix_reply(&mut service, escaped), plain, "{escaped}");
+        }
+        let lone = prefix_reply(&mut service, r"\ud834.0.0.0/24");
+        assert!(lone.contains("\"ok\":false"), "{lone}");
     }
 
     #[test]

@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use aspp_repro::detect::realtime::StreamingDetector;
 use aspp_repro::experiments::Scale;
-use aspp_repro::feed::{encode_records, Checkpoint, FeedConfig, FeedEngine, ReplayConfig};
+use aspp_repro::feed::{
+    encode_records, Checkpoint, DetectionService, FeedConfig, FeedEngine, ReplayConfig,
+};
 
 /// Builds the shared fixture: a smoke-scale world, an attack-heavy stream
 /// split into head/tail wire files, and the serial oracle's alarms.
@@ -116,6 +118,77 @@ fn resumed_engine_matches_the_uninterrupted_run() {
         Checkpoint::capture(&second_life),
         Checkpoint::capture(&uninterrupted),
     );
+}
+
+/// The service writes its checkpoints from the live engine's borrowed rows,
+/// not through a `Checkpoint` snapshot. After every chunk of a churny
+/// stream, at 1, 2 and 8 shards, the file it writes must be the snapshot's
+/// encoding, the same bytes at every shard count, and a checkpoint that
+/// restores the engine's exact state.
+#[test]
+fn service_checkpoints_are_the_snapshot_bytes_at_every_shard_count() {
+    let seed = 43;
+    let graph = Arc::new(Scale::Smoke.internet(seed));
+    let feed = ReplayConfig::new(40)
+        .attack_ratio(0.6)
+        .withdraw_ratio(0.4)
+        .seed(seed)
+        .generate(&graph);
+    let dir = std::env::temp_dir().join(format!("aspp_service_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let shard_counts = [1usize, 2, 8];
+    let mut services: Vec<DetectionService> = shard_counts
+        .iter()
+        .map(|&shards| {
+            let mut engine = FeedEngine::new(Arc::clone(&graph), &FeedConfig::new(shards));
+            engine.seed_from_corpus(&feed.corpus);
+            DetectionService::new(engine)
+        })
+        .collect();
+    let chunks: Vec<_> = feed
+        .updates()
+        .chunks(feed.updates().len() / 6 + 1)
+        .collect();
+    let mut raised = 0;
+    for (i, chunk) in chunks.iter().enumerate() {
+        let stream = dir.join(format!("chunk-{i}.bin"));
+        std::fs::write(&stream, encode_records(chunk)).unwrap();
+        let mut written = Vec::new();
+        for (service, shards) in services.iter_mut().zip(shard_counts) {
+            let file = dir.join(format!("state-{shards}.ckpt"));
+            let requests = format!(
+                "{{\"cmd\":\"ingest\",\"file\":\"{}\"}}\n{{\"cmd\":\"checkpoint\",\"file\":\"{}\"}}\n",
+                stream.display(),
+                file.display()
+            );
+            let mut replies = Vec::new();
+            service.run(requests.as_bytes(), &mut replies).unwrap();
+            let replies = String::from_utf8(replies).unwrap();
+            assert!(!replies.contains("\"ok\":false"), "{replies}");
+            let bytes = std::fs::read(&file).unwrap();
+            let engine = service.engine();
+            assert_eq!(
+                bytes,
+                Checkpoint::capture(engine).encode(),
+                "chunk {i}, {shards} shards: the service wrote other bytes"
+            );
+            let mut restored = FeedEngine::new(Arc::clone(&graph), &FeedConfig::new(shards));
+            Checkpoint::decode(&bytes)
+                .unwrap()
+                .restore_into(&mut restored);
+            assert_eq!(restored.export_state(), engine.export_state(), "chunk {i}");
+            assert_eq!(restored.cursor(), engine.cursor(), "chunk {i}");
+            written.push(bytes);
+        }
+        assert!(
+            written.iter().all(|bytes| *bytes == written[0]),
+            "chunk {i}: checkpoint bytes depend on the shard count"
+        );
+        raised += Checkpoint::decode(&written[0]).unwrap().state.raised.len();
+    }
+    assert!(raised > 0, "the stream never raised an alarm to checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -11,6 +11,7 @@
 //! handed over once — `export_state` into a fresh detector's
 //! `import_state` — at a random record, as a checkpoint restore would.
 
+use aspp_repro::data::{UpdateAction, UpdateRecord};
 use aspp_repro::detect::realtime::{ReferenceDetector, StreamingDetector};
 use aspp_repro::feed::ReplayConfig;
 use aspp_repro::topology::gen::InternetConfig;
@@ -65,6 +66,86 @@ fn incremental_detector_matches_the_rebuild_oracle_record_by_record() {
         assert!(
             per_pass[1] > 0 && per_pass[1] < per_pass[0],
             "seed {seed}: a replay must re-raise the re-armed keys and only those: {per_pass:?}"
+        );
+    }
+}
+
+/// The regime an announcement's skip of settled candidates lives on: every
+/// interception is re-announced three more times after the stream, so its
+/// candidates stand with their keys raised. In the middle round each
+/// intercepted monitor first withdraws and returns to its clean route,
+/// re-arming its keys, so the round after it skips candidates whose keys
+/// the round before re-raised.
+#[test]
+fn repeated_interceptions_match_the_rebuild_oracle_record_by_record() {
+    for seed in [5u64, 23] {
+        let graph = InternetConfig::small().seed(seed).build();
+        let feed = ReplayConfig::new(24)
+            .monitors_top_degree(16)
+            .attack_ratio(0.7)
+            .withdraw_ratio(0.3)
+            .seed(seed)
+            .generate(&graph);
+        let corpus = &feed.corpus;
+        let clean = |u: &UpdateRecord| corpus.table_of(u.monitor)?.get(&u.prefix).cloned();
+        // Interception announcements: the only ones off the seeded route.
+        let hostile: Vec<&UpdateRecord> = feed
+            .updates()
+            .iter()
+            .filter(|u| match &u.action {
+                UpdateAction::Announce(path) => clean(u).is_some_and(|seeded| seeded != *path),
+                UpdateAction::Withdraw => false,
+            })
+            .collect();
+        assert!(
+            !hostile.is_empty(),
+            "seed {seed}: no interception to repeat"
+        );
+
+        let mut updates = feed.updates().to_vec();
+        let mut rounds = Vec::new();
+        for round in 0..3 {
+            let start = updates.len();
+            for &u in &hostile {
+                let mut push = |action| {
+                    let seq = updates.len() as u64 + 1;
+                    updates.push(UpdateRecord { seq, action, ..*u });
+                };
+                if round == 1 {
+                    push(UpdateAction::Withdraw);
+                    push(UpdateAction::Announce(clean(u).expect("seeded")));
+                }
+                push(u.action.clone());
+            }
+            rounds.push(start..updates.len());
+        }
+
+        let mut optimized = StreamingDetector::new(&graph);
+        optimized.seed_from_corpus(corpus);
+        let mut oracle = ReferenceDetector::new(&graph);
+        for (monitor, table) in corpus.tables() {
+            for (prefix, path) in table.iter() {
+                oracle.seed(monitor, prefix, path.clone());
+            }
+        }
+        let mut alarms = vec![0usize; updates.len()];
+        for (i, update) in updates.iter().enumerate() {
+            let got = optimized.process(update);
+            assert_eq!(
+                got,
+                oracle.process(update),
+                "seed {seed}: diverged at seq {} on {update:?}",
+                update.seq
+            );
+            alarms[i] = got.len();
+        }
+        let per_round: Vec<usize> = rounds
+            .iter()
+            .map(|r| alarms[r.clone()].iter().sum())
+            .collect();
+        assert!(
+            per_round[1] > 0,
+            "seed {seed}: re-armed keys must alarm again: {per_round:?}"
         );
     }
 }
