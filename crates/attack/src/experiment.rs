@@ -230,13 +230,13 @@ pub fn run_experiments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios;
+    use crate::fixtures;
     use aspp_topology::gen::InternetConfig;
     use aspp_types::well_known;
 
     #[test]
     fn facebook_scenario_impact() {
-        let g = scenarios::facebook_topology();
+        let g = fixtures::facebook_topology();
         let exp = HijackExperiment::new(well_known::FACEBOOK, well_known::KOREA_TELECOM)
             .padding(5)
             .keep(3);

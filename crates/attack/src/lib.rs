@@ -27,8 +27,8 @@
 
 pub mod defense;
 mod experiment;
+pub mod fixtures;
 pub mod mitigation;
-pub mod scenarios;
 pub mod sweep;
 
 pub use aspp_routing::{BatchRunner, ExportMode, RouteWorkspace};

@@ -1,7 +1,7 @@
 //! Public-API regression tests for `aspp-attack`.
 
+use aspp_attack::fixtures::{facebook_anomaly_spec, facebook_topology, figure3, figure3_topology};
 use aspp_attack::mitigation::{deaggregation, padding_reduction};
-use aspp_attack::scenarios::{facebook_anomaly_spec, facebook_topology, figure3, figure3_topology};
 use aspp_attack::sweep::{
     best_connected_stub, pair_experiments, prepend_sweep, representative_of_tier, run_ranked,
     tier1_pair_experiments,

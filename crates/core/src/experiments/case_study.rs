@@ -6,7 +6,7 @@
 //! NTT's 7-hop direct routes, and the data-plane RTT from a US AT&T
 //! customer jumps past 200 ms.
 
-use aspp_attack::scenarios::{facebook_anomaly_spec, facebook_topology};
+use aspp_attack::fixtures::{facebook_anomaly_spec, facebook_topology};
 use aspp_attack::{run_experiment, HijackExperiment, HijackImpact};
 use aspp_dataplane::{simulate_traceroute, Region, RegionMap, Traceroute};
 use aspp_routing::RoutingEngine;

@@ -45,7 +45,7 @@ pub use aspp_types as types;
 /// Convenience re-exports of the most used items.
 pub mod prelude {
     pub use aspp_attack::{
-        defense, run_experiment, run_experiments, scenarios, sweep, BatchRunner, DefensePoint,
+        defense, fixtures, run_experiment, run_experiments, sweep, BatchRunner, DefensePoint,
         DeployStrategy, ExportMode, HijackExperiment, HijackImpact, RouteWorkspace,
     };
     pub use aspp_data::{measure, stats::Cdf, Corpus, CorpusConfig};
@@ -66,6 +66,6 @@ pub mod prelude {
         estimate as mc_estimate, timeline, Action, Estimate, EstimatorConfig, Scenario,
         ScenarioRun, StepReport,
     };
-    pub use aspp_topology::{gen::InternetConfig, infer, metrics, tier::TierMap, AsGraph};
-    pub use aspp_types::{well_known, Announcement, AsPath, Asn, Ipv4Prefix, Relationship};
+    pub use aspp_topology::{gen::InternetConfig, infer, tier::TierMap, AsGraph};
+    pub use aspp_types::{well_known, AsPath, Asn, Ipv4Prefix, Relationship};
 }

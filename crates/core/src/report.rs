@@ -61,17 +61,6 @@ impl TextTable {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Renders as comma-separated values (headers first).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for TextTable {
@@ -138,20 +127,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_output() {
-        let mut t = TextTable::new(["x", "y"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "x,y\n1,2\n");
-    }
-
-    #[test]
     fn row_padding_and_truncation() {
         let mut t = TextTable::new(["a", "b"]);
         t.row(["only-one"]);
         t.row(["1", "2", "3-dropped"]);
         assert_eq!(t.len(), 2);
-        let s = t.to_csv();
-        assert!(s.contains("only-one,"));
+        let s = t.to_string();
+        assert!(s.contains("only-one"));
         assert!(!s.contains("dropped"));
     }
 

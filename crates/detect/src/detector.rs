@@ -471,7 +471,7 @@ fn collapsed_has_peer_link(graph: &AsGraph, collapsed: &[Asn]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aspp_attack::scenarios::{figure3, figure3_topology};
+    use aspp_attack::fixtures::{figure3, figure3_topology};
     use aspp_routing::{
         AttackerModel, DestinationSpec, PrependConfig, PrependingPolicy, RoutingEngine,
     };

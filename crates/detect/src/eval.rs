@@ -417,7 +417,7 @@ fn hybrid_view(outcome: &RoutingOutcome<'_>, monitors: &[Asn], round: u32) -> Ro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aspp_attack::scenarios::{figure3, figure3_topology};
+    use aspp_attack::fixtures::{figure3, figure3_topology};
     use aspp_attack::sweep::random_pair_experiments;
     use aspp_topology::gen::InternetConfig;
 
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn visibility_matrix_matches_paper_claims() {
-        use aspp_attack::scenarios::{figure3, figure3_topology};
+        use aspp_attack::fixtures::{figure3, figure3_topology};
         use aspp_routing::AttackStrategy;
         use figure3::*;
         let g = figure3_topology();

@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use aspp_attack::scenarios::{figure3, figure3_topology};
+//! use aspp_attack::fixtures::{figure3, figure3_topology};
 //! use aspp_detect::{Detector, RouteView};
 //! use aspp_routing::{AttackerModel, DestinationSpec, PrependingPolicy,
 //!                    PrependConfig, RoutingEngine};

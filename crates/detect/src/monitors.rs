@@ -43,20 +43,6 @@ pub fn random_monitors<R: Rng>(graph: &AsGraph, d: usize, rng: &mut R) -> Vec<As
     all
 }
 
-/// Stub-only monitors: the worst case for visibility, since stubs see few
-/// distinct routes.
-#[must_use]
-pub fn stub_monitors<R: Rng>(graph: &AsGraph, d: usize, rng: &mut R) -> Vec<Asn> {
-    let mut stubs: Vec<Asn> = graph
-        .asns()
-        .filter(|&a| graph.customers(a).next().is_none())
-        .collect();
-    stubs.sort();
-    stubs.shuffle(rng);
-    stubs.truncate(d);
-    stubs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,14 +87,5 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 15);
-    }
-
-    #[test]
-    fn stub_monitors_have_no_customers() {
-        let g = InternetConfig::small().seed(11).build();
-        let mons = stub_monitors(&g, 20, &mut StdRng::seed_from_u64(3));
-        for m in mons {
-            assert_eq!(g.customers(m).count(), 0);
-        }
     }
 }

@@ -622,7 +622,7 @@ impl<'g> ReferenceDetector<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aspp_attack::scenarios::{figure3, figure3_topology};
+    use aspp_attack::fixtures::{figure3, figure3_topology};
     use aspp_routing::{AttackerModel, DestinationSpec, RoutingEngine};
     use std::collections::BTreeMap;
 

@@ -22,7 +22,7 @@ use rand::SeedableRng;
 
 use crate::detector::Detector;
 use crate::eval::effective_attacks;
-use crate::monitors::top_degree;
+use crate::monitors::{random_monitors, top_degree};
 use crate::view::RouteView;
 
 /// Precomputed per-attack state so candidate evaluation is cheap.
@@ -233,10 +233,7 @@ pub fn compare_selections(
 
     let greedy_monitors = greedy_selection(graph, training, &pool, budget);
     let top = top_degree(graph, budget);
-    let mut random: Vec<Asn> = graph.asns().collect();
-    random.sort();
-    random.shuffle(&mut rng);
-    random.truncate(budget);
+    let random = random_monitors(graph, budget, &mut rng);
 
     SelectionComparison {
         budget,

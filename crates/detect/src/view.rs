@@ -140,15 +140,6 @@ impl RouteView {
         self.routes.get(&asn).map_or(&[], |e| e.paths.as_slice())
     }
 
-    /// The single route of `asn` if exactly one was observed.
-    #[must_use]
-    pub fn unique_route_of(&self, asn: Asn) -> Option<&AsPath> {
-        match self.routes_of(asn) {
-            [one] => Some(one),
-            _ => None,
-        }
-    }
-
     /// Iterates over every `(asn, route)` pair in the view.
     pub fn iter(&self) -> impl Iterator<Item = (Asn, &AsPath)> {
         self.routes
@@ -223,8 +214,7 @@ mod tests {
         let view = RouteView::from_paths([p("55 10 1 1 1"), p("77 66 10 1")]);
         let a_routes = view.routes_of(Asn(10));
         assert_eq!(a_routes.len(), 2, "A has conflicting padding views");
-        assert!(view.unique_route_of(Asn(10)).is_none());
-        assert!(view.unique_route_of(Asn(55)).is_some());
+        assert_eq!(view.routes_of(Asn(55)).len(), 1);
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub struct RouteUpdate {
     pub new_path: Option<AsPath>,
 }
 
-impl RouteUpdate {
-    /// Returns `true` if the update withdraws the route entirely.
-    #[must_use]
-    pub fn is_withdrawal(&self) -> bool {
-        self.new_path.is_none()
-    }
-}
-
 /// Computes the updates triggered by failing the link `a — b` while routing
 /// toward `spec`'s destination: every AS whose observed path differs between
 /// the intact and the degraded topology.
@@ -113,24 +105,6 @@ pub fn random_tree_link<R: Rng>(
     tree_links.choose(rng).copied()
 }
 
-/// Runs `rounds` independent failure rounds (each on the intact topology)
-/// and returns all updates, flattened. Deterministic for a given RNG state.
-#[must_use]
-pub fn churn_rounds<R: Rng>(
-    graph: &AsGraph,
-    spec: &DestinationSpec,
-    rounds: usize,
-    rng: &mut R,
-) -> Vec<RouteUpdate> {
-    let mut all = Vec::new();
-    for _ in 0..rounds {
-        if let Some((a, b)) = random_tree_link(graph, spec, rng) {
-            all.extend(updates_after_failure(graph, spec, a, b));
-        }
-    }
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +151,7 @@ mod tests {
         let spec = DestinationSpec::new(Asn(1));
         let updates = updates_after_failure(&g, &spec, Asn(10), Asn(1));
         assert_eq!(updates.len(), 1);
-        assert!(updates[0].is_withdrawal());
+        assert!(updates[0].new_path.is_none());
         assert_eq!(updates[0].asn, Asn(10));
     }
 
@@ -198,19 +172,5 @@ mod tests {
         // Failing it must produce at least one update (it carried traffic).
         let updates = updates_after_failure(&g, &spec, a, b);
         assert!(!updates.is_empty());
-    }
-
-    #[test]
-    fn churn_rounds_accumulate_updates() {
-        let (g, spec) = multihomed();
-        let mut rng = StdRng::seed_from_u64(9);
-        let updates = churn_rounds(&g, &spec, 5, &mut rng);
-        assert!(!updates.is_empty());
-        // Updates in churn show the padded backup more often than tables do:
-        let padded = updates
-            .iter()
-            .filter(|u| u.new_path.as_ref().is_some_and(AsPath::has_prepending))
-            .count();
-        assert!(padded > 0, "churn should surface padded backup routes");
     }
 }

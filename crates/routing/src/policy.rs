@@ -414,12 +414,6 @@ impl DeploymentMap {
         self.deployed
     }
 
-    /// Number of ASes covered by the map.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// Deployed fraction of the AS population (0 when the map is empty).
     #[must_use]
     pub fn fraction(&self) -> f64 {
@@ -520,7 +514,6 @@ mod tests {
         assert!(map.deploys(0) && map.deploys(64) && map.deploys(129));
         assert!(!map.deploys(1) && !map.deploys(128));
         assert_eq!(map.deployed_count(), 3);
-        assert_eq!(map.node_count(), 130);
         assert!((map.fraction() - 3.0 / 130.0).abs() < 1e-12);
         assert_eq!(DeploymentMap::empty(10).deployed_count(), 0);
     }

@@ -124,12 +124,6 @@ impl PrependConfig {
         self
     }
 
-    /// The policy of `asn`, if it has one.
-    #[must_use]
-    pub fn policy_of(&self, asn: Asn) -> Option<&PrependingPolicy> {
-        self.policies.get(&asn)
-    }
-
     /// Extra copies `exporter` inserts when announcing to `receiver`.
     #[must_use]
     pub fn extra_for(&self, exporter: Asn, receiver: Asn) -> usize {
@@ -211,7 +205,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.extra_for(Asn(1), Asn(9)), 2);
         assert_eq!(c.extra_for(Asn(2), Asn(9)), 0);
-        assert!(c.policy_of(Asn(1)).is_some());
     }
 
     #[test]

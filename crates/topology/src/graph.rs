@@ -453,12 +453,6 @@ impl AsGraph {
             .map_or(0, |i| self.nodes[i].neighbors.len())
     }
 
-    /// Degree by dense index.
-    #[must_use]
-    pub fn degree_at(&self, idx: usize) -> usize {
-        self.nodes[idx].neighbors.len()
-    }
-
     /// Iterates over `asn`'s neighbors with their relationships.
     ///
     /// Returns an empty iterator if `asn` is absent.

@@ -33,7 +33,6 @@ pub mod gen;
 mod graph;
 pub mod infer;
 pub mod io;
-pub mod metrics;
 pub mod tier;
 
 pub use graph::{AsGraph, CsrEntry, CsrIndex, GraphError, NeighborIter};

@@ -3,7 +3,6 @@
 use aspp_topology::gen::{InternetConfig, CONTENT_BASE, STUB_BASE, TIER1_BASE};
 use aspp_topology::infer::{consensus_infer, gao_infer, InferParams, InferenceAccuracy};
 use aspp_topology::io::{from_caida_strict, to_caida};
-use aspp_topology::metrics::{degree_distribution, GraphStats};
 use aspp_topology::tier::{customer_cone, TierMap};
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn, Relationship};
@@ -17,16 +16,6 @@ fn generated_internet_survives_caida_round_trip_with_tiers_intact() {
     for asn in graph.asns() {
         assert_eq!(tiers_a.tier_of(asn), tiers_b.tier_of(asn), "tier of {asn}");
     }
-}
-
-#[test]
-fn graph_stats_and_degree_distribution_agree() {
-    let graph = InternetConfig::small().seed(5).build();
-    let stats = GraphStats::compute(&graph);
-    let hist = degree_distribution(&graph);
-    let total_degree: usize = hist.iter().map(|(&d, &n)| d * n).sum();
-    assert_eq!(total_degree, stats.link_count * 2);
-    assert_eq!(hist.keys().max().copied().unwrap(), stats.max_degree);
 }
 
 #[test]

@@ -3,8 +3,7 @@
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace: autonomous system numbers ([`Asn`]), IPv4 prefixes
 //! ([`Ipv4Prefix`]), AS paths with explicit prepending support ([`AsPath`]),
-//! BGP announcements ([`Announcement`]), and the business-relationship
-//! classification used by Gao–Rexford policy routing ([`Relationship`],
+//! and the business-relationship classification used by Gao–Rexford policy routing ([`Relationship`],
 //! [`RouteClass`]).
 //!
 //! The types are deliberately small, `Copy` where possible, and implement the
@@ -13,7 +12,7 @@
 //! # Example
 //!
 //! ```
-//! use aspp_types::{Asn, AsPath, Announcement, Ipv4Prefix};
+//! use aspp_types::{Asn, AsPath, Ipv4Prefix};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Facebook announces one of its prefixes with 5 copies of its ASN
@@ -31,8 +30,11 @@
 //! assert_eq!(removed, 4);
 //! assert_eq!(path.to_string(), "3356 32934");
 //!
-//! let ann = Announcement::new("69.171.224.0/20".parse::<Ipv4Prefix>()?, path);
-//! assert_eq!(ann.path().origin(), Some(facebook));
+//! assert_eq!(path.origin(), Some(facebook));
+//!
+//! // The prefix the anomaly diverted.
+//! let prefix: Ipv4Prefix = "69.171.224.0/20".parse()?;
+//! assert!(prefix.contains(&"69.171.230.0/24".parse()?));
 //! # Ok(())
 //! # }
 //! ```
@@ -40,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod announce;
 mod arena;
 mod asn;
 mod error;
@@ -48,7 +49,6 @@ mod path;
 mod prefix;
 mod relationship;
 
-pub use announce::Announcement;
 pub use arena::{PathArena, PathRange};
 pub use asn::Asn;
 pub use error::{AsppError, IngestReport, ParseAsPathError, ParseAsnError, ParsePrefixError};

@@ -327,15 +327,6 @@ impl AsPath {
         before - self.hops.len()
     }
 
-    /// Like [`strip_origin_padding`](Self::strip_origin_padding) but returns
-    /// the stripped path, leaving `self` untouched.
-    #[must_use]
-    pub fn with_origin_padding_stripped(&self, keep: usize) -> AsPath {
-        let mut out = self.clone();
-        out.strip_origin_padding(keep);
-        out
-    }
-
     /// The transit segment used by the detection algorithm (Figure 4): the
     /// collapsed hops strictly between the first AS and the origin padding,
     /// i.e. `[AS_{I-1} … AS_1]` for a path `[AS_I AS_{I-1} … AS_1 V^λ]`.

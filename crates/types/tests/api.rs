@@ -1,7 +1,7 @@
 //! Public-API regression tests for `aspp-types`: behaviours a downstream
 //! user relies on, exercised exactly as a downstream crate would.
 
-use aspp_types::{well_known, Announcement, AsPath, Asn, Ipv4Prefix, Relationship, RouteClass};
+use aspp_types::{well_known, AsPath, Asn, Ipv4Prefix, Relationship, RouteClass};
 
 #[test]
 fn well_known_constants_are_the_papers_asns() {
@@ -56,18 +56,6 @@ fn default_route_contains_everything() {
 }
 
 #[test]
-fn announcement_display_round_trips_by_parts() {
-    let ann = Announcement::new(
-        "69.171.224.0/20".parse().unwrap(),
-        "7018 3356 32934".parse().unwrap(),
-    );
-    let text = ann.to_string();
-    let (prefix_str, path_str) = text.split_once(' ').unwrap();
-    assert_eq!(prefix_str.parse::<Ipv4Prefix>().unwrap(), ann.prefix());
-    assert_eq!(&path_str.parse::<AsPath>().unwrap(), ann.path());
-}
-
-#[test]
 fn route_class_ordering_is_a_total_preference() {
     use RouteClass::*;
     let order = [Origin, FromCustomer, FromPeer, FromProvider];
@@ -104,14 +92,6 @@ fn strip_on_unpadded_and_single_hop_paths() {
 }
 
 #[test]
-fn with_origin_padding_stripped_is_pure() {
-    let original: AsPath = "1 2 2 2".parse().unwrap();
-    let stripped = original.with_origin_padding_stripped(1);
-    assert_eq!(stripped.to_string(), "1 2");
-    assert_eq!(original.to_string(), "1 2 2 2");
-}
-
-#[test]
 fn max_padding_vs_origin_padding() {
     // The deepest run is mid-path: Figure 6 measures max_padding, the
     // detector measures origin_padding; they must stay distinct.
@@ -119,14 +99,6 @@ fn max_padding_vs_origin_padding() {
     assert_eq!(path.max_padding(), 4);
     assert_eq!(path.origin_padding(), 2);
     assert_eq!(path.padding_of(Asn(6)), 4);
-}
-
-#[test]
-fn propagated_by_builds_collector_views() {
-    let ann = Announcement::new("10.0.0.0/8".parse().unwrap(), "3 1".parse().unwrap());
-    let relayed = ann.propagated_by(Asn(9)).propagated_by(Asn(8));
-    assert_eq!(relayed.path().to_string(), "8 9 3 1");
-    assert_eq!(relayed.origin(), Some(Asn(1)));
 }
 
 #[test]

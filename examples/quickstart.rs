@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use aspp_repro::prelude::*;
+use aspp_core::prelude::*;
 
 fn main() {
     // 1. A deterministic ~150-AS Internet with ground-truth relationships.

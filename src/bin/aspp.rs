@@ -28,12 +28,12 @@ macro_rules! out {
     }};
 }
 
-use aspp_repro::attack::mitigation;
-use aspp_repro::data::measure;
-use aspp_repro::experiments::{case_study, detection, extensions, impact, usage, Scale};
-use aspp_repro::obs::trace;
-use aspp_repro::prelude::*;
-use aspp_repro::report::pct;
+use aspp_core::attack::mitigation;
+use aspp_core::data::measure;
+use aspp_core::experiments::{case_study, detection, extensions, impact, usage, Scale};
+use aspp_core::obs::trace;
+use aspp_core::prelude::*;
+use aspp_core::report::pct;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -488,6 +488,16 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// A ratio flag (`--attack-ratio`, `--withdraw-ratio`), checked against
+    /// [0, 1] where it enters, as `--fractions` is: NaN passes `clamp` and
+    /// would panic the generator's Bernoulli draws.
+    fn ratio(&self, name: &str) -> Result<Option<f64>, String> {
+        match self.parsed::<f64>(name)? {
+            Some(f) if !(0.0..=1.0).contains(&f) => Err(format!("{name} {f} outside [0, 1]")),
+            ratio => Ok(ratio),
+        }
+    }
+
     /// Records `graph`'s identity (size and structural fingerprint) in the
     /// manifest.
     fn record_topology(&mut self, graph: &AsGraph) {
@@ -723,7 +733,7 @@ fn cmd_audit(run: &mut Run) -> Result<(), String> {
 /// equilibrium against the paper's routing invariants (valley-freeness,
 /// export legality, loop-free next-hop chains, local optimality).
 fn audit_equilibria(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::routing::audit;
+    use aspp_core::routing::audit;
 
     let graph = run.internet();
     // Deterministic victim/attacker sample spanning the hierarchy: a
@@ -764,7 +774,7 @@ fn audit_equilibria(run: &mut Run) -> Result<(), String> {
                 + report
                     .attacked
                     .as_ref()
-                    .map_or(0, aspp_repro::routing::AuditReport::routes_checked);
+                    .map_or(0, aspp_core::routing::AuditReport::routes_checked);
             if !report.is_clean() {
                 dirty.push((label, report));
             }
@@ -831,14 +841,14 @@ fn audit_topology_file(path: &str, lenient: bool) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let counts = |g: &AsGraph| format!("{} ASes, {} links", g.len(), g.link_count());
     if lenient {
-        let (graph, report) = aspp_repro::topology::io::from_caida_lenient(&text);
+        let (graph, report) = aspp_core::topology::io::from_caida_lenient(&text);
         out!("{path}: {report}");
         for note in &report.notes {
             out!("  {note}");
         }
         out!("topology: {}", counts(&graph));
     } else {
-        let graph = aspp_repro::topology::io::from_caida_strict(&text)
+        let graph = aspp_core::topology::io::from_caida_strict(&text)
             .map_err(|e| format!("{path}: {e}"))?;
         out!("{path}: OK — {}", counts(&graph));
     }
@@ -864,7 +874,7 @@ fn audit_corpus_file(path: &str, lenient: bool) -> Result<(), String> {
 /// `aspp feed` — synthesize (or replay from a wire file) an update stream
 /// and drive it through the sharded detection pipeline.
 fn cmd_feed(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::feed::{decode_records, decode_records_lenient, encode_records, run_feed};
+    use aspp_core::feed::{decode_records, decode_records_lenient, encode_records, run_feed};
     use std::sync::Arc;
 
     let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
@@ -902,8 +912,8 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
                 Scale::InternetSmoke => 60,
             });
         let monitors = run.parsed::<usize>("--monitors")?.unwrap_or(30);
-        let attack_ratio = run.parsed::<f64>("--attack-ratio")?.unwrap_or(0.15);
-        let withdraw_ratio = run.parsed::<f64>("--withdraw-ratio")?.unwrap_or(0.3);
+        let attack_ratio = run.ratio("--attack-ratio")?.unwrap_or(0.15);
+        let withdraw_ratio = run.ratio("--withdraw-ratio")?.unwrap_or(0.3);
         let feed = ReplayConfig::new(prefixes)
             .monitors_top_degree(monitors)
             .attack_ratio(attack_ratio)
@@ -1030,7 +1040,7 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
 /// `--restore FILE` resumes from a checkpoint; `--checkpoint FILE` sets
 /// the default target (also written on graceful drain).
 fn cmd_serve(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::feed::{DetectionService, FeedEngine};
+    use aspp_core::feed::{DetectionService, FeedEngine};
     use std::sync::Arc;
 
     let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
@@ -1076,7 +1086,7 @@ fn cmd_serve(run: &mut Run) -> Result<(), String> {
 /// export mode × λ) over sampled victim/attacker pairs, run on the batch
 /// equilibrium engine (`--workers 1` is serial, with identical results).
 fn cmd_sweep(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::attack::sweep::{random_pair_experiments, strategy_matrix};
+    use aspp_core::attack::sweep::{random_pair_experiments, strategy_matrix};
 
     let pairs = run.parsed::<usize>("--pairs")?.unwrap_or(match run.scale {
         Scale::Paper => 8,
@@ -1167,7 +1177,7 @@ fn list_of<T>(raw: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec
 /// fractions, reporting interception success at every grid cell for the
 /// paper's strip attack and an origin-hijack contrast.
 fn cmd_defense(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::experiments::defense::{self, DefenseConfig};
+    use aspp_core::experiments::defense::{self, DefenseConfig};
 
     let mut config = DefenseConfig::at_scale(run.scale, run.seed);
     if let Some(pairs) = run.parsed::<usize>("--pairs")? {
@@ -1231,7 +1241,7 @@ fn cmd_defense(run: &mut Run) -> Result<(), String> {
 /// each step a full per-prefix equilibrium batch with data-plane LPM
 /// capture, detector alarms, and inter-step churn.
 fn cmd_scenario(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::experiments::scenario;
+    use aspp_core::experiments::scenario;
 
     let runner = run.runner()?;
     let graph = run.internet();
@@ -1262,7 +1272,7 @@ fn cmd_scenario(run: &mut Run) -> Result<(), String> {
 /// confidence intervals. `--exact` additionally enumerates every pool
 /// cell and reports whether the exact mean lies inside the 95% CI.
 fn cmd_estimate(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::experiments::scenario::{self, cross_validate};
+    use aspp_core::experiments::scenario::{self, cross_validate};
 
     let mut config = scenario::estimator_config(run.scale, run.seed);
     if let Some(samples) = run.parsed::<usize>("--samples")? {
@@ -1310,7 +1320,7 @@ fn cmd_estimate(run: &mut Run) -> Result<(), String> {
 /// in CAIDA serial-2 format, for external tools and the internet-scale CI
 /// job. Without `--out` it only reports the generated graph's identity.
 fn cmd_gen(run: &mut Run) -> Result<(), String> {
-    use aspp_repro::topology::io::to_caida;
+    use aspp_core::topology::io::to_caida;
 
     let t0 = Instant::now();
     let graph = run.internet();

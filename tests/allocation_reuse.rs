@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use aspp_repro::prelude::*;
+use aspp_core::prelude::*;
 
 struct CountingAlloc;
 

@@ -6,16 +6,16 @@
 //! configuration, proptest-randomized victim/attacker pairs, and a
 //! one-unit batch that only parallelises through the finish phase.
 
-use aspp_repro::attack::sweep::{random_pair_experiments, strategy_matrix};
-use aspp_repro::experiments::Scale;
-use aspp_repro::prelude::*;
-use aspp_repro::routing::RouteInfo;
+use aspp_core::attack::sweep::{random_pair_experiments, strategy_matrix};
+use aspp_core::experiments::Scale;
+use aspp_core::prelude::*;
+use aspp_core::routing::RouteInfo;
 use proptest::prelude::*;
 
 /// The full per-pair grid: 4 attack strategies ×
 /// {Compliant, ViolateValleyFree} × λ = 1..8 = 64 cells per pair.
 fn full_matrix(
-    graph: &aspp_repro::topology::AsGraph,
+    graph: &aspp_core::topology::AsGraph,
     pairs: usize,
     seed: u64,
 ) -> Vec<HijackExperiment> {
@@ -28,7 +28,7 @@ fn full_matrix(
 /// Serial oracle at the impact level: one fresh workspace per cell, the
 /// historical pre-batch path.
 fn serial_impacts(
-    graph: &aspp_repro::topology::AsGraph,
+    graph: &aspp_core::topology::AsGraph,
     exps: &[HijackExperiment],
 ) -> Vec<HijackImpact> {
     exps.iter().map(|e| run_experiment(graph, e)).collect()
@@ -82,7 +82,7 @@ fn route_table(outcome: &RoutingOutcome<'_>) -> Vec<Option<RouteInfo>> {
 
 #[test]
 fn one_unit_batch_is_finished_by_every_worker_and_matches_per_cell_compute() {
-    use aspp_repro::routing::{DeployedPolicy, DeploymentMap, PolicyKind, RouteWorkspace};
+    use aspp_core::routing::{DeployedPolicy, DeploymentMap, PolicyKind, RouteWorkspace};
     use std::collections::HashSet;
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::Duration;

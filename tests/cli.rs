@@ -202,6 +202,23 @@ fn lambda_flags_are_bounded_where_they_enter() {
 }
 
 #[test]
+fn feed_ratio_flags_reject_values_outside_the_unit_interval() {
+    // NaN slips through `clamp` into the generator's Bernoulli draws, which
+    // panicked (exit 101) before the flags were checked where they enter.
+    for flag in ["--attack-ratio", "--withdraw-ratio"] {
+        for ratio in ["NaN", "nan", "-0.5", "1.5"] {
+            let out = aspp(&["feed", "--scale", "smoke", flag, ratio]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{flag} {ratio}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{flag} ")) && stderr.contains("outside [0, 1]"),
+                "{flag} {ratio}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn corpus_then_measure_round_trips() {
     let dir = std::env::temp_dir().join("aspp_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -3,8 +3,8 @@
 //! measurements agree — i.e. the measurement code path is provenance-
 //! agnostic, exactly as it would be over real RouteViews/RIPE data.
 
-use aspp_repro::data::measure;
-use aspp_repro::prelude::*;
+use aspp_core::data::measure;
+use aspp_core::prelude::*;
 
 fn corpus_pair() -> (Corpus, Corpus) {
     let graph = InternetConfig::small().seed(31337).build();

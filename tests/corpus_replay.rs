@@ -3,9 +3,9 @@
 //! replay the update stream into the streaming detector — the full workflow
 //! a prefix owner would run against RouteViews/RIPE feeds.
 
-use aspp_repro::detect::realtime::StreamingDetector;
-use aspp_repro::prelude::*;
-use aspp_repro::types::Ipv4Prefix;
+use aspp_core::detect::realtime::StreamingDetector;
+use aspp_core::prelude::*;
+use aspp_core::types::Ipv4Prefix;
 
 fn victim_prefix() -> Ipv4Prefix {
     // The generator assigns the first prefix 10.0.0.0/24.

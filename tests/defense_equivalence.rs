@@ -7,11 +7,11 @@
 //! perturb it at any deployment fraction (ROV vs ASPP stripping, the
 //! repository's headline negative result).
 
-use aspp_repro::attack::defense::{deployment_order, run_defense_sweep, DeployStrategy};
-use aspp_repro::attack::sweep::{random_pair_experiments, strategy_matrix};
-use aspp_repro::experiments::Scale;
-use aspp_repro::prelude::*;
-use aspp_repro::routing::RouteInfo;
+use aspp_core::attack::defense::{deployment_order, run_defense_sweep, DeployStrategy};
+use aspp_core::attack::sweep::{random_pair_experiments, strategy_matrix};
+use aspp_core::experiments::Scale;
+use aspp_core::prelude::*;
+use aspp_core::routing::RouteInfo;
 use proptest::prelude::*;
 
 /// Every AS's final route (and clean route), in deterministic order.

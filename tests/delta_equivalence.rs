@@ -8,7 +8,7 @@
 //! non-`NOOP` policy forces the full propagation, and one deployed nowhere
 //! accepts every offer.
 
-use aspp_repro::prelude::*;
+use aspp_core::prelude::*;
 use proptest::prelude::*;
 
 fn all_experiments(victim: Asn, attacker: Asn, tie: TieBreak) -> Vec<HijackExperiment> {
@@ -105,7 +105,7 @@ proptest! {
 
 /// Every equilibrium in the same strategy matrix the bit-identity proptest
 /// exercises must also satisfy the paper's routing invariants — the
-/// [`aspp_repro::routing::audit`] checker run in always-on mode.
+/// [`aspp_core::routing::audit`] checker run in always-on mode.
 #[test]
 fn strategy_matrix_equilibria_audit_clean() {
     let graph = InternetConfig::small().seed(2024).build();
@@ -119,7 +119,7 @@ fn strategy_matrix_equilibria_audit_clean() {
     ] {
         for exp in all_experiments(victim, attacker, tie) {
             let outcome = engine.compute(&exp.to_spec());
-            let audit = aspp_repro::routing::audit::audit_outcome(&outcome);
+            let audit = aspp_core::routing::audit::audit_outcome(&outcome);
             assert!(audit.is_clean(), "{exp:?} failed audit:\n{audit}");
         }
     }

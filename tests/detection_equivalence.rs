@@ -11,16 +11,16 @@
 
 use std::sync::Mutex;
 
-use aspp_repro::attack::sweep::random_pair_experiments;
-use aspp_repro::detect::eval::{
+use aspp_core::attack::sweep::random_pair_experiments;
+use aspp_core::detect::eval::{
     accuracy_vs_monitors, detect_attack, effective_attacks, false_positive_rate,
     polluted_before_detection, polluted_fraction_before_detection, visibility_matrix,
 };
-use aspp_repro::detect::monitors::top_degree;
-use aspp_repro::detect::selection::{compare_selections, prepare};
-use aspp_repro::experiments::{detection, Scale};
-use aspp_repro::obs::counters::Counter;
-use aspp_repro::prelude::*;
+use aspp_core::detect::monitors::top_degree;
+use aspp_core::detect::selection::{compare_selections, prepare};
+use aspp_core::experiments::{detection, Scale};
+use aspp_core::obs::counters::Counter;
+use aspp_core::prelude::*;
 
 static LOCK: Mutex<()> = Mutex::new(());
 

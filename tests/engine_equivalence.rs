@@ -5,9 +5,9 @@
 //! best route, for every victim, padding level, attacker placement, export
 //! mode, and attack strategy.
 
-use aspp_repro::prelude::*;
-use aspp_repro::routing::bgp::BgpSimulation;
-use aspp_repro::routing::AttackStrategy;
+use aspp_core::prelude::*;
+use aspp_core::routing::bgp::BgpSimulation;
+use aspp_core::routing::AttackStrategy;
 use proptest::prelude::*;
 
 fn assert_equivalent(graph: &AsGraph, spec: &DestinationSpec) {
@@ -33,7 +33,7 @@ fn assert_equivalent(graph: &AsGraph, spec: &DestinationSpec) {
                     "divergence at AS{asn} (victim {}, attacker {:?})",
                     spec.victim(),
                     spec.attacker_model()
-                        .map(aspp_repro::routing::AttackerModel::asn),
+                        .map(aspp_core::routing::AttackerModel::asn),
                 );
                 // Paths agree too, not just metrics.
                 assert_eq!(sim.observed_path(asn), eng.observed_path(asn));
@@ -180,7 +180,7 @@ fn spill_heap_equilibria_equivalence() {
     for spec in [clean, attacked] {
         assert_equivalent(&graph, &spec);
         let outcome = RoutingEngine::new(&graph).compute(&spec);
-        let report = aspp_repro::routing::audit::audit_outcome(&outcome);
+        let report = aspp_core::routing::audit::audit_outcome(&outcome);
         assert!(report.is_clean(), "{report}");
     }
 }

@@ -9,20 +9,20 @@
 
 use std::sync::Arc;
 
-use aspp_repro::detect::realtime::StreamingDetector;
-use aspp_repro::experiments::Scale;
-use aspp_repro::feed::{
+use aspp_core::detect::realtime::StreamingDetector;
+use aspp_core::experiments::Scale;
+use aspp_core::feed::{
     encode_records, Checkpoint, DetectionService, FeedConfig, FeedEngine, ReplayConfig,
 };
 
 /// Builds the shared fixture: a smoke-scale world, an attack-heavy stream
 /// split into head/tail wire files, and the serial oracle's alarms.
 struct Fixture {
-    graph: Arc<aspp_repro::topology::AsGraph>,
-    corpus: aspp_repro::data::Corpus,
+    graph: Arc<aspp_core::topology::AsGraph>,
+    corpus: aspp_core::data::Corpus,
     head: Vec<u8>,
     tail: Vec<u8>,
-    oracle: Vec<aspp_repro::detect::realtime::StreamAlarm>,
+    oracle: Vec<aspp_core::detect::realtime::StreamAlarm>,
 }
 
 fn fixture(seed: u64) -> Fixture {

@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
-use aspp_repro::detect::realtime::StreamingDetector;
-use aspp_repro::experiments::Scale;
-use aspp_repro::feed::{decode_records, encode_records, run_feed, FeedConfig, ReplayConfig};
+use aspp_core::detect::realtime::StreamingDetector;
+use aspp_core::experiments::Scale;
+use aspp_core::feed::{decode_records, encode_records, run_feed, FeedConfig, ReplayConfig};
 
 #[test]
 fn shard_count_does_not_change_the_alarm_sequence() {

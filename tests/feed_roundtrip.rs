@@ -5,9 +5,9 @@
 //! lenient decoding of a stream truncated at any byte offset keeps the
 //! `IngestReport` accounting identity `accepted + skipped == declared`.
 
-use aspp_repro::data::{UpdateAction, UpdateRecord};
-use aspp_repro::feed::{decode_records, decode_records_lenient, encode_records, FrameReader};
-use aspp_repro::prelude::*;
+use aspp_core::data::{UpdateAction, UpdateRecord};
+use aspp_core::feed::{decode_records, decode_records_lenient, encode_records, FrameReader};
+use aspp_core::prelude::*;
 use proptest::prelude::*;
 
 /// Raw draws for one record: `(seq, monitor, addr, plen, tag, hops)`;

@@ -1,7 +1,7 @@
 //! Smoke-scale runs of every table/figure harness, asserting the paper's
 //! qualitative findings (the "shape" contract documented in EXPERIMENTS.md).
 
-use aspp_repro::experiments::{case_study, detection, impact, usage, Scale};
+use aspp_core::experiments::{case_study, detection, impact, usage, Scale};
 
 const SEED: u64 = 2024;
 

@@ -6,10 +6,10 @@
 //! observed-path level — across the full 4-strategy × 2-export-mode × λ
 //! matrix, on the paper topology and proptest-randomized instances.
 
-use aspp_repro::attack::sweep::{random_pair_experiments, strategy_matrix};
-use aspp_repro::experiments::Scale;
-use aspp_repro::prelude::*;
-use aspp_repro::routing::RouteInfo;
+use aspp_core::attack::sweep::{random_pair_experiments, strategy_matrix};
+use aspp_core::experiments::Scale;
+use aspp_core::prelude::*;
+use aspp_core::routing::RouteInfo;
 use proptest::prelude::*;
 
 /// Reference observed-path reconstruction, re-derived from the public

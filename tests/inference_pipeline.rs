@@ -2,8 +2,8 @@
 //! observed monitor paths → Gao / degree / consensus inference → accuracy
 //! against the generator's ground truth.
 
-use aspp_repro::prelude::*;
-use aspp_repro::topology::infer::{
+use aspp_core::prelude::*;
+use aspp_core::topology::infer::{
     consensus_infer, degree_infer, gao_infer, InferParams, InferenceAccuracy,
 };
 

@@ -4,9 +4,9 @@
 //! lenient parsers must account for every record line (accepted + conflicts
 //! + skipped), never silently dropping input.
 
-use aspp_repro::prelude::*;
-use aspp_repro::topology::io;
-use aspp_repro::types::AsppError;
+use aspp_core::prelude::*;
+use aspp_core::topology::io;
+use aspp_core::types::AsppError;
 use proptest::prelude::*;
 
 /// Non-comment, non-blank lines — the denominators the lenient ingest

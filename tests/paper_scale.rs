@@ -9,7 +9,7 @@
 //! cargo test --release --test paper_scale -- --ignored
 //! ```
 
-use aspp_repro::experiments::{detection, impact, usage, Scale};
+use aspp_core::experiments::{detection, impact, usage, Scale};
 
 const SEED: u64 = 2024;
 

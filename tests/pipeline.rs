@@ -2,10 +2,10 @@
 //! interception → multi-vantage-point detection, with cross-crate
 //! invariants checked at every stage.
 
-use aspp_repro::attack::sweep::random_pair_experiments;
-use aspp_repro::detect::monitors::top_degree;
-use aspp_repro::prelude::*;
-use aspp_repro::topology::tier::customer_cone;
+use aspp_core::attack::sweep::random_pair_experiments;
+use aspp_core::detect::monitors::top_degree;
+use aspp_core::prelude::*;
+use aspp_core::topology::tier::customer_cone;
 
 fn internet(seed: u64) -> AsGraph {
     InternetConfig::small().seed(seed).build()
@@ -48,7 +48,7 @@ fn full_attack_and_detection_pipeline() {
 
     // Detection from the top vantage points finds the attack.
     let monitors = top_degree(&graph, 40);
-    let result = aspp_repro::detect::eval::detect_attack(&graph, &exp, &monitors);
+    let result = aspp_core::detect::eval::detect_attack(&graph, &exp, &monitors);
     assert!(result.effective);
     assert!(
         result.any_alarm,
@@ -150,7 +150,7 @@ fn random_attacks_all_produce_consistent_metrics() {
 fn detection_improves_with_monitor_diversity() {
     let graph = internet(9005);
     let exps = random_pair_experiments(&graph, 12, 4, 5);
-    let curve = aspp_repro::detect::eval::accuracy_vs_monitors(
+    let curve = aspp_core::detect::eval::accuracy_vs_monitors(
         &graph,
         &exps,
         &[2, 30, 140],

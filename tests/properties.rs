@@ -1,7 +1,7 @@
 //! Cross-crate property tests: invariants of the routing equilibrium over
 //! randomized topologies and attack parameters.
 
-use aspp_repro::prelude::*;
+use aspp_core::prelude::*;
 use proptest::prelude::*;
 
 /// Builds a random small Internet from a proptest seed.

@@ -13,15 +13,15 @@
 //!   its 95% bootstrap CI brackets the exact enumeration mean at
 //!   n ≥ 1000 on the paper topology.
 
-use aspp_repro::dataplane::{lpm_walk, PrefixTable};
-use aspp_repro::experiments::scenario::{
+use aspp_core::dataplane::{lpm_walk, PrefixTable};
+use aspp_core::experiments::scenario::{
     canonical_actors, canonical_prefix, canonical_timeline, cross_validate, estimator_config,
 };
-use aspp_repro::experiments::Scale;
-use aspp_repro::prelude::*;
-use aspp_repro::routing::audit::audit_outcome;
-use aspp_repro::routing::RouteInfo;
-use aspp_repro::scenario::timeline::StepState;
+use aspp_core::experiments::Scale;
+use aspp_core::prelude::*;
+use aspp_core::routing::audit::audit_outcome;
+use aspp_core::routing::RouteInfo;
+use aspp_core::scenario::timeline::StepState;
 use proptest::prelude::*;
 
 /// The subprefix hijacker captures sources the exact-prefix strip cannot:
@@ -135,7 +135,7 @@ fn single_step_scenario_is_bit_identical_to_compute_with() {
             oracle.polluted_fraction().to_bits(),
             "pollution fraction must be bit-identical"
         );
-        let stats = aspp_repro::dataplane::forwarding::delivery_stats(&oracle);
+        let stats = aspp_core::dataplane::forwarding::delivery_stats(&oracle);
         assert_eq!(
             run.steps[0].exact_delivery.delivered.to_bits(),
             stats.delivered.to_bits()

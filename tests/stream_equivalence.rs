@@ -11,10 +11,10 @@
 //! handed over once — `export_state` into a fresh detector's
 //! `import_state` — at a random record, as a checkpoint restore would.
 
-use aspp_repro::data::{UpdateAction, UpdateRecord};
-use aspp_repro::detect::realtime::{ReferenceDetector, StreamingDetector};
-use aspp_repro::feed::ReplayConfig;
-use aspp_repro::topology::gen::InternetConfig;
+use aspp_core::data::{UpdateAction, UpdateRecord};
+use aspp_core::detect::realtime::{ReferenceDetector, StreamingDetector};
+use aspp_core::feed::ReplayConfig;
+use aspp_core::topology::gen::InternetConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

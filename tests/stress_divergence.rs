@@ -2,9 +2,9 @@
 //! (seed, victim, attacker, padding, strategy) combinations and reports
 //! every disagreement. Too slow for the default suite — run with
 //! `cargo test --release --test stress_divergence -- --ignored`.
-use aspp_repro::prelude::*;
-use aspp_repro::routing::bgp::BgpSimulation;
-use aspp_repro::routing::AttackStrategy;
+use aspp_core::prelude::*;
+use aspp_core::routing::bgp::BgpSimulation;
+use aspp_core::routing::AttackStrategy;
 
 fn divergence(graph: &AsGraph, spec: &DestinationSpec) -> Option<String> {
     let sim = BgpSimulation::new(graph).run(spec);

@@ -5,7 +5,7 @@
 //! **bit-identical** impact values, field by field — f64 fractions compared
 //! exactly, not approximately.
 
-use aspp_repro::prelude::*;
+use aspp_core::prelude::*;
 use proptest::prelude::*;
 
 fn assert_bit_identical(a: &HijackImpact, b: &HijackImpact) {
