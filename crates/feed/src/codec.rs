@@ -372,7 +372,10 @@ impl<'a> FrameReader<'a> {
 /// [`RecordView::decode`].
 pub fn scan_frames(bytes: &[u8]) -> Result<Vec<RecordView<'_>>, AsppError> {
     let mut reader = FrameReader::new(bytes)?;
-    let mut views = Vec::with_capacity(reader.declared_records() as usize);
+    // The header's count is untrusted: reserve no more views than the
+    // buffer has room for frames.
+    let room = (bytes.len() - HEADER_LEN) / (FRAME_PRELUDE_LEN + MIN_PAYLOAD);
+    let mut views = Vec::with_capacity(room.min(reader.declared_records() as usize));
     while let Some(item) = reader.next_view() {
         views.push(item?);
     }
@@ -638,6 +641,25 @@ mod tests {
         let strict = decode_records(&bytes).unwrap_err();
         assert_eq!(strict.line(), Some(2));
         assert!(strict.message().contains("unknown action tag"));
+    }
+
+    #[test]
+    fn a_hostile_declared_count_allocates_nothing_it_cannot_fill() {
+        // A bare header claiming u32::MAX frames: reserving a view per
+        // declared frame would ask for ≈69 GB before reading one.
+        let mut bytes = encode_records(&[]);
+        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        for err in [
+            scan_frames(&bytes).unwrap_err(),
+            decode_records(&bytes).unwrap_err(),
+        ] {
+            assert_eq!(err.line(), Some(1));
+            assert!(
+                err.message()
+                    .contains("stream ends after 0 of 4294967295 declared frames"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //!   zero-copy [`RecordView`] scan apart from the field decode.
 //! - [`pipeline`]: a sharded worker pool around the resident [`FeedEngine`].
 //!   A wire stream is decoded whole before any of it is dispatched, so a
-//!   rejected stream changes nothing; updates are then hash-partitioned by
-//!   prefix onto bounded channels in batches with blocking backpressure;
-//!   each shard owns a
-//!   [`StreamingDetector`](aspp_detect::realtime::StreamingDetector)
-//!   seeded from the clean equilibrium, and the merged alarm output is
-//!   deterministic regardless of shard count, batch size, or thread
-//!   interleaving.
+//!   rejected stream changes nothing; updates are then partitioned by prefix
+//!   hash and each part runs on its shard's
+//!   [`StreamingDetector`](aspp_detect::realtime::StreamingDetector),
+//!   seeded from the clean equilibrium; the merged alarm output is
+//!   deterministic regardless of shard count or thread interleaving.
 //! - [`checkpoint`]: checksummed serialization of the engine's live state
 //!   (path maps, raised alarms, stream cursor) so a killed service can
 //!   restore and replay the stream tail bit-identically.
@@ -25,10 +23,10 @@
 //!   withdraw/re-announce episodes, and injected ASPP interceptions at
 //!   configurable rates — for throughput measurement and file replay.
 //!
-//! With the `obs` feature the pipeline feeds the workspace-wide counters
-//! (`feed_records_in`, `feed_frames_bad`, `feed_backpressure_waits`,
-//! `feed_alarms`, `feed_shard_depth_high_water`) and opens a `feed` trace
-//! span per run.
+//! With the `obs` feature the crate feeds the workspace-wide counters
+//! (`feed_records_in`, `feed_frames_bad`, `feed_alarms`,
+//! `feed_checkpoint_writes`, `feed_checkpoint_restores`, `serve_queries`)
+//! and opens a `feed` trace span per ingest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

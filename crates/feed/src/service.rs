@@ -137,7 +137,6 @@ pub struct DetectionService {
     /// Per prefix that ever alarmed: how often, and the latest alarm.
     alarms_of: HashMap<Ipv4Prefix, (u64, StreamAlarm)>,
     records_in: u64,
-    batches_in: u64,
     restores: u64,
     checkpoint_file: Option<PathBuf>,
     checkpoint_every: Option<u64>,
@@ -154,7 +153,6 @@ impl DetectionService {
             alarms: 0,
             alarms_of: HashMap::new(),
             records_in: 0,
-            batches_in: 0,
             restores: 0,
             checkpoint_file: None,
             checkpoint_every: None,
@@ -176,7 +174,7 @@ impl DetectionService {
     /// service writes the configured [`checkpoint_file`](Self::checkpoint_file)
     /// unprompted. The cadence is counted in *records*, not wall time, so
     /// an idle service never touches the disk and a kill between cadences
-    /// loses at most `every + one_batch` records of progress — the restore
+    /// loses at most the records ingested since the last one — the restore
     /// path replays the stream tail from the checkpoint cursor and the
     /// alarm sequence is bit-identical to the uninterrupted run.
     /// `every == 0` disables the cadence again.
@@ -267,7 +265,6 @@ impl DetectionService {
         let mut w = ok("status");
         w.field_u64("cursor", self.engine.cursor());
         w.field_u64("records_in", self.records_in);
-        w.field_u64("batches_in", self.batches_in);
         w.field_u64("alarms", self.alarms);
         w.field_u64("tracked_prefixes", self.engine.tracked_prefixes() as u64);
         w.field_u64("shards", self.engine.shards() as u64);
@@ -310,9 +307,7 @@ impl DetectionService {
         };
         match self.engine.ingest_wire(&bytes) {
             Ok(report) => {
-                let batches = report.batches();
                 self.records_in += report.records_in;
-                self.batches_in += batches;
                 self.records_since_checkpoint += report.records_in;
                 let new = report.alarms.len();
                 let rate = report.records_per_sec();
@@ -332,7 +327,6 @@ impl DetectionService {
                 let mut w = ok("ingest");
                 w.field_str("file", &file);
                 w.field_u64("records", report.records_in);
-                w.field_u64("batches", batches);
                 w.field_u64("alarms", new as u64);
                 w.field_u64("cursor", self.engine.cursor());
                 if let Some(rate) = rate {
@@ -352,7 +346,7 @@ impl DetectionService {
 
     /// Fires the record-count checkpoint cadence when armed and due.
     /// Returns `None` when no checkpoint was attempted; the tally resets
-    /// even on a failed write so one bad disk does not retry every batch.
+    /// even on a failed write so one bad disk does not retry every ingest.
     fn maybe_auto_checkpoint(&mut self) -> Option<Result<String, String>> {
         let every = self.checkpoint_every?;
         if self.records_since_checkpoint < every {
@@ -768,7 +762,6 @@ mod tests {
         assert_eq!(service.engine().cursor(), 3);
         let status = service.status();
         assert!(status.contains("\"auto_checkpoints\":1"), "{status}");
-        assert!(status.contains("\"batches_in\":"), "{status}");
         let tail_alarms = u64_field(&tail_resp, "alarms");
         assert!(tail_alarms >= 1, "the tail must alarm: {tail_resp}");
         let full_prefix = prefix_reply(&mut service, "10.0.0.0/24");
@@ -862,10 +855,24 @@ mod tests {
         assert!(reply.contains("cannot write checkpoint"), "{reply}");
         assert_eq!(fs::read(&ckpt).unwrap(), previous);
         let (graph, _, _) = attack_world();
-        let mut revived = DetectionService::new(FeedEngine::new(graph, &FeedConfig::new(1)));
-        revived.restore_from_file(&ckpt).unwrap();
-        assert_eq!(revived.engine().cursor(), 1);
+        let restored_cursor = || {
+            let engine = FeedEngine::new(Arc::clone(&graph), &FeedConfig::new(1));
+            let mut revived = DetectionService::new(engine);
+            revived.restore_from_file(&ckpt).unwrap();
+            revived.engine().cursor()
+        };
+        assert_eq!(restored_cursor(), 1);
         fs::remove_dir(temporary_beside(&ckpt)).unwrap();
+
+        // A write killed mid-stage leaves a partial `<file>.tmp` behind: the
+        // target still restores, and the next checkpoint writes over the
+        // stale stage and leaves only the target.
+        fs::write(temporary_beside(&ckpt), &previous[..previous.len() / 2]).unwrap();
+        assert_eq!(restored_cursor(), 1);
+        let reply = service.handle("{\"cmd\":\"checkpoint\"}").0;
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert_eq!(files_in_dir(), std::slice::from_ref(&ckpt));
+        assert_eq!(fs::read(&ckpt).unwrap(), previous);
 
         let (reply, stop) = service.handle("{\"cmd\":\"drain\"}");
         assert!(stop && reply.contains("\"checkpoint_bytes\""), "{reply}");
@@ -919,6 +926,37 @@ mod tests {
         assert!(u64_field(&expected, "alarms") >= 1, "{expected}");
         assert_eq!(timeless(lines[3]), timeless(&expected));
         for f in [&good, &bad] {
+            let _ = fs::remove_file(f);
+        }
+    }
+
+    /// A bare stream header that declares `u32::MAX` frames is refused
+    /// without reserving room for them, and the service keeps serving.
+    #[test]
+    fn a_hostile_frame_count_is_refused_and_the_service_goes_on() {
+        let (mut fresh, updates) = service();
+        let (mut service, _) = service();
+        let hostile = tmp("hostile_count.bin");
+        let good = tmp("hostile_good.bin");
+        let mut header = encode_records(&[]);
+        header[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(&hostile, &header).unwrap();
+        fs::write(&good, encode_records(&updates)).unwrap();
+
+        let before = service.status();
+        let reply = ingest(&mut service, &hostile);
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(
+            reply.contains("stream ends after 0 of 4294967295 declared frames"),
+            "{reply}"
+        );
+        assert_eq!(service.status(), before);
+        let expected = ingest(&mut fresh, &good);
+        let reply = ingest(&mut service, &good);
+        assert!(u64_field(&reply, "alarms") >= 1, "{reply}");
+        assert_eq!(u64_field(&reply, "alarms"), u64_field(&expected, "alarms"));
+        assert_eq!(service.engine().cursor(), 1);
+        for f in [&hostile, &good] {
             let _ = fs::remove_file(f);
         }
     }

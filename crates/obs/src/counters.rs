@@ -78,13 +78,8 @@ counters! {
     (FeedRecordIn, "feed_records_in"),
     /// Wire-format frames rejected by the feed codec (lenient decode).
     (FeedFrameBad, "feed_frames_bad"),
-    /// Dispatcher stalls on a full shard channel (blocking backpressure).
-    (FeedBackpressureWait, "feed_backpressure_waits"),
     /// Alarms emitted by the feed pipeline's merged output.
     (FeedAlarm, "feed_alarms"),
-    /// Deepest shard-queue occupancy observed across the run (a high-water
-    /// mark maintained with [`record_max`], not a monotone sum).
-    (FeedShardDepthHighWater, "feed_shard_depth_high_water"),
     /// Steal units processed by the batch sweep engine: one unit per
     /// distinct clean equilibrium — (victim, prepending config, tie-break)
     /// — in the batch, so a λ sweep over one victim counts once per λ. The
@@ -100,10 +95,6 @@ counters! {
     /// joined in the finish phase. Scheduling-dependent; a lone worker
     /// records none.
     (BatchSteal, "batch_steals"),
-    /// Record batches handed to feed shard workers (one per channel
-    /// crossing; `feed_records_in / feed_batches` is the amortization
-    /// factor of the batched dispatch).
-    (FeedBatch, "feed_batches"),
     /// Checkpoints written by the feed engine or detection service.
     (FeedCheckpointWrite, "feed_checkpoint_writes"),
     /// Checkpoints successfully restored into a feed engine.
@@ -141,11 +132,6 @@ mod backing {
         COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub(super) fn record_max(counter: Counter, v: u64) {
-        COUNTERS[counter as usize].fetch_max(v, Ordering::Relaxed);
-    }
-
     pub(super) fn load(counter: Counter) -> u64 {
         COUNTERS[counter as usize].load(Ordering::Relaxed)
     }
@@ -165,18 +151,6 @@ pub fn add(counter: Counter, n: u64) {
 #[inline(always)]
 pub fn incr(counter: Counter) {
     add(counter, 1);
-}
-
-/// Raises `counter` to at least `v` (a high-water mark, via `fetch_max`).
-/// A no-op without the `enabled` feature. Use for gauges like the feed
-/// pipeline's per-shard queue depth, where the interesting number is the
-/// worst occupancy seen, not a running sum.
-#[inline(always)]
-pub fn record_max(counter: Counter, v: u64) {
-    #[cfg(feature = "enabled")]
-    backing::record_max(counter, v);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (counter, v);
 }
 
 /// A point-in-time reading of every [`Counter`].
@@ -325,24 +299,6 @@ mod tests {
         // Per-counter keys only when the counters actually exist.
         assert_eq!(
             json.contains("\"queue_spills\""),
-            MetricsSnapshot::compiled_in()
-        );
-    }
-
-    #[test]
-    fn record_max_is_a_high_water_mark() {
-        let before = MetricsSnapshot::capture();
-        record_max(Counter::FeedShardDepthHighWater, 7);
-        record_max(Counter::FeedShardDepthHighWater, 3);
-        let now = MetricsSnapshot::capture();
-        if MetricsSnapshot::compiled_in() {
-            // Monotone: the later, smaller reading must not lower the mark.
-            assert!(now.get(Counter::FeedShardDepthHighWater) >= 7);
-        } else {
-            assert!(now.since(&before).is_empty());
-        }
-        assert_eq!(
-            now.to_json().contains("\"feed_shard_depth_high_water\""),
             MetricsSnapshot::compiled_in()
         );
     }

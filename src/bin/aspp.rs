@@ -254,7 +254,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "feed",
-        flags: "--shards N --capacity N --prefixes N --monitors N --attack-ratio F \
+        flags: "--shards N --prefixes N --monitors N --attack-ratio F \
                 --withdraw-ratio F --baseline --out FILE --corpus-out FILE --in FILE \
                 --corpus FILE --lenient",
         note: "--in replays a wire file and requires --corpus (the RIB seeds)",
@@ -263,8 +263,8 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "serve",
-        flags: "--shards N --capacity N --batch N --corpus FILE --restore FILE \
-                --checkpoint FILE --checkpoint-every N",
+        flags: "--shards N --corpus FILE --restore FILE --checkpoint FILE \
+                --checkpoint-every N",
         note: "JSONL queries on stdin/stdout",
         run: cmd_serve,
         ..BASE
@@ -878,7 +878,6 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
     use std::sync::Arc;
 
     let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
-    let capacity = run.parsed::<usize>("--capacity")?.unwrap_or(1024).max(1);
     let graph = run.internet();
 
     // Acquire the stream: decode a wire file, or synthesize one.
@@ -935,22 +934,16 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
         (feed.corpus, updates, attacks)
     };
     run.manifest.push_phase("generate", ms(t0));
-    run.manifest
-        .push_strategy(&format!("shards={shards} capacity={capacity}"));
+    run.manifest.push_strategy(&format!("shards={shards}"));
 
     let graph = Arc::new(graph);
-    let config = FeedConfig::new(shards).capacity(capacity);
+    let config = FeedConfig::new(shards);
 
     // Optional single-shard baseline: same stream, shards = 1, and the
     // merged alarm sequences must agree bit for bit.
     let baseline = if run.has("--baseline") && shards > 1 {
         let t = Instant::now();
-        let report = run_feed(
-            &graph,
-            &seeds,
-            &updates,
-            &FeedConfig::new(1).capacity(capacity),
-        );
+        let report = run_feed(&graph, &seeds, &updates, &FeedConfig::new(1));
         run.manifest.push_phase("baseline", ms(t));
         Some(report)
     } else {
@@ -962,7 +955,7 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
     run.manifest.push_phase("feed", ms(t1));
 
     out!(
-        "feed: {} records over {} prefixes, {} shards (capacity {capacity})",
+        "feed: {} records over {} prefixes, {} shards",
         report.records_in,
         seeds.tables().next().map_or(0, |(_, table)| table.len()),
         shards,
@@ -977,14 +970,6 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
             report.records_in,
         ),
     }
-    out!(
-        "batching: {} records in {} batches (realized batch {})",
-        report.records_in,
-        report.batches(),
-        report
-            .realized_batch()
-            .map_or_else(|| "n/a".to_string(), |b| format!("{b:.1}")),
-    );
     out!(
         "alarms: {} ({} injected interceptions in the stream)",
         report.alarms.len(),
@@ -1005,11 +990,6 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
         "shard balance: {:.2} (max/mean), records per shard {:?}",
         report.shard_balance(),
         shard_records,
-    );
-    out!(
-        "backpressure waits: {}, depth high-water: {}",
-        report.backpressure_waits(),
-        report.depth_high_water(),
     );
     if let Some(base) = baseline {
         let speedup = base.wall.as_secs_f64() / report.wall.as_secs_f64().max(1e-12);
@@ -1044,15 +1024,11 @@ fn cmd_serve(run: &mut Run) -> Result<(), String> {
     use std::sync::Arc;
 
     let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
-    let capacity = run.parsed::<usize>("--capacity")?.unwrap_or(1024).max(1);
-    let batch = run.parsed::<usize>("--batch")?.unwrap_or(256).max(1);
     let graph = run.internet();
-    run.manifest.push_strategy(&format!(
-        "serve shards={shards} capacity={capacity} batch={batch}"
-    ));
+    run.manifest
+        .push_strategy(&format!("serve shards={shards}"));
 
-    let config = FeedConfig::new(shards).capacity(capacity).batch(batch);
-    let mut engine = FeedEngine::new(Arc::new(graph), &config);
+    let mut engine = FeedEngine::new(Arc::new(graph), &FeedConfig::new(shards));
     if let Some(path) = run.value("--corpus") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let seeds = Corpus::parse_strict(&text).map_err(|e| format!("{path}: {e}"))?;

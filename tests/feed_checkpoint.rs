@@ -214,3 +214,37 @@ fn every_corrupted_checkpoint_byte_is_rejected() {
         assert!(Checkpoint::decode(&bytes[..len]).is_err());
     }
 }
+
+/// A kill while a checkpoint is being written leaves some prefix of its
+/// bytes. Every strict prefix of a mid-stream engine's checkpoint — all of
+/// them, not a sample — must decode to an error: never `Ok`, never a panic.
+#[test]
+fn a_checkpoint_cut_at_any_byte_is_rejected() {
+    // A small world: decoding every cut re-checksums it, so the test's
+    // cost is quadratic in the checkpoint's size.
+    let seed = 41;
+    let graph = Arc::new(Scale::Smoke.internet(seed));
+    let feed = ReplayConfig::new(4)
+        .monitors_top_degree(8)
+        .attack_ratio(1.0)
+        .withdraw_ratio(0.5)
+        .seed(seed)
+        .generate(&graph);
+    let updates = feed.updates();
+    let mut engine = FeedEngine::new(Arc::clone(&graph), &FeedConfig::new(2));
+    engine.seed_from_corpus(&feed.corpus);
+    let _ = engine.ingest(&updates[..updates.len() / 2]);
+    let bytes = Checkpoint::capture(&engine).encode();
+    let whole = Checkpoint::decode(&bytes).unwrap();
+    assert!(
+        !whole.state.previous.is_empty() && !whole.state.raised.is_empty(),
+        "the cut must cross every section"
+    );
+    for k in 0..bytes.len() {
+        assert!(
+            Checkpoint::decode(&bytes[..k]).is_err(),
+            "a checkpoint cut to {k} of {} bytes decoded",
+            bytes.len()
+        );
+    }
+}

@@ -115,7 +115,7 @@ fn repeated_runs_are_reproducible() {
         .seed(17)
         .generate(&graph);
     let graph = Arc::new(graph);
-    let config = FeedConfig::new(8).capacity(2);
+    let config = FeedConfig::new(8);
     let first = run_feed(&graph, &feed.corpus, feed.updates(), &config);
     for _ in 0..3 {
         let again = run_feed(&graph, &feed.corpus, feed.updates(), &config);
