@@ -2,7 +2,7 @@
 //! Figure 3 detection example.
 
 use aspp_routing::{AttackerModel, DestinationSpec};
-use aspp_topology::AsGraph;
+use aspp_topology::{AsGraph, AsGraphBuilder};
 use aspp_types::{well_known, Asn};
 
 /// The paper's Section III / Figure 1 scenario: AT&T, NTT, Level3 and China
@@ -30,7 +30,7 @@ use aspp_types::{well_known, Asn};
 #[must_use]
 pub fn facebook_topology() -> AsGraph {
     use well_known::*;
-    let mut g = AsGraph::new();
+    let mut g = AsGraphBuilder::new();
     g.add_peering(ATT, LEVEL3).expect("fresh edge");
     g.add_peering(ATT, CHINA_TELECOM).expect("fresh edge");
     g.add_peering(NTT, ATT).expect("fresh edge");
@@ -42,8 +42,7 @@ pub fn facebook_topology() -> AsGraph {
         .expect("fresh edge");
     g.add_provider_customer(KOREA_TELECOM, FACEBOOK)
         .expect("fresh edge");
-    g.sort_neighbors();
-    g
+    g.finish()
 }
 
 /// The destination spec reproducing the March 22nd 2011 anomaly: Facebook
@@ -73,7 +72,7 @@ pub fn facebook_anomaly_spec() -> DestinationSpec {
 /// of `M`; `D` customer of `C`; `A`—`C` peer at the top.
 #[must_use]
 pub fn figure3_topology() -> AsGraph {
-    let mut g = AsGraph::new();
+    let mut g = AsGraphBuilder::new();
     let (v, a, c, m, e, b, d) = (Asn(1), Asn(10), Asn(12), Asn(66), Asn(55), Asn(77), Asn(13));
     g.add_provider_customer(a, v).expect("fresh edge");
     g.add_provider_customer(c, v).expect("fresh edge");
@@ -82,8 +81,7 @@ pub fn figure3_topology() -> AsGraph {
     g.add_provider_customer(a, e).expect("fresh edge");
     g.add_provider_customer(m, b).expect("fresh edge");
     g.add_provider_customer(c, d).expect("fresh edge");
-    g.sort_neighbors();
-    g
+    g.finish()
 }
 
 /// Well-known ASNs of [`figure3_topology`], for readable tests.

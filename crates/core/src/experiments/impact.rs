@@ -206,7 +206,7 @@ pub fn fig11(graph: &AsGraph) -> PrependSweep {
     let attacker = best_connected_stub(graph).expect("graph has stubs");
 
     // The Limelight analogue: sibling of the victim, customer of the attacker.
-    let mut augmented = graph.clone();
+    let mut augmented = graph.to_builder();
     let limelight = Asn(99_999);
     augmented
         .add_sibling(victim, limelight)
@@ -214,7 +214,7 @@ pub fn fig11(graph: &AsGraph) -> PrependSweep {
     augmented
         .add_provider_customer(attacker, limelight)
         .expect("fresh customer link");
-    augmented.sort_neighbors();
+    let augmented = augmented.finish();
 
     // Two batches, unlike Figure 12: the curves run on different graphs,
     // so no clean pass of one serves the other.

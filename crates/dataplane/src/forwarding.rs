@@ -73,14 +73,15 @@ impl Delivery {
 /// ```
 /// use aspp_dataplane::forwarding::walk;
 /// use aspp_routing::{AttackerModel, DestinationSpec, RoutingEngine};
-/// use aspp_topology::AsGraph;
+/// use aspp_topology::AsGraphBuilder;
 /// use aspp_types::Asn;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = AsGraph::new();
+/// let mut g = AsGraphBuilder::new();
 /// g.add_provider_customer(Asn(10), Asn(1))?;
 /// g.add_provider_customer(Asn(10), Asn(66))?;
 /// g.add_provider_customer(Asn(66), Asn(77))?;
+/// let g = g.finish();
 /// let engine = RoutingEngine::new(&g);
 /// let spec = DestinationSpec::new(Asn(1))
 ///     .origin_padding(4)
@@ -157,15 +158,14 @@ mod tests {
     use super::*;
     use aspp_routing::{AttackerModel, DestinationSpec, ExportMode, RoutingEngine};
     use aspp_topology::gen::InternetConfig;
-    use aspp_topology::AsGraph;
+    use aspp_topology::{AsGraph, AsGraphBuilder};
 
     fn line_graph() -> AsGraph {
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_provider_customer(Asn(10), Asn(66)).unwrap();
         g.add_provider_customer(Asn(66), Asn(77)).unwrap();
-        g.sort_neighbors();
-        g
+        g.finish()
     }
 
     #[test]

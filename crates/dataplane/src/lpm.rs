@@ -137,13 +137,14 @@ impl<'o, 'g> PrefixTable<'o, 'g> {
 /// ```
 /// use aspp_dataplane::lpm::{lpm_walk, PrefixTable};
 /// use aspp_routing::{DestinationSpec, RoutingEngine};
-/// use aspp_topology::AsGraph;
+/// use aspp_topology::AsGraphBuilder;
 /// use aspp_types::{Asn, Ipv4Prefix};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = AsGraph::new();
+/// let mut g = AsGraphBuilder::new();
 /// g.add_provider_customer(Asn(10), Asn(1))?;
 /// g.add_provider_customer(Asn(10), Asn(66))?;
+/// let g = g.finish();
 /// let engine = RoutingEngine::new(&g);
 /// let victim_eq = engine.compute(&DestinationSpec::new(Asn(1)));
 /// let hijack_eq = engine.compute(&DestinationSpec::new(Asn(66)));
@@ -246,15 +247,14 @@ pub fn lpm_walk(table: &PrefixTable<'_, '_>, src: Asn, addr: u32) -> LpmDelivery
 mod tests {
     use super::*;
     use aspp_routing::{AttackerModel, DestinationSpec, RoutingEngine};
-    use aspp_topology::AsGraph;
+    use aspp_topology::{AsGraph, AsGraphBuilder};
 
     fn line_graph() -> AsGraph {
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_provider_customer(Asn(10), Asn(66)).unwrap();
         g.add_provider_customer(Asn(66), Asn(77)).unwrap();
-        g.sort_neighbors();
-        g
+        g.finish()
     }
 
     #[test]

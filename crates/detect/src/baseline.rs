@@ -81,13 +81,14 @@ pub struct LinkAnomaly {
 /// ```
 /// use aspp_detect::baseline::detect_link_anomalies;
 /// use aspp_detect::RouteView;
-/// use aspp_topology::AsGraph;
+/// use aspp_topology::AsGraphBuilder;
 /// use aspp_types::Asn;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut known = AsGraph::new();
+/// let mut known = AsGraphBuilder::new();
 /// known.add_provider_customer(Asn(3), Asn(1))?;
 /// known.add_peering(Asn(7), Asn(3))?;
+/// let known = known.finish();
 /// // Path "7 1" uses a 7-1 adjacency that does not exist.
 /// let view = RouteView::from_paths(["7 1".parse().unwrap()]);
 /// let anomalies = detect_link_anomalies(&known, &view);
@@ -131,6 +132,7 @@ pub struct VisibilityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aspp_topology::AsGraphBuilder;
     use aspp_types::AsPath;
 
     fn view(paths: &[&str]) -> RouteView {
@@ -171,10 +173,11 @@ mod tests {
 
     #[test]
     fn link_anomaly_finds_forged_adjacency() {
-        let mut known = AsGraph::new();
+        let mut known = AsGraphBuilder::new();
         known.add_provider_customer(Asn(3), Asn(1)).unwrap();
         known.add_peering(Asn(7), Asn(3)).unwrap();
         known.add_peering(Asn(8), Asn(7)).unwrap();
+        let known = known.finish();
         // 7 announces a direct route to 1: link 7-1 is new.
         let v = view(&["8 7 1"]);
         let anomalies = detect_link_anomalies(&known, &v);
@@ -189,9 +192,10 @@ mod tests {
 
     #[test]
     fn link_anomaly_blind_to_padding_changes() {
-        let mut known = AsGraph::new();
+        let mut known = AsGraphBuilder::new();
         known.add_provider_customer(Asn(3), Asn(1)).unwrap();
         known.add_peering(Asn(7), Asn(3)).unwrap();
+        let known = known.finish();
         // Stripped padding, but every adjacency is real.
         let v = view(&["7 3 1"]);
         assert!(detect_link_anomalies(&known, &v).is_empty());
@@ -199,7 +203,7 @@ mod tests {
 
     #[test]
     fn link_anomaly_dedups_across_paths() {
-        let known = AsGraph::new();
+        let known = AsGraph::default();
         let v = view(&["7 1", "9 7 1"]);
         let anomalies = detect_link_anomalies(&known, &v);
         // 7-1 appears in both paths but is reported once; 9-7 also reported.

@@ -157,7 +157,7 @@ fn moas_detector_needs_paths_not_magic() {
 
 #[test]
 fn link_anomaly_on_empty_topology_flags_everything() {
-    let empty = aspp_topology::AsGraph::new();
+    let empty = aspp_topology::AsGraph::default();
     let view = RouteView::from_paths(["3 2 1".parse::<AsPath>().unwrap()]);
     let anomalies = detect_link_anomalies(&empty, &view);
     assert_eq!(anomalies.len(), 2);
@@ -165,8 +165,9 @@ fn link_anomaly_on_empty_topology_flags_everything() {
 
 #[test]
 fn detect_attack_reports_infeasible_attacks() {
-    let mut g = figure3_topology();
+    let mut g = figure3_topology().to_builder();
     g.add_as(Asn(55_555)); // isolated attacker
+    let g = g.finish();
     let exp = HijackExperiment::new(figure3::V, Asn(55_555)).padding(4);
     let result = detect_attack(&g, &exp, &[figure3::B]);
     assert!(!result.feasible);

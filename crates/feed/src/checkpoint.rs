@@ -62,7 +62,7 @@ const HEADER_LEN: usize = 16;
 /// use aspp_feed::pipeline::{FeedConfig, FeedEngine};
 /// use aspp_topology::AsGraph;
 ///
-/// let engine = FeedEngine::new(Arc::new(AsGraph::new()), &FeedConfig::new(2));
+/// let engine = FeedEngine::new(Arc::new(AsGraph::default()), &FeedConfig::new(2));
 /// let ckpt = Checkpoint::capture(&engine);
 /// let bytes = ckpt.encode();
 /// assert_eq!(Checkpoint::decode(&bytes).unwrap(), ckpt);

@@ -199,7 +199,7 @@ struct TaggedAlarm {
 /// use aspp_feed::pipeline::{FeedConfig, FeedEngine};
 /// use aspp_topology::AsGraph;
 ///
-/// let mut engine = FeedEngine::new(Arc::new(AsGraph::new()), &FeedConfig::new(2));
+/// let mut engine = FeedEngine::new(Arc::new(AsGraph::default()), &FeedConfig::new(2));
 /// engine.seed_from_corpus(&Corpus::new());
 /// let report = engine.ingest(&[]);
 /// assert_eq!(report.records_in, 0);
@@ -447,7 +447,7 @@ impl FeedEngine {
 /// use aspp_feed::pipeline::{run_feed, FeedConfig};
 /// use aspp_topology::AsGraph;
 ///
-/// let graph = Arc::new(AsGraph::new());
+/// let graph = Arc::new(AsGraph::default());
 /// let report = run_feed(&graph, &Corpus::new(), &[], &FeedConfig::new(2));
 /// assert_eq!(report.records_in, 0);
 /// assert!(report.alarms.is_empty());
@@ -469,16 +469,18 @@ mod tests {
     use super::*;
     use crate::codec::{encode_records, tamper_frame};
     use aspp_data::UpdateAction;
+    use aspp_topology::AsGraphBuilder;
     use aspp_types::Asn;
 
     fn attack_world() -> (Arc<AsGraph>, Corpus, Vec<UpdateRecord>) {
         // Two prefixes over the doc-comment topology: monitor 77 routes via
         // the soon-to-be attacker 66, honest monitor 55 is the witness.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_provider_customer(Asn(10), Asn(66)).unwrap();
         g.add_provider_customer(Asn(10), Asn(55)).unwrap();
         g.add_provider_customer(Asn(66), Asn(77)).unwrap();
+        let g = g.finish();
         let p1: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
         let p2: Ipv4Prefix = "10.0.1.0/24".parse().unwrap();
         let mut seeds = Corpus::new();

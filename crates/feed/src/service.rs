@@ -122,7 +122,7 @@ fn hex4(chars: &mut Chars<'_>) -> Option<u32> {
 /// use aspp_feed::service::DetectionService;
 /// use aspp_topology::AsGraph;
 ///
-/// let engine = FeedEngine::new(Arc::new(AsGraph::new()), &FeedConfig::new(2));
+/// let engine = FeedEngine::new(Arc::new(AsGraph::default()), &FeedConfig::new(2));
 /// let mut service = DetectionService::new(engine);
 /// let input = b"{\"cmd\":\"status\"}\n" as &[u8];
 /// let mut output = Vec::new();
@@ -459,16 +459,17 @@ mod tests {
     use crate::codec::{encode_records, tamper_frame};
     use crate::pipeline::FeedConfig;
     use aspp_data::{Corpus, UpdateAction, UpdateRecord};
-    use aspp_topology::AsGraph;
+    use aspp_topology::{AsGraph, AsGraphBuilder};
     use aspp_types::Asn;
     use std::sync::Arc;
 
     fn attack_world() -> (Arc<AsGraph>, Corpus, Vec<UpdateRecord>) {
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_provider_customer(Asn(10), Asn(66)).unwrap();
         g.add_provider_customer(Asn(10), Asn(55)).unwrap();
         g.add_provider_customer(Asn(66), Asn(77)).unwrap();
+        let g = g.finish();
         let p: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
         let mut seeds = Corpus::new();
         seeds.add_table_entry(Asn(77), p, "77 66 10 1 1 1".parse().unwrap());

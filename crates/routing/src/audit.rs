@@ -496,7 +496,6 @@ fn audit_pass<P: DefensePolicy>(
     policy: &P,
 ) -> AuditReport {
     let graph = outcome.graph();
-    let csr = graph.csr();
     let spec = outcome.spec();
     let tie = spec.tie_break_rule();
     let prepend = spec.prepending();
@@ -564,7 +563,7 @@ fn audit_pass<P: DefensePolicy>(
         });
         let mut parent_seen = false;
         let mut best_offer: Option<(u128, Asn)> = None;
-        for &entry in csr.neighbors(i) {
+        for &entry in graph.neighbors_at(i) {
             let n = entry.node() as usize;
             let n_asn = graph.asn_at(n);
             // How n sees i — the relationship the export rules key on.
@@ -919,18 +918,19 @@ mod tests {
     #[test]
     fn origin_hijackers_pinned_route_may_dangle_under_partial_rov() {
         use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
-        use aspp_topology::AsGraph;
+        use aspp_topology::AsGraphBuilder;
         use aspp_types::Asn;
         // AS5 -> {victim AS1, AS4}; AS4 -> {AS2, AS3}; AS2, AS3 -> hijacker
         // AS9. AS3 and AS4 adopt the hijack (customer beats provider), so
         // ROV deployer AS2 — AS9's clean next hop — loses its clean route
         // to AS4 and refuses the replacement: it holds no route at all.
-        let mut graph = AsGraph::new();
+        let mut graph = AsGraphBuilder::new();
         for (provider, customer) in [(5, 1), (5, 4), (4, 2), (4, 3), (2, 9), (3, 9)] {
             graph
                 .add_provider_customer(Asn(provider), Asn(customer))
                 .unwrap();
         }
+        let graph = graph.finish();
         let spec = DestinationSpec::new(Asn(1))
             .attacker(AttackerModel::new(Asn(9)).strategy(AttackStrategy::OriginHijack));
         let policy =

@@ -253,7 +253,12 @@ impl<'g> BgpSimulation<'g> {
 
         // The origin self-originates and advertises to every neighbor.
         let victim_asn = spec.victim();
-        for &(nbr, _) in self.graph.neighbors_at(v_idx) {
+        for nbr in self
+            .graph
+            .neighbors_at(v_idx)
+            .iter()
+            .map(|e| e.node() as usize)
+        {
             let copies = 1 + spec
                 .prepending()
                 .extra_for(victim_asn, self.graph.asn_at(nbr));
@@ -275,7 +280,7 @@ impl<'g> BgpSimulation<'g> {
         if let (Some(m), Some(attacker)) = (m_idx, spec.attacker_model()) {
             if matches!(attacker.attack_strategy(), AttackStrategy::OriginHijack) {
                 let m_asn = self.graph.asn_at(m);
-                for &(nbr, _) in self.graph.neighbors_at(m) {
+                for nbr in self.graph.neighbors_at(m).iter().map(|e| e.node() as usize) {
                     queue.push_back(Message {
                         from: m,
                         to: nbr,
@@ -306,8 +311,8 @@ impl<'g> BgpSimulation<'g> {
                 .graph
                 .neighbors_at(to)
                 .iter()
-                .find(|&&(nbr, _)| nbr == msg.from)
-                .map(|&(_, rel)| rel)
+                .find(|e| e.node() as usize == msg.from)
+                .map(|e| e.rel())
                 .expect("messages travel only over links");
 
             // Receiver-side import: loop detection, then classification.
@@ -452,7 +457,8 @@ fn normal_exports(
     graph
         .neighbors_at(node)
         .iter()
-        .map(|&(nbr, rel_of_nbr)| {
+        .map(|e| {
+            let (nbr, rel_of_nbr) = (e.node() as usize, e.rel());
             let payload = state.best.as_ref().and_then(|(_, best)| {
                 if !best.class.may_export_to(rel_of_nbr) {
                     return None;
@@ -491,7 +497,7 @@ fn attacker_exports(
         return graph
             .neighbors_at(node)
             .iter()
-            .map(|&(nbr, _)| (nbr, None))
+            .map(|e| (e.node() as usize, None))
             .collect();
     };
 
@@ -524,7 +530,8 @@ fn attacker_exports(
     graph
         .neighbors_at(node)
         .iter()
-        .map(|&(nbr, rel_of_nbr)| {
+        .map(|e| {
+            let (nbr, rel_of_nbr) = (e.node() as usize, e.rel());
             let allowed = match attacker.export_mode() {
                 ExportMode::ViolateValleyFree => true,
                 ExportMode::Compliant => match attacker.attack_strategy() {

@@ -107,14 +107,15 @@ impl<'g> RoutingEngine<'g> {
     ///
     /// ```
     /// use aspp_routing::{AttackerModel, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine};
-    /// use aspp_topology::AsGraph;
+    /// use aspp_topology::AsGraphBuilder;
     /// use aspp_types::Asn;
     ///
-    /// let mut graph = AsGraph::new();
+    /// let mut graph = AsGraphBuilder::new();
     /// graph.add_provider_customer(Asn(1), Asn(2)).unwrap(); // victim's provider
     /// graph.add_provider_customer(Asn(1), Asn(3)).unwrap(); // attacker's 1st provider
     /// graph.add_provider_customer(Asn(5), Asn(3)).unwrap(); // attacker's 2nd provider
     /// graph.add_peering(Asn(1), Asn(5)).unwrap();
+    /// let graph = graph.finish();
     /// let engine = RoutingEngine::new(&graph);
     /// let mut ws = RouteWorkspace::new();
     ///
@@ -352,7 +353,7 @@ impl<'g> RoutingEngine<'g> {
 /// Shared fixtures for this crate's tests (the Figure 1 topology).
 #[cfg(test)]
 pub(crate) mod tests_support {
-    use aspp_topology::AsGraph;
+    use aspp_topology::{AsGraph, AsGraphBuilder};
     use aspp_types::well_known;
 
     /// The paper's Figure 1 topology, simplified:
@@ -364,7 +365,7 @@ pub(crate) mod tests_support {
     /// ```
     pub(crate) fn facebook_graph() -> AsGraph {
         use well_known::*;
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_peering(ATT, LEVEL3).unwrap();
         g.add_peering(ATT, CHINA_TELECOM).unwrap();
         g.add_peering(NTT, ATT).unwrap();
@@ -374,8 +375,7 @@ pub(crate) mod tests_support {
             .unwrap();
         g.add_provider_customer(LEVEL3, FACEBOOK).unwrap();
         g.add_provider_customer(KOREA_TELECOM, FACEBOOK).unwrap();
-        g.sort_neighbors();
-        g
+        g.finish()
     }
 }
 
@@ -385,6 +385,7 @@ mod tests {
     use super::*;
     use crate::prepend::{PrependConfig, PrependingPolicy};
     use aspp_topology::gen::InternetConfig;
+    use aspp_topology::AsGraphBuilder;
     use aspp_types::{well_known, Asn, Relationship};
 
     #[test]
@@ -437,11 +438,11 @@ mod tests {
     fn valley_free_blocks_peer_reexport() {
         // V - p1(provider), p1 -peer- p2, p2 -peer- p3. p3 must NOT learn a
         // route (peer routes don't propagate to peers) unless via providers.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_peering(Asn(10), Asn(20)).unwrap();
         g.add_peering(Asn(20), Asn(30)).unwrap();
-        g.sort_neighbors();
+        let g = g.finish();
         let engine = RoutingEngine::new(&g);
         let outcome = engine.compute(&DestinationSpec::new(Asn(1)));
         assert!(outcome.route(Asn(10)).is_some());
@@ -456,7 +457,7 @@ mod tests {
     #[test]
     fn customer_route_preferred_over_shorter_peer_route() {
         // X has a long customer path and a short peer path to V; policy wins.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         let (v, x) = (Asn(1), Asn(100));
         // Customer chain: x -> c1 -> c2 -> v (x provides c1, etc.)
         g.add_provider_customer(x, Asn(11)).unwrap();
@@ -465,7 +466,7 @@ mod tests {
         // Short peer path: x -peer- p, p provides v.
         g.add_peering(x, Asn(50)).unwrap();
         g.add_provider_customer(Asn(50), v).unwrap();
-        g.sort_neighbors();
+        let g = g.finish();
         let outcome = RoutingEngine::new(&g).compute(&DestinationSpec::new(v));
         let route = outcome.route(x).unwrap();
         assert_eq!(route.class, RouteClass::FromCustomer);
@@ -477,13 +478,13 @@ mod tests {
     fn prepending_diverts_route_selection() {
         // V multi-homed to providers 10 and 20; X above both. Padding toward
         // 10 pushes X's route through 20.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         let (v, x) = (Asn(1), Asn(99));
         g.add_provider_customer(Asn(10), v).unwrap();
         g.add_provider_customer(Asn(20), v).unwrap();
         g.add_provider_customer(x, Asn(10)).unwrap();
         g.add_provider_customer(x, Asn(20)).unwrap();
-        g.sort_neighbors();
+        let g = g.finish();
         let engine = RoutingEngine::new(&g);
 
         // No padding: tie broken by lowest neighbor ASN -> via 10.
@@ -581,14 +582,14 @@ mod tests {
         // V(1) and M(30) both customers of shared provider chains; M learns
         // the route from its provider and must not re-export to its other
         // provider when compliant — but may when violating.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         let (v, m) = (Asn(1), Asn(30));
         g.add_provider_customer(Asn(10), v).unwrap();
         g.add_provider_customer(Asn(10), m).unwrap();
         g.add_provider_customer(Asn(20), m).unwrap();
         g.add_provider_customer(Asn(11), Asn(20)).unwrap(); // 20's provider 11
         g.add_peering(Asn(11), Asn(10)).unwrap();
-        g.sort_neighbors();
+        let g = g.finish();
         let engine = RoutingEngine::new(&g);
 
         let spec = DestinationSpec::new(v)
@@ -616,11 +617,11 @@ mod tests {
     fn chain_nodes_reject_looped_attack_routes() {
         // Line: V(1) <- A(2) <- B(3) <- M(4), victim pads heavily. The
         // stripped route through M claims [M B A V]; A and B must ignore it.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(2), Asn(1)).unwrap();
         g.add_provider_customer(Asn(3), Asn(2)).unwrap();
         g.add_provider_customer(Asn(4), Asn(3)).unwrap();
-        g.sort_neighbors();
+        let g = g.finish();
         let spec = DestinationSpec::new(Asn(1))
             .origin_padding(8)
             .attacker(AttackerModel::new(Asn(4)));
@@ -670,8 +671,9 @@ mod tests {
 
     #[test]
     fn disconnected_attacker_yields_clean_outcome() {
-        let mut g = facebook_graph();
+        let mut g = facebook_graph().to_builder();
         g.add_as(Asn(77_777)); // isolated AS
+        let g = g.finish();
         let spec = DestinationSpec::new(well_known::FACEBOOK)
             .origin_padding(4)
             .attacker(AttackerModel::new(Asn(77_777)));
@@ -725,7 +727,7 @@ mod tests {
     fn strip_all_padding_collapses_intermediary_runs() {
         // Intermediary padder P between V and M: the generalized strip
         // shortens more than the origin-only strip.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         let (v, p, m, x) = (Asn(1), Asn(10), Asn(20), Asn(30));
         g.add_provider_customer(p, v).unwrap();
         g.add_provider_customer(m, p).unwrap();
@@ -733,7 +735,7 @@ mod tests {
         // An alternative clean route for x so there is competition.
         g.add_provider_customer(Asn(40), v).unwrap();
         g.add_provider_customer(x, Asn(40)).unwrap();
-        g.sort_neighbors();
+        let g = g.finish();
 
         let mut config = PrependConfig::new();
         config.set(v, PrependingPolicy::Uniform(2)); // λ = 3
@@ -786,11 +788,11 @@ mod tests {
     fn sibling_links_propagate_routes() {
         // V's provider P has a sibling S; S must reach V through the sibling
         // link with customer-class preference.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_sibling(Asn(10), Asn(11)).unwrap();
         g.add_provider_customer(Asn(11), Asn(2)).unwrap(); // S has a customer 2
-        g.sort_neighbors();
+        let g = g.finish();
         let outcome = RoutingEngine::new(&g).compute(&DestinationSpec::new(Asn(1)));
         let s = outcome.route(Asn(11)).unwrap();
         assert_eq!(s.class, RouteClass::FromCustomer);

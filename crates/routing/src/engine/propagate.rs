@@ -46,7 +46,7 @@
 //! export modes in `tests/delta_equivalence.rs`.
 
 use aspp_obs::counters::{self, Counter};
-use aspp_topology::{AsGraph, CsrIndex};
+use aspp_topology::AsGraph;
 use aspp_types::{Asn, Relationship, RouteClass};
 
 use super::queue::{pack_bucket_rank, BucketQueue};
@@ -208,7 +208,7 @@ fn pad_table<'s>(graph: &AsGraph, spec: &'s DestinationSpec) -> Vec<Option<&'s P
 /// otherwise).
 struct PassCtx<'a, P> {
     tie: TieBreak,
-    csr: &'a CsrIndex,
+    graph: &'a AsGraph,
     pad: Vec<Option<&'a PrependingPolicy>>,
     queue: &'a mut BucketQueue,
     scratch: &'a mut [NodeScratch],
@@ -230,16 +230,16 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
         len: u32,
         via: bool,
     ) {
-        let csr = self.csr;
+        let graph = self.graph;
         let pad_policy = self.pad.get(node).copied().flatten();
-        let tie_key = tie_key_for(self.tie, via, csr.asn_at(node));
-        for &entry in csr.neighbors(node) {
+        let tie_key = tie_key_for(self.tie, via, graph.asn_at(node));
+        for &entry in graph.neighbors_at(node) {
             let Some(class) = row[entry.rel() as usize] else {
                 continue;
             };
             let x = entry.node();
             let len =
-                len + 1 + pad_policy.map_or(0, |p| p.extra_for(csr.asn_at(x as usize))) as u32;
+                len + 1 + pad_policy.map_or(0, |p| p.extra_for(graph.asn_at(x as usize))) as u32;
             if via {
                 self.offer::<DELTA, true>(class, len, tie_key, node as u32, x);
             } else {
@@ -328,7 +328,7 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
     };
     let mut cx = PassCtx {
         tie,
-        csr: graph.csr(),
+        graph,
         pad: pad_table(graph, spec),
         queue: &mut ws.queue,
         scratch: &mut ws.scratch[..],

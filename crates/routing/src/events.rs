@@ -29,21 +29,22 @@ pub struct RouteUpdate {
 /// toward `spec`'s destination: every AS whose observed path differs between
 /// the intact and the degraded topology.
 ///
-/// The input graph is not modified; the failed topology is a clone.
+/// The input graph is not modified; the failed topology is a derived copy.
 ///
 /// # Example
 ///
 /// ```
 /// use aspp_routing::{events::updates_after_failure, DestinationSpec};
-/// use aspp_topology::AsGraph;
+/// use aspp_topology::AsGraphBuilder;
 /// use aspp_types::Asn;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = AsGraph::new();
+/// let mut g = AsGraphBuilder::new();
 /// g.add_provider_customer(Asn(10), Asn(1))?;
 /// g.add_provider_customer(Asn(20), Asn(1))?;
 /// g.add_provider_customer(Asn(30), Asn(10))?;
 /// g.add_provider_customer(Asn(30), Asn(20))?;
+/// let g = g.finish();
 /// let spec = DestinationSpec::new(Asn(1));
 /// let updates = updates_after_failure(&g, &spec, Asn(10), Asn(1));
 /// // AS10 loses its direct route; AS30 fails over via AS20.
@@ -60,8 +61,9 @@ pub fn updates_after_failure(
 ) -> Vec<RouteUpdate> {
     let engine = RoutingEngine::new(graph);
     let before = engine.compute(spec);
-    let mut degraded = graph.clone();
+    let mut degraded = graph.to_builder();
     degraded.remove_link(a, b);
+    let degraded = degraded.finish();
     let degraded_engine = RoutingEngine::new(&degraded);
     let after = degraded_engine.compute(spec);
 
@@ -109,18 +111,19 @@ pub fn random_tree_link<R: Rng>(
 mod tests {
     use super::*;
     use crate::prepend::{PrependConfig, PrependingPolicy};
+    use aspp_topology::AsGraphBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Victim 1 multi-homed to 10 (primary) and 20 (padded backup);
     /// AS30 above both.
     fn multihomed() -> (AsGraph, DestinationSpec) {
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_provider_customer(Asn(20), Asn(1)).unwrap();
         g.add_provider_customer(Asn(30), Asn(10)).unwrap();
         g.add_provider_customer(Asn(30), Asn(20)).unwrap();
-        g.sort_neighbors();
+        let g = g.finish();
         let mut config = PrependConfig::new();
         // Backup provisioning: heavy padding toward 20.
         config.set(Asn(1), PrependingPolicy::per_neighbor(0, [(Asn(20), 4)]));
@@ -146,8 +149,9 @@ mod tests {
 
     #[test]
     fn cutting_the_only_link_withdraws() {
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
+        let g = g.finish();
         let spec = DestinationSpec::new(Asn(1));
         let updates = updates_after_failure(&g, &spec, Asn(10), Asn(1));
         assert_eq!(updates.len(), 1);
@@ -157,8 +161,10 @@ mod tests {
 
     #[test]
     fn unrelated_link_failure_is_silent() {
-        let (mut g, spec) = multihomed();
+        let (g, spec) = multihomed();
+        let mut g = g.to_builder();
         g.add_peering(Asn(40), Asn(41)).unwrap();
+        let g = g.finish();
         let updates = updates_after_failure(&g, &spec, Asn(40), Asn(41));
         assert!(updates.is_empty());
     }

@@ -212,8 +212,7 @@ impl AttackFacts {
 /// sense): no neighbor is its provider.
 fn is_t1(graph: &AsGraph, i: usize) -> bool {
     graph
-        .csr()
-        .neighbors(i)
+        .neighbors_at(i)
         .iter()
         .all(|e| e.rel() != Relationship::Provider)
 }

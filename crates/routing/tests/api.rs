@@ -7,7 +7,7 @@ use aspp_routing::{
     RouteTable, RoutingEngine, TieBreak,
 };
 use aspp_topology::gen::InternetConfig;
-use aspp_topology::AsGraph;
+use aspp_topology::{AsGraph, AsGraphBuilder};
 use aspp_types::{Asn, RouteClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,14 +107,14 @@ fn origin_hijack_beats_strip_at_high_padding() {
 fn per_neighbor_policy_inside_attack_spec() {
     // The victim pads one provider; the attacker behind that provider can
     // strip only what it actually received.
-    let mut graph = AsGraph::new();
+    let mut graph = AsGraphBuilder::new();
     let (v, p1, p2, m, x) = (Asn(1), Asn(10), Asn(20), Asn(30), Asn(40));
     graph.add_provider_customer(p1, v).unwrap();
     graph.add_provider_customer(p2, v).unwrap();
     graph.add_provider_customer(m, p1).unwrap();
     graph.add_provider_customer(x, m).unwrap();
     graph.add_provider_customer(x, p2).unwrap();
-    graph.sort_neighbors();
+    let graph = graph.finish();
 
     let mut config = PrependConfig::new();
     config.set(v, PrependingPolicy::per_neighbor(0, [(p1, 4)]));

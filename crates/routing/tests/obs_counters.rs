@@ -18,7 +18,7 @@ use aspp_routing::{
     AttackerModel, BatchRunner, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine,
     TieBreak,
 };
-use aspp_topology::AsGraph;
+use aspp_topology::{AsGraph, AsGraphBuilder};
 use aspp_types::Asn;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -29,24 +29,24 @@ static LOCK: Mutex<()> = Mutex::new(());
 /// an attack here converges without polluting anyone — handy for counting
 /// pure propagation work.
 fn diamond() -> AsGraph {
-    let mut g = AsGraph::new();
+    let mut g = AsGraphBuilder::new();
     g.add_provider_customer(Asn(1), Asn(2)).unwrap();
     g.add_provider_customer(Asn(1), Asn(3)).unwrap();
     g.add_provider_customer(Asn(1), Asn(4)).unwrap();
-    g
+    g.finish()
 }
 
 /// Dual-homed attacker: AS3 buys transit from AS1 (the victim's provider,
 /// on its clean chain) and from AS5 (off-chain, peered with AS1, serving
 /// stub AS6). The stripped announcement pollutes exactly AS5 and AS6.
 fn dual_homed() -> AsGraph {
-    let mut g = AsGraph::new();
+    let mut g = AsGraphBuilder::new();
     g.add_provider_customer(Asn(1), Asn(2)).unwrap();
     g.add_provider_customer(Asn(1), Asn(3)).unwrap();
     g.add_provider_customer(Asn(5), Asn(3)).unwrap();
     g.add_peering(Asn(1), Asn(5)).unwrap();
     g.add_provider_customer(Asn(5), Asn(6)).unwrap();
-    g
+    g.finish()
 }
 
 fn attacked_spec(padding: usize) -> DestinationSpec {

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 
 use aspp_types::{AsPath, Asn, Relationship};
 
-use crate::AsGraph;
+use crate::{AsGraph, AsGraphBuilder};
 
 /// Tuning parameters for the inference algorithms.
 #[derive(Clone, Copy, Debug)]
@@ -149,7 +149,7 @@ pub fn gao_infer(paths: &[AsPath], seed_peers: &[(Asn, Asn)], params: InferParam
         }
     }
 
-    let mut out = AsGraph::new();
+    let mut out = AsGraphBuilder::new();
     for (&(a, b), &(b_provides, a_provides)) in &votes {
         let (top_hits, appearances) = top_stats.get(&(a, b)).copied().unwrap_or((0, 0));
         let rel = if seed.contains(&(a, b)) {
@@ -178,7 +178,7 @@ pub fn gao_infer(paths: &[AsPath], seed_peers: &[(Asn, Asn)], params: InferParam
         };
         let _ = out.add_link(a, b, rel);
     }
-    out
+    out.finish()
 }
 
 /// Degree-ratio inference (CAIDA-style stand-in).
@@ -206,7 +206,7 @@ pub fn degree_infer(paths: &[AsPath], params: InferParams) -> AsGraph {
         }
     }
 
-    let mut out = AsGraph::new();
+    let mut out = AsGraphBuilder::new();
     for (a, b) in edges {
         let da = degrees.get(&a).copied().unwrap_or(1).max(1) as f64;
         let db = degrees.get(&b).copied().unwrap_or(1).max(1) as f64;
@@ -222,7 +222,7 @@ pub fn degree_infer(paths: &[AsPath], params: InferParams) -> AsGraph {
             };
         let _ = out.add_link(a, b, rel_of_b);
     }
-    out
+    out.finish()
 }
 
 /// The paper's consensus pipeline (Section IV-A): run [`gao_infer`] seeded
@@ -251,12 +251,13 @@ pub fn consensus_infer(
 /// # Example
 ///
 /// ```
-/// use aspp_topology::{AsGraph, infer::InferenceAccuracy};
+/// use aspp_topology::{AsGraphBuilder, infer::InferenceAccuracy};
 /// use aspp_types::Asn;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut truth = AsGraph::new();
+/// let mut truth = AsGraphBuilder::new();
 /// truth.add_provider_customer(Asn(1), Asn(2))?;
+/// let truth = truth.finish();
 /// let acc = InferenceAccuracy::compare(&truth, &truth);
 /// assert_eq!(acc.accuracy(), 1.0);
 /// # Ok(())
@@ -456,16 +457,17 @@ mod tests {
 
     #[test]
     fn accuracy_comparison_counts() {
-        let mut truth = AsGraph::new();
+        let mut truth = AsGraphBuilder::new();
         truth.add_provider_customer(Asn(1), Asn(2)).unwrap();
         truth.add_peering(Asn(2), Asn(3)).unwrap();
         truth.add_provider_customer(Asn(1), Asn(4)).unwrap();
+        let truth = truth.finish();
 
-        let mut inferred = AsGraph::new();
+        let mut inferred = AsGraphBuilder::new();
         inferred.add_provider_customer(Asn(1), Asn(2)).unwrap(); // agree
         inferred.add_provider_customer(Asn(2), Asn(3)).unwrap(); // conflict
         inferred.add_peering(Asn(9), Asn(8)).unwrap(); // spurious
-                                                       // 1-4 missing
+        let inferred = inferred.finish(); // 1-4 missing
 
         let acc = InferenceAccuracy::compare(&truth, &inferred);
         assert_eq!(acc.agreeing, 1);
@@ -478,7 +480,7 @@ mod tests {
 
     #[test]
     fn accuracy_vacuous_cases() {
-        let empty = AsGraph::new();
+        let empty = AsGraph::default();
         let acc = InferenceAccuracy::compare(&empty, &empty);
         assert_eq!(acc.accuracy(), 1.0);
         assert_eq!(acc.coverage(), 1.0);

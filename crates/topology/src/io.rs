@@ -17,7 +17,7 @@
 
 use aspp_types::{Asn, AsppError, IngestReport, Relationship};
 
-use crate::{AsGraph, GraphError};
+use crate::{AsGraph, AsGraphBuilder, GraphError};
 
 /// Parses a CAIDA serial-2 style relationship file, strictly: malformed
 /// records, unknown relationship codes, self-loops and conflicting duplicate
@@ -69,7 +69,7 @@ pub fn from_caida_lenient(text: &str) -> (AsGraph, IngestReport) {
 }
 
 fn parse_caida(text: &str, strict: bool) -> Result<(AsGraph, IngestReport), AsppError> {
-    let mut graph = AsGraph::new();
+    let mut graph = AsGraphBuilder::new();
     let mut report = IngestReport::default();
     // In lenient mode a malformed record is skipped (with a note) where
     // strict mode would return; both go through this macro.
@@ -133,8 +133,7 @@ fn parse_caida(text: &str, strict: bool) -> Result<(AsGraph, IngestReport), Aspp
             }
         }
     }
-    graph.sort_neighbors();
-    Ok((graph, report))
+    Ok((graph.finish(), report))
 }
 
 /// Serializes a graph to the CAIDA serial-2 format (provider first on `-1`

@@ -6,7 +6,8 @@
 //! that substrate from scratch:
 //!
 //! * [`AsGraph`] — an AS-level graph whose edges carry
-//!   [`Relationship`](aspp_types::Relationship) annotations;
+//!   [`Relationship`](aspp_types::Relationship) annotations, assembled in
+//!   an [`AsGraphBuilder`] and frozen by its `finish()`;
 //! * [`gen`] — a synthetic hierarchical Internet generator (tier-1 clique,
 //!   multi-homed transit tiers, stubs, richly-peered content ASes) that plays
 //!   the role of the real measured topology, with ground-truth relationships;
@@ -35,4 +36,4 @@ pub mod infer;
 pub mod io;
 pub mod tier;
 
-pub use graph::{AsGraph, CsrEntry, CsrIndex, GraphError, NeighborIter};
+pub use graph::{AsGraph, AsGraphBuilder, CsrEntry, GraphError};

@@ -21,14 +21,15 @@ use crate::AsGraph;
 /// # Example
 ///
 /// ```
-/// use aspp_topology::{AsGraph, tier::TierMap};
+/// use aspp_topology::{AsGraphBuilder, tier::TierMap};
 /// use aspp_types::Asn;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = AsGraph::new();
+/// let mut g = AsGraphBuilder::new();
 /// g.add_peering(Asn(1), Asn(2))?;             // two tier-1s
 /// g.add_provider_customer(Asn(1), Asn(10))?;  // tier-2
 /// g.add_provider_customer(Asn(10), Asn(100))?; // tier-3 stub
+/// let g = g.finish();
 /// let tiers = TierMap::classify(&g);
 /// assert_eq!(tiers.tier_of(Asn(1)), Some(1));
 /// assert_eq!(tiers.tier_of(Asn(10)), Some(2));
@@ -54,15 +55,14 @@ impl TierMap {
     /// Sibling links are ignored for tier computation.
     #[must_use]
     pub fn classify(graph: &AsGraph) -> Self {
-        // Multi-source BFS down provider->customer edges over the CSR's
+        // Multi-source BFS down provider->customer edges over the graph's
         // dense node indices: the queue pops in non-decreasing tier order,
         // so the first visit of a node is at its minimum tier.
-        let csr = graph.csr();
-        let mut tier = vec![Self::UNREACHABLE; csr.len()];
+        let mut tier = vec![Self::UNREACHABLE; graph.len()];
         let mut queue: VecDeque<u32> = VecDeque::new();
         for (idx, t) in tier.iter_mut().enumerate() {
-            let has_provider = csr
-                .neighbors(idx)
+            let has_provider = graph
+                .neighbors_at(idx)
                 .iter()
                 .any(|e| e.rel() == Relationship::Provider);
             if !has_provider {
@@ -72,7 +72,7 @@ impl TierMap {
         }
         while let Some(idx) = queue.pop_front() {
             let next_tier = tier[idx as usize] + 1;
-            for entry in csr.neighbors(idx as usize) {
+            for entry in graph.neighbors_at(idx as usize) {
                 let customer = entry.node() as usize;
                 if entry.rel() == Relationship::Customer && tier[customer] == Self::UNREACHABLE {
                     tier[customer] = next_tier;
@@ -81,7 +81,7 @@ impl TierMap {
             }
         }
 
-        let mut tiers: Vec<(Asn, u32)> = csr.asn_table().iter().copied().zip(tier).collect();
+        let mut tiers: Vec<(Asn, u32)> = graph.asn_table().iter().copied().zip(tier).collect();
         tiers.sort_unstable_by_key(|&(asn, _)| asn);
         TierMap { tiers }
     }
@@ -157,14 +157,15 @@ impl TierMap {
 /// # Example
 ///
 /// ```
-/// use aspp_topology::{AsGraph, tier::customer_cone};
+/// use aspp_topology::{AsGraphBuilder, tier::customer_cone};
 /// use aspp_types::Asn;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = AsGraph::new();
+/// let mut g = AsGraphBuilder::new();
 /// g.add_provider_customer(Asn(1), Asn(2))?;
 /// g.add_provider_customer(Asn(2), Asn(3))?;
 /// g.add_provider_customer(Asn(9), Asn(3))?; // 3 is multi-homed
+/// let g = g.finish();
 /// let cone = customer_cone(&g, Asn(1));
 /// assert!(cone.contains(&Asn(1)) && cone.contains(&Asn(2)) && cone.contains(&Asn(3)));
 /// assert!(!cone.contains(&Asn(9)));
@@ -196,6 +197,7 @@ pub fn customer_cone(graph: &AsGraph, asn: Asn) -> HashSet<Asn> {
 mod tests {
     use super::*;
     use crate::gen::InternetConfig;
+    use crate::AsGraphBuilder;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -267,23 +269,25 @@ mod tests {
                 Relationship::Provider,
                 Relationship::Sibling,
             ];
-            let mut graph = AsGraph::new();
+            let mut graph = AsGraphBuilder::new();
             for (a, b, rel) in links {
                 // Self-loops and duplicate links are rejected; skip them.
                 let _ = graph.add_link(Asn(a), Asn(b), rels[rel]);
             }
+            let graph = graph.finish();
             assert_matches_reference(&graph);
         }
     }
 
     #[test]
     fn siblings_do_not_carry_tiers() {
-        let mut g = hierarchy();
+        let mut g = hierarchy().to_builder();
         // 100's sibling has no provider of its own: tier 1 by definition,
         // not tier 3 by inheritance; and 11's sibling hangs off nothing.
         g.add_sibling(Asn(100), Asn(101)).unwrap();
         g.add_sibling(Asn(11), Asn(12)).unwrap();
         g.add_provider_customer(Asn(12), Asn(120)).unwrap();
+        let g = g.finish();
         let tiers = TierMap::classify(&g);
         assert_eq!(tiers.tier_of(Asn(101)), Some(1));
         assert_eq!(tiers.tier_of(Asn(12)), Some(1));
@@ -293,12 +297,13 @@ mod tests {
 
     #[test]
     fn provider_loop_without_an_entry_point_is_unreachable_beside_a_core() {
-        let mut g = hierarchy();
+        let mut g = hierarchy().to_builder();
         // 50 -> 51 -> 52 -> 50, nobody provider-free, plus a stub below it.
         g.add_provider_customer(Asn(50), Asn(51)).unwrap();
         g.add_provider_customer(Asn(51), Asn(52)).unwrap();
         g.add_provider_customer(Asn(52), Asn(50)).unwrap();
         g.add_provider_customer(Asn(52), Asn(53)).unwrap();
+        let g = g.finish();
         let tiers = TierMap::classify(&g);
         for asn in [Asn(50), Asn(51), Asn(52), Asn(53)] {
             assert_eq!(tiers.tier_of(asn), Some(TierMap::UNREACHABLE));
@@ -310,11 +315,12 @@ mod tests {
 
     #[test]
     fn multihomed_stub_with_providers_at_different_tiers() {
-        let mut g = hierarchy();
+        let mut g = hierarchy().to_builder();
         // 200 buys from tier-3 AS100 and from tier-2 AS10: tier 3, and the
         // deeper provider must not overwrite it whatever the visit order.
         g.add_provider_customer(Asn(100), Asn(200)).unwrap();
         g.add_provider_customer(Asn(10), Asn(200)).unwrap();
+        let g = g.finish();
         let tiers = TierMap::classify(&g);
         assert_eq!(tiers.tier_of(Asn(200)), Some(3));
         assert!(tiers.is_stub(&g, Asn(200)));
@@ -326,13 +332,13 @@ mod tests {
     ///   1 -> 10, 2 -> 11 (tier-2)
     ///   10 -> 100, 11 -> 100 (multi-homed tier-3)
     fn hierarchy() -> AsGraph {
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_peering(Asn(1), Asn(2)).unwrap();
         g.add_provider_customer(Asn(1), Asn(10)).unwrap();
         g.add_provider_customer(Asn(2), Asn(11)).unwrap();
         g.add_provider_customer(Asn(10), Asn(100)).unwrap();
         g.add_provider_customer(Asn(11), Asn(100)).unwrap();
-        g
+        g.finish()
     }
 
     #[test]
@@ -360,9 +366,10 @@ mod tests {
 
     #[test]
     fn clique_violation_detected() {
-        let mut g = hierarchy();
+        let mut g = hierarchy().to_builder();
         // A third provider-free AS not peering with the others.
         g.add_provider_customer(Asn(3), Asn(12)).unwrap();
+        let g = g.finish();
         let tiers = TierMap::classify(&g);
         let err = tiers.verify_tier1_clique(&g).unwrap_err();
         assert!(err.0 == Asn(3) || err.1 == Asn(3));
@@ -370,9 +377,10 @@ mod tests {
 
     #[test]
     fn multihomed_takes_minimum_tier() {
-        let mut g = hierarchy();
+        let mut g = hierarchy().to_builder();
         // 100 also buys directly from tier-1 AS1 -> becomes tier-2.
         g.add_provider_customer(Asn(1), Asn(100)).unwrap();
+        let g = g.finish();
         let tiers = TierMap::classify(&g);
         assert_eq!(tiers.tier_of(Asn(100)), Some(2));
     }
@@ -387,8 +395,9 @@ mod tests {
 
     #[test]
     fn cone_includes_sibling_reachable() {
-        let mut g = hierarchy();
+        let mut g = hierarchy().to_builder();
         g.add_sibling(Asn(100), Asn(101)).unwrap();
+        let g = g.finish();
         let cone = customer_cone(&g, Asn(10));
         assert!(cone.contains(&Asn(101)), "siblings join the cone");
         assert_eq!(customer_cone(&g, Asn(999)).len(), 0);
@@ -396,8 +405,9 @@ mod tests {
 
     #[test]
     fn cone_never_climbs_up_or_across() {
-        let mut g = hierarchy();
+        let mut g = hierarchy().to_builder();
         g.add_peering(Asn(10), Asn(11)).unwrap();
+        let g = g.finish();
         let cone = customer_cone(&g, Asn(10));
         assert!(!cone.contains(&Asn(1)), "providers excluded");
         assert!(!cone.contains(&Asn(11)), "peers excluded");
@@ -407,10 +417,11 @@ mod tests {
     #[test]
     fn isolated_cycle_is_unreachable() {
         // Customer cycle with no provider-free entry point.
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(1), Asn(2)).unwrap();
         g.add_provider_customer(Asn(2), Asn(3)).unwrap();
         g.add_provider_customer(Asn(3), Asn(1)).unwrap();
+        let g = g.finish();
         let tiers = TierMap::classify(&g);
         for asn in [Asn(1), Asn(2), Asn(3)] {
             assert_eq!(tiers.tier_of(asn), Some(TierMap::UNREACHABLE));
@@ -420,8 +431,9 @@ mod tests {
 
     #[test]
     fn peer_only_as_is_tier1_by_definition() {
-        let mut g = AsGraph::new();
+        let mut g = AsGraphBuilder::new();
         g.add_peering(Asn(5), Asn(6)).unwrap();
+        let g = g.finish();
         let tiers = TierMap::classify(&g);
         assert_eq!(tiers.tier_of(Asn(5)), Some(1));
         assert_eq!(g.relationship(Asn(5), Asn(6)), Some(Relationship::Peer));

@@ -4,7 +4,7 @@ use aspp_topology::gen::{InternetConfig, CONTENT_BASE, STUB_BASE, TIER1_BASE};
 use aspp_topology::infer::{consensus_infer, gao_infer, InferParams, InferenceAccuracy};
 use aspp_topology::io::{from_caida_strict, to_caida};
 use aspp_topology::tier::{customer_cone, TierMap};
-use aspp_topology::AsGraph;
+use aspp_topology::{AsGraph, AsGraphBuilder};
 use aspp_types::{AsPath, Asn, Relationship};
 
 #[test]
@@ -158,10 +158,11 @@ fn gao_is_deterministic() {
 
 #[test]
 fn remove_link_then_relink_changes_relationship() {
-    let mut g = AsGraph::new();
-    g.add_provider_customer(Asn(1), Asn(2)).unwrap();
-    assert_eq!(g.remove_link(Asn(1), Asn(2)), Some(Relationship::Customer));
-    g.add_peering(Asn(1), Asn(2)).unwrap();
+    let mut b = AsGraphBuilder::new();
+    b.add_provider_customer(Asn(1), Asn(2)).unwrap();
+    assert_eq!(b.remove_link(Asn(1), Asn(2)), Some(Relationship::Customer));
+    b.add_peering(Asn(1), Asn(2)).unwrap();
+    let g = b.finish();
     assert_eq!(g.relationship(Asn(1), Asn(2)), Some(Relationship::Peer));
     assert_eq!(g.link_count(), 1);
 }

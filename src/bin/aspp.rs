@@ -509,8 +509,9 @@ impl<'a> Run<'a> {
     }
 
     /// Builds the synthetic Internet at the run's scale and seed and
-    /// records it.
+    /// records it, inside the `topology.generate` trace span.
     fn internet(&mut self) -> AsGraph {
+        let _span = trace::span("topology.generate");
         let graph = self.scale.internet(self.seed);
         self.record_topology(&graph);
         graph

@@ -352,3 +352,20 @@ fn impact_figure_selector_works() {
     let out = aspp(&["impact", "--figure", "99"]);
     assert!(!out.status.success());
 }
+
+#[test]
+fn gen_trace_attributes_topology_generation() {
+    let dir = std::env::temp_dir().join("aspp_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("gen_trace.jsonl");
+    let out = aspp(&[
+        "gen",
+        "--scale",
+        "smoke",
+        "--trace-json",
+        file.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let trace = std::fs::read_to_string(&file).unwrap();
+    assert!(trace.contains("\"span\":\"topology.generate\""), "{trace}");
+}

@@ -145,11 +145,11 @@ fn delta_pass_serves_default_sweeps() {
     );
 }
 
-/// Mutating the graph must invalidate the workspace's cached clean pass, so
-/// delta re-convergence never seeds from a stale equilibrium.
+/// A graph derived from another must not be served the workspace's cached
+/// clean pass, so delta re-convergence never seeds from a stale equilibrium.
 #[test]
 fn delta_results_track_graph_mutation() {
-    let mut graph = InternetConfig::small().seed(77).build();
+    let graph = InternetConfig::small().seed(77).build();
     let asns: Vec<Asn> = graph.asns().collect();
     let (victim, attacker) = (asns[3], asns[20]);
     let exp = HijackExperiment::new(victim, attacker).padding(3);
@@ -162,14 +162,20 @@ fn delta_results_track_graph_mutation() {
         assert_eq!(warm.polluted_count(), fresh.polluted_count());
     }
 
-    // Splice a brand-new provider above the victim: routes to the victim
-    // change materially, and the stamp must notice.
-    graph
+    // Splice a brand-new provider above the victim in a derived copy: routes
+    // to the victim change materially, and the workspace must notice.
+    let mut builder = graph.to_builder();
+    builder
         .add_provider_customer(Asn(999_999), victim)
         .expect("new edge");
-    let engine = RoutingEngine::new(&graph);
+    let derived = builder.finish();
+    let engine = RoutingEngine::new(&derived);
     let after = engine.compute_with(&exp.to_spec(), &mut ws);
     let oracle = engine.compute(&exp.to_spec());
-    assert_outcomes_identical(&graph, &oracle, &after);
-    assert_eq!(ws.cache_hits(), 0, "mutation must not be served from cache");
+    assert_outcomes_identical(&derived, &oracle, &after);
+    assert_eq!(
+        ws.cache_hits(),
+        0,
+        "a derived graph must not be served from cache"
+    );
 }

@@ -155,12 +155,14 @@ fn regression_origin_hijack_equivalence_seed14243435913310978049() {
 fn sibling_chain_equivalence() {
     // The Figure 11 augmented topology exercises sibling-class inheritance
     // in both implementations.
-    let mut graph = InternetConfig::small().seed(99).build();
+    let mut builder = InternetConfig::small().seed(99).build().to_builder();
     let victim = Asn(100);
     let attacker = Asn(90_000);
-    graph.add_sibling(victim, Asn(99_999)).unwrap();
-    graph.add_provider_customer(attacker, Asn(99_999)).unwrap();
-    graph.sort_neighbors();
+    builder.add_sibling(victim, Asn(99_999)).unwrap();
+    builder
+        .add_provider_customer(attacker, Asn(99_999))
+        .unwrap();
+    let graph = builder.finish();
     for pad in [1, 4, 8] {
         let spec = DestinationSpec::new(victim)
             .origin_padding(pad)
@@ -218,4 +220,46 @@ fn strip_all_padding_equivalence_with_intermediary_padder() {
         .prepend_config(config)
         .attacker(AttackerModel::new(Asn(100)).strategy(AttackStrategy::StripAllPadding));
     assert_equivalent(&graph, &spec);
+}
+
+/// The same links frozen in two insertion orders route identically:
+/// `finish()` sorts every adjacency list, and the engine's preference key
+/// ends in the parent's ASN anyway.
+#[test]
+fn construction_order_does_not_change_route_tables() {
+    use aspp_core::topology::AsGraphBuilder;
+    use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+
+    let graph = InternetConfig::small().seed(31).build();
+    let freeze = |links: &[(Asn, Asn, Relationship)]| {
+        let mut builder = AsGraphBuilder::new();
+        for &(a, b, rel) in links {
+            builder.add_link(a, b, rel).unwrap();
+        }
+        builder.finish()
+    };
+    let mut links: Vec<_> = graph.links().collect();
+    links.reverse();
+    let reversed = freeze(&links);
+    links.shuffle(&mut StdRng::seed_from_u64(31));
+    let shuffled = freeze(&links);
+
+    let asns: Vec<Asn> = graph.asns().collect();
+    for (victim, attacker) in [
+        (asns[3], asns[40]),
+        (asns[120], asns[7]),
+        (asns[60], asns[0]),
+    ] {
+        let spec = DestinationSpec::new(victim)
+            .origin_padding(3)
+            .attacker(AttackerModel::new(attacker));
+        let reference = RoutingEngine::new(&graph).compute(&spec);
+        for g in [&reversed, &shuffled] {
+            let outcome = RoutingEngine::new(g).compute(&spec);
+            for &asn in &asns {
+                assert_eq!(outcome.route(asn), reference.route(asn), "route of AS{asn}");
+                assert_eq!(outcome.observed_path(asn), reference.observed_path(asn));
+            }
+        }
+    }
 }
