@@ -57,7 +57,6 @@
 //! [`export_state`](StreamingDetector::export_state) is the same rows with
 //! the paths cloned.
 
-use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -240,7 +239,7 @@ impl<'a> StateRows<'a> {
     /// disjoint prefixes, as the shards of a feed engine do; then every
     /// `(prefix, monitor)` is one row and the order is canonical.
     #[must_use]
-    pub fn of<G: 'a>(detectors: impl IntoIterator<Item = &'a StreamingDetector<G>>) -> Self {
+    pub fn of(detectors: impl IntoIterator<Item = &'a StreamingDetector>) -> Self {
         let mut rows = StateRows::default();
         let mut states = Vec::new();
         for detector in detectors {
@@ -287,6 +286,8 @@ impl<'a> StateRows<'a> {
 /// # Example
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use aspp_detect::realtime::StreamingDetector;
 /// use aspp_data::{UpdateAction, UpdateRecord};
 /// use aspp_topology::AsGraphBuilder;
@@ -301,7 +302,7 @@ impl<'a> StateRows<'a> {
 /// let graph = graph.finish();
 ///
 /// let prefix = "10.0.0.0/24".parse()?;
-/// let mut detector = StreamingDetector::new(&graph);
+/// let mut detector = StreamingDetector::shared(Arc::new(graph));
 /// // RIB seeds: monitor 77 routes via the soon-to-be attacker 66; honest
 /// // monitor 55 provides the padded witness route through the same AS10.
 /// detector.seed(Asn(77), prefix, "77 66 10 1 1 1".parse()?);
@@ -319,17 +320,14 @@ impl<'a> StateRows<'a> {
 /// # Ok(())
 /// # }
 /// ```
-/// The detector is generic over *how it holds the relationship graph*:
-/// `G` is any [`Borrow<AsGraph>`] — a plain `&AsGraph` (the historical
-/// borrowing form, via [`new`](Self::new)), an `Arc<AsGraph>`
-/// ([`shared`](Self::shared)), or an owned `AsGraph`. The immutable graph
-/// baseline is thereby decoupled from the mutable per-stream alarm state,
-/// so a sharded pipeline (see the `aspp-feed` crate) can hand each worker
-/// thread its own fully-owned, `Send` detector without a single borrow
-/// tying the workers together.
+/// The detector co-owns the relationship graph through an `Arc`: the
+/// immutable graph baseline is decoupled from the mutable per-stream alarm
+/// state, so a sharded pipeline (see the `aspp-feed` crate) can hand each
+/// worker thread its own fully-owned, `Send` detector without a single
+/// borrow tying the workers together.
 #[derive(Clone, Debug)]
-pub struct StreamingDetector<G = Arc<AsGraph>> {
-    graph: G,
+pub struct StreamingDetector {
+    graph: Arc<AsGraph>,
     /// Per-prefix path maps, views, and index. Entries are pruned the
     /// moment their last monitor withdraws, so a resident service's memory
     /// tracks *live* state, not every prefix ever seen.
@@ -342,30 +340,13 @@ pub struct StreamingDetector<G = Arc<AsGraph>> {
     touched: Vec<Asn>,
 }
 
-impl<'g> StreamingDetector<&'g AsGraph> {
-    /// Creates a detector borrowing the (possibly inferred) relationship
-    /// graph — the historical constructor, unchanged for existing callers.
-    #[must_use]
-    pub fn new(graph: &'g AsGraph) -> Self {
-        StreamingDetector::over(graph)
-    }
-}
-
-impl StreamingDetector<Arc<AsGraph>> {
-    /// Creates a detector co-owning the relationship graph. The result is
-    /// `Send + 'static`: it can move onto a worker thread outliving the
-    /// scope that built the graph, which is what the feed pipeline's
-    /// shard workers do.
+impl StreamingDetector {
+    /// Creates a detector co-owning the (possibly inferred) relationship
+    /// graph. The result is `Send + 'static`: it can move onto a worker
+    /// thread outliving the scope that built the graph, which is what the
+    /// feed pipeline's shard workers do.
     #[must_use]
     pub fn shared(graph: Arc<AsGraph>) -> Self {
-        StreamingDetector::over(graph)
-    }
-}
-
-impl<G: Borrow<AsGraph>> StreamingDetector<G> {
-    /// Creates a detector over any holder of the relationship graph.
-    #[must_use]
-    pub fn over(graph: G) -> Self {
         StreamingDetector {
             graph,
             states: HashMap::new(),
@@ -377,7 +358,7 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
     /// The relationship graph the detector consults.
     #[must_use]
     pub fn graph(&self) -> &AsGraph {
-        self.graph.borrow()
+        &self.graph
     }
 
     /// Installs a RIB-snapshot route (no detection is run on seeds).
@@ -502,7 +483,7 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
                     .candidates
                     .iter()
                     .filter(|c| raised.is_none_or(|keys| !keys.contains(&c.key())));
-                let alarms = Detector::new(self.graph.borrow()).judge(open, &st.index);
+                let alarms = Detector::new(&self.graph).judge(open, &st.index);
                 if alarms.is_empty() {
                     return Vec::new();
                 }
@@ -628,6 +609,10 @@ mod tests {
     use aspp_topology::AsGraphBuilder;
     use std::collections::BTreeMap;
 
+    fn detector(g: &AsGraph) -> StreamingDetector {
+        StreamingDetector::shared(Arc::new(g.clone()))
+    }
+
     fn update(seq: u64, monitor: Asn, prefix: Ipv4Prefix, path: &str) -> UpdateRecord {
         UpdateRecord {
             seq,
@@ -651,7 +636,7 @@ mod tests {
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
         let monitors = [B, D, E];
 
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         for &m in &monitors {
             stream.seed(m, prefix, clean.clean_observed_path(m).unwrap());
         }
@@ -686,7 +671,7 @@ mod tests {
         g.add_provider_customer(Asn(66), Asn(77)).unwrap();
         let g = g.finish();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         stream.seed(Asn(77), prefix, "77 66 10 1 1 1".parse().unwrap());
         stream.seed(Asn(55), prefix, "55 10 1 1 1".parse().unwrap());
 
@@ -701,7 +686,7 @@ mod tests {
     fn withdrawals_are_silent() {
         let g = AsGraph::default();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         stream.seed(Asn(7), prefix, "7 1 1".parse().unwrap());
         let alarms = stream.process(&UpdateRecord {
             seq: 1,
@@ -735,7 +720,7 @@ mod tests {
         g.add_provider_customer(Asn(66), Asn(77)).unwrap();
         let g = g.finish();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         stream.seed(Asn(77), prefix, "77 66 10 1 1 1".parse().unwrap());
         stream.seed(Asn(55), prefix, "55 10 1 1 1".parse().unwrap());
 
@@ -768,7 +753,7 @@ mod tests {
         g.add_provider_customer(Asn(10), Asn(77)).unwrap();
         let g = g.finish();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         // The origin pads with lambda = 4 ...
         stream.seed(Asn(77), prefix, "77 10 1 1 1 1".parse().unwrap());
         // ... withdraws, and re-announces with lambda = 2.
@@ -790,7 +775,7 @@ mod tests {
         let g = g.finish();
         let p1: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
         let p2: Ipv4Prefix = "10.0.1.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         stream.seed(Asn(77), p1, "77 66 10 1 1 1".parse().unwrap());
         stream.seed(Asn(55), p1, "55 10 1 1 1".parse().unwrap());
         stream.seed(Asn(77), p2, "77 66 10 1 1 1".parse().unwrap());
@@ -806,44 +791,7 @@ mod tests {
     #[test]
     fn shared_detector_is_send_and_static() {
         fn assert_send<T: Send + 'static>() {}
-        assert_send::<StreamingDetector<std::sync::Arc<AsGraph>>>();
-        assert_send::<StreamingDetector<AsGraph>>();
-    }
-
-    /// Regression for the graph-holder refactor: the borrowing constructor
-    /// and the `Arc` constructor must replay a stream to bit-identical
-    /// alarm sequences.
-    #[test]
-    fn borrowed_and_shared_detectors_agree() {
-        let mut g = AsGraphBuilder::new();
-        g.add_provider_customer(Asn(10), Asn(1)).unwrap();
-        g.add_provider_customer(Asn(10), Asn(66)).unwrap();
-        g.add_provider_customer(Asn(10), Asn(55)).unwrap();
-        g.add_provider_customer(Asn(66), Asn(77)).unwrap();
-        let g = g.finish();
-        let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let updates = [
-            update(1, Asn(77), prefix, "77 66 10 1"),
-            withdraw(2, Asn(77), prefix),
-            update(3, Asn(77), prefix, "77 66 10 1 1 1"),
-            update(4, Asn(77), prefix, "77 66 10 1"),
-        ];
-
-        fn replay<G: std::borrow::Borrow<AsGraph>>(
-            mut d: StreamingDetector<G>,
-            prefix: Ipv4Prefix,
-            updates: &[UpdateRecord],
-        ) -> Vec<StreamAlarm> {
-            d.seed(Asn(77), prefix, "77 66 10 1 1 1".parse().unwrap());
-            d.seed(Asn(55), prefix, "55 10 1 1 1".parse().unwrap());
-            d.process_all(updates)
-        }
-
-        let shared = std::sync::Arc::new(g.clone());
-        let from_borrow = replay(StreamingDetector::new(&g), prefix, &updates);
-        let from_arc = replay(StreamingDetector::shared(shared), prefix, &updates);
-        assert_eq!(from_borrow, from_arc);
-        assert!(!from_borrow.is_empty());
+        assert_send::<StreamingDetector>();
     }
 
     #[test]
@@ -853,7 +801,7 @@ mod tests {
         g.add_provider_customer(Asn(10), Asn(77)).unwrap();
         let g = g.finish();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         stream.seed(Asn(77), prefix, "77 10 1".parse().unwrap());
         // The origin adds padding — more pads, not fewer: no alarm.
         let alarms = stream.process(&update(1, Asn(77), prefix, "77 10 1 1 1"));
@@ -869,7 +817,7 @@ mod tests {
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         g.add_provider_customer(Asn(10), Asn(7)).unwrap();
         let g = g.finish();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         let mut seq = 0;
         for round in 0..50u32 {
             for i in 0..100u32 {
@@ -901,7 +849,7 @@ mod tests {
     fn partial_withdrawal_keeps_prefix_live() {
         let g = AsGraph::default();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         stream.seed(Asn(7), prefix, "7 1 1".parse().unwrap());
         stream.seed(Asn(8), prefix, "8 1 1".parse().unwrap());
         stream.process(&withdraw(1, Asn(7), prefix));
@@ -932,19 +880,19 @@ mod tests {
         ];
 
         for split in 0..=stream_updates.len() {
-            let mut uninterrupted = StreamingDetector::new(&g);
+            let mut uninterrupted = detector(&g);
             uninterrupted.seed(Asn(77), prefix, "77 66 10 1 1 1".parse().unwrap());
             uninterrupted.seed(Asn(55), prefix, "55 10 1 1 1".parse().unwrap());
             let full = uninterrupted.process_all(&stream_updates);
 
-            let mut head = StreamingDetector::new(&g);
+            let mut head = detector(&g);
             head.seed(Asn(77), prefix, "77 66 10 1 1 1".parse().unwrap());
             head.seed(Asn(55), prefix, "55 10 1 1 1".parse().unwrap());
             let mut alarms = head.process_all(&stream_updates[..split]);
             let snapshot = head.export_state();
             drop(head);
 
-            let mut resumed = StreamingDetector::new(&g);
+            let mut resumed = detector(&g);
             resumed.import_state(&snapshot);
             assert_eq!(resumed.export_state(), snapshot, "re-export at {split}");
             alarms.extend(resumed.process_all(&stream_updates[split..]));
@@ -976,7 +924,7 @@ mod tests {
     #[test]
     fn incremental_candidates_match_full_derivation() {
         let g = attack_graph();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         let monitors = [Asn(77), Asn(55), Asn(88)];
         let tails = ["66 10 1 1 1", "66 10 1 1", "66 10 1", "10 1 1 1", "10 1"];
         let prefixes: Vec<Ipv4Prefix> = (0..3u32)
@@ -1019,7 +967,7 @@ mod tests {
     fn duplicate_reannouncement_rederives_nothing() {
         let g = attack_graph();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         stream.seed(Asn(77), prefix, "77 66 10 1 1 1".parse().unwrap());
         stream.seed(Asn(55), prefix, "55 10 1 1 1".parse().unwrap());
         stream.process(&update(1, Asn(77), prefix, "77 66 10 1"));
@@ -1054,7 +1002,7 @@ mod tests {
                 withdraw(seq + 4, Asn(55), prefix),
             ]
         };
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         let mut oracle = ReferenceDetector::new(&g);
         let mut attacks = Vec::new();
         for u in episode(1).iter().chain(&episode(6)) {
@@ -1086,7 +1034,7 @@ mod tests {
         g.add_provider_customer(Asn(66), Asn(88)).unwrap();
         let g = g.finish();
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let mut stream = StreamingDetector::new(&g);
+        let mut stream = detector(&g);
         let mut oracle = ReferenceDetector::new(&g);
         for (monitor, path) in [
             (55, "55 10 1 1 1"),
@@ -1151,7 +1099,7 @@ mod tests {
         g.add_peering(Asn(55), Asn(66)).unwrap();
         let g = g.finish();
 
-        let mut optimized = StreamingDetector::new(&g);
+        let mut optimized = detector(&g);
         let mut reference = ReferenceDetector::new(&g);
 
         let monitors = [Asn(77), Asn(55), Asn(88)];

@@ -1,5 +1,7 @@
 //! Public-API regression tests for `aspp-detect`.
 
+use std::sync::Arc;
+
 use aspp_attack::fixtures::{figure3, figure3_topology};
 use aspp_attack::sweep::random_pair_experiments;
 use aspp_attack::HijackExperiment;
@@ -89,7 +91,7 @@ fn streaming_detector_matches_batch_detector() {
     let batch = Detector::new(&g).scan(&before, &after);
 
     // Streaming detection over the same change.
-    let mut stream = StreamingDetector::new(&g);
+    let mut stream = StreamingDetector::shared(Arc::new(g.clone()));
     for &m in &monitors {
         stream.seed(m, prefix, outcome.clean_observed_path(m).unwrap());
     }

@@ -208,7 +208,7 @@ struct TaggedAlarm {
 #[derive(Debug)]
 pub struct FeedEngine {
     graph: Arc<AsGraph>,
-    detectors: Vec<StreamingDetector<Arc<AsGraph>>>,
+    detectors: Vec<StreamingDetector>,
     cursor: u64,
 }
 
@@ -524,7 +524,7 @@ mod tests {
     #[test]
     fn pool_matches_serial_detector() {
         let (graph, seeds, updates) = attack_world();
-        let mut serial = StreamingDetector::new(&graph);
+        let mut serial = StreamingDetector::shared(Arc::clone(&graph));
         serial.seed_from_corpus(&seeds);
         let expected = serial.process_all(&updates);
         assert!(!expected.is_empty());
@@ -547,7 +547,7 @@ mod tests {
         // The engine seeds each shard prefix by prefix; the serial detector
         // walks the corpus monitor by monitor. Same state either way.
         let (graph, seeds, _) = attack_world();
-        let mut serial = StreamingDetector::new(&graph);
+        let mut serial = StreamingDetector::shared(Arc::clone(&graph));
         serial.seed_from_corpus(&seeds);
         for shards in [1, 2, 8] {
             let mut engine = FeedEngine::new(Arc::clone(&graph), &FeedConfig::new(shards));
@@ -741,7 +741,7 @@ mod tests {
         for u in &mut updates {
             u.seq = 7;
         }
-        let mut serial = StreamingDetector::new(&graph);
+        let mut serial = StreamingDetector::shared(Arc::clone(&graph));
         serial.seed_from_corpus(&seeds);
         let expected = serial.process_all(&updates);
         assert!(!expected.is_empty());

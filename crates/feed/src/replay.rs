@@ -382,7 +382,7 @@ mod tests {
         let g = InternetConfig::small().seed(8).build();
         let feed = ReplayConfig::new(30).attack_ratio(0.8).seed(5).generate(&g);
         assert!(!feed.attacks.is_empty());
-        let mut detector = StreamingDetector::new(&g);
+        let mut detector = StreamingDetector::shared(std::sync::Arc::new(g));
         detector.seed_from_corpus(&feed.corpus);
         let alarms = detector.process_all(feed.updates());
         assert!(

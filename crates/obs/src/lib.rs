@@ -11,10 +11,9 @@
 //!   [`MetricsSnapshot`] captures the counters for printing (ASCII table or
 //!   JSON) and for before/after diffing.
 //! * [`trace`] — lightweight span tracing. Spans are always compiled in but
-//!   runtime-gated behind one relaxed atomic load; when activated (via
-//!   `ASPP_LOG=trace` or an explicit sink such as the CLI's `--trace-json`)
-//!   each closed span emits one JSON line `{"span":…,"start_us":…,
-//!   "dur_us":…,"thread":…}`.
+//!   runtime-gated behind one relaxed atomic load; when a sink is installed
+//!   (the CLI's `--trace-json`) each closed span emits one JSON line
+//!   `{"span":…,"start_us":…,"dur_us":…,"thread":…}`.
 //! * [`manifest`] — per-run provenance records ([`RunManifest`]): git
 //!   revision, topology fingerprint, seed, strategy matrix, wall times and
 //!   a counter snapshot, rendered as JSON and written next to every

@@ -5,8 +5,8 @@
 //! topology's size and fingerprint, the seed, the strategy matrix the run
 //! swept, per-phase wall times, and a [`MetricsSnapshot`] of the engine
 //! counters accumulated during the run. The CLI writes one next to every
-//! `results/` artifact (`--manifest PATH` / `ASPP_MANIFEST=PATH`), so every
-//! recorded number carries its provenance.
+//! `results/` artifact (`--manifest PATH`), so every recorded number carries
+//! its provenance.
 //!
 //! The JSON schema (`"schema": 1`) is documented in `EXPERIMENTS.md`.
 
@@ -40,6 +40,7 @@ pub struct TopologyInfo {
 /// m.topology = Some(TopologyInfo { nodes: 1490, links: 3338, fingerprint: 0xabcd });
 /// m.push_strategy("StripPadding λ=1..8 Compliant");
 /// m.push_phase("fig9", 12.5);
+/// m.total_wall_ms = 14.0;
 /// m.metrics = MetricsSnapshot::capture();
 /// let json = m.to_json();
 /// assert!(json.contains("\"tool\":\"aspp impact\""));
@@ -66,6 +67,9 @@ pub struct RunManifest {
     pub strategy_matrix: Vec<String>,
     /// Per-phase wall times, in the order the phases ran.
     pub phases: Vec<(String, f64)>,
+    /// The whole run's measured wall time, in milliseconds: at least the
+    /// sum of `phases`, since not every step of a run is a recorded phase.
+    pub total_wall_ms: f64,
     /// Engine counters accumulated during the run (all-zero when the
     /// `obs` feature is compiled out — see `"counters_compiled_in"`).
     pub metrics: MetricsSnapshot,
@@ -91,6 +95,7 @@ impl RunManifest {
             topology: None,
             strategy_matrix: Vec::new(),
             phases: Vec::new(),
+            total_wall_ms: 0.0,
             metrics: MetricsSnapshot::default(),
         }
     }
@@ -103,12 +108,6 @@ impl RunManifest {
     /// Appends one `(phase, wall-milliseconds)` timing row.
     pub fn push_phase(&mut self, name: &str, wall_ms: f64) {
         self.phases.push((name.to_string(), wall_ms));
-    }
-
-    /// Total wall time across recorded phases, in milliseconds.
-    #[must_use]
-    pub fn total_wall_ms(&self) -> f64 {
-        self.phases.iter().map(|(_, ms)| ms).sum()
     }
 
     /// Renders the manifest as a single JSON object.
@@ -147,7 +146,7 @@ impl RunManifest {
             ph.field_f64(name, *ms);
         }
         w.field_raw("wall_ms", &ph.finish());
-        w.field_f64("total_wall_ms", self.total_wall_ms());
+        w.field_f64("total_wall_ms", self.total_wall_ms);
         // Without compiled-in counters a metrics block would be all-zero
         // noise masquerading as a measurement; omit it entirely.
         if MetricsSnapshot::compiled_in() {
@@ -204,6 +203,7 @@ mod tests {
         m.push_strategy("StripPadding keep=1");
         m.push_phase("fig9", 3.25);
         m.push_phase("fig10", 1.75);
+        m.total_wall_ms = 5.5;
         let json = m.to_json();
         for needle in [
             "\"schema\":1",
@@ -215,7 +215,7 @@ mod tests {
             "\"fingerprint\":\"00000000deadbeef\"",
             "\"strategy_matrix\":[\"StripPadding keep=1\"]",
             "\"fig9\":3.250",
-            "\"total_wall_ms\":5.000",
+            "\"total_wall_ms\":5.500",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }

@@ -2,9 +2,8 @@
 //!
 //! Spans are always compiled in; until a sink is installed the cost of
 //! [`span`] is one relaxed atomic load and the guard drop is a no-op.
-//! Install a sink with [`init_from_env`] (`ASPP_LOG=trace` → stderr) or
-//! [`init_json_file`] (the CLI's `--trace-json PATH`); each closed span
-//! then emits one JSON line:
+//! Install a sink with [`init_json_file`] (the CLI's `--trace-json PATH`);
+//! each closed span then emits one JSON line:
 //!
 //! ```json
 //! {"span":"compute_with","start_us":1234,"dur_us":56,"thread":"main"}
@@ -48,22 +47,6 @@ fn install(writer: Box<dyn std::io::Write + Send>) -> bool {
 #[must_use]
 pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Installs the stderr sink when `ASPP_LOG` requests tracing (`trace`,
-/// `1`, or `json`). Anything else — including an unset variable — leaves
-/// tracing off. Returns `true` if tracing is active after the call.
-///
-/// Idempotent: a second initialization (by env or file) keeps the first
-/// sink.
-pub fn init_from_env() -> bool {
-    match std::env::var("ASPP_LOG").as_deref() {
-        Ok("trace" | "1" | "json") => {
-            install(Box::new(std::io::stderr()));
-            true
-        }
-        _ => active(),
-    }
 }
 
 /// Installs a JSON-lines sink writing to `path` (truncating it). Returns
@@ -140,18 +123,10 @@ mod tests {
 
     #[test]
     fn inactive_span_is_free_and_silent() {
-        // No sink installed in this process (tests don't set ASPP_LOG):
-        // guards must be inert.
-        assert!(!active() || SINK.get().is_some());
+        // No sink installed in this process: guards must be inert.
+        assert!(!active());
         let g = span("test_span");
-        assert!(g.start.is_none() || active());
+        assert!(g.start.is_none());
         drop(g);
-    }
-
-    #[test]
-    fn init_from_env_without_var_stays_off() {
-        if std::env::var("ASPP_LOG").is_err() {
-            assert_eq!(init_from_env(), active());
-        }
     }
 }

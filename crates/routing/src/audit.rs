@@ -29,17 +29,15 @@
 //!
 //! Violations carry the offending AS so a failure reads like a diagnostic,
 //! not a boolean. When auditing is [`enabled`] — compiled in via the
-//! `debug-audit` cargo feature or switched on at runtime with
-//! `ASPP_AUDIT=1` — [`compute_with_policy`] audits every outcome it returns
-//! against the policy it was computed with and panics with the report on a
-//! violation, so no caller can run un-audited; it also replays every delta
-//! attacked pass through the full propagation and asserts bit identity.
-//! Disabled, both cost one cached flag load per compute.
+//! `debug-audit` cargo feature — [`compute_with_policy`] audits every
+//! outcome it returns against the policy it was computed with and panics
+//! with the report on a violation, so no caller can run un-audited; it also
+//! replays every delta attacked pass through the full propagation and
+//! asserts bit identity. Without the feature both checks compile out.
 //!
 //! [`compute_with_policy`]: crate::RoutingEngine::compute_with_policy
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use aspp_topology::AsGraph;
 use aspp_types::{Asn, Relationship, RouteClass};
@@ -51,18 +49,10 @@ use crate::engine::{
 use crate::policy::{AttackFacts, DefensePolicy, NoDefense};
 
 /// Returns `true` when outcome auditing (and the delta-vs-full oracle) is
-/// active: always under the `debug-audit` cargo feature, otherwise when the
-/// `ASPP_AUDIT` environment variable is `1`, `true` or `on` (checked once
-/// and cached).
+/// compiled in, i.e. under the `debug-audit` cargo feature.
 #[must_use]
-pub fn enabled() -> bool {
-    if cfg!(feature = "debug-audit") {
-        return true;
-    }
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("ASPP_AUDIT").is_ok_and(|v| matches!(v.as_str(), "1" | "true" | "on"))
-    })
+pub const fn enabled() -> bool {
+    cfg!(feature = "debug-audit")
 }
 
 /// Which equilibrium of an outcome a report describes.
@@ -1004,15 +994,12 @@ mod tests {
         let _ = audit_under_a_policy_that_turns_lenient();
     }
 
-    /// …and without it (and without `ASPP_AUDIT`) the same call hands the
-    /// outcome back: China Telecom filtered its only route during the pass
-    /// and would take it now, which only the caller's audit sees.
+    /// …and without it the same call hands the outcome back: China Telecom
+    /// filtered its only route during the pass and would take it now, which
+    /// only the caller's audit sees.
     #[cfg(not(feature = "debug-audit"))]
     #[test]
     fn engine_returns_an_unclean_outcome_when_auditing_is_off() {
-        if enabled() {
-            return;
-        }
         let audit = audit_under_a_policy_that_turns_lenient();
         let hidden = AuditViolation::HiddenRoute {
             asn: CHINA_TELECOM,

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use aspp_topology::AsGraph;
-use aspp_types::{AsPath, Asn, PathArena, PathRange};
+use aspp_types::{AsPath, Asn};
 
 use super::route::{NodeRoute, Pass, RouteInfo};
 use super::spec::DestinationSpec;
@@ -21,25 +21,26 @@ pub(crate) fn chain_of(pass: &Pass, idx: usize) -> Vec<usize> {
 }
 
 /// Reconstructs the path stored in `idx`'s RIB (not including `idx` itself)
-/// for the given pass, appending its hops to `arena` in wire order
-/// (most-recent-first). `attack_base` supplies the attacker's stripped base
-/// path when reconstructing attacked routes.
+/// for the given pass into `hops` (cleared first), in wire order
+/// (most-recent-first), and returns them; `None` when `idx` holds no route.
+/// `attack_base` supplies the attacker's stripped base path when
+/// reconstructing attacked routes.
 ///
 /// Walking the parent chain from `idx` toward the source visits export
 /// steps `u -> w` from the receiver outward — exactly wire order when each
 /// step's `1 + extra(u, w)` copies of `u` are pushed at the back, with the
 /// attacker's base path (the hops "behind" the attacker) appended last. One
 /// O(len) pass, no chain buffer, no front insertion.
-fn reconstruct_into(
+fn reconstruct_into<'h>(
     graph: &AsGraph,
     spec: &DestinationSpec,
     pass: &Pass,
     attack_base: Option<(usize, &AsPath)>,
     idx: usize,
-    arena: &mut PathArena,
-) -> Option<PathRange> {
+    hops: &'h mut Vec<Asn>,
+) -> Option<&'h [Asn]> {
     pass.get(idx)?;
-    let start = arena.begin();
+    hops.clear();
     // Follow parents, stopping at the attacker: its pinned parent chain
     // belongs to the *clean* route, while everything it exported in the
     // attacked pass carries the stripped base path instead.
@@ -58,15 +59,15 @@ fn reconstruct_into(
         } else {
             1 + spec.prepending().extra_for(u_asn, graph.asn_at(w))
         };
-        arena.push_n(u_asn, copies);
+        hops.resize(hops.len() + copies, u_asn);
         w = u;
     }
     if let Some((m_idx, m_base)) = attack_base {
         if w == m_idx {
-            arena.extend(m_base.hops());
+            hops.extend_from_slice(m_base.hops());
         }
     }
-    Some(arena.finish(start))
+    Some(hops)
 }
 
 /// [`reconstruct_into`] materialized as an owned [`AsPath`] — the one-shot
@@ -78,9 +79,9 @@ pub(super) fn reconstruct_received(
     attack_base: Option<(usize, &AsPath)>,
     idx: usize,
 ) -> Option<AsPath> {
-    let mut arena = PathArena::new();
-    let range = reconstruct_into(graph, spec, pass, attack_base, idx, &mut arena)?;
-    Some(arena.to_path(range))
+    let mut hops = Vec::new();
+    reconstruct_into(graph, spec, pass, attack_base, idx, &mut hops)?;
+    Some(AsPath::from_hops(hops))
 }
 
 /// The result of [`compute`](crate::RoutingEngine::compute): the clean
@@ -363,22 +364,21 @@ impl RoutingOutcome<'_> {
     /// Number of ASes whose announced path visibly changed under the attack.
     ///
     /// Every observed path is its received path with the AS's own ASN
-    /// prepended, so comparing received paths suffices; both are built into
-    /// one reusable [`PathArena`] and compared as slices — the whole sweep
+    /// prepended, so comparing received paths suffices; each is built into
+    /// its own reused buffer and compared as slices — the whole sweep
     /// allocates two buffers total instead of two `AsPath`s per AS.
     #[must_use]
     pub fn changed_count(&self) -> usize {
         let Some(attacked) = &self.attacked else {
             return 0;
         };
-        let base_ref = self.attack_base();
-        let mut arena = PathArena::new();
+        let base = self.attack_base();
+        let (mut att_hops, mut cln_hops) = (Vec::new(), Vec::new());
         let mut changed = 0usize;
         for i in 0..self.graph.len() {
-            arena.clear();
-            let att = reconstruct_into(self.graph, &self.spec, attacked, base_ref, i, &mut arena);
-            let cln = reconstruct_into(self.graph, &self.spec, &self.clean, None, i, &mut arena);
-            if att.map(|r| arena.slice(r)) != cln.map(|r| arena.slice(r)) {
+            let att = reconstruct_into(self.graph, &self.spec, attacked, base, i, &mut att_hops);
+            let cln = reconstruct_into(self.graph, &self.spec, &self.clean, None, i, &mut cln_hops);
+            if att != cln {
                 changed += 1;
             }
         }

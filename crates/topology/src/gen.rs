@@ -37,8 +37,10 @@ pub const CONTENT_BASE: u32 = 90_000;
 /// Configuration for the synthetic Internet generator.
 ///
 /// Use one of the presets ([`small`](InternetConfig::small),
-/// [`medium`](InternetConfig::medium), [`large`](InternetConfig::large)) and
-/// refine with the builder methods.
+/// [`medium`](InternetConfig::medium),
+/// [`internet_smoke`](InternetConfig::internet_smoke),
+/// [`internet`](InternetConfig::internet)) and refine with the builder
+/// methods.
 ///
 /// # Example
 ///
@@ -105,26 +107,6 @@ impl InternetConfig {
             tier2_tier1_peer_prob: 0.15,
             tier3_peer_prob: 0.01,
             content_peer_fraction: 0.4,
-            seed: 0,
-        }
-    }
-
-    /// ~5000-AS Internet: stress benchmarks.
-    #[must_use]
-    pub fn large() -> Self {
-        InternetConfig {
-            num_tier1: 14,
-            num_tier2: 300,
-            num_tier3: 1_200,
-            num_stubs: 3_450,
-            num_content: 16,
-            tier2_provider_range: (2, 4),
-            tier3_provider_range: (1, 3),
-            stub_provider_range: (1, 2),
-            tier2_peer_prob: 0.04,
-            tier2_tier1_peer_prob: 0.1,
-            tier3_peer_prob: 0.004,
-            content_peer_fraction: 0.3,
             seed: 0,
         }
     }

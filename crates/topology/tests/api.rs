@@ -169,9 +169,13 @@ fn remove_link_then_relink_changes_relationship() {
 
 #[test]
 fn builder_presets_scale_monotonically() {
-    let small = InternetConfig::small();
-    let medium = InternetConfig::medium();
-    let large = InternetConfig::large();
-    assert!(small.total_ases() < medium.total_ases());
-    assert!(medium.total_ases() < large.total_ases());
+    let presets = [
+        InternetConfig::small(),
+        InternetConfig::medium(),
+        InternetConfig::internet_smoke(),
+        InternetConfig::internet(),
+    ];
+    for pair in presets.windows(2) {
+        assert!(pair[0].total_ases() < pair[1].total_ases());
+    }
 }

@@ -42,14 +42,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod asn;
 mod error;
 mod path;
 mod prefix;
 mod relationship;
 
-pub use arena::{PathArena, PathRange};
 pub use asn::Asn;
 pub use error::{AsppError, IngestReport, ParseAsPathError, ParseAsnError, ParsePrefixError};
 pub use path::AsPath;

@@ -174,24 +174,6 @@ impl AsPath {
         }
     }
 
-    /// The number of consecutive copies of `asn` at whatever position it
-    /// first appears (scanning most-recent-first); zero if absent.
-    ///
-    /// This captures *intermediary* prepending: a transit AS may also pad.
-    ///
-    /// ```
-    /// # use aspp_types::{Asn, AsPath};
-    /// let p: AsPath = "7018 4134 4134 4134 32934".parse().unwrap();
-    /// assert_eq!(p.padding_of(Asn(4134)), 3);
-    /// assert_eq!(p.padding_of(Asn(7018)), 1);
-    /// assert_eq!(p.padding_of(Asn(9999)), 0);
-    /// ```
-    #[must_use]
-    pub fn padding_of(&self, asn: Asn) -> usize {
-        let mut iter = self.hops.iter().skip_while(|&&h| h != asn);
-        iter.by_ref().take_while(|&&h| h == asn).count()
-    }
-
     /// Returns `true` if any AS appears more than once consecutively,
     /// i.e. the path shows some form of prepending. This is the predicate
     /// behind the paper's Figure 5 measurement.
@@ -325,26 +307,6 @@ impl AsPath {
         let collapsed = self.collapsed();
         self.hops = collapsed;
         before - self.hops.len()
-    }
-
-    /// The transit segment used by the detection algorithm (Figure 4): the
-    /// collapsed hops strictly between the first AS and the origin padding,
-    /// i.e. `[AS_{I-1} … AS_1]` for a path `[AS_I AS_{I-1} … AS_1 V^λ]`.
-    ///
-    /// Returns an empty slice if the path has fewer than three collapsed hops.
-    ///
-    /// ```
-    /// # use aspp_types::{Asn, AsPath};
-    /// let p: AsPath = "2914 4134 9318 32934 32934 32934".parse().unwrap();
-    /// assert_eq!(p.detector_segment(), vec![Asn(4134), Asn(9318)]);
-    /// ```
-    #[must_use]
-    pub fn detector_segment(&self) -> Vec<Asn> {
-        let collapsed = self.collapsed();
-        if collapsed.len() < 3 {
-            return Vec::new();
-        }
-        collapsed[1..collapsed.len() - 1].to_vec()
     }
 }
 
@@ -492,24 +454,8 @@ mod tests {
     fn padding_measurements() {
         let path = p("1 2 2 3 3 3 3");
         assert_eq!(path.max_padding(), 4);
-        assert_eq!(path.padding_of(Asn(2)), 2);
-        assert_eq!(path.padding_of(Asn(3)), 4);
         assert_eq!(path.origin_padding(), 4);
         assert!(path.has_prepending());
-    }
-
-    #[test]
-    fn detector_segment_examples() {
-        // Paper Figure 3: [E A V V V] and [M A V] share segment [A].
-        let long = p("55 10 1 1 1");
-        let short = p("66 10 1");
-        assert_eq!(long.detector_segment(), vec![Asn(10)]);
-        assert_eq!(short.detector_segment(), vec![Asn(10)]);
-        assert_eq!(long.detector_segment(), short.detector_segment());
-
-        // Too short to have a transit segment.
-        assert!(p("1 2").detector_segment().is_empty());
-        assert!(p("1").detector_segment().is_empty());
     }
 
     #[test]

@@ -17,24 +17,6 @@ fn well_known_constants_are_the_papers_asns() {
 }
 
 #[test]
-fn detector_segment_collapses_intermediary_prepending() {
-    // Intermediary pads inside the transit segment must not change it.
-    let padded: AsPath = "9 5 5 5 4 1 1".parse().unwrap();
-    let plain: AsPath = "9 5 4 1 1 1 1 1".parse().unwrap();
-    assert_eq!(padded.detector_segment(), plain.detector_segment());
-    assert_eq!(padded.detector_segment(), vec![Asn(5), Asn(4)]);
-}
-
-#[test]
-fn padding_of_reports_first_run_only() {
-    // An ASN appearing in two separate runs (a poisoned/looped path a parser
-    // might still hand us) reports its first run.
-    let path = AsPath::from_hops([Asn(2), Asn(2), Asn(3), Asn(2)]);
-    assert_eq!(path.padding_of(Asn(2)), 2);
-    assert!(path.has_loop());
-}
-
-#[test]
 fn prefix_ordering_is_stable_for_btreemap_use() {
     let mut prefixes: Vec<Ipv4Prefix> = ["10.0.0.0/8", "10.0.0.0/16", "9.0.0.0/8"]
         .iter()
@@ -98,7 +80,6 @@ fn max_padding_vs_origin_padding() {
     let path: AsPath = "1 6 6 6 6 2 2".parse().unwrap();
     assert_eq!(path.max_padding(), 4);
     assert_eq!(path.origin_padding(), 2);
-    assert_eq!(path.padding_of(Asn(6)), 4);
 }
 
 #[test]

@@ -12,8 +12,6 @@
 //! --trace-json PATH    write engine/experiment spans as JSON lines to PATH
 //! --metrics table|json print an engine-counter snapshot to stderr on exit
 //! --manifest PATH      write a run-provenance manifest (JSON) to PATH
-//! ASPP_LOG=trace       like --trace-json, but spans go to stderr
-//! ASPP_MANIFEST=PATH   like --manifest
 //! ```
 
 use std::process::ExitCode;
@@ -64,12 +62,7 @@ fn main() -> ExitCode {
     if let Some(other) = metrics.as_deref().filter(|&f| f != "table" && f != "json") {
         return fail(format!("unknown metrics format {other:?}"));
     }
-    let manifest_path = run.value("--manifest").map(String::from).or_else(|| {
-        std::env::var("ASPP_MANIFEST")
-            .ok()
-            .filter(|p| !p.is_empty())
-    });
-    trace::init_from_env();
+    let manifest_path = run.value("--manifest").map(String::from);
     if let Some(path) = run.value("--trace-json") {
         if let Err(e) = trace::init_json_file(path) {
             return fail(format!("opening trace file {path}: {e}"));
@@ -82,9 +75,7 @@ fn main() -> ExitCode {
 
     let delta = MetricsSnapshot::capture().since(&counters_before);
     manifest.metrics = delta;
-    if manifest.phases.is_empty() {
-        manifest.push_phase("total", ms(started));
-    }
+    manifest.total_wall_ms = ms(started);
     if let Some(path) = &manifest_path {
         if let Err(e) = manifest.write(path) {
             return fail(format!("writing manifest {path}: {e}"));
@@ -220,10 +211,8 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "simulate",
-        setup: Setup::Seeded,
         flags: "--victim ASN --attacker ASN --padding N --keep N --violate \
-                --strategy strip|strip-all|forge|origin|poison --poison ASN \
-                --scale small|medium|large",
+                --strategy strip|strip-all|forge|origin|poison --poison ASN",
         note: "--victim and --attacker are required",
         run: cmd_simulate,
         ..BASE
@@ -246,9 +235,9 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "audit",
+        setup: Setup::Bare,
         flags: "--topology FILE --corpus FILE --lenient",
-        note: "invariant-audit attacked equilibria, or strictly (--lenient: leniently) \
-               ingest a CAIDA topology or a corpus file",
+        note: "strictly (--lenient: leniently) ingest a CAIDA topology or a corpus file",
         run: cmd_audit,
         ..BASE
     },
@@ -362,8 +351,7 @@ fn usage_text() -> String {
          OBSERVABILITY (every subcommand; see README.md):\n  \
          --trace-json PATH     write span timings as JSON lines to PATH\n  \
          --metrics table|json  print an engine-counter snapshot to stderr\n  \
-         --manifest PATH       write a run-provenance manifest (JSON) to PATH\n  \
-         ASPP_LOG=trace        span timings to stderr    ASPP_MANIFEST=PATH",
+         --manifest PATH       write a run-provenance manifest (JSON) to PATH",
         scaled.join("/"),
         SCALES.map(|(n, _)| n).join("|"),
     ));
@@ -509,10 +497,14 @@ impl<'a> Run<'a> {
     }
 
     /// Builds the synthetic Internet at the run's scale and seed and
-    /// records it, inside the `topology.generate` trace span.
+    /// records it, timed as the `topology.generate` phase and trace span.
     fn internet(&mut self) -> AsGraph {
-        let _span = trace::span("topology.generate");
-        let graph = self.scale.internet(self.seed);
+        let t0 = Instant::now();
+        let graph = {
+            let _span = trace::span("topology.generate");
+            self.scale.internet(self.seed)
+        };
+        self.manifest.push_phase("topology.generate", ms(t0));
         self.record_topology(&graph);
         graph
     }
@@ -628,13 +620,7 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
     }
     let padding = run.lambda("--padding")?.unwrap_or(3);
     let keep = run.parsed::<usize>("--keep")?.unwrap_or(1);
-    let config = match run.value("--scale").unwrap_or("small") {
-        "small" => InternetConfig::small(),
-        "medium" => InternetConfig::medium(),
-        "large" => InternetConfig::large(),
-        other => return Err(format!("unknown scale {other:?}")),
-    };
-    let graph = config.seed(run.seed).build();
+    let graph = run.internet();
     for (role, asn) in [("victim", victim), ("attacker", attacker)] {
         if !graph.contains(asn) {
             return Err(format!("{role} AS{asn} not in the generated topology"));
@@ -659,7 +645,6 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
         ExportMode::Compliant
     };
 
-    run.record_topology(&graph);
     run.manifest.push_strategy(&format!(
         "victim=AS{victim} attacker=AS{attacker} {strategy:?} {mode:?} padding={padding}"
     ));
@@ -721,120 +706,10 @@ fn corpus_counts(corpus: &Corpus) -> String {
 
 fn cmd_audit(run: &mut Run) -> Result<(), String> {
     let lenient = run.has("--lenient");
-    if let Some(path) = run.value("--topology") {
-        return audit_topology_file(path, lenient);
-    }
-    if let Some(path) = run.value("--corpus") {
-        return audit_corpus_file(path, lenient);
-    }
-    audit_equilibria(run)
-}
-
-/// Recomputes the attack-strategy matrix and verifies every converged
-/// equilibrium against the paper's routing invariants (valley-freeness,
-/// export legality, loop-free next-hop chains, local optimality).
-fn audit_equilibria(run: &mut Run) -> Result<(), String> {
-    use aspp_core::routing::audit;
-
-    let graph = run.internet();
-    // Deterministic victim/attacker sample spanning the hierarchy: a
-    // well-connected core AS, a mid-degree transit AS, and an edge stub.
-    let by_degree = graph.asns_by_degree();
-    let n = by_degree.len();
-    let picks = [by_degree[0], by_degree[n / 2], by_degree[n - 1]];
-    let pairs: Vec<(Asn, Asn)> = picks
-        .iter()
-        .flat_map(|&v| picks.iter().map(move |&m| (v, m)))
-        .filter(|(v, m)| v != m)
-        .collect();
-
-    let strategies = [
-        AttackStrategy::StripPadding { keep: 1 },
-        AttackStrategy::StripAllPadding,
-        AttackStrategy::ForgeDirect,
-        AttackStrategy::OriginHijack,
-    ];
-    let modes = [ExportMode::Compliant, ExportMode::ViolateValleyFree];
-
-    let engine = RoutingEngine::new(&graph);
-    let mut equilibria = 0usize;
-    let mut routes_checked = 0usize;
-    let mut dirty = Vec::new();
-    let mut compute_time = std::time::Duration::ZERO;
-    let mut audit_time = std::time::Duration::ZERO;
-    {
-        let mut check = |spec: &DestinationSpec, label: String| {
-            let t0 = Instant::now();
-            let outcome = engine.compute(spec);
-            compute_time += t0.elapsed();
-            let t1 = Instant::now();
-            let report = audit::audit_outcome(&outcome);
-            audit_time += t1.elapsed();
-            equilibria += 1;
-            routes_checked += report.clean.routes_checked()
-                + report
-                    .attacked
-                    .as_ref()
-                    .map_or(0, aspp_core::routing::AuditReport::routes_checked);
-            if !report.is_clean() {
-                dirty.push((label, report));
-            }
-        };
-
-        for &(victim, attacker) in &pairs {
-            check(
-                &DestinationSpec::new(victim).origin_padding(3),
-                format!("clean victim=AS{victim}"),
-            );
-            for strategy in strategies {
-                for mode in modes {
-                    let exp = HijackExperiment::new(victim, attacker)
-                        .padding(3)
-                        .export_mode(mode)
-                        .strategy(strategy);
-                    check(
-                        &exp.to_spec(),
-                        format!("victim=AS{victim} attacker=AS{attacker} {strategy:?} {mode:?}"),
-                    );
-                }
-            }
-        }
-    }
-
-    for strategy in strategies {
-        for mode in modes {
-            run.manifest
-                .push_strategy(&format!("{strategy:?} {mode:?} padding=3"));
-        }
-    }
-    let (compute_ms, audit_ms) = (
-        compute_time.as_secs_f64() * 1e3,
-        audit_time.as_secs_f64() * 1e3,
-    );
-    run.manifest.push_phase("compute", compute_ms);
-    run.manifest.push_phase("audit", audit_ms);
-
-    out!(
-        "audited {equilibria} equilibria on {} ASes (seed {}): {} route entries checked",
-        graph.len(),
-        run.seed,
-        routes_checked,
-    );
-    out!(
-        "compute {compute_ms:.1} ms, audit {audit_ms:.1} ms (audit/compute = {:.2}x)",
-        audit_time.as_secs_f64() / compute_time.as_secs_f64().max(1e-12),
-    );
-    if dirty.is_empty() {
-        out!("all equilibria satisfy the routing invariants");
-        Ok(())
-    } else {
-        for (label, report) in &dirty {
-            out!("VIOLATIONS in {label}:\n{report}");
-        }
-        Err(format!(
-            "{} of {equilibria} equilibria failed audit",
-            dirty.len()
-        ))
+    match (run.value("--topology"), run.value("--corpus")) {
+        (Some(path), _) => audit_topology_file(path, lenient),
+        (None, Some(path)) => audit_corpus_file(path, lenient),
+        (None, None) => Err("audit needs --topology FILE or --corpus FILE".into()),
     }
 }
 
@@ -1299,9 +1174,7 @@ fn cmd_estimate(run: &mut Run) -> Result<(), String> {
 fn cmd_gen(run: &mut Run) -> Result<(), String> {
     use aspp_core::topology::io::to_caida;
 
-    let t0 = Instant::now();
     let graph = run.internet();
-    run.manifest.push_phase("generate", ms(t0));
     if let Some(path) = run.value("--out") {
         let t = Instant::now();
         run.write_out(&to_caida(&graph))?;

@@ -369,3 +369,48 @@ fn gen_trace_attributes_topology_generation() {
     let trace = std::fs::read_to_string(&file).unwrap();
     assert!(trace.contains("\"span\":\"topology.generate\""), "{trace}");
 }
+
+/// The manifest's total is the command's measured wall, so it covers the
+/// topology generation recorded as its own phase and every step between
+/// phases.
+#[test]
+fn impact_manifest_total_covers_generation_and_every_phase() {
+    let dir = std::env::temp_dir().join("aspp_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("impact_total_manifest.json");
+    let out = aspp(&[
+        "impact",
+        "--figure",
+        "12",
+        "--manifest",
+        file.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let manifest = std::fs::read_to_string(&file).unwrap();
+    std::fs::remove_file(file).ok();
+
+    let after = |key: &str| manifest.split(key).nth(1).expect(key);
+    let phases = after("\"wall_ms\":{").split('}').next().unwrap();
+    assert!(phases.contains("\"topology.generate\":"), "{manifest}");
+    let rows: Vec<f64> = phases
+        .split(',')
+        .map(|row| row.rsplit(':').next().unwrap().parse().unwrap())
+        .collect();
+    let total = after("\"total_wall_ms\":").split([',', '}']).next();
+    let total: f64 = total.unwrap().parse().unwrap();
+    // Each value is printed to 0.001 ms; allow that much rounding per row.
+    let slack = 1e-3 * rows.len() as f64;
+    assert!(
+        total + slack >= rows.iter().sum::<f64>(),
+        "total {total} < phases {rows:?}"
+    );
+}
+
+#[test]
+fn audit_requires_a_file_flag() {
+    let out = aspp(&["audit"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("--topology"), "{stderr}");
+    assert!(stderr.contains("--corpus"), "{stderr}");
+}

@@ -3,6 +3,8 @@
 //! replay the update stream into the streaming detector — the full workflow
 //! a prefix owner would run against RouteViews/RIPE feeds.
 
+use std::sync::Arc;
+
 use aspp_core::detect::realtime::StreamingDetector;
 use aspp_core::prelude::*;
 use aspp_core::types::Ipv4Prefix;
@@ -34,7 +36,7 @@ fn injected_attack_is_caught_from_the_replayed_stream() {
     // exactly what a collector archive would contain.
     let reloaded = Corpus::parse_strict(&corpus.to_text()).unwrap();
 
-    let mut detector = StreamingDetector::new(&graph);
+    let mut detector = StreamingDetector::shared(Arc::new(graph));
     detector.seed_from_corpus(&reloaded);
     let alarms = detector.process_all(reloaded.updates());
 
@@ -64,7 +66,7 @@ fn clean_corpora_raise_no_alarms_on_replay() {
         .seed(7_008)
         .generate(&graph);
 
-    let mut detector = StreamingDetector::new(&graph);
+    let mut detector = StreamingDetector::shared(Arc::new(graph));
     detector.seed_from_corpus(&corpus);
     let alarms = detector.process_all(corpus.updates());
     // Organic churn (failovers revealing padded backups) shows *increased*

@@ -33,7 +33,8 @@ fn fixture(seed: u64) -> Fixture {
         .generate(&graph);
     assert!(!feed.attacks.is_empty(), "stream must carry interceptions");
 
-    let mut serial = StreamingDetector::new(&graph);
+    let graph = Arc::new(graph);
+    let mut serial = StreamingDetector::shared(Arc::clone(&graph));
     serial.seed_from_corpus(&feed.corpus);
     let oracle = serial.process_all(feed.updates());
     assert!(!oracle.is_empty(), "interceptions must raise alarms");
@@ -44,7 +45,7 @@ fn fixture(seed: u64) -> Fixture {
     assert!(oracle.iter().any(|a| a.triggered_by_seq >= mid as u64));
 
     Fixture {
-        graph: Arc::new(graph),
+        graph,
         corpus: feed.corpus,
         head: encode_records(&updates[..mid]),
         tail: encode_records(&updates[mid..]),

@@ -20,12 +20,12 @@ fn shard_count_does_not_change_the_alarm_sequence() {
         .generate(&graph);
     assert!(!feed.attacks.is_empty(), "stream must carry interceptions");
 
-    let mut serial = StreamingDetector::new(&graph);
+    let graph = Arc::new(graph);
+    let mut serial = StreamingDetector::shared(Arc::clone(&graph));
     serial.seed_from_corpus(&feed.corpus);
     let expected = serial.process_all(feed.updates());
     assert!(!expected.is_empty(), "interceptions must raise alarms");
 
-    let graph = Arc::new(graph);
     for shards in [1usize, 2, 8] {
         let report = run_feed(
             &graph,
@@ -72,12 +72,12 @@ fn duplicate_seq_wire_replay_is_shard_count_independent() {
     let decoded = decode_records(&encode_records(&updates)).unwrap();
     assert_eq!(decoded, updates, "wire round-trip must preserve the stream");
 
-    let mut serial = StreamingDetector::new(&graph);
+    let graph = Arc::new(graph);
+    let mut serial = StreamingDetector::shared(Arc::clone(&graph));
     serial.seed_from_corpus(&feed.corpus);
     let expected = serial.process_all(&decoded);
     assert!(!expected.is_empty(), "interceptions must raise alarms");
 
-    let graph = std::sync::Arc::new(graph);
     for shards in [1usize, 2, 8] {
         let report = run_feed(&graph, &feed.corpus, &decoded, &FeedConfig::new(shards));
         assert_eq!(

@@ -11,6 +11,8 @@
 //! handed over once — `export_state` into a fresh detector's
 //! `import_state` — at a random record, as a checkpoint restore would.
 
+use std::sync::Arc;
+
 use aspp_core::data::{UpdateAction, UpdateRecord};
 use aspp_core::detect::realtime::{ReferenceDetector, StreamingDetector};
 use aspp_core::feed::ReplayConfig;
@@ -21,7 +23,7 @@ use rand::{Rng, SeedableRng};
 #[test]
 fn incremental_detector_matches_the_rebuild_oracle_record_by_record() {
     for seed in [3u64, 19, 41] {
-        let graph = InternetConfig::small().seed(seed).build();
+        let graph = Arc::new(InternetConfig::small().seed(seed).build());
         let feed = ReplayConfig::new(24)
             .monitors_top_degree(16)
             .attack_ratio(0.7)
@@ -30,7 +32,7 @@ fn incremental_detector_matches_the_rebuild_oracle_record_by_record() {
             .generate(&graph);
         assert!(!feed.attacks.is_empty(), "stream must carry interceptions");
 
-        let mut optimized = StreamingDetector::new(&graph);
+        let mut optimized = StreamingDetector::shared(Arc::clone(&graph));
         optimized.seed_from_corpus(&feed.corpus);
         let mut oracle = ReferenceDetector::new(&graph);
         for (monitor, table) in feed.corpus.tables() {
@@ -47,7 +49,7 @@ fn incremental_detector_matches_the_rebuild_oracle_record_by_record() {
             for (i, update) in feed.updates().iter().enumerate() {
                 if i == hand_over {
                     let state = optimized.export_state();
-                    optimized = StreamingDetector::new(&graph);
+                    optimized = StreamingDetector::shared(Arc::clone(&graph));
                     optimized.import_state(&state);
                     assert_eq!(optimized.export_state(), state);
                 }
@@ -79,7 +81,7 @@ fn incremental_detector_matches_the_rebuild_oracle_record_by_record() {
 #[test]
 fn repeated_interceptions_match_the_rebuild_oracle_record_by_record() {
     for seed in [5u64, 23] {
-        let graph = InternetConfig::small().seed(seed).build();
+        let graph = Arc::new(InternetConfig::small().seed(seed).build());
         let feed = ReplayConfig::new(24)
             .monitors_top_degree(16)
             .attack_ratio(0.7)
@@ -120,7 +122,7 @@ fn repeated_interceptions_match_the_rebuild_oracle_record_by_record() {
             rounds.push(start..updates.len());
         }
 
-        let mut optimized = StreamingDetector::new(&graph);
+        let mut optimized = StreamingDetector::shared(Arc::clone(&graph));
         optimized.seed_from_corpus(corpus);
         let mut oracle = ReferenceDetector::new(&graph);
         for (monitor, table) in corpus.tables() {
