@@ -34,8 +34,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::experiment::HijackExperiment;
-
 /// How deployers are chosen as the adoption fraction grows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeployStrategy {
@@ -168,8 +166,9 @@ impl fmt::Display for DefensePoint {
     }
 }
 
-/// Runs the full policy × strategy × fraction × experiment grid through
-/// the batch engine and aggregates each grid cell into a [`DefensePoint`].
+/// Runs the full policy × strategy × fraction × experiment grid (one
+/// experiment per spec) through the batch engine and aggregates each grid
+/// cell into a [`DefensePoint`].
 ///
 /// Points are returned strategy-major, then policy, then fraction (in the
 /// caller's order), so consecutive runs of `fractions.len()` points form
@@ -182,7 +181,7 @@ impl fmt::Display for DefensePoint {
 #[must_use]
 pub fn run_defense_sweep(
     graph: &AsGraph,
-    exps: &[HijackExperiment],
+    specs: &[DestinationSpec],
     kinds: &[PolicyKind],
     strategies: &[DeployStrategy],
     fractions: &[f64],
@@ -190,7 +189,7 @@ pub fn run_defense_sweep(
     runner: &BatchRunner,
 ) -> Vec<DefensePoint> {
     let _span = aspp_obs::trace::span("attack.defense_sweep");
-    if exps.is_empty() {
+    if specs.is_empty() {
         return Vec::new();
     }
 
@@ -230,7 +229,7 @@ pub fn run_defense_sweep(
     // pass regardless of this ordering.
     let cells: Vec<(DestinationSpec, Arc<DeployedPolicy>)> = grid
         .iter()
-        .flat_map(|cell| exps.iter().map(|e| (e.to_spec(), Arc::clone(&cell.policy))))
+        .flat_map(|cell| specs.iter().map(|s| (s.clone(), Arc::clone(&cell.policy))))
         .collect();
     let fractions_pair: Vec<(f64, f64)> = runner.run_with_policy(graph, &cells, |_, outcome| {
         (outcome.baseline_fraction(), outcome.polluted_fraction())
@@ -239,7 +238,7 @@ pub fn run_defense_sweep(
     grid.iter()
         .enumerate()
         .map(|(g, cell)| {
-            let chunk = &fractions_pair[g * exps.len()..(g + 1) * exps.len()];
+            let chunk = &fractions_pair[g * specs.len()..(g + 1) * specs.len()];
             let n = chunk.len() as f64;
             DefensePoint {
                 kind: cell.kind,
@@ -258,18 +257,32 @@ pub fn run_defense_sweep(
 mod tests {
     use super::*;
     use crate::sweep;
-    use aspp_routing::{AttackStrategy, ExportMode};
+    use aspp_routing::{AttackStrategy, AttackerModel, ExportMode};
     use aspp_topology::gen::InternetConfig;
 
     fn graph() -> AsGraph {
         InternetConfig::small().seed(23).build()
     }
 
-    fn strip_exps(g: &AsGraph) -> Vec<HijackExperiment> {
-        sweep::random_pair_experiments(g, 6, 5, 17)
+    /// `n` sampled pairs at λ, each attacker re-modelled by `model`.
+    fn sampled(
+        g: &AsGraph,
+        n: usize,
+        lambda: usize,
+        seed: u64,
+        model: impl Fn(AttackerModel) -> AttackerModel,
+    ) -> Vec<DestinationSpec> {
+        sweep::random_pair_experiments(g, n, lambda, seed)
             .into_iter()
-            .map(|e| e.export_mode(ExportMode::ViolateValleyFree))
+            .map(|s| {
+                let m = model(*s.attacker_model().unwrap());
+                s.attacker(m)
+            })
             .collect()
+    }
+
+    fn strip_exps(g: &AsGraph) -> Vec<DestinationSpec> {
+        sampled(g, 6, 5, 17, |m| m.mode(ExportMode::ViolateValleyFree))
     }
 
     #[test]
@@ -373,10 +386,7 @@ mod tests {
     #[test]
     fn full_rov_extinguishes_origin_hijack() {
         let g = graph();
-        let exps: Vec<HijackExperiment> = sweep::random_pair_experiments(&g, 4, 3, 5)
-            .into_iter()
-            .map(|e| e.strategy(AttackStrategy::OriginHijack))
-            .collect();
+        let exps = sampled(&g, 4, 3, 5, |m| m.strategy(AttackStrategy::OriginHijack));
         let points = run_defense_sweep(
             &g,
             &exps,

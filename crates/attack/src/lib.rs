@@ -9,16 +9,24 @@
 //! traffic to `V`, making the interception invisible to MOAS and
 //! bogus-link detectors.
 //!
+//! An experiment is an [`aspp_routing::DestinationSpec`] with an attacker:
+//! the samplers in [`sweep`] return specs, and [`run_experiment`] /
+//! [`run_experiments`] reduce their outcomes to [`HijackImpact`]s.
+//!
 //! # Example
 //!
 //! ```
-//! use aspp_attack::{HijackExperiment, run_experiment};
+//! use aspp_attack::run_experiment;
+//! use aspp_routing::{AttackerModel, DestinationSpec};
 //! use aspp_topology::gen::InternetConfig;
 //! use aspp_types::Asn;
 //!
 //! let graph = InternetConfig::small().seed(11).build();
-//! let exp = HijackExperiment::new(Asn(1000), Asn(1001)).padding(4);
-//! let impact = run_experiment(&graph, &exp);
+//! // One experiment cell: victim AS1000 pads ×4, AS1001 strips it.
+//! let spec = DestinationSpec::new(Asn(1000))
+//!     .origin_padding(4)
+//!     .attacker(AttackerModel::new(Asn(1001)));
+//! let impact = run_experiment(&graph, &spec);
 //! assert!(impact.after_fraction >= impact.before_fraction);
 //! ```
 
@@ -31,6 +39,5 @@ pub mod fixtures;
 pub mod mitigation;
 pub mod sweep;
 
-pub use aspp_routing::{BatchRunner, ExportMode, RouteWorkspace};
 pub use defense::{deployment_order, run_defense_sweep, DefensePoint, DeployStrategy};
-pub use experiment::{run_experiment, run_experiments, HijackExperiment, HijackImpact};
+pub use experiment::{run_experiment, run_experiments, HijackImpact};

@@ -13,11 +13,11 @@
 //!   forwarding prefers them regardless of AS-path length, pulling traffic
 //!   off the polluted route even where the padded aggregate stays polluted.
 
-use aspp_routing::{DestinationSpec, RoutingEngine};
+use aspp_routing::DestinationSpec;
 use aspp_topology::AsGraph;
-use aspp_types::{Asn, Ipv4Prefix};
+use aspp_types::Ipv4Prefix;
 
-use crate::experiment::{run_experiment, HijackExperiment};
+use crate::experiment::run_experiment;
 
 /// Outcome of applying one mitigation against one attack.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -49,23 +49,26 @@ impl MitigationReport {
 /// # Example
 ///
 /// ```
-/// use aspp_attack::{mitigation::padding_reduction, HijackExperiment};
+/// use aspp_attack::mitigation::padding_reduction;
+/// use aspp_routing::{AttackerModel, DestinationSpec};
 /// use aspp_topology::gen::InternetConfig;
 /// use aspp_types::Asn;
 ///
 /// let graph = InternetConfig::small().seed(9).build();
-/// let exp = HijackExperiment::new(Asn(20_000), Asn(100)).padding(5);
-/// let report = padding_reduction(&graph, &exp, 1);
+/// let spec = DestinationSpec::new(Asn(20_000))
+///     .origin_padding(5)
+///     .attacker(AttackerModel::new(Asn(100)));
+/// let report = padding_reduction(&graph, &spec, 1);
 /// assert!(report.polluted_after <= report.polluted_before);
 /// ```
 #[must_use]
 pub fn padding_reduction(
     graph: &AsGraph,
-    exp: &HijackExperiment,
+    spec: &DestinationSpec,
     fallback: usize,
 ) -> MitigationReport {
-    let before = run_experiment(graph, exp);
-    let after = run_experiment(graph, &exp.padding(fallback.max(1)));
+    let before = run_experiment(graph, spec);
+    let after = run_experiment(graph, &spec.clone().origin_padding(fallback));
     MitigationReport {
         polluted_before: before.after_fraction,
         polluted_after: after.after_fraction,
@@ -83,7 +86,8 @@ pub fn padding_reduction(
 /// require stripping padding that is not there — the ASPP attack has no
 /// leverage on an unpadded announcement). Reported `polluted_after` is the
 /// fraction of ASes whose traffic to an address inside `prefix` still
-/// crosses the attacker.
+/// crosses the attacker: the more-specifics route as the unpadded clean
+/// equilibrium, so that is the "before hijack" baseline of the λ = 1 cell.
 ///
 /// # Errors
 ///
@@ -91,79 +95,41 @@ pub fn padding_reduction(
 #[must_use]
 pub fn deaggregation(
     graph: &AsGraph,
-    exp: &HijackExperiment,
+    spec: &DestinationSpec,
     prefix: Ipv4Prefix,
 ) -> Option<MitigationReport> {
     prefix.split()?;
-    let before = run_experiment(graph, exp);
-
-    // The more-specific halves are fresh, unpadded announcements from the
-    // victim: their routing is the clean (no-attack, no-padding) equilibrium.
-    let engine = RoutingEngine::new(graph);
-    let clean = engine.compute(&DestinationSpec::new(exp.victim()));
-    let attacker = exp.attacker();
-
-    // Traffic now follows the more-specific (clean) route; it crosses the
-    // attacker only where the clean best path did all along.
-    let mut through = 0usize;
-    let mut population = 0usize;
-    for asn in graph.asns() {
-        if asn == exp.victim() || asn == attacker {
-            continue;
-        }
-        population += 1;
-        if clean_path_traverses(&clean, asn, attacker) {
-            through += 1;
-        }
-    }
+    let before = run_experiment(graph, spec);
+    let unpadded = run_experiment(graph, &spec.clone().origin_padding(1));
     Some(MitigationReport {
         polluted_before: before.after_fraction,
-        polluted_after: through as f64 / population.max(1) as f64,
+        polluted_after: unpadded.before_fraction,
         fallback_padding: None,
     })
-}
-
-fn clean_path_traverses(
-    outcome: &aspp_routing::RoutingOutcome<'_>,
-    from: Asn,
-    target: Asn,
-) -> bool {
-    let mut current = from;
-    let mut hops = 0;
-    while let Some(info) = outcome.clean_route(current) {
-        if current == target {
-            return true;
-        }
-        match info.next_hop {
-            Some(next) => current = next,
-            None => return current == target,
-        }
-        hops += 1;
-        if hops > 64 {
-            return false; // defensive: no plausible AS path is this long
-        }
-    }
-    current == target
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aspp_routing::AttackerModel;
     use aspp_topology::gen::InternetConfig;
     use aspp_topology::tier::TierMap;
+    use aspp_types::Asn;
 
-    fn setup() -> (AsGraph, HijackExperiment) {
+    fn setup() -> (AsGraph, DestinationSpec) {
         let graph = InternetConfig::small().seed(81).build();
         let tiers = TierMap::classify(&graph);
         let attacker = tiers.tier1().min().unwrap();
-        let exp = HijackExperiment::new(Asn(20_004), attacker).padding(6);
-        (graph, exp)
+        let spec = DestinationSpec::new(Asn(20_004))
+            .origin_padding(6)
+            .attacker(AttackerModel::new(attacker));
+        (graph, spec)
     }
 
     #[test]
     fn padding_reduction_removes_the_length_advantage() {
-        let (graph, exp) = setup();
-        let report = padding_reduction(&graph, &exp, 1);
+        let (graph, spec) = setup();
+        let report = padding_reduction(&graph, &spec, 1);
         assert!(report.polluted_before > 0.1, "attack works: {report:?}");
         assert!(
             report.polluted_after < report.polluted_before,
@@ -175,19 +141,19 @@ mod tests {
 
     #[test]
     fn padding_reduction_clamps_fallback() {
-        let (graph, exp) = setup();
-        let report = padding_reduction(&graph, &exp, 0);
+        let (graph, spec) = setup();
+        let report = padding_reduction(&graph, &spec, 0);
         assert_eq!(report.fallback_padding, Some(1));
     }
 
     #[test]
     fn deaggregation_restores_clean_forwarding() {
-        let (graph, exp) = setup();
+        let (graph, spec) = setup();
         let prefix: Ipv4Prefix = "69.171.224.0/20".parse().unwrap();
-        let report = deaggregation(&graph, &exp, prefix).unwrap();
+        let report = deaggregation(&graph, &spec, prefix).unwrap();
         assert!(report.polluted_before > 0.1);
         // Traffic through the attacker falls back to the clean baseline.
-        let baseline = run_experiment(&graph, &exp).before_fraction;
+        let baseline = run_experiment(&graph, &spec).before_fraction;
         assert!(
             (report.polluted_after - baseline).abs() < 0.05,
             "after deagg ≈ clean baseline: {report:?} vs {baseline}"
@@ -197,9 +163,9 @@ mod tests {
 
     #[test]
     fn deaggregation_rejects_host_routes() {
-        let (graph, exp) = setup();
+        let (graph, spec) = setup();
         let host: Ipv4Prefix = "1.2.3.4/32".parse().unwrap();
-        assert!(deaggregation(&graph, &exp, host).is_none());
+        assert!(deaggregation(&graph, &spec, host).is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Experiment sweeps reproducing the paper's Figures 7–12.
 
-use aspp_routing::{AttackStrategy, BatchRunner, ExportMode};
+use aspp_routing::{AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, ExportMode};
 use aspp_topology::tier::TierMap;
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::experiment::{run_experiments, HijackExperiment, HijackImpact};
+use crate::experiment::{run_experiments, HijackImpact};
 
 /// Samples `n` distinct tier-1 attacker/victim pairs (Figure 7: "80
 /// instances of such hijacking cases with 3 prepended instances").
@@ -20,8 +20,9 @@ use crate::experiment::{run_experiments, HijackExperiment, HijackImpact};
 /// use aspp_topology::gen::InternetConfig;
 ///
 /// let g = InternetConfig::small().seed(3).build();
-/// let exps = sweep::tier1_pair_experiments(&g, 10, 3, 42);
-/// assert_eq!(exps.len(), 10);
+/// let specs = sweep::tier1_pair_experiments(&g, 10, 3, 42);
+/// assert_eq!(specs.len(), 10);
+/// assert!(specs.iter().all(|s| s.padding_level() == 3));
 /// ```
 #[must_use]
 pub fn tier1_pair_experiments(
@@ -29,7 +30,7 @@ pub fn tier1_pair_experiments(
     n: usize,
     padding: usize,
     seed: u64,
-) -> Vec<HijackExperiment> {
+) -> Vec<DestinationSpec> {
     let tiers = TierMap::classify(graph);
     let mut tier1: Vec<Asn> = tiers.tier1().collect();
     tier1.sort();
@@ -45,14 +46,15 @@ pub fn random_pair_experiments(
     n: usize,
     padding: usize,
     seed: u64,
-) -> Vec<HijackExperiment> {
+) -> Vec<DestinationSpec> {
     let mut all: Vec<Asn> = graph.asns().collect();
     all.sort();
     pair_experiments(&all, &all, n, padding, seed)
 }
 
 /// Samples pairs with the attacker drawn from `attackers` and the victim
-/// from `victims` (attacker ≠ victim), λ = `padding`.
+/// from `victims` (attacker ≠ victim), λ = `padding`: one default ASPP
+/// attacker cell per pair.
 ///
 /// Samples **without replacement**: every returned pair is distinct, and
 /// exactly `n` experiments are returned whenever the pools admit that many
@@ -65,7 +67,12 @@ pub fn pair_experiments(
     n: usize,
     padding: usize,
     seed: u64,
-) -> Vec<HijackExperiment> {
+) -> Vec<DestinationSpec> {
+    let cell = |v: Asn, m: Asn| {
+        DestinationSpec::new(v)
+            .origin_padding(padding)
+            .attacker(AttackerModel::new(m))
+    };
     let mut rng = StdRng::seed_from_u64(seed);
     let attacker_set: std::collections::HashSet<Asn> = attackers.iter().copied().collect();
     let overlap = victims.iter().filter(|v| attacker_set.contains(v)).count();
@@ -90,11 +97,7 @@ pub fn pair_experiments(
             .collect();
         pairs.shuffle(&mut rng);
         pairs.truncate(target);
-        out.extend(
-            pairs
-                .into_iter()
-                .map(|(v, m)| HijackExperiment::new(v, m).padding(padding)),
-        );
+        out.extend(pairs.into_iter().map(|(v, m)| cell(v, m)));
     } else {
         // Large pair space: rejection-sample with dedup. Since
         // total > 4n, each draw is fresh with probability > 3/4 and the
@@ -106,7 +109,7 @@ pub fn pair_experiments(
             if v == m || !seen.insert((v, m)) {
                 continue;
             }
-            out.push(HijackExperiment::new(v, m).padding(padding));
+            out.push(cell(v, m));
         }
     }
     out
@@ -116,26 +119,29 @@ pub fn pair_experiments(
 /// — the x-axis ordering of Figures 7 and 8. Uses the batch equilibrium
 /// engine, so repeated victims amortize their clean passes.
 #[must_use]
-pub fn run_ranked(graph: &AsGraph, exps: &[HijackExperiment]) -> Vec<HijackImpact> {
-    let mut impacts = run_experiments(graph, exps, &BatchRunner::new());
+pub fn run_ranked(graph: &AsGraph, specs: &[DestinationSpec]) -> Vec<HijackImpact> {
+    let mut impacts = run_experiments(graph, specs, &BatchRunner::new());
     // total_cmp: a NaN fraction (impossible today, but a degenerate
     // population could produce one) must not panic mid-sort.
     impacts.sort_by(|a, b| b.after_fraction.total_cmp(&a.after_fraction));
     impacts
 }
 
-/// Sweeps λ over `paddings` for a fixed victim/attacker pair and export
-/// mode — the harness behind Figures 9–12.
+/// Sweeps λ over `paddings` for the cell `spec` (its victim, attacker and
+/// the attacker's behaviour; its own λ is replaced) — the harness behind
+/// Figures 9–12.
 ///
 /// # Example
 ///
 /// ```
-/// use aspp_attack::{sweep, ExportMode};
+/// use aspp_attack::sweep;
+/// use aspp_routing::{AttackerModel, DestinationSpec};
 /// use aspp_topology::gen::InternetConfig;
 /// use aspp_types::Asn;
 ///
 /// let g = InternetConfig::small().seed(4).build();
-/// let series = sweep::prepend_sweep(&g, Asn(100), Asn(101), 1..=4, ExportMode::Compliant);
+/// let cell = DestinationSpec::new(Asn(100)).attacker(AttackerModel::new(Asn(101)));
+/// let series = sweep::prepend_sweep(&g, &cell, 1..=4);
 /// assert_eq!(series.len(), 4);
 /// // Pollution is non-decreasing in λ for a fixed pair.
 /// assert!(series.windows(2).all(|w| w[1].after_fraction >= w[0].after_fraction - 1e-9));
@@ -143,20 +149,14 @@ pub fn run_ranked(graph: &AsGraph, exps: &[HijackExperiment]) -> Vec<HijackImpac
 #[must_use]
 pub fn prepend_sweep(
     graph: &AsGraph,
-    victim: Asn,
-    attacker: Asn,
+    spec: &DestinationSpec,
     paddings: impl IntoIterator<Item = usize>,
-    mode: ExportMode,
 ) -> Vec<HijackImpact> {
-    let exps: Vec<HijackExperiment> = paddings
+    let specs: Vec<DestinationSpec> = paddings
         .into_iter()
-        .map(|p| {
-            HijackExperiment::new(victim, attacker)
-                .padding(p)
-                .export_mode(mode)
-        })
+        .map(|p| spec.clone().origin_padding(p))
         .collect();
-    run_experiments(graph, &exps, &BatchRunner::new())
+    run_experiments(graph, &specs, &BatchRunner::new())
 }
 
 /// Builds the full strategy-matrix sweep for one victim/attacker pair:
@@ -169,7 +169,7 @@ pub fn strategy_matrix(
     victim: Asn,
     attacker: Asn,
     paddings: impl IntoIterator<Item = usize> + Clone,
-) -> Vec<HijackExperiment> {
+) -> Vec<DestinationSpec> {
     let strategies = [
         AttackStrategy::StripPadding { keep: 1 },
         AttackStrategy::StripAllPadding,
@@ -177,20 +177,20 @@ pub fn strategy_matrix(
         AttackStrategy::OriginHijack,
     ];
     let modes = [ExportMode::Compliant, ExportMode::ViolateValleyFree];
-    let mut exps = Vec::new();
+    let mut specs = Vec::new();
     for strategy in strategies {
         for mode in modes {
+            let model = AttackerModel::new(attacker).mode(mode).strategy(strategy);
             for p in paddings.clone() {
-                exps.push(
-                    HijackExperiment::new(victim, attacker)
-                        .padding(p)
-                        .export_mode(mode)
-                        .strategy(strategy),
+                specs.push(
+                    DestinationSpec::new(victim)
+                        .origin_padding(p)
+                        .attacker(model),
                 );
             }
         }
     }
-    exps
+    specs
 }
 
 /// Picks one AS per requested tier, deterministically: the lowest-ASN member
@@ -221,6 +221,12 @@ mod tests {
         InternetConfig::small().seed(77).build()
     }
 
+    fn attacker(spec: &DestinationSpec) -> Asn {
+        spec.attacker_model()
+            .expect("a sampled cell has an attacker")
+            .asn()
+    }
+
     #[test]
     fn tier1_pairs_are_tier1() {
         let g = graph();
@@ -229,8 +235,8 @@ mod tests {
         assert_eq!(exps.len(), 12);
         for e in &exps {
             assert_eq!(tiers.tier_of(e.victim()), Some(1));
-            assert_eq!(tiers.tier_of(e.attacker()), Some(1));
-            assert_ne!(e.victim(), e.attacker());
+            assert_eq!(tiers.tier_of(attacker(e)), Some(1));
+            assert_ne!(e.victim(), attacker(e));
             assert_eq!(e.padding_level(), 3);
         }
     }
@@ -289,7 +295,7 @@ mod tests {
         let pool = [Asn(1), Asn(2)];
         let exps = pair_experiments(&pool, &pool, 5, 3, 0);
         assert_eq!(exps.len(), 2);
-        let mut pairs: Vec<_> = exps.iter().map(|e| (e.victim(), e.attacker())).collect();
+        let mut pairs: Vec<_> = exps.iter().map(|e| (e.victim(), attacker(e))).collect();
         pairs.sort();
         assert_eq!(pairs, vec![(Asn(1), Asn(2)), (Asn(2), Asn(1))]);
     }
@@ -298,7 +304,7 @@ mod tests {
     fn sampled_pairs_are_distinct() {
         let g = graph();
         let exps = random_pair_experiments(&g, 40, 3, 2);
-        let mut pairs: Vec<_> = exps.iter().map(|e| (e.victim(), e.attacker())).collect();
+        let mut pairs: Vec<_> = exps.iter().map(|e| (e.victim(), attacker(e))).collect();
         pairs.sort();
         pairs.dedup();
         assert_eq!(pairs.len(), 40, "pairs must be sampled without replacement");
@@ -314,7 +320,7 @@ mod tests {
         for n in [4usize, 12, 1000] {
             for seed in 0..4 {
                 let exps = tier1_pair_experiments(&g, n, 3, seed);
-                let mut pairs: Vec<_> = exps.iter().map(|e| (e.victim(), e.attacker())).collect();
+                let mut pairs: Vec<_> = exps.iter().map(|e| (e.victim(), attacker(e))).collect();
                 let total = pairs.len();
                 pairs.sort();
                 pairs.dedup();
@@ -323,7 +329,7 @@ mod tests {
                     total,
                     "duplicate tier-1 pair (n={n}, seed={seed})"
                 );
-                assert!(exps.iter().all(|e| e.victim() != e.attacker()));
+                assert!(exps.iter().all(|e| e.victim() != attacker(e)));
             }
         }
     }
@@ -344,6 +350,31 @@ mod tests {
     }
 
     #[test]
+    fn strategy_matrix_is_lambda_major_per_series() {
+        let specs = strategy_matrix(Asn(1), Asn(2), 1..=3);
+        let grid: Vec<(AttackStrategy, ExportMode, usize)> = specs
+            .iter()
+            .map(|s| {
+                assert_eq!((s.victim(), attacker(s)), (Asn(1), Asn(2)));
+                let m = s.attacker_model().unwrap();
+                (m.attack_strategy(), m.export_mode(), s.padding_level())
+            })
+            .collect();
+        let mut expected = Vec::new();
+        for strategy in [
+            AttackStrategy::StripPadding { keep: 1 },
+            AttackStrategy::StripAllPadding,
+            AttackStrategy::ForgeDirect,
+            AttackStrategy::OriginHijack,
+        ] {
+            for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
+                expected.extend((1..=3).map(|lambda| (strategy, mode, lambda)));
+            }
+        }
+        assert_eq!(grid, expected);
+    }
+
+    #[test]
     fn representative_and_stub_pickers() {
         let g = graph();
         let t1 = representative_of_tier(&g, 1).unwrap();
@@ -358,7 +389,8 @@ mod tests {
     fn tier1_vs_tier1_padding_sweep_saturates() {
         // Figure 9's qualitative shape: strong growth then plateau.
         let g = graph();
-        let series = prepend_sweep(&g, Asn(100), Asn(101), 1..=8, ExportMode::Compliant);
+        let cell = DestinationSpec::new(Asn(100)).attacker(AttackerModel::new(Asn(101)));
+        let series = prepend_sweep(&g, &cell, 1..=8);
         assert_eq!(series.len(), 8);
         let last = series.last().unwrap().after_fraction;
         let first = series.first().unwrap().after_fraction;

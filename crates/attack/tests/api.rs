@@ -6,14 +6,25 @@ use aspp_attack::sweep::{
     best_connected_stub, pair_experiments, prepend_sweep, representative_of_tier, run_ranked,
     tier1_pair_experiments,
 };
-use aspp_attack::{run_experiment, run_experiments, BatchRunner, ExportMode, HijackExperiment};
-use aspp_routing::RoutingEngine;
+use aspp_attack::{run_experiment, run_experiments};
+use aspp_routing::{AttackerModel, BatchRunner, DestinationSpec, ExportMode, RoutingEngine};
 use aspp_topology::gen::InternetConfig;
 use aspp_topology::AsGraph;
 use aspp_types::{well_known, Asn};
 
 fn internet(seed: u64) -> AsGraph {
     InternetConfig::small().seed(seed).build()
+}
+
+/// The default ASPP cell: `attacker` strips `victim`'s λ-copy padding.
+fn cell(victim: Asn, attacker: Asn, padding: usize) -> DestinationSpec {
+    DestinationSpec::new(victim)
+        .origin_padding(padding)
+        .attacker(AttackerModel::new(attacker))
+}
+
+fn attacker(spec: &DestinationSpec) -> Asn {
+    spec.attacker_model().expect("an attack cell").asn()
 }
 
 #[test]
@@ -46,7 +57,7 @@ fn figure3_constants_are_wired_to_the_topology() {
 #[test]
 fn impact_gain_is_consistent() {
     let g = internet(501);
-    let impact = run_experiment(&g, &HijackExperiment::new(Asn(20_000), Asn(100)).padding(5));
+    let impact = run_experiment(&g, &cell(Asn(20_000), Asn(100), 5));
     assert!((impact.gain() - (impact.after_fraction - impact.before_fraction)).abs() < 1e-12);
 }
 
@@ -55,7 +66,7 @@ fn runner_handles_single_and_empty_batches() {
     let g = internet(502);
     let runner = BatchRunner::new();
     assert!(run_experiments(&g, &[], &runner).is_empty());
-    let one = [HijackExperiment::new(Asn(20_001), Asn(100))];
+    let one = [cell(Asn(20_001), Asn(100), 3)];
     let results = run_experiments(&g, &one, &runner);
     assert_eq!(results.len(), 1);
     assert_eq!(results[0], run_experiment(&g, &one[0]));
@@ -68,28 +79,25 @@ fn ranked_batches_preserve_membership() {
     let ranked = run_ranked(&g, &exps);
     assert_eq!(ranked.len(), exps.len());
     let mut input: Vec<_> = exps.to_vec();
-    let mut output: Vec<_> = ranked.iter().map(|i| i.experiment).collect();
-    input.sort_by_key(|e| (e.victim(), e.attacker()));
-    output.sort_by_key(|e| (e.victim(), e.attacker()));
+    let mut output: Vec<_> = ranked.iter().map(|i| i.spec.clone()).collect();
+    input.sort_by_key(|s| (s.victim(), attacker(s)));
+    output.sort_by_key(|s| (s.victim(), attacker(s)));
     assert_eq!(input, output);
 }
 
 #[test]
 fn pair_experiments_avoid_self_attacks() {
     let pool: Vec<Asn> = (1..6).map(Asn).collect();
-    for e in pair_experiments(&pool, &pool, 50, 3, 2) {
-        assert_ne!(e.victim(), e.attacker());
+    for s in pair_experiments(&pool, &pool, 50, 3, 2) {
+        assert_ne!(s.victim(), attacker(&s));
     }
 }
 
 #[test]
 fn sweep_modes_cover_range_exactly() {
     let g = internet(504);
-    let series = prepend_sweep(&g, Asn(20_002), Asn(100), [2, 4, 6], ExportMode::Compliant);
-    let lambdas: Vec<usize> = series
-        .iter()
-        .map(|i| i.experiment.padding_level())
-        .collect();
+    let series = prepend_sweep(&g, &cell(Asn(20_002), Asn(100), 1), [2, 4, 6]);
+    let lambdas: Vec<usize> = series.iter().map(|i| i.spec.padding_level()).collect();
     assert_eq!(lambdas, vec![2, 4, 6]);
 }
 
@@ -104,10 +112,10 @@ fn tier_representative_is_stable() {
 #[test]
 fn mitigations_never_negative_relief_reported() {
     let g = internet(506);
-    let exp = HijackExperiment::new(Asn(20_003), Asn(100)).padding(5);
-    let pr = padding_reduction(&g, &exp, 1);
+    let spec = cell(Asn(20_003), Asn(100), 5);
+    let pr = padding_reduction(&g, &spec, 1);
     assert!(pr.relief() >= 0.0);
-    let da = deaggregation(&g, &exp, "10.0.0.0/8".parse().unwrap()).unwrap();
+    let da = deaggregation(&g, &spec, "10.0.0.0/8".parse().unwrap()).unwrap();
     assert!(da.relief() >= 0.0);
     assert!((0.0..=1.0).contains(&da.polluted_after));
 }
@@ -123,12 +131,10 @@ fn export_mode_violating_dominates_over_many_pairs() {
         (Asn(1_006), Asn(10_007)),
         (Asn(10_008), Asn(20_009)),
     ] {
-        let c = run_experiment(&g, &HijackExperiment::new(v, m).padding(5));
+        let c = run_experiment(&g, &cell(v, m, 5));
         let viol = run_experiment(
             &g,
-            &HijackExperiment::new(v, m)
-                .padding(5)
-                .export_mode(ExportMode::ViolateValleyFree),
+            &cell(v, m, 5).attacker(AttackerModel::new(m).mode(ExportMode::ViolateValleyFree)),
         );
         total += 1;
         if viol.after_fraction >= c.after_fraction - 1e-9 {

@@ -7,7 +7,7 @@
 //! customer jumps past 200 ms.
 
 use aspp_attack::fixtures::{facebook_anomaly_spec, facebook_topology};
-use aspp_attack::{run_experiment, HijackExperiment, HijackImpact};
+use aspp_attack::HijackImpact;
 use aspp_dataplane::{simulate_traceroute, Region, RegionMap, Traceroute};
 use aspp_routing::RoutingEngine;
 use aspp_types::{well_known, AsPath, Ipv4Prefix};
@@ -40,9 +40,7 @@ pub struct CaseStudy {
 pub fn run(seed: u64) -> CaseStudy {
     use well_known::*;
     let graph = facebook_topology();
-    let engine = RoutingEngine::new(&graph);
-    let spec = facebook_anomaly_spec();
-    let outcome = engine.compute(&spec);
+    let outcome = RoutingEngine::new(&graph).compute(&facebook_anomaly_spec());
 
     let regions = {
         let mut map = RegionMap::new(Region::UsEast);
@@ -60,13 +58,6 @@ pub fn run(seed: u64) -> CaseStudy {
         .expect("AT&T reaches Facebook");
     let anomalous_path_att = outcome.observed_path(ATT).expect("attacked route");
 
-    let impact = run_experiment(
-        &graph,
-        &HijackExperiment::new(FACEBOOK, KOREA_TELECOM)
-            .padding(5)
-            .keep(3),
-    );
-
     CaseStudy {
         prefix: "69.171.224.0/20".parse().expect("valid prefix literal"),
         normal_trace: simulate_traceroute(&normal_path_att, &regions, seed),
@@ -75,7 +66,7 @@ pub fn run(seed: u64) -> CaseStudy {
         anomalous_path_att,
         anomalous_path_ntt: outcome.observed_path(NTT).expect("NTT route"),
         anomalous_path_ct: outcome.observed_path(CHINA_TELECOM).expect("CT route"),
-        impact,
+        impact: HijackImpact::of(&outcome),
     }
 }
 

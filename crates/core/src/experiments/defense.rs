@@ -14,8 +14,9 @@
 
 use aspp_attack::defense::{run_defense_sweep, DefensePoint, DeployStrategy};
 use aspp_attack::sweep::random_pair_experiments;
-use aspp_attack::{BatchRunner, ExportMode, HijackExperiment};
-use aspp_routing::{AttackStrategy, PolicyKind};
+use aspp_routing::{
+    AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, ExportMode, PolicyKind,
+};
 use aspp_topology::AsGraph;
 
 use super::Scale;
@@ -139,18 +140,16 @@ pub fn run_with_runner(
     runner: &BatchRunner,
 ) -> DefenseStudy {
     let _span = aspp_obs::trace::span("experiments.defense");
-    let strip_exps: Vec<HijackExperiment> =
-        random_pair_experiments(graph, config.pairs, config.lambda, config.seed)
-            .into_iter()
-            .map(|e| e.export_mode(ExportMode::ViolateValleyFree))
-            .collect();
-    let hijack_exps: Vec<HijackExperiment> = strip_exps
-        .iter()
-        .map(|e| e.strategy(AttackStrategy::OriginHijack))
-        .collect();
+    // Both attacks leak past the valley-free rule, from the same pairs.
+    let pairs = random_pair_experiments(graph, config.pairs, config.lambda, config.seed);
+    let cells = |strategy| {
+        let leak = |m: AttackerModel| m.mode(ExportMode::ViolateValleyFree).strategy(strategy);
+        let cell = |s: &DestinationSpec| Some(s.clone().attacker(leak(*s.attacker_model()?)));
+        pairs.iter().filter_map(cell).collect::<Vec<_>>()
+    };
     let strip = run_defense_sweep(
         graph,
-        &strip_exps,
+        &cells(AttackStrategy::default()),
         &config.kinds,
         &config.strategies,
         &config.fractions,
@@ -159,7 +158,7 @@ pub fn run_with_runner(
     );
     let origin_hijack = run_defense_sweep(
         graph,
-        &hijack_exps,
+        &cells(AttackStrategy::OriginHijack),
         &config.kinds,
         &config.strategies,
         &config.fractions,

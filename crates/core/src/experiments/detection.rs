@@ -55,10 +55,10 @@ impl AccuracyCurve {
 /// monitors, >99% at 150).
 #[must_use]
 pub fn fig13(graph: &AsGraph, scale: Scale, seed: u64) -> AccuracyCurve {
-    let exps = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
+    let specs = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
     let counts = scale.monitor_counts();
     AccuracyCurve {
-        points: accuracy_vs_monitors(graph, &exps, &counts, &BatchRunner::new()),
+        points: accuracy_vs_monitors(graph, &specs, &counts, &BatchRunner::new()),
     }
 }
 
@@ -97,10 +97,10 @@ impl DetectionLatency {
 /// the Internet is already polluted when the alarm fires.
 #[must_use]
 pub fn fig14(graph: &AsGraph, scale: Scale, seed: u64) -> DetectionLatency {
-    let exps = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
+    let specs = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
     let monitors = top_degree(graph, scale.latency_monitors());
     // One entry per effective attack, the same set Figure 13 evaluates.
-    let detected_at = effective_attacks(graph, &exps, &BatchRunner::new(), |_, outcome| {
+    let detected_at = effective_attacks(graph, &specs, &BatchRunner::new(), |outcome| {
         polluted_before_detection(outcome, &monitors)
     });
     let total = detected_at.len();

@@ -3,10 +3,9 @@
 //! and the reactive mitigations sketched by its future-work agenda.
 
 use aspp_attack::mitigation::{deaggregation, padding_reduction, MitigationReport};
-use aspp_attack::HijackExperiment;
 use aspp_detect::eval::visibility_matrix;
 use aspp_detect::monitors::top_degree;
-use aspp_routing::{AttackStrategy, BatchRunner};
+use aspp_routing::{AttackStrategy, AttackerModel, BatchRunner, DestinationSpec};
 use aspp_topology::tier::TierMap;
 use aspp_topology::AsGraph;
 use aspp_types::{Asn, Ipv4Prefix};
@@ -121,8 +120,8 @@ pub fn stealth(graph: &AsGraph, seed: u64) -> StealthStudy {
 /// The reactive-mitigation study: attack, then defend two ways.
 #[derive(Clone, Debug)]
 pub struct MitigationStudy {
-    /// The attack that was mitigated.
-    pub experiment: HijackExperiment,
+    /// The attack cell that was mitigated.
+    pub spec: DestinationSpec,
     /// Falling back to λ = 1.
     pub padding_reduction: MitigationReport,
     /// Announcing unpadded more-specifics.
@@ -152,9 +151,9 @@ impl MitigationStudy {
         }
         format!(
             "# Reactive mitigation — AS{} intercepts AS{} (λ={})\n{table}",
-            self.experiment.attacker(),
-            self.experiment.victim(),
-            self.experiment.padding_level()
+            self.spec.attacker_model().map_or(Asn(0), |m| m.asn()),
+            self.spec.victim(),
+            self.spec.padding_level()
         )
     }
 }
@@ -168,12 +167,14 @@ pub fn mitigations(graph: &AsGraph) -> MitigationStudy {
         .asns()
         .find(|&a| tiers.is_stub(graph, a) && graph.providers(a).count() >= 2)
         .expect("graph has multi-homed stubs");
-    let exp = HijackExperiment::new(victim, attacker).padding(6);
+    let spec = DestinationSpec::new(victim)
+        .origin_padding(6)
+        .attacker(AttackerModel::new(attacker));
     let prefix: Ipv4Prefix = "69.171.224.0/20".parse().expect("literal prefix");
     MitigationStudy {
-        experiment: exp,
-        padding_reduction: padding_reduction(graph, &exp, 1),
-        deaggregation: deaggregation(graph, &exp, prefix).expect("/20 splits"),
+        padding_reduction: padding_reduction(graph, &spec, 1),
+        deaggregation: deaggregation(graph, &spec, prefix).expect("/20 splits"),
+        spec,
     }
 }
 

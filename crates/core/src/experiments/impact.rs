@@ -11,7 +11,8 @@
 use aspp_attack::sweep::{
     best_connected_stub, prepend_sweep, random_pair_experiments, run_ranked, tier1_pair_experiments,
 };
-use aspp_attack::{run_experiments, BatchRunner, ExportMode, HijackExperiment, HijackImpact};
+use aspp_attack::{run_experiments, HijackImpact};
+use aspp_routing::{AttackerModel, BatchRunner, DestinationSpec, ExportMode};
 use aspp_topology::tier::{customer_cone, TierMap};
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
@@ -44,12 +45,13 @@ impl RankedImpacts {
     pub fn render(&self) -> String {
         let mut table = TextTable::new(["instance", "after %", "before %", "victim", "attacker"]);
         for (i, impact) in self.impacts.iter().enumerate() {
+            let attacker = impact.spec.attacker_model().map_or(Asn(0), |m| m.asn());
             table.row([
                 i.to_string(),
                 pct(impact.after_fraction),
                 pct(impact.before_fraction),
-                impact.experiment.victim().to_string(),
-                impact.experiment.attacker().to_string(),
+                impact.spec.victim().to_string(),
+                attacker.to_string(),
             ]);
         }
         format!(
@@ -119,13 +121,13 @@ impl PrependSweep {
                 .map(|v| pct(v.after_fraction));
             match violating {
                 Some(v) => table.row([
-                    c.experiment.padding_level().to_string(),
+                    c.spec.padding_level().to_string(),
                     pct(c.after_fraction),
                     v,
                     pct(c.before_fraction),
                 ]),
                 None => table.row([
-                    c.experiment.padding_level().to_string(),
+                    c.spec.padding_level().to_string(),
                     pct(c.after_fraction),
                     pct(c.before_fraction),
                     String::new(),
@@ -141,6 +143,12 @@ impl PrependSweep {
 
 const LAMBDA_RANGE: std::ops::RangeInclusive<usize> = 1..=8;
 
+/// The λ sweep of one cell: `attacker` hijacks `victim` exporting by `mode`.
+fn sweep(graph: &AsGraph, victim: Asn, attacker: Asn, mode: ExportMode) -> Vec<HijackImpact> {
+    let cell = DestinationSpec::new(victim).attacker(AttackerModel::new(attacker).mode(mode));
+    prepend_sweep(graph, &cell, LAMBDA_RANGE)
+}
+
 /// Figure 9: a tier-1 attacker hijacks a tier-1 victim (the Sprint→AT&T
 /// analogue), λ ∈ 1..=8.
 #[must_use]
@@ -153,7 +161,7 @@ pub fn fig9(graph: &AsGraph) -> PrependSweep {
         label: "Figure 9 — pollution vs prepended ASNs, tier-1 hijacks tier-1",
         victim,
         attacker,
-        compliant: prepend_sweep(graph, victim, attacker, LAMBDA_RANGE, ExportMode::Compliant),
+        compliant: sweep(graph, victim, attacker, ExportMode::Compliant),
         violating: None,
     }
 }
@@ -183,7 +191,7 @@ pub fn fig10(graph: &AsGraph) -> PrependSweep {
         label: "Figure 10 — pollution vs prepended ASNs, tier-1 hijacks tier-3",
         victim,
         attacker,
-        compliant: prepend_sweep(graph, victim, attacker, LAMBDA_RANGE, ExportMode::Compliant),
+        compliant: sweep(graph, victim, attacker, ExportMode::Compliant),
         violating: None,
     }
 }
@@ -218,29 +226,19 @@ pub fn fig11(graph: &AsGraph) -> PrependSweep {
 
     // Two batches, unlike Figure 12: the curves run on different graphs,
     // so no clean pass of one serves the other.
+    // "Follow valley-free rule": legal exports only — the pollution is
+    // entirely enabled by the Limelight-shaped customer chain.
+    let compliant = sweep(&augmented, victim, attacker, ExportMode::Compliant);
+    // "Violate routing policy": the attacker pushes the stripped route to
+    // its providers regardless of how it was learned — no special chain
+    // needed, so this runs on the unmodified topology.
+    let violating = sweep(graph, victim, attacker, ExportMode::ViolateValleyFree);
     PrependSweep {
         label: "Figure 11 — small well-peered AS hijacks a tier-1",
         victim,
         attacker,
-        // "Follow valley-free rule": legal exports only — the pollution is
-        // entirely enabled by the Limelight-shaped customer chain.
-        compliant: prepend_sweep(
-            &augmented,
-            victim,
-            attacker,
-            LAMBDA_RANGE,
-            ExportMode::Compliant,
-        ),
-        // "Violate routing policy": the attacker pushes the stripped route
-        // to its providers regardless of how it was learned — no special
-        // chain needed, so this runs on the unmodified topology.
-        violating: Some(prepend_sweep(
-            graph,
-            victim,
-            attacker,
-            LAMBDA_RANGE,
-            ExportMode::ViolateValleyFree,
-        )),
+        compliant,
+        violating: Some(violating),
     }
 }
 
@@ -270,18 +268,19 @@ pub fn fig12(graph: &AsGraph) -> PrependSweep {
         .unwrap_or(stubs[1]);
     // Both curves in one batch: each λ's clean pass serves its compliant
     // and its violating cell.
-    let exps: Vec<HijackExperiment> = [ExportMode::Compliant, ExportMode::ViolateValleyFree]
+    let specs: Vec<DestinationSpec> = [ExportMode::Compliant, ExportMode::ViolateValleyFree]
         .into_iter()
         .flat_map(|mode| {
+            let model = AttackerModel::new(attacker).mode(mode);
             LAMBDA_RANGE.map(move |p| {
-                HijackExperiment::new(victim, attacker)
-                    .padding(p)
-                    .export_mode(mode)
+                DestinationSpec::new(victim)
+                    .origin_padding(p)
+                    .attacker(model)
             })
         })
         .collect();
-    let mut compliant = run_experiments(graph, &exps, &BatchRunner::new());
-    let violating = compliant.split_off(exps.len() / 2);
+    let mut compliant = run_experiments(graph, &specs, &BatchRunner::new());
+    let violating = compliant.split_off(specs.len() / 2);
     PrependSweep {
         label: "Figure 12 — small AS hijacks small AS",
         victim,

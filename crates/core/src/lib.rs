@@ -45,8 +45,8 @@ pub use aspp_types as types;
 /// Convenience re-exports of the most used items.
 pub mod prelude {
     pub use aspp_attack::{
-        defense, fixtures, run_experiment, run_experiments, sweep, BatchRunner, DefensePoint,
-        DeployStrategy, ExportMode, HijackExperiment, HijackImpact, RouteWorkspace,
+        defense, fixtures, run_experiment, run_experiments, sweep, DefensePoint, DeployStrategy,
+        HijackImpact,
     };
     pub use aspp_data::{measure, stats::Cdf, Corpus, CorpusConfig};
     pub use aspp_dataplane::{forwarding, simulate_traceroute, Region, RegionMap, Traceroute};
@@ -57,10 +57,10 @@ pub mod prelude {
     pub use aspp_feed::{FeedConfig, FeedReport, ReplayConfig, SyntheticFeed};
     pub use aspp_obs::{MetricsSnapshot, RunManifest, TopologyInfo};
     pub use aspp_routing::{
-        bgp, AttackStrategy, AttackerModel, AuditReport, AuditViolation, DefensePolicy,
-        DeployedPolicy, DeploymentMap, DestinationSpec, ExportMode as RoutingExportMode, NoDefense,
-        OutcomeAudit, PolicyKind, PrependConfig, PrependingPolicy, RouteTable, RoutingEngine,
-        RoutingOutcome, TieBreak,
+        bgp, AttackStrategy, AttackerModel, AuditReport, AuditViolation, BatchRunner,
+        DefensePolicy, DeployedPolicy, DeploymentMap, DestinationSpec, ExportMode, NoDefense,
+        OutcomeAudit, PolicyKind, PrependConfig, PrependingPolicy, RouteTable, RouteWorkspace,
+        RoutingEngine, RoutingOutcome, TieBreak,
     };
     pub use aspp_scenario::{
         estimate as mc_estimate, timeline, Action, Estimate, EstimatorConfig, Scenario,

@@ -11,7 +11,6 @@
 //! references, built from the same per-outcome functions the batch reducers
 //! use.
 
-use aspp_attack::HijackExperiment;
 use aspp_routing::{
     AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, PrependConfig, PrependingPolicy,
     RoutingEngine, RoutingOutcome,
@@ -52,29 +51,28 @@ pub fn is_effective(outcome: &RoutingOutcome<'_>) -> bool {
 /// use aspp_topology::gen::InternetConfig;
 ///
 /// let g = InternetConfig::small().seed(2).build();
-/// let exps = random_pair_experiments(&g, 10, 3, 7);
-/// let polluted = effective_attacks(&g, &exps, &BatchRunner::new(), |_, outcome| {
+/// let specs = random_pair_experiments(&g, 10, 3, 7);
+/// let polluted = effective_attacks(&g, &specs, &BatchRunner::new(), |outcome| {
 ///     outcome.polluted_count()
 /// });
-/// assert!(polluted.len() <= exps.len());
+/// assert!(polluted.len() <= specs.len());
 /// assert!(polluted.iter().all(|&n| n > 0));
 /// ```
 #[must_use]
 pub fn effective_attacks<'g, T, F>(
     graph: &'g AsGraph,
-    exps: &[HijackExperiment],
+    specs: &[DestinationSpec],
     runner: &BatchRunner,
     reduce: F,
 ) -> Vec<T>
 where
     T: Send,
-    F: Fn(&HijackExperiment, &RoutingOutcome<'g>) -> T + Sync,
+    F: Fn(&RoutingOutcome<'g>) -> T + Sync,
 {
     let _span = aspp_obs::trace::span("detect.effective_attacks");
-    let specs: Vec<DestinationSpec> = exps.iter().map(HijackExperiment::to_spec).collect();
     runner
-        .run(graph, &specs, |i, outcome| {
-            is_effective(outcome).then(|| reduce(&exps[i], outcome))
+        .run(graph, specs, |_, outcome| {
+            is_effective(outcome).then(|| reduce(outcome))
         })
         .into_iter()
         .flatten()
@@ -110,12 +108,12 @@ pub struct DetectionResult {
 /// monitors' views before and after it.
 fn verdict(
     detector: &Detector<'_>,
-    attacker: Asn,
+    attacker: Option<Asn>,
     before: &RouteView,
     after: &RouteView,
 ) -> DetectionResult {
     let alarms = detector.scan(before, after);
-    let named = || alarms.iter().filter(|a| a.suspect == attacker);
+    let named = || alarms.iter().filter(|a| Some(a.suspect) == attacker);
     DetectionResult {
         feasible: true,
         effective: true,
@@ -125,13 +123,13 @@ fn verdict(
     }
 }
 
-/// Runs the hijack in `exp` on `graph` from cold state, lets the given
+/// Runs the hijack in `spec` on `graph` from cold state, lets the given
 /// monitors watch, and reports whether the detector catches it — the
 /// per-cell reference [`accuracy_vs_monitors`] is pinned to.
 #[must_use]
-pub fn detect_attack(graph: &AsGraph, exp: &HijackExperiment, monitors: &[Asn]) -> DetectionResult {
+pub fn detect_attack(graph: &AsGraph, spec: &DestinationSpec, monitors: &[Asn]) -> DetectionResult {
     let _span = aspp_obs::trace::span("detect.attack");
-    let outcome = RoutingEngine::new(graph).compute(&exp.to_spec());
+    let outcome = RoutingEngine::new(graph).compute(spec);
     if !is_effective(&outcome) {
         return DetectionResult {
             feasible: outcome.has_attack(),
@@ -142,7 +140,7 @@ pub fn detect_attack(graph: &AsGraph, exp: &HijackExperiment, monitors: &[Asn]) 
         };
     }
     let (before, after) = monitor_views(&outcome, monitors);
-    verdict(&Detector::new(graph), exp.attacker(), &before, &after)
+    verdict(&Detector::new(graph), outcome.attacker(), &before, &after)
 }
 
 /// One point of the Figure 13 curve.
@@ -165,7 +163,7 @@ pub struct AccuracyPoint {
 /// Sweeps the number of top-degree monitors and measures detection accuracy
 /// over the given attack experiments (paper: 200 random attacker/victim
 /// pairs, top-`d` monitors by degree). Each point equals the fold of
-/// [`detect_attack`] over `exps` with the top-`d` monitors, at every worker
+/// [`detect_attack`] over `specs` with the top-`d` monitors, at every worker
 /// count of `runner`.
 ///
 /// # Example
@@ -177,8 +175,8 @@ pub struct AccuracyPoint {
 /// use aspp_topology::gen::InternetConfig;
 ///
 /// let g = InternetConfig::small().seed(2).build();
-/// let exps = random_pair_experiments(&g, 10, 3, 7);
-/// let curve = accuracy_vs_monitors(&g, &exps, &[5, 40], &BatchRunner::new());
+/// let specs = random_pair_experiments(&g, 10, 3, 7);
+/// let curve = accuracy_vs_monitors(&g, &specs, &[5, 40], &BatchRunner::new());
 /// assert_eq!(curve.len(), 2);
 /// // More monitors never hurt.
 /// assert!(curve[1].accuracy >= curve[0].accuracy);
@@ -186,7 +184,7 @@ pub struct AccuracyPoint {
 #[must_use]
 pub fn accuracy_vs_monitors(
     graph: &AsGraph,
-    exps: &[HijackExperiment],
+    specs: &[DestinationSpec],
     monitor_counts: &[usize],
     runner: &BatchRunner,
 ) -> Vec<AccuracyPoint> {
@@ -197,7 +195,7 @@ pub fn accuracy_vs_monitors(
     let max_count = monitor_counts.iter().copied().max().unwrap_or(0);
     let ranked = top_degree(graph, max_count);
     let detector = Detector::new(graph);
-    let per_attack = effective_attacks(graph, exps, runner, |exp, outcome| {
+    let per_attack = effective_attacks(graph, specs, runner, |outcome| {
         let clean: Vec<Option<AsPath>> = ranked
             .iter()
             .map(|&m| outcome.clean_observed_path(m))
@@ -212,7 +210,7 @@ pub fn accuracy_vs_monitors(
             .map(|&d| {
                 verdict(
                     &detector,
-                    exp.attacker(),
+                    outcome.attacker(),
                     &view(&clean, d),
                     &view(&attacked, d),
                 )
@@ -284,17 +282,17 @@ pub fn polluted_before_detection(outcome: &RoutingOutcome<'_>, monitors: &[Asn])
     None
 }
 
-/// [`polluted_before_detection`] for the hijack in `exp`, computed on
+/// [`polluted_before_detection`] for the hijack in `spec`, computed on
 /// `graph` from cold state — the per-cell reference of the Figure 14
 /// reduction. `None` also when the attack is not effective.
 #[must_use]
 pub fn polluted_fraction_before_detection(
     graph: &AsGraph,
-    exp: &HijackExperiment,
+    spec: &DestinationSpec,
     monitors: &[Asn],
 ) -> Option<f64> {
     let _span = aspp_obs::trace::span("detect.polluted_before_detection");
-    let outcome = RoutingEngine::new(graph).compute(&exp.to_spec());
+    let outcome = RoutingEngine::new(graph).compute(spec);
     if !is_effective(&outcome) {
         return None;
     }
@@ -421,12 +419,20 @@ mod tests {
     use aspp_attack::sweep::random_pair_experiments;
     use aspp_topology::gen::InternetConfig;
 
+    /// Figure 3's attacker M stripping V's λ-copy padding.
+    fn figure3_cell(padding: usize) -> DestinationSpec {
+        use figure3::*;
+        DestinationSpec::new(V)
+            .origin_padding(padding)
+            .attacker(AttackerModel::new(M))
+    }
+
     #[test]
     fn figure3_attack_detected_with_good_monitors() {
         use figure3::*;
         let g = figure3_topology();
-        let exp = HijackExperiment::new(V, M).padding(3);
-        let result = detect_attack(&g, &exp, &[B, D, E]);
+        let spec = figure3_cell(3);
+        let result = detect_attack(&g, &spec, &[B, D, E]);
         assert!(result.feasible && result.effective);
         assert!(result.detected, "monitor at B sees the stripped route");
         assert!(result.detected_high);
@@ -436,10 +442,10 @@ mod tests {
     fn blind_monitors_miss_the_attack() {
         use figure3::*;
         let g = figure3_topology();
-        let exp = HijackExperiment::new(V, M).padding(3);
+        let spec = figure3_cell(3);
         // D and E never see the malicious route (valley-free confines it to
         // M's customer cone), so detection must fail.
-        let result = detect_attack(&g, &exp, &[D, E]);
+        let result = detect_attack(&g, &spec, &[D, E]);
         assert!(result.effective);
         assert!(!result.detected);
     }
@@ -449,8 +455,8 @@ mod tests {
         use figure3::*;
         let g = figure3_topology();
         // λ=1: nothing to strip, nobody switches.
-        let exp = HijackExperiment::new(V, M).padding(1);
-        let result = detect_attack(&g, &exp, &[B, D, E]);
+        let spec = figure3_cell(1);
+        let result = detect_attack(&g, &spec, &[B, D, E]);
         assert!(!result.effective);
         assert!(!result.detected);
     }
@@ -458,8 +464,8 @@ mod tests {
     #[test]
     fn accuracy_grows_with_monitor_count() {
         let g = InternetConfig::small().seed(14).build();
-        let exps = random_pair_experiments(&g, 20, 4, 5);
-        let curve = accuracy_vs_monitors(&g, &exps, &[3, 30, 120], &BatchRunner::new());
+        let specs = random_pair_experiments(&g, 20, 4, 5);
+        let curve = accuracy_vs_monitors(&g, &specs, &[3, 30, 120], &BatchRunner::new());
         assert_eq!(curve.len(), 3);
         assert!(curve[0].accuracy <= curve[1].accuracy + 1e-9);
         assert!(curve[1].accuracy <= curve[2].accuracy + 1e-9);
@@ -475,8 +481,8 @@ mod tests {
     fn pollution_before_detection_in_unit_range() {
         use figure3::*;
         let g = figure3_topology();
-        let exp = HijackExperiment::new(V, M).padding(3);
-        let frac = polluted_fraction_before_detection(&g, &exp, &[B, D, E]).unwrap();
+        let spec = figure3_cell(3);
+        let frac = polluted_fraction_before_detection(&g, &spec, &[B, D, E]).unwrap();
         assert!((0.0..=1.0).contains(&frac));
         // Detection happens as soon as B reports, with only M's cone dirty.
         assert!(frac <= 0.5, "early detection expected, got {frac}");
@@ -533,7 +539,7 @@ mod tests {
     fn undetectable_attack_returns_none() {
         use figure3::*;
         let g = figure3_topology();
-        let exp = HijackExperiment::new(V, M).padding(3);
-        assert_eq!(polluted_fraction_before_detection(&g, &exp, &[D, E]), None);
+        let spec = figure3_cell(3);
+        assert_eq!(polluted_fraction_before_detection(&g, &spec, &[D, E]), None);
     }
 }

@@ -12,8 +12,7 @@
 //! still-undetected attacks. [`SelectionComparison`] pits the greedy set
 //! against same-budget top-degree and random sets on held-out attacks.
 
-use aspp_attack::HijackExperiment;
-use aspp_routing::{BatchRunner, RoutingOutcome};
+use aspp_routing::{BatchRunner, DestinationSpec, RoutingOutcome};
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn};
 use rand::rngs::StdRng;
@@ -42,17 +41,15 @@ struct PreparedAttack {
 #[derive(Debug)]
 pub struct PreparedAttacks(Vec<PreparedAttack>);
 
-/// Computes each experiment's equilibrium once through `runner` and keeps
+/// Computes each spec's equilibrium once through `runner` and keeps
 /// the effective attacks ([`crate::eval::is_effective`]), in input order.
 #[must_use]
 pub fn prepare(
     graph: &AsGraph,
-    exps: &[HijackExperiment],
+    specs: &[DestinationSpec],
     runner: &BatchRunner,
 ) -> PreparedAttacks {
-    PreparedAttacks(effective_attacks(graph, exps, runner, |_, outcome| {
-        collect_paths(outcome)
-    }))
+    PreparedAttacks(effective_attacks(graph, specs, runner, collect_paths))
 }
 
 fn collect_paths(outcome: &RoutingOutcome<'_>) -> PreparedAttack {

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use aspp_attack::fixtures::{figure3, figure3_topology};
 use aspp_attack::sweep::random_pair_experiments;
-use aspp_attack::HijackExperiment;
 use aspp_detect::baseline::{detect_link_anomalies, detect_moas};
 use aspp_detect::eval::{accuracy_vs_monitors, detect_attack, visibility_matrix};
 use aspp_detect::monitors::random_monitors;
@@ -170,8 +169,10 @@ fn detect_attack_reports_infeasible_attacks() {
     let mut g = figure3_topology().to_builder();
     g.add_as(Asn(55_555)); // isolated attacker
     let g = g.finish();
-    let exp = HijackExperiment::new(figure3::V, Asn(55_555)).padding(4);
-    let result = detect_attack(&g, &exp, &[figure3::B]);
+    let spec = DestinationSpec::new(figure3::V)
+        .origin_padding(4)
+        .attacker(AttackerModel::new(Asn(55_555)));
+    let result = detect_attack(&g, &spec, &[figure3::B]);
     assert!(!result.feasible);
     assert!(!result.detected);
 }

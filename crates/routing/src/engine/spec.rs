@@ -157,6 +157,9 @@ impl AttackerModel {
 
 /// Everything needed to compute routes toward one destination.
 ///
+/// A spec with an attacker is one cell of the paper's experiments (victim,
+/// attacker, λ); equality compares the prepending configuration by value.
+///
 /// # Example
 ///
 /// ```
@@ -167,8 +170,9 @@ impl AttackerModel {
 ///     .origin_padding(5)
 ///     .attacker(AttackerModel::new(Asn(9318)));
 /// assert_eq!(spec.victim(), Asn(32934));
+/// assert_eq!(spec.padding_level(), 5);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DestinationSpec {
     victim: Asn,
     // Arc-shared so cloning a spec (batch cells, cached clean entries,
@@ -237,6 +241,17 @@ impl DestinationSpec {
     #[must_use]
     pub fn attacker_model(&self) -> Option<&AttackerModel> {
         self.attacker.as_ref()
+    }
+
+    /// λ: the copies of its ASN the victim announces, as set by
+    /// [`origin_padding`](Self::origin_padding) — 1 when it does not pad,
+    /// the largest count it sends any neighbor under a per-neighbor policy.
+    #[must_use]
+    pub fn padding_level(&self) -> usize {
+        self.prepend
+            .policy(self.victim)
+            .map_or(0, PrependingPolicy::max_extra)
+            .saturating_add(1)
     }
 
     /// The prepending configuration.

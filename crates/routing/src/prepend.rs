@@ -132,6 +132,11 @@ impl PrependConfig {
             .map_or(0, |p| p.extra_for(receiver))
     }
 
+    /// `asn`'s policy, if it has one.
+    pub(crate) fn policy(&self, asn: Asn) -> Option<&PrependingPolicy> {
+        self.policies.get(&asn)
+    }
+
     /// Number of ASes with a non-trivial policy.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -104,6 +104,23 @@ fn origin_hijack_beats_strip_at_high_padding() {
 }
 
 #[test]
+fn spec_builders_clamp_to_one_copy() {
+    // λ = 0 announces one copy, and an attacker keeps at least one.
+    let spec = DestinationSpec::new(Asn(1))
+        .origin_padding(0)
+        .attacker(AttackerModel::new(Asn(2)).keep(0));
+    assert_eq!(spec.victim(), Asn(1));
+    assert_eq!(spec.padding_level(), 1);
+    assert_eq!(spec.attacker_model().unwrap().kept_copies(), 1);
+    let strip = AttackerModel::new(Asn(2)).strategy(AttackStrategy::StripPadding { keep: 0 });
+    assert_eq!(strip.kept_copies(), 1);
+    // The spec is a value: equal builds compare equal, and λ is part of it.
+    assert_eq!(spec, spec.clone().origin_padding(1));
+    assert_ne!(spec, spec.clone().origin_padding(2));
+    assert_eq!(DestinationSpec::new(Asn(1)).padding_level(), 1);
+}
+
+#[test]
 fn per_neighbor_policy_inside_attack_spec() {
     // The victim pads one provider; the attacker behind that provider can
     // strip only what it actually received.

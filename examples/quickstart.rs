@@ -20,13 +20,13 @@ fn main() {
     //    and a tier-1 attacker that strips the padding.
     let victim = Asn(20_000);
     let attacker = tiers.tier1().min().expect("core exists");
-    let exp = HijackExperiment::new(victim, attacker).padding(4);
-    let impact = run_experiment(&graph, &exp);
-    println!("\n{impact}");
+    let spec = DestinationSpec::new(victim)
+        .origin_padding(4)
+        .attacker(AttackerModel::new(attacker));
+    let outcome = RoutingEngine::new(&graph).compute(&spec);
+    println!("\n{}", HijackImpact::of(&outcome));
 
     // 3. Inspect what a route monitor sees before and after.
-    let engine = RoutingEngine::new(&graph);
-    let outcome = engine.compute(&exp.to_spec());
     let monitor = Asn(1_005);
     if let (Some(before), Some(after)) = (
         outcome.clean_observed_path(monitor),
@@ -38,7 +38,7 @@ fn main() {
 
     // 4. Run the collaborative detector over the top-20 vantage points.
     let monitors = monitors::top_degree(&graph, 20);
-    let result = detect_eval::detect_attack(&graph, &exp, &monitors);
+    let result = detect_eval::detect_attack(&graph, &spec, &monitors);
     println!(
         "\ndetection with 20 monitors: alarm={} attributed={} high-confidence={}",
         result.any_alarm, result.detected, result.detected_high

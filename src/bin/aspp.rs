@@ -649,17 +649,13 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
         "victim=AS{victim} attacker=AS{attacker} {strategy:?} {mode:?} padding={padding}"
     ));
 
-    let exp = HijackExperiment::new(victim, attacker)
-        .padding(padding)
-        .keep(keep)
-        .export_mode(mode)
-        .strategy(strategy);
-    let impact = run_experiment(&graph, &exp);
-    out!("{impact}");
+    let spec = DestinationSpec::new(victim)
+        .origin_padding(padding)
+        .attacker(AttackerModel::new(attacker).mode(mode).strategy(strategy));
+    let outcome = RoutingEngine::new(&graph).compute(&spec);
+    out!("{}", HijackImpact::of(&outcome));
 
     // Data-plane fate summary.
-    let engine = RoutingEngine::new(&graph);
-    let outcome = engine.compute(&exp.to_spec());
     let stats = forwarding::delivery_stats(&outcome);
     out!(
         "data plane: delivered {}%, intercepted {}%, blackholed {}%",
@@ -670,7 +666,7 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
 
     // Mitigation preview for the ASPP strategy.
     if matches!(strategy, AttackStrategy::StripPadding { .. }) && padding > 1 {
-        let relief = mitigation::padding_reduction(&graph, &exp, 1);
+        let relief = mitigation::padding_reduction(&graph, &spec, 1);
         out!(
             "mitigation (padding reduction to 1): pollution {}% -> {}%",
             pct(relief.polluted_before),
@@ -953,13 +949,11 @@ fn cmd_sweep(run: &mut Run) -> Result<(), String> {
     // Sample distinct pairs over the whole population (λ here is a
     // placeholder; the matrix below sets the real λ grid).
     let sampled = random_pair_experiments(&graph, pairs, 1, run.seed);
-    let mut exps = Vec::with_capacity(sampled.len() * 4 * 2 * lambda_max);
+    let mut specs = Vec::with_capacity(sampled.len() * 4 * 2 * lambda_max);
     for pair in &sampled {
-        exps.extend(strategy_matrix(
-            pair.victim(),
-            pair.attacker(),
-            1..=lambda_max,
-        ));
+        if let Some(m) = pair.attacker_model() {
+            specs.extend(strategy_matrix(pair.victim(), m.asn(), 1..=lambda_max));
+        }
     }
     run.manifest.push_strategy(&format!(
         "strategy matrix: {} pairs x 4 strategies x 2 modes x lambda 1..={lambda_max}",
@@ -967,7 +961,7 @@ fn cmd_sweep(run: &mut Run) -> Result<(), String> {
     ));
 
     let t0 = Instant::now();
-    let impacts = run_experiments(&graph, &exps, &runner);
+    let impacts = run_experiments(&graph, &specs, &runner);
     let wall_ms = ms(t0);
     run.manifest.push_phase("sweep", wall_ms);
 
@@ -1001,9 +995,10 @@ fn cmd_sweep(run: &mut Run) -> Result<(), String> {
                 let cells: Vec<f64> = impacts
                     .iter()
                     .filter(|i| {
-                        i.experiment.attack_strategy() == strategy
-                            && i.experiment.mode() == mode
-                            && i.experiment.padding_level() == lambda
+                        i.spec.padding_level() == lambda
+                            && i.spec.attacker_model().is_some_and(|m| {
+                                m.attack_strategy() == strategy && m.export_mode() == mode
+                            })
                     })
                     .map(|i| i.after_fraction)
                     .collect();

@@ -44,8 +44,10 @@ fn run_round(graph: &AsGraph, ws: &mut RouteWorkspace) {
     let asns: Vec<Asn> = graph.asns().collect();
     for pad in 1..=5 {
         for attacker in [asns[10], asns[20]] {
-            let exp = HijackExperiment::new(asns[0], attacker).padding(pad);
-            let outcome = engine.compute_with(&exp.to_spec(), ws);
+            let spec = DestinationSpec::new(asns[0])
+                .origin_padding(pad)
+                .attacker(AttackerModel::new(attacker));
+            let outcome = engine.compute_with(&spec, ws);
             assert!(outcome.population() > 0);
         }
     }

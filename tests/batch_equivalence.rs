@@ -18,10 +18,10 @@ fn full_matrix(
     graph: &aspp_core::topology::AsGraph,
     pairs: usize,
     seed: u64,
-) -> Vec<HijackExperiment> {
+) -> Vec<DestinationSpec> {
     random_pair_experiments(graph, pairs, 1, seed)
         .iter()
-        .flat_map(|p| strategy_matrix(p.victim(), p.attacker(), 1..=8))
+        .flat_map(|p| strategy_matrix(p.victim(), p.attacker_model().unwrap().asn(), 1..=8))
         .collect()
 }
 
@@ -29,9 +29,9 @@ fn full_matrix(
 /// historical pre-batch path.
 fn serial_impacts(
     graph: &aspp_core::topology::AsGraph,
-    exps: &[HijackExperiment],
+    specs: &[DestinationSpec],
 ) -> Vec<HijackImpact> {
-    exps.iter().map(|e| run_experiment(graph, e)).collect()
+    specs.iter().map(|s| run_experiment(graph, s)).collect()
 }
 
 #[test]
@@ -58,8 +58,7 @@ fn full_matrix_batch_route_tables_match_serial_compute_with() {
     // cell, not just the reduced impact numbers, against cold per-cell
     // `compute`.
     let graph = Scale::Smoke.internet(29);
-    let matrix = full_matrix(&graph, 2, 29);
-    let specs: Vec<DestinationSpec> = matrix.iter().map(HijackExperiment::to_spec).collect();
+    let specs = full_matrix(&graph, 2, 29);
 
     let engine = RoutingEngine::new(&graph);
     let expected: Vec<Vec<Option<RouteInfo>>> = specs
@@ -96,7 +95,6 @@ fn one_unit_batch_is_finished_by_every_worker_and_matches_per_cell_compute() {
     let specs: Vec<DestinationSpec> = [0, attackers.len() / 2, attackers.len() - 1]
         .into_iter()
         .flat_map(|at| strategy_matrix(victim, attackers[at], 4..=4))
-        .map(|e| e.to_spec())
         .collect();
     assert_eq!(specs.len(), 24);
 
@@ -166,9 +164,9 @@ proptest! {
         workers in 1usize..6,
     ) {
         let graph = Scale::Smoke.internet(seed);
-        let matrix: Vec<HijackExperiment> = random_pair_experiments(&graph, pairs, 1, seed)
+        let matrix: Vec<DestinationSpec> = random_pair_experiments(&graph, pairs, 1, seed)
             .iter()
-            .flat_map(|p| strategy_matrix(p.victim(), p.attacker(), 1..=lambda_max))
+            .flat_map(|p| strategy_matrix(p.victim(), p.attacker_model().unwrap().asn(), 1..=lambda_max))
             .collect();
         prop_assert!(!matrix.is_empty());
 

@@ -14,6 +14,19 @@ use aspp_core::prelude::*;
 use aspp_core::routing::RouteInfo;
 use proptest::prelude::*;
 
+/// `spec` with its attacker re-modelled by `model`.
+fn remodel(
+    spec: &DestinationSpec,
+    model: impl FnOnce(AttackerModel) -> AttackerModel,
+) -> DestinationSpec {
+    let m = model(
+        *spec
+            .attacker_model()
+            .expect("a sampled cell has an attacker"),
+    );
+    spec.clone().attacker(m)
+}
+
 /// Every AS's final route (and clean route), in deterministic order.
 fn tables(outcome: &RoutingOutcome<'_>) -> Vec<(Option<RouteInfo>, Option<RouteInfo>)> {
     let mut asns: Vec<Asn> = outcome.asns().collect();
@@ -26,9 +39,9 @@ fn tables(outcome: &RoutingOutcome<'_>) -> Vec<(Option<RouteInfo>, Option<RouteI
 #[test]
 fn nodefense_and_empty_deployment_match_the_default_engine_exactly() {
     let graph = Scale::Paper.internet(31);
-    let matrix: Vec<HijackExperiment> = random_pair_experiments(&graph, 1, 1, 31)
+    let matrix: Vec<DestinationSpec> = random_pair_experiments(&graph, 1, 1, 31)
         .iter()
-        .flat_map(|p| strategy_matrix(p.victim(), p.attacker(), 1..=8))
+        .flat_map(|p| strategy_matrix(p.victim(), p.attacker_model().unwrap().asn(), 1..=8))
         .collect();
     assert_eq!(matrix.len(), 4 * 2 * 8, "full grid for one pair");
 
@@ -37,18 +50,17 @@ fn nodefense_and_empty_deployment_match_the_default_engine_exactly() {
     let mut default_ws = RouteWorkspace::new();
     let mut nodefense_ws = RouteWorkspace::new();
     let mut empty_ws = RouteWorkspace::new();
-    for exp in &matrix {
-        let spec = exp.to_spec();
-        let default = tables(&engine.compute_with(&spec, &mut default_ws));
-        let nodefense = tables(&engine.compute_with_policy(&spec, &mut nodefense_ws, &NoDefense));
+    for spec in &matrix {
+        let default = tables(&engine.compute_with(spec, &mut default_ws));
+        let nodefense = tables(&engine.compute_with_policy(spec, &mut nodefense_ws, &NoDefense));
         assert_eq!(
             default, nodefense,
-            "NoDefense diverges from the default engine for {exp:?}"
+            "NoDefense diverges from the default engine for {spec:?}"
         );
-        let undeployed = tables(&engine.compute_with_policy(&spec, &mut empty_ws, &empty));
+        let undeployed = tables(&engine.compute_with_policy(spec, &mut empty_ws, &empty));
         assert_eq!(
             default, undeployed,
-            "an empty deployment map diverges from the default engine for {exp:?}"
+            "an empty deployment map diverges from the default engine for {spec:?}"
         );
     }
 }
@@ -56,14 +68,14 @@ fn nodefense_and_empty_deployment_match_the_default_engine_exactly() {
 #[test]
 fn aspa_and_peerlock_deployment_curves_never_increase_pollution() {
     let graph = Scale::Smoke.internet(47);
-    let exps: Vec<HijackExperiment> = random_pair_experiments(&graph, 5, 5, 47)
-        .into_iter()
-        .map(|e| e.export_mode(ExportMode::ViolateValleyFree))
+    let specs: Vec<DestinationSpec> = random_pair_experiments(&graph, 5, 5, 47)
+        .iter()
+        .map(|s| remodel(s, |m| m.mode(ExportMode::ViolateValleyFree)))
         .collect();
     let fractions = [0.0, 0.1, 0.3, 0.5, 0.7, 1.0];
     let points = run_defense_sweep(
         &graph,
-        &exps,
+        &specs,
         &[PolicyKind::Aspa, PolicyKind::PeerlockLite],
         &DeployStrategy::ALL,
         &fractions,
@@ -92,10 +104,10 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
     );
     let mut ws = RouteWorkspace::new();
 
-    let hijack = pair
-        .strategy(AttackStrategy::OriginHijack)
-        .export_mode(ExportMode::ViolateValleyFree)
-        .to_spec();
+    let hijack = remodel(pair, |m| {
+        m.mode(ExportMode::ViolateValleyFree)
+            .strategy(AttackStrategy::OriginHijack)
+    });
     assert!(
         engine.compute_with(&hijack, &mut ws).polluted_count() > 0,
         "undefended origin hijack must pollute for the contrast to mean anything"
@@ -107,7 +119,7 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
         "every AS validates origins, so no forged-origin route survives"
     );
 
-    let strip = pair.export_mode(ExportMode::ViolateValleyFree).to_spec();
+    let strip = remodel(pair, |m| m.mode(ExportMode::ViolateValleyFree));
     let undefended = engine.compute_with(&strip, &mut ws);
     let rov_defended = engine.compute_with_policy(&strip, &mut ws, &rov_everywhere);
     assert_eq!(
@@ -147,7 +159,7 @@ proptest! {
             AttackStrategy::StripAllPadding,
         ] {
             for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
-                let spec = pair.strategy(attack).export_mode(mode).to_spec();
+                let spec = remodel(pair, |m| m.mode(mode).strategy(attack));
                 let undefended = tables(&engine.compute_with(&spec, &mut ws));
                 let defended =
                     tables(&engine.compute_with_policy(&spec, &mut ws, &rov));

@@ -11,7 +11,7 @@
 use aspp_core::prelude::*;
 use proptest::prelude::*;
 
-fn all_experiments(victim: Asn, attacker: Asn, tie: TieBreak) -> Vec<HijackExperiment> {
+fn all_experiments(victim: Asn, attacker: Asn, tie: TieBreak) -> Vec<DestinationSpec> {
     let strategies = [
         AttackStrategy::StripPadding { keep: 1 },
         AttackStrategy::StripPadding { keep: 2 },
@@ -20,21 +20,20 @@ fn all_experiments(victim: Asn, attacker: Asn, tie: TieBreak) -> Vec<HijackExper
         AttackStrategy::OriginHijack,
     ];
     let modes = [ExportMode::Compliant, ExportMode::ViolateValleyFree];
-    let mut exps = Vec::new();
+    let mut specs = Vec::new();
     for pad in [1usize, 3, 5] {
         for strategy in strategies {
             for mode in modes {
-                exps.push(
-                    HijackExperiment::new(victim, attacker)
-                        .padding(pad)
-                        .strategy(strategy)
-                        .export_mode(mode)
-                        .tie_break(tie),
+                specs.push(
+                    DestinationSpec::new(victim)
+                        .origin_padding(pad)
+                        .tie_break(tie)
+                        .attacker(AttackerModel::new(attacker).mode(mode).strategy(strategy)),
                 );
             }
         }
     }
-    exps
+    specs
 }
 
 /// Every per-node observable must agree between the two outcomes.
@@ -83,14 +82,13 @@ proptest! {
         let whole_graph = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::empty(graph.len()));
         let mut ws_full = RouteWorkspace::new();
         let mut ws_delta = RouteWorkspace::new();
-        for exp in all_experiments(victim, attacker, tie) {
-            let spec = exp.to_spec();
+        for spec in all_experiments(victim, attacker, tie) {
             let full = engine.compute_with_policy(&spec, &mut ws_full, &whole_graph);
             let delta = engine.compute_with(&spec, &mut ws_delta);
             assert_outcomes_identical(&graph, &full, &delta);
 
             // The cold per-cell impact numbers must agree bit-for-bit too.
-            let impact = run_experiment(&graph, &exp);
+            let impact = run_experiment(&graph, &spec);
             prop_assert_eq!(impact.after_fraction.to_bits(), delta.polluted_fraction().to_bits());
             prop_assert_eq!(impact.before_fraction.to_bits(), delta.baseline_fraction().to_bits());
             prop_assert_eq!(impact.polluted_count, delta.polluted_count());
@@ -117,10 +115,10 @@ fn strategy_matrix_equilibria_audit_clean() {
         TieBreak::PreferClean,
         TieBreak::PreferAttacker,
     ] {
-        for exp in all_experiments(victim, attacker, tie) {
-            let outcome = engine.compute(&exp.to_spec());
+        for spec in all_experiments(victim, attacker, tie) {
+            let outcome = engine.compute(&spec);
             let audit = aspp_core::routing::audit::audit_outcome(&outcome);
-            assert!(audit.is_clean(), "{exp:?} failed audit:\n{audit}");
+            assert!(audit.is_clean(), "{spec:?} failed audit:\n{audit}");
         }
     }
 }
@@ -134,8 +132,10 @@ fn delta_pass_serves_default_sweeps() {
     let asns: Vec<Asn> = graph.asns().collect();
     let mut ws = RouteWorkspace::new();
     for pad in 2..=6 {
-        let exp = HijackExperiment::new(asns[0], asns[10]).padding(pad);
-        let _ = engine.compute_with(&exp.to_spec(), &mut ws);
+        let spec = DestinationSpec::new(asns[0])
+            .origin_padding(pad)
+            .attacker(AttackerModel::new(asns[10]));
+        let _ = engine.compute_with(&spec, &mut ws);
     }
     assert!(
         ws.delta_passes() >= 4,
@@ -152,13 +152,15 @@ fn delta_results_track_graph_mutation() {
     let graph = InternetConfig::small().seed(77).build();
     let asns: Vec<Asn> = graph.asns().collect();
     let (victim, attacker) = (asns[3], asns[20]);
-    let exp = HijackExperiment::new(victim, attacker).padding(3);
+    let spec = DestinationSpec::new(victim)
+        .origin_padding(3)
+        .attacker(AttackerModel::new(attacker));
 
     let mut ws = RouteWorkspace::new();
     {
         let engine = RoutingEngine::new(&graph);
-        let warm = engine.compute_with(&exp.to_spec(), &mut ws);
-        let fresh = engine.compute(&exp.to_spec());
+        let warm = engine.compute_with(&spec, &mut ws);
+        let fresh = engine.compute(&spec);
         assert_eq!(warm.polluted_count(), fresh.polluted_count());
     }
 
@@ -170,8 +172,8 @@ fn delta_results_track_graph_mutation() {
         .expect("new edge");
     let derived = builder.finish();
     let engine = RoutingEngine::new(&derived);
-    let after = engine.compute_with(&exp.to_spec(), &mut ws);
-    let oracle = engine.compute(&exp.to_spec());
+    let after = engine.compute_with(&spec, &mut ws);
+    let oracle = engine.compute(&spec);
     assert_outcomes_identical(&derived, &oracle, &after);
     assert_eq!(
         ws.cache_hits(),

@@ -36,16 +36,16 @@ fn same_at_every_worker_count<T: PartialEq + std::fmt::Debug>(f: impl Fn(&BatchR
 fn fig13_points_are_worker_independent_and_fold_per_cell_detect_attack() {
     let _guard = LOCK.lock().unwrap();
     let graph = Scale::Smoke.internet(131);
-    let exps = random_pair_experiments(&graph, 16, 3, 131);
+    let specs = random_pair_experiments(&graph, 16, 3, 131);
     let counts = [3, 12, 40];
-    let curve = same_at_every_worker_count(|r| accuracy_vs_monitors(&graph, &exps, &counts, r));
+    let curve = same_at_every_worker_count(|r| accuracy_vs_monitors(&graph, &specs, &counts, r));
 
     assert_eq!(curve.len(), counts.len());
     for (point, &d) in curve.iter().zip(&counts) {
         let monitors = top_degree(&graph, d);
-        let cells: Vec<_> = exps
+        let cells: Vec<_> = specs
             .iter()
-            .map(|e| detect_attack(&graph, e, &monitors))
+            .map(|s| detect_attack(&graph, s, &monitors))
             .filter(|r| r.effective)
             .collect();
         assert!(!cells.is_empty(), "seed draws effective attacks");
@@ -71,33 +71,36 @@ fn fig13_points_are_worker_independent_and_fold_per_cell_detect_attack() {
 fn fig14_reduction_is_worker_independent_and_matches_the_cold_reference() {
     let _guard = LOCK.lock().unwrap();
     let graph = Scale::Smoke.internet(141);
-    let exps = random_pair_experiments(&graph, 16, 3, 141);
+    let specs = random_pair_experiments(&graph, 16, 3, 141);
     let monitors = top_degree(&graph, 30);
     let batched = same_at_every_worker_count(|r| {
-        effective_attacks(&graph, &exps, r, |exp, outcome| {
-            (*exp, polluted_before_detection(outcome, &monitors))
+        effective_attacks(&graph, &specs, r, |outcome| {
+            (
+                outcome.spec().clone(),
+                polluted_before_detection(outcome, &monitors),
+            )
         })
     });
     assert!(!batched.is_empty(), "seed draws effective attacks");
     // Survivors come back in input order, each equal to its cold cell …
-    let survivors: Vec<HijackExperiment> = batched.iter().map(|(exp, _)| *exp).collect();
-    let expected: Vec<HijackExperiment> = exps
+    let survivors: Vec<DestinationSpec> = batched.iter().map(|(s, _)| s.clone()).collect();
+    let expected: Vec<DestinationSpec> = specs
         .iter()
-        .filter(|e| detect_attack(&graph, e, &monitors).effective)
-        .copied()
+        .filter(|s| detect_attack(&graph, s, &monitors).effective)
+        .cloned()
         .collect();
     assert_eq!(survivors, expected);
-    for (exp, fraction) in &batched {
+    for (spec, fraction) in &batched {
         assert_eq!(
             *fraction,
-            polluted_fraction_before_detection(&graph, exp, &monitors),
-            "{exp:?}"
+            polluted_fraction_before_detection(&graph, spec, &monitors),
+            "{spec:?}"
         );
     }
     // … and the cold reference reports nothing for the filtered-out rest.
-    for exp in exps.iter().filter(|e| !survivors.contains(e)) {
+    for spec in specs.iter().filter(|s| !survivors.contains(s)) {
         assert_eq!(
-            polluted_fraction_before_detection(&graph, exp, &monitors),
+            polluted_fraction_before_detection(&graph, spec, &monitors),
             None
         );
     }
@@ -122,9 +125,9 @@ fn selection_false_positive_and_visibility_are_worker_independent() {
         same_at_every_worker_count(|r| false_positive_rate(&graph, &victims, &monitors, r));
     assert!(report.scenarios > 0);
 
-    let exp = pool[0];
+    let (victim, attacker) = (pool[0].victim(), pool[0].attacker_model().unwrap().asn());
     let matrix = same_at_every_worker_count(|r| {
-        visibility_matrix(&graph, exp.victim(), exp.attacker(), 4, &monitors, r)
+        visibility_matrix(&graph, victim, attacker, 4, &monitors, r)
     });
     assert_eq!(matrix.len(), 3);
 }

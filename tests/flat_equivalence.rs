@@ -127,26 +127,25 @@ fn assert_outcome_matches_references(outcome: &RoutingOutcome<'_>) {
 #[test]
 fn paper_matrix_flat_tables_and_paths_match_references() {
     let graph = Scale::Paper.internet(31);
-    let matrix: Vec<HijackExperiment> = random_pair_experiments(&graph, 1, 1, 31)
+    let matrix: Vec<DestinationSpec> = random_pair_experiments(&graph, 1, 1, 31)
         .iter()
-        .flat_map(|p| strategy_matrix(p.victim(), p.attacker(), 1..=8))
+        .flat_map(|p| strategy_matrix(p.victim(), p.attacker_model().unwrap().asn(), 1..=8))
         .collect();
     assert_eq!(matrix.len(), 4 * 2 * 8, "full grid for one pair");
 
     let engine = RoutingEngine::new(&graph);
-    for exp in &matrix {
-        let spec = exp.to_spec();
+    for spec in &matrix {
         let mut delta_ws = RouteWorkspace::new();
-        let outcome = engine.compute_with(&spec, &mut delta_ws);
+        let outcome = engine.compute_with(spec, &mut delta_ws);
         // Deployed nowhere, the policy accepts every offer; being non-NOOP,
         // it forces the whole-graph propagation.
         let whole_graph = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::empty(graph.len()));
         let mut full_ws = RouteWorkspace::new();
-        let oracle = engine.compute_with_policy(&spec, &mut full_ws, &whole_graph);
+        let oracle = engine.compute_with_policy(spec, &mut full_ws, &whole_graph);
         assert_eq!(
             table(&outcome),
             table(&oracle),
-            "delta route table diverges from full oracle for {exp:?}"
+            "delta route table diverges from full oracle for {spec:?}"
         );
         assert_outcome_matches_references(&outcome);
     }
@@ -161,17 +160,16 @@ proptest! {
         lambda in 1usize..=8,
     ) {
         let graph = Scale::Smoke.internet(seed);
-        let matrix: Vec<HijackExperiment> = random_pair_experiments(&graph, 1, 1, seed)
+        let matrix: Vec<DestinationSpec> = random_pair_experiments(&graph, 1, 1, seed)
             .iter()
-            .flat_map(|p| strategy_matrix(p.victim(), p.attacker(), lambda..=lambda))
+            .flat_map(|p| strategy_matrix(p.victim(), p.attacker_model().unwrap().asn(), lambda..=lambda))
             .collect();
         prop_assert_eq!(matrix.len(), 8);
 
         let engine = RoutingEngine::new(&graph);
-        for exp in &matrix {
-            let spec = exp.to_spec();
+        for spec in &matrix {
             let mut ws = RouteWorkspace::new();
-            let outcome = engine.compute_with(&spec, &mut ws);
+            let outcome = engine.compute_with(spec, &mut ws);
             assert_outcome_matches_references(&outcome);
         }
     }

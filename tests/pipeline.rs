@@ -27,15 +27,17 @@ fn full_attack_and_detection_pipeline() {
         .expect("tier-2 transit exists");
     let victim = Asn(20_010);
 
-    let exp = HijackExperiment::new(victim, attacker).padding(4);
-    let impact = run_experiment(&graph, &exp);
+    let spec = DestinationSpec::new(victim)
+        .origin_padding(4)
+        .attacker(AttackerModel::new(attacker));
+    let impact = run_experiment(&graph, &spec);
     assert!(impact.attack_feasible);
     assert!(impact.after_fraction > 0.0, "transit attacker must pollute");
     assert!(impact.after_fraction >= impact.before_fraction);
 
     // The polluted ASes' paths all traverse the attacker and are loop-free.
     let engine = RoutingEngine::new(&graph);
-    let outcome = engine.compute(&exp.to_spec());
+    let outcome = engine.compute(&spec);
     for asn in outcome.polluted_asns() {
         let path = outcome.observed_path(asn).expect("polluted AS has a path");
         assert!(
@@ -48,7 +50,7 @@ fn full_attack_and_detection_pipeline() {
 
     // Detection from the top vantage points finds the attack.
     let monitors = top_degree(&graph, 40);
-    let result = aspp_core::detect::eval::detect_attack(&graph, &exp, &monitors);
+    let result = aspp_core::detect::eval::detect_attack(&graph, &spec, &monitors);
     assert!(result.effective);
     assert!(
         result.any_alarm,
@@ -70,8 +72,11 @@ fn single_homed_victim_customers_stay_loyal() {
         .expect("tier-2 victim with a single-homed customer");
     let attacker = tiers.tier1().min().unwrap();
 
-    let outcome = RoutingEngine::new(&graph)
-        .compute(&HijackExperiment::new(victim, attacker).padding(6).to_spec());
+    let outcome = RoutingEngine::new(&graph).compute(
+        &DestinationSpec::new(victim)
+            .origin_padding(6)
+            .attacker(AttackerModel::new(attacker)),
+    );
     // Conversely, every polluted AS is outside the victim's cone or
     // multi-connected (the paper's necessary condition).
     let cone = customer_cone(&graph, victim);
@@ -98,10 +103,10 @@ fn keep_count_controls_attack_strength() {
     let attacker = Asn(100);
     let mut last = f64::INFINITY;
     for keep in 1..=6 {
-        let exp = HijackExperiment::new(victim, attacker)
-            .padding(6)
-            .keep(keep);
-        let impact = run_experiment(&graph, &exp);
+        let spec = DestinationSpec::new(victim)
+            .origin_padding(6)
+            .attacker(AttackerModel::new(attacker).keep(keep));
+        let impact = run_experiment(&graph, &spec);
         assert!(
             impact.after_fraction <= last + 0.02,
             "keep={keep} should not increase pollution"
@@ -113,10 +118,9 @@ fn keep_count_controls_attack_strength() {
     // — the export-scope deviation behind the paper's non-zero "after
     // hijack" value at λ = 1 in Figure 9. The invariant: nobody's route
     // gets *worse*; switches only happen toward equal-or-preferred routes.
-    let spec = HijackExperiment::new(victim, attacker)
-        .padding(6)
-        .keep(6)
-        .to_spec();
+    let spec = DestinationSpec::new(victim)
+        .origin_padding(6)
+        .attacker(AttackerModel::new(attacker).keep(6));
     let outcome = RoutingEngine::new(&graph).compute(&spec);
     for asn in graph.asns() {
         let clean = outcome.clean_route(asn);
@@ -136,8 +140,8 @@ fn keep_count_controls_attack_strength() {
 #[test]
 fn random_attacks_all_produce_consistent_metrics() {
     let graph = internet(9004);
-    for exp in random_pair_experiments(&graph, 30, 3, 77) {
-        let impact = run_experiment(&graph, &exp);
+    for spec in random_pair_experiments(&graph, 30, 3, 77) {
+        let impact = run_experiment(&graph, &spec);
         assert!((0.0..=1.0).contains(&impact.after_fraction));
         assert!((0.0..=1.0).contains(&impact.before_fraction));
         assert_eq!(impact.population, graph.len() - 2);
@@ -149,10 +153,10 @@ fn random_attacks_all_produce_consistent_metrics() {
 #[test]
 fn detection_improves_with_monitor_diversity() {
     let graph = internet(9005);
-    let exps = random_pair_experiments(&graph, 12, 4, 5);
+    let specs = random_pair_experiments(&graph, 12, 4, 5);
     let curve = aspp_core::detect::eval::accuracy_vs_monitors(
         &graph,
-        &exps,
+        &specs,
         &[2, 30, 140],
         &BatchRunner::new(),
     );

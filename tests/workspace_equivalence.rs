@@ -9,7 +9,7 @@ use aspp_core::prelude::*;
 use proptest::prelude::*;
 
 fn assert_bit_identical(a: &HijackImpact, b: &HijackImpact) {
-    assert_eq!(a.experiment, b.experiment);
+    assert_eq!(a.spec, b.spec);
     assert_eq!(a.before_fraction.to_bits(), b.before_fraction.to_bits());
     assert_eq!(a.after_fraction.to_bits(), b.after_fraction.to_bits());
     assert_eq!(a.polluted_count, b.polluted_count);
@@ -45,33 +45,28 @@ proptest! {
             AttackStrategy::OriginHijack,
         ];
         let modes = [ExportMode::Compliant, ExportMode::ViolateValleyFree];
-        let mut exps = Vec::new();
+        let mut specs = Vec::new();
         for pad in 1..=5 {
             for strategy in strategies {
                 for mode in modes {
-                    exps.push(
-                        HijackExperiment::new(victim, attacker)
-                            .padding(pad)
-                            .strategy(strategy)
-                            .export_mode(mode),
-                    );
-                    exps.push(
-                        HijackExperiment::new(victim, attacker2)
-                            .padding(pad)
-                            .strategy(strategy)
-                            .export_mode(mode),
-                    );
+                    for m in [attacker, attacker2] {
+                        specs.push(
+                            DestinationSpec::new(victim)
+                                .origin_padding(pad)
+                                .attacker(AttackerModel::new(m).mode(mode).strategy(strategy)),
+                        );
+                    }
                 }
             }
         }
 
         let serial: Vec<HijackImpact> =
-            exps.iter().map(|e| run_experiment(&graph, e)).collect();
+            specs.iter().map(|s| run_experiment(&graph, s)).collect();
 
         let engine = RoutingEngine::new(&graph);
         let mut ws = RouteWorkspace::new();
-        for (s, exp) in serial.iter().zip(&exps) {
-            let reused = engine.compute_with(&exp.to_spec(), &mut ws);
+        for (s, spec) in serial.iter().zip(&specs) {
+            let reused = engine.compute_with(spec, &mut ws);
             prop_assert_eq!(s.before_fraction.to_bits(), reused.baseline_fraction().to_bits());
             prop_assert_eq!(s.after_fraction.to_bits(), reused.polluted_fraction().to_bits());
             prop_assert_eq!(s.polluted_count, reused.polluted_count());
@@ -80,7 +75,7 @@ proptest! {
         }
         prop_assert!(ws.cache_hits() > 0, "interleaved sweep must hit the cache");
 
-        let parallel = run_experiments(&graph, &exps, &BatchRunner::new().workers(4));
+        let parallel = run_experiments(&graph, &specs, &BatchRunner::new().workers(4));
         for (s, p) in serial.iter().zip(&parallel) {
             assert_bit_identical(s, p);
         }
