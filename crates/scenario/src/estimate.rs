@@ -174,6 +174,57 @@ fn measure(
     (pollution, interception)
 }
 
+/// One Monte-Carlo draw: victim, attacker, and the vantage subset when
+/// the config asks for one.
+type Draw = (Asn, Asn, Option<Vec<Asn>>);
+
+/// Derives the pools and makes every draw of `config` from its seeded RNG,
+/// in draw order: a (victim ≠ attacker) pair, then — with `vantages: Some(k)`
+/// — `k` distinct non-victim ASes, rejection-sampled from the population.
+/// Distinctness is a membership flag per population index, set while a
+/// subset is drawn and cleared as it is handed out, so a draw costs O(1)
+/// however large `k` is.
+fn draw_cells(graph: &AsGraph, config: &EstimatorConfig) -> Vec<Draw> {
+    let _span = aspp_obs::trace::span("scenario.draws");
+    let victims = victim_pool(graph, config.victims, config.seed);
+    let attackers = attacker_pool(graph, config.attackers, config.seed);
+    let population: Vec<Asn> = graph.asns().collect();
+    let mut taken = vec![false; population.len()];
+
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut draws: Vec<Draw> = Vec::with_capacity(config.samples);
+    for _ in 0..config.samples {
+        let (victim, attacker) = loop {
+            let v = victims[rng.gen_range(0..victims.len())];
+            let m = attackers[rng.gen_range(0..attackers.len())];
+            if v != m {
+                break (v, m);
+            }
+        };
+        let vantage = config.vantages.map(|k| {
+            let want = k.min(population.len().saturating_sub(1));
+            let mut picked: Vec<usize> = Vec::with_capacity(want);
+            // The victim itself is never polluted, so it is never a vantage.
+            while picked.len() < want {
+                let i = rng.gen_range(0..population.len());
+                if population[i] != victim && !taken[i] {
+                    taken[i] = true;
+                    picked.push(i);
+                }
+            }
+            picked
+                .iter()
+                .map(|&i| {
+                    taken[i] = false;
+                    population[i]
+                })
+                .collect()
+        });
+        draws.push((victim, attacker, vantage));
+    }
+    draws
+}
+
 /// Runs the estimator through `runner`.
 ///
 /// Draws are made up-front from the seeded RNG, resolved through the
@@ -188,34 +239,7 @@ fn measure(
 pub fn estimate_with(graph: &AsGraph, config: &EstimatorConfig, runner: &BatchRunner) -> Estimate {
     assert!(config.samples > 0, "estimator needs at least one sample");
     let _span = aspp_obs::trace::span("scenario.estimate");
-    let victims = victim_pool(graph, config.victims, config.seed);
-    let attackers = attacker_pool(graph, config.attackers, config.seed);
-    let population: Vec<Asn> = graph.asns().collect();
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut draws: Vec<(Asn, Asn, Option<Vec<Asn>>)> = Vec::with_capacity(config.samples);
-    for _ in 0..config.samples {
-        let (victim, attacker) = loop {
-            let v = victims[rng.gen_range(0..victims.len())];
-            let m = attackers[rng.gen_range(0..attackers.len())];
-            if v != m {
-                break (v, m);
-            }
-        };
-        let vantage = config.vantages.map(|k| {
-            let mut subset: Vec<Asn> = Vec::with_capacity(k);
-            // Rejection-sample distinct vantages that are not the victim
-            // (the victim itself is never polluted).
-            while subset.len() < k.min(population.len().saturating_sub(1)) {
-                let candidate = population[rng.gen_range(0..population.len())];
-                if candidate != victim && !subset.contains(&candidate) {
-                    subset.push(candidate);
-                }
-            }
-            subset
-        });
-        draws.push((victim, attacker, vantage));
-    }
+    let draws = draw_cells(graph, config);
 
     let specs: Vec<DestinationSpec> = draws
         .iter()
@@ -427,6 +451,54 @@ mod tests {
             // 20 vantages ⇒ pollution quantized to i/20.
             let scaled = p.pollution * 20.0;
             assert!((scaled - scaled.round()).abs() < 1e-9, "{}", p.pollution);
+        }
+    }
+
+    /// The draw loop as first written, distinctness by `subset.contains`:
+    /// the oracle [`draw_cells`] must match draw for draw.
+    fn draw_cells_reference(graph: &AsGraph, config: &EstimatorConfig) -> Vec<Draw> {
+        let victims = victim_pool(graph, config.victims, config.seed);
+        let attackers = attacker_pool(graph, config.attackers, config.seed);
+        let population: Vec<Asn> = graph.asns().collect();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut draws: Vec<Draw> = Vec::with_capacity(config.samples);
+        for _ in 0..config.samples {
+            let (victim, attacker) = loop {
+                let v = victims[rng.gen_range(0..victims.len())];
+                let m = attackers[rng.gen_range(0..attackers.len())];
+                if v != m {
+                    break (v, m);
+                }
+            };
+            let vantage = config.vantages.map(|k| {
+                let mut subset: Vec<Asn> = Vec::with_capacity(k);
+                while subset.len() < k.min(population.len().saturating_sub(1)) {
+                    let candidate = population[rng.gen_range(0..population.len())];
+                    if candidate != victim && !subset.contains(&candidate) {
+                        subset.push(candidate);
+                    }
+                }
+                subset
+            });
+            draws.push((victim, attacker, vantage));
+        }
+        draws
+    }
+
+    #[test]
+    fn vantage_draws_match_the_reference_loop() {
+        let g = graph();
+        // Dense rejections (all but one non-victim AS), the shipped
+        // 20-vantage config, and a `k` beyond the population (clamped).
+        for vantages in [g.len() - 2, 20, g.len() + 5] {
+            let cfg = EstimatorConfig {
+                vantages: Some(vantages),
+                ..config()
+            };
+            let draws = draw_cells(&g, &cfg);
+            assert_eq!(draws, draw_cells_reference(&g, &cfg), "vantages {vantages}");
+            let want = vantages.min(g.len() - 1);
+            assert!(draws.iter().all(|d| d.2.as_ref().unwrap().len() == want));
         }
     }
 

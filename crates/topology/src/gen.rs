@@ -270,13 +270,10 @@ impl InternetConfig {
 
         // 2. Tier-2: multi-homed to tier-1, sparse mutual peering, and some
         //    settlement-free peering up into the tier-1 layer.
-        attach_providers_batch(
-            &mut graph,
-            &mut rng,
-            &tier2,
-            &tier1,
-            self.tier2_provider_range,
-        );
+        let mut providers = ProviderPool::new(&graph, &tier1);
+        for &asn in &tier2 {
+            providers.attach(&mut graph, &mut rng, asn, self.tier2_provider_range);
+        }
         self.sprinkle_peering(&mut graph, &mut rng, &tier2, self.tier2_peer_prob);
         if self.tier2_tier1_peer_prob > 0.0 {
             for &t2 in &tier2 {
@@ -290,88 +287,42 @@ impl InternetConfig {
         }
 
         // 3. Tier-3: multi-homed to tier-2, very sparse peering.
-        attach_providers_batch(
-            &mut graph,
-            &mut rng,
-            &tier3,
-            &tier2,
-            self.tier3_provider_range,
-        );
+        let mut providers = ProviderPool::new(&graph, &tier2);
+        for &asn in &tier3 {
+            providers.attach(&mut graph, &mut rng, asn, self.tier3_provider_range);
+        }
         self.sprinkle_peering(&mut graph, &mut rng, &tier3, self.tier3_peer_prob);
 
         // 4. Stubs: providers drawn from tier-2 ∪ tier-3.
         let transit: Vec<Asn> = tier2.iter().chain(tier3.iter()).copied().collect();
-        attach_providers_batch(
-            &mut graph,
-            &mut rng,
-            &stubs,
-            &transit,
-            self.stub_provider_range,
-        );
+        let mut providers = ProviderPool::new(&graph, &transit);
+        for &asn in &stubs {
+            providers.attach(&mut graph, &mut rng, asn, self.stub_provider_range);
+        }
 
-        // 5. Content ASes: one or two transit providers plus rich peering
+        // 5. Content ASes: one or two tier-2 providers plus rich peering
         //    across every layer, tier-1 included — the "well-connected
-        //    enterprise" of the paper's Figure 11.
+        //    enterprise" of the paper's Figure 11. A peering that lands on a
+        //    tier-2 raises its weight for the next content AS's provider draw.
+        let mut providers = ProviderPool::new(&graph, &tier2);
+        let peer_pool: Vec<Asn> = tier1.iter().chain(transit.iter()).copied().collect();
+        let peer_count = ((peer_pool.len() as f64) * self.content_peer_fraction) as usize;
+        let mut candidates: Vec<Asn> = Vec::with_capacity(peer_pool.len());
         for &asn in &content {
-            self.attach_providers(&mut graph, &mut rng, asn, &tier2, (1, 2));
-            let mut candidates: Vec<Asn> = tier1.iter().chain(transit.iter()).copied().collect();
-            let peer_count = ((candidates.len() as f64) * self.content_peer_fraction) as usize;
+            providers.attach(&mut graph, &mut rng, asn, (1, 2));
+            // Each content AS shuffles the pool from its canonical order.
+            candidates.clear();
+            candidates.extend_from_slice(&peer_pool);
             candidates.shuffle(&mut rng);
             for &peer in candidates.iter().take(peer_count) {
                 // Skip pairs already linked as provider/customer.
-                let _ = graph.add_peering(asn, peer);
+                if graph.add_peering(asn, peer).is_ok() {
+                    providers.bump(peer);
+                }
             }
         }
 
         graph.finish()
-    }
-
-    /// Attaches `customer` to providers sampled from `pool` with
-    /// preferential attachment (probability proportional to current degree),
-    /// which produces the heavy-tailed customer-cone distribution of the
-    /// real Internet: a few transit ASes become huge, most stay small.
-    fn attach_providers(
-        &self,
-        graph: &mut AsGraphBuilder,
-        rng: &mut StdRng,
-        customer: Asn,
-        pool: &[Asn],
-        (lo, hi): (usize, usize),
-    ) {
-        graph.add_as(customer);
-        let want = rng.gen_range(lo..=hi).min(pool.len());
-        let mut chosen: Vec<Asn> = Vec::with_capacity(want);
-        while chosen.len() < want {
-            let total: usize = pool
-                .iter()
-                .filter(|p| !chosen.contains(p))
-                .map(|&p| graph.degree(p) + 1)
-                .sum();
-            if total == 0 {
-                break;
-            }
-            let mut ticket = rng.gen_range(0..total);
-            let pick = pool
-                .iter()
-                .filter(|p| !chosen.contains(p))
-                .find(|&&p| {
-                    let w = graph.degree(p) + 1;
-                    if ticket < w {
-                        true
-                    } else {
-                        ticket -= w;
-                        false
-                    }
-                })
-                .copied()
-                .expect("ticket is within total weight");
-            chosen.push(pick);
-        }
-        for provider in chosen {
-            graph
-                .add_provider_customer(provider, customer)
-                .expect("provider pool is disjoint from customer block");
-        }
     }
 
     fn sprinkle_peering(
@@ -401,8 +352,8 @@ impl InternetConfig {
 /// Fenwick (binary-indexed) tree over the provider pool's attachment
 /// weights: prefix-sum queries and point updates in O(log n), plus the
 /// classic bit-descent [`find`](Self::find) that resolves a lottery ticket
-/// to the element containing it — the O(log n) replacement for the linear
-/// ticket scan in [`InternetConfig::attach_providers`].
+/// to the element containing it — what lets [`ProviderPool`] draw without
+/// rescanning its members.
 struct WeightTree {
     tree: Vec<u64>,
 }
@@ -469,49 +420,84 @@ impl WeightTree {
     }
 }
 
-/// Phase-level fast path for [`InternetConfig::attach_providers`]: attaches
-/// every AS in `customers` to providers drawn from `pool`, consuming the
-/// *identical* RNG sequence — one `gen_range(lo..=hi)` per customer, one
-/// `gen_range(0..total)` per draw with the same running totals — so the
-/// resulting graph is bit-for-bit the one the per-customer linear scan
-/// builds. Each ticket resolves through a [`WeightTree`] in O(log n)
-/// instead of an O(n) pool rescan, which is what makes the 80k-AS preset
-/// build in seconds.
+/// Preferential-attachment provider pool: a customer's providers are drawn
+/// from `members` with probability proportional to degree + 1, which
+/// produces the heavy-tailed customer-cone distribution of the real
+/// Internet (a few transit ASes become huge, most stay small).
 ///
-/// Callers must guarantee `pool` and `customers` occupy disjoint ASN blocks
-/// with no pre-existing links between them (the tiered construction does,
-/// structurally) — the precondition for `add_link_unchecked`.
-fn attach_providers_batch(
-    graph: &mut AsGraphBuilder,
-    rng: &mut StdRng,
-    customers: &[Asn],
-    pool: &[Asn],
-    (lo, hi): (usize, usize),
-) {
-    let mut weights: Vec<u64> = pool.iter().map(|&p| graph.degree(p) as u64 + 1).collect();
-    let mut tree = WeightTree::from_weights(&weights);
-    let mut chosen: Vec<usize> = Vec::new();
-    for &customer in customers {
+/// `weights[i]` is `members[i]`'s degree + 1, kept current by
+/// [`attach`](Self::attach) (a new customer link) and [`bump`](Self::bump)
+/// (any other link that lands on a member), so each ticket resolves through
+/// the [`WeightTree`] in O(log n) instead of a rescan of the pool. The RNG
+/// calls are those of the per-customer linear scan — one
+/// `gen_range(lo..=hi)` per customer, one `gen_range(0..total)` per draw
+/// with the same running totals — so the graph is bit-for-bit the one that
+/// scan builds.
+///
+/// Customers must be fresh ASes from a block disjoint from `members` (the
+/// tiered construction guarantees both), the precondition for
+/// `add_link_unchecked`; `members` must be sorted, as every ASN block is.
+struct ProviderPool<'a> {
+    members: &'a [Asn],
+    weights: Vec<u64>,
+    tree: WeightTree,
+    chosen: Vec<usize>,
+}
+
+impl<'a> ProviderPool<'a> {
+    fn new(graph: &AsGraphBuilder, members: &'a [Asn]) -> Self {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "unsorted pool");
+        let weights: Vec<u64> = members
+            .iter()
+            .map(|&p| graph.degree(p) as u64 + 1)
+            .collect();
+        let tree = WeightTree::from_weights(&weights);
+        ProviderPool {
+            members,
+            weights,
+            tree,
+            chosen: Vec::new(),
+        }
+    }
+
+    /// Adds `customer` and links it to `lo..=hi` distinct members (fewer
+    /// if the pool is smaller).
+    fn attach(
+        &mut self,
+        graph: &mut AsGraphBuilder,
+        rng: &mut StdRng,
+        customer: Asn,
+        (lo, hi): (usize, usize),
+    ) {
         graph.add_as(customer);
-        let want = rng.gen_range(lo..=hi).min(pool.len());
-        chosen.clear();
-        while chosen.len() < want {
-            let total = tree.total() as usize;
+        let want = rng.gen_range(lo..=hi).min(self.members.len());
+        self.chosen.clear();
+        while self.chosen.len() < want {
+            let total = self.tree.total() as usize;
             if total == 0 {
                 break;
             }
             let ticket = rng.gen_range(0..total);
-            let pick = tree.find(ticket as u64);
+            let pick = self.tree.find(ticket as u64);
             // Zero the pick's weight so later draws for this customer
             // exclude it, exactly as the linear scan's `chosen` filter does.
-            tree.decrease(pick, weights[pick]);
-            chosen.push(pick);
+            self.tree.decrease(pick, self.weights[pick]);
+            self.chosen.push(pick);
         }
-        for &pick in &chosen {
-            graph.add_link_unchecked(pool[pick], customer, Relationship::Customer);
+        for &pick in &self.chosen {
+            graph.add_link_unchecked(self.members[pick], customer, Relationship::Customer);
             // Restore the weight, +1 for the degree the new link added.
-            weights[pick] += 1;
-            tree.increase(pick, weights[pick]);
+            self.weights[pick] += 1;
+            self.tree.increase(pick, self.weights[pick]);
+        }
+    }
+
+    /// Records one new link on `asn` made outside [`attach`](Self::attach);
+    /// a non-member is ignored.
+    fn bump(&mut self, asn: Asn) {
+        if let Ok(i) = self.members.binary_search(&asn) {
+            self.weights[i] += 1;
+            self.tree.increase(i, 1);
         }
     }
 }
@@ -684,31 +670,107 @@ mod tests {
         assert_eq!(pairs.len(), before);
     }
 
+    /// The oracle for [`ProviderPool::attach`]: preferential attachment by
+    /// a linear ticket scan over `pool`, reading each member's live degree.
+    fn attach_providers_linear(
+        graph: &mut AsGraphBuilder,
+        rng: &mut StdRng,
+        customer: Asn,
+        pool: &[Asn],
+        (lo, hi): (usize, usize),
+    ) {
+        graph.add_as(customer);
+        let want = rng.gen_range(lo..=hi).min(pool.len());
+        let mut chosen: Vec<Asn> = Vec::with_capacity(want);
+        while chosen.len() < want {
+            let total: usize = pool
+                .iter()
+                .filter(|p| !chosen.contains(p))
+                .map(|&p| graph.degree(p) + 1)
+                .sum();
+            if total == 0 {
+                break;
+            }
+            let mut ticket = rng.gen_range(0..total);
+            let pick = pool
+                .iter()
+                .filter(|p| !chosen.contains(p))
+                .find(|&&p| {
+                    let w = graph.degree(p) + 1;
+                    if ticket < w {
+                        true
+                    } else {
+                        ticket -= w;
+                        false
+                    }
+                })
+                .copied()
+                .expect("ticket is within total weight");
+            chosen.push(pick);
+        }
+        for provider in chosen {
+            graph
+                .add_provider_customer(provider, customer)
+                .expect("provider pool is disjoint from customer block");
+        }
+    }
+
     #[test]
     fn fenwick_batch_is_bit_identical_to_linear_scan() {
-        // Same seed, same pool, same customers: the per-customer linear
-        // ticket scan and the phase-level Fenwick path must consume the RNG
-        // identically and therefore build the identical graph — including
-        // the preferential-attachment feedback as pool degrees grow.
-        let pool: Vec<Asn> = (0..50).map(|i| Asn(TIER1_BASE + i)).collect();
-        let customers: Vec<Asn> = (0..300).map(|i| Asn(STUB_BASE + i)).collect();
-        let cfg = InternetConfig::small();
+        // Same seed, same pool, same customers, in the content loop's shape:
+        // each customer attaches, then peers with a few ASes drawn from the
+        // pool and from outside it. The linear scan reads live degrees; the
+        // Fenwick pool sees the peerings only through `bump`. Both must
+        // consume the RNG identically and build the identical graph —
+        // including the preferential-attachment feedback as degrees grow.
+        let pool: Vec<Asn> = (0..50).map(|i| Asn(TIER2_BASE + i)).collect();
+        let others: Vec<Asn> = (0..20).map(|i| Asn(TIER3_BASE + i)).collect();
+        let peers: Vec<Asn> = pool.iter().chain(&others).copied().collect();
+        let customers: Vec<Asn> = (0..300).map(|i| Asn(CONTENT_BASE + i)).collect();
+        let fresh = || {
+            let mut graph = AsGraphBuilder::with_capacity(370);
+            for &asn in &peers {
+                graph.add_as(asn);
+            }
+            // Uneven starting weights, so the pool's initial degrees count.
+            for (i, &p) in pool.iter().enumerate().step_by(7) {
+                graph.add_peering(p, others[i % others.len()]).unwrap();
+            }
+            graph
+        };
+        let peer_draws = |rng: &mut StdRng| -> Vec<Asn> {
+            let n = rng.gen_range(0..=4);
+            (0..n)
+                .map(|_| peers[rng.gen_range(0..peers.len())])
+                .collect()
+        };
 
-        let mut legacy = AsGraphBuilder::with_capacity(350);
-        for &p in &pool {
-            legacy.add_as(p);
-        }
+        let mut legacy = fresh();
         let mut rng = StdRng::seed_from_u64(77);
         for &c in &customers {
-            cfg.attach_providers(&mut legacy, &mut rng, c, &pool, (1, 3));
+            attach_providers_linear(&mut legacy, &mut rng, c, &pool, (1, 3));
+            for peer in peer_draws(&mut rng) {
+                let _ = legacy.add_peering(c, peer);
+            }
         }
 
-        let mut fast = AsGraphBuilder::with_capacity(350);
-        for &p in &pool {
-            fast.add_as(p);
-        }
+        let mut fast = fresh();
+        let mut providers = ProviderPool::new(&fast, &pool);
         let mut rng = StdRng::seed_from_u64(77);
-        attach_providers_batch(&mut fast, &mut rng, &customers, &pool, (1, 3));
+        let mut bumps = 0;
+        for &c in &customers {
+            providers.attach(&mut fast, &mut rng, c, (1, 3));
+            for peer in peer_draws(&mut rng) {
+                if fast.add_peering(c, peer).is_ok() {
+                    providers.bump(peer);
+                    bumps += usize::from(pool.contains(&peer));
+                }
+            }
+        }
+        assert!(bumps > 100, "the peerings must move pool weights ({bumps})");
+        for (&p, &w) in pool.iter().zip(&providers.weights) {
+            assert_eq!(w, fast.degree(p) as u64 + 1, "weight of AS{p}");
+        }
 
         let legacy_links: Vec<_> = legacy.finish().links().collect();
         let fast_links: Vec<_> = fast.finish().links().collect();

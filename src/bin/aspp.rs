@@ -1176,13 +1176,18 @@ fn cmd_gen(run: &mut Run) -> Result<(), String> {
         run.manifest.push_phase("serialize", ms(t));
         out!("wrote {path} (CAIDA serial-2)");
     }
+    // Printed from the manifest: `internet()` has fingerprinted the graph.
+    let topology = run
+        .manifest
+        .topology
+        .expect("internet() records the topology");
     out!(
         "generated {} ASes, {} links (scale {}, seed {}, fingerprint {:016x})",
-        graph.len(),
-        graph.link_count(),
+        topology.nodes,
+        topology.links,
         run.manifest.scale.as_deref().unwrap_or("?"),
         run.seed,
-        graph.fingerprint(),
+        topology.fingerprint,
     );
     Ok(())
 }
