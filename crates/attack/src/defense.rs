@@ -224,7 +224,7 @@ pub fn run_defense_sweep(
     }
 
     // Flatten to one batch: grid-major, experiment-minor. Steal units are
-    // keyed by clean equilibrium (victim, λ, tie-break), so one
+    // keyed by clean equilibrium (victim, λ), so one
     // experiment's cells across all deployment maps share one cached clean
     // pass regardless of this ordering.
     let cells: Vec<(DestinationSpec, Arc<DeployedPolicy>)> = grid

@@ -87,13 +87,13 @@ pub fn run_experiment(graph: &AsGraph, spec: &DestinationSpec) -> HijackImpact {
 /// Runs many experiments through `runner` (the batch equilibrium engine,
 /// [`aspp_routing::batch`]), preserving input order.
 ///
-/// All cells sharing a clean equilibrium — the same victim, λ and
-/// tie-break — form one steal unit, so each such clean pass is computed
-/// once per batch and every strategy/export-mode cell against it rides the
-/// warm workspace (cached clean pass + delta attacked pass), while a λ sweep
-/// spreads its λ values over the workers. Results are bit-identical to
-/// mapping [`run_experiment`] serially at every worker count; this is the
-/// harness behind the figure sweeps and `aspp sweep`.
+/// All cells sharing a clean equilibrium — the same victim and λ — form one
+/// steal unit, so each such clean pass is computed once per batch and every
+/// strategy/export-mode cell against it rides the warm workspace (cached
+/// clean pass + delta attacked pass), while a λ sweep spreads its λ values
+/// over the workers. Results are bit-identical to mapping [`run_experiment`]
+/// serially at every worker count; this is the harness behind the figure
+/// sweeps and `aspp sweep`.
 #[must_use]
 pub fn run_experiments(
     graph: &AsGraph,

@@ -60,7 +60,7 @@ pub mod prelude {
         bgp, AttackStrategy, AttackerModel, AuditReport, AuditViolation, BatchRunner,
         DefensePolicy, DeployedPolicy, DeploymentMap, DestinationSpec, ExportMode, NoDefense,
         OutcomeAudit, PolicyKind, PrependConfig, PrependingPolicy, RouteTable, RouteWorkspace,
-        RoutingEngine, RoutingOutcome, TieBreak,
+        RoutingEngine, RoutingOutcome,
     };
     pub use aspp_scenario::{
         estimate as mc_estimate, timeline, Action, Estimate, EstimatorConfig, Scenario,

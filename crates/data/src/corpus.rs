@@ -13,38 +13,40 @@ use rand::{Rng, SeedableRng};
 
 use crate::format::{Corpus, UpdateAction, UpdateRecord};
 
-/// Distribution of padding depth (extra copies beyond the mandatory one).
-///
-/// A geometric body with a small heavy tail, matching the paper's Figure 6
-/// ("most of them are very small: 34% repeat twice and 22% repeat three
-/// times … 1% of them repeat larger than 10 times").
+/// Distribution of padding depth (extra copies beyond the mandatory one):
+/// a geometric body with a small heavy tail.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DepthDistribution {
+struct DepthDistribution {
     /// Success probability of the geometric body; higher = shallower pads.
-    pub geometric_p: f64,
+    geometric_p: f64,
     /// Probability of drawing from the heavy tail instead.
-    pub heavy_tail_rate: f64,
+    heavy_tail_rate: f64,
     /// Upper bound (inclusive) for heavy-tail draws.
-    pub heavy_tail_max: usize,
+    heavy_tail_max: usize,
 }
 
-impl Default for DepthDistribution {
-    fn default() -> Self {
-        // Calibrated against the paper's Figure 6: with p = 0.35 the
-        // geometric body gives ≈35% of padded routes two copies and ≈23%
-        // three, decaying so that ≈1–2% exceed ten; the explicit heavy tail
-        // adds the >30-copy outliers the paper observed.
-        DepthDistribution {
-            geometric_p: 0.35,
-            heavy_tail_rate: 0.005,
-            heavy_tail_max: 30,
-        }
-    }
-}
+/// Origin padding depth, calibrated against the paper's Figure 6 ("most of
+/// them are very small: 34% repeat twice and 22% repeat three times … 1% of
+/// them repeat larger than 10 times"): with p = 0.35 the geometric body
+/// gives ≈35% of padded routes two copies and ≈23% three, decaying so that
+/// ≈1–2% exceed ten; the explicit heavy tail adds the >30-copy outliers the
+/// paper observed.
+const ORIGIN_DEPTH: DepthDistribution = DepthDistribution {
+    geometric_p: 0.35,
+    heavy_tail_rate: 0.005,
+    heavy_tail_max: 30,
+};
+
+/// Intermediary peer-export padding depth: shallow, no heavy tail.
+const INTERMEDIARY_DEPTH: DepthDistribution = DepthDistribution {
+    geometric_p: 0.7,
+    heavy_tail_rate: 0.0,
+    heavy_tail_max: 10,
+};
 
 impl DepthDistribution {
     /// Samples the number of *extra* copies (≥ 1).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         if rng.gen_bool(self.heavy_tail_rate.clamp(0.0, 1.0)) {
             return rng.gen_range(10..=self.heavy_tail_max.max(10));
         }
@@ -76,9 +78,7 @@ pub struct CorpusConfig {
     monitor_count: usize,
     origin_pad_rate: f64,
     origin_uniform_share: f64,
-    origin_depth: DepthDistribution,
     intermediary_pad_rate: f64,
-    intermediary_depth: DepthDistribution,
     churn_events: usize,
     injected_attacker: Option<Asn>,
     seed: u64,
@@ -96,13 +96,7 @@ impl CorpusConfig {
             monitor_count: 30,
             origin_pad_rate: 0.20,
             origin_uniform_share: 0.3,
-            origin_depth: DepthDistribution::default(),
             intermediary_pad_rate: 0.06,
-            intermediary_depth: DepthDistribution {
-                geometric_p: 0.7,
-                heavy_tail_rate: 0.0,
-                heavy_tail_max: 10,
-            },
             churn_events: prefixes / 4,
             injected_attacker: None,
             seed: 0,
@@ -152,13 +146,6 @@ impl CorpusConfig {
         self
     }
 
-    /// Origin padding-depth distribution.
-    #[must_use]
-    pub fn origin_depth(mut self, depth: DepthDistribution) -> Self {
-        self.origin_depth = depth;
-        self
-    }
-
     /// Injects an ASPP interception by `attacker` against the **first**
     /// generated prefix: its origin is forced to pad uniformly (λ = 4, so
     /// there is something to strip) and the attack's route changes are
@@ -178,18 +165,7 @@ impl CorpusConfig {
     pub fn generate(&self, graph: &AsGraph) -> Corpus {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut corpus = Corpus::new();
-        // Monitors mix the core and the edge, like the real RouteViews/RIPE
-        // peer set: half are the best-connected ASes, half are sampled from
-        // the rest of the population.
-        let monitors: Vec<Asn> = {
-            let ranked = graph.asns_by_degree();
-            let top = self.monitor_count / 2;
-            let mut monitors: Vec<Asn> = ranked.iter().take(top).copied().collect();
-            let mut rest: Vec<Asn> = ranked.iter().skip(top).copied().collect();
-            rest.shuffle(&mut rng);
-            monitors.extend(rest.into_iter().take(self.monitor_count - top));
-            monitors
-        };
+        let monitors = sample_monitors(graph, self.monitor_count, &mut rng);
 
         // Intermediary peer-export padding, shared across prefixes.
         let tiers = TierMap::classify(graph);
@@ -205,17 +181,14 @@ impl CorpusConfig {
         transit.sort();
         for &asn in &transit {
             if rng.gen_bool(self.intermediary_pad_rate) {
-                let depth = self.intermediary_depth.sample(&mut rng);
+                let depth = INTERMEDIARY_DEPTH.sample(&mut rng);
                 let overrides: Vec<(Asn, usize)> = graph.peers(asn).map(|p| (p, depth)).collect();
                 base_config.set(asn, PrependingPolicy::per_neighbor(0, overrides));
             }
         }
 
-        // Origins: deterministic sample of ASes, one /24 each.
-        let mut all: Vec<Asn> = graph.asns().collect();
-        all.sort();
-        all.shuffle(&mut rng);
-        let origins: Vec<Asn> = all.into_iter().take(self.prefixes).collect();
+        // Origins: one /24 each.
+        let origins = sample_origins(graph, self.prefixes, &mut rng);
 
         let engine = RoutingEngine::new(graph);
         let mut seq = 0u64;
@@ -228,7 +201,7 @@ impl CorpusConfig {
             // the update stream (the paper's "backup route provisioning").
             let mut clean_primary: Option<Asn> = None;
             if rng.gen_bool(self.origin_pad_rate) {
-                let depth = self.origin_depth.sample(&mut rng);
+                let depth = ORIGIN_DEPTH.sample(&mut rng);
                 if rng.gen_bool(self.origin_uniform_share) {
                     config.set(origin, PrependingPolicy::Uniform(depth));
                 } else {
@@ -284,9 +257,9 @@ impl CorpusConfig {
                 let failed = clean_primary
                     .map(|p| (p, origin))
                     .or_else(|| providers.choose(&mut rng).map(|&p| (p, origin)))
-                    .or_else(|| random_tree_link(graph, &spec, &mut rng));
+                    .or_else(|| random_tree_link(&outcome, &mut rng));
                 if let Some((a, b)) = failed {
-                    for update in updates_after_failure(graph, &spec, a, b) {
+                    for update in updates_after_failure(&outcome, a, b) {
                         if !monitors.contains(&update.asn) {
                             continue;
                         }
@@ -335,6 +308,32 @@ impl CorpusConfig {
     }
 }
 
+/// Draws `count` route monitors mixing the core and the edge, like the real
+/// RouteViews/RIPE peer set: half are the best-connected ASes, half are
+/// sampled from the rest of the population. Shared by every generator that
+/// places monitors, so equal seeds give them equal monitor sets.
+#[must_use]
+pub fn sample_monitors<R: Rng>(graph: &AsGraph, count: usize, rng: &mut R) -> Vec<Asn> {
+    let ranked = graph.asns_by_degree();
+    let top = count / 2;
+    let mut monitors: Vec<Asn> = ranked.iter().take(top).copied().collect();
+    let mut rest: Vec<Asn> = ranked.iter().skip(top).copied().collect();
+    rest.shuffle(rng);
+    monitors.extend(rest.into_iter().take(count - top));
+    monitors
+}
+
+/// Draws `count` distinct prefix origins: a shuffle of every AS in ASN
+/// order, so the sample depends on the seed alone, not on graph layout.
+#[must_use]
+pub fn sample_origins<R: Rng>(graph: &AsGraph, count: usize, rng: &mut R) -> Vec<Asn> {
+    let mut all: Vec<Asn> = graph.asns().collect();
+    all.sort();
+    all.shuffle(rng);
+    all.truncate(count);
+    all
+}
+
 /// Returns the subset of `corpus` monitors that are tier-1 in `graph` —
 /// Figure 5 plots their fraction CDF separately.
 #[must_use]
@@ -353,7 +352,7 @@ mod tests {
 
     #[test]
     fn depth_distribution_in_range() {
-        let d = DepthDistribution::default();
+        let d = ORIGIN_DEPTH;
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..500 {
             let depth = d.sample(&mut rng);
@@ -363,13 +362,35 @@ mod tests {
 
     #[test]
     fn depth_distribution_mostly_small() {
-        let d = DepthDistribution::default();
+        let d = ORIGIN_DEPTH;
         let mut rng = StdRng::seed_from_u64(2);
         let samples: Vec<usize> = (0..2000).map(|_| d.sample(&mut rng)).collect();
         let small = samples.iter().filter(|&&s| s <= 3).count();
         assert!(small as f64 / 2000.0 > 0.6, "most pads are shallow");
         let huge = samples.iter().filter(|&&s| s >= 10).count();
         assert!(huge > 0, "heavy tail exists");
+    }
+
+    #[test]
+    fn depth_distribution_respects_parameter_extremes() {
+        let shallow = DepthDistribution {
+            geometric_p: 1.0,
+            heavy_tail_rate: 0.0,
+            heavy_tail_max: 30,
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..100 {
+            assert_eq!(shallow.sample(&mut rng), 1);
+        }
+        let deep = DepthDistribution {
+            geometric_p: 0.01,
+            heavy_tail_rate: 1.0,
+            heavy_tail_max: 12,
+        };
+        for _ in 0..100 {
+            let d = deep.sample(&mut rng);
+            assert!((10..=12).contains(&d), "forced heavy tail: {d}");
+        }
     }
 
     #[test]

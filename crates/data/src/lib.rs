@@ -36,5 +36,5 @@ mod format;
 pub mod measure;
 pub mod stats;
 
-pub use corpus::{tier1_monitors, CorpusConfig, DepthDistribution};
+pub use corpus::{sample_monitors, sample_origins, tier1_monitors, CorpusConfig};
 pub use format::{Corpus, UpdateAction, UpdateRecord};

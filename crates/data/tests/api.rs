@@ -5,13 +5,9 @@ use aspp_data::measure::{
     update_prepending_fractions, usage_summary,
 };
 use aspp_data::stats::{normalized_histogram, Cdf};
-use aspp_data::{
-    tier1_monitors, Corpus, CorpusConfig, DepthDistribution, UpdateAction, UpdateRecord,
-};
+use aspp_data::{tier1_monitors, Corpus, CorpusConfig, UpdateAction, UpdateRecord};
 use aspp_topology::gen::InternetConfig;
 use aspp_types::Asn;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn zero_prefix_corpus_is_empty_but_valid() {
@@ -111,28 +107,6 @@ fn tier1_monitor_subset_is_consistent_with_classification() {
     let all: Vec<Asn> = corpus.monitors().collect();
     for m in &t1 {
         assert!(all.contains(m));
-    }
-}
-
-#[test]
-fn depth_distribution_respects_parameter_extremes() {
-    let shallow = DepthDistribution {
-        geometric_p: 1.0,
-        heavy_tail_rate: 0.0,
-        heavy_tail_max: 30,
-    };
-    let mut rng = StdRng::seed_from_u64(8);
-    for _ in 0..100 {
-        assert_eq!(shallow.sample(&mut rng), 1);
-    }
-    let deep = DepthDistribution {
-        geometric_p: 0.01,
-        heavy_tail_rate: 1.0,
-        heavy_tail_max: 12,
-    };
-    for _ in 0..100 {
-        let d = deep.sample(&mut rng);
-        assert!((10..=12).contains(&d), "forced heavy tail: {d}");
     }
 }
 

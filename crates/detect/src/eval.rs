@@ -38,8 +38,8 @@ pub fn is_effective(outcome: &RoutingOutcome<'_>) -> bool {
 /// returning the reduced values of the survivors in input order.
 ///
 /// `reduce` runs on the worker that computed the equilibrium, so the outcome
-/// never crosses a thread; experiments sharing a victim, λ and tie-break
-/// share one clean pass ([`aspp_routing::batch`]). Results are identical at
+/// never crosses a thread; experiments sharing a victim and λ share one
+/// clean pass ([`aspp_routing::batch`]). Results are identical at
 /// every worker count.
 ///
 /// # Example

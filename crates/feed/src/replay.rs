@@ -9,7 +9,7 @@
 //! into one bursty, seq-ordered stream — the shape a multiplexed collector
 //! session actually has.
 
-use aspp_data::{Corpus, UpdateAction, UpdateRecord};
+use aspp_data::{sample_monitors, sample_origins, Corpus, UpdateAction, UpdateRecord};
 use aspp_routing::{
     AttackerModel, DestinationSpec, PrependConfig, PrependingPolicy, RouteWorkspace, RoutingEngine,
     RoutingOutcome,
@@ -19,6 +19,14 @@ use aspp_types::{Asn, Ipv4Prefix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+/// Benign duplicate-announcement flap rounds per prefix.
+const FLAP_REPEATS: usize = 2;
+
+/// Extra origin copies forced onto attacked prefixes so there is something
+/// to strip; the other prefixes pad with 40% probability, `1..=PADDING`
+/// copies.
+const PADDING: usize = 3;
 
 /// One injected interception in a [`SyntheticFeed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,8 +78,6 @@ pub struct ReplayConfig {
     monitor_count: usize,
     attack_ratio: f64,
     withdraw_ratio: f64,
-    flap_repeats: usize,
-    padding: usize,
     burst_max: usize,
     seed: u64,
 }
@@ -79,7 +85,7 @@ pub struct ReplayConfig {
 impl ReplayConfig {
     /// A stream over `prefixes` prefixes with defaults calibrated to the
     /// corpus generator: 30 monitors, 15% of prefixes attacked, 30% seeing
-    /// a withdraw/re-announce episode, two benign flap rounds, λ = 3
+    /// a withdraw/re-announce episode, two benign flap rounds, λ = 4
     /// origin padding on attacked prefixes.
     #[must_use]
     pub fn new(prefixes: usize) -> Self {
@@ -88,8 +94,6 @@ impl ReplayConfig {
             monitor_count: 30,
             attack_ratio: 0.15,
             withdraw_ratio: 0.3,
-            flap_repeats: 2,
-            padding: 3,
             burst_max: 4,
             seed: 0,
         }
@@ -125,21 +129,6 @@ impl ReplayConfig {
         self
     }
 
-    /// Benign duplicate-announcement flap rounds per prefix (default 2).
-    #[must_use]
-    pub fn flap_repeats(mut self, repeats: usize) -> Self {
-        self.flap_repeats = repeats;
-        self
-    }
-
-    /// Origin padding λ forced onto attacked prefixes so there is something
-    /// to strip (default 3, floored at 2).
-    #[must_use]
-    pub fn padding(mut self, padding: usize) -> Self {
-        self.padding = padding;
-        self
-    }
-
     /// Builds one prefix's episode queue (in emission order): benign flaps,
     /// an optional withdraw/re-announce episode, an optional interception
     /// episode with 50% recovery. Returns the ground-truth attacker when
@@ -161,7 +150,7 @@ impl ReplayConfig {
 
         // Benign churn: duplicate re-announcements from a monitor subset —
         // the detector must stay silent and idempotent through these.
-        for _ in 0..self.flap_repeats {
+        for _ in 0..FLAP_REPEATS {
             for &monitor in seen_by {
                 if rng.gen_bool(0.2) {
                     let path = clean.observed_path(monitor).expect("seeded monitor");
@@ -243,21 +232,9 @@ impl ReplayConfig {
         let mut corpus = Corpus::new();
         let mut attacks = Vec::new();
 
-        // Monitors: the corpus generator's mix of core and edge.
-        let monitors: Vec<Asn> = {
-            let ranked = graph.asns_by_degree();
-            let top = self.monitor_count / 2;
-            let mut monitors: Vec<Asn> = ranked.iter().take(top).copied().collect();
-            let mut rest: Vec<Asn> = ranked.iter().skip(top).copied().collect();
-            rest.shuffle(&mut rng);
-            monitors.extend(rest.into_iter().take(self.monitor_count - top));
-            monitors
-        };
-
-        let mut all: Vec<Asn> = graph.asns().collect();
-        all.sort();
-        all.shuffle(&mut rng);
-        let origins: Vec<Asn> = all.into_iter().take(self.prefixes).collect();
+        // Monitors and origins: the corpus generator's draws.
+        let monitors = sample_monitors(graph, self.monitor_count, &mut rng);
+        let origins = sample_origins(graph, self.prefixes, &mut rng);
 
         let engine = RoutingEngine::new(graph);
         let mut ws = RouteWorkspace::new();
@@ -271,9 +248,9 @@ impl ReplayConfig {
             let mut config = PrependConfig::new();
             if attacked {
                 // Strippable padding is the attack's precondition.
-                config.set(origin, PrependingPolicy::Uniform(self.padding.max(2)));
+                config.set(origin, PrependingPolicy::Uniform(PADDING));
             } else if rng.gen_bool(0.4) {
-                let depth = rng.gen_range(1..=self.padding.max(1));
+                let depth = rng.gen_range(1..=PADDING);
                 config.set(origin, PrependingPolicy::Uniform(depth));
             }
             let spec = DestinationSpec::new(origin).prepend_config(config);

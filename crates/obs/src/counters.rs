@@ -81,8 +81,8 @@ counters! {
     /// Alarms emitted by the feed pipeline's merged output.
     (FeedAlarm, "feed_alarms"),
     /// Steal units processed by the batch sweep engine: one unit per
-    /// distinct clean equilibrium — (victim, prepending config, tie-break)
-    /// — in the batch, so a λ sweep over one victim counts once per λ. The
+    /// distinct clean equilibrium — (victim, prepending config) — in the
+    /// batch, so a λ sweep over one victim counts once per λ. The
     /// wire name `batch_victims` predates that grain and is kept for the
     /// CI greps and checked-in artifacts that read it.
     (BatchVictim, "batch_victims"),

@@ -43,8 +43,8 @@ use aspp_topology::AsGraph;
 use aspp_types::{Asn, Relationship, RouteClass};
 
 use crate::engine::{
-    chain_of, class_at_receiver, export_row, pack_pref, tie_key_for, AttackStrategy,
-    DestinationSpec, ExportMode, Pass, RoutingOutcome,
+    chain_of, class_at_receiver, export_row, AttackStrategy, DestinationSpec, ExportMode, Pass,
+    RoutingOutcome,
 };
 use crate::policy::{AttackFacts, DefensePolicy, NoDefense};
 
@@ -487,7 +487,6 @@ fn audit_pass<P: DefensePolicy>(
 ) -> AuditReport {
     let graph = outcome.graph();
     let spec = outcome.spec();
-    let tie = spec.tie_break_rule();
     let prepend = spec.prepending();
     let v_idx = outcome.victim_index();
     let pass: &Pass = match kind {
@@ -545,14 +544,16 @@ fn audit_pass<P: DefensePolicy>(
         // and no neighbor may export anything strictly preferred (local
         // optimality). Optimality needs no loop-prevention carve-out:
         // exports weakly worsen the class and strictly grow the length, so
-        // nothing derived from i's own route can beat it at i.
+        // nothing derived from i's own route can beat it at i. Offers rank
+        // by the decision order (class, length, neighbor ASN) as a plain
+        // tuple: sharing the engine's packed key would hide a packing bug.
         let parent = route.and_then(|r| r.parent);
-        let adopted_pref = route.map_or(u128::MAX, |r| {
+        let adopted_pref = route.map(|r| {
             let p_asn = graph.asn_at(r.parent.expect("dangling handled above"));
-            pack_pref(r.class, r.len, tie_key_for(tie, r.via_attacker, p_asn))
+            (r.class, r.len, p_asn)
         });
         let mut parent_seen = false;
-        let mut best_offer: Option<(u128, Asn)> = None;
+        let mut best_offer: Option<(RouteClass, u32, Asn)> = None;
         for &entry in graph.neighbors_at(i) {
             let n = entry.node() as usize;
             let n_asn = graph.asn_at(n);
@@ -649,9 +650,9 @@ fn audit_pass<P: DefensePolicy>(
                     continue;
                 }
             }
-            let pref = pack_pref(class, len, tie_key_for(tie, via, n_asn));
-            if pref < adopted_pref && best_offer.is_none_or(|(b, _)| pref < b) {
-                best_offer = Some((pref, n_asn));
+            let pref = (class, len, n_asn);
+            if adopted_pref.is_none_or(|a| pref < a) && best_offer.is_none_or(|b| pref < b) {
+                best_offer = Some(pref);
             }
         }
 
@@ -663,7 +664,7 @@ fn audit_pass<P: DefensePolicy>(
                 });
             }
         }
-        if let Some((_, via_asn)) = best_offer {
+        if let Some((_, _, via_asn)) = best_offer {
             violations.push(match route {
                 Some(_) => AuditViolation::NotLocallyOptimal {
                     asn,
@@ -737,36 +738,23 @@ mod tests {
     use crate::engine::tests_support::facebook_graph;
     use crate::{
         AttackStrategy, AttackerModel, DestinationSpec, ExportMode, RouteInfo, RoutingEngine,
-        TieBreak,
     };
     use aspp_types::well_known::*;
 
     fn all_specs() -> Vec<DestinationSpec> {
-        let mut specs = Vec::new();
-        for tie in [
-            TieBreak::LowestNeighborAsn,
-            TieBreak::PreferClean,
-            TieBreak::PreferAttacker,
+        let mut specs = vec![DestinationSpec::new(FACEBOOK).origin_padding(3)];
+        for strategy in [
+            AttackStrategy::StripPadding { keep: 1 },
+            AttackStrategy::StripAllPadding,
+            AttackStrategy::ForgeDirect,
+            AttackStrategy::OriginHijack,
         ] {
-            specs.push(
-                DestinationSpec::new(FACEBOOK)
-                    .origin_padding(3)
-                    .tie_break(tie),
-            );
-            for strategy in [
-                AttackStrategy::StripPadding { keep: 1 },
-                AttackStrategy::StripAllPadding,
-                AttackStrategy::ForgeDirect,
-                AttackStrategy::OriginHijack,
-            ] {
-                for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
-                    specs.push(
-                        DestinationSpec::new(FACEBOOK)
-                            .origin_padding(3)
-                            .tie_break(tie)
-                            .attacker(AttackerModel::new(ATT).strategy(strategy).mode(mode)),
-                    );
-                }
+            for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
+                specs.push(
+                    DestinationSpec::new(FACEBOOK)
+                        .origin_padding(3)
+                        .attacker(AttackerModel::new(ATT).strategy(strategy).mode(mode)),
+                );
             }
         }
         specs

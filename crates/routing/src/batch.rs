@@ -20,7 +20,7 @@
 //!   propagation pass is inherently sequential (the bucket scan is a
 //!   priority order), so the parallel grain is the thing cells actually
 //!   share: all cells with one clean equilibrium — the same
-//!   (victim, prepending config, tie-break), which is exactly the
+//!   (victim, prepending config), which is exactly the
 //!   workspace's clean-cache key — form one steal unit, claimed from a
 //!   shared atomic cursor. A Figure-9-style λ sweep over one victim is
 //!   therefore eight units, not one. A worker that claims a unit computes
@@ -138,9 +138,8 @@ impl BatchRunner {
     /// `reduce` receives the input index and the outcome; it runs on the
     /// worker that computed the cell, so the (potentially large) outcome
     /// never crosses a thread boundary — only the reduced value does.
-    /// Specs sharing a clean equilibrium (victim, prepending config,
-    /// tie-break) form one steal unit and are claimed in input order
-    /// within the unit.
+    /// Specs sharing a clean equilibrium (victim, prepending config) form
+    /// one steal unit and are claimed in input order within the unit.
     ///
     /// # Panics
     ///
@@ -431,7 +430,6 @@ mod tests {
 
     #[test]
     fn steal_units_group_by_clean_key_in_first_appearance_order() {
-        use crate::decision::TieBreak;
         let attacked = |s: DestinationSpec| s.attacker(AttackerModel::new(Asn(9)));
         let specs = [
             DestinationSpec::new(Asn(2)).origin_padding(3),
@@ -440,16 +438,12 @@ mod tests {
             DestinationSpec::new(Asn(2)).origin_padding(4),
             // Equal key, not adjacent, attacker irrelevant: joins unit 0.
             attacked(DestinationSpec::new(Asn(2)).origin_padding(3)),
-            // Same victim and λ, different tie-break: separate again.
-            DestinationSpec::new(Asn(2))
-                .origin_padding(3)
-                .tie_break(TieBreak::PreferClean),
             attacked(DestinationSpec::new(Asn(2)).origin_padding(4)),
         ];
         let units: Vec<Vec<usize>> = steal_units(&specs).into_iter().map(|u| u.cells).collect();
         assert_eq!(
             units,
-            vec![vec![0, 3], vec![1], vec![2, 5], vec![4]],
+            vec![vec![0, 3], vec![1], vec![2, 4]],
             "units keep first-appearance order; cells keep input order"
         );
     }

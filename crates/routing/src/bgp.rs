@@ -43,7 +43,6 @@ use std::sync::Arc;
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn, Relationship, RouteClass};
 
-use crate::decision::TieBreak;
 use crate::engine::{AttackStrategy, DestinationSpec, ExportMode, RouteInfo};
 
 /// One route held in an Adj-RIB-In slot.
@@ -230,9 +229,8 @@ impl<'g> BgpSimulation<'g> {
         // clean simulation, exactly as the equilibrium engine derives it
         // from its clean pass).
         let attacker_poison: Option<Arc<Vec<Asn>>> = m_idx.map(|m| {
-            let clean_spec = DestinationSpec::new(spec.victim())
-                .prepend_config(spec.prepending().clone())
-                .tie_break(spec.tie_break_rule());
+            let clean_spec =
+                DestinationSpec::new(spec.victim()).prepend_config(spec.prepending().clone());
             let clean = self.run(&clean_spec);
             let mut chain = vec![self.graph.asn_at(m)];
             let mut current = self.graph.asn_at(m);
@@ -340,7 +338,7 @@ impl<'g> BgpSimulation<'g> {
             }
 
             // Decision process.
-            let new_best = select_best(self.graph, &nodes[to], spec.tie_break_rule());
+            let new_best = select_best(self.graph, &nodes[to]);
             if new_best == nodes[to].best {
                 continue;
             }
@@ -413,24 +411,11 @@ impl<'g> BgpSimulation<'g> {
 }
 
 /// The decision process over an Adj-RIB-In: class, then effective length,
-/// then the configured tie-break.
-fn select_best(graph: &AsGraph, node: &NodeState, tie: TieBreak) -> Option<(usize, RibRoute)> {
+/// then the lowest neighbor ASN.
+fn select_best(graph: &AsGraph, node: &NodeState) -> Option<(usize, RibRoute)> {
     node.adj_rib_in
         .iter()
-        .min_by(|(an, a), (bn, b)| {
-            let key = |r: &RibRoute| (r.class, r.path.len() as u32);
-            key(a).cmp(&key(b)).then_with(|| match tie {
-                TieBreak::LowestNeighborAsn => graph.asn_at(**an).cmp(&graph.asn_at(**bn)),
-                TieBreak::PreferClean => a
-                    .tainted
-                    .cmp(&b.tainted)
-                    .then_with(|| graph.asn_at(**an).cmp(&graph.asn_at(**bn))),
-                TieBreak::PreferAttacker => b
-                    .tainted
-                    .cmp(&a.tainted)
-                    .then_with(|| graph.asn_at(**an).cmp(&graph.asn_at(**bn))),
-            })
-        })
+        .min_by_key(|&(&nbr, r)| (r.class, r.path.len(), graph.asn_at(nbr)))
         .map(|(&nbr, r)| (nbr, r.clone()))
 }
 

@@ -1,17 +1,29 @@
 //! Per-destination route computation under Gao–Rexford policy, with an
 //! optional ASPP interception attacker (the paper's Figure 2 simulator).
 //!
+//! # Decision order
+//!
+//! "BGP first selects the route based on local routing policy, which has a
+//! higher priority in the decision process than the AS path length"
+//! (Section II-A). Every AS ranks the routes it hears by one fixed order;
+//! nothing configures it:
+//!
+//! 1. route class (origin > customer > peer > provider) — the local
+//!    preference induced by business relationships;
+//! 2. effective AS-path length, **prepends included**;
+//! 3. the lowest neighbor ASN — the analogue of BGP's lowest-router-id rule.
+//!
 //! # Algorithm
 //!
 //! A single generalized Dijkstra over *route labels* `(class, effective
-//! length, tie-break)` computes the policy-routing equilibrium exactly:
+//! length, neighbor ASN)` computes the policy-routing equilibrium exactly:
 //!
 //! * the victim `V` is finalized first with an `Origin` label and exports to
 //!   every neighbor with its configured padding;
-//! * labels are popped in global preference order (class, then length with
-//!   prepends counted, then tie-break); the first label to reach a node is
-//!   its best route, because every export step weakly worsens class and
-//!   strictly grows length — the monotonicity that makes Dijkstra sound here;
+//! * labels are popped in global preference order (the decision order
+//!   above); the first label to reach a node is its best route, because
+//!   every export step weakly worsens class and strictly grows length — the
+//!   monotonicity that makes Dijkstra sound here;
 //! * on finalization a node re-exports subject to the valley-free rule
 //!   ([`RouteClass::may_export_to`]).
 //!
@@ -56,7 +68,7 @@ pub use spec::{AttackStrategy, AttackerModel, DestinationSpec, ExportMode};
 pub use workspace::RouteWorkspace;
 
 pub(crate) use outcome::chain_of;
-pub(crate) use propagate::{class_at_receiver, export_row, pack_pref, tie_key_for};
+pub(crate) use propagate::{class_at_receiver, export_row};
 pub(crate) use route::Pass;
 
 /// The policy-routing engine bound to one topology.
@@ -327,7 +339,7 @@ impl<'g> RoutingEngine<'g> {
             propagate::<false, P>(self.graph, spec, v_idx, ws, Some(seed), None, policy)
                 .expect("only a delta pass aborts")
         };
-        if seed.delta_applicable::<P>(spec.tie_break_rule()) {
+        if seed.delta_applicable::<P>() {
             let keys = ws.clean_keys(self.graph, spec, clean);
             // Only a NOOP policy is delta-applicable, so the hook is compiled out.
             let from = Some((clean, &keys[..]));

@@ -28,9 +28,9 @@
 //! adopted label the same one the full pass would have selected.
 //!
 //! A tie between an attacker label and the stored clean label means the
-//! clean parent itself was re-converged (under the lowest-ASN tie-break, a
-//! tie implies the same parent), i.e. the clean option no longer exists, so
-//! ties adopt the attacker label.
+//! clean parent itself was re-converged (the last rank is the exporter's
+//! ASN, so a tie implies the same parent), i.e. the clean option no longer
+//! exists, so ties adopt the attacker label.
 //!
 //! **The rare non-monotone corner.** Policy beats length, so a node can be
 //! re-converged onto a *longer* route of better class (e.g. a stripped route
@@ -38,22 +38,19 @@
 //! re-export to non-sibling neighbors then *worsens* in key, which can strip
 //! downstream nodes of their clean floor — the one case where the attacked
 //! equilibrium is not pointwise ≤ the clean one. The delta pass detects this
-//! at adoption time ([`worsened`]: `len` grew while class improved; under
-//! [`TieBreak::PreferClean`] any non-shrinking adoption, because the flipped
-//! tie flag alone worsens replaced exports) and the caller falls back to the
-//! full pass, so results are **bit-identical** to the two-full-pass engine
-//! in every case — property-tested across all attack strategies and both
-//! export modes in `tests/delta_equivalence.rs`.
+//! at adoption time ([`worsened`]: `len` grew while class improved) and the
+//! caller falls back to the full pass, so results are **bit-identical** to
+//! the two-full-pass engine in every case — property-tested across all
+//! attack strategies and both export modes in `tests/delta_equivalence.rs`.
 
 use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
-use aspp_types::{Asn, Relationship, RouteClass};
+use aspp_types::{Relationship, RouteClass};
 
 use super::queue::{pack_bucket_rank, BucketQueue};
 use super::route::{NodeRoute, Pass};
 use super::spec::{DestinationSpec, ExportMode};
 use super::workspace::{NodeScratch, RouteWorkspace};
-use crate::decision::TieBreak;
 use crate::policy::{AttackFacts, DefensePolicy};
 use crate::prepend::PrependingPolicy;
 
@@ -87,8 +84,8 @@ impl AttackSeed {
     /// * **monotone lengths** — the attacker's own seed does not lengthen
     ///   the exports it replaces (each later adoption is probed with the same
     ///   [`worsened`] test inside the pass, which aborts to the full pass).
-    pub(super) fn delta_applicable<P: DefensePolicy>(&self, tie: TieBreak) -> bool {
-        P::NOOP && self.chain_parent_closed && !worsened(tie, self.base_len, self.pinned.len)
+    pub(super) fn delta_applicable<P: DefensePolicy>(&self) -> bool {
+        P::NOOP && self.chain_parent_closed && !worsened(self.base_len, self.pinned.len)
     }
 
     /// The [`export_row`] of the attack itself: customers, siblings and peers
@@ -104,23 +101,15 @@ impl AttackSeed {
 }
 
 /// Whether replacing a clean export of length `clean_len` by a malicious one
-/// of length `new_len` worsens it for the receivers: iff it grew — or, under
-/// [`TieBreak::PreferClean`], failed to shrink, because the flipped
-/// via-attacker tie bit alone ranks it lower.
-fn worsened(tie: TieBreak, new_len: u32, clean_len: u32) -> bool {
-    match tie {
-        TieBreak::PreferClean => new_len >= clean_len,
-        TieBreak::LowestNeighborAsn | TieBreak::PreferAttacker => new_len > clean_len,
-    }
+/// of length `new_len` worsens it for the receivers: iff it grew.
+fn worsened(new_len: u32, clean_len: u32) -> bool {
+    new_len > clean_len
 }
 
-/// A label's preference key `(class, effective length, tie-break)` packed
-/// into one integer, ordered exactly like the tuple compare.
-pub(crate) fn pack_pref(class: RouteClass, len: u32, tie_key: (u8, u32)) -> u128 {
-    ((class as u128) << 72)
-        | ((len as u128) << 40)
-        | ((tie_key.0 as u128) << 32)
-        | (tie_key.1 as u128)
+/// A label's preference key `(class, effective length, exporter ASN)`
+/// packed into one integer, ordered exactly like the tuple compare.
+pub(super) fn pack_pref(class: RouteClass, len: u32, tie_asn: u32) -> u128 {
+    ((class as u128) << 72) | ((len as u128) << 40) | (tie_asn as u128)
 }
 
 /// Packed clean key of a node with no clean route: orders after every real
@@ -132,17 +121,6 @@ pub(super) const PACKED_NO_CLEAN: u128 = u128::MAX;
 /// The effective length embedded in a [`pack_pref`]-packed key.
 fn packed_len(key: u128) -> u32 {
     (key >> 40) as u32
-}
-
-/// The tie-break component of a label's preference key. Factored out so the
-/// delta pass ranks a clean [`NodeRoute`] with exactly the key the export
-/// path ([`PassCtx::offer`]) would have built for it.
-pub(crate) fn tie_key_for(tie: TieBreak, via_attacker: bool, parent_asn: Asn) -> (u8, u32) {
-    match tie {
-        TieBreak::LowestNeighborAsn => (0, parent_asn.value()),
-        TieBreak::PreferClean => (u8::from(via_attacker), parent_asn.value()),
-        TieBreak::PreferAttacker => (u8::from(!via_attacker), parent_asn.value()),
-    }
 }
 
 /// One valley-free export table row: the class a route of class `class`
@@ -207,7 +185,6 @@ fn pad_table<'s>(graph: &AsGraph, spec: &'s DestinationSpec) -> Vec<Option<&'s P
 /// pass's clean-key pruning at compile time (`keys` is empty and unread
 /// otherwise).
 struct PassCtx<'a, P> {
-    tie: TieBreak,
     graph: &'a AsGraph,
     pad: Vec<Option<&'a PrependingPolicy>>,
     queue: &'a mut BucketQueue,
@@ -232,7 +209,7 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
     ) {
         let graph = self.graph;
         let pad_policy = self.pad.get(node).copied().flatten();
-        let tie_key = tie_key_for(self.tie, via, graph.asn_at(node));
+        let tie_asn = graph.asn_at(node).value();
         for &entry in graph.neighbors_at(node) {
             let Some(class) = row[entry.rel() as usize] else {
                 continue;
@@ -241,9 +218,9 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
             let len =
                 len + 1 + pad_policy.map_or(0, |p| p.extra_for(graph.asn_at(x as usize))) as u32;
             if via {
-                self.offer::<DELTA, true>(class, len, tie_key, node as u32, x);
+                self.offer::<DELTA, true>(class, len, tie_asn, node as u32, x);
             } else {
-                self.offer::<DELTA, false>(class, len, tie_key, node as u32, x);
+                self.offer::<DELTA, false>(class, len, tie_asn, node as u32, x);
             }
         }
     }
@@ -266,7 +243,7 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
         &mut self,
         class: RouteClass,
         len: u32,
-        tie_key: (u8, u32),
+        tie_asn: u32,
         parent: u32,
         node: u32,
     ) {
@@ -282,7 +259,7 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
         {
             return;
         }
-        let pref = pack_pref(class, len, tie_key);
+        let pref = pack_pref(class, len, tie_asn);
         if DELTA && self.keys[node as usize] < pref {
             return;
         }
@@ -296,7 +273,7 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
         s.offer_epoch = self.epoch;
         s.offer_rank = rank;
         self.queue
-            .push(class, len, pack_bucket_rank(tie_key, node, parent, VIA));
+            .push(class, len, pack_bucket_rank(tie_asn, node, parent, VIA));
     }
 }
 
@@ -320,14 +297,12 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
     policy: &P,
 ) -> Option<Pass> {
     debug_assert_eq!(DELTA, delta_from.is_some());
-    let tie = spec.tie_break_rule();
     ws.begin_pass(graph.len(), attack.map_or(&[][..], |a| &a.chain));
     let (mut best, keys) = match delta_from {
         Some((clean, keys)) => (clean.clone(), keys),
         None => (Pass::absent(graph.len()), &[][..]),
     };
     let mut cx = PassCtx {
-        tie,
         graph,
         pad: pad_table(graph, spec),
         queue: &mut ws.queue,
@@ -375,10 +350,10 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
             // whole attempt. (`PACKED_NO_CLEAN` keys pass both checks: they
             // rank last and their length is `u32::MAX`.)
             let clean_key = keys[node];
-            if clean_key < pack_pref(label.class, label.len, label.tie_key) {
+            if clean_key < pack_pref(label.class, label.len, label.tie_asn) {
                 continue;
             }
-            if clean_key != PACKED_NO_CLEAN && worsened(tie, label.len, packed_len(clean_key)) {
+            if clean_key != PACKED_NO_CLEAN && worsened(label.len, packed_len(clean_key)) {
                 return None;
             }
             frontier += 1;

@@ -15,7 +15,7 @@ const BUCKET_SPILL_LEN: usize = 256;
 
 /// Dial-style bucket priority queue over route [`Label`]s.
 ///
-/// Route preference is `(class, effective length, tie-break)` with only
+/// Route preference is `(class, effective length, exporter ASN)` with only
 /// three receiver classes and small lengths, and every export step strictly
 /// increases `(class, length)` lexicographically. So instead of a binary
 /// heap the scheduler keeps one bucket per `(class, length)` and scans them
@@ -26,9 +26,9 @@ const BUCKET_SPILL_LEN: usize = 256;
 /// the per-operation `log n` sift.
 ///
 /// A stored label's `(class, len)` are the bucket coordinates themselves,
-/// and the rest of its `Ord` key — tie-break, node, parent, via flag — packs
-/// into one [`pack_bucket_rank`] integer, so buckets hold bare `u128`s:
-/// the sort compares native integers with no key recomputation, and
+/// and the rest of its `Ord` key — exporter ASN, node, parent, via flag —
+/// packs into one [`pack_bucket_rank`] integer, so buckets hold bare
+/// `u128`s: the sort compares native integers with no key recomputation, and
 /// [`pop`](Self::pop) reconstructs the [`Label`]. Buckets are reused across
 /// computations ([`clear`](Self::clear) retains every allocation).
 #[derive(Debug, Default)]
@@ -117,7 +117,7 @@ impl BucketQueue {
         Label {
             class: Self::class_of_rank(class_rank),
             len,
-            tie_key: ((rank >> 97) as u8, (rank >> 65) as u32),
+            tie_asn: (rank >> 65) as u32,
             node: (rank >> 33) as u32,
             parent: (rank >> 1) as u32,
             via_attacker: (rank & 1) != 0,
@@ -167,14 +167,14 @@ impl BucketQueue {
 }
 
 /// One queued route offer, as [`BucketQueue::pop`] hands it to the
-/// propagation loop. The derived order — preference `(class, len, tie_key)`
+/// propagation loop. The derived order — preference `(class, len, tie_asn)`
 /// first, then the remaining fields to make it total — is the order labels
 /// pop in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct Label {
     pub(super) class: RouteClass,
     pub(super) len: u32,
-    pub(super) tie_key: (u8, u32),
+    pub(super) tie_asn: u32,
     pub(super) node: u32,
     pub(super) parent: u32,
     pub(super) via_attacker: bool,
@@ -184,14 +184,8 @@ pub(super) struct Label {
 /// `len` — the two bucket coordinates, constant within a bucket.
 /// Sorting by this integer reproduces the derived [`Label`] order exactly;
 /// [`BucketQueue::unpack`] is its inverse given the bucket coordinates.
-pub(super) fn pack_bucket_rank(
-    tie_key: (u8, u32),
-    node: u32,
-    parent: u32,
-    via_attacker: bool,
-) -> u128 {
-    ((tie_key.0 as u128) << 97)
-        | ((tie_key.1 as u128) << 65)
+pub(super) fn pack_bucket_rank(tie_asn: u32, node: u32, parent: u32, via_attacker: bool) -> u128 {
+    ((tie_asn as u128) << 65)
         | ((node as u128) << 33)
         | ((parent as u128) << 1)
         | u128::from(via_attacker)
@@ -209,17 +203,16 @@ mod tests {
         let mut push = |queue: &mut BucketQueue, heap: &mut BinaryHeap<_>, class, len| {
             for tie_asn in [9u32, 4] {
                 node += 1;
-                let tie_key = (u8::from(node.is_multiple_of(3)), tie_asn);
                 let (parent, via_attacker) = (node + 100, node.is_multiple_of(2));
                 queue.push(
                     class,
                     len,
-                    pack_bucket_rank(tie_key, node, parent, via_attacker),
+                    pack_bucket_rank(tie_asn, node, parent, via_attacker),
                 );
                 heap.push(Reverse(Label {
                     class,
                     len,
-                    tie_key,
+                    tie_asn,
                     node,
                     parent,
                     via_attacker,

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use aspp_types::Asn;
 
-use crate::decision::TieBreak;
 use crate::prepend::{PrependConfig, PrependingPolicy};
 
 /// How the attacker exports its stripped route (paper Figures 11–12).
@@ -179,19 +178,16 @@ pub struct DestinationSpec {
     // outcome embedding) bumps a refcount instead of copying the policy map.
     prepend: Arc<PrependConfig>,
     attacker: Option<AttackerModel>,
-    tie: TieBreak,
 }
 
 impl DestinationSpec {
-    /// Routes toward `victim`, with no padding, no attacker, default
-    /// tie-break.
+    /// Routes toward `victim`, with no padding and no attacker.
     #[must_use]
     pub fn new(victim: Asn) -> Self {
         DestinationSpec {
             victim,
             prepend: Arc::new(PrependConfig::new()),
             attacker: None,
-            tie: TieBreak::default(),
         }
     }
 
@@ -224,13 +220,6 @@ impl DestinationSpec {
         self
     }
 
-    /// Sets the tie-break rule.
-    #[must_use]
-    pub fn tie_break(mut self, tie: TieBreak) -> Self {
-        self.tie = tie;
-        self
-    }
-
     /// The destination (victim) AS.
     #[must_use]
     pub fn victim(&self) -> Asn {
@@ -260,17 +249,11 @@ impl DestinationSpec {
         &self.prepend
     }
 
-    /// The configured tie-break rule.
-    #[must_use]
-    pub fn tie_break_rule(&self) -> TieBreak {
-        self.tie
-    }
-
     /// What the clean equilibrium depends on: specs with equal keys share
     /// one clean pass whatever their attackers do. Both the workspace cache
     /// and the batch scheduler's steal units ([`crate::batch`]) are keyed
     /// by it.
-    pub(crate) fn clean_key(&self) -> (Asn, TieBreak, &Arc<PrependConfig>) {
-        (self.victim, self.tie, &self.prepend)
+    pub(crate) fn clean_key(&self) -> (Asn, &Arc<PrependConfig>) {
+        (self.victim, &self.prepend)
     }
 }

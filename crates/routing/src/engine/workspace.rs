@@ -8,11 +8,10 @@ use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
 
-use super::propagate::{pack_pref, propagate, tie_key_for, PACKED_NO_CLEAN};
+use super::propagate::{pack_pref, propagate, PACKED_NO_CLEAN};
 use super::queue::BucketQueue;
 use super::route::Pass;
 use super::spec::DestinationSpec;
-use crate::decision::TieBreak;
 use crate::policy::NoDefense;
 use crate::prepend::PrependConfig;
 
@@ -50,7 +49,7 @@ pub(super) struct NodeScratch {
 }
 
 /// One memoized clean (no-attack) pass, keyed by everything that influences
-/// it: the victim, the prepending configuration and the tie-break rule.
+/// it: the victim and the prepending configuration.
 ///
 /// The pass itself is behind an [`Arc`] so a cache hit hands out a shared
 /// reference instead of cloning the whole route table, and `keys` memoizes
@@ -60,7 +59,6 @@ pub(super) struct NodeScratch {
 #[derive(Clone, Debug)]
 struct CleanEntry {
     victim: Asn,
-    tie: TieBreak,
     prepend: Arc<PrependConfig>,
     pass: Arc<Pass>,
     keys: Option<Arc<[u128]>>,
@@ -69,7 +67,7 @@ struct CleanEntry {
 impl CleanEntry {
     /// Whether this entry is `spec`'s clean equilibrium.
     fn holds(&self, spec: &DestinationSpec) -> bool {
-        (self.victim, self.tie, &self.prepend) == spec.clean_key()
+        (self.victim, &self.prepend) == spec.clean_key()
     }
 }
 
@@ -86,9 +84,9 @@ impl CleanEntry {
 /// * the per-node `NodeScratch` table (offer ranks, adoption/chain epoch
 ///   stamps — epoch-stamped, never re-zeroed); and
 /// * a small LRU cache of clean passes keyed by `(victim, prepending
-///   config, tie-break)` — each entry `Arc`-shares its route table (hits
-///   never clone it) and lazily memoizes the packed clean-key ranking table,
-///   so repeated computations over the same victim skip the redundant clean
+///   config)` — each entry `Arc`-shares its route table (hits never clone
+///   it) and lazily memoizes the packed clean-key ranking table, so
+///   repeated computations over the same victim skip the redundant clean
 ///   pass entirely and give the **delta attacked pass** its starting
 ///   equilibrium and pruning keys for free.
 ///
@@ -279,12 +277,11 @@ impl RouteWorkspace {
         let pass = Arc::new(pass);
         if self.cache_capacity > 0 {
             self.clean_cache.truncate(self.cache_capacity - 1);
-            let (victim, tie, prepend) = spec.clean_key();
+            let (victim, prepend) = spec.clean_key();
             self.clean_cache.insert(
                 0,
                 CleanEntry {
                     victim,
-                    tie,
                     prepend: Arc::clone(prepend),
                     pass: Arc::clone(&pass),
                     keys: None,
@@ -305,14 +302,13 @@ impl RouteWorkspace {
         spec: &DestinationSpec,
         clean: &Pass,
     ) -> Arc<[u128]> {
-        let tie = spec.tie_break_rule();
         let build = || {
             clean
                 .iter()
                 .map(|r| match r {
                     Some(c) => {
-                        let p_asn = c.parent.map_or(Asn(0), |p| graph.asn_at(p));
-                        pack_pref(c.class, c.len, tie_key_for(tie, false, p_asn))
+                        let p_asn = c.parent.map_or(0, |p| graph.asn_at(p).value());
+                        pack_pref(c.class, c.len, p_asn)
                     }
                     None => PACKED_NO_CLEAN,
                 })

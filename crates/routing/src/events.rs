@@ -7,12 +7,11 @@
 //! instability — fail a link on the current best tree, recompute the
 //! equilibrium, and report every AS whose announced route changed.
 
-use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::engine::{DestinationSpec, RoutingEngine};
+use crate::engine::{RoutingEngine, RoutingOutcome};
 
 /// One AS's route change caused by a churn event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,16 +24,17 @@ pub struct RouteUpdate {
     pub new_path: Option<AsPath>,
 }
 
-/// Computes the updates triggered by failing the link `a — b` while routing
-/// toward `spec`'s destination: every AS whose observed path differs between
-/// the intact and the degraded topology.
+/// Computes the updates triggered by failing the link `a — b` under
+/// `before`, the equilibrium of the intact topology: every AS whose observed
+/// path differs between `before` and the same spec recomputed on the
+/// degraded topology.
 ///
-/// The input graph is not modified; the failed topology is a derived copy.
+/// `before`'s graph is not modified; the failed topology is a derived copy.
 ///
 /// # Example
 ///
 /// ```
-/// use aspp_routing::{events::updates_after_failure, DestinationSpec};
+/// use aspp_routing::{events::updates_after_failure, DestinationSpec, RoutingEngine};
 /// use aspp_topology::AsGraphBuilder;
 /// use aspp_types::Asn;
 ///
@@ -45,27 +45,20 @@ pub struct RouteUpdate {
 /// g.add_provider_customer(Asn(30), Asn(10))?;
 /// g.add_provider_customer(Asn(30), Asn(20))?;
 /// let g = g.finish();
-/// let spec = DestinationSpec::new(Asn(1));
-/// let updates = updates_after_failure(&g, &spec, Asn(10), Asn(1));
+/// let before = RoutingEngine::new(&g).compute(&DestinationSpec::new(Asn(1)));
+/// let updates = updates_after_failure(&before, Asn(10), Asn(1));
 /// // AS10 loses its direct route; AS30 fails over via AS20.
 /// assert!(updates.iter().any(|u| u.asn == Asn(30)));
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn updates_after_failure(
-    graph: &AsGraph,
-    spec: &DestinationSpec,
-    a: Asn,
-    b: Asn,
-) -> Vec<RouteUpdate> {
-    let engine = RoutingEngine::new(graph);
-    let before = engine.compute(spec);
+pub fn updates_after_failure(before: &RoutingOutcome<'_>, a: Asn, b: Asn) -> Vec<RouteUpdate> {
+    let (graph, spec) = (before.graph(), before.spec());
     let mut degraded = graph.to_builder();
     degraded.remove_link(a, b);
     let degraded = degraded.finish();
-    let degraded_engine = RoutingEngine::new(&degraded);
-    let after = degraded_engine.compute(spec);
+    let after = RoutingEngine::new(&degraded).compute(spec);
 
     let mut updates = Vec::new();
     for asn in graph.asns() {
@@ -85,19 +78,13 @@ pub fn updates_after_failure(
     updates
 }
 
-/// Picks a random link on the destination's current best-route tree — the
-/// kind of failure that actually produces visible churn. Returns `None` if
-/// the destination has no incident routed link.
+/// Picks a random link on `outcome`'s best-route tree — the kind of failure
+/// that actually produces visible churn. Returns `None` if the destination
+/// has no incident routed link.
 #[must_use]
-pub fn random_tree_link<R: Rng>(
-    graph: &AsGraph,
-    spec: &DestinationSpec,
-    rng: &mut R,
-) -> Option<(Asn, Asn)> {
-    let engine = RoutingEngine::new(graph);
-    let outcome = engine.compute(spec);
+pub fn random_tree_link<R: Rng>(outcome: &RoutingOutcome<'_>, rng: &mut R) -> Option<(Asn, Asn)> {
     let mut tree_links: Vec<(Asn, Asn)> = Vec::new();
-    for asn in graph.asns() {
+    for asn in outcome.graph().asns() {
         if let Some(info) = outcome.route(asn) {
             if let Some(hop) = info.next_hop {
                 tree_links.push((asn, hop));
@@ -110,8 +97,9 @@ pub fn random_tree_link<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DestinationSpec;
     use crate::prepend::{PrependConfig, PrependingPolicy};
-    use aspp_topology::AsGraphBuilder;
+    use aspp_topology::{AsGraph, AsGraphBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -134,7 +122,8 @@ mod tests {
     #[test]
     fn failover_reveals_padded_backup() {
         let (g, spec) = multihomed();
-        let updates = updates_after_failure(&g, &spec, Asn(10), Asn(1));
+        let before = RoutingEngine::new(&g).compute(&spec);
+        let updates = updates_after_failure(&before, Asn(10), Asn(1));
         let u30 = updates
             .iter()
             .find(|u| u.asn == Asn(30))
@@ -152,8 +141,8 @@ mod tests {
         let mut g = AsGraphBuilder::new();
         g.add_provider_customer(Asn(10), Asn(1)).unwrap();
         let g = g.finish();
-        let spec = DestinationSpec::new(Asn(1));
-        let updates = updates_after_failure(&g, &spec, Asn(10), Asn(1));
+        let before = RoutingEngine::new(&g).compute(&DestinationSpec::new(Asn(1)));
+        let updates = updates_after_failure(&before, Asn(10), Asn(1));
         assert_eq!(updates.len(), 1);
         assert!(updates[0].new_path.is_none());
         assert_eq!(updates[0].asn, Asn(10));
@@ -165,18 +154,20 @@ mod tests {
         let mut g = g.to_builder();
         g.add_peering(Asn(40), Asn(41)).unwrap();
         let g = g.finish();
-        let updates = updates_after_failure(&g, &spec, Asn(40), Asn(41));
+        let before = RoutingEngine::new(&g).compute(&spec);
+        let updates = updates_after_failure(&before, Asn(40), Asn(41));
         assert!(updates.is_empty());
     }
 
     #[test]
     fn random_tree_link_is_on_a_best_path() {
         let (g, spec) = multihomed();
+        let before = RoutingEngine::new(&g).compute(&spec);
         let mut rng = StdRng::seed_from_u64(5);
-        let (a, b) = random_tree_link(&g, &spec, &mut rng).unwrap();
+        let (a, b) = random_tree_link(&before, &mut rng).unwrap();
         assert!(g.relationship(a, b).is_some());
         // Failing it must produce at least one update (it carried traffic).
-        let updates = updates_after_failure(&g, &spec, a, b);
+        let updates = updates_after_failure(&before, a, b);
         assert!(!updates.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! per-destination route computation on an annotated AS graph under the
 //! standard "valley-free, profit-driven" policy — customer routes beat peer
 //! routes beat provider routes, then shorter *effective* AS-path (prepends
-//! included) wins, then a deterministic tie-break.
+//! included) wins, then the route learned from the lowest neighbor ASN.
 //!
 //! The engine natively supports:
 //!
@@ -46,7 +46,6 @@
 pub mod audit;
 pub mod batch;
 pub mod bgp;
-pub mod decision;
 mod engine;
 pub mod events;
 pub mod policy;
@@ -55,7 +54,6 @@ mod table;
 
 pub use audit::{AuditReport, AuditViolation, OutcomeAudit, PassKind};
 pub use batch::BatchRunner;
-pub use decision::TieBreak;
 pub use engine::{
     AttackStrategy, AttackerModel, DestinationSpec, ExportMode, RouteInfo, RouteWorkspace,
     RoutingEngine, RoutingOutcome,

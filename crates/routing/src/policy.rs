@@ -1,7 +1,7 @@
 //! Per-AS defense policies over the route-adoption decision.
 //!
 //! The engine's decision core is Gao–Rexford: class, then effective length,
-//! then tie-break. A [`DefensePolicy`] layers *import filtering* on top —
+//! then the lowest neighbor ASN. A [`DefensePolicy`] layers *import filtering* on top —
 //! each AS may additionally reject an **attacker-derived** announcement
 //! before it enters the decision process, exactly where real-world ASes
 //! apply ROV, ASPA, or peerlock filters. Policies never touch clean

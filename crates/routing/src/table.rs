@@ -1,29 +1,25 @@
-//! Per-AS routing tables with longest-prefix-match lookup.
+//! Per-AS routing tables: the best path a monitor holds per prefix.
 
 use std::collections::BTreeMap;
 
 use aspp_types::{AsPath, Ipv4Prefix};
 
-/// A BGP routing table: best path per prefix, with longest-prefix-match
-/// lookup. This is the structure behind the MRT-like monitor dumps in the
-/// corpus crate and the per-monitor views consumed by the detector.
+/// A BGP routing table: best path per prefix, keyed by exact prefix. This
+/// is the structure behind the MRT-like monitor dumps in the corpus crate
+/// and the per-monitor views consumed by the detector; the data plane's
+/// longest-prefix match is `aspp_dataplane::lpm`.
 ///
 /// # Example
 ///
 /// ```
 /// use aspp_routing::RouteTable;
-/// use aspp_types::{AsPath, Ipv4Prefix};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut table = RouteTable::new();
-/// table.insert("10.0.0.0/8".parse()?, "1 2".parse()?);
+/// table.insert("10.0.0.0/8".parse()?, "1 2 2".parse()?);
 /// table.insert("10.1.0.0/16".parse()?, "1 3".parse()?);
-///
-/// // Longest match wins.
-/// let path = table.lookup_addr(0x0a01_0101).unwrap(); // 10.1.1.1
-/// assert_eq!(path.to_string(), "1 3");
-/// let path = table.lookup_addr(0x0a02_0101).unwrap(); // 10.2.1.1
-/// assert_eq!(path.to_string(), "1 2");
+/// assert_eq!(table.get(&"10.1.0.0/16".parse()?).unwrap().to_string(), "1 3");
+/// assert_eq!(table.prepending_fraction(), 0.5);
 /// # Ok(())
 /// # }
 /// ```
@@ -57,40 +53,10 @@ impl RouteTable {
         self.entries.insert(prefix, path)
     }
 
-    /// Removes the entry for `prefix`.
-    pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<AsPath> {
-        self.entries.remove(prefix)
-    }
-
     /// The exact-match path for `prefix`, if present.
     #[must_use]
     pub fn get(&self, prefix: &Ipv4Prefix) -> Option<&AsPath> {
         self.entries.get(prefix)
-    }
-
-    /// Longest-prefix-match lookup for a host address.
-    #[must_use]
-    pub fn lookup_addr(&self, addr: u32) -> Option<&AsPath> {
-        for len in (0..=32u8).rev() {
-            let key = Ipv4Prefix::containing(addr, len);
-            if let Some(path) = self.entries.get(&key) {
-                return Some(path);
-            }
-        }
-        None
-    }
-
-    /// The most specific table entry covering `prefix` (including an exact
-    /// match).
-    #[must_use]
-    pub fn lookup_prefix(&self, prefix: &Ipv4Prefix) -> Option<(Ipv4Prefix, &AsPath)> {
-        for len in (0..=prefix.len()).rev() {
-            let key = Ipv4Prefix::containing(prefix.addr(), len);
-            if let Some(path) = self.entries.get(&key) {
-                return Some((key, path));
-            }
-        }
-        None
     }
 
     /// Iterates over `(prefix, path)` entries in prefix order.
@@ -110,74 +76,34 @@ impl RouteTable {
     }
 }
 
-impl FromIterator<(Ipv4Prefix, AsPath)> for RouteTable {
-    fn from_iter<I: IntoIterator<Item = (Ipv4Prefix, AsPath)>>(iter: I) -> Self {
-        RouteTable {
-            entries: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<(Ipv4Prefix, AsPath)> for RouteTable {
-    fn extend<I: IntoIterator<Item = (Ipv4Prefix, AsPath)>>(&mut self, iter: I) {
-        self.entries.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn table(entries: &[(&str, &str)]) -> RouteTable {
-        entries
-            .iter()
-            .map(|(p, path)| (p.parse().unwrap(), path.parse().unwrap()))
-            .collect()
+        let mut t = RouteTable::new();
+        for (p, path) in entries {
+            t.insert(p.parse().unwrap(), path.parse().unwrap());
+        }
+        t
     }
 
     #[test]
-    fn empty_table_lookups() {
+    fn empty_table_is_unpadded() {
         let t = RouteTable::new();
         assert!(t.is_empty());
-        assert_eq!(t.lookup_addr(0x0a000001), None);
         assert_eq!(t.prepending_fraction(), 0.0);
     }
 
     #[test]
-    fn insert_replace_remove() {
+    fn insert_replaces() {
         let mut t = RouteTable::new();
         let p: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
         assert_eq!(t.insert(p, "1".parse().unwrap()), None);
         let old = t.insert(p, "2 1".parse().unwrap()).unwrap();
         assert_eq!(old.to_string(), "1");
         assert_eq!(t.len(), 1);
-        assert_eq!(t.remove(&p).unwrap().to_string(), "2 1");
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn longest_prefix_match() {
-        let t = table(&[
-            ("0.0.0.0/0", "9"),
-            ("10.0.0.0/8", "1 2"),
-            ("10.1.0.0/16", "1 3"),
-            ("10.1.2.0/24", "1 4"),
-        ]);
-        assert_eq!(t.lookup_addr(0x0a010203).unwrap().to_string(), "1 4"); // 10.1.2.3
-        assert_eq!(t.lookup_addr(0x0a010303).unwrap().to_string(), "1 3"); // 10.1.3.3
-        assert_eq!(t.lookup_addr(0x0a020303).unwrap().to_string(), "1 2"); // 10.2.3.3
-        assert_eq!(t.lookup_addr(0x0b000001).unwrap().to_string(), "9"); // 11.0.0.1
-    }
-
-    #[test]
-    fn lookup_prefix_finds_covering_entry() {
-        let t = table(&[("10.0.0.0/8", "1 2")]);
-        let q: Ipv4Prefix = "10.5.0.0/16".parse().unwrap();
-        let (covering, path) = t.lookup_prefix(&q).unwrap();
-        assert_eq!(covering.to_string(), "10.0.0.0/8");
-        assert_eq!(path.to_string(), "1 2");
-        let miss: Ipv4Prefix = "11.0.0.0/8".parse().unwrap();
-        assert!(t.lookup_prefix(&miss).is_none());
+        assert_eq!(t.get(&p).unwrap().to_string(), "2 1");
     }
 
     #[test]

@@ -1,46 +1,63 @@
 //! Public-API regression tests for `aspp-routing`.
 
+use aspp_routing::audit::audit_outcome;
 use aspp_routing::bgp::BgpSimulation;
 use aspp_routing::events::updates_after_failure;
 use aspp_routing::{
-    AttackStrategy, AttackerModel, DestinationSpec, ExportMode, PrependConfig, PrependingPolicy,
-    RouteTable, RoutingEngine, TieBreak,
+    AttackStrategy, AttackerModel, AuditViolation, DestinationSpec, ExportMode, PrependConfig,
+    PrependingPolicy, RouteInfo, RoutingEngine,
 };
 use aspp_topology::gen::InternetConfig;
 use aspp_topology::{AsGraph, AsGraphBuilder};
 use aspp_types::{Asn, RouteClass};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn internet(seed: u64) -> AsGraph {
     InternetConfig::small().seed(seed).build()
 }
 
 #[test]
-fn tie_break_preferences_order_pollution() {
-    // PreferAttacker ≥ LowestNeighborAsn ≥ PreferClean on the same attack.
-    let graph = internet(201);
-    let engine = RoutingEngine::new(&graph);
-    let mut fractions = Vec::new();
-    for tie in [
-        TieBreak::PreferClean,
-        TieBreak::LowestNeighborAsn,
-        TieBreak::PreferAttacker,
-    ] {
-        let spec = DestinationSpec::new(Asn(20_000))
-            .origin_padding(2)
-            .tie_break(tie)
-            .attacker(AttackerModel::new(Asn(100)));
-        fractions.push(engine.compute(&spec).polluted_fraction());
-    }
-    assert!(fractions[0] <= fractions[1] + 1e-9, "{fractions:?}");
-    assert!(fractions[1] <= fractions[2] + 1e-9, "{fractions:?}");
+fn equal_class_and_length_go_to_the_lowest_neighbor_asn() {
+    // AS1 hears victim AS10 over two customer routes of length 2, via AS7
+    // and via AS3. AS7 joins the graph first, so the lower ASN is not the
+    // lower node index.
+    let mut g = AsGraphBuilder::new();
+    g.add_provider_customer(Asn(7), Asn(10)).unwrap();
+    g.add_provider_customer(Asn(3), Asn(10)).unwrap();
+    g.add_provider_customer(Asn(1), Asn(7)).unwrap();
+    g.add_provider_customer(Asn(1), Asn(3)).unwrap();
+    let graph = g.finish();
+    let spec = DestinationSpec::new(Asn(10));
+    let via = |next_hop| RouteInfo {
+        class: RouteClass::FromCustomer,
+        effective_len: 2,
+        next_hop: Some(next_hop),
+        via_attacker: false,
+    };
+
+    let mut outcome = RoutingEngine::new(&graph).compute(&spec);
+    assert_eq!(outcome.route(Asn(1)), Some(via(Asn(3))));
+    let bgp = BgpSimulation::new(&graph).run(&spec);
+    assert_eq!(bgp.route(Asn(1)), Some(via(Asn(3))));
+    let audit = audit_outcome(&outcome);
+    assert!(audit.is_clean(), "{audit}");
+
+    // Through AS7 the route is valid but not AS1's best: the auditor ranks
+    // offers by the same order and names the better neighbor.
+    outcome.override_route_unchecked(Asn(1), Some(via(Asn(7))));
+    let flagged: Vec<_> = audit_outcome(&outcome).violations().cloned().collect();
+    assert_eq!(
+        flagged,
+        [AuditViolation::NotLocallyOptimal {
+            asn: Asn(1),
+            better_via: Asn(3),
+        }]
+    );
 }
 
 #[test]
 fn attacked_routes_never_worse_than_clean() {
-    // The attack adds options; under a fixed tie-break nobody's apparent
-    // route degrades.
+    // The attack adds options; under the fixed decision order nobody's
+    // apparent route degrades.
     let graph = internet(202);
     let engine = RoutingEngine::new(&graph);
     let spec = DestinationSpec::new(Asn(20_001))
@@ -154,7 +171,8 @@ fn events_respect_attack_specs() {
         .origin_padding(3)
         .attacker(AttackerModel::new(Asn(100)));
     let victim_provider = graph.providers(Asn(20_004)).min().unwrap();
-    let updates = updates_after_failure(&graph, &spec, victim_provider, Asn(20_004));
+    let before = RoutingEngine::new(&graph).compute(&spec);
+    let updates = updates_after_failure(&before, victim_provider, Asn(20_004));
     // The failure must shift someone, and every new path is loop-free.
     assert!(!updates.is_empty());
     for u in &updates {
@@ -162,18 +180,6 @@ fn events_respect_attack_specs() {
             assert!(!p.has_loop());
         }
     }
-}
-
-#[test]
-fn route_table_extend_and_lpm_interplay() {
-    let mut table = RouteTable::new();
-    table.extend([
-        ("10.0.0.0/8".parse().unwrap(), "1 2".parse().unwrap()),
-        ("10.128.0.0/9".parse().unwrap(), "1 3".parse().unwrap()),
-    ]);
-    assert_eq!(table.len(), 2);
-    assert_eq!(table.lookup_addr(0x0a80_0001).unwrap().to_string(), "1 3");
-    assert_eq!(table.lookup_addr(0x0a00_0001).unwrap().to_string(), "1 2");
 }
 
 #[test]
@@ -240,23 +246,4 @@ fn bgp_outcome_accessors_are_consistent() {
     );
     // Unknown ASes answer None.
     assert!(outcome.route(Asn(999_999)).is_none());
-}
-
-#[test]
-fn route_table_lpm_agrees_with_prefix_lookup() {
-    use rand::Rng;
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut table = RouteTable::new();
-    for i in 0..64u32 {
-        let len = rng.gen_range(8..=28);
-        let prefix = aspp_types::Ipv4Prefix::containing(rng.gen::<u32>(), len);
-        table.insert(prefix, aspp_types::AsPath::from_hops([Asn(i)]));
-    }
-    for _ in 0..500 {
-        let addr: u32 = rng.gen();
-        let by_addr = table.lookup_addr(addr);
-        let host = aspp_types::Ipv4Prefix::containing(addr, 32);
-        let by_prefix = table.lookup_prefix(&host).map(|(_, p)| p);
-        assert_eq!(by_addr, by_prefix, "LPM mismatch for {addr:#x}");
-    }
 }

@@ -15,8 +15,8 @@ use aspp_obs::counters::Counter;
 use aspp_obs::MetricsSnapshot;
 use aspp_routing::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
 use aspp_routing::{
-    AttackerModel, BatchRunner, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine,
-    TieBreak,
+    AttackStrategy, AttackerModel, BatchRunner, DestinationSpec, ExportMode, RouteWorkspace,
+    RoutingEngine,
 };
 use aspp_topology::{AsGraph, AsGraphBuilder};
 use aspp_types::Asn;
@@ -63,7 +63,7 @@ fn clean_cache_hits_and_misses_match_workspace() {
     let mut ws = RouteWorkspace::new();
 
     let before = MetricsSnapshot::capture();
-    // Same (victim, tie, prepend) key five times: 1 miss + 4 hits.
+    // Same (victim, prepend) key five times: 1 miss + 4 hits.
     let spec = attacked_spec(3);
     for _ in 0..5 {
         let _ = engine.compute_with(&spec, &mut ws);
@@ -142,7 +142,7 @@ fn delta_pass_and_fallback_counts_are_exact() {
     };
 
     let before = MetricsSnapshot::capture();
-    // λ=4 under the default tie-break: stripping to one origin copy
+    // λ=4: stripping to one origin copy
     // shortens the off-chain offers strictly, so the delta pass survives.
     // Three runs = three delta passes (the first also pays the clean-pass
     // miss).
@@ -157,12 +157,18 @@ fn delta_pass_and_fallback_counts_are_exact() {
     let corner = attacked_spec(1);
     let _ = work(&corner, None);
     let aborted_delta_then_full = work(&corner, None);
-    // Under PreferClean the same seed cannot strictly shorten the
-    // attacker's own exports, so delta is not applicable at all: the full
-    // pass runs directly and nothing is counted as an attempt.
-    let prefer_clean = corner.tie_break(TieBreak::PreferClean);
-    let _ = work(&prefer_clean, None);
-    let full_only = work(&prefer_clean, None);
+    // Poisoning an AS absent from the topology claims `[3 99 1 2]`, one
+    // hop longer than the attacker's own clean route `[1 2]`: the seed
+    // itself worsens the exports it replaces, so delta is not applicable
+    // at all — the full pass runs directly and nothing is counted as an
+    // attempt.
+    let poisoned = DestinationSpec::new(Asn(2)).attacker(
+        AttackerModel::new(Asn(3))
+            .mode(ExportMode::ViolateValleyFree)
+            .strategy(AttackStrategy::PoisonPath { poisoned: Asn(99) }),
+    );
+    let _ = work(&poisoned, None);
+    let full_only = work(&poisoned, None);
     let delta = MetricsSnapshot::capture().since(&before);
     // ASPA everywhere on the λ=4 attack: policied, so a full pass too, and
     // AS5 rejects the provider-learned route the attacker re-announces.
@@ -194,6 +200,8 @@ fn delta_pass_and_fallback_counts_are_exact() {
         // pass pushes it again beside AS2→AS1 and AS5→AS6, and AS1's
         // peer-class offer to AS5 loses to it at the filter.
         assert_eq!(aborted_delta_then_full, (4, 1));
+        // The full pass alone: AS2→AS1, the attacker's poisoned offer to
+        // AS5 and AS5→AS6; AS1's peer-class offer to AS5 loses at the filter.
         assert_eq!(full_only, (3, 1));
         // AS1 is on the chain and AS5 refuses, so the attack pushes nothing:
         // the three labels are the clean routes of AS1, AS5 and AS6.

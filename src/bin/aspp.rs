@@ -469,10 +469,25 @@ impl<'a> Run<'a> {
     /// bound the run dies in an allocation (λ copies of the origin per
     /// reconstructed path) or overflows the route table's 28-bit lengths.
     fn lambda(&self, name: &str) -> Result<Option<usize>, String> {
-        const MAX: usize = 65_535;
+        self.at_most(name, 65_535)
+    }
+
+    /// An estimator count (`--samples`, `--resamples`), bounded where it
+    /// enters as [`lambda`](Self::lambda) bounds λ: the estimator allocates
+    /// one draw per sample (with its vantage subset) and one mean per
+    /// resample up front, so an unbounded count dies in the allocator
+    /// instead of reporting an error. 100 000 is a hundred times every
+    /// preset (at most 1 000 of either); at the bound, draws with 1 000-AS
+    /// vantage subsets hold ≈400 MB.
+    fn estimator_count(&self, name: &str) -> Result<Option<usize>, String> {
+        self.at_most(name, 100_000)
+    }
+
+    /// The count flag `name`, refused above `max`.
+    fn at_most(&self, name: &str, max: usize) -> Result<Option<usize>, String> {
         match self.parsed::<usize>(name)? {
-            Some(n) if n > MAX => Err(format!("{name} must be at most {MAX}, got {n}")),
-            lambda => Ok(lambda),
+            Some(n) if n > max => Err(format!("{name} must be at most {max}, got {n}")),
+            n => Ok(n),
         }
     }
 
@@ -1122,10 +1137,10 @@ fn cmd_estimate(run: &mut Run) -> Result<(), String> {
     use aspp_core::experiments::scenario::{self, cross_validate};
 
     let mut config = scenario::estimator_config(run.scale, run.seed);
-    if let Some(samples) = run.parsed::<usize>("--samples")? {
+    if let Some(samples) = run.estimator_count("--samples")? {
         config.samples = samples.max(1);
     }
-    if let Some(resamples) = run.parsed::<usize>("--resamples")? {
+    if let Some(resamples) = run.estimator_count("--resamples")? {
         config.resamples = resamples.max(1);
     }
     let runner = run.runner()?;

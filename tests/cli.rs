@@ -202,6 +202,25 @@ fn lambda_flags_are_bounded_where_they_enter() {
 }
 
 #[test]
+fn estimate_counts_are_bounded_where_they_enter() {
+    // `--samples u64::MAX` panicked with a capacity overflow (exit 101) and
+    // `--resamples 4000000000000` aborted on a 32 TB allocation (exit 134).
+    for (flag, count) in [
+        ("--samples", "18446744073709551615"),
+        ("--resamples", "4000000000000"),
+        ("--samples", "100001"),
+    ] {
+        let out = aspp(&["estimate", "--scale", "smoke", flag, count]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {count}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag} must be at most 100000")),
+            "{flag} {count}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn feed_ratio_flags_reject_values_outside_the_unit_interval() {
     // NaN slips through `clamp` into the generator's Bernoulli draws, which
     // panicked (exit 101) before the flags were checked where they enter.

@@ -1,6 +1,6 @@
 //! Bit-identity guarantee for the delta attacked pass: for any random
-//! topology, any `AttackStrategy`, either `ExportMode`, and every tie-break
-//! rule, `RoutingEngine::compute_with` (delta re-convergence, falling back
+//! topology, any `AttackStrategy` and either `ExportMode`,
+//! `RoutingEngine::compute_with` (delta re-convergence, falling back
 //! to a full pass only in the documented non-monotone corner) must produce
 //! exactly what the whole-graph second pass produces — per-node routes,
 //! observed paths, and `HijackImpact` fractions compared bit-for-bit, not
@@ -11,7 +11,7 @@
 use aspp_core::prelude::*;
 use proptest::prelude::*;
 
-fn all_experiments(victim: Asn, attacker: Asn, tie: TieBreak) -> Vec<DestinationSpec> {
+fn all_experiments(victim: Asn, attacker: Asn) -> Vec<DestinationSpec> {
     let strategies = [
         AttackStrategy::StripPadding { keep: 1 },
         AttackStrategy::StripPadding { keep: 2 },
@@ -27,7 +27,6 @@ fn all_experiments(victim: Asn, attacker: Asn, tie: TieBreak) -> Vec<Destination
                 specs.push(
                     DestinationSpec::new(victim)
                         .origin_padding(pad)
-                        .tie_break(tie)
                         .attacker(AttackerModel::new(attacker).mode(mode).strategy(strategy)),
                 );
             }
@@ -67,7 +66,6 @@ proptest! {
     fn delta_pass_bit_identical_to_full_pass(
         seed in any::<u64>(),
         picks in (0usize..100, 0usize..100),
-        tie_pick in 0u8..3,
     ) {
         let graph = InternetConfig::small()
             .tier2_count(10).tier3_count(15).stub_count(25).seed(seed).build();
@@ -75,14 +73,12 @@ proptest! {
         let victim = asns[picks.0 % asns.len()];
         let attacker = asns[picks.1 % asns.len()];
         if victim == attacker { return Ok(()); }
-        let tie = [TieBreak::LowestNeighborAsn, TieBreak::PreferClean, TieBreak::PreferAttacker]
-            [tie_pick as usize];
 
         let engine = RoutingEngine::new(&graph);
         let whole_graph = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::empty(graph.len()));
         let mut ws_full = RouteWorkspace::new();
         let mut ws_delta = RouteWorkspace::new();
-        for spec in all_experiments(victim, attacker, tie) {
+        for spec in all_experiments(victim, attacker) {
             let full = engine.compute_with_policy(&spec, &mut ws_full, &whole_graph);
             let delta = engine.compute_with(&spec, &mut ws_delta);
             assert_outcomes_identical(&graph, &full, &delta);
@@ -110,21 +106,15 @@ fn strategy_matrix_equilibria_audit_clean() {
     let engine = RoutingEngine::new(&graph);
     let asns: Vec<Asn> = graph.asns().collect();
     let (victim, attacker) = (asns[0], asns[asns.len() / 2]);
-    for tie in [
-        TieBreak::LowestNeighborAsn,
-        TieBreak::PreferClean,
-        TieBreak::PreferAttacker,
-    ] {
-        for spec in all_experiments(victim, attacker, tie) {
-            let outcome = engine.compute(&spec);
-            let audit = aspp_core::routing::audit::audit_outcome(&outcome);
-            assert!(audit.is_clean(), "{spec:?} failed audit:\n{audit}");
-        }
+    for spec in all_experiments(victim, attacker) {
+        let outcome = engine.compute(&spec);
+        let audit = aspp_core::routing::audit::audit_outcome(&outcome);
+        assert!(audit.is_clean(), "{spec:?} failed audit:\n{audit}");
     }
 }
 
 /// The delta pass must actually fire (not fall back) on the bread-and-butter
-/// configuration — the paper's λ-sweep with the default tie-break.
+/// configuration — the paper's λ-sweep.
 #[test]
 fn delta_pass_serves_default_sweeps() {
     let graph = InternetConfig::small().seed(2024).build();
