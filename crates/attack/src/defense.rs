@@ -20,8 +20,10 @@
 //!   policy × strategy × fraction × experiment grid is flattened into a
 //!   single [`BatchRunner::run_with_policy`] call, so every cell sharing a
 //!   clean equilibrium — across *all* deployment maps — forms one steal
-//!   unit served from one cached clean pass per worker that joins it
-//!   (policied attacked passes run the full propagation).
+//!   unit served from one cached clean pass per worker that joins it.
+//!   Policied attacked passes are re-converged from that clean pass like
+//!   undefended ones, and fall back to the full propagation only where a
+//!   deployer refuses its own clean parent's attacker-derived offer.
 
 use std::fmt;
 use std::sync::Arc;

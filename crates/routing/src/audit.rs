@@ -32,19 +32,19 @@
 //! `debug-audit` cargo feature — [`compute_with_policy`] audits every
 //! outcome it returns against the policy it was computed with and panics
 //! with the report on a violation, so no caller can run un-audited; it also
-//! replays every delta attacked pass through the full propagation and
-//! asserts bit identity. Without the feature both checks compile out.
+//! replays every delta attacked pass through the full propagation
+//! ([`full_pass_divergence`], public for the equivalence tests) and asserts
+//! bit identity. Without the feature both checks compile out.
 //!
 //! [`compute_with_policy`]: crate::RoutingEngine::compute_with_policy
 
 use std::fmt;
 
-use aspp_topology::AsGraph;
 use aspp_types::{Asn, Relationship, RouteClass};
 
 use crate::engine::{
-    chain_of, class_at_receiver, export_row, AttackStrategy, DestinationSpec, ExportMode, Pass,
-    RoutingOutcome,
+    chain_of, class_at_receiver, export_row, full_attacked_pass, AttackStrategy, ExportMode, Pass,
+    RouteInfo, RoutingOutcome,
 };
 use crate::policy::{AttackFacts, DefensePolicy, NoDefense};
 
@@ -388,21 +388,61 @@ pub(crate) fn assert_audit_clean<P: DefensePolicy>(outcome: &RoutingOutcome<'_>,
     );
 }
 
-/// The delta-vs-full oracle assertion: panics naming the first divergent AS
-/// if the delta pass is not bit-identical to the full propagation.
-pub(crate) fn assert_delta_matches_full(
-    graph: &AsGraph,
-    spec: &DestinationSpec,
-    delta: &Pass,
-    full: &Pass,
-) {
-    for (i, (d, f)) in delta.iter().zip(full.iter()).enumerate() {
-        assert!(
-            d == f,
-            "debug-audit: delta re-convergence diverged from the full pass at AS{} \
-             (victim AS{}): delta adopted {d:?}, full pass adopted {f:?}",
-            graph.asn_at(i),
-            spec.victim(),
+/// The first AS at which an outcome's attacked pass differs from the full
+/// from-scratch propagation (see [`full_pass_divergence`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PassDivergence {
+    /// The first divergent AS, in node order.
+    pub asn: Asn,
+    /// Its route in the outcome.
+    pub adopted: Option<RouteInfo>,
+    /// Its route in the full pass.
+    pub full: Option<RouteInfo>,
+}
+
+impl fmt::Display for PassDivergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "AS{}: the outcome adopted {:?}, the full pass adopted {:?}",
+            self.asn, self.adopted, self.full
+        )
+    }
+}
+
+/// The full-pass oracle: recomputes `outcome`'s attacked pass from scratch
+/// with the full propagation under `policy` (the policy the outcome was
+/// computed with) and names the first AS whose route differs, or `None`
+/// when the two tables are bit-identical or no attack ran.
+///
+/// An outcome whose attacked pass the engine re-converged by a delta pass
+/// must match; one it computed by the full pass matches trivially. The
+/// `debug-audit` build runs this on every delta pass, and the equivalence
+/// tests run it on every cell they compute.
+#[must_use]
+pub fn full_pass_divergence<P: DefensePolicy>(
+    outcome: &RoutingOutcome<'_>,
+    policy: &P,
+) -> Option<PassDivergence> {
+    let attacked = outcome.attacked_pass_ref()?;
+    let full = full_attacked_pass(outcome, policy)?;
+    let i = (0..full.len()).find(|&i| attacked.get(i) != full.get(i))?;
+    let asn = outcome.graph().asn_at(i);
+    Some(PassDivergence {
+        asn,
+        adopted: outcome.info_from(attacked, asn),
+        full: outcome.info_from(&full, asn),
+    })
+}
+
+/// The engine's delta exit check (`compute_with_policy`, when auditing is
+/// [`enabled`]): panics naming the first divergent AS if `outcome`'s delta
+/// pass is not bit-identical to the full propagation under `policy`.
+pub(crate) fn assert_matches_full_pass<P: DefensePolicy>(outcome: &RoutingOutcome<'_>, policy: &P) {
+    if let Some(d) = full_pass_divergence(outcome, policy) {
+        panic!(
+            "debug-audit: delta re-convergence diverged from the full pass at {d} (victim AS{})",
+            outcome.victim(),
         );
     }
 }
@@ -946,15 +986,23 @@ mod tests {
         assert!(audit.to_string().contains("defense policy rejects"));
     }
 
-    /// A policy double that rejects each node's first attacker-derived offer
-    /// and accepts every later one: strict while the pass runs (China
-    /// Telecom is offered the stripped route once), lenient by the time the
-    /// outcome is audited.
-    struct LenientAfterThePass(std::cell::RefCell<std::collections::HashSet<usize>>);
+    /// A policy double that rejects the first two attacker-derived offers it
+    /// is consulted on and accepts every later one: strict while the pass
+    /// runs, lenient by the time the outcome is audited. A real policy must
+    /// be pure (see [`DefensePolicy`]); this one is not, on purpose, to make
+    /// the engine return an outcome that violates its own policy.
+    ///
+    /// On the Facebook interception both consultations are China Telecom's:
+    /// the delta attempt offers it Korea Telecom's stripped route, China
+    /// Telecom refuses the offer of its own clean parent and the attempt
+    /// aborts; the full pass that replaces it offers the route again.
+    struct LenientAfterThePass(std::cell::Cell<u32>);
 
     impl DefensePolicy for LenientAfterThePass {
-        fn accepts_attacker_route(&self, node: usize, _: RouteClass, _: &AttackFacts) -> bool {
-            !self.0.borrow_mut().insert(node)
+        fn accepts_attacker_route(&self, _: usize, _: RouteClass, _: &AttackFacts) -> bool {
+            let asked = self.0.get();
+            self.0.set(asked + 1);
+            asked >= 2
         }
     }
 
@@ -968,6 +1016,7 @@ mod tests {
         let policy = LenientAfterThePass(Default::default());
         let mut ws = crate::RouteWorkspace::new();
         let outcome = RoutingEngine::new(&graph).compute_with_policy(&spec, &mut ws, &policy);
+        assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (0, 1));
         audit_outcome_with(&outcome, &policy)
     }
 

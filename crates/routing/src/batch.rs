@@ -25,7 +25,8 @@
 //!   shared atomic cursor. A Figure-9-style λ sweep over one victim is
 //!   therefore eight units, not one. A worker that claims a unit computes
 //!   its clean pass once and then serves every strategy/export-mode/policy
-//!   cell from it (attacked passes ride the delta path). Because a unit
+//!   cell from it (attacked passes ride the delta path, policied ones
+//!   included). Because a unit
 //!   *is* a cache key, a worker never revisits an earlier unit's clean
 //!   pass and its workspace holds exactly one.
 //! * **A finish phase for the last units.** Cells inside a unit are claimed
@@ -61,7 +62,9 @@
 //! machinery: the clean pass is policy-*independent* — defenses only filter
 //! attacker-derived imports — so every cell of a unit still serves from the
 //! one cached clean pass regardless of which [`DefensePolicy`] each cell
-//! carries. [`BatchRunner::run`] is the [`NoDefense`]
+//! carries, and re-converges each cell's attacked pass from it (the full
+//! pass runs only where a deployer refuses its own clean parent's
+//! attacker-derived offer). [`BatchRunner::run`] is the [`NoDefense`]
 //! specialization; because `NoDefense` sets
 //! [`DefensePolicy::NOOP`], that instantiation monomorphizes
 //! back to the exact pre-policy hot loop and keeps the bit-identity

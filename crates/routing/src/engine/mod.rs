@@ -166,14 +166,15 @@ impl<'g> RoutingEngine<'g> {
     /// workspace's clean-pass cache stays valid (and shared) across policy
     /// configurations of the same destination.
     ///
-    /// Active (non-[`NOOP`](DefensePolicy::NOOP)) policies compute the
-    /// attacked pass with the full from-scratch propagation rather than
-    /// delta re-convergence: an import filter can orphan a node's clean
-    /// route (its clean parent adopts a malicious route the node refuses),
-    /// which violates the delta pass's replacement invariant. A policy that
-    /// accepts everything therefore yields the whole-graph reference for
-    /// [`compute_with`](Self::compute_with) — the oracle of
-    /// `tests/delta_equivalence.rs` and `tests/flat_equivalence.rs`.
+    /// Policied attacked passes ride delta re-convergence like unpolicied
+    /// ones. An import filter can orphan a node's clean route (its clean
+    /// parent adopts a malicious route the node refuses); the delta attempt
+    /// then aborts to the full from-scratch propagation, so the result is
+    /// the full pass's either way.
+    /// [`audit::full_pass_divergence`](crate::audit::full_pass_divergence)
+    /// replays that full pass for any outcome — the oracle of
+    /// `tests/{delta,flat,defense}_equivalence.rs` and of the `debug-audit`
+    /// check on every delta pass.
     ///
     /// # Example
     ///
@@ -227,80 +228,12 @@ impl<'g> RoutingEngine<'g> {
 
         let clean = ws.clean_pass(self.graph, spec, v_idx);
 
+        // Whether the attacked pass was re-converged by a delta pass.
+        let mut delta = false;
         let attacked = attacker.and_then(|(att, m_idx)| {
-            let m_route = clean.get(m_idx)?;
-            let strategy = att.attack_strategy();
-            // M's own clean chain is closed under clean parents by
-            // construction; a poisoned splice generally is not.
-            let mut chain_parent_closed = true;
-            // The one place that knows what each strategy claims: the base
-            // path M announces (without M itself) and who rejects it.
-            let (base_path, chain) = match strategy {
-                AttackStrategy::StripPadding { keep } => {
-                    // Claimed path = M's real received route, with the
-                    // origin padding stripped down to `keep` copies.
-                    let mut m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
-                    m_path.strip_origin_padding(keep);
-                    (m_path, chain_of(&clean, m_idx))
-                }
-                AttackStrategy::StripAllPadding => {
-                    let mut m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
-                    m_path.strip_all_padding();
-                    (m_path, chain_of(&clean, m_idx))
-                }
-                // Claimed path [M V]: length 1 before M's own prepend. The
-                // interceptor must not displace its own forwarding route, so
-                // its clean chain still rejects the announcement ("M should
-                // carefully select whom to announce to", Section II-B).
-                AttackStrategy::ForgeDirect => (
-                    AsPath::origin_with_padding(victim, 1),
-                    chain_of(&clean, m_idx),
-                ),
-                // Claimed path [M]: the attacker owns the prefix outright
-                // and does not care about a forwarding route.
-                AttackStrategy::OriginHijack => (AsPath::new(), vec![m_idx]),
-                // Claimed path [M P ASn … V]: the stripped route plus the
-                // poisoned splice. Loop prevention at P joins the rejection
-                // chain alongside M's own forwarding chain.
-                AttackStrategy::PoisonPath { poisoned } => {
-                    let mut m_path = reconstruct_received(self.graph, spec, &clean, None, m_idx)?;
-                    m_path.strip_all_padding();
-                    m_path.prepend(poisoned);
-                    let mut chain = chain_of(&clean, m_idx);
-                    if let Some(p_idx) = self.graph.index_of(poisoned) {
-                        if !chain.contains(&p_idx) {
-                            chain.push(p_idx);
-                            // The spliced node's clean parent sits off the
-                            // chain and may adopt the malicious route; the
-                            // node must then re-select, which only the full
-                            // propagation models.
-                            chain_parent_closed = false;
-                        }
-                    }
-                    (m_path, chain)
-                }
-            };
-            let seed = AttackSeed {
-                m_idx,
-                base_len: base_path.len() as u32,
-                clean_class: match strategy {
-                    // An origin hijacker poses as the prefix owner.
-                    AttackStrategy::OriginHijack => RouteClass::Origin,
-                    _ => m_route.class,
-                },
-                mode: att.export_mode(),
-                pinned: m_route,
-                chain,
-                chain_parent_closed,
-                // Elided (with the hook itself) for the NOOP default.
-                facts: if P::NOOP {
-                    AttackFacts::default()
-                } else {
-                    let class = m_route.class;
-                    crate::policy::facts_for(self.graph, strategy, &clean, m_idx, v_idx, class)
-                },
-            };
-            let pass = self.attacked_pass(spec, v_idx, ws, &clean, &seed, policy);
+            let (seed, base_path) = self.attack_seed::<P>(spec, v_idx, &clean, att, m_idx)?;
+            let (pass, by_delta) = self.attacked_pass(spec, v_idx, ws, &clean, &seed, policy);
+            delta = by_delta;
             Some((pass, base_path))
         });
         let (attacked, base_path) = attacked.unzip();
@@ -315,17 +248,107 @@ impl<'g> RoutingEngine<'g> {
             graph: self.graph,
         };
         if crate::audit::enabled() {
-            // debug-audit oracle: every equilibrium leaves the engine
-            // checked against the policy it was computed with, so no caller
-            // has to remember to.
+            // debug-audit oracles: every delta pass is replayed by the full
+            // pass, and every equilibrium leaves the engine checked against
+            // the policy it was computed with, so no caller has to remember to.
+            if delta {
+                crate::audit::assert_matches_full_pass(&outcome, policy);
+            }
             crate::audit::assert_audit_clean(&outcome, policy);
         }
         outcome
     }
 
-    /// The attacked equilibrium for `seed`: re-converged from `clean` by a
-    /// delta pass when [`AttackSeed::delta_applicable`] and no adoption
-    /// worsens the route it replaces, computed by a full pass otherwise.
+    /// What attacker `att` (at node `m_idx`) announces against the clean
+    /// equilibrium `clean`: the seed of its attacked pass and the base path
+    /// it claims, or `None` when it has no clean route to announce from.
+    fn attack_seed<P: DefensePolicy>(
+        &self,
+        spec: &DestinationSpec,
+        v_idx: usize,
+        clean: &Pass,
+        att: &AttackerModel,
+        m_idx: usize,
+    ) -> Option<(AttackSeed, AsPath)> {
+        let m_route = clean.get(m_idx)?;
+        let strategy = att.attack_strategy();
+        // M's own clean chain is closed under clean parents by
+        // construction; a poisoned splice generally is not.
+        let mut chain_parent_closed = true;
+        // The one place that knows what each strategy claims: the base
+        // path M announces (without M itself) and who rejects it.
+        let (base_path, chain) = match strategy {
+            AttackStrategy::StripPadding { keep } => {
+                // Claimed path = M's real received route, with the
+                // origin padding stripped down to `keep` copies.
+                let mut m_path = reconstruct_received(self.graph, spec, clean, None, m_idx)?;
+                m_path.strip_origin_padding(keep);
+                (m_path, chain_of(clean, m_idx))
+            }
+            AttackStrategy::StripAllPadding => {
+                let mut m_path = reconstruct_received(self.graph, spec, clean, None, m_idx)?;
+                m_path.strip_all_padding();
+                (m_path, chain_of(clean, m_idx))
+            }
+            // Claimed path [M V]: length 1 before M's own prepend. The
+            // interceptor must not displace its own forwarding route, so
+            // its clean chain still rejects the announcement ("M should
+            // carefully select whom to announce to", Section II-B).
+            AttackStrategy::ForgeDirect => (
+                AsPath::origin_with_padding(spec.victim(), 1),
+                chain_of(clean, m_idx),
+            ),
+            // Claimed path [M]: the attacker owns the prefix outright
+            // and does not care about a forwarding route.
+            AttackStrategy::OriginHijack => (AsPath::new(), vec![m_idx]),
+            // Claimed path [M P ASn … V]: the stripped route plus the
+            // poisoned splice. Loop prevention at P joins the rejection
+            // chain alongside M's own forwarding chain.
+            AttackStrategy::PoisonPath { poisoned } => {
+                let mut m_path = reconstruct_received(self.graph, spec, clean, None, m_idx)?;
+                m_path.strip_all_padding();
+                m_path.prepend(poisoned);
+                let mut chain = chain_of(clean, m_idx);
+                if let Some(p_idx) = self.graph.index_of(poisoned) {
+                    if !chain.contains(&p_idx) {
+                        chain.push(p_idx);
+                        // The spliced node's clean parent sits off the
+                        // chain and may adopt the malicious route; the
+                        // node must then re-select, which only the full
+                        // propagation models.
+                        chain_parent_closed = false;
+                    }
+                }
+                (m_path, chain)
+            }
+        };
+        let seed = AttackSeed {
+            m_idx,
+            base_len: base_path.len() as u32,
+            clean_class: match strategy {
+                // An origin hijacker poses as the prefix owner.
+                AttackStrategy::OriginHijack => RouteClass::Origin,
+                _ => m_route.class,
+            },
+            mode: att.export_mode(),
+            pinned: m_route,
+            chain,
+            chain_parent_closed,
+            // Elided (with the hook itself) for the NOOP default.
+            facts: if P::NOOP {
+                AttackFacts::default()
+            } else {
+                let class = m_route.class;
+                crate::policy::facts_for(self.graph, strategy, clean, m_idx, v_idx, class)
+            },
+        };
+        Some((seed, base_path))
+    }
+
+    /// The attacked equilibrium for `seed`, and whether a delta pass
+    /// produced it: re-converged from `clean` when
+    /// [`AttackSeed::delta_applicable`] and the attempt aborts on neither a
+    /// worsened adoption nor an orphan, computed by a full pass otherwise.
     fn attacked_pass<P: DefensePolicy>(
         &self,
         spec: &DestinationSpec,
@@ -334,32 +357,47 @@ impl<'g> RoutingEngine<'g> {
         clean: &Pass,
         seed: &AttackSeed,
         policy: &P,
-    ) -> Pass {
-        let full = |ws: &mut RouteWorkspace| {
-            propagate::<false, P>(self.graph, spec, v_idx, ws, Some(seed), None, policy)
-                .expect("only a delta pass aborts")
-        };
-        if seed.delta_applicable::<P>() {
+    ) -> (Pass, bool) {
+        if seed.delta_applicable() {
             let keys = ws.clean_keys(self.graph, spec, clean);
-            // Only a NOOP policy is delta-applicable, so the hook is compiled out.
             let from = Some((clean, &keys[..]));
-            let delta =
-                propagate::<true, _>(self.graph, spec, v_idx, ws, Some(seed), from, &NoDefense);
+            let delta = propagate::<true, P>(self.graph, spec, v_idx, ws, Some(seed), from, policy);
             if let Some(pass) = delta {
                 ws.delta_passes += 1;
                 counters::incr(Counter::DeltaPass);
-                if crate::audit::enabled() {
-                    // debug-audit oracle: the delta pass must be
-                    // bit-identical to a from-scratch propagation.
-                    crate::audit::assert_delta_matches_full(self.graph, spec, &pass, &full(ws));
-                }
-                return pass;
+                return (pass, true);
             }
             ws.delta_fallbacks += 1;
             counters::incr(Counter::DeltaFallback);
         }
-        full(ws)
+        let full = propagate::<false, P>(self.graph, spec, v_idx, ws, Some(seed), None, policy);
+        (full.expect("only a delta pass aborts"), false)
     }
+}
+
+/// `outcome`'s attacked pass recomputed from scratch by the full
+/// propagation under `policy`, in a throwaway workspace: the reference of
+/// [`crate::audit::full_pass_divergence`]. `None` when the outcome has no
+/// attacked pass.
+pub(crate) fn full_attacked_pass<P: DefensePolicy>(
+    outcome: &RoutingOutcome<'_>,
+    policy: &P,
+) -> Option<Pass> {
+    outcome.attacked_pass_ref()?;
+    let engine = RoutingEngine::new(outcome.graph);
+    let (spec, v_idx) = (&outcome.spec, outcome.v_idx);
+    let att = spec.attacker_model()?;
+    let (seed, _) = engine.attack_seed::<P>(spec, v_idx, &outcome.clean, att, outcome.m_idx?)?;
+    let mut ws = RouteWorkspace::with_cache_capacity(0);
+    propagate::<false, P>(
+        outcome.graph,
+        spec,
+        v_idx,
+        &mut ws,
+        Some(&seed),
+        None,
+        policy,
+    )
 }
 
 /// Shared fixtures for this crate's tests (the Figure 1 topology).

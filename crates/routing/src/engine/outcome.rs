@@ -187,7 +187,7 @@ impl RoutingOutcome<'_> {
         }
     }
 
-    fn info_from(&self, pass: &Pass, asn: Asn) -> Option<RouteInfo> {
+    pub(crate) fn info_from(&self, pass: &Pass, asn: Asn) -> Option<RouteInfo> {
         let idx = self.graph.index_of(asn)?;
         let r = pass.get(idx)?;
         Some(RouteInfo {

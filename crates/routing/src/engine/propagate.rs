@@ -4,10 +4,11 @@
 //! # Delta re-convergence
 //!
 //! Whenever [`AttackSeed::delta_applicable`] holds, the attacked equilibrium
-//! is computed **incrementally** from the clean one; the full pass is the
-//! fallback, the path every policied or poisoned pass takes, and — reached
-//! through any accept-all non-`NOOP` [`DefensePolicy`] — the reference the
-//! equivalence tests compare against.
+//! is computed **incrementally** from the clean one, under whatever
+//! [`DefensePolicy`] the cell carries; the full pass is the fallback — the
+//! path every poisoned splice or lengthening seed takes, and every attempt
+//! that aborts — and, replayed by [`crate::audit::full_pass_divergence`],
+//! the reference the equivalence tests compare against.
 //! The delta pass starts from a copy of the clean pass, seeds the frontier
 //! with `M`'s stripped exports, and relaxes outward; a popped label either
 //!
@@ -32,17 +33,25 @@
 //! ASN, so a tie implies the same parent), i.e. the clean option no longer
 //! exists, so ties adopt the attacker label.
 //!
-//! **The rare non-monotone corner.** Policy beats length, so a node can be
-//! re-converged onto a *longer* route of better class (e.g. a stripped route
-//! arriving customer-learned where the clean route was peer-learned). Its
-//! re-export to non-sibling neighbors then *worsens* in key, which can strip
-//! downstream nodes of their clean floor — the one case where the attacked
-//! equilibrium is not pointwise ≤ the clean one. The delta pass detects this
-//! at adoption time ([`worsened`]: `len` grew while class improved) and the
-//! caller falls back to the full pass, so results are **bit-identical** to
-//! the two-full-pass engine in every case — property-tested across all
-//! attack strategies and both export modes in `tests/delta_equivalence.rs`.
-
+//! **The two aborts.** Two events void that argument, and the delta pass
+//! returns `None` on either, so the caller falls back to the full pass and
+//! results stay **bit-identical** to it in every case — property-tested
+//! across all attack strategies, both export modes and every policy kind in
+//! `tests/delta_equivalence.rs` and `tests/defense_equivalence.rs`:
+//!
+//! * **worsened** — policy beats length, so a node can be re-converged onto
+//!   a *longer* route of better class (e.g. a stripped route arriving
+//!   customer-learned where the clean route was peer-learned). Its
+//!   re-export to non-sibling neighbors then *worsens* in key, which can
+//!   strip downstream nodes of their clean floor. Detected at adoption time
+//!   ([`worsened`]: `len` grew).
+//! * **orphan** — a node's import filter refuses the attacker-derived offer
+//!   of its own clean parent. The parent no longer exports the clean route
+//!   the node holds, so the node must re-select among what is left, which
+//!   only the full pass models. Detected in [`PassCtx::offer`]'s rejection
+//!   branch and checked after the attacker's seed exports and after each
+//!   settled node's exports. A `NOOP` policy rejects nothing, so the check
+//!   compiles out with the hook.
 use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::{Relationship, RouteClass};
@@ -73,19 +82,20 @@ pub(super) struct AttackSeed {
 impl AttackSeed {
     /// The single gate of delta re-convergence (proof sketch in DESIGN.md).
     /// Its frontier pruning is sound iff every clean export the attack
-    /// invalidates is *replaced* by a malicious label that ranks no worse:
+    /// invalidates is *replaced* by a malicious label that ranks no worse —
+    /// or the pass aborts where it is not:
     ///
-    /// * **replacement guarantee** — no import filter (`P::NOOP`): a deployer
-    ///   rejecting its clean parent's now-malicious offer would be left
-    ///   holding a route the parent no longer exports;
+    /// * **replacement or abort** — a receiver whose import filter refuses
+    ///   its clean parent's now-malicious offer is an orphan, and the pass
+    ///   aborts on it (checked inside the pass, not here);
     /// * **parent-closed chain** — every node that rejects malicious labels
     ///   (loop prevention) has a clean parent that rejects them too, so no
     ///   chain node's clean route is withdrawn under it;
     /// * **monotone lengths** — the attacker's own seed does not lengthen
     ///   the exports it replaces (each later adoption is probed with the same
     ///   [`worsened`] test inside the pass, which aborts to the full pass).
-    pub(super) fn delta_applicable<P: DefensePolicy>(&self) -> bool {
-        P::NOOP && self.chain_parent_closed && !worsened(self.base_len, self.pinned.len)
+    pub(super) fn delta_applicable(&self) -> bool {
+        self.chain_parent_closed && !worsened(self.base_len, self.pinned.len)
     }
 
     /// The [`export_row`] of the attack itself: customers, siblings and peers
@@ -182,18 +192,23 @@ fn pad_table<'s>(graph: &AsGraph, spec: &'s DestinationSpec) -> Vec<Option<&'s P
 
 /// What one pass reads and writes besides its route table. Its methods are
 /// the export side of the loop in [`propagate`]; `DELTA` selects the delta
-/// pass's clean-key pruning at compile time (`keys` is empty and unread
-/// otherwise).
+/// pass's clean-key pruning and orphan test at compile time (`clean` and
+/// `keys` are empty and unread otherwise).
 struct PassCtx<'a, P> {
     graph: &'a AsGraph,
     pad: Vec<Option<&'a PrependingPolicy>>,
     queue: &'a mut BucketQueue,
     scratch: &'a mut [NodeScratch],
+    /// The clean pass the delta pass re-converges from.
+    clean: &'a Pass,
     /// The clean pass's [`pack_pref`] key per node.
     keys: &'a [u128],
     epoch: u32,
     policy: &'a P,
     facts: AttackFacts,
+    /// Set when a receiver refused its clean parent's attacker-derived
+    /// offer: the delta attempt is void.
+    orphaned: bool,
 }
 
 impl<P: DefensePolicy> PassCtx<'_, P> {
@@ -236,8 +251,10 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
     /// compile-time `NOOP`, the receiver's [`DefensePolicy`] is consulted
     /// before anything else is recorded: a rejected offer vanishes as if the
     /// export never happened — it neither queues nor clobbers the lazy
-    /// decrease-key rank. The `!P::NOOP` guard is a constant, so the default
-    /// monomorphization compiles to the exact pre-policy hot path.
+    /// decrease-key rank. In the delta pass a rejected offer from the
+    /// receiver's own clean parent also marks the attempt orphaned. The
+    /// `!P::NOOP` guard is a constant, so the default monomorphization
+    /// compiles to the exact pre-policy hot path.
     #[inline]
     fn offer<const DELTA: bool, const VIA: bool>(
         &mut self,
@@ -257,6 +274,11 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
                 .policy
                 .accepts_attacker_route(node as usize, class, &self.facts)
         {
+            if DELTA
+                && self.clean.get(node as usize).and_then(|r| r.parent) == Some(parent as usize)
+            {
+                self.orphaned = true;
+            }
             return;
         }
         let pref = pack_pref(class, len, tie_asn);
@@ -285,8 +307,9 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
 /// order, `policy` filtering attacker-derived offers at their receivers.
 ///
 /// Only a delta pass returns `None`: an adoption [`worsened`] the route it
-/// replaced, and the caller must run the full pass. A delta pass that
-/// survives is bit-identical to the full pass for the same seed.
+/// replaced, or a receiver was orphaned, and the caller must run the full
+/// pass. A delta pass that survives is bit-identical to the full pass for
+/// the same seed and policy.
 pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
     graph: &AsGraph,
     spec: &DestinationSpec,
@@ -298,19 +321,22 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
 ) -> Option<Pass> {
     debug_assert_eq!(DELTA, delta_from.is_some());
     ws.begin_pass(graph.len(), attack.map_or(&[][..], |a| &a.chain));
-    let (mut best, keys) = match delta_from {
-        Some((clean, keys)) => (clean.clone(), keys),
-        None => (Pass::absent(graph.len()), &[][..]),
+    let no_clean = Pass::default();
+    let (mut best, clean, keys) = match delta_from {
+        Some((clean, keys)) => (clean.clone(), clean, keys),
+        None => (Pass::absent(graph.len()), &no_clean, &[][..]),
     };
     let mut cx = PassCtx {
         graph,
         pad: pad_table(graph, spec),
         queue: &mut ws.queue,
         scratch: &mut ws.scratch[..],
+        clean,
         keys,
         epoch: ws.epoch,
         policy,
         facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
+        orphaned: false,
     };
 
     // The victim's route is final from the start: `Origin` in a full pass,
@@ -331,6 +357,10 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
         best.set(att.m_idx, Some(att.pinned));
         cx.scratch[att.m_idx].adopted_epoch = cx.epoch;
         cx.export::<DELTA>(att.m_idx, att.export_row(), att.base_len, true);
+        // Only a filter orphans, so a `NOOP` policy compiles the test out.
+        if DELTA && !P::NOOP && cx.orphaned {
+            return None;
+        }
     }
 
     let mut frontier = 0u64;
@@ -372,6 +402,9 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
         debug_assert!(attack.is_none_or(|a| a.m_idx != node));
         let row = export_row(label.class);
         cx.export::<DELTA>(node, row, label.len, label.via_attacker);
+        if DELTA && !P::NOOP && cx.orphaned {
+            return None;
+        }
     }
     if DELTA {
         counters::add(Counter::DeltaFrontierNode, frontier);

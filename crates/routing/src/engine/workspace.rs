@@ -210,9 +210,10 @@ impl RouteWorkspace {
         self.delta_passes
     }
 
-    /// Number of attacked passes where the delta pass detected the
-    /// non-monotone corner (an adoption that worsened the route it replaced)
-    /// and fell back to a full propagation.
+    /// Number of attacked passes where the delta pass aborted — an
+    /// adoption worsened the route it replaced, or a deployer refused its
+    /// own clean parent's offer (an orphan) — and fell back to a full
+    /// propagation.
     #[must_use]
     pub fn delta_fallbacks(&self) -> u64 {
         self.delta_fallbacks

@@ -97,17 +97,24 @@ use crate::engine::{AttackStrategy, Pass, RoutingOutcome};
 /// Implementations must be cheap: the hook sits on the propagation hot
 /// path and is called once per (deployed) receiver per attacker-derived
 /// edge relaxation.
+///
+/// Implementations must also be **pure**: the verdict is a function of the
+/// arguments alone. The engine may ask about the same offer more than once
+/// — a delta attempt that aborts is followed by the full pass, which
+/// consults the policy again, and the audit re-derives every verdict — so
+/// a policy whose answer depends on how often it was asked makes the
+/// outcome depend on the engine's schedule.
 pub trait DefensePolicy {
     /// Marks the policy as a compile-time no-op. When `true` the engine
     /// elides the hook entirely (the monomorphized hot path is identical
-    /// to the pre-policy engine) and may serve the attacked pass by delta
-    /// re-convergence.
+    /// to the pre-policy engine).
     ///
     /// Only [`NoDefense`] should set this.
     const NOOP: bool = false;
 
     /// Whether `node` accepts an attacker-derived announcement arriving
     /// with receiving class `class`, given the per-attack [`AttackFacts`].
+    /// Must be a pure function of its arguments (see the trait docs).
     fn accepts_attacker_route(&self, node: usize, class: RouteClass, facts: &AttackFacts) -> bool;
 }
 

@@ -141,7 +141,7 @@ fn delta_pass_and_fallback_counts_are_exact() {
         )
     };
 
-    let before = MetricsSnapshot::capture();
+    let start = MetricsSnapshot::capture();
     // λ=4: stripping to one origin copy
     // shortens the off-chain offers strictly, so the delta pass survives.
     // Three runs = three delta passes (the first also pays the clean-pass
@@ -169,9 +169,11 @@ fn delta_pass_and_fallback_counts_are_exact() {
     );
     let _ = work(&poisoned, None);
     let full_only = work(&poisoned, None);
-    let delta = MetricsSnapshot::capture().since(&before);
-    // ASPA everywhere on the λ=4 attack: policied, so a full pass too, and
-    // AS5 rejects the provider-learned route the attacker re-announces.
+    let unpolicied = MetricsSnapshot::capture().since(&start);
+    // ASPA everywhere on the λ=4 attack: a delta attempt like any other.
+    // AS5 refuses the provider-learned route the attacker re-announces,
+    // but AS5's clean parent is AS1, not the attacker, so nobody is
+    // orphaned and the attempt survives having re-converged nobody.
     let aspa = DeployedPolicy::new(
         PolicyKind::Aspa,
         DeploymentMap::from_indices(graph.len(), 0..graph.len()),
@@ -179,17 +181,30 @@ fn delta_pass_and_fallback_counts_are_exact() {
     let before = MetricsSnapshot::capture();
     let policied = work(&spec, Some(&aspa));
     let policy = MetricsSnapshot::capture().since(&before);
+    // An origin hijack by AS3 at λ=4 with ROV at stub AS6 alone: AS1 and AS5
+    // adopt the forged origin, and AS6 refuses it from AS5, its own clean
+    // parent — an orphan, so the delta attempt aborts to the full pass.
+    let hijack = DestinationSpec::new(Asn(2)).origin_padding(4).attacker(
+        AttackerModel::new(Asn(3))
+            .mode(ExportMode::ViolateValleyFree)
+            .strategy(AttackStrategy::OriginHijack),
+    );
+    let rov = DeployedPolicy::new(PolicyKind::Rov, DeploymentMap::from_asns(&graph, [Asn(6)]));
+    let before = MetricsSnapshot::capture();
+    let orphaned_then_full = work(&hijack, Some(&rov));
+    let orphan = MetricsSnapshot::capture().since(&before);
+    let total = MetricsSnapshot::capture().since(&start);
 
-    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (3, 2));
+    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (4, 3));
     if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::DeltaPass), 3);
-        assert_eq!(delta.get(Counter::DeltaFallback), 2);
-        assert_eq!(delta.get(Counter::DeltaPass), ws.delta_passes());
-        assert_eq!(delta.get(Counter::DeltaFallback), ws.delta_fallbacks());
-        // Each surviving delta pass re-converged the off-chain provider
-        // AS5 and its stub AS6 onto the attacker: 2 frontier nodes × 3
-        // passes.
-        assert_eq!(delta.get(Counter::DeltaFrontierNode), 6);
+        assert_eq!(unpolicied.get(Counter::DeltaPass), 3);
+        assert_eq!(unpolicied.get(Counter::DeltaFallback), 2);
+        assert_eq!(total.get(Counter::DeltaPass), ws.delta_passes());
+        assert_eq!(total.get(Counter::DeltaFallback), ws.delta_fallbacks());
+        // Each surviving unpolicied delta pass re-converged the off-chain
+        // provider AS5 and its stub AS6 onto the attacker: 2 frontier nodes
+        // × 3 passes.
+        assert_eq!(unpolicied.get(Counter::DeltaFrontierNode), 6);
         // (queue_pushes, filter_drops) per kind of pass, read off the
         // two-loop engine this one replaced. Clean pass + delta: AS2→AS1,
         // AS1→{AS3, AS5}, AS5→AS6 (AS5's offer back to AS3 loses to AS1's),
@@ -203,13 +218,25 @@ fn delta_pass_and_fallback_counts_are_exact() {
         // The full pass alone: AS2→AS1, the attacker's poisoned offer to
         // AS5 and AS5→AS6; AS1's peer-class offer to AS5 loses at the filter.
         assert_eq!(full_only, (3, 1));
-        // AS1 is on the chain and AS5 refuses, so the attack pushes nothing:
-        // the three labels are the clean routes of AS1, AS5 and AS6.
-        assert_eq!(policied, (3, 0));
+        // AS1 is on the chain and AS5 refuses, so the delta pass pushes
+        // nothing: one policy check, one reject, one surviving pass.
+        assert_eq!(policied, (0, 0));
+        assert_eq!(policy.get(Counter::DeltaPass), 1);
+        assert_eq!(policy.get(Counter::DeltaFrontierNode), 0);
         assert_eq!(policy.get(Counter::PolicyCheck), 1);
         assert_eq!(policy.get(Counter::PolicyReject), 1);
+        // The voided attempt pushed the hijack's offers to AS1 and AS5, and
+        // AS1's peer-class re-export to AS5 lost to the queued customer
+        // offer; AS5 settled and offered AS6, which refused. The full pass
+        // pushes AS2→AS1 and the same two hijack offers, drops AS1's
+        // re-export again, and AS6 refuses again: (2 + 3, 1 + 1) labels and
+        // drops, two checks, two rejects, one fallback.
+        assert_eq!(orphaned_then_full, (5, 2));
+        assert_eq!(orphan.get(Counter::DeltaFallback), 1);
+        assert_eq!(orphan.get(Counter::PolicyCheck), 2);
+        assert_eq!(orphan.get(Counter::PolicyReject), 2);
     } else {
-        assert!(delta.is_empty(), "disabled build must report empty metrics");
+        assert!(total.is_empty(), "disabled build must report empty metrics");
     }
 }
 

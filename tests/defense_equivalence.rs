@@ -2,17 +2,24 @@
 //! adoption/export decision core must leave the default path **bit
 //! identical** to the pre-policy engine — `NoDefense` and an
 //! empty-deployment `DeployedPolicy` are the same equilibrium as plain
-//! `compute_with`, across the full 4-strategy × 2-export-mode × λ matrix —
-//! and policies that are *semantically blind* to an attack must not
-//! perturb it at any deployment fraction (ROV vs ASPP stripping, the
-//! repository's headline negative result).
+//! `compute_with` and as the full-pass reference, across the full
+//! 4-strategy × 2-export-mode × λ matrix — policied attacked passes, which
+//! ride delta re-convergence with an orphan abort, must equal the full pass
+//! under every policy kind and deployment, and policies that are
+//! *semantically blind* to an attack must not perturb it at any deployment
+//! fraction (ROV vs ASPP stripping, the repository's headline negative
+//! result).
 
-use aspp_core::attack::defense::{deployment_order, run_defense_sweep, DeployStrategy};
+use aspp_core::attack::defense::{
+    deploy_count, deployment_order, run_defense_sweep, DeployStrategy,
+};
 use aspp_core::attack::sweep::{random_pair_experiments, strategy_matrix};
 use aspp_core::experiments::Scale;
 use aspp_core::prelude::*;
+use aspp_core::routing::audit::full_pass_divergence;
 use aspp_core::routing::RouteInfo;
 use proptest::prelude::*;
+use proptest::test_runner::rng_for;
 
 /// `spec` with its attacker re-modelled by `model`.
 fn remodel(
@@ -51,7 +58,9 @@ fn nodefense_and_empty_deployment_match_the_default_engine_exactly() {
     let mut nodefense_ws = RouteWorkspace::new();
     let mut empty_ws = RouteWorkspace::new();
     for spec in &matrix {
-        let default = tables(&engine.compute_with(spec, &mut default_ws));
+        let default = engine.compute_with(spec, &mut default_ws);
+        assert_eq!(full_pass_divergence(&default, &NoDefense), None, "{spec:?}");
+        let default = tables(&default);
         let nodefense = tables(&engine.compute_with_policy(spec, &mut nodefense_ws, &NoDefense));
         assert_eq!(
             default, nodefense,
@@ -122,11 +131,143 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
     let strip = remodel(pair, |m| m.mode(ExportMode::ViolateValleyFree));
     let undefended = engine.compute_with(&strip, &mut ws);
     let rov_defended = engine.compute_with_policy(&strip, &mut ws, &rov_everywhere);
+    assert_eq!(full_pass_divergence(&rov_defended, &rov_everywhere), None);
     assert_eq!(
         tables(&undefended),
         tables(&rov_defended),
         "the stripped announcement keeps the true origin: ROV sees nothing"
     );
+}
+
+/// Whether some AS adopted an attacker-derived route longer than its clean
+/// one — the adoption that voids a delta attempt as worsened. A delta
+/// attempt that fell back on an outcome without one was voided by an orphan.
+fn worsened_somewhere(outcome: &RoutingOutcome<'_>) -> bool {
+    outcome
+        .asns()
+        .any(|a| match (outcome.route(a), outcome.clean_route(a)) {
+            (Some(r), Some(c)) => r.via_attacker && r.effective_len > c.effective_len,
+            _ => false,
+        })
+}
+
+/// The nested deployments of `kind` the differential test sweeps: nobody,
+/// ≈10 %, ≈50 % and everybody, along a random and a top-degree adoption
+/// order (the shared empty and full maps once).
+fn nested_deployments(graph: &AsGraph, kind: PolicyKind, seed: u64) -> Vec<DeployedPolicy> {
+    let mut policies: Vec<DeployedPolicy> = Vec::new();
+    for strategy in [DeployStrategy::Random, DeployStrategy::TopDegree] {
+        let order = deployment_order(graph, strategy, seed);
+        for fraction in [0.0, 0.1, 0.5, 1.0] {
+            let k = deploy_count(order.len(), fraction);
+            let map = DeploymentMap::from_asns(graph, order[..k].iter().copied());
+            let policy = DeployedPolicy::new(kind, map);
+            if !policies.contains(&policy) {
+                policies.push(policy);
+            }
+        }
+    }
+    policies
+}
+
+/// Policied delta passes against the full pass: on small random topologies,
+/// every attack strategy × export mode × policy kind × nested deployment,
+/// computed on one warm workspace, must equal the full-pass reference route
+/// for route. Cases are drawn like a proptest's (the deterministic per-test
+/// RNG), in an explicit loop so the coverage asserts can span the whole
+/// run: policied delta passes and orphan fallbacks must both occur.
+#[test]
+fn policied_delta_passes_match_the_full_pass() {
+    const CASES: usize = 8;
+    let mut rng = rng_for(concat!(
+        module_path!(),
+        "::policied_delta_passes_match_the_full_pass"
+    ));
+    let inputs = (
+        any::<u64>(),
+        (0usize..100, 0usize..100, 0usize..100),
+        1usize..=5,
+    );
+    let (mut policied_deltas, mut orphan_fallbacks) = (0, 0);
+    for case in 1..=CASES {
+        let (seed, picks, lambda) = inputs.generate(&mut rng);
+        let graph = InternetConfig::small()
+            .tier2_count(10)
+            .tier3_count(15)
+            .stub_count(25)
+            .seed(seed)
+            .build();
+        let asns: Vec<Asn> = graph.asns().collect();
+        let pick = |i: usize| asns[i % asns.len()];
+        let (victim, attacker, poisoned) = (pick(picks.0), pick(picks.1), pick(picks.2));
+        if victim == attacker {
+            continue;
+        }
+        let engine = RoutingEngine::new(&graph);
+        let mut ws = RouteWorkspace::new();
+        for strategy in [
+            AttackStrategy::StripPadding { keep: 1 },
+            AttackStrategy::StripAllPadding,
+            AttackStrategy::ForgeDirect,
+            AttackStrategy::OriginHijack,
+            AttackStrategy::PoisonPath { poisoned },
+        ] {
+            for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
+                let spec = DestinationSpec::new(victim)
+                    .origin_padding(lambda)
+                    .attacker(AttackerModel::new(attacker).mode(mode).strategy(strategy));
+                for kind in PolicyKind::ALL {
+                    for policy in nested_deployments(&graph, kind, seed) {
+                        let (passes, fallbacks) = (ws.delta_passes(), ws.delta_fallbacks());
+                        let outcome = engine.compute_with_policy(&spec, &mut ws, &policy);
+                        assert_eq!(
+                            full_pass_divergence(&outcome, &policy),
+                            None,
+                            "case {case}/{CASES}: {spec:?} under {kind} at {} deployers",
+                            policy.map().deployed_count()
+                        );
+                        if policy.map().deployed_count() > 0 {
+                            policied_deltas += ws.delta_passes() - passes;
+                        }
+                        if ws.delta_fallbacks() > fallbacks && !worsened_somewhere(&outcome) {
+                            orphan_fallbacks += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(policied_deltas > 0, "no policied cell took the delta path");
+    assert!(
+        orphan_fallbacks > 0,
+        "no policied cell exercised the orphan abort"
+    );
+}
+
+/// The orphan abort on the Figure 1 graph: AS9318 hijacks Facebook's
+/// prefix, and ROV deployer AS4134, whose clean route runs through AS9318,
+/// refuses the forged origin from its own clean parent. Its clean route is
+/// gone and no other neighbor may export to it, so it ends routeless — the
+/// re-selection only the full pass models, so the delta attempt falls back.
+#[test]
+fn rov_deployer_orphaned_by_its_clean_parent_falls_back_to_the_full_pass() {
+    use well_known::*;
+    let graph = fixtures::facebook_topology();
+    let spec = DestinationSpec::new(FACEBOOK)
+        .attacker(AttackerModel::new(KOREA_TELECOM).strategy(AttackStrategy::OriginHijack));
+    let rov = DeployedPolicy::new(
+        PolicyKind::Rov,
+        DeploymentMap::from_asns(&graph, [CHINA_TELECOM]),
+    );
+    let mut ws = RouteWorkspace::new();
+    let outcome = RoutingEngine::new(&graph).compute_with_policy(&spec, &mut ws, &rov);
+    assert_eq!(
+        outcome.clean_route(CHINA_TELECOM).unwrap().next_hop,
+        Some(KOREA_TELECOM)
+    );
+    assert_eq!(outcome.route(CHINA_TELECOM), None);
+    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (0, 1));
+    assert_eq!(full_pass_divergence(&outcome, &rov), None);
 }
 
 proptest! {
@@ -161,8 +302,9 @@ proptest! {
             for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
                 let spec = remodel(pair, |m| m.mode(mode).strategy(attack));
                 let undefended = tables(&engine.compute_with(&spec, &mut ws));
-                let defended =
-                    tables(&engine.compute_with_policy(&spec, &mut ws, &rov));
+                let defended = engine.compute_with_policy(&spec, &mut ws, &rov);
+                prop_assert_eq!(full_pass_divergence(&defended, &rov), None);
+                let defended = tables(&defended);
                 prop_assert_eq!(
                     &undefended,
                     &defended,

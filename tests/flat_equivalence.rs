@@ -1,7 +1,8 @@
 //! Flat-ID engine equivalence: the packed route-table representation
 //! (dense u32 node ids, bit-packed route words, arena-reconstructed paths)
 //! must be observationally **bit-identical** to the reference formulations
-//! it replaced — the full-graph oracle pass at the route-table level, and
+//! it replaced — the full-graph oracle pass
+//! (`audit::full_pass_divergence`) at the route-table level, and
 //! an independently re-derived chain-walking reconstruction at the
 //! observed-path level — across the full 4-strategy × 2-export-mode × λ
 //! matrix, on the paper topology and proptest-randomized instances.
@@ -9,7 +10,7 @@
 use aspp_core::attack::sweep::{random_pair_experiments, strategy_matrix};
 use aspp_core::experiments::Scale;
 use aspp_core::prelude::*;
-use aspp_core::routing::RouteInfo;
+use aspp_core::routing::audit::full_pass_divergence;
 use proptest::prelude::*;
 
 /// Reference observed-path reconstruction, re-derived from the public
@@ -57,13 +58,6 @@ fn reference_observed(outcome: &RoutingOutcome<'_>, asn: Asn, attacked: bool) ->
         path.prepend_n(exporter, copies);
     }
     Some(path.prepended(asn))
-}
-
-/// Every AS's final route, in deterministic order.
-fn table(outcome: &RoutingOutcome<'_>) -> Vec<Option<RouteInfo>> {
-    let mut asns: Vec<Asn> = outcome.asns().collect();
-    asns.sort();
-    asns.into_iter().map(|a| outcome.route(a)).collect()
 }
 
 /// Asserts every observable of `outcome` against its reference
@@ -134,21 +128,20 @@ fn paper_matrix_flat_tables_and_paths_match_references() {
     assert_eq!(matrix.len(), 4 * 2 * 8, "full grid for one pair");
 
     let engine = RoutingEngine::new(&graph);
+    let mut ws = RouteWorkspace::new();
     for spec in &matrix {
-        let mut delta_ws = RouteWorkspace::new();
-        let outcome = engine.compute_with(spec, &mut delta_ws);
-        // Deployed nowhere, the policy accepts every offer; being non-NOOP,
-        // it forces the whole-graph propagation.
-        let whole_graph = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::empty(graph.len()));
-        let mut full_ws = RouteWorkspace::new();
-        let oracle = engine.compute_with_policy(spec, &mut full_ws, &whole_graph);
+        let outcome = engine.compute_with(spec, &mut ws);
         assert_eq!(
-            table(&outcome),
-            table(&oracle),
+            full_pass_divergence(&outcome, &NoDefense),
+            None,
             "delta route table diverges from full oracle for {spec:?}"
         );
         assert_outcome_matches_references(&outcome);
     }
+    assert!(
+        ws.delta_passes() > 0,
+        "the matrix must exercise the delta pass"
+    );
 }
 
 proptest! {

@@ -2,8 +2,9 @@
 //!
 //! These run the full `Scale::Paper` experiments (a ~1500-AS Internet, 80+27
 //! hijack instances, 200 detection pairs) and assert the qualitative shapes
-//! recorded in EXPERIMENTS.md. They take tens of seconds in release mode and
-//! are `#[ignore]`d by default; run them with:
+//! recorded in EXPERIMENTS.md. They take under a second in release mode but
+//! minutes in debug, so they are `#[ignore]`d by default (CI runs them in
+//! its release build); run them with:
 //!
 //! ```sh
 //! cargo test --release --test paper_scale -- --ignored
