@@ -20,16 +20,16 @@
 //!
 //! * the victim `V` is finalized first with an `Origin` label and exports to
 //!   every neighbor with its configured padding;
-//! * labels are popped in global preference order (the decision order
-//!   above); the first label to reach a node is its best route, because
-//!   every export step weakly worsens class and strictly grows length — the
-//!   monotonicity that makes Dijkstra sound here;
+//! * every export step weakly worsens class and strictly grows length, so
+//!   nodes are settled one `(class, length)` bucket at a time, in that
+//!   order, by a Dial-style bucket queue ([`queue`]);
+//! * **bucket closure + minimum offer:** no export lands in a bucket the
+//!   scan has opened, so when it opens, each node in it already holds the
+//!   best offer it will ever get (kept by the lazy decrease-key), and the
+//!   node settles on that offer — its best route. The order within a bucket
+//!   changes no route, so the scan settles it in node order;
 //! * on finalization a node re-exports subject to the valley-free rule
 //!   ([`RouteClass::may_export_to`]).
-//!
-//! Because `(class, length)` strictly increases along every export step, the
-//! labels are scheduled by a Dial-style bucket queue ([`queue`]) whose pop
-//! sequence is a binary heap's without the `log V` sift.
 //!
 //! # The attacked pass
 //!

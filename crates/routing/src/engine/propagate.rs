@@ -10,10 +10,12 @@
 //! that aborts — and, replayed by [`crate::audit::full_pass_divergence`],
 //! the reference the equivalence tests compare against.
 //! The delta pass starts from a copy of the clean pass, seeds the frontier
-//! with `M`'s stripped exports, and relaxes outward; a popped label either
+//! with `M`'s stripped exports, and relaxes outward; an attacker-derived
+//! offer either
 //!
-//! * loses to the node's clean label — the frontier stops, the node (and
-//!   everything behind it) keeps its clean route verbatim; or
+//! * loses to the node's clean label — it is dropped at push, the frontier
+//!   stops, and the node (and everything behind it) keeps its clean route
+//!   verbatim; or
 //! * wins (or ties) — the node is re-converged onto the attacker label and
 //!   re-exports it.
 //!
@@ -25,8 +27,13 @@
 //! node a better label reaches re-exports a label no worse than its clean
 //! export, so re-convergence only propagates improvements; any node the
 //! frontier never reaches has exactly its clean route in the attacked
-//! equilibrium, and the popped-in-preference-order schedule makes each
-//! adopted label the same one the full pass would have selected.
+//! equilibrium. Bucket closure + minimum offer makes each adopted label the
+//! one the full pass would have selected: no offer reaches a `(class,
+//! length)` bucket once the scan has opened it, so a node settles on the
+//! minimum over every offer it gets, whatever order its bucket drains in.
+//! The order can decide only whether an orphan is seen — an offer that
+//! reaches a node already settled consults no filter — and an orphan only
+//! sends the attempt to the full pass, whose result is the same.
 //!
 //! A tie between an attacker label and the stored clean label means the
 //! clean parent itself was re-converged (the last rank is the exporter's
@@ -56,8 +63,8 @@ use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::{Relationship, RouteClass};
 
-use super::queue::{pack_bucket_rank, BucketQueue};
-use super::route::{NodeRoute, Pass};
+use super::queue::BucketQueue;
+use super::route::{NodeRoute, PackedRoute, Pass};
 use super::spec::{DestinationSpec, ExportMode};
 use super::workspace::{NodeScratch, RouteWorkspace};
 use crate::policy::{AttackFacts, DefensePolicy};
@@ -131,6 +138,24 @@ pub(super) const PACKED_NO_CLEAN: u128 = u128::MAX;
 /// The effective length embedded in a [`pack_pref`]-packed key.
 fn packed_len(key: u128) -> u32 {
     (key >> 40) as u32
+}
+
+/// A node's best offer, as [`PassCtx::offer`] records it in
+/// [`NodeScratch::offer_rank`]: the [`pack_pref`] key extended by the
+/// exporter's node index and the via flag, so rank order is preference
+/// order made total, and `rank >> 33` is the preference key again.
+fn pack_offer(pref: u128, parent: u32, via_attacker: bool) -> u128 {
+    (pref << 33) | ((parent as u128) << 1) | u128::from(via_attacker)
+}
+
+/// The route a [`pack_offer`] rank settles its node on.
+fn unpack_offer(rank: u128) -> NodeRoute {
+    NodeRoute {
+        class: PackedRoute::CLASS[(rank >> 105) as usize & 3],
+        len: (rank >> 73) as u32,
+        parent: Some((rank >> 1) as u32 as usize),
+        via_attacker: rank & 1 != 0,
+    }
 }
 
 /// One valley-free export table row: the class a route of class `class`
@@ -243,9 +268,9 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
     /// The push-time filter: drops offers to settled, on-chain (when `VIA`)
     /// or — in the delta pass — clean-dominated targets, then applies the
     /// lazy decrease-key (an offer that does not beat the best one already
-    /// queued for its node is redundant: the better offer pops first and
-    /// settles the node the same way). The mutable state it reads lives in
-    /// the target's single [`NodeScratch`] entry.
+    /// recorded for its node is redundant: the node settles on the recorded
+    /// one) and queues the node in the offer's bucket. The mutable state it
+    /// reads lives in the target's single [`NodeScratch`] entry.
     ///
     /// When `VIA` (an attacker-derived offer) and the policy is not the
     /// compile-time `NOOP`, the receiver's [`DefensePolicy`] is consulted
@@ -285,17 +310,14 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
         if DELTA && self.keys[node as usize] < pref {
             return;
         }
-        // `offer_rank` is the packed preference key extended by the remaining
-        // `Ord` fields, so it can be derived instead of re-packed.
-        let rank = (pref << 33) | ((parent as u128) << 1) | u128::from(VIA);
+        let rank = pack_offer(pref, parent, VIA);
         if s.offer_epoch == self.epoch && s.offer_rank <= rank {
             counters::incr(Counter::FilterDrop);
             return;
         }
         s.offer_epoch = self.epoch;
         s.offer_rank = rank;
-        self.queue
-            .push(class, len, pack_bucket_rank(tie_asn, node, parent, VIA));
+        self.queue.push(class, len, node);
     }
 }
 
@@ -303,8 +325,9 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
 /// pops the queue. A full pass (`DELTA = false`, no `delta_from`) starts from
 /// an all-absent table and settles the victim; a delta pass starts from the
 /// clean table and its packed keys. Either then pins the attacker (none in a
-/// clean pass), exports the path it claims and settles labels in preference
-/// order, `policy` filtering attacker-derived offers at their receivers.
+/// clean pass), exports the path it claims and settles nodes one `(class,
+/// length)` bucket at a time, each on its best recorded offer, `policy`
+/// filtering attacker-derived offers at their receivers.
 ///
 /// Only a delta pass returns `None`: an adoption [`worsened`] the route it
 /// replaced, or a receiver was orphaned, and the caller must run the full
@@ -364,44 +387,43 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
     }
 
     let mut frontier = 0u64;
-    while let Some(label) = cx.queue.pop() {
-        let node = label.node as usize;
-        if cx.scratch[node].adopted_epoch == cx.epoch {
-            // Settled by a more preferred label.
+    while let Some((class, len, node)) = cx.queue.pop() {
+        let node = node as usize;
+        let s = cx.scratch[node];
+        if s.adopted_epoch == cx.epoch {
+            // An earlier entry already settled it.
             continue;
         }
+        // Bucket closure: no push reaches an opened bucket, so the recorded
+        // offer is the minimum over every offer the node gets, and it is
+        // this bucket's — an offer of an earlier bucket settled it there.
+        let route = unpack_offer(s.offer_rank);
+        debug_assert_eq!(
+            (s.offer_epoch, route.class, route.len),
+            (cx.epoch, class, len)
+        );
         // Chain-masked targets were filtered at push (loop prevention).
-        debug_assert!(!label.via_attacker || cx.scratch[node].chain_epoch != cx.epoch);
+        debug_assert!(!route.via_attacker || s.chain_epoch != cx.epoch);
         if DELTA {
-            debug_assert!(label.via_attacker, "the delta frontier is all-malicious");
-            // Re-rank against the clean key (the push-time filter only
-            // dropped strict losers): a loser stops the frontier, a tie
-            // adopts, and an adoption that `worsened` its route voids the
-            // whole attempt. (`PACKED_NO_CLEAN` keys pass both checks: they
-            // rank last and their length is `u32::MAX`.)
+            debug_assert!(route.via_attacker, "the delta frontier is all-malicious");
+            // Only offers no worse than the clean key were recorded, so a
+            // tie adopts, and an adoption that `worsened` its route voids
+            // the whole attempt. (`PACKED_NO_CLEAN` keys pass: they rank
+            // last and their length is `u32::MAX`.)
             let clean_key = keys[node];
-            if clean_key < pack_pref(label.class, label.len, label.tie_asn) {
-                continue;
-            }
-            if clean_key != PACKED_NO_CLEAN && worsened(label.len, packed_len(clean_key)) {
+            debug_assert!(s.offer_rank >> 33 <= clean_key);
+            if clean_key != PACKED_NO_CLEAN && worsened(route.len, packed_len(clean_key)) {
                 return None;
             }
             frontier += 1;
         }
         cx.scratch[node].adopted_epoch = cx.epoch;
-        let route = NodeRoute {
-            class: label.class,
-            len: label.len,
-            parent: Some(label.parent as usize),
-            via_attacker: label.via_attacker,
-        };
         best.set(node, Some(route));
         // The attacker itself never reaches this point: it was settled (and
         // chain-masked) above, so its pinned route is never re-exported —
         // only the claimed one is.
         debug_assert!(attack.is_none_or(|a| a.m_idx != node));
-        let row = export_row(label.class);
-        cx.export::<DELTA>(node, row, label.len, label.via_attacker);
+        cx.export::<DELTA>(node, export_row(class), len, route.via_attacker);
         if DELTA && !P::NOOP && cx.orphaned {
             return None;
         }
@@ -410,4 +432,41 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
         counters::add(Counter::DeltaFrontierNode, frontier);
     }
     Some(best)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn offer_rank_round_trips_and_orders_like_the_offer_tuple() {
+        let mut offers = Vec::new();
+        for class in [
+            RouteClass::FromCustomer,
+            RouteClass::FromPeer,
+            RouteClass::FromProvider,
+        ] {
+            for len in [0, 3, 256, u32::MAX] {
+                for (tie_asn, parent) in [(0, 0), (64_512, 79_999), (u32::MAX, u32::MAX - 1)] {
+                    for via_attacker in [false, true] {
+                        let pref = pack_pref(class, len, tie_asn);
+                        let rank = pack_offer(pref, parent, via_attacker);
+                        assert_eq!(rank >> 33, pref, "the preference key is the rank's prefix");
+                        let route = NodeRoute {
+                            class,
+                            len,
+                            parent: Some(parent as usize),
+                            via_attacker,
+                        };
+                        assert_eq!(unpack_offer(rank), route);
+                        offers.push(((class, len, tie_asn, parent, via_attacker), rank));
+                    }
+                }
+            }
+        }
+        let mut by_tuple = offers.clone();
+        by_tuple.sort_unstable_by_key(|&(tuple, _)| tuple);
+        offers.sort_unstable_by_key(|&(_, rank)| rank);
+        assert_eq!(offers, by_tuple);
+    }
 }

@@ -46,8 +46,8 @@ impl PackedRoute {
     const PRESENT: u64 = 1 << 63;
     const VIA: u64 = 1 << 62;
     const NO_PARENT: u64 = u32::MAX as u64;
-    /// Discriminant-indexed decode table for the 2-bit class field.
-    const CLASS: [RouteClass; 4] = [
+    /// Discriminant-indexed decode table for a class field.
+    pub(super) const CLASS: [RouteClass; 4] = [
         RouteClass::Origin,
         RouteClass::FromCustomer,
         RouteClass::FromPeer,

@@ -1,6 +1,6 @@
 //! Reusable per-thread pass state: the epoch-stamped [`NodeScratch`] table
 //! every pass filters its offers through, and the [`RouteWorkspace`] that
-//! owns it together with the label queue and the clean-pass cache.
+//! owns it together with the node queue and the clean-pass cache.
 
 use std::sync::Arc;
 
@@ -27,11 +27,10 @@ use crate::prepend::PrependConfig;
 /// table at the wrap so stale stamps can never collide.)
 ///
 /// * `offer_rank` (with `offer_epoch`) is a lazy decrease-key: the best
-///   offer rank queued for this node so far. An offer that does not
-///   beat it is provably redundant — the recorded offer pops first (same
-///   node, and the rank order is `Ord` order) and settles the node the same
-///   way — so it is dropped at push. Strict `(class, len)` scan progress
-///   guarantees nothing better can arrive after adoption.
+///   offer this node has received so far, and the route it settles on —
+///   the queue holds only node ids. An offer that does not beat it is
+///   dropped at push. Strict `(class, len)` scan progress guarantees that
+///   nothing better arrives once the node's bucket is opened.
 /// * `chain_epoch` marks membership in the attacker's claimed AS chain
 ///   (loop prevention); `adopted_epoch` marks a settled node — finalized in
 ///   the full pass, adopted-malicious in the delta pass.
@@ -79,7 +78,7 @@ impl CleanEntry {
 /// evaluations — issue thousands of such calls against the same victim, so a
 /// `RouteWorkspace` keeps three things alive across calls:
 ///
-/// * the bucket-queue label scheduler, so its buckets are reused instead of
+/// * the bucket-queue node scheduler, so its buckets are reused instead of
 ///   regrown;
 /// * the per-node `NodeScratch` table (offer ranks, adoption/chain epoch
 ///   stamps — epoch-stamped, never re-zeroed); and
@@ -229,7 +228,7 @@ impl RouteWorkspace {
     }
 
     /// Starts a fresh propagation pass over a graph of `n` nodes: empties
-    /// the queue (a voided delta attempt leaves labels behind), bumps the
+    /// the queue (a voided delta attempt leaves nodes behind), bumps the
     /// pass epoch (retiring every offer, adoption and chain mark in O(1),
     /// without re-zeroing the scratch array) and marks `chain` as the
     /// attacker's claimed AS chain.

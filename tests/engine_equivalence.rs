@@ -5,6 +5,7 @@
 //! best route, for every victim, padding level, attacker placement, export
 //! mode, and attack strategy.
 
+use aspp_core::experiments::Scale;
 use aspp_core::prelude::*;
 use aspp_core::routing::bgp::BgpSimulation;
 use aspp_core::routing::AttackStrategy;
@@ -262,4 +263,37 @@ fn construction_order_does_not_change_route_tables() {
             }
         }
     }
+}
+
+/// Route for route at a scale where one `(class, length)` bucket holds
+/// hundreds of nodes, so the order the engine settles a bucket in is
+/// exercised: the clean pass, the λ=3 strip in both export modes and an
+/// origin hijack, each by a tier-1 attacker, over `victims` stub victims.
+fn assert_equivalent_where_buckets_are_wide(graph: &AsGraph, victims: usize) {
+    let tiers = TierMap::classify(graph);
+    let attacker = tiers.tier1().next().expect("a tier-1 AS");
+    let stubs: Vec<Asn> = graph.asns().filter(|&a| tiers.is_stub(graph, a)).collect();
+    for &victim in stubs.iter().step_by(stubs.len() / victims).take(victims) {
+        let clean = DestinationSpec::new(victim).origin_padding(3);
+        assert_equivalent(graph, &clean);
+        let attacker = AttackerModel::new(attacker);
+        for model in [
+            attacker.mode(ExportMode::Compliant),
+            attacker.mode(ExportMode::ViolateValleyFree),
+            attacker.strategy(AttackStrategy::OriginHijack),
+        ] {
+            assert_equivalent(graph, &clean.clone().attacker(model));
+        }
+    }
+}
+
+#[test]
+fn paper_scale_equivalence_where_buckets_are_wide() {
+    assert_equivalent_where_buckets_are_wide(&Scale::Paper.internet(2024), 3);
+}
+
+#[test]
+#[ignore = "20 000-AS run: seconds in release, minutes in debug"]
+fn internet_smoke_equivalence_where_buckets_are_wide() {
+    assert_equivalent_where_buckets_are_wide(&Scale::InternetSmoke.internet(2024), 3);
 }

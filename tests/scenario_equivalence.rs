@@ -239,3 +239,27 @@ fn paper_scale_ci_brackets_exact_enumeration_at_1000_samples() {
     // The estimate is in the right neighbourhood, not merely bracketing.
     assert!((est.mean_pollution - exact.mean_pollution).abs() < 0.05);
 }
+
+/// The estimator's coverage, not one draw of it: over seeds 1–200 at paper
+/// scale, the 95% bootstrap CI must hold the exact mean about 190 times.
+/// The band 184–196 is the binomial ±2σ of 200 draws at p = 0.95, for
+/// pollution and interception alike.
+#[test]
+#[ignore = "200 paper-scale cross-validations: seconds in release, far longer in debug"]
+fn paper_scale_ci_coverage_is_nominal_over_200_seeds() {
+    let (mut pollution, mut interception) = (0, 0);
+    for seed in 1..=200 {
+        let graph = Scale::Paper.internet(seed);
+        let config = estimator_config(Scale::Paper, seed);
+        let (est, exact, _) = cross_validate(&graph, &config, &BatchRunner::new());
+        let inside = |(lo, hi): (f64, f64), mean: f64| usize::from(lo <= mean && mean <= hi);
+        pollution += inside(est.pollution_ci, exact.mean_pollution);
+        interception += inside(est.interception_ci, exact.mean_interception);
+    }
+    for (what, covered) in [("pollution", pollution), ("interception", interception)] {
+        assert!(
+            (184..=196).contains(&covered),
+            "{what} coverage {covered}/200 outside the binomial band 184-196"
+        );
+    }
+}
