@@ -7,7 +7,8 @@
 # command delivers it (`stdout`, `out` for `--out FILE`, `feed` for the
 # record/alarm/determinism lines of a `feed --baseline` run, whose other
 # lines are throughput and latency) and the command's arguments. Exits
-# nonzero on the first file that differs or has no row.
+# nonzero on the first file that differs or has no row, or when the
+# `*.manifest.json` files were stamped at more than one commit.
 set -euo pipefail
 aspp=$1
 dir=${2:-results}
@@ -32,6 +33,13 @@ table=(
   "estimate_internet out    estimate --scale internet --seed 2024"
   "feed_paper        feed   feed --paper --seed 2024 --baseline"
 )
+
+revs=$(cat "$dir"/*.manifest.json | grep -o '"git_rev":"[^"]*"' | sort -u || true)
+if [ "$(printf '%s' "$revs" | grep -c .)" -gt 1 ]; then
+  echo "$dir/*.manifest.json carry more than one git_rev:" >&2
+  echo "$revs" >&2
+  exit 1
+fi
 
 declare -A covered
 for row in "${table[@]}"; do

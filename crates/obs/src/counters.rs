@@ -67,9 +67,9 @@ counters! {
     /// Nodes re-converged by delta frontiers, cumulatively — the total
     /// frontier size across all delta passes.
     (DeltaFrontierNode, "delta_frontier_nodes"),
-    /// Delta attempts that aborted — the non-monotone corner, or a defense
-    /// policy orphaning a node — and fell back to a full second
-    /// propagation (delta→full aborts).
+    /// Delta attempts that aborted — a node did not take its own clean
+    /// parent's offer — and fell back to a full second propagation
+    /// (delta→full aborts).
     (DeltaFallback, "delta_fallbacks"),
     /// Equilibria checked by the invariant auditor.
     (AuditCheck, "audit_checks"),

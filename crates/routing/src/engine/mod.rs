@@ -167,10 +167,11 @@ impl<'g> RoutingEngine<'g> {
     /// configurations of the same destination.
     ///
     /// Policied attacked passes ride delta re-convergence like unpolicied
-    /// ones. An import filter can orphan a node's clean route (its clean
-    /// parent adopts a malicious route the node refuses); the delta attempt
-    /// then aborts to the full from-scratch propagation, so the result is
-    /// the full pass's either way.
+    /// ones. A node that does not take its own clean parent's new offer —
+    /// its import filter or loop prevention refuses it, or it ranks below
+    /// the node's clean route — would keep a route its parent no longer
+    /// exports; the delta attempt then aborts to the full from-scratch
+    /// propagation, so the result is the full pass's either way.
     /// [`audit::full_pass_divergence`](crate::audit::full_pass_divergence)
     /// replays that full pass for any outcome — the oracle of
     /// `tests/{delta,flat,defense}_equivalence.rs` and of the `debug-audit`
@@ -272,9 +273,6 @@ impl<'g> RoutingEngine<'g> {
     ) -> Option<(AttackSeed, AsPath)> {
         let m_route = clean.get(m_idx)?;
         let strategy = att.attack_strategy();
-        // M's own clean chain is closed under clean parents by
-        // construction; a poisoned splice generally is not.
-        let mut chain_parent_closed = true;
         // The one place that knows what each strategy claims: the base
         // path M announces (without M itself) and who rejects it.
         let (base_path, chain) = match strategy {
@@ -309,16 +307,7 @@ impl<'g> RoutingEngine<'g> {
                 m_path.strip_all_padding();
                 m_path.prepend(poisoned);
                 let mut chain = chain_of(clean, m_idx);
-                if let Some(p_idx) = self.graph.index_of(poisoned) {
-                    if !chain.contains(&p_idx) {
-                        chain.push(p_idx);
-                        // The spliced node's clean parent sits off the
-                        // chain and may adopt the malicious route; the
-                        // node must then re-select, which only the full
-                        // propagation models.
-                        chain_parent_closed = false;
-                    }
-                }
+                chain.extend(self.graph.index_of(poisoned));
                 (m_path, chain)
             }
         };
@@ -333,7 +322,6 @@ impl<'g> RoutingEngine<'g> {
             mode: att.export_mode(),
             pinned: m_route,
             chain,
-            chain_parent_closed,
             // Elided (with the hook itself) for the NOOP default.
             facts: if P::NOOP {
                 AttackFacts::default()
@@ -346,9 +334,8 @@ impl<'g> RoutingEngine<'g> {
     }
 
     /// The attacked equilibrium for `seed`, and whether a delta pass
-    /// produced it: re-converged from `clean` when
-    /// [`AttackSeed::delta_applicable`] and the attempt aborts on neither a
-    /// worsened adoption nor an orphan, computed by a full pass otherwise.
+    /// produced it: re-converged from `clean` unless a receiver does not
+    /// take its clean parent's offer, computed by a full pass otherwise.
     fn attacked_pass<P: DefensePolicy>(
         &self,
         spec: &DestinationSpec,
@@ -358,18 +345,16 @@ impl<'g> RoutingEngine<'g> {
         seed: &AttackSeed,
         policy: &P,
     ) -> (Pass, bool) {
-        if seed.delta_applicable() {
-            let keys = ws.clean_keys(self.graph, spec, clean);
-            let from = Some((clean, &keys[..]));
-            let delta = propagate::<true, P>(self.graph, spec, v_idx, ws, Some(seed), from, policy);
-            if let Some(pass) = delta {
-                ws.delta_passes += 1;
-                counters::incr(Counter::DeltaPass);
-                return (pass, true);
-            }
-            ws.delta_fallbacks += 1;
-            counters::incr(Counter::DeltaFallback);
+        let keys = ws.clean_keys(self.graph, spec, clean);
+        let from = Some((clean, &keys[..]));
+        let delta = propagate::<true, P>(self.graph, spec, v_idx, ws, Some(seed), from, policy);
+        if let Some(pass) = delta {
+            ws.delta_passes += 1;
+            counters::incr(Counter::DeltaPass);
+            return (pass, true);
         }
+        ws.delta_fallbacks += 1;
+        counters::incr(Counter::DeltaFallback);
         let full = propagate::<false, P>(self.graph, spec, v_idx, ws, Some(seed), None, policy);
         (full.expect("only a delta pass aborts"), false)
     }

@@ -3,14 +3,13 @@
 //!
 //! # Delta re-convergence
 //!
-//! Whenever [`AttackSeed::delta_applicable`] holds, the attacked equilibrium
-//! is computed **incrementally** from the clean one, under whatever
-//! [`DefensePolicy`] the cell carries; the full pass is the fallback — the
-//! path every poisoned splice or lengthening seed takes, and every attempt
-//! that aborts — and, replayed by [`crate::audit::full_pass_divergence`],
-//! the reference the equivalence tests compare against.
+//! Every attacked equilibrium is first attempted **incrementally** from the
+//! clean one, under whatever [`DefensePolicy`] the cell carries; the full
+//! pass is the fallback — the path every aborted attempt takes — and,
+//! replayed by [`crate::audit::full_pass_divergence`], the reference the
+//! equivalence tests compare against.
 //! The delta pass starts from a copy of the clean pass, seeds the frontier
-//! with `M`'s stripped exports, and relaxes outward; an attacker-derived
+//! with `M`'s claimed exports, and relaxes outward; an attacker-derived
 //! offer either
 //!
 //! * loses to the node's clean label — it is dropped at push, the frontier
@@ -19,46 +18,40 @@
 //! * wins (or ties) — the node is re-converged onto the attacker label and
 //!   re-exports it.
 //!
-//! **Monotonicity argument.** The attacked pass differs from the clean pass
-//! only in `M`'s exports, and those can only *improve* receiver labels: the
-//! stripped length satisfies `base_len ≤ len(r1)` while class and export
-//! targets stay the same or widen (an origin hijack claims `Origin`, a
-//! compliant ASPP attacker additionally reaches peers). Inductively, every
-//! node a better label reaches re-exports a label no worse than its clean
-//! export, so re-convergence only propagates improvements; any node the
-//! frontier never reaches has exactly its clean route in the attacked
-//! equilibrium. Bucket closure + minimum offer makes each adopted label the
-//! one the full pass would have selected: no offer reaches a `(class,
-//! length)` bucket once the scan has opened it, so a node settles on the
-//! minimum over every offer it gets, whatever order its bucket drains in.
-//! The order can decide only whether an orphan is seen — an offer that
-//! reaches a node already settled consults no filter — and an orphan only
-//! sends the attempt to the full pass, whose result is the same.
+//! **Why pruning is sound.** The attacked pass differs from the clean pass
+//! only in `M`'s exports, so a node the frontier never reaches keeps its
+//! clean route exactly when the clean parent it learned that route from
+//! still exports it. A parent that adopted an attacker label ranked it no
+//! worse than its clean key, so its class is no worse: its export row only
+//! widens, and every clean child still hears from it — now the attacker
+//! label. That child either takes the offer (and enters the frontier),
+//! settled earlier on an offer no worse than its clean key (and loses
+//! nothing), or does not take it, which is the one event that can leave a
+//! stale clean route behind. Bucket closure + minimum offer makes each
+//! adopted label the one the full pass would have selected: no offer
+//! reaches a `(class, length)` bucket once the scan has opened it, so a
+//! node settles on the minimum over every offer it gets, whatever order its
+//! bucket drains in. The order can decide only whether an abort is seen —
+//! an offer that reaches a node already settled raises none — and an abort
+//! only sends the attempt to the full pass, whose result is the same.
 //!
 //! A tie between an attacker label and the stored clean label means the
 //! clean parent itself was re-converged (the last rank is the exporter's
 //! ASN, so a tie implies the same parent), i.e. the clean option no longer
 //! exists, so ties adopt the attacker label.
 //!
-//! **The two aborts.** Two events void that argument, and the delta pass
-//! returns `None` on either, so the caller falls back to the full pass and
-//! results stay **bit-identical** to it in every case — property-tested
-//! across all attack strategies, both export modes and every policy kind in
-//! `tests/delta_equivalence.rs` and `tests/defense_equivalence.rs`:
-//!
-//! * **worsened** — policy beats length, so a node can be re-converged onto
-//!   a *longer* route of better class (e.g. a stripped route arriving
-//!   customer-learned where the clean route was peer-learned). Its
-//!   re-export to non-sibling neighbors then *worsens* in key, which can
-//!   strip downstream nodes of their clean floor. Detected at adoption time
-//!   ([`worsened`]: `len` grew).
-//! * **orphan** — a node's import filter refuses the attacker-derived offer
-//!   of its own clean parent. The parent no longer exports the clean route
-//!   the node holds, so the node must re-select among what is left, which
-//!   only the full pass models. Detected in [`PassCtx::offer`]'s rejection
-//!   branch and checked after the attacker's seed exports and after each
-//!   settled node's exports. A `NOOP` policy rejects nothing, so the check
-//!   compiles out with the hook.
+//! **The abort.** A receiver that does not take the offer of its own clean
+//! parent voids the attempt: loop prevention refuses it (the receiver is on
+//! the claimed chain), its [`DefensePolicy`] refuses it, or it ranks below
+//! the receiver's clean key (policy beats length, so a parent can adopt a
+//! *longer* route of better class, and the attacker's own claim may be
+//! longer than its clean route). The receiver must then re-select among
+//! what is left, which only the full pass models. [`PassCtx::offer`] raises
+//! the flag, [`propagate`] returns `None` after the exports that raised it,
+//! and the caller falls back to the full pass, so results stay
+//! **bit-identical** to it in every case — property-tested across all
+//! attack strategies, both export modes and every policy kind in
+//! `tests/delta_equivalence.rs` and `tests/defense_equivalence.rs`.
 use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::{Relationship, RouteClass};
@@ -78,33 +71,12 @@ pub(super) struct AttackSeed {
     pub(super) mode: ExportMode,
     pub(super) pinned: NodeRoute,
     pub(super) chain: Vec<usize>,
-    /// Whether every chain node but the (pinned) attacker has its clean
-    /// parent on the chain too.
-    pub(super) chain_parent_closed: bool,
     /// Per-attack policy inputs, computed once so the per-offer hook is
     /// branch-and-mask only; the default (unread) under a `NOOP` policy.
     pub(super) facts: AttackFacts,
 }
 
 impl AttackSeed {
-    /// The single gate of delta re-convergence (proof sketch in DESIGN.md).
-    /// Its frontier pruning is sound iff every clean export the attack
-    /// invalidates is *replaced* by a malicious label that ranks no worse —
-    /// or the pass aborts where it is not:
-    ///
-    /// * **replacement or abort** — a receiver whose import filter refuses
-    ///   its clean parent's now-malicious offer is an orphan, and the pass
-    ///   aborts on it (checked inside the pass, not here);
-    /// * **parent-closed chain** — every node that rejects malicious labels
-    ///   (loop prevention) has a clean parent that rejects them too, so no
-    ///   chain node's clean route is withdrawn under it;
-    /// * **monotone lengths** — the attacker's own seed does not lengthen
-    ///   the exports it replaces (each later adoption is probed with the same
-    ///   [`worsened`] test inside the pass, which aborts to the full pass).
-    pub(super) fn delta_applicable(&self) -> bool {
-        self.chain_parent_closed && !worsened(self.base_len, self.pinned.len)
-    }
-
     /// The [`export_row`] of the attack itself: customers, siblings and peers
     /// always hear it, providers when the attacker violates the valley-free
     /// rule or the class it claims may climb anyway (paper Figures 11–12).
@@ -117,12 +89,6 @@ impl AttackSeed {
     }
 }
 
-/// Whether replacing a clean export of length `clean_len` by a malicious one
-/// of length `new_len` worsens it for the receivers: iff it grew.
-fn worsened(new_len: u32, clean_len: u32) -> bool {
-    new_len > clean_len
-}
-
 /// A label's preference key `(class, effective length, exporter ASN)`
 /// packed into one integer, ordered exactly like the tuple compare.
 pub(super) fn pack_pref(class: RouteClass, len: u32, tie_asn: u32) -> u128 {
@@ -130,15 +96,10 @@ pub(super) fn pack_pref(class: RouteClass, len: u32, tie_asn: u32) -> u128 {
 }
 
 /// Packed clean key of a node with no clean route: orders after every real
-/// preference key, so the delta pass never rejects an offer against it, and
-/// its embedded length field is `u32::MAX`, so no adoption over it can
-/// register as worsened.
+/// preference key, so the delta pass never rejects an offer against it. Its
+/// low 32 bits name the reserved ASN `u32::MAX` as clean parent; an exporter
+/// that used it could only abort an attempt to the full pass.
 pub(super) const PACKED_NO_CLEAN: u128 = u128::MAX;
-
-/// The effective length embedded in a [`pack_pref`]-packed key.
-fn packed_len(key: u128) -> u32 {
-    (key >> 40) as u32
-}
 
 /// A node's best offer, as [`PassCtx::offer`] records it in
 /// [`NodeScratch::offer_rank`]: the [`pack_pref`] key extended by the
@@ -217,23 +178,22 @@ fn pad_table<'s>(graph: &AsGraph, spec: &'s DestinationSpec) -> Vec<Option<&'s P
 
 /// What one pass reads and writes besides its route table. Its methods are
 /// the export side of the loop in [`propagate`]; `DELTA` selects the delta
-/// pass's clean-key pruning and orphan test at compile time (`clean` and
-/// `keys` are empty and unread otherwise).
+/// pass's clean-key pruning and abort test at compile time (`keys` is empty
+/// and unread otherwise).
 struct PassCtx<'a, P> {
     graph: &'a AsGraph,
     pad: Vec<Option<&'a PrependingPolicy>>,
     queue: &'a mut BucketQueue,
     scratch: &'a mut [NodeScratch],
-    /// The clean pass the delta pass re-converges from.
-    clean: &'a Pass,
-    /// The clean pass's [`pack_pref`] key per node.
+    /// The clean pass's [`pack_pref`] key per node; its low 32 bits are the
+    /// clean parent's ASN.
     keys: &'a [u128],
     epoch: u32,
     policy: &'a P,
     facts: AttackFacts,
-    /// Set when a receiver refused its clean parent's attacker-derived
-    /// offer: the delta attempt is void.
-    orphaned: bool,
+    /// Set when a receiver did not take its clean parent's offer: the delta
+    /// attempt is void.
+    aborted: bool,
 }
 
 impl<P: DefensePolicy> PassCtx<'_, P> {
@@ -265,21 +225,20 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
         }
     }
 
-    /// The push-time filter: drops offers to settled, on-chain (when `VIA`)
-    /// or — in the delta pass — clean-dominated targets, then applies the
-    /// lazy decrease-key (an offer that does not beat the best one already
-    /// recorded for its node is redundant: the node settles on the recorded
-    /// one) and queues the node in the offer's bucket. The mutable state it
-    /// reads lives in the target's single [`NodeScratch`] entry.
+    /// The push-time filter: drops offers to settled targets, attacker-
+    /// derived (`VIA`) offers that the receiver refuses — on the chain (loop
+    /// prevention) or, under a policy that is not the compile-time `NOOP`,
+    /// by its [`DefensePolicy`] — and, in the delta pass, offers that rank
+    /// below the receiver's clean key. It then applies the lazy decrease-key
+    /// (an offer that does not beat the best one already recorded for its
+    /// node is redundant: the node settles on the recorded one) and queues
+    /// the node in the offer's bucket. The mutable state it reads lives in
+    /// the target's single [`NodeScratch`] entry.
     ///
-    /// When `VIA` (an attacker-derived offer) and the policy is not the
-    /// compile-time `NOOP`, the receiver's [`DefensePolicy`] is consulted
-    /// before anything else is recorded: a rejected offer vanishes as if the
-    /// export never happened — it neither queues nor clobbers the lazy
-    /// decrease-key rank. In the delta pass a rejected offer from the
-    /// receiver's own clean parent also marks the attempt orphaned. The
-    /// `!P::NOOP` guard is a constant, so the default monomorphization
-    /// compiles to the exact pre-policy hot path.
+    /// A dropped offer vanishes as if the export never happened — it neither
+    /// queues nor clobbers the lazy decrease-key rank. In the delta pass, a
+    /// receiver that drops the offer of its own clean parent (the exporter
+    /// whose ASN its clean key ends in) voids the attempt.
     #[inline]
     fn offer<const DELTA: bool, const VIA: bool>(
         &mut self,
@@ -290,24 +249,20 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
         node: u32,
     ) {
         let s = &mut self.scratch[node as usize];
-        if s.adopted_epoch == self.epoch || (VIA && s.chain_epoch == self.epoch) {
+        if s.adopted_epoch == self.epoch {
             return;
         }
-        if VIA
-            && !P::NOOP
-            && !self
-                .policy
-                .accepts_attacker_route(node as usize, class, &self.facts)
-        {
-            if DELTA
-                && self.clean.get(node as usize).and_then(|r| r.parent) == Some(parent as usize)
-            {
-                self.orphaned = true;
-            }
-            return;
-        }
+        let refused = VIA
+            && (s.chain_epoch == self.epoch
+                || (!P::NOOP
+                    && !self
+                        .policy
+                        .accepts_attacker_route(node as usize, class, &self.facts)));
         let pref = pack_pref(class, len, tie_asn);
-        if DELTA && self.keys[node as usize] < pref {
+        if refused || (DELTA && self.keys[node as usize] < pref) {
+            if DELTA && self.keys[node as usize] as u32 == tie_asn {
+                self.aborted = true;
+            }
             return;
         }
         let rank = pack_offer(pref, parent, VIA);
@@ -329,9 +284,8 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
 /// length)` bucket at a time, each on its best recorded offer, `policy`
 /// filtering attacker-derived offers at their receivers.
 ///
-/// Only a delta pass returns `None`: an adoption [`worsened`] the route it
-/// replaced, or a receiver was orphaned, and the caller must run the full
-/// pass. A delta pass that survives is bit-identical to the full pass for
+/// Only a delta pass returns `None`: a receiver did not take its clean
+/// parent's offer, and the caller must run the full pass. A delta pass that survives is bit-identical to the full pass for
 /// the same seed and policy.
 pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
     graph: &AsGraph,
@@ -344,22 +298,20 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
 ) -> Option<Pass> {
     debug_assert_eq!(DELTA, delta_from.is_some());
     ws.begin_pass(graph.len(), attack.map_or(&[][..], |a| &a.chain));
-    let no_clean = Pass::default();
-    let (mut best, clean, keys) = match delta_from {
-        Some((clean, keys)) => (clean.clone(), clean, keys),
-        None => (Pass::absent(graph.len()), &no_clean, &[][..]),
+    let (mut best, keys) = match delta_from {
+        Some((clean, keys)) => (clean.clone(), keys),
+        None => (Pass::absent(graph.len()), &[][..]),
     };
     let mut cx = PassCtx {
         graph,
         pad: pad_table(graph, spec),
         queue: &mut ws.queue,
         scratch: &mut ws.scratch[..],
-        clean,
         keys,
         epoch: ws.epoch,
         policy,
         facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
-        orphaned: false,
+        aborted: false,
     };
 
     // The victim's route is final from the start: `Origin` in a full pass,
@@ -380,8 +332,7 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
         best.set(att.m_idx, Some(att.pinned));
         cx.scratch[att.m_idx].adopted_epoch = cx.epoch;
         cx.export::<DELTA>(att.m_idx, att.export_row(), att.base_len, true);
-        // Only a filter orphans, so a `NOOP` policy compiles the test out.
-        if DELTA && !P::NOOP && cx.orphaned {
+        if DELTA && cx.aborted {
             return None;
         }
     }
@@ -407,14 +358,8 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
         if DELTA {
             debug_assert!(route.via_attacker, "the delta frontier is all-malicious");
             // Only offers no worse than the clean key were recorded, so a
-            // tie adopts, and an adoption that `worsened` its route voids
-            // the whole attempt. (`PACKED_NO_CLEAN` keys pass: they rank
-            // last and their length is `u32::MAX`.)
-            let clean_key = keys[node];
-            debug_assert!(s.offer_rank >> 33 <= clean_key);
-            if clean_key != PACKED_NO_CLEAN && worsened(route.len, packed_len(clean_key)) {
-                return None;
-            }
+            // tie adopts.
+            debug_assert!(s.offer_rank >> 33 <= keys[node]);
             frontier += 1;
         }
         cx.scratch[node].adopted_epoch = cx.epoch;
@@ -424,7 +369,7 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
         // only the claimed one is.
         debug_assert!(attack.is_none_or(|a| a.m_idx != node));
         cx.export::<DELTA>(node, export_row(class), len, route.via_attacker);
-        if DELTA && !P::NOOP && cx.orphaned {
+        if DELTA && cx.aborted {
             return None;
         }
     }

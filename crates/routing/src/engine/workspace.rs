@@ -209,9 +209,8 @@ impl RouteWorkspace {
         self.delta_passes
     }
 
-    /// Number of attacked passes where the delta pass aborted — an
-    /// adoption worsened the route it replaced, or a deployer refused its
-    /// own clean parent's offer (an orphan) — and fell back to a full
+    /// Number of attacked passes where the delta pass aborted — a node did
+    /// not take its own clean parent's offer — and fell back to a full
     /// propagation.
     #[must_use]
     pub fn delta_fallbacks(&self) -> u64 {

@@ -152,23 +152,27 @@ fn delta_pass_and_fallback_counts_are_exact() {
     let surviving_delta = work(&spec, None);
     // λ=1: nothing to strip, so the attacker's length-3 customer-class
     // offer displaces AS5's length-2 peer-class clean route — policy beats
-    // length, the adoption lengthens the route, and the delta attempt
-    // aborts mid-flight: a deterministic delta→full fallback, every run.
+    // length, the adoption lengthens the route, and AS5's provider-class
+    // re-export to AS6 (length 4) ranks below AS6's clean route through AS5
+    // (length 3). AS6 does not take its clean parent's offer, so the delta
+    // attempt aborts after AS5's exports: a deterministic delta→full
+    // fallback, every run.
     let corner = attacked_spec(1);
     let _ = work(&corner, None);
     let aborted_delta_then_full = work(&corner, None);
     // Poisoning an AS absent from the topology claims `[3 99 1 2]`, one
-    // hop longer than the attacker's own clean route `[1 2]`: the seed
-    // itself worsens the exports it replaces, so delta is not applicable
-    // at all — the full pass runs directly and nothing is counted as an
-    // attempt.
+    // hop longer than the attacker's own clean route `[1 2]`. The attacker
+    // has no clean children, so its seed exports void nothing: AS5 adopts
+    // the length-4 customer-class offer, and its length-5 re-export ranks
+    // below AS6's clean route through it, so the attempt aborts after AS5's
+    // exports, as in the λ=1 corner.
     let poisoned = DestinationSpec::new(Asn(2)).attacker(
         AttackerModel::new(Asn(3))
             .mode(ExportMode::ViolateValleyFree)
             .strategy(AttackStrategy::PoisonPath { poisoned: Asn(99) }),
     );
     let _ = work(&poisoned, None);
-    let full_only = work(&poisoned, None);
+    let poisoned_delta_then_full = work(&poisoned, None);
     let unpolicied = MetricsSnapshot::capture().since(&start);
     // ASPA everywhere on the λ=4 attack: a delta attempt like any other.
     // AS5 refuses the provider-learned route the attacker re-announces,
@@ -195,10 +199,10 @@ fn delta_pass_and_fallback_counts_are_exact() {
     let orphan = MetricsSnapshot::capture().since(&before);
     let total = MetricsSnapshot::capture().since(&start);
 
-    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (4, 3));
+    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (4, 5));
     if MetricsSnapshot::compiled_in() {
         assert_eq!(unpolicied.get(Counter::DeltaPass), 3);
-        assert_eq!(unpolicied.get(Counter::DeltaFallback), 2);
+        assert_eq!(unpolicied.get(Counter::DeltaFallback), 4);
         assert_eq!(total.get(Counter::DeltaPass), ws.delta_passes());
         assert_eq!(total.get(Counter::DeltaFallback), ws.delta_fallbacks());
         // Each surviving unpolicied delta pass re-converged the off-chain
@@ -215,9 +219,10 @@ fn delta_pass_and_fallback_counts_are_exact() {
         // pass pushes it again beside AS2→AS1 and AS5→AS6, and AS1's
         // peer-class offer to AS5 loses to it at the filter.
         assert_eq!(aborted_delta_then_full, (4, 1));
-        // The full pass alone: AS2→AS1, the attacker's poisoned offer to
-        // AS5 and AS5→AS6; AS1's peer-class offer to AS5 loses at the filter.
-        assert_eq!(full_only, (3, 1));
+        // The voided attempt pushed the attacker's poisoned offer to AS5;
+        // the full pass pushes it again beside AS2→AS1 and AS5→AS6, and
+        // AS1's peer-class offer to AS5 loses to it at the filter.
+        assert_eq!(poisoned_delta_then_full, (4, 1));
         // AS1 is on the chain and AS5 refuses, so the delta pass pushes
         // nothing: one policy check, one reject, one surviving pass.
         assert_eq!(policied, (0, 0));

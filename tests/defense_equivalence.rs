@@ -140,8 +140,9 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
 }
 
 /// Whether some AS adopted an attacker-derived route longer than its clean
-/// one — the adoption that voids a delta attempt as worsened. A delta
-/// attempt that fell back on an outcome without one was voided by an orphan.
+/// one — the adoption that can hand a clean child an offer below its clean
+/// key. A delta attempt that fell back on an outcome without one was voided
+/// by a receiver refusing its clean parent's offer: an orphan.
 fn worsened_somewhere(outcome: &RoutingOutcome<'_>) -> bool {
     outcome
         .asns()

@@ -1,23 +1,25 @@
 //! Bit-identity guarantee for the delta attacked pass: for any random
 //! topology, any `AttackStrategy` and either `ExportMode`,
-//! `RoutingEngine::compute_with` (delta re-convergence, falling back
-//! to a full pass only in the documented non-monotone corner) must produce
-//! exactly what the whole-graph second pass produces — per-node routes
-//! compared bit-for-bit, not approximately, and the cold `HijackImpact`
-//! fractions with them. The reference is `audit::full_pass_divergence`,
+//! `RoutingEngine::compute_with` (delta re-convergence, falling back to a
+//! full pass when a node does not take its own clean parent's offer) must
+//! produce exactly what the whole-graph second pass produces — per-node
+//! routes compared bit-for-bit, not approximately, and the cold
+//! `HijackImpact` fractions with them. The reference is `audit::full_pass_divergence`,
 //! which recomputes an outcome's attacked pass by the full propagation.
 
 use aspp_core::prelude::*;
 use aspp_core::routing::audit::full_pass_divergence;
+use aspp_core::topology::AsGraphBuilder;
 use proptest::prelude::*;
 
-fn all_experiments(victim: Asn, attacker: Asn) -> Vec<DestinationSpec> {
+fn all_experiments(victim: Asn, attacker: Asn, poisoned: Asn) -> Vec<DestinationSpec> {
     let strategies = [
         AttackStrategy::StripPadding { keep: 1 },
         AttackStrategy::StripPadding { keep: 2 },
         AttackStrategy::StripAllPadding,
         AttackStrategy::ForgeDirect,
         AttackStrategy::OriginHijack,
+        AttackStrategy::PoisonPath { poisoned },
     ];
     let modes = [ExportMode::Compliant, ExportMode::ViolateValleyFree];
     let mut specs = Vec::new();
@@ -65,18 +67,19 @@ proptest! {
     #[test]
     fn delta_pass_bit_identical_to_full_pass(
         seed in any::<u64>(),
-        picks in (0usize..100, 0usize..100),
+        picks in (0usize..100, 0usize..100, 0usize..100),
     ) {
         let graph = InternetConfig::small()
             .tier2_count(10).tier3_count(15).stub_count(25).seed(seed).build();
         let asns: Vec<Asn> = graph.asns().collect();
         let victim = asns[picks.0 % asns.len()];
         let attacker = asns[picks.1 % asns.len()];
+        let poisoned = asns[picks.2 % asns.len()];
         if victim == attacker { return Ok(()); }
 
         let engine = RoutingEngine::new(&graph);
         let mut ws_delta = RouteWorkspace::new();
-        for spec in all_experiments(victim, attacker) {
+        for spec in all_experiments(victim, attacker, poisoned) {
             let delta = engine.compute_with(&spec, &mut ws_delta);
             prop_assert_eq!(full_pass_divergence(&delta, &NoDefense), None, "{:?}", spec);
 
@@ -102,7 +105,7 @@ fn strategy_matrix_equilibria_audit_clean() {
     let engine = RoutingEngine::new(&graph);
     let asns: Vec<Asn> = graph.asns().collect();
     let (victim, attacker) = (asns[0], asns[asns.len() / 2]);
-    for spec in all_experiments(victim, attacker) {
+    for spec in all_experiments(victim, attacker, asns[asns.len() / 3]) {
         let outcome = engine.compute(&spec);
         let audit = aspp_core::routing::audit::audit_outcome(&outcome);
         assert!(audit.is_clean(), "{spec:?} failed audit:\n{audit}");
@@ -129,6 +132,34 @@ fn delta_pass_serves_default_sweeps() {
         ws.delta_passes(),
         ws.delta_fallbacks()
     );
+}
+
+/// Policy beats length without costing anyone its clean route: attacker AS3
+/// buys transit from the victim's provider AS1 (on its clean chain) and from
+/// AS5, which peers with AS1 and has no customers besides AS3. At λ=1 there
+/// is nothing to strip, so AS5 trades its length-2 peer route for the
+/// attacker's length-3 customer route. No clean child of AS5 loses its
+/// route, so the delta pass survives the lengthened adoption.
+#[test]
+fn lengthened_adoption_that_costs_no_child_rides_the_delta_pass() {
+    let mut g = AsGraphBuilder::new();
+    g.add_provider_customer(Asn(1), Asn(2)).unwrap();
+    g.add_provider_customer(Asn(1), Asn(3)).unwrap();
+    g.add_provider_customer(Asn(5), Asn(3)).unwrap();
+    g.add_peering(Asn(1), Asn(5)).unwrap();
+    let graph = g.finish();
+    let spec = DestinationSpec::new(Asn(2))
+        .origin_padding(1)
+        .attacker(AttackerModel::new(Asn(3)).mode(ExportMode::ViolateValleyFree));
+    let mut ws = RouteWorkspace::new();
+    let outcome = RoutingEngine::new(&graph).compute_with(&spec, &mut ws);
+    let (clean, attacked) = (
+        outcome.clean_route(Asn(5)).unwrap(),
+        outcome.route(Asn(5)).unwrap(),
+    );
+    assert!(attacked.via_attacker && attacked.effective_len > clean.effective_len);
+    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (1, 0));
+    assert_eq!(full_pass_divergence(&outcome, &NoDefense), None);
 }
 
 /// A graph derived from another must not be served the workspace's cached
