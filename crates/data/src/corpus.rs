@@ -1,9 +1,7 @@
 //! Synthetic public-monitor corpus generation.
 
 use aspp_routing::events::{random_tree_link, updates_after_failure};
-use aspp_routing::{
-    AttackerModel, DestinationSpec, PrependConfig, PrependingPolicy, RoutingEngine,
-};
+use aspp_routing::{DestinationSpec, PrependConfig, PrependingPolicy, RoutingEngine};
 use aspp_topology::tier::TierMap;
 use aspp_topology::AsGraph;
 use aspp_types::{Asn, Ipv4Prefix};
@@ -36,6 +34,16 @@ const ORIGIN_DEPTH: DepthDistribution = DepthDistribution {
     heavy_tail_rate: 0.005,
     heavy_tail_max: 30,
 };
+
+/// Fraction of origins that pad at all.
+const ORIGIN_PAD_RATE: f64 = 0.20;
+
+/// Among padding origins, the share padding uniformly toward every
+/// neighbor; the rest pad only their backup providers.
+const ORIGIN_UNIFORM_SHARE: f64 = 0.3;
+
+/// Fraction of peered transit ASes padding their peer exports.
+const INTERMEDIARY_PAD_RATE: f64 = 0.06;
 
 /// Intermediary peer-export padding depth: shallow, no heavy tail.
 const INTERMEDIARY_DEPTH: DepthDistribution = DepthDistribution {
@@ -76,16 +84,11 @@ impl DepthDistribution {
 pub struct CorpusConfig {
     prefixes: usize,
     monitor_count: usize,
-    origin_pad_rate: f64,
-    origin_uniform_share: f64,
-    intermediary_pad_rate: f64,
-    churn_events: usize,
-    injected_attacker: Option<Asn>,
     seed: u64,
 }
 
 impl CorpusConfig {
-    /// A corpus over `prefixes` prefixes with paper-calibrated defaults:
+    /// A corpus over `prefixes` prefixes with paper-calibrated padding:
     /// ~20% of origins pad (70% of them differentially), ~6% of peered
     /// transit ASes pad their peer exports, and one churn event is simulated
     /// per four prefixes.
@@ -94,11 +97,6 @@ impl CorpusConfig {
         CorpusConfig {
             prefixes,
             monitor_count: 30,
-            origin_pad_rate: 0.20,
-            origin_uniform_share: 0.3,
-            intermediary_pad_rate: 0.06,
-            churn_events: prefixes / 4,
-            injected_attacker: None,
             seed: 0,
         }
     }
@@ -110,51 +108,12 @@ impl CorpusConfig {
         self
     }
 
-    /// Number of top-degree monitors contributing tables (default 30).
+    /// Number of monitors contributing tables (default 30): half the
+    /// highest-degree ASes, half drawn at random from the rest (see
+    /// [`sample_monitors`]).
     #[must_use]
     pub fn monitors_top_degree(mut self, count: usize) -> Self {
         self.monitor_count = count;
-        self
-    }
-
-    /// Fraction of origins that pad at all (default 0.20).
-    #[must_use]
-    pub fn origin_pad_rate(mut self, rate: f64) -> Self {
-        self.origin_pad_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Among padding origins, the share padding uniformly toward every
-    /// neighbor (the rest pad only backup providers). Default 0.3.
-    #[must_use]
-    pub fn origin_uniform_share(mut self, share: f64) -> Self {
-        self.origin_uniform_share = share.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Fraction of transit ASes padding their peer exports (default 0.06).
-    #[must_use]
-    pub fn intermediary_pad_rate(mut self, rate: f64) -> Self {
-        self.intermediary_pad_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Number of link-failure churn events feeding the update stream.
-    #[must_use]
-    pub fn churn_events(mut self, events: usize) -> Self {
-        self.churn_events = events;
-        self
-    }
-
-    /// Injects an ASPP interception by `attacker` against the **first**
-    /// generated prefix: its origin is forced to pad uniformly (λ = 4, so
-    /// there is something to strip) and the attack's route changes are
-    /// appended to the update stream *after* all organic churn, in
-    /// pollution-distance order — exactly how the updates would reach the
-    /// collectors. Lets a corpus drive the streaming detector end to end.
-    #[must_use]
-    pub fn inject_attack(mut self, attacker: Asn) -> Self {
-        self.injected_attacker = Some(attacker);
         self
     }
 
@@ -180,7 +139,7 @@ impl CorpusConfig {
             .collect();
         transit.sort();
         for &asn in &transit {
-            if rng.gen_bool(self.intermediary_pad_rate) {
+            if rng.gen_bool(INTERMEDIARY_PAD_RATE) {
                 let depth = INTERMEDIARY_DEPTH.sample(&mut rng);
                 let overrides: Vec<(Asn, usize)> = graph.peers(asn).map(|p| (p, depth)).collect();
                 base_config.set(asn, PrependingPolicy::per_neighbor(0, overrides));
@@ -191,8 +150,8 @@ impl CorpusConfig {
         let origins = sample_origins(graph, self.prefixes, &mut rng);
 
         let engine = RoutingEngine::new(graph);
+        let churn_events = self.prefixes / 4;
         let mut seq = 0u64;
-        let mut attacked_prefix_spec: Option<(Ipv4Prefix, DestinationSpec)> = None;
         for (i, &origin) in origins.iter().enumerate() {
             let prefix = Ipv4Prefix::synthetic_24(i);
             let mut config = base_config.clone();
@@ -200,9 +159,9 @@ impl CorpusConfig {
             // failing that link is what exposes the padded backup routes in
             // the update stream (the paper's "backup route provisioning").
             let mut clean_primary: Option<Asn> = None;
-            if rng.gen_bool(self.origin_pad_rate) {
+            if rng.gen_bool(ORIGIN_PAD_RATE) {
                 let depth = ORIGIN_DEPTH.sample(&mut rng);
-                if rng.gen_bool(self.origin_uniform_share) {
+                if rng.gen_bool(ORIGIN_UNIFORM_SHARE) {
                     config.set(origin, PrependingPolicy::Uniform(depth));
                 } else {
                     // Differential: keep the lowest-ASN provider clean, pad
@@ -219,23 +178,8 @@ impl CorpusConfig {
                     }
                 }
             }
-            if i == 0 {
-                if let Some(attacker) = self.injected_attacker {
-                    if attacker != origin {
-                        // Force strippable padding on the victim prefix.
-                        config.set(origin, PrependingPolicy::Uniform(3));
-                    }
-                }
-            }
             let spec = DestinationSpec::new(origin).prepend_config(config);
             let outcome = engine.compute(&spec);
-            if i == 0 {
-                if let Some(attacker) = self.injected_attacker {
-                    if attacker != origin {
-                        attacked_prefix_spec = Some((prefix, spec.clone()));
-                    }
-                }
-            }
             for &monitor in &monitors {
                 if monitor == origin {
                     continue;
@@ -249,8 +193,7 @@ impl CorpusConfig {
             // primary provider link (the failure mode that makes padded
             // backup routes visible in updates — Section VI-A), and a subset
             // of other prefixes lose a random provider link.
-            let periodic =
-                self.churn_events > 0 && i % (self.prefixes / self.churn_events.max(1)).max(1) == 0;
+            let periodic = churn_events > 0 && i % (self.prefixes / churn_events).max(1) == 0;
             if clean_primary.is_some() || periodic {
                 let mut providers: Vec<Asn> = graph.providers(origin).collect();
                 providers.sort();
@@ -274,33 +217,6 @@ impl CorpusConfig {
                             },
                         });
                     }
-                }
-            }
-        }
-        // Append the injected attack's updates last: the stream first shows
-        // normal operation, then the interception unfolding.
-        if let (Some(attacker), Some((prefix, spec))) =
-            (self.injected_attacker, attacked_prefix_spec)
-        {
-            let attacked_spec = DestinationSpec::new(spec.victim())
-                .prepend_config(spec.prepending().clone())
-                .attacker(AttackerModel::new(attacker));
-            let outcome = engine.compute(&attacked_spec);
-            let mut changed: Vec<(u32, Asn)> = monitors
-                .iter()
-                .filter(|&&m| outcome.route_changed(m))
-                .filter_map(|&m| outcome.pollution_distance(m).map(|d| (d, m)))
-                .collect();
-            changed.sort();
-            for (_, monitor) in changed {
-                if let Some(path) = outcome.observed_path(monitor) {
-                    seq += 1;
-                    corpus.add_update(UpdateRecord {
-                        seq,
-                        monitor,
-                        prefix,
-                        action: UpdateAction::Announce(path),
-                    });
                 }
             }
         }
@@ -415,37 +331,22 @@ mod tests {
     }
 
     #[test]
-    fn padding_rates_control_prepending() {
+    fn calibrated_padding_is_visible_but_rare() {
         let g = InternetConfig::small().seed(7).build();
-        let none = CorpusConfig::new(30)
-            .origin_pad_rate(0.0)
-            .intermediary_pad_rate(0.0)
-            .seed(5)
-            .generate(&g);
-        let padded_entries = none
+        let corpus = CorpusConfig::new(30).seed(5).generate(&g);
+        let entries: Vec<bool> = corpus
             .tables()
             .flat_map(|(_, t)| t.iter().map(|(_, p)| p.has_prepending()))
-            .filter(|&b| b)
-            .count();
-        assert_eq!(padded_entries, 0, "no policies, no padding anywhere");
-
-        let heavy = CorpusConfig::new(30)
-            .origin_pad_rate(1.0)
-            .origin_uniform_share(1.0)
-            .seed(5)
-            .generate(&g);
-        let padded_entries = heavy
-            .tables()
-            .flat_map(|(_, t)| t.iter().map(|(_, p)| p.has_prepending()))
-            .filter(|&b| b)
-            .count();
-        assert!(padded_entries > 0, "uniform origin padding is visible");
+            .collect();
+        let padded = entries.iter().filter(|&&b| b).count();
+        assert!(padded > 0, "origin and peer-export padding is visible");
+        assert!(padded * 2 < entries.len(), "most routes carry no padding");
     }
 
     #[test]
     fn churn_produces_updates() {
         let g = InternetConfig::small().seed(8).build();
-        let corpus = CorpusConfig::new(20).churn_events(10).seed(6).generate(&g);
+        let corpus = CorpusConfig::new(40).seed(6).generate(&g);
         assert!(!corpus.updates().is_empty(), "churn must generate updates");
         // Sequence numbers are strictly increasing.
         let seqs: Vec<u64> = corpus.updates().iter().map(|u| u.seq).collect();

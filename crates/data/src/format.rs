@@ -109,11 +109,6 @@ impl Corpus {
         &self.updates
     }
 
-    /// The updates affecting one prefix, in sequence order.
-    pub fn updates_for(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = &UpdateRecord> {
-        self.updates.iter().filter(move |u| u.prefix == prefix)
-    }
-
     /// Total number of table entries across monitors.
     #[must_use]
     pub fn table_entry_count(&self) -> usize {

@@ -37,29 +37,9 @@ fn corpus_seeds_change_everything_but_structure() {
 }
 
 #[test]
-fn pad_rate_monotonically_raises_table_fraction() {
-    let g = InternetConfig::small().seed(403).build();
-    let fraction_at = |rate: f64| {
-        let corpus = CorpusConfig::new(40)
-            .origin_pad_rate(rate)
-            .intermediary_pad_rate(0.0)
-            .origin_uniform_share(1.0)
-            .seed(5)
-            .generate(&g);
-        usage_summary(&corpus).mean_table_fraction
-    };
-    let low = fraction_at(0.1);
-    let high = fraction_at(0.9);
-    assert!(
-        high > low,
-        "more padders, more padded tables: {low} vs {high}"
-    );
-}
-
-#[test]
 fn update_stream_repeats_prefixes_not_sequence_numbers() {
     let g = InternetConfig::small().seed(404).build();
-    let corpus = CorpusConfig::new(30).churn_events(15).seed(6).generate(&g);
+    let corpus = CorpusConfig::new(60).seed(6).generate(&g);
     let mut seqs: Vec<u64> = corpus.updates().iter().map(|u| u.seq).collect();
     let before = seqs.len();
     seqs.dedup();

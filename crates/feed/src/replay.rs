@@ -1,7 +1,7 @@
 //! Synthetic paper-scale update-stream generation for the feed pipeline.
 //!
 //! Where `aspp-data`'s corpus generator models the *archival* view (RIB
-//! snapshots plus organic churn, one optional injected attack), this driver
+//! snapshots plus organic churn), this driver
 //! models the *live* view the detection service would drink from: many
 //! prefixes flapping, withdrawing and re-announcing concurrently, with ASPP
 //! interception episodes (Section III of the paper) injected against a
@@ -27,6 +27,16 @@ const FLAP_REPEATS: usize = 2;
 /// to strip; the other prefixes pad with 40% probability, `1..=PADDING`
 /// copies.
 const PADDING: usize = 3;
+
+/// `ratio` clamped to [0, 1], with NaN (which `clamp` passes through, and
+/// the generator's Bernoulli draws reject) read as 0.
+fn unit(ratio: f64) -> f64 {
+    if ratio.is_nan() {
+        0.0
+    } else {
+        ratio.clamp(0.0, 1.0)
+    }
+}
 
 /// One injected interception in a [`SyntheticFeed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,7 +116,9 @@ impl ReplayConfig {
         self
     }
 
-    /// Number of top-degree monitors observing the stream (default 30).
+    /// Number of monitors observing the stream (default 30): half the
+    /// highest-degree ASes, half drawn at random from the rest, the corpus
+    /// generator's [`sample_monitors`].
     #[must_use]
     pub fn monitors_top_degree(mut self, count: usize) -> Self {
         self.monitor_count = count;
@@ -114,18 +126,18 @@ impl ReplayConfig {
     }
 
     /// Fraction of prefixes receiving an injected interception episode
-    /// (default 0.15).
+    /// (default 0.15), clamped to [0, 1]; NaN reads as 0.
     #[must_use]
     pub fn attack_ratio(mut self, ratio: f64) -> Self {
-        self.attack_ratio = ratio.clamp(0.0, 1.0);
+        self.attack_ratio = unit(ratio);
         self
     }
 
     /// Fraction of prefixes receiving a withdraw/re-announce episode
-    /// (default 0.3).
+    /// (default 0.3), clamped to [0, 1]; NaN reads as 0.
     #[must_use]
     pub fn withdraw_ratio(mut self, ratio: f64) -> Self {
-        self.withdraw_ratio = ratio.clamp(0.0, 1.0);
+        self.withdraw_ratio = unit(ratio);
         self
     }
 
@@ -179,8 +191,7 @@ impl ReplayConfig {
         }
 
         // Interception episode: an on-path AS strips the padding; the route
-        // changes reach the collectors in pollution-distance order, exactly
-        // like the corpus generator's injected attack.
+        // changes reach the collectors in pollution-distance order.
         if attacked {
             let mut candidates: Vec<Asn> = seen_by
                 .iter()
@@ -351,6 +362,23 @@ mod tests {
         for a in &heavy.attacks {
             assert_ne!(a.victim, a.attacker);
         }
+    }
+
+    #[test]
+    fn nan_ratios_read_as_zero() {
+        let g = InternetConfig::small().seed(7).build();
+        let feed = ReplayConfig::new(25)
+            .attack_ratio(f64::NAN)
+            .withdraw_ratio(f64::NAN)
+            .seed(4)
+            .generate(&g);
+        let zero = ReplayConfig::new(25)
+            .attack_ratio(0.0)
+            .withdraw_ratio(0.0)
+            .seed(4)
+            .generate(&g);
+        assert!(feed.attacks.is_empty());
+        assert_eq!(feed.corpus, zero.corpus);
     }
 
     #[test]

@@ -204,29 +204,6 @@ impl InternetConfig {
         self
     }
 
-    /// Sets the probability that any two tier-2 ASes peer.
-    #[must_use]
-    pub fn tier2_peer_prob(mut self, p: f64) -> Self {
-        self.tier2_peer_prob = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the probability that a tier-2 AS peers with any given tier-1 —
-    /// the dense top-layer peering that lets routes compete peer-vs-peer by
-    /// length, as on the real Internet.
-    #[must_use]
-    pub fn tier2_tier1_peer_prob(mut self, p: f64) -> Self {
-        self.tier2_tier1_peer_prob = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the fraction of transit ASes each content AS peers with.
-    #[must_use]
-    pub fn content_peer_fraction(mut self, p: f64) -> Self {
-        self.content_peer_fraction = p.clamp(0.0, 1.0);
-        self
-    }
-
     /// Total number of ASes this configuration will generate.
     #[must_use]
     pub fn total_ases(&self) -> usize {

@@ -483,6 +483,18 @@ impl<'a> Run<'a> {
         self.at_most(name, 100_000)
     }
 
+    /// A thread-count flag (`--shards`, `--workers`), bounded where it
+    /// enters as [`lambda`](Self::lambda) bounds λ: every shard is a
+    /// detector with its own thread on every seed and ingest, and the batch
+    /// runner spawns one thread per worker (up to one per cell, 1 536 for
+    /// `defense --paper`), so an unbounded count exhausts the process's
+    /// threads instead of reporting an error. 256 is 64 times the default
+    /// of 4 shards; a worker beyond the machine's cores only adds
+    /// scheduling.
+    fn threads(&self, name: &str) -> Result<Option<usize>, String> {
+        self.at_most(name, 256)
+    }
+
     /// The count flag `name`, refused above `max`.
     fn at_most(&self, name: &str, max: usize) -> Result<Option<usize>, String> {
         match self.parsed::<usize>(name)? {
@@ -527,7 +539,7 @@ impl<'a> Run<'a> {
     /// The batch runner `--workers` asks for (`0`, the default: one per
     /// core; `1`: serial).
     fn runner(&self) -> Result<BatchRunner, String> {
-        Ok(BatchRunner::new().workers(self.parsed("--workers")?.unwrap_or(0)))
+        Ok(BatchRunner::new().workers(self.threads("--workers")?.unwrap_or(0)))
     }
 
     /// Writes `text` to the `--out` file, when one was given.
@@ -764,7 +776,7 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
     use aspp_core::feed::{decode_records, decode_records_lenient, encode_records, run_feed};
     use std::sync::Arc;
 
-    let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
+    let shards = run.threads("--shards")?.unwrap_or(4).max(1);
     let graph = run.internet();
 
     // Acquire the stream: decode a wire file, or synthesize one.
@@ -910,7 +922,7 @@ fn cmd_serve(run: &mut Run) -> Result<(), String> {
     use aspp_core::feed::{DetectionService, FeedEngine};
     use std::sync::Arc;
 
-    let shards = run.parsed::<usize>("--shards")?.unwrap_or(4).max(1);
+    let shards = run.threads("--shards")?.unwrap_or(4).max(1);
     let graph = run.internet();
     run.manifest
         .push_strategy(&format!("serve shards={shards}"));

@@ -3,31 +3,46 @@
 //! allocations per round — the bucket-queue scheduler, the chain mask, and
 //! the clean-pass cache must not be regrown call after call.
 //!
-//! Single `#[test]` on purpose: the counting allocator is process-global,
-//! and a second concurrently-running test would perturb the counts.
+//! The allocator counts per thread: the test harness's own threads
+//! allocate concurrently with the test (the thread that spawned it records
+//! it as running), and under CPU contention those calls can land inside a
+//! measured round.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use aspp_core::prelude::*;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocator call on the calling thread (none once the thread's
+/// locals are torn down).
+fn count() {
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The calling thread's allocator calls so far.
+fn allocs() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -64,13 +79,13 @@ fn warm_workspace_rounds_allocate_identically() {
     run_round(&graph, &mut ws);
     run_round(&graph, &mut ws);
 
-    let before_a = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before_a = allocs();
     run_round(&graph, &mut ws);
-    let round_a = ALLOC_CALLS.load(Ordering::Relaxed) - before_a;
+    let round_a = allocs() - before_a;
 
-    let before_b = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before_b = allocs();
     run_round(&graph, &mut ws);
-    let round_b = ALLOC_CALLS.load(Ordering::Relaxed) - before_b;
+    let round_b = allocs() - before_b;
 
     assert_eq!(
         round_a, round_b,
@@ -83,14 +98,14 @@ fn warm_workspace_rounds_allocate_identically() {
     // than the very first cold round did.
     let cold = {
         let mut fresh = RouteWorkspace::new();
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = allocs();
         run_round(&graph, &mut fresh);
-        ALLOC_CALLS.load(Ordering::Relaxed) - before
+        allocs() - before
     };
     ws.clear();
-    let before_c = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before_c = allocs();
     run_round(&graph, &mut ws);
-    let round_c = ALLOC_CALLS.load(Ordering::Relaxed) - before_c;
+    let round_c = allocs() - before_c;
     assert!(
         round_c < cold,
         "cleared workspace must reuse scratch allocations ({round_c} vs cold {cold})"
@@ -104,11 +119,11 @@ fn warm_workspace_rounds_allocate_identically() {
         .origin_padding(4)
         .attacker(AttackerModel::new(asns[10]));
     let mut clones: Vec<DestinationSpec> = Vec::with_capacity(16);
-    let before_clone = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before_clone = allocs();
     for _ in 0..16 {
         clones.push(spec.clone());
     }
-    let clone_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before_clone;
+    let clone_allocs = allocs() - before_clone;
     assert_eq!(
         clone_allocs, 0,
         "DestinationSpec clones must share the prepend config via Arc"

@@ -221,6 +221,54 @@ fn estimate_counts_are_bounded_where_they_enter() {
 }
 
 #[test]
+fn thread_counts_are_bounded_where_they_enter() {
+    // Each shard and each worker is a thread; the count is refused before
+    // the topology (and so any engine or pool) is built, which the manifest
+    // shows: it records no `topology.generate` phase.
+    let dir = std::env::temp_dir().join("aspp_cli_thread_bounds");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        ("feed", "--shards"),
+        ("serve", "--shards"),
+        ("sweep", "--workers"),
+        ("defense", "--workers"),
+        ("scenario", "--workers"),
+        ("estimate", "--workers"),
+    ];
+    for (command, flag) in cases {
+        for count in ["257", "18446744073709551615"] {
+            let manifest = dir.join(format!("{command}.json"));
+            let manifest = manifest.to_str().unwrap();
+            let out = aspp(&[
+                command,
+                "--scale",
+                "smoke",
+                flag,
+                count,
+                "--manifest",
+                manifest,
+            ]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{command} {flag} {count}: {stderr}"
+            );
+            assert!(
+                stderr.contains(&format!("error: {flag} must be at most 256")),
+                "{command} {flag} {count}: {stderr}"
+            );
+            let written = std::fs::read_to_string(manifest).unwrap();
+            assert!(
+                !written.contains("topology.generate"),
+                "{command} {flag} {count} built the topology: {written}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn feed_ratio_flags_reject_values_outside_the_unit_interval() {
     // NaN slips through `clamp` into the generator's Bernoulli draws, which
     // panicked (exit 101) before the flags were checked where they enter.
