@@ -98,15 +98,10 @@ pub fn deployment_order(graph: &AsGraph, strategy: DeployStrategy, seed: u64) ->
         }
         DeployStrategy::ByTier => {
             let tiers = TierMap::classify(graph);
-            let mut order: Vec<Asn> = graph.asns().collect();
+            // A stable sort by tier keeps the degree ranking within a tier.
             // Unclassified ASes (no route to any tier-1) deploy last.
-            order.sort_by_key(|&a| {
-                (
-                    tiers.tier_of(a).unwrap_or(u32::MAX),
-                    std::cmp::Reverse(graph.degree(a)),
-                    a,
-                )
-            });
+            let mut order = graph.asns_by_degree();
+            order.sort_by_cached_key(|&a| tiers.tier_of(a).unwrap_or(u32::MAX));
             order
         }
         DeployStrategy::TopDegree => graph.asns_by_degree(),
@@ -210,11 +205,14 @@ pub fn run_defense_sweep(
             .saturating_mul(fractions.len()),
     );
     for &strategy in strategies {
-        let order = deployment_order(graph, strategy, seed);
+        let order: Vec<usize> = deployment_order(graph, strategy, seed)
+            .into_iter()
+            .filter_map(|a| graph.index_of(a))
+            .collect();
         for &kind in kinds {
             for &fraction in fractions {
                 let k = deploy_count(graph.len(), fraction);
-                let map = DeploymentMap::from_asns(graph, order[..k].iter().copied());
+                let map = DeploymentMap::from_indices(graph.len(), order[..k].iter().copied());
                 grid.push(GridCell {
                     kind,
                     strategy,
@@ -261,6 +259,10 @@ mod tests {
     use crate::sweep;
     use aspp_routing::{AttackStrategy, AttackerModel, ExportMode};
     use aspp_topology::gen::InternetConfig;
+    use aspp_topology::AsGraphBuilder;
+    use aspp_types::Relationship;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     fn graph() -> AsGraph {
         InternetConfig::small().seed(23).build()
@@ -321,6 +323,54 @@ mod tests {
         let top = deployment_order(&g, DeployStrategy::TopDegree, 0);
         let max_degree = g.asns().map(|a| g.degree(a)).max().unwrap();
         assert_eq!(g.degree(top[0]), max_degree);
+    }
+
+    /// The by-tier order as first written: a comparator that looks up the
+    /// tier and the degree of both ASes on every comparison.
+    fn by_tier_by_lookup(graph: &AsGraph) -> Vec<Asn> {
+        let tiers = TierMap::classify(graph);
+        let mut order: Vec<Asn> = graph.asns().collect();
+        order.sort_by_key(|&a| {
+            (
+                tiers.tier_of(a).unwrap_or(u32::MAX),
+                Reverse(graph.degree(a)),
+                a,
+            )
+        });
+        order
+    }
+
+    proptest! {
+        /// Arbitrary link soups (ASes off the provider hierarchy and
+        /// isolated ones included, inserted in no ASN order) and generated
+        /// internets: the keyed sort ranks exactly as the comparator.
+        #[test]
+        fn by_tier_order_matches_the_lookup_comparator(
+            soup in proptest::collection::vec((1u32..40, 1u32..40, 0usize..4), 0..80),
+            isolated in proptest::collection::vec(1u32..60, 0..6),
+            seed in any::<u64>(),
+        ) {
+            let rels = [
+                Relationship::Customer,
+                Relationship::Peer,
+                Relationship::Provider,
+                Relationship::Sibling,
+            ];
+            let mut b = AsGraphBuilder::new();
+            for asn in isolated {
+                b.add_as(Asn(asn));
+            }
+            for (x, y, rel) in soup {
+                let _ = b.add_link(Asn(x), Asn(y), rels[rel]);
+            }
+            let generated = InternetConfig::small().seed(seed).build();
+            for g in [b.finish(), generated] {
+                prop_assert_eq!(
+                    deployment_order(&g, DeployStrategy::ByTier, 0),
+                    by_tier_by_lookup(&g)
+                );
+            }
+        }
     }
 
     #[test]

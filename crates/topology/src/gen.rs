@@ -11,7 +11,10 @@
 //! Generation is fully deterministic given a seed, so experiments and benches
 //! are reproducible.
 
-use aspp_types::{Asn, Relationship};
+use std::ops::Range;
+
+use aspp_types::Asn;
+use aspp_types::Relationship::{Peer, Provider};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -214,66 +217,68 @@ impl InternetConfig {
     ///
     /// The result always satisfies: (1) tier-1 ASes form a full peering
     /// clique and have no providers; (2) every non-tier-1 AS has at least one
-    /// provider, so the graph is connected through the core; (3) adjacency
-    /// lists are sorted by ASN for deterministic iteration.
+    /// provider, so the graph is connected through the core — a layer whose
+    /// provider tier is empty buys transit from tier-1; (3) adjacency lists
+    /// are sorted by ASN for deterministic iteration. A tier count that
+    /// overruns its ASN block into the next one panics.
     #[must_use]
     pub fn build(&self) -> AsGraph {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut graph = AsGraphBuilder::with_capacity(self.total_ases());
 
-        let tier1: Vec<Asn> = (0..self.num_tier1)
-            .map(|i| Asn(TIER1_BASE + i as u32))
-            .collect();
-        let tier2: Vec<Asn> = (0..self.num_tier2)
-            .map(|i| Asn(TIER2_BASE + i as u32))
-            .collect();
-        let tier3: Vec<Asn> = (0..self.num_tier3)
-            .map(|i| Asn(TIER3_BASE + i as u32))
-            .collect();
-        let stubs: Vec<Asn> = (0..self.num_stubs)
-            .map(|i| Asn(STUB_BASE + i as u32))
-            .collect();
-        let content: Vec<Asn> = (0..self.num_content)
-            .map(|i| Asn(CONTENT_BASE + i as u32))
-            .collect();
+        // Every AS up front, block by block, so each tier is a range of
+        // dense indices and the phases below link by index.
+        let mut next = 0;
+        let mut block = |base: u32, n: usize| {
+            for i in 0..n {
+                let asn = Asn(base + i as u32);
+                assert_eq!(graph.add_as(asn), next + i, "AS{asn} is in two ASN blocks");
+            }
+            next += n;
+            next - n..next
+        };
+        let tier1 = block(TIER1_BASE, self.num_tier1);
+        let tier2 = block(TIER2_BASE, self.num_tier2);
+        let tier3 = block(TIER3_BASE, self.num_tier3);
+        let stubs = block(STUB_BASE, self.num_stubs);
+        let content = block(CONTENT_BASE, self.num_content);
+        // Adjacent blocks: transit is tier-2 ∪ tier-3.
+        let transit = tier2.start..tier3.end;
+        let or_tier1 = |pool: &Range<usize>| if pool.is_empty() { &tier1 } else { pool }.clone();
 
         // 1. Tier-1 full peering clique.
-        for (i, &a) in tier1.iter().enumerate() {
-            graph.add_as(a);
-            for &b in &tier1[i + 1..] {
-                graph.add_peering(a, b).expect("fresh clique edge");
+        for a in tier1.clone() {
+            for b in a + 1..tier1.end {
+                graph.link(a, b, Peer).expect("fresh clique edge");
             }
         }
 
         // 2. Tier-2: multi-homed to tier-1, sparse mutual peering, and some
         //    settlement-free peering up into the tier-1 layer.
-        let mut providers = ProviderPool::new(&graph, &tier1);
-        for &asn in &tier2 {
+        let mut providers = ProviderPool::new(&graph, tier1.clone());
+        for asn in tier2.clone() {
             providers.attach(&mut graph, &mut rng, asn, self.tier2_provider_range);
         }
-        self.sprinkle_peering(&mut graph, &mut rng, &tier2, self.tier2_peer_prob);
-        if self.tier2_tier1_peer_prob > 0.0 {
-            for &t2 in &tier2 {
-                for &t1 in &tier1 {
-                    if rng.gen_bool(self.tier2_tier1_peer_prob) {
-                        // Skip pairs already linked as provider/customer.
-                        let _ = graph.add_peering(t2, t1);
-                    }
+        sprinkle_peering(&mut graph, &mut rng, tier2.clone(), self.tier2_peer_prob);
+        for t2 in tier2.clone() {
+            for t1 in tier1.clone() {
+                if rng.gen_bool(self.tier2_tier1_peer_prob) {
+                    // Skip pairs already linked as provider/customer.
+                    let _ = graph.link(t2, t1, Peer);
                 }
             }
         }
 
         // 3. Tier-3: multi-homed to tier-2, very sparse peering.
-        let mut providers = ProviderPool::new(&graph, &tier2);
-        for &asn in &tier3 {
+        let mut providers = ProviderPool::new(&graph, or_tier1(&tier2));
+        for asn in tier3.clone() {
             providers.attach(&mut graph, &mut rng, asn, self.tier3_provider_range);
         }
-        self.sprinkle_peering(&mut graph, &mut rng, &tier3, self.tier3_peer_prob);
+        sprinkle_peering(&mut graph, &mut rng, tier3, self.tier3_peer_prob);
 
         // 4. Stubs: providers drawn from tier-2 ∪ tier-3.
-        let transit: Vec<Asn> = tier2.iter().chain(tier3.iter()).copied().collect();
-        let mut providers = ProviderPool::new(&graph, &transit);
-        for &asn in &stubs {
+        let mut providers = ProviderPool::new(&graph, or_tier1(&transit));
+        for asn in stubs {
             providers.attach(&mut graph, &mut rng, asn, self.stub_provider_range);
         }
 
@@ -281,48 +286,25 @@ impl InternetConfig {
         //    across every layer, tier-1 included — the "well-connected
         //    enterprise" of the paper's Figure 11. A peering that lands on a
         //    tier-2 raises its weight for the next content AS's provider draw.
-        let mut providers = ProviderPool::new(&graph, &tier2);
-        let peer_pool: Vec<Asn> = tier1.iter().chain(transit.iter()).copied().collect();
+        let mut providers = ProviderPool::new(&graph, or_tier1(&tier2));
+        let peer_pool = tier1.start..transit.end;
         let peer_count = ((peer_pool.len() as f64) * self.content_peer_fraction) as usize;
-        let mut candidates: Vec<Asn> = Vec::with_capacity(peer_pool.len());
-        for &asn in &content {
+        let mut candidates: Vec<usize> = Vec::with_capacity(peer_pool.len());
+        for asn in content {
             providers.attach(&mut graph, &mut rng, asn, (1, 2));
             // Each content AS shuffles the pool from its canonical order.
             candidates.clear();
-            candidates.extend_from_slice(&peer_pool);
+            candidates.extend(peer_pool.clone());
             candidates.shuffle(&mut rng);
             for &peer in candidates.iter().take(peer_count) {
                 // Skip pairs already linked as provider/customer.
-                if graph.add_peering(asn, peer).is_ok() {
+                if graph.link(asn, peer, Peer).is_ok() {
                     providers.bump(peer);
                 }
             }
         }
 
         graph.finish()
-    }
-
-    fn sprinkle_peering(
-        &self,
-        graph: &mut AsGraphBuilder,
-        rng: &mut StdRng,
-        pool: &[Asn],
-        prob: f64,
-    ) {
-        if prob <= 0.0 {
-            return;
-        }
-        if pool.len() >= SPRINKLE_SAMPLE_THRESHOLD {
-            sprinkle_peering_sampled(graph, rng, pool, prob);
-            return;
-        }
-        for (i, &a) in pool.iter().enumerate() {
-            for &b in &pool[i + 1..] {
-                if rng.gen_bool(prob) {
-                    let _ = graph.add_peering(a, b);
-                }
-            }
-        }
     }
 }
 
@@ -398,11 +380,11 @@ impl WeightTree {
 }
 
 /// Preferential-attachment provider pool: a customer's providers are drawn
-/// from `members` with probability proportional to degree + 1, which
-/// produces the heavy-tailed customer-cone distribution of the real
-/// Internet (a few transit ASes become huge, most stay small).
+/// from the `members` index range with probability proportional to
+/// degree + 1, which produces the heavy-tailed customer-cone distribution
+/// of the real Internet (a few transit ASes become huge, most stay small).
 ///
-/// `weights[i]` is `members[i]`'s degree + 1, kept current by
+/// `weights[i]` is member `members.start + i`'s degree + 1, kept current by
 /// [`attach`](Self::attach) (a new customer link) and [`bump`](Self::bump)
 /// (any other link that lands on a member), so each ticket resolves through
 /// the [`WeightTree`] in O(log n) instead of a rescan of the pool. The RNG
@@ -410,23 +392,18 @@ impl WeightTree {
 /// `gen_range(lo..=hi)` per customer, one `gen_range(0..total)` per draw
 /// with the same running totals — so the graph is bit-for-bit the one that
 /// scan builds.
-///
-/// Customers must be fresh ASes from a block disjoint from `members` (the
-/// tiered construction guarantees both), the precondition for
-/// `add_link_unchecked`; `members` must be sorted, as every ASN block is.
-struct ProviderPool<'a> {
-    members: &'a [Asn],
+struct ProviderPool {
+    members: Range<usize>,
     weights: Vec<u64>,
     tree: WeightTree,
     chosen: Vec<usize>,
 }
 
-impl<'a> ProviderPool<'a> {
-    fn new(graph: &AsGraphBuilder, members: &'a [Asn]) -> Self {
-        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "unsorted pool");
+impl ProviderPool {
+    fn new(graph: &AsGraphBuilder, members: Range<usize>) -> Self {
         let weights: Vec<u64> = members
-            .iter()
-            .map(|&p| graph.degree(p) as u64 + 1)
+            .clone()
+            .map(|p| graph.degree_at(p) as u64 + 1)
             .collect();
         let tree = WeightTree::from_weights(&weights);
         ProviderPool {
@@ -437,16 +414,15 @@ impl<'a> ProviderPool<'a> {
         }
     }
 
-    /// Adds `customer` and links it to `lo..=hi` distinct members (fewer
-    /// if the pool is smaller).
+    /// Links the fresh node at `customer` to `lo..=hi` distinct members
+    /// (fewer if the pool is smaller).
     fn attach(
         &mut self,
         graph: &mut AsGraphBuilder,
         rng: &mut StdRng,
-        customer: Asn,
+        customer: usize,
         (lo, hi): (usize, usize),
     ) {
-        graph.add_as(customer);
         let want = rng.gen_range(lo..=hi).min(self.members.len());
         self.chosen.clear();
         while self.chosen.len() < want {
@@ -462,31 +438,45 @@ impl<'a> ProviderPool<'a> {
             self.chosen.push(pick);
         }
         for &pick in &self.chosen {
-            graph.add_link_unchecked(self.members[pick], customer, Relationship::Customer);
+            let provider = self.members.start + pick;
+            graph
+                .link(customer, provider, Provider)
+                .expect("a fresh customer links each distinct pick once");
             // Restore the weight, +1 for the degree the new link added.
             self.weights[pick] += 1;
             self.tree.increase(pick, self.weights[pick]);
         }
     }
 
-    /// Records one new link on `asn` made outside [`attach`](Self::attach);
-    /// a non-member is ignored.
-    fn bump(&mut self, asn: Asn) {
-        if let Ok(i) = self.members.binary_search(&asn) {
+    /// Records one new link on the node at `node` made outside
+    /// [`attach`](Self::attach); a non-member is ignored.
+    fn bump(&mut self, node: usize) {
+        if self.members.contains(&node) {
+            let i = node - self.members.start;
             self.weights[i] += 1;
             self.tree.increase(i, 1);
         }
     }
 }
 
-/// Peering sweep for internet-scale pools, where the all-pairs Bernoulli
-/// loop would burn O(n²) RNG draws: hit the sweep's expected edge count
-/// deterministically by sampling random pairs until `round(pairs × prob)`
-/// distinct peerings exist. Same density, different (still seeded,
-/// deterministic) RNG stream — which is why only pools at or above
-/// [`SPRINKLE_SAMPLE_THRESHOLD`] take this path.
-fn sprinkle_peering_sampled(graph: &mut AsGraphBuilder, rng: &mut StdRng, pool: &[Asn], prob: f64) {
+/// Peers each pair of `pool` with probability `prob`: one Bernoulli draw per
+/// pair below [`SPRINKLE_SAMPLE_THRESHOLD`]. At or above it, where that would
+/// burn O(n²) RNG draws, the sweep hits its expected edge count instead by
+/// sampling random pairs until `round(pairs × prob)` distinct peerings
+/// exist. Same density, different (still seeded, deterministic) RNG stream —
+/// which is why only the internet-scale pools take that path.
+fn sprinkle_peering(graph: &mut AsGraphBuilder, rng: &mut StdRng, pool: Range<usize>, prob: f64) {
     let n = pool.len();
+    if n < SPRINKLE_SAMPLE_THRESHOLD {
+        for a in pool.clone() {
+            for b in a + 1..pool.end {
+                if rng.gen_bool(prob) {
+                    let _ = graph.link(a, b, Peer);
+                }
+            }
+        }
+        return;
+    }
     let pairs = n * (n - 1) / 2;
     #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
     let target = ((pairs as f64) * prob).round() as usize;
@@ -501,10 +491,7 @@ fn sprinkle_peering_sampled(graph: &mut AsGraphBuilder, rng: &mut StdRng, pool: 
         }
         let i = rng.gen_range(0..n);
         let j = rng.gen_range(0..n);
-        if i == j {
-            continue;
-        }
-        if graph.add_peering(pool[i], pool[j]).is_ok() {
+        if i != j && graph.link(pool.start + i, pool.start + j, Peer).is_ok() {
             added += 1;
         }
     }
@@ -696,14 +683,17 @@ mod tests {
     fn fenwick_batch_is_bit_identical_to_linear_scan() {
         // Same seed, same pool, same customers, in the content loop's shape:
         // each customer attaches, then peers with a few ASes drawn from the
-        // pool and from outside it. The linear scan reads live degrees; the
-        // Fenwick pool sees the peerings only through `bump`. Both must
-        // consume the RNG identically and build the identical graph —
-        // including the preferential-attachment feedback as degrees grow.
+        // pool and from outside it. The linear scan reads live degrees by
+        // ASN; the Fenwick pool holds an index range and sees the peerings
+        // only through `bump`. Both must consume the RNG identically and
+        // build the identical graph — including the preferential-attachment
+        // feedback as degrees grow.
         let pool: Vec<Asn> = (0..50).map(|i| Asn(TIER2_BASE + i)).collect();
         let others: Vec<Asn> = (0..20).map(|i| Asn(TIER3_BASE + i)).collect();
         let peers: Vec<Asn> = pool.iter().chain(&others).copied().collect();
         let customers: Vec<Asn> = (0..300).map(|i| Asn(CONTENT_BASE + i)).collect();
+        // `peers[i]` sits at dense index `i`, so the pool is `0..50`.
+        let pool_range = 0..pool.len();
         let fresh = || {
             let mut graph = AsGraphBuilder::with_capacity(370);
             for &asn in &peers {
@@ -715,11 +705,9 @@ mod tests {
             }
             graph
         };
-        let peer_draws = |rng: &mut StdRng| -> Vec<Asn> {
+        let peer_draws = |rng: &mut StdRng| -> Vec<usize> {
             let n = rng.gen_range(0..=4);
-            (0..n)
-                .map(|_| peers[rng.gen_range(0..peers.len())])
-                .collect()
+            (0..n).map(|_| rng.gen_range(0..peers.len())).collect()
         };
 
         let mut legacy = fresh();
@@ -727,20 +715,21 @@ mod tests {
         for &c in &customers {
             attach_providers_linear(&mut legacy, &mut rng, c, &pool, (1, 3));
             for peer in peer_draws(&mut rng) {
-                let _ = legacy.add_peering(c, peer);
+                let _ = legacy.add_peering(c, peers[peer]);
             }
         }
 
         let mut fast = fresh();
-        let mut providers = ProviderPool::new(&fast, &pool);
+        let mut providers = ProviderPool::new(&fast, pool_range.clone());
         let mut rng = StdRng::seed_from_u64(77);
         let mut bumps = 0;
         for &c in &customers {
-            providers.attach(&mut fast, &mut rng, c, (1, 3));
+            let customer = fast.add_as(c);
+            providers.attach(&mut fast, &mut rng, customer, (1, 3));
             for peer in peer_draws(&mut rng) {
-                if fast.add_peering(c, peer).is_ok() {
+                if fast.link(customer, peer, Relationship::Peer).is_ok() {
                     providers.bump(peer);
-                    bumps += usize::from(pool.contains(&peer));
+                    bumps += usize::from(pool_range.contains(&peer));
                 }
             }
         }
@@ -752,6 +741,41 @@ mod tests {
         let legacy_links: Vec<_> = legacy.finish().links().collect();
         let fast_links: Vec<_> = fast.finish().links().collect();
         assert_eq!(legacy_links, fast_links);
+    }
+
+    #[test]
+    fn an_empty_provider_tier_buys_transit_from_the_tier_above() {
+        for tier3 in [40, 0] {
+            let cfg = InternetConfig::small()
+                .tier2_count(0)
+                .tier3_count(tier3)
+                .seed(1);
+            let g = cfg.build();
+            assert_eq!(g.len(), cfg.total_ases());
+            let tiers = TierMap::classify(&g);
+            assert!(tiers.verify_tier1_clique(&g).is_ok());
+            for asn in g.asns() {
+                if !(TIER1_BASE..TIER2_BASE).contains(&asn.value()) {
+                    assert!(
+                        g.providers(asn).next().is_some(),
+                        "AS{asn} should have a provider (tier-3 count {tier3})"
+                    );
+                }
+                assert_ne!(
+                    tiers.tier_of(asn),
+                    Some(TierMap::UNREACHABLE),
+                    "AS{asn} unreachable from the core (tier-3 count {tier3})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is in two ASN blocks")]
+    fn overlapping_asn_blocks_are_rejected() {
+        let _ = InternetConfig::small()
+            .tier2_count((TIER3_BASE - TIER2_BASE) as usize + 1)
+            .build();
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! [`AsGraphBuilder`], then frozen by [`AsGraphBuilder::finish`] into an
 //! immutable [`AsGraph`].
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,7 +126,7 @@ impl std::error::Error for GraphError {}
 pub struct AsGraphBuilder {
     index: HashMap<Asn, usize>,
     asn_of: Vec<Asn>,
-    /// Each node's entries in insertion order; `finish` sorts them.
+    /// Each node's entries in insertion order; `finish` orders them.
     adj: Vec<Vec<CsrEntry>>,
 }
 
@@ -174,35 +175,23 @@ impl AsGraphBuilder {
         }
         let ia = self.add_as(a);
         let ib = self.add_as(b);
-        if self.adj[ia].iter().any(|e| e.node() as usize == ib) {
-            return Err(GraphError::DuplicateLink(a, b));
+        self.link(ia, ib, rel_of_b)
+    }
+
+    /// [`add_link`](Self::add_link) between the nodes at dense indices `a`
+    /// and `b`, for generators that hold indices already. The duplicate scan
+    /// runs over the shorter list, so linking a fresh AS is O(its degree).
+    pub(crate) fn link(&mut self, a: usize, b: usize, rel: Relationship) -> Result<(), GraphError> {
+        if a == b {
+            return Err(GraphError::SelfLoop(self.asn_of[a]));
         }
-        self.link(ia, ib, rel_of_b);
+        let (short, other) = std::cmp::min_by_key((a, b), (b, a), |&(x, _)| self.adj[x].len());
+        if self.adj[short].iter().any(|e| e.node() as usize == other) {
+            return Err(GraphError::DuplicateLink(self.asn_of[a], self.asn_of[b]));
+        }
+        self.adj[a].push(CsrEntry::pack(b, rel));
+        self.adj[b].push(CsrEntry::pack(a, rel.reverse()));
         Ok(())
-    }
-
-    /// [`add_link`](Self::add_link) without the O(degree) duplicate scan,
-    /// for bulk generators that prove pair uniqueness structurally (e.g.
-    /// disjoint ASN blocks per construction phase). A duplicate inserted
-    /// here corrupts the adjacency lists, hence crate-private.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a self-loop or a duplicate in debug builds.
-    pub(crate) fn add_link_unchecked(&mut self, a: Asn, b: Asn, rel_of_b: Relationship) {
-        debug_assert_ne!(a, b, "self-loop");
-        let ia = self.add_as(a);
-        let ib = self.add_as(b);
-        debug_assert!(
-            !self.adj[ia].iter().any(|e| e.node() as usize == ib),
-            "duplicate link AS{a}-AS{b}"
-        );
-        self.link(ia, ib, rel_of_b);
-    }
-
-    fn link(&mut self, ia: usize, ib: usize, rel_of_b: Relationship) {
-        self.adj[ia].push(CsrEntry::pack(ib, rel_of_b));
-        self.adj[ib].push(CsrEntry::pack(ia, rel_of_b.reverse()));
     }
 
     /// Records that `provider` sells transit to `customer`.
@@ -267,19 +256,36 @@ impl AsGraphBuilder {
         self.index.get(&asn).map_or(0, |&i| self.adj[i].len())
     }
 
-    /// Freezes the graph: sorts every adjacency list by neighbor ASN (so
-    /// iteration order never depends on insertion order), lays the lists out
-    /// once as one CSR array and draws the graph a fresh [`AsGraph::id`].
+    /// Degree (number of links so far) of the node at dense index `idx`.
+    pub(crate) fn degree_at(&self, idx: usize) -> usize {
+        self.adj[idx].len()
+    }
+
+    /// Freezes the graph: lays the adjacency lists out once as one CSR
+    /// array, each in ascending neighbor ASN (so iteration order never
+    /// depends on insertion order), and draws the graph a fresh
+    /// [`AsGraph::id`].
+    ///
+    /// That order needs no sort: every link sits in both endpoints' lists,
+    /// so visiting the nodes in ASN order and appending each one to its
+    /// neighbors' slots fills every slot in ascending neighbor ASN.
     #[must_use]
     pub fn finish(self) -> AsGraph {
         let AsGraphBuilder { index, asn_of, adj } = self;
-        let mut offsets = Vec::with_capacity(asn_of.len() + 1);
-        let mut entries = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for mut list in adj {
-            list.sort_unstable_by_key(|e| asn_of[e.node() as usize]);
-            entries.extend_from_slice(&list);
-            offsets.push(u32::try_from(entries.len()).expect("entry count fits u32"));
+        let mut offsets = vec![0];
+        let mut end = 0;
+        for list in &adj {
+            end += list.len();
+            offsets.push(u32::try_from(end).expect("entry count fits u32"));
+        }
+        let mut cursor = offsets.clone();
+        let mut entries = vec![CsrEntry(0); end];
+        for src in asn_order(&asn_of) {
+            for e in &adj[src] {
+                let slot = &mut cursor[e.node() as usize];
+                entries[*slot as usize] = CsrEntry::pack(src, e.rel().reverse());
+                *slot += 1;
+            }
         }
         AsGraph {
             index,
@@ -291,6 +297,13 @@ impl AsGraphBuilder {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
+}
+
+/// Dense node indices in ascending ASN order.
+fn asn_order(asn_of: &[Asn]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..asn_of.len()).collect();
+    order.sort_unstable_by_key(|&i| asn_of[i]);
+    order
 }
 
 impl AsGraph {
@@ -336,26 +349,14 @@ impl AsGraph {
     }
 
     /// A content fingerprint of the topology: an FNV-1a hash over the AS
-    /// count followed by the sorted `(asn, asn, relationship)` link list. Two
-    /// graphs with as many ASes and the same links hash identically
-    /// regardless of insertion order; the ASNs of isolated ASes are not
-    /// covered. Run manifests record it so results can be matched to the
-    /// exact topology that produced them.
+    /// count followed by the sorted `(asn, asn, relationship)` link list —
+    /// each link keyed from its lower-ASN endpoint, with the relationship as
+    /// that endpoint sees it. Two graphs with as many ASes and the same links
+    /// hash identically regardless of insertion order; the ASNs of isolated
+    /// ASes are not covered. Run manifests record it so results can be
+    /// matched to the exact topology that produced them.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut links: Vec<(u32, u32, u8)> = self
-            .links()
-            .map(|(a, b, rel)| {
-                // Key each undirected link from its lower-ASN endpoint;
-                // flipping endpoints flips the relationship's direction.
-                if a.value() <= b.value() {
-                    (a.value(), b.value(), rel as u8)
-                } else {
-                    (b.value(), a.value(), rel.reverse() as u8)
-                }
-            })
-            .collect();
-        links.sort_unstable();
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -366,10 +367,18 @@ impl AsGraph {
             }
         };
         mix(self.len() as u64);
-        for (a, b, rel) in links {
-            mix(u64::from(a));
-            mix(u64::from(b));
-            mix(u64::from(rel));
+        // Nodes in ASN order over lists already sorted by neighbor ASN: the
+        // links come out in sorted order.
+        for ia in asn_order(&self.asn_of) {
+            let a = self.asn_of[ia];
+            for e in self.neighbors_at(ia) {
+                let b = self.asn_of[e.node() as usize];
+                if a < b {
+                    mix(u64::from(a.value()));
+                    mix(u64::from(b.value()));
+                    mix(e.rel() as u64);
+                }
+            }
         }
         h
     }
@@ -483,9 +492,14 @@ impl AsGraph {
     /// the ranking the paper uses to pick detection monitors (Section VI-C).
     #[must_use]
     pub fn asns_by_degree(&self) -> Vec<Asn> {
-        let mut v: Vec<Asn> = self.asns().collect();
-        v.sort_by(|&a, &b| self.degree(b).cmp(&self.degree(a)).then_with(|| a.cmp(&b)));
-        v
+        let mut keyed: Vec<(Reverse<u32>, Asn)> = self
+            .offsets
+            .windows(2)
+            .zip(&self.asn_of)
+            .map(|(w, &asn)| (Reverse(w[1] - w[0]), asn))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, asn)| asn).collect()
     }
 }
 
@@ -514,6 +528,8 @@ mod tests {
             assert_eq!(g.degree(Asn(1)), 0);
             assert_eq!(g.neighbors(Asn(1)).count(), 0);
             assert_eq!(g.relationship(Asn(1), Asn(2)), None);
+            assert_eq!(g.fingerprint(), fingerprint_by_sorting(&g));
+            assert!(g.asns_by_degree().is_empty());
         }
     }
 
@@ -671,6 +687,107 @@ mod tests {
         assert_ne!(a.id(), AsGraph::default().id());
     }
 
+    /// The sort-based freeze `finish` replaced: each list sorted by
+    /// neighbor ASN in place, then concatenated. Returns `(offsets, entries)`.
+    fn finish_by_sorting(b: &AsGraphBuilder) -> (Vec<u32>, Vec<CsrEntry>) {
+        let mut offsets = vec![0];
+        let mut entries = Vec::new();
+        for list in &b.adj {
+            let mut list = list.clone();
+            list.sort_unstable_by_key(|e| b.asn_of[e.node() as usize]);
+            entries.extend_from_slice(&list);
+            offsets.push(u32::try_from(entries.len()).unwrap());
+        }
+        (offsets, entries)
+    }
+
+    /// The fingerprint as first written: collect every link keyed from its
+    /// lower-ASN end, sort, hash.
+    fn fingerprint_by_sorting(g: &AsGraph) -> u64 {
+        let mut links: Vec<(u32, u32, u8)> = g
+            .links()
+            .map(|(a, b, rel)| {
+                if a.value() <= b.value() {
+                    (a.value(), b.value(), rel as u8)
+                } else {
+                    (b.value(), a.value(), rel.reverse() as u8)
+                }
+            })
+            .collect();
+        links.sort_unstable();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        mix(g.len() as u64);
+        for (a, b, rel) in links {
+            mix(u64::from(a));
+            mix(u64::from(b));
+            mix(u64::from(rel));
+        }
+        h
+    }
+
+    /// The degree ranking by a comparator that looks both degrees up.
+    fn asns_by_degree_by_lookup(g: &AsGraph) -> Vec<Asn> {
+        let mut v: Vec<Asn> = g.asns().collect();
+        v.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then_with(|| a.cmp(&b)));
+        v
+    }
+
+    fn clone_builder(b: &AsGraphBuilder) -> AsGraphBuilder {
+        AsGraphBuilder {
+            index: b.index.clone(),
+            asn_of: b.asn_of.clone(),
+            adj: b.adj.clone(),
+        }
+    }
+
+    /// An arbitrary builder: isolated ASes and link endpoints inserted in
+    /// no particular ASN order, all four relationships (siblings included),
+    /// then a freeze, some links removed and some (re-)added. Small ASN
+    /// ranges make duplicates, self-loops and repeated ASes common; both
+    /// vectors may be empty.
+    fn arbitrary_builder() -> impl Strategy<Value = AsGraphBuilder> {
+        let rels = [
+            Relationship::Customer,
+            Relationship::Peer,
+            Relationship::Provider,
+            Relationship::Sibling,
+        ];
+        let link = (1u32..40, 1u32..40, 0usize..4);
+        (
+            proptest::collection::vec(1u32..60, 0..12),
+            proptest::collection::vec(link.clone(), 0..60),
+            proptest::collection::vec((1u32..40, 1u32..40), 0..12),
+            proptest::collection::vec(link, 0..12),
+        )
+            .prop_map(move |(isolated, links, removed, added)| {
+                let mut b = AsGraphBuilder::new();
+                let mut isolated = isolated.into_iter();
+                for (x, y, rel) in links {
+                    if let Some(asn) = isolated.next() {
+                        b.add_as(Asn(asn));
+                    }
+                    let _ = b.add_link(Asn(x), Asn(y), rels[rel]);
+                }
+                for asn in isolated {
+                    b.add_as(Asn(asn));
+                }
+                let mut b = b.finish().to_builder();
+                for (x, y) in removed {
+                    b.remove_link(Asn(x), Asn(y));
+                }
+                for (x, y, rel) in added {
+                    let _ = b.add_link(Asn(x), Asn(y), rels[rel]);
+                }
+                b
+            })
+    }
+
     /// Each link as `(lower ASN, higher ASN, relationship of the higher)`.
     fn link_set(g: &AsGraph) -> Vec<(Asn, Asn, Relationship)> {
         let mut links: Vec<_> = g
@@ -738,6 +855,19 @@ mod tests {
                     prop_assert_eq!(rebuilt.neighbors_at(idx), g.neighbors_at(idx));
                 }
             }
+        }
+
+        /// The counting freeze lays out the CSR the per-list sort did, and
+        /// the O(E) fingerprint and the keyed degree ranking agree with
+        /// their sort-based references.
+        #[test]
+        fn freeze_fingerprint_and_ranking_match_their_references(b in arbitrary_builder()) {
+            let (offsets, entries) = finish_by_sorting(&b);
+            let g = clone_builder(&b).finish();
+            prop_assert_eq!(&g.offsets, &offsets);
+            prop_assert_eq!(&g.entries, &entries);
+            prop_assert_eq!(g.fingerprint(), fingerprint_by_sorting(&g));
+            prop_assert_eq!(g.asns_by_degree(), asns_by_degree_by_lookup(&g));
         }
     }
 }
