@@ -92,7 +92,6 @@ pub fn deployment_order(graph: &AsGraph, strategy: DeployStrategy, seed: u64) ->
     match strategy {
         DeployStrategy::Random => {
             let mut order: Vec<Asn> = graph.asns().collect();
-            order.sort();
             order.shuffle(&mut StdRng::seed_from_u64(seed));
             order
         }

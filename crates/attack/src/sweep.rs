@@ -32,8 +32,7 @@ pub fn tier1_pair_experiments(
     seed: u64,
 ) -> Vec<DestinationSpec> {
     let tiers = TierMap::classify(graph);
-    let mut tier1: Vec<Asn> = tiers.tier1().collect();
-    tier1.sort();
+    let tier1: Vec<Asn> = tiers.tier1().collect();
     pair_experiments(&tier1, &tier1, n, padding, seed)
 }
 
@@ -47,8 +46,7 @@ pub fn random_pair_experiments(
     padding: usize,
     seed: u64,
 ) -> Vec<DestinationSpec> {
-    let mut all: Vec<Asn> = graph.asns().collect();
-    all.sort();
+    let all: Vec<Asn> = graph.asns().collect();
     pair_experiments(&all, &all, n, padding, seed)
 }
 

@@ -145,12 +145,7 @@ impl SelectionStudy {
 /// Runs the selection study at the given scale.
 #[must_use]
 pub fn vantage_selection(graph: &AsGraph, scale: Scale, seed: u64) -> SelectionStudy {
-    let (train_n, budgets): (usize, Vec<usize>) = match scale {
-        Scale::Smoke => (12, vec![4, 10]),
-        Scale::Paper => (40, vec![10, 30, 70]),
-        Scale::Internet => (16, vec![10, 30]),
-        Scale::InternetSmoke => (12, vec![4, 10]),
-    };
+    let (train_n, budgets) = scale.selection_sizes();
     // One without-replacement draw split in half: training and held-out
     // batches share no (victim, attacker) pair, so the greedy monitor set is
     // never evaluated on an attack it was fitted to. (Two independent draws

@@ -154,8 +154,7 @@ fn sweep(graph: &AsGraph, victim: Asn, attacker: Asn, mode: ExportMode) -> Vec<H
 #[must_use]
 pub fn fig9(graph: &AsGraph) -> PrependSweep {
     let tiers = TierMap::classify(graph);
-    let mut t1: Vec<Asn> = tiers.tier1().collect();
-    t1.sort();
+    let t1: Vec<Asn> = tiers.tier1().collect();
     let (attacker, victim) = (t1[0], t1[1]);
     PrependSweep {
         label: "Figure 9 — pollution vs prepended ASNs, tier-1 hijacks tier-1",
@@ -247,7 +246,7 @@ pub fn fig11(graph: &AsGraph) -> PrependSweep {
 #[must_use]
 pub fn fig12(graph: &AsGraph) -> PrependSweep {
     let tiers = TierMap::classify(graph);
-    let mut stubs: Vec<Asn> = graph
+    let stubs: Vec<Asn> = graph
         .asns()
         .filter(|&a| {
             tiers.is_stub(graph, a)
@@ -255,7 +254,6 @@ pub fn fig12(graph: &AsGraph) -> PrependSweep {
                 && graph.providers(a).count() >= 2
         })
         .collect();
-    stubs.sort();
     let victim = stubs[0];
     // An attacker with customers (so the compliant curve is non-trivial)
     // and at least two providers — a single-homed attacker cannot spread

@@ -142,6 +142,39 @@ impl Scale {
         }
     }
 
+    /// Victim/attacker pairs `aspp sweep` runs its strategy matrix over.
+    #[must_use]
+    pub fn sweep_pairs(self) -> usize {
+        match self {
+            Scale::Smoke => 4,
+            Scale::Paper => 8,
+            Scale::Internet => 3,
+            Scale::InternetSmoke => 2,
+        }
+    }
+
+    /// Prefixes `aspp feed` replays by default.
+    #[must_use]
+    pub fn feed_prefixes(self) -> usize {
+        match self {
+            Scale::Smoke => 40,
+            Scale::Paper => 120,
+            Scale::Internet => 160,
+            Scale::InternetSmoke => 60,
+        }
+    }
+
+    /// [`detection::vantage_selection`]'s training pairs (as many are held
+    /// out) and the monitor budgets it compares.
+    #[must_use]
+    pub fn selection_sizes(self) -> (usize, Vec<usize>) {
+        match self {
+            Scale::Smoke | Scale::InternetSmoke => (12, vec![4, 10]),
+            Scale::Paper => (40, vec![10, 30, 70]),
+            Scale::Internet => (16, vec![10, 30]),
+        }
+    }
+
     /// Monitors contributing tables to the Figure 5/6 corpus.
     #[must_use]
     pub fn corpus_monitors(self) -> usize {

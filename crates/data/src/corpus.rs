@@ -129,7 +129,7 @@ impl CorpusConfig {
         // Intermediary peer-export padding, shared across prefixes.
         let tiers = TierMap::classify(graph);
         let mut base_config = PrependConfig::new();
-        let mut transit: Vec<Asn> = graph
+        let transit: Vec<Asn> = graph
             .asns()
             .filter(|&a| {
                 !tiers.is_stub(graph, a)
@@ -137,7 +137,6 @@ impl CorpusConfig {
                     && graph.peers(a).next().is_some()
             })
             .collect();
-        transit.sort();
         for &asn in &transit {
             if rng.gen_bool(INTERMEDIARY_PAD_RATE) {
                 let depth = INTERMEDIARY_DEPTH.sample(&mut rng);
@@ -166,8 +165,7 @@ impl CorpusConfig {
                 } else {
                     // Differential: keep the lowest-ASN provider clean, pad
                     // the rest.
-                    let mut providers: Vec<Asn> = graph.providers(origin).collect();
-                    providers.sort();
+                    let providers: Vec<Asn> = graph.providers(origin).collect();
                     let overrides: Vec<(Asn, usize)> =
                         providers.iter().skip(1).map(|&p| (p, depth)).collect();
                     if overrides.is_empty() {
@@ -195,8 +193,7 @@ impl CorpusConfig {
             // of other prefixes lose a random provider link.
             let periodic = churn_events > 0 && i % (self.prefixes / churn_events).max(1) == 0;
             if clean_primary.is_some() || periodic {
-                let mut providers: Vec<Asn> = graph.providers(origin).collect();
-                providers.sort();
+                let providers: Vec<Asn> = graph.providers(origin).collect();
                 let failed = clean_primary
                     .map(|p| (p, origin))
                     .or_else(|| providers.choose(&mut rng).map(|&p| (p, origin)))
@@ -244,7 +241,6 @@ pub fn sample_monitors<R: Rng>(graph: &AsGraph, count: usize, rng: &mut R) -> Ve
 #[must_use]
 pub fn sample_origins<R: Rng>(graph: &AsGraph, count: usize, rng: &mut R) -> Vec<Asn> {
     let mut all: Vec<Asn> = graph.asns().collect();
-    all.sort();
     all.shuffle(rng);
     all.truncate(count);
     all

@@ -37,7 +37,6 @@ pub fn top_degree(graph: &AsGraph, d: usize) -> Vec<Asn> {
 #[must_use]
 pub fn random_monitors<R: Rng>(graph: &AsGraph, d: usize, rng: &mut R) -> Vec<Asn> {
     let mut all: Vec<Asn> = graph.asns().collect();
-    all.sort();
     all.shuffle(rng);
     all.truncate(d);
     all

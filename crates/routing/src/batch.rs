@@ -13,9 +13,9 @@
 //!   pass is an epoch bump over the already-sized scratch table
 //!   (O(1), no re-zeroing, no reallocation — see
 //!   [`RouteWorkspace::scratch_reuses`]) and the bucket queue's `Vec`
-//!   spines are reused as-is. The packed-`u128` branchless decision compare
-//!   (`pack_pref` in the engine) is shared with the single-shot path,
-//!   so batched cells decide routes exactly the way serial cells do.
+//!   spines are reused as-is. The decision compare — one integer compare
+//!   of packed route words — is the single-shot path's own, so batched
+//!   cells decide routes exactly the way serial cells do.
 //! * **Work stealing *across* clean equilibria, not inside a pass.** A
 //!   propagation pass is inherently sequential (the bucket scan is a
 //!   priority order), so the parallel grain is the thing cells actually

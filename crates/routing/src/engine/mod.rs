@@ -13,6 +13,10 @@
 //! 2. effective AS-path length, **prepends included**;
 //! 3. the lowest neighbor ASN — the analogue of BGP's lowest-router-id rule.
 //!
+//! Rule 3 costs nothing: [`finish`](aspp_topology::AsGraphBuilder::finish)
+//! numbers nodes in ascending ASN, so the lowest neighbor ASN is the lowest
+//! neighbor index, and a route's packed word ranks it by all three rules.
+//!
 //! # Algorithm
 //!
 //! A single generalized Dijkstra over *route labels* `(class, effective
@@ -43,9 +47,10 @@
 //! the one loop in [`mod@propagate`], which also argues when the second may
 //! be re-converged from the first instead of recomputed (the delta pass).
 //!
-//! The rest of the tree: [`spec`] says what to compute, [`route`] is the
-//! packed route table, [`workspace`] the scratch table and clean-pass cache,
-//! [`outcome`] what comes back; this file holds the entry points.
+//! The rest of the tree: [`spec`] says what to compute, [`route`] the
+//! packed route word (a route, its rank and its clean key in one `u64`) and
+//! table, [`workspace`] the scratch table and clean-pass cache, [`outcome`]
+//! what comes back; this file holds the entry points.
 
 mod outcome;
 mod propagate;
@@ -345,8 +350,7 @@ impl<'g> RoutingEngine<'g> {
         seed: &AttackSeed,
         policy: &P,
     ) -> (Pass, bool) {
-        let keys = ws.clean_keys(self.graph, spec, clean);
-        let from = Some((clean, &keys[..]));
+        let from = Some(clean);
         let delta = propagate::<true, P>(self.graph, spec, v_idx, ws, Some(seed), from, policy);
         if let Some(pass) = delta {
             ws.delta_passes += 1;

@@ -35,15 +35,16 @@
 //! an offer that reaches a node already settled raises none — and an abort
 //! only sends the attempt to the full pass, whose result is the same.
 //!
-//! A tie between an attacker label and the stored clean label means the
-//! clean parent itself was re-converged (the last rank is the exporter's
-//! ASN, so a tie implies the same parent), i.e. the clean option no longer
-//! exists, so ties adopt the attacker label.
+//! Offers and clean routes rank by their [`PackedRoute`] words, read
+//! straight from the clean pass. A tie between an attacker label and the
+//! clean label means the clean parent itself was re-converged (the rank
+//! ends in the exporter's node index, so a tie implies the same parent),
+//! i.e. the clean option no longer exists, so ties adopt the attacker label.
 //!
 //! **The abort.** A receiver that does not take the offer of its own clean
 //! parent voids the attempt: loop prevention refuses it (the receiver is on
 //! the claimed chain), its [`DefensePolicy`] refuses it, or it ranks below
-//! the receiver's clean key (policy beats length, so a parent can adopt a
+//! the receiver's clean route (policy beats length, so a parent can adopt a
 //! *longer* route of better class, and the attacker's own claim may be
 //! longer than its clean route). The receiver must then re-select among
 //! what is left, which only the full pass models. [`PassCtx::offer`] raises
@@ -86,36 +87,6 @@ impl AttackSeed {
                 || rel != Relationship::Provider
                 || self.clean_class.may_export_to(rel)
         })
-    }
-}
-
-/// A label's preference key `(class, effective length, exporter ASN)`
-/// packed into one integer, ordered exactly like the tuple compare.
-pub(super) fn pack_pref(class: RouteClass, len: u32, tie_asn: u32) -> u128 {
-    ((class as u128) << 72) | ((len as u128) << 40) | (tie_asn as u128)
-}
-
-/// Packed clean key of a node with no clean route: orders after every real
-/// preference key, so the delta pass never rejects an offer against it. Its
-/// low 32 bits name the reserved ASN `u32::MAX` as clean parent; an exporter
-/// that used it could only abort an attempt to the full pass.
-pub(super) const PACKED_NO_CLEAN: u128 = u128::MAX;
-
-/// A node's best offer, as [`PassCtx::offer`] records it in
-/// [`NodeScratch::offer_rank`]: the [`pack_pref`] key extended by the
-/// exporter's node index and the via flag, so rank order is preference
-/// order made total, and `rank >> 33` is the preference key again.
-fn pack_offer(pref: u128, parent: u32, via_attacker: bool) -> u128 {
-    (pref << 33) | ((parent as u128) << 1) | u128::from(via_attacker)
-}
-
-/// The route a [`pack_offer`] rank settles its node on.
-fn unpack_offer(rank: u128) -> NodeRoute {
-    NodeRoute {
-        class: PackedRoute::CLASS[(rank >> 105) as usize & 3],
-        len: (rank >> 73) as u32,
-        parent: Some((rank >> 1) as u32 as usize),
-        via_attacker: rank & 1 != 0,
     }
 }
 
@@ -176,18 +147,21 @@ fn pad_table<'s>(graph: &AsGraph, spec: &'s DestinationSpec) -> Vec<Option<&'s P
     pad
 }
 
+/// Why [`PassCtx::export`] stops: the offer is longer than a route word holds.
+const TOO_LONG: &str = "effective route length exceeds 268435455, the 28-bit maximum";
+
 /// What one pass reads and writes besides its route table. Its methods are
 /// the export side of the loop in [`propagate`]; `DELTA` selects the delta
-/// pass's clean-key pruning and abort test at compile time (`keys` is empty
-/// and unread otherwise).
+/// pass's clean-rank pruning and abort test at compile time (`clean` is
+/// empty and unread otherwise).
 struct PassCtx<'a, P> {
     graph: &'a AsGraph,
     pad: Vec<Option<&'a PrependingPolicy>>,
     queue: &'a mut BucketQueue,
     scratch: &'a mut [NodeScratch],
-    /// The clean pass's [`pack_pref`] key per node; its low 32 bits are the
-    /// clean parent's ASN.
-    keys: &'a [u128],
+    /// The clean pass a delta pass re-converges from: each node's clean
+    /// rank, whose parent field names its clean parent.
+    clean: &'a Pass,
     epoch: u32,
     policy: &'a P,
     facts: AttackFacts,
@@ -199,7 +173,8 @@ struct PassCtx<'a, P> {
 impl<P: DefensePolicy> PassCtx<'_, P> {
     /// Offers the route `node` holds — `len` hops, attacker-derived when
     /// `via` — to every kind of neighbor `row` has a class for. Each step adds
-    /// the exporter's own ASN plus whatever it pads toward that neighbor.
+    /// the exporter's own ASN plus whatever it pads toward that neighbor; an
+    /// offer longer than a route word holds panics, naming the bound.
     fn export<const DELTA: bool>(
         &mut self,
         node: usize,
@@ -209,18 +184,18 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
     ) {
         let graph = self.graph;
         let pad_policy = self.pad.get(node).copied().flatten();
-        let tie_asn = graph.asn_at(node).value();
         for &entry in graph.neighbors_at(node) {
             let Some(class) = row[entry.rel() as usize] else {
                 continue;
             };
             let x = entry.node();
-            let len =
-                len + 1 + pad_policy.map_or(0, |p| p.extra_for(graph.asn_at(x as usize))) as u32;
+            let extra = pad_policy.map_or(0, |p| p.extra_for(graph.asn_at(x as usize)));
+            let len = u32::try_from(extra.saturating_add(len as usize + 1)).unwrap_or(u32::MAX);
+            assert!(len <= PackedRoute::MAX_LEN, "{TOO_LONG}");
             if via {
-                self.offer::<DELTA, true>(class, len, tie_asn, node as u32, x);
+                self.offer::<DELTA, true>(class, len, node as u32, x);
             } else {
-                self.offer::<DELTA, false>(class, len, tie_asn, node as u32, x);
+                self.offer::<DELTA, false>(class, len, node as u32, x);
             }
         }
     }
@@ -229,22 +204,21 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
     /// derived (`VIA`) offers that the receiver refuses — on the chain (loop
     /// prevention) or, under a policy that is not the compile-time `NOOP`,
     /// by its [`DefensePolicy`] — and, in the delta pass, offers that rank
-    /// below the receiver's clean key. It then applies the lazy decrease-key
-    /// (an offer that does not beat the best one already recorded for its
-    /// node is redundant: the node settles on the recorded one) and queues
-    /// the node in the offer's bucket. The mutable state it reads lives in
-    /// the target's single [`NodeScratch`] entry.
+    /// below the receiver's clean route. It then applies the lazy
+    /// decrease-key (an offer that does not beat the best one already
+    /// recorded for its node is redundant: the node settles on the recorded
+    /// one) and queues the node in the offer's bucket. The mutable state it
+    /// reads lives in the target's single [`NodeScratch`] entry.
     ///
     /// A dropped offer vanishes as if the export never happened — it neither
     /// queues nor clobbers the lazy decrease-key rank. In the delta pass, a
     /// receiver that drops the offer of its own clean parent (the exporter
-    /// whose ASN its clean key ends in) voids the attempt.
+    /// its clean rank names) voids the attempt.
     #[inline]
     fn offer<const DELTA: bool, const VIA: bool>(
         &mut self,
         class: RouteClass,
         len: u32,
-        tie_asn: u32,
         parent: u32,
         node: u32,
     ) {
@@ -258,56 +232,56 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
                     && !self
                         .policy
                         .accepts_attacker_route(node as usize, class, &self.facts)));
-        let pref = pack_pref(class, len, tie_asn);
-        if refused || (DELTA && self.keys[node as usize] < pref) {
-            if DELTA && self.keys[node as usize] as u32 == tie_asn {
+        let offer = PackedRoute::new(class, len, parent, VIA);
+        let rank = offer.rank();
+        if refused || (DELTA && self.clean.rank(node as usize) < rank) {
+            if DELTA && self.clean.rank(node as usize) as u32 == parent {
                 self.aborted = true;
             }
             return;
         }
-        let rank = pack_offer(pref, parent, VIA);
-        if s.offer_epoch == self.epoch && s.offer_rank <= rank {
+        if s.offer_epoch == self.epoch && s.offer_rank.rank() <= rank {
             counters::incr(Counter::FilterDrop);
             return;
         }
         s.offer_epoch = self.epoch;
-        s.offer_rank = rank;
+        s.offer_rank = offer;
         self.queue.push(class, len, node);
     }
 }
 
 /// The label-correcting Dijkstra of the engine docs — the only function that
 /// pops the queue. A full pass (`DELTA = false`, no `delta_from`) starts from
-/// an all-absent table and settles the victim; a delta pass starts from the
-/// clean table and its packed keys. Either then pins the attacker (none in a
-/// clean pass), exports the path it claims and settles nodes one `(class,
-/// length)` bucket at a time, each on its best recorded offer, `policy`
-/// filtering attacker-derived offers at their receivers.
+/// an all-absent table and settles the victim; a delta pass starts from a
+/// copy of the clean table and prunes against the clean original. Either
+/// then pins the attacker (none in a clean pass), exports the path it claims
+/// and settles nodes one `(class, length)` bucket at a time, each on its
+/// best recorded offer, `policy` filtering attacker-derived offers at their
+/// receivers.
 ///
 /// Only a delta pass returns `None`: a receiver did not take its clean
-/// parent's offer, and the caller must run the full pass. A delta pass that survives is bit-identical to the full pass for
-/// the same seed and policy.
+/// parent's offer, and the caller must run the full pass. A delta pass that
+/// survives is bit-identical to the full pass for the same seed and policy.
 pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
     graph: &AsGraph,
     spec: &DestinationSpec,
     v_idx: usize,
     ws: &mut RouteWorkspace,
     attack: Option<&AttackSeed>,
-    delta_from: Option<(&Pass, &[u128])>,
+    delta_from: Option<&Pass>,
     policy: &P,
 ) -> Option<Pass> {
     debug_assert_eq!(DELTA, delta_from.is_some());
     ws.begin_pass(graph.len(), attack.map_or(&[][..], |a| &a.chain));
-    let (mut best, keys) = match delta_from {
-        Some((clean, keys)) => (clean.clone(), keys),
-        None => (Pass::absent(graph.len()), &[][..]),
-    };
+    let no_clean = Pass::default();
+    let clean = delta_from.unwrap_or(&no_clean);
+    let mut best = delta_from.map_or_else(|| Pass::absent(graph.len()), Pass::clone);
     let mut cx = PassCtx {
         graph,
         pad: pad_table(graph, spec),
         queue: &mut ws.queue,
         scratch: &mut ws.scratch[..],
-        keys,
+        clean,
         epoch: ws.epoch,
         policy,
         facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
@@ -348,27 +322,27 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
         // Bucket closure: no push reaches an opened bucket, so the recorded
         // offer is the minimum over every offer the node gets, and it is
         // this bucket's — an offer of an earlier bucket settled it there.
-        let route = unpack_offer(s.offer_rank);
+        let route = s.offer_rank;
         debug_assert_eq!(
-            (s.offer_epoch, route.class, route.len),
-            (cx.epoch, class, len)
+            route.unpack().map(|r| (s.offer_epoch, r.class, r.len)),
+            Some((cx.epoch, class, len))
         );
         // Chain-masked targets were filtered at push (loop prevention).
-        debug_assert!(!route.via_attacker || s.chain_epoch != cx.epoch);
+        debug_assert!(!route.via_attacker() || s.chain_epoch != cx.epoch);
         if DELTA {
-            debug_assert!(route.via_attacker, "the delta frontier is all-malicious");
-            // Only offers no worse than the clean key were recorded, so a
+            debug_assert!(route.via_attacker(), "the delta frontier is all-malicious");
+            // Only offers no worse than the clean rank were recorded, so a
             // tie adopts.
-            debug_assert!(s.offer_rank >> 33 <= keys[node]);
+            debug_assert!(route.rank() <= cx.clean.rank(node));
             frontier += 1;
         }
         cx.scratch[node].adopted_epoch = cx.epoch;
-        best.set(node, Some(route));
+        best.set_word(node, route);
         // The attacker itself never reaches this point: it was settled (and
         // chain-masked) above, so its pinned route is never re-exported —
         // only the claimed one is.
         debug_assert!(attack.is_none_or(|a| a.m_idx != node));
-        cx.export::<DELTA>(node, export_row(class), len, route.via_attacker);
+        cx.export::<DELTA>(node, export_row(class), len, route.via_attacker());
         if DELTA && cx.aborted {
             return None;
         }
@@ -384,34 +358,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn offer_rank_round_trips_and_orders_like_the_offer_tuple() {
+    fn offer_rank_orders_like_the_decision_tuple() {
         let mut offers = Vec::new();
         for class in [
             RouteClass::FromCustomer,
             RouteClass::FromPeer,
             RouteClass::FromProvider,
         ] {
-            for len in [0, 3, 256, u32::MAX] {
-                for (tie_asn, parent) in [(0, 0), (64_512, 79_999), (u32::MAX, u32::MAX - 1)] {
+            for len in [0, 3, 256, PackedRoute::MAX_LEN] {
+                for parent in [0, 64_512, (1 << 30) - 1] {
                     for via_attacker in [false, true] {
-                        let pref = pack_pref(class, len, tie_asn);
-                        let rank = pack_offer(pref, parent, via_attacker);
-                        assert_eq!(rank >> 33, pref, "the preference key is the rank's prefix");
+                        let offer = PackedRoute::new(class, len, parent, via_attacker);
                         let route = NodeRoute {
                             class,
                             len,
                             parent: Some(parent as usize),
                             via_attacker,
                         };
-                        assert_eq!(unpack_offer(rank), route);
-                        offers.push(((class, len, tie_asn, parent, via_attacker), rank));
+                        assert_eq!(offer.unpack(), Some(route));
+                        assert_eq!(offer.via_attacker(), via_attacker);
+                        offers.push(((class, len, parent), offer.rank()));
                     }
                 }
             }
         }
         let mut by_tuple = offers.clone();
         by_tuple.sort_unstable_by_key(|&(tuple, _)| tuple);
-        offers.sort_unstable_by_key(|&(_, rank)| rank);
+        offers.sort_by_key(|&(_, rank)| rank);
         assert_eq!(offers, by_tuple);
+        // No route ranks after an absent one, whose rank names no parent.
+        let absent = Pass::absent(1).rank(0);
+        assert!(offers.iter().all(|&(_, rank)| rank < absent));
+        assert_eq!(absent as u32, u32::MAX);
+        assert!(TOO_LONG.contains(&PackedRoute::MAX_LEN.to_string()));
     }
 }

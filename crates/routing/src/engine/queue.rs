@@ -20,9 +20,8 @@ const BUCKET_SPILL_LEN: usize = 256;
 /// increases `(class, length)` lexicographically. So the scheduler keeps one
 /// bucket of bare `u32` node ids per `(class, length)` and scans them
 /// class-major, length-minor. A push names only the bucket of the offer and
-/// its receiver; the offer itself is the receiver's lazy decrease-key
-/// (`NodeScratch::offer_rank`), which the propagation loop reads back on
-/// pop.
+/// its receiver; the offer itself is the receiver's lazy decrease-key (the
+/// route word in `NodeScratch::offer_rank`), read back on pop.
 ///
 /// **Bucket closure + minimum offer.** Strict progress means a bucket can no
 /// longer receive pushes once the scan opens it, so by then every node in it

@@ -33,10 +33,16 @@ pub(crate) struct NodeRoute {
 /// bits 0-31   parent node index (u32::MAX ⇒ origin / pinned root)
 /// ```
 ///
-/// The pack/unpack round-trip is lossless while lengths stay below 2^28
-/// (callers bound λ; see `DestinationSpec::origin_padding`) and node indices
-/// fit 30 bits per the CSR. At 8 bytes per node the whole Internet-scale
-/// route table is one 640 kB allocation that clones via `memcpy`.
+/// The same word is an offer's [`rank`](Self::rank): with the present and
+/// via bits masked, it orders as `(class, effective length, parent index)`,
+/// and parent index order is neighbor ASN order because
+/// [`AsGraphBuilder::finish`](aspp_topology::AsGraphBuilder::finish)
+/// numbers nodes by ASN — the engine's decision order, one integer compare.
+///
+/// Packing is lossless while lengths stay within [`MAX_LEN`](Self::MAX_LEN)
+/// (the propagation loop checks every length it forms) and node indices fit
+/// 30 bits per the CSR. At 8 bytes per node the whole Internet-scale route
+/// table is one 640 kB allocation that clones via `memcpy`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(transparent)]
 pub(crate) struct PackedRoute(u64);
@@ -46,48 +52,62 @@ impl PackedRoute {
     const PRESENT: u64 = 1 << 63;
     const VIA: u64 = 1 << 62;
     const NO_PARENT: u64 = u32::MAX as u64;
+    /// The longest effective length the 28-bit field holds.
+    pub(super) const MAX_LEN: u32 = (1 << 28) - 1;
     /// Discriminant-indexed decode table for a class field.
-    pub(super) const CLASS: [RouteClass; 4] = [
+    const CLASS: [RouteClass; 4] = [
         RouteClass::Origin,
         RouteClass::FromCustomer,
         RouteClass::FromPeer,
         RouteClass::FromProvider,
     ];
 
+    /// The route `(class, len)` learned from node `parent` (`u32::MAX` at
+    /// the origin or a pinned root), attacker-derived when `via_attacker`.
     #[inline]
-    fn pack(r: NodeRoute) -> Self {
-        debug_assert!(r.len < (1 << 28), "effective length fits 28 bits");
-        let parent = r.parent.map_or(Self::NO_PARENT, |p| {
-            debug_assert!(p < u32::MAX as usize);
-            p as u64
-        });
-        PackedRoute(
-            Self::PRESENT
-                | if r.via_attacker { Self::VIA } else { 0 }
-                | ((r.class as u64) << 60)
-                | (u64::from(r.len) << 32)
-                | parent,
-        )
+    pub(super) fn new(class: RouteClass, len: u32, parent: u32, via_attacker: bool) -> Self {
+        debug_assert!(len <= Self::MAX_LEN, "effective length fits 28 bits");
+        let via = if via_attacker { Self::VIA } else { 0 };
+        let fields = ((class as u64) << 60) | (u64::from(len) << 32) | u64::from(parent);
+        PackedRoute(Self::PRESENT | via | fields)
     }
 
     #[inline]
-    fn unpack(self) -> Option<NodeRoute> {
+    pub(super) fn unpack(self) -> Option<NodeRoute> {
         if self.0 & Self::PRESENT == 0 {
             return None;
         }
         let parent = self.0 & Self::NO_PARENT;
         Some(NodeRoute {
             class: Self::CLASS[((self.0 >> 60) & 3) as usize],
-            len: ((self.0 >> 32) & 0x0FFF_FFFF) as u32,
+            len: ((self.0 >> 32) & u64::from(Self::MAX_LEN)) as u32,
             parent: (parent != Self::NO_PARENT).then_some(parent as usize),
             via_attacker: self.0 & Self::VIA != 0,
         })
+    }
+
+    /// The route's place in the decision order, lower is better: the word
+    /// without its present and via bits. An absent route ranks after every
+    /// route, and the parent field of its rank (`u32::MAX`) names no node.
+    #[inline]
+    pub(super) fn rank(self) -> u64 {
+        if self.0 & Self::PRESENT == 0 {
+            u64::MAX
+        } else {
+            self.0 & !(Self::PRESENT | Self::VIA)
+        }
+    }
+
+    /// Whether the route descends from the attacker's announcement.
+    #[inline]
+    pub(super) fn via_attacker(self) -> bool {
+        self.0 & Self::VIA != 0
     }
 }
 
 /// One equilibrium's full route table: a dense, flat array of
 /// [`PackedRoute`] words indexed by node id. The accessors speak
-/// `Option<NodeRoute>`, so only this file knows the packing.
+/// `Option<NodeRoute>` or whole words, so only this file knows the packing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Pass {
     words: Vec<PackedRoute>,
@@ -114,10 +134,25 @@ impl Pass {
         self.words[i].unpack()
     }
 
+    /// The [`rank`](PackedRoute::rank) of the route at node `i`.
+    #[inline]
+    pub(super) fn rank(&self, i: usize) -> u64 {
+        self.words[i].rank()
+    }
+
     /// Stores (or clears) the route at node `i`.
     #[inline]
     pub(crate) fn set(&mut self, i: usize, route: Option<NodeRoute>) {
-        self.words[i] = route.map_or(PackedRoute::ABSENT, PackedRoute::pack);
+        self.words[i] = route.map_or(PackedRoute::ABSENT, |r| {
+            let parent = r.parent.map_or(u32::MAX, |p| p as u32);
+            PackedRoute::new(r.class, r.len, parent, r.via_attacker)
+        });
+    }
+
+    /// Stores the packed route `word` at node `i`.
+    #[inline]
+    pub(super) fn set_word(&mut self, i: usize, word: PackedRoute) {
+        self.words[i] = word;
     }
 
     /// Iterates every node's route in id order.

@@ -8,9 +8,9 @@ use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
 
-use super::propagate::{pack_pref, propagate, PACKED_NO_CLEAN};
+use super::propagate::propagate;
 use super::queue::BucketQueue;
-use super::route::Pass;
+use super::route::{PackedRoute, Pass};
 use super::spec::DestinationSpec;
 use crate::policy::NoDefense;
 use crate::prepend::PrependConfig;
@@ -27,21 +27,21 @@ use crate::prepend::PrependConfig;
 /// table at the wrap so stale stamps can never collide.)
 ///
 /// * `offer_rank` (with `offer_epoch`) is a lazy decrease-key: the best
-///   offer this node has received so far, and the route it settles on —
-///   the queue holds only node ids. An offer that does not beat it is
-///   dropped at push. Strict `(class, len)` scan progress guarantees that
+///   offer this node has received so far, as the [`PackedRoute`] word it
+///   settles on — the queue holds only node ids — and whose
+///   [`rank`](PackedRoute::rank) orders it. An offer that does not beat it
+///   is dropped at push. Strict `(class, len)` scan progress guarantees that
 ///   nothing better arrives once the node's bucket is opened.
 /// * `chain_epoch` marks membership in the attacker's claimed AS chain
 ///   (loop prevention); `adopted_epoch` marks a settled node — finalized in
 ///   the full pass, adopted-malicious in the delta pass.
 ///
-/// The delta pass's clean-route ranking table deliberately lives *outside*
-/// this struct (see [`CleanEntry::keys`]): the clean and full passes never
-/// read it, and keeping it out halves their scratch footprint.
+/// A delta pass compares against each node's clean route, which it reads
+/// from the clean [`Pass`] itself: the same word ranks both.
 #[derive(Clone, Copy, Debug, Default)]
 #[repr(align(32))]
 pub(super) struct NodeScratch {
-    pub(super) offer_rank: u128,
+    pub(super) offer_rank: PackedRoute,
     pub(super) offer_epoch: u32,
     pub(super) chain_epoch: u32,
     pub(super) adopted_epoch: u32,
@@ -51,16 +51,12 @@ pub(super) struct NodeScratch {
 /// it: the victim and the prepending configuration.
 ///
 /// The pass itself is behind an [`Arc`] so a cache hit hands out a shared
-/// reference instead of cloning the whole route table, and `keys` memoizes
-/// the delta pass's packed clean-route ranking table (built lazily on the
-/// first delta attempt against this equilibrium, then reused by every later
-/// one).
+/// reference instead of cloning the whole route table.
 #[derive(Clone, Debug)]
 struct CleanEntry {
     victim: Asn,
     prepend: Arc<PrependConfig>,
     pass: Arc<Pass>,
-    keys: Option<Arc<[u128]>>,
 }
 
 impl CleanEntry {
@@ -84,10 +80,9 @@ impl CleanEntry {
 ///   stamps — epoch-stamped, never re-zeroed); and
 /// * a small LRU cache of clean passes keyed by `(victim, prepending
 ///   config)` — each entry `Arc`-shares its route table (hits never clone
-///   it) and lazily memoizes the packed clean-key ranking table, so
-///   repeated computations over the same victim skip the redundant clean
-///   pass entirely and give the **delta attacked pass** its starting
-///   equilibrium and pruning keys for free.
+///   it), so repeated computations over the same victim skip the redundant
+///   clean pass entirely and give the **delta attacked pass** its starting
+///   equilibrium, whose route words are also its pruning ranks, for free.
 ///
 /// Results are **bit-identical** to [`RoutingEngine::compute`]: the clean
 /// pass is deterministic, so replaying a cached copy and recomputing it
@@ -283,42 +278,10 @@ impl RouteWorkspace {
                     victim,
                     prepend: Arc::clone(prepend),
                     pass: Arc::clone(&pass),
-                    keys: None,
                 },
             );
         }
         pass
-    }
-
-    /// The delta pass's clean-route ranking table for `clean`: every node's
-    /// [`pack_pref`]-packed clean preference key ([`PACKED_NO_CLEAN`] where
-    /// it has no clean route). Memoized on the pass's [`CleanEntry`] so a λ
-    /// sweep's repeated delta passes over one cached equilibrium build it
-    /// exactly once; with caching disabled it is rebuilt per call.
-    pub(super) fn clean_keys(
-        &mut self,
-        graph: &AsGraph,
-        spec: &DestinationSpec,
-        clean: &Pass,
-    ) -> Arc<[u128]> {
-        let build = || {
-            clean
-                .iter()
-                .map(|r| match r {
-                    Some(c) => {
-                        let p_asn = c.parent.map_or(0, |p| graph.asn_at(p).value());
-                        pack_pref(c.class, c.len, p_asn)
-                    }
-                    None => PACKED_NO_CLEAN,
-                })
-                .collect()
-        };
-        // `clean_pass` just ran, so on a cache-enabled workspace the front
-        // entry is exactly this equilibrium.
-        match self.clean_cache.first_mut() {
-            Some(e) if e.holds(spec) => Arc::clone(e.keys.get_or_insert_with(build)),
-            _ => build(),
-        }
     }
 }
 

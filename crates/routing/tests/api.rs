@@ -18,8 +18,8 @@ fn internet(seed: u64) -> AsGraph {
 #[test]
 fn equal_class_and_length_go_to_the_lowest_neighbor_asn() {
     // AS1 hears victim AS10 over two customer routes of length 2, via AS7
-    // and via AS3. AS7 joins the graph first, so the lower ASN is not the
-    // lower node index.
+    // and via AS3. AS7 joins the builder first, so the lower ASN is not the
+    // lower builder index; `finish` numbers the nodes by ASN.
     let mut g = AsGraphBuilder::new();
     g.add_provider_customer(Asn(7), Asn(10)).unwrap();
     g.add_provider_customer(Asn(3), Asn(10)).unwrap();
@@ -51,6 +51,44 @@ fn equal_class_and_length_go_to_the_lowest_neighbor_asn() {
             asn: Asn(1),
             better_via: Asn(3),
         }]
+    );
+}
+
+/// AS1 sells transit to AS2 and peers with AS3.
+fn transit_and_peer() -> AsGraph {
+    let mut g = AsGraphBuilder::new();
+    g.add_provider_customer(Asn(1), Asn(2)).unwrap();
+    g.add_peering(Asn(1), Asn(3)).unwrap();
+    g.finish()
+}
+
+#[test]
+#[should_panic(expected = "effective route length exceeds 268435455")]
+fn a_route_longer_than_its_word_holds_fails_naming_the_bound() {
+    // AS3's route would be 2^28 + 1 hops long.
+    let graph = transit_and_peer();
+    let spec = DestinationSpec::new(Asn(2)).origin_padding(1 << 28);
+    let _ = RoutingEngine::new(&graph).compute(&spec);
+}
+
+#[test]
+fn the_largest_padding_the_cli_accepts_computes() {
+    let graph = transit_and_peer();
+    let spec = DestinationSpec::new(Asn(2)).origin_padding(65_535);
+    let outcome = RoutingEngine::new(&graph).compute(&spec);
+    let route = |class, effective_len, next_hop| RouteInfo {
+        class,
+        effective_len,
+        next_hop: Some(next_hop),
+        via_attacker: false,
+    };
+    assert_eq!(
+        outcome.route(Asn(1)),
+        Some(route(RouteClass::FromCustomer, 65_535, Asn(2)))
+    );
+    assert_eq!(
+        outcome.route(Asn(3)),
+        Some(route(RouteClass::FromPeer, 65_536, Asn(1)))
     );
 }
 

@@ -18,12 +18,15 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 /// sibling). Built through an [`AsGraphBuilder`].
 ///
 /// Nodes are addressed either by [`Asn`] (public API) or by dense `usize`
-/// indices (hot paths in the routing engine). Indices are assigned in
-/// insertion order and are stable for the life of the graph.
+/// indices (hot paths in the routing engine). [`AsGraphBuilder::finish`]
+/// assigns the indices in ascending ASN, whatever order the ASes were added
+/// in, so comparing two nodes' indices compares their ASNs; they are stable
+/// for the life of the graph.
 ///
 /// The adjacency is one compressed-sparse-row layout: per-node offsets into
 /// a single array of packed [`CsrEntry`] words, each node's entries sorted
-/// by neighbor ASN, plus a flat `Asn`-by-index table. Route computation
+/// by neighbor index (that is, by neighbor ASN), plus a flat `Asn`-by-index
+/// table. Route computation
 /// iterates millions of neighbor lists per experiment; this keeps them in
 /// one cache-friendly allocation that hot loops scan without touching the
 /// `Asn → index` hash map.
@@ -147,7 +150,11 @@ impl AsGraphBuilder {
         }
     }
 
-    /// Inserts `asn` as an isolated node if absent; returns its index.
+    /// Inserts `asn` as an isolated node if absent; returns its index in
+    /// this builder. A builder index is not a graph index: [`finish`]
+    /// renumbers the nodes in ascending ASN.
+    ///
+    /// [`finish`]: Self::finish
     pub fn add_as(&mut self, asn: Asn) -> usize {
         if let Some(&idx) = self.index.get(&asn) {
             return idx;
@@ -261,28 +268,38 @@ impl AsGraphBuilder {
         self.adj[idx].len()
     }
 
-    /// Freezes the graph: lays the adjacency lists out once as one CSR
-    /// array, each in ascending neighbor ASN (so iteration order never
-    /// depends on insertion order), and draws the graph a fresh
-    /// [`AsGraph::id`].
+    /// Freezes the graph: numbers the nodes in ascending ASN (a builder
+    /// index is not a graph index), lays the adjacency lists out once as one
+    /// CSR array, each in ascending neighbor index, and draws the graph a
+    /// fresh [`AsGraph::id`].
     ///
-    /// That order needs no sort: every link sits in both endpoints' lists,
-    /// so visiting the nodes in ASN order and appending each one to its
-    /// neighbors' slots fills every slot in ascending neighbor ASN.
+    /// The lists need no sort: every link sits in both endpoints' lists, so
+    /// visiting the nodes in index order and appending each one to its
+    /// neighbors' slots fills every slot in ascending neighbor index.
     #[must_use]
-    pub fn finish(self) -> AsGraph {
+    pub fn finish(mut self) -> AsGraph {
+        // `order[new] = old`, `renumber[old] = new`.
+        let mut order: Vec<usize> = (0..self.asn_of.len()).collect();
+        order.sort_unstable_by_key(|&i| self.asn_of[i]);
+        let mut renumber = vec![0; order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            renumber[old] = new;
+        }
+        for idx in self.index.values_mut() {
+            *idx = renumber[*idx];
+        }
         let AsGraphBuilder { index, asn_of, adj } = self;
         let mut offsets = vec![0];
         let mut end = 0;
-        for list in &adj {
-            end += list.len();
+        for &old in &order {
+            end += adj[old].len();
             offsets.push(u32::try_from(end).expect("entry count fits u32"));
         }
         let mut cursor = offsets.clone();
         let mut entries = vec![CsrEntry(0); end];
-        for src in asn_order(&asn_of) {
-            for e in &adj[src] {
-                let slot = &mut cursor[e.node() as usize];
+        for (src, &old) in order.iter().enumerate() {
+            for e in &adj[old] {
+                let slot = &mut cursor[renumber[e.node() as usize]];
                 entries[*slot as usize] = CsrEntry::pack(src, e.rel().reverse());
                 *slot += 1;
             }
@@ -291,19 +308,12 @@ impl AsGraphBuilder {
             index,
             offsets,
             entries,
-            asn_of,
+            asn_of: order.iter().map(|&old| asn_of[old]).collect(),
             // Relaxed: the counter only hands out distinct values; it
             // publishes no other data.
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
-}
-
-/// Dense node indices in ascending ASN order.
-fn asn_order(asn_of: &[Asn]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..asn_of.len()).collect();
-    order.sort_unstable_by_key(|&i| asn_of[i]);
-    order
 }
 
 impl AsGraph {
@@ -318,7 +328,8 @@ impl AsGraph {
 
     /// A builder holding this graph's ASes (at the same dense indices) and
     /// links, from which an edited copy is
-    /// [`finish`](AsGraphBuilder::finish)ed.
+    /// [`finish`](AsGraphBuilder::finish)ed, which numbers every AS by ASN
+    /// again: an AS added with a smaller ASN shifts the indices above it.
     #[must_use]
     pub fn to_builder(&self) -> AsGraphBuilder {
         AsGraphBuilder {
@@ -367,9 +378,9 @@ impl AsGraph {
             }
         };
         mix(self.len() as u64);
-        // Nodes in ASN order over lists already sorted by neighbor ASN: the
-        // links come out in sorted order.
-        for ia in asn_order(&self.asn_of) {
+        // Nodes in index (ASN) order over lists sorted by neighbor index:
+        // the links come out in sorted order.
+        for ia in 0..self.len() {
             let a = self.asn_of[ia];
             for e in self.neighbors_at(ia) {
                 let b = self.asn_of[e.node() as usize];
@@ -412,13 +423,13 @@ impl AsGraph {
         &self.asn_of
     }
 
-    /// Iterates over all ASNs in insertion order.
+    /// Iterates over all ASNs in index order, which is ascending ASN.
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
         self.asn_of.iter().copied()
     }
 
     /// Neighbor entries of the node at dense index `idx`, sorted by
-    /// neighbor ASN.
+    /// neighbor index (and so by neighbor ASN).
     ///
     /// # Panics
     ///
@@ -478,7 +489,7 @@ impl AsGraph {
     }
 
     /// Iterates over every link once as `(a, b, relationship_of_b_from_a)`,
-    /// with `index_of(a) < index_of(b)`.
+    /// with `index_of(a) < index_of(b)` — so `a < b` — in ascending `(a, b)`.
     pub fn links(&self) -> impl Iterator<Item = (Asn, Asn, Relationship)> + '_ {
         (0..self.len()).flat_map(move |ia| {
             self.neighbors_at(ia)
@@ -687,18 +698,26 @@ mod tests {
         assert_ne!(a.id(), AsGraph::default().id());
     }
 
-    /// The sort-based freeze `finish` replaced: each list sorted by
-    /// neighbor ASN in place, then concatenated. Returns `(offsets, entries)`.
-    fn finish_by_sorting(b: &AsGraphBuilder) -> (Vec<u32>, Vec<CsrEntry>) {
+    /// The sort-based freeze `finish` replaced, on `finish`'s numbering:
+    /// the ASNs sorted, each node's list renumbered and sorted by neighbor
+    /// ASN in place, then concatenated. Returns `(asn_of, offsets,
+    /// entries)`.
+    fn finish_by_sorting(b: &AsGraphBuilder) -> (Vec<Asn>, Vec<u32>, Vec<CsrEntry>) {
+        let mut asn_of = b.asn_of.clone();
+        asn_of.sort_unstable();
+        let renumber = |old: u32| asn_of.binary_search(&b.asn_of[old as usize]).unwrap();
         let mut offsets = vec![0];
         let mut entries = Vec::new();
-        for list in &b.adj {
-            let mut list = list.clone();
-            list.sort_unstable_by_key(|e| b.asn_of[e.node() as usize]);
+        for asn in &asn_of {
+            let mut list: Vec<CsrEntry> = b.adj[b.index[asn]]
+                .iter()
+                .map(|e| CsrEntry::pack(renumber(e.node()), e.rel()))
+                .collect();
+            list.sort_unstable_by_key(|e| asn_of[e.node() as usize]);
             entries.extend_from_slice(&list);
             offsets.push(u32::try_from(entries.len()).unwrap());
         }
-        (offsets, entries)
+        (asn_of, offsets, entries)
     }
 
     /// The fingerprint as first written: collect every link keyed from its
@@ -857,17 +876,107 @@ mod tests {
             }
         }
 
-        /// The counting freeze lays out the CSR the per-list sort did, and
-        /// the O(E) fingerprint and the keyed degree ranking agree with
-        /// their sort-based references.
+        /// The counting freeze numbers the nodes and lays out the CSR as
+        /// the per-list sort over sorted ASNs does, and the O(E)
+        /// fingerprint and the keyed degree ranking agree with their
+        /// sort-based references.
         #[test]
         fn freeze_fingerprint_and_ranking_match_their_references(b in arbitrary_builder()) {
-            let (offsets, entries) = finish_by_sorting(&b);
+            let (asn_of, offsets, entries) = finish_by_sorting(&b);
             let g = clone_builder(&b).finish();
+            prop_assert_eq!(&g.asn_of, &asn_of);
             prop_assert_eq!(&g.offsets, &offsets);
             prop_assert_eq!(&g.entries, &entries);
             prop_assert_eq!(g.fingerprint(), fingerprint_by_sorting(&g));
             prop_assert_eq!(g.asns_by_degree(), asns_by_degree_by_lookup(&g));
+        }
+
+        /// Whatever order ASes and links arrive in — a shuffled link soup
+        /// with isolated ASes between the links, then a frozen graph's
+        /// builder extended by links to ASes with smaller ASNs than any it
+        /// holds — `finish` numbers the nodes in ascending ASN and lays out
+        /// the graph the ascending-ASN insertion does.
+        #[test]
+        fn indices_follow_asn_order_whatever_the_insertion_order(
+            soup in proptest::collection::vec((1u32..30, 1u32..30, 0usize..4, any::<bool>()), 0..40),
+            isolated in proptest::collection::vec(1u32..40, 0..8),
+            late in proptest::collection::vec((1u32..30, 1u32..30, 0usize..4), 0..10),
+            seed in any::<u64>(),
+        ) {
+            let rels = [
+                Relationship::Customer,
+                Relationship::Peer,
+                Relationship::Provider,
+                Relationship::Sibling,
+            ];
+            // One relationship per unordered pair; the soup's ASNs start at
+            // 101, the late ones are below 30.
+            let mut links: Vec<(Asn, Asn, Relationship)> = Vec::new();
+            let push = |links: &mut Vec<(Asn, Asn, Relationship)>, a, b, rel| {
+                if a != b && !links.iter().any(|&(x, y, _)| (x, y) == (a, b) || (x, y) == (b, a)) {
+                    links.push((a, b, rel));
+                }
+            };
+            for (a, b, rel, swap) in soup {
+                let (a, b, rel) = (Asn(100 + a), Asn(100 + b), rels[rel]);
+                if swap {
+                    push(&mut links, b, a, rel.reverse());
+                } else {
+                    push(&mut links, a, b, rel);
+                }
+            }
+            let early = links.len();
+            for (a, b, rel) in late {
+                push(&mut links, Asn(a), Asn(100 + b), rels[rel]);
+            }
+            let isolated: Vec<Asn> = isolated.into_iter().map(|a| Asn(100 + a)).collect();
+
+            let sorted = {
+                let mut asns: Vec<Asn> = links.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+                asns.extend(&isolated);
+                asns.sort_unstable();
+                let mut builder = AsGraphBuilder::new();
+                for asn in asns {
+                    builder.add_as(asn);
+                }
+                for &(a, b, rel) in &links {
+                    builder.add_link(a, b, rel).unwrap();
+                }
+                builder.finish()
+            };
+            let shuffled = {
+                let (soup, late) = links.split_at_mut(early);
+                let mut rng = StdRng::seed_from_u64(seed);
+                soup.shuffle(&mut rng);
+                late.shuffle(&mut rng);
+                let mut builder = AsGraphBuilder::new();
+                let mut isolated = isolated.iter();
+                for &(a, b, rel) in &*soup {
+                    if let Some(&asn) = isolated.next() {
+                        builder.add_as(asn);
+                    }
+                    builder.add_link(a, b, rel).unwrap();
+                }
+                for &asn in isolated {
+                    builder.add_as(asn);
+                }
+                let mut builder = builder.finish().to_builder();
+                for &(a, b, rel) in &*late {
+                    builder.add_link(a, b, rel).unwrap();
+                }
+                builder.finish()
+            };
+
+            for g in [&sorted, &shuffled] {
+                prop_assert!(g.asn_table().windows(2).all(|w| w[0] < w[1]));
+                for i in 0..g.len() {
+                    prop_assert_eq!(g.index_of(g.asn_at(i)), Some(i));
+                }
+            }
+            prop_assert_eq!(shuffled.fingerprint(), sorted.fingerprint());
+            prop_assert_eq!(shuffled.asn_table(), sorted.asn_table());
+            prop_assert_eq!(&shuffled.offsets, &sorted.offsets);
+            prop_assert_eq!(&shuffled.entries, &sorted.entries);
         }
     }
 }

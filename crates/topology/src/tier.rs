@@ -81,8 +81,8 @@ impl TierMap {
             }
         }
 
-        let mut tiers: Vec<(Asn, u32)> = graph.asn_table().iter().copied().zip(tier).collect();
-        tiers.sort_unstable_by_key(|&(asn, _)| asn);
+        // Node indices are in ascending ASN, so `tiers` is sorted by ASN.
+        let tiers = graph.asn_table().iter().copied().zip(tier).collect();
         TierMap { tiers }
     }
 
@@ -95,12 +95,12 @@ impl TierMap {
             .map(|pos| self.tiers[pos].1)
     }
 
-    /// Iterates over all tier-1 (provider-free core) ASes.
+    /// Iterates over all tier-1 (provider-free core) ASes, in ascending ASN.
     pub fn tier1(&self) -> impl Iterator<Item = Asn> + '_ {
         self.in_tier(1)
     }
 
-    /// Iterates over all ASes at exactly tier `t`.
+    /// Iterates over all ASes at exactly tier `t`, in ascending ASN.
     pub fn in_tier(&self, t: u32) -> impl Iterator<Item = Asn> + '_ {
         self.tiers
             .iter()
@@ -134,8 +134,7 @@ impl TierMap {
     /// Returns the first tier-1 pair found without a direct peering/sibling
     /// link.
     pub fn verify_tier1_clique(&self, graph: &AsGraph) -> Result<(), (Asn, Asn)> {
-        let mut t1: Vec<Asn> = self.tier1().collect();
-        t1.sort();
+        let t1: Vec<Asn> = self.tier1().collect();
         for (i, &a) in t1.iter().enumerate() {
             for &b in &t1[i + 1..] {
                 match graph.relationship(a, b) {

@@ -803,12 +803,7 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
     } else {
         let prefixes = run
             .parsed::<usize>("--prefixes")?
-            .unwrap_or(match run.scale {
-                Scale::Paper => 120,
-                Scale::Smoke => 40,
-                Scale::Internet => 160,
-                Scale::InternetSmoke => 60,
-            });
+            .unwrap_or(run.scale.feed_prefixes());
         let monitors = run.parsed::<usize>("--monitors")?.unwrap_or(30);
         let attack_ratio = run.ratio("--attack-ratio")?.unwrap_or(0.15);
         let withdraw_ratio = run.ratio("--withdraw-ratio")?.unwrap_or(0.3);
@@ -963,12 +958,9 @@ fn cmd_serve(run: &mut Run) -> Result<(), String> {
 fn cmd_sweep(run: &mut Run) -> Result<(), String> {
     use aspp_core::attack::sweep::{random_pair_experiments, strategy_matrix};
 
-    let pairs = run.parsed::<usize>("--pairs")?.unwrap_or(match run.scale {
-        Scale::Paper => 8,
-        Scale::Smoke => 4,
-        Scale::Internet => 3,
-        Scale::InternetSmoke => 2,
-    });
+    let pairs = run
+        .parsed::<usize>("--pairs")?
+        .unwrap_or(run.scale.sweep_pairs());
     let lambda_max = run.lambda("--lambda-max")?.unwrap_or(8).max(1);
     let runner = run.runner()?;
     let graph = run.internet();

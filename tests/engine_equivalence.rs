@@ -223,9 +223,10 @@ fn strip_all_padding_equivalence_with_intermediary_padder() {
     assert_equivalent(&graph, &spec);
 }
 
-/// The same links frozen in two insertion orders route identically:
-/// `finish()` sorts every adjacency list, and the engine's preference key
-/// ends in the parent's ASN anyway.
+/// The same links frozen in two insertion orders route identically — the
+/// clean pass, every attack strategy in both export modes, and a policied
+/// pass: `finish()` numbers the nodes by ASN, so the lowest-neighbor-ASN
+/// tie-break cannot depend on the order the ASes arrived in.
 #[test]
 fn construction_order_does_not_change_route_tables() {
     use aspp_core::topology::AsGraphBuilder;
@@ -246,21 +247,51 @@ fn construction_order_does_not_change_route_tables() {
     let shuffled = freeze(&links);
 
     let asns: Vec<Asn> = graph.asns().collect();
+    let aspa = |g: &AsGraph| {
+        let deployers = DeploymentMap::from_asns(g, asns.iter().copied().step_by(3));
+        DeployedPolicy::new(PolicyKind::Aspa, deployers)
+    };
+    let same = |outcome: &RoutingOutcome<'_>, reference: &RoutingOutcome<'_>| {
+        for &asn in &asns {
+            assert_eq!(outcome.route(asn), reference.route(asn), "route of AS{asn}");
+            assert_eq!(outcome.observed_path(asn), reference.observed_path(asn));
+        }
+    };
+    let strategies = [
+        AttackStrategy::StripPadding { keep: 1 },
+        AttackStrategy::StripAllPadding,
+        AttackStrategy::ForgeDirect,
+        AttackStrategy::OriginHijack,
+        AttackStrategy::PoisonPath { poisoned: asns[1] },
+    ];
     for (victim, attacker) in [
         (asns[3], asns[40]),
         (asns[120], asns[7]),
         (asns[60], asns[0]),
     ] {
-        let spec = DestinationSpec::new(victim)
-            .origin_padding(3)
-            .attacker(AttackerModel::new(attacker));
-        let reference = RoutingEngine::new(&graph).compute(&spec);
-        for g in [&reversed, &shuffled] {
-            let outcome = RoutingEngine::new(g).compute(&spec);
-            for &asn in &asns {
-                assert_eq!(outcome.route(asn), reference.route(asn), "route of AS{asn}");
-                assert_eq!(outcome.observed_path(asn), reference.observed_path(asn));
+        let clean = DestinationSpec::new(victim).origin_padding(3);
+        let mut specs = vec![clean.clone()];
+        for strategy in strategies {
+            for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
+                let model = AttackerModel::new(attacker).strategy(strategy).mode(mode);
+                specs.push(clean.clone().attacker(model));
             }
+        }
+        for spec in &specs {
+            let reference = RoutingEngine::new(&graph).compute(spec);
+            for g in [&reversed, &shuffled] {
+                same(&RoutingEngine::new(g).compute(spec), &reference);
+            }
+        }
+        let spec = clean.attacker(AttackerModel::new(attacker));
+        let mut ws = RouteWorkspace::new();
+        let reference =
+            RoutingEngine::new(&graph).compute_with_policy(&spec, &mut ws, &aspa(&graph));
+        for g in [&reversed, &shuffled] {
+            same(
+                &RoutingEngine::new(g).compute_with_policy(&spec, &mut ws, &aspa(g)),
+                &reference,
+            );
         }
     }
 }
