@@ -10,15 +10,15 @@
 //!
 //! * **One pass-structure lifetime for many victims.** Each worker owns a
 //!   single [`RouteWorkspace`] for the whole batch. Starting the next
-//!   pass is an epoch bump over the already-sized scratch table
+//!   delta pass is an epoch bump over the already-sized scratch table
 //!   (O(1), no re-zeroing, no reallocation — see
 //!   [`RouteWorkspace::scratch_reuses`]) and the bucket queue's `Vec`
 //!   spines are reused as-is. The decision compare — one integer compare
 //!   of packed route words — is the single-shot path's own, so batched
 //!   cells decide routes exactly the way serial cells do.
 //! * **Work stealing *across* clean equilibria, not inside a pass.** A
-//!   propagation pass is inherently sequential (the bucket scan is a
-//!   priority order), so the parallel grain is the thing cells actually
+//!   propagation pass is inherently sequential (a sweep in propagation
+//!   order, or a bucket scan in priority order), so the parallel grain is the thing cells actually
 //!   share: all cells with one clean equilibrium — the same
 //!   (victim, prepending config), which is exactly the
 //!   workspace's clean-cache key — form one steal unit, claimed from a

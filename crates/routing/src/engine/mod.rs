@@ -19,21 +19,31 @@
 //!
 //! # Algorithm
 //!
-//! A single generalized Dijkstra over *route labels* `(class, effective
-//! length, neighbor ASN)` computes the policy-routing equilibrium exactly:
+//! Every export step weakly worsens class and strictly grows length, so the
+//! policy-routing equilibrium is unique: each AS holds the best offer it
+//! takes among those its neighbors make from their own routes, and the
+//! routes of one `(class, length)` bucket depend only on the buckets before
+//! it. Two independent loops compute it.
 //!
-//! * the victim `V` is finalized first with an `Origin` label and exports to
-//!   every neighbor with its configured padding;
-//! * every export step weakly worsens class and strictly grows length, so
-//!   nodes are settled one `(class, length)` bucket at a time, in that
-//!   order, by a Dial-style bucket queue ([`queue`]);
-//! * **bucket closure + minimum offer:** no export lands in a bucket the
-//!   scan has opened, so when it opens, each node in it already holds the
-//!   best offer it will ever get (kept by the lazy decrease-key), and the
-//!   node settles on that offer — its best route. The order within a bucket
-//!   changes no route, so the scan settles it in node order;
-//! * on finalization a node re-exports subject to the valley-free rule
-//!   ([`RouteClass::may_export_to`]).
+//! * **The full pass** ([`sweep`]) visits the graph's
+//!   [`PropagationOrder`](aspp_topology::PropagationOrder) — customers
+//!   before providers, built once per graph. Origin and customer routes
+//!   climb it (making their one peer hop on the way), then every route
+//!   descends it in reverse, in three linear sweeps; the strongly connected
+//!   components that provider loops and sibling links make settle by a
+//!   local fixpoint. Every clean pass is a full pass, as is every fallback
+//!   from an aborted delta attempt.
+//! * **The delta pass** ([`mod@propagate`]) re-converges an attacked
+//!   equilibrium from the clean one with a generalized Dijkstra over route
+//!   labels: nodes settle one `(class, length)` bucket at a time, in that
+//!   order, from a Dial-style bucket queue ([`queue`]). No offer lands in a
+//!   bucket the scan has opened, so when it opens each node in it already
+//!   holds the best offer it will ever get (kept by the lazy decrease-key),
+//!   and the order within a bucket changes no route.
+//!
+//! Either way a node re-exports its route subject to the valley-free rule
+//! ([`RouteClass::may_export_to`]), and the victim `V` exports its `Origin`
+//! route to every neighbor with its configured padding.
 //!
 //! # The attacked pass
 //!
@@ -43,20 +53,23 @@
 //! to forward intercepted traffic) while `M` exports the *stripped* route
 //! `r2 = [M ASn … AS1 V]`. ASes on `M`'s clean chain reject attacker-derived
 //! labels — their own ASN is on the claimed path, so real BGP loop
-//! prevention would discard the announcement. Both equilibria come out of
-//! the one loop in [`mod@propagate`], which also argues when the second may
-//! be re-converged from the first instead of recomputed (the delta pass).
+//! prevention would discard the announcement. The second equilibrium is
+//! attempted as a delta pass, which [`mod@propagate`] argues is exact
+//! whenever it does not abort, and computed by the full pass when it does.
+//! Under `debug-audit` every delta pass is replayed by the full pass — one
+//! loop checked against the other.
 //!
 //! The rest of the tree: [`spec`] says what to compute, [`route`] the
 //! packed route word (a route, its rank and its clean key in one `u64`) and
-//! table, [`workspace`] the scratch table and clean-pass cache, [`outcome`]
-//! what comes back; this file holds the entry points.
+//! table, [`workspace`] the delta pass's scratch table and the clean-pass
+//! cache, [`outcome`] what comes back; this file holds the entry points.
 
 mod outcome;
 mod propagate;
 mod queue;
 mod route;
 mod spec;
+mod sweep;
 mod workspace;
 
 use aspp_obs::counters::{self, Counter};
@@ -66,6 +79,7 @@ use aspp_types::{AsPath, RouteClass};
 use crate::policy::{AttackFacts, DefensePolicy, NoDefense};
 use outcome::reconstruct_received;
 use propagate::{propagate, AttackSeed};
+use sweep::full_pass;
 
 pub use outcome::RoutingOutcome;
 pub use route::RouteInfo;
@@ -280,7 +294,7 @@ impl<'g> RoutingEngine<'g> {
         let strategy = att.attack_strategy();
         // The one place that knows what each strategy claims: the base
         // path M announces (without M itself) and who rejects it.
-        let (base_path, chain) = match strategy {
+        let (base_path, mut chain) = match strategy {
             AttackStrategy::StripPadding { keep } => {
                 // Claimed path = M's real received route, with the
                 // origin padding stripped down to `keep` copies.
@@ -316,6 +330,7 @@ impl<'g> RoutingEngine<'g> {
                 (m_path, chain)
             }
         };
+        chain.sort_unstable();
         let seed = AttackSeed {
             m_idx,
             base_len: base_path.len() as u32,
@@ -350,8 +365,7 @@ impl<'g> RoutingEngine<'g> {
         seed: &AttackSeed,
         policy: &P,
     ) -> (Pass, bool) {
-        let from = Some(clean);
-        let delta = propagate::<true, P>(self.graph, spec, v_idx, ws, Some(seed), from, policy);
+        let delta = propagate(self.graph, spec, v_idx, ws, seed, clean, policy);
         if let Some(pass) = delta {
             ws.delta_passes += 1;
             counters::incr(Counter::DeltaPass);
@@ -359,13 +373,15 @@ impl<'g> RoutingEngine<'g> {
         }
         ws.delta_fallbacks += 1;
         counters::incr(Counter::DeltaFallback);
-        let full = propagate::<false, P>(self.graph, spec, v_idx, ws, Some(seed), None, policy);
-        (full.expect("only a delta pass aborts"), false)
+        (
+            full_pass(self.graph, spec, v_idx, Some(seed), policy),
+            false,
+        )
     }
 }
 
-/// `outcome`'s attacked pass recomputed from scratch by the full
-/// propagation under `policy`, in a throwaway workspace: the reference of
+/// `outcome`'s attacked pass recomputed from scratch by the full pass
+/// under `policy`: the reference of
 /// [`crate::audit::full_pass_divergence`]. `None` when the outcome has no
 /// attacked pass.
 pub(crate) fn full_attacked_pass<P: DefensePolicy>(
@@ -377,16 +393,7 @@ pub(crate) fn full_attacked_pass<P: DefensePolicy>(
     let (spec, v_idx) = (&outcome.spec, outcome.v_idx);
     let att = spec.attacker_model()?;
     let (seed, _) = engine.attack_seed::<P>(spec, v_idx, &outcome.clean, att, outcome.m_idx?)?;
-    let mut ws = RouteWorkspace::with_cache_capacity(0);
-    propagate::<false, P>(
-        outcome.graph,
-        spec,
-        v_idx,
-        &mut ws,
-        Some(&seed),
-        None,
-        policy,
-    )
+    Some(full_pass(outcome.graph, spec, v_idx, Some(&seed), policy))
 }
 
 /// Shared fixtures for this crate's tests (the Figure 1 topology).

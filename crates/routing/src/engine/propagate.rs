@@ -1,5 +1,7 @@
-//! The propagation core: the one label-correcting loop behind the clean
-//! pass, the full attacked pass and the delta attacked pass.
+//! The delta attacked pass — the one label-correcting loop over the bucket
+//! queue — and the rules it shares with the full pass of [`super::sweep`]:
+//! export rows, prepending, the length bound, and who refuses an
+//! attacker-derived offer.
 //!
 //! # Delta re-convergence
 //!
@@ -7,7 +9,9 @@
 //! clean one, under whatever [`DefensePolicy`] the cell carries; the full
 //! pass is the fallback — the path every aborted attempt takes — and,
 //! replayed by [`crate::audit::full_pass_divergence`], the reference the
-//! equivalence tests compare against.
+//! equivalence tests compare against. The two are independent loops — a
+//! bucket queue here, sweeps in propagation order there — so that replay
+//! checks one algorithm against another.
 //! The delta pass starts from a copy of the clean pass, seeds the frontier
 //! with `M`'s claimed exports, and relaxes outward; an attacker-derived
 //! offer either
@@ -71,6 +75,7 @@ pub(super) struct AttackSeed {
     pub(super) clean_class: RouteClass,
     pub(super) mode: ExportMode,
     pub(super) pinned: NodeRoute,
+    /// The ASes that refuse the claimed path, sorted.
     pub(super) chain: Vec<usize>,
     /// Per-attack policy inputs, computed once so the per-offer hook is
     /// branch-and-mask only; the default (unread) under a `NOOP` policy.
@@ -81,7 +86,7 @@ impl AttackSeed {
     /// The [`export_row`] of the attack itself: customers, siblings and peers
     /// always hear it, providers when the attacker violates the valley-free
     /// rule or the class it claims may climb anyway (paper Figures 11–12).
-    fn export_row(&self) -> [Option<RouteClass>; 4] {
+    pub(super) fn export_row(&self) -> [Option<RouteClass>; 4] {
         row_where(self.clean_class, |rel| {
             self.mode == ExportMode::ViolateValleyFree
                 || rel != Relationship::Provider
@@ -131,111 +136,156 @@ pub(crate) fn class_at_receiver(
     }
 }
 
-/// Dense per-node prepending policies for `spec`: one hash lookup per
-/// *configured* AS per pass instead of one per exporting node. Empty when
-/// nobody pads — callers index with `pad.get(i).copied().flatten()`.
-fn pad_table<'s>(graph: &AsGraph, spec: &'s DestinationSpec) -> Vec<Option<&'s PrependingPolicy>> {
-    if spec.prepending().is_empty() {
-        return Vec::new();
-    }
-    let mut pad = vec![None; graph.len()];
-    for (asn, policy) in spec.prepending().iter() {
-        if let Some(idx) = graph.index_of(asn) {
-            pad[idx] = Some(policy);
-        }
-    }
-    pad
+/// The prepending configured for one pass, by node index: the handful of
+/// ASes the spec configures, sorted, so an exporter's policy is a short
+/// search of a few words instead of a dense per-node table.
+struct Padding<'s> {
+    by_node: Vec<(u32, &'s PrependingPolicy)>,
 }
 
-/// Why [`PassCtx::export`] stops: the offer is longer than a route word holds.
+impl<'s> Padding<'s> {
+    fn new(graph: &AsGraph, spec: &'s DestinationSpec) -> Self {
+        let mut by_node: Vec<(u32, &PrependingPolicy)> = spec
+            .prepending()
+            .iter()
+            .filter_map(|(asn, policy)| Some((graph.index_of(asn)? as u32, policy)))
+            .collect();
+        by_node.sort_unstable_by_key(|&(node, _)| node);
+        Padding { by_node }
+    }
+
+    /// The prepending policy of the node `exporter`, if it pads.
+    #[inline]
+    fn of(&self, exporter: usize) -> Option<&'s PrependingPolicy> {
+        if self.by_node.is_empty() {
+            return None;
+        }
+        let pos = self
+            .by_node
+            .binary_search_by_key(&(exporter as u32), |&(node, _)| node);
+        pos.ok().map(|pos| self.by_node[pos].1)
+    }
+}
+
+/// Why [`Rules::offer_len`] stops: the offer is longer than a route word
+/// holds.
 const TOO_LONG: &str = "effective route length exceeds 268435455, the 28-bit maximum";
 
-/// What one pass reads and writes besides its route table. Its methods are
-/// the export side of the loop in [`propagate`]; `DELTA` selects the delta
-/// pass's clean-rank pruning and abort test at compile time (`clean` is
-/// empty and unread otherwise).
+/// What decides an offer besides the routes: the graph, the pass's
+/// prepending, and who refuses attacker-derived offers — the attacker's
+/// claimed chain (loop prevention) and the [`DefensePolicy`]. Shared by the
+/// full pass ([`super::sweep`]) and the delta pass ([`propagate`]).
+pub(super) struct Rules<'a, P> {
+    pub(super) graph: &'a AsGraph,
+    pad: Padding<'a>,
+    /// The attacker's claimed chain, sorted; empty in a clean pass.
+    chain: &'a [usize],
+    policy: &'a P,
+    facts: AttackFacts,
+}
+
+impl<'a, P: DefensePolicy> Rules<'a, P> {
+    pub(super) fn new(
+        graph: &'a AsGraph,
+        spec: &'a DestinationSpec,
+        attack: Option<&'a AttackSeed>,
+        policy: &'a P,
+    ) -> Self {
+        Rules {
+            graph,
+            pad: Padding::new(graph, spec),
+            chain: attack.map_or(&[][..], |a| &a.chain),
+            policy,
+            facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
+        }
+    }
+
+    /// The prepending policy of the node `exporter`, if it pads.
+    #[inline]
+    pub(super) fn pad_of(&self, exporter: usize) -> Option<&'a PrependingPolicy> {
+        self.pad.of(exporter)
+    }
+
+    /// The effective length of a `len`-hop route exported to node
+    /// `receiver` by an exporter padding by `pad`: its own ASN plus whatever
+    /// it pads toward that neighbor. Panics, naming the bound, when the
+    /// result is longer than a route word holds.
+    #[inline]
+    pub(super) fn offer_len(&self, pad: Option<&PrependingPolicy>, len: u32, receiver: u32) -> u32 {
+        let extra = pad.map_or(0, |p| p.extra_for(self.graph.asn_at(receiver as usize)));
+        let len = u32::try_from(extra.saturating_add(len as usize + 1)).unwrap_or(u32::MAX);
+        assert!(len <= PackedRoute::MAX_LEN, "{TOO_LONG}");
+        len
+    }
+
+    /// Whether `node` refuses an attacker-derived offer arriving with class
+    /// `class`: it is on the claimed chain (loop prevention) or, under a
+    /// policy that is not the compile-time `NOOP`, its [`DefensePolicy`]
+    /// drops it.
+    #[inline]
+    pub(super) fn refuses(&self, node: u32, class: RouteClass) -> bool {
+        self.chain.binary_search(&(node as usize)).is_ok()
+            || (!P::NOOP
+                && !self
+                    .policy
+                    .accepts_attacker_route(node as usize, class, &self.facts))
+    }
+}
+
+/// What the delta pass reads and writes besides its route table. Its
+/// methods are the export side of the loop in [`propagate`].
 struct PassCtx<'a, P> {
-    graph: &'a AsGraph,
-    pad: Vec<Option<&'a PrependingPolicy>>,
+    rules: Rules<'a, P>,
     queue: &'a mut BucketQueue,
     scratch: &'a mut [NodeScratch],
-    /// The clean pass a delta pass re-converges from: each node's clean
+    /// The clean pass the delta pass re-converges from: each node's clean
     /// rank, whose parent field names its clean parent.
     clean: &'a Pass,
     epoch: u32,
-    policy: &'a P,
-    facts: AttackFacts,
     /// Set when a receiver did not take its clean parent's offer: the delta
     /// attempt is void.
     aborted: bool,
 }
 
 impl<P: DefensePolicy> PassCtx<'_, P> {
-    /// Offers the route `node` holds — `len` hops, attacker-derived when
-    /// `via` — to every kind of neighbor `row` has a class for. Each step adds
-    /// the exporter's own ASN plus whatever it pads toward that neighbor; an
-    /// offer longer than a route word holds panics, naming the bound.
-    fn export<const DELTA: bool>(
-        &mut self,
-        node: usize,
-        row: [Option<RouteClass>; 4],
-        len: u32,
-        via: bool,
-    ) {
-        let graph = self.graph;
-        let pad_policy = self.pad.get(node).copied().flatten();
+    /// Offers the attacker-derived route `node` holds — `len` hops — to
+    /// every kind of neighbor `row` has a class for.
+    fn export(&mut self, node: usize, row: [Option<RouteClass>; 4], len: u32) {
+        let graph = self.rules.graph;
+        let pad = self.rules.pad_of(node);
         for &entry in graph.neighbors_at(node) {
             let Some(class) = row[entry.rel() as usize] else {
                 continue;
             };
             let x = entry.node();
-            let extra = pad_policy.map_or(0, |p| p.extra_for(graph.asn_at(x as usize)));
-            let len = u32::try_from(extra.saturating_add(len as usize + 1)).unwrap_or(u32::MAX);
-            assert!(len <= PackedRoute::MAX_LEN, "{TOO_LONG}");
-            if via {
-                self.offer::<DELTA, true>(class, len, node as u32, x);
-            } else {
-                self.offer::<DELTA, false>(class, len, node as u32, x);
-            }
+            let len = self.rules.offer_len(pad, len, x);
+            self.offer(class, len, node as u32, x);
         }
     }
 
-    /// The push-time filter: drops offers to settled targets, attacker-
-    /// derived (`VIA`) offers that the receiver refuses — on the chain (loop
-    /// prevention) or, under a policy that is not the compile-time `NOOP`,
-    /// by its [`DefensePolicy`] — and, in the delta pass, offers that rank
-    /// below the receiver's clean route. It then applies the lazy
-    /// decrease-key (an offer that does not beat the best one already
-    /// recorded for its node is redundant: the node settles on the recorded
-    /// one) and queues the node in the offer's bucket. The mutable state it
-    /// reads lives in the target's single [`NodeScratch`] entry.
+    /// The push-time filter: drops offers to settled targets, offers the
+    /// receiver [refuses](Rules::refuses) and offers that rank below the
+    /// receiver's clean route. It then applies the lazy decrease-key (an
+    /// offer that does not beat the best one already recorded for its node
+    /// is redundant: the node settles on the recorded one) and queues the
+    /// node in the offer's bucket. The mutable state it reads lives in the
+    /// target's single [`NodeScratch`] entry.
     ///
     /// A dropped offer vanishes as if the export never happened — it neither
-    /// queues nor clobbers the lazy decrease-key rank. In the delta pass, a
-    /// receiver that drops the offer of its own clean parent (the exporter
-    /// its clean rank names) voids the attempt.
+    /// queues nor clobbers the lazy decrease-key rank. A receiver that drops
+    /// the offer of its own clean parent (the exporter its clean rank
+    /// names) voids the attempt.
     #[inline]
-    fn offer<const DELTA: bool, const VIA: bool>(
-        &mut self,
-        class: RouteClass,
-        len: u32,
-        parent: u32,
-        node: u32,
-    ) {
+    fn offer(&mut self, class: RouteClass, len: u32, parent: u32, node: u32) {
         let s = &mut self.scratch[node as usize];
         if s.adopted_epoch == self.epoch {
             return;
         }
-        let refused = VIA
-            && (s.chain_epoch == self.epoch
-                || (!P::NOOP
-                    && !self
-                        .policy
-                        .accepts_attacker_route(node as usize, class, &self.facts)));
-        let offer = PackedRoute::new(class, len, parent, VIA);
+        let offer = PackedRoute::new(class, len, parent, true);
         let rank = offer.rank();
-        if refused || (DELTA && self.clean.rank(node as usize) < rank) {
-            if DELTA && self.clean.rank(node as usize) as u32 == parent {
+        let clean = self.clean.rank(node as usize);
+        if self.rules.refuses(node, class) || clean < rank {
+            if clean as u32 == parent {
                 self.aborted = true;
             }
             return;
@@ -250,65 +300,44 @@ impl<P: DefensePolicy> PassCtx<'_, P> {
     }
 }
 
-/// The label-correcting Dijkstra of the engine docs — the only function that
-/// pops the queue. A full pass (`DELTA = false`, no `delta_from`) starts from
-/// an all-absent table and settles the victim; a delta pass starts from a
-/// copy of the clean table and prunes against the clean original. Either
-/// then pins the attacker (none in a clean pass), exports the path it claims
-/// and settles nodes one `(class, length)` bucket at a time, each on its
-/// best recorded offer, `policy` filtering attacker-derived offers at their
+/// The delta pass of the module docs — the only function that pops the
+/// queue. It starts from a copy of the clean table `clean`, pins the
+/// attacker, exports the path it claims and settles the nodes the
+/// attacker's offers win one `(class, length)` bucket at a time, each on
+/// its best recorded offer, `policy` filtering the offers at their
 /// receivers.
 ///
-/// Only a delta pass returns `None`: a receiver did not take its clean
-/// parent's offer, and the caller must run the full pass. A delta pass that
-/// survives is bit-identical to the full pass for the same seed and policy.
-pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
+/// Returns `None` when a receiver did not take its clean parent's offer:
+/// the caller must run the full pass. A delta pass that survives is
+/// bit-identical to the full pass for the same seed and policy.
+pub(super) fn propagate<P: DefensePolicy>(
     graph: &AsGraph,
     spec: &DestinationSpec,
     v_idx: usize,
     ws: &mut RouteWorkspace,
-    attack: Option<&AttackSeed>,
-    delta_from: Option<&Pass>,
+    attack: &AttackSeed,
+    clean: &Pass,
     policy: &P,
 ) -> Option<Pass> {
-    debug_assert_eq!(DELTA, delta_from.is_some());
-    ws.begin_pass(graph.len(), attack.map_or(&[][..], |a| &a.chain));
-    let no_clean = Pass::default();
-    let clean = delta_from.unwrap_or(&no_clean);
-    let mut best = delta_from.map_or_else(|| Pass::absent(graph.len()), Pass::clone);
+    ws.begin_pass(graph.len());
+    let mut best = clean.clone();
     let mut cx = PassCtx {
-        graph,
-        pad: pad_table(graph, spec),
+        rules: Rules::new(graph, spec, Some(attack), policy),
         queue: &mut ws.queue,
         scratch: &mut ws.scratch[..],
         clean,
         epoch: ws.epoch,
-        policy,
-        facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
         aborted: false,
     };
 
-    // The victim's route is final from the start: `Origin` in a full pass,
-    // its clean copy in a delta pass.
+    // The victim keeps its origin route; the attacker pins its clean route
+    // and exports the path it claims instead.
     cx.scratch[v_idx].adopted_epoch = cx.epoch;
-    if !DELTA {
-        let origin = NodeRoute {
-            class: RouteClass::Origin,
-            len: 0,
-            parent: None,
-            via_attacker: false,
-        };
-        best.set(v_idx, Some(origin));
-        cx.export::<DELTA>(v_idx, export_row(RouteClass::Origin), 0, false);
-    }
-    // Attacker: pin its clean route and export the path it claims instead.
-    if let Some(att) = attack {
-        best.set(att.m_idx, Some(att.pinned));
-        cx.scratch[att.m_idx].adopted_epoch = cx.epoch;
-        cx.export::<DELTA>(att.m_idx, att.export_row(), att.base_len, true);
-        if DELTA && cx.aborted {
-            return None;
-        }
+    best.set(attack.m_idx, Some(attack.pinned));
+    cx.scratch[attack.m_idx].adopted_epoch = cx.epoch;
+    cx.export(attack.m_idx, attack.export_row(), attack.base_len);
+    if cx.aborted {
+        return None;
     }
 
     let mut frontier = 0u64;
@@ -327,29 +356,22 @@ pub(super) fn propagate<const DELTA: bool, P: DefensePolicy>(
             route.unpack().map(|r| (s.offer_epoch, r.class, r.len)),
             Some((cx.epoch, class, len))
         );
-        // Chain-masked targets were filtered at push (loop prevention).
-        debug_assert!(!route.via_attacker() || s.chain_epoch != cx.epoch);
-        if DELTA {
-            debug_assert!(route.via_attacker(), "the delta frontier is all-malicious");
-            // Only offers no worse than the clean rank were recorded, so a
-            // tie adopts.
-            debug_assert!(route.rank() <= cx.clean.rank(node));
-            frontier += 1;
-        }
+        // Only offers no worse than the clean rank were recorded, so a tie
+        // adopts.
+        debug_assert!(route.rank() <= cx.clean.rank(node));
+        frontier += 1;
         cx.scratch[node].adopted_epoch = cx.epoch;
         best.set_word(node, route);
-        // The attacker itself never reaches this point: it was settled (and
-        // chain-masked) above, so its pinned route is never re-exported —
-        // only the claimed one is.
-        debug_assert!(attack.is_none_or(|a| a.m_idx != node));
-        cx.export::<DELTA>(node, export_row(class), len, route.via_attacker());
-        if DELTA && cx.aborted {
+        // The attacker itself never reaches this point: it was settled
+        // above, so its pinned route is never re-exported — only the
+        // claimed one is.
+        debug_assert_ne!(attack.m_idx, node);
+        cx.export(node, export_row(class), len);
+        if cx.aborted {
             return None;
         }
     }
-    if DELTA {
-        counters::add(Counter::DeltaFrontierNode, frontier);
-    }
+    counters::add(Counter::DeltaFrontierNode, frontier);
     Some(best)
 }
 

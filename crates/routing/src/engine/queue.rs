@@ -1,5 +1,7 @@
-//! The node scheduler: a Dial-style bucket queue that pops the nodes holding
-//! an offer one `(class, length)` bucket at a time, in preference order.
+//! The delta pass's node scheduler: a Dial-style bucket queue that pops the
+//! nodes holding an offer one `(class, length)` bucket at a time, in
+//! preference order. Full passes do not use it: they sweep the graph's
+//! propagation order ([`super::sweep`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -9,8 +11,9 @@ use aspp_types::RouteClass;
 
 /// Offers with effective length at or beyond this spill from the per-length
 /// `Vec` buckets into a per-class binary heap. Only extreme prepending
-/// configurations produce such offers; everything paper-shaped stays in the
-/// O(1) buckets.
+/// configurations produce such offers — an attacker that keeps 256 or more
+/// origin copies of a victim padding at least as many; everything
+/// paper-shaped stays in the O(1) buckets.
 const BUCKET_SPILL_LEN: usize = 256;
 
 /// Dial-style bucket priority queue over the nodes that received an offer.

@@ -79,8 +79,8 @@ impl PackedRoute {
         }
         let parent = self.0 & Self::NO_PARENT;
         Some(NodeRoute {
-            class: Self::CLASS[((self.0 >> 60) & 3) as usize],
-            len: ((self.0 >> 32) & u64::from(Self::MAX_LEN)) as u32,
+            class: self.class(),
+            len: self.length(),
             parent: (parent != Self::NO_PARENT).then_some(parent as usize),
             via_attacker: self.0 & Self::VIA != 0,
         })
@@ -102,6 +102,31 @@ impl PackedRoute {
     #[inline]
     pub(super) fn via_attacker(self) -> bool {
         self.0 & Self::VIA != 0
+    }
+
+    /// Whether the word holds a route.
+    #[inline]
+    pub(super) fn is_present(self) -> bool {
+        self.0 & Self::PRESENT != 0
+    }
+
+    /// Whether the word holds an origin or customer route — the routes
+    /// exported to providers and peers.
+    #[inline]
+    pub(super) fn climbs(self) -> bool {
+        self.is_present() && (self.0 >> 60) & 3 <= RouteClass::FromCustomer as u64
+    }
+
+    /// The class of a present word.
+    #[inline]
+    pub(super) fn class(self) -> RouteClass {
+        Self::CLASS[((self.0 >> 60) & 3) as usize]
+    }
+
+    /// The effective length of a present word.
+    #[inline]
+    pub(super) fn length(self) -> u32 {
+        ((self.0 >> 32) & u64::from(Self::MAX_LEN)) as u32
     }
 }
 
@@ -147,6 +172,12 @@ impl Pass {
             let parent = r.parent.map_or(u32::MAX, |p| p as u32);
             PackedRoute::new(r.class, r.len, parent, r.via_attacker)
         });
+    }
+
+    /// The packed route word at node `i`.
+    #[inline]
+    pub(super) fn word(&self, i: usize) -> PackedRoute {
+        self.words[i]
     }
 
     /// Stores the packed route `word` at node `i`.

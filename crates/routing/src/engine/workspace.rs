@@ -1,6 +1,8 @@
 //! Reusable per-thread pass state: the epoch-stamped [`NodeScratch`] table
-//! every pass filters its offers through, and the [`RouteWorkspace`] that
-//! owns it together with the node queue and the clean-pass cache.
+//! the delta pass filters its offers through, and the [`RouteWorkspace`]
+//! that owns it together with the delta pass's node queue and the
+//! clean-pass cache. Full passes need neither: they sweep the graph's
+//! propagation order into a fresh route table.
 
 use std::sync::Arc;
 
@@ -8,17 +10,16 @@ use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
 
-use super::propagate::propagate;
 use super::queue::BucketQueue;
 use super::route::{PackedRoute, Pass};
 use super::spec::DestinationSpec;
+use super::sweep::full_pass;
 use crate::policy::NoDefense;
 use crate::prepend::PrependConfig;
 
-/// All per-node scratch state of one propagation pass, packed into 32
-/// aligned bytes so the per-edge push filter costs one random memory access
-/// instead of four and the whole table stays L1-resident on paper-scale
-/// topologies.
+/// All per-node scratch state of one delta pass, packed into 16 aligned
+/// bytes so the per-edge push filter costs one random memory access and
+/// the whole table stays cache-resident on paper-scale topologies.
 ///
 /// The epochs implement O(1) whole-array invalidation: a field is live only
 /// while its epoch equals the workspace's current pass epoch, so starting a
@@ -32,18 +33,18 @@ use crate::prepend::PrependConfig;
 ///   [`rank`](PackedRoute::rank) orders it. An offer that does not beat it
 ///   is dropped at push. Strict `(class, len)` scan progress guarantees that
 ///   nothing better arrives once the node's bucket is opened.
-/// * `chain_epoch` marks membership in the attacker's claimed AS chain
-///   (loop prevention); `adopted_epoch` marks a settled node — finalized in
-///   the full pass, adopted-malicious in the delta pass.
+/// * `adopted_epoch` marks a settled node: adopted-malicious, or the
+///   victim and the attacker, settled before the pass starts.
 ///
 /// A delta pass compares against each node's clean route, which it reads
-/// from the clean [`Pass`] itself: the same word ranks both.
+/// from the clean [`Pass`] itself: the same word ranks both. Membership in
+/// the attacker's claimed chain is not stored per node: only
+/// attacker-derived offers ask, and the chain is a handful of nodes.
 #[derive(Clone, Copy, Debug, Default)]
-#[repr(align(32))]
+#[repr(align(16))]
 pub(super) struct NodeScratch {
     pub(super) offer_rank: PackedRoute,
     pub(super) offer_epoch: u32,
-    pub(super) chain_epoch: u32,
     pub(super) adopted_epoch: u32,
 }
 
@@ -74,10 +75,10 @@ impl CleanEntry {
 /// evaluations — issue thousands of such calls against the same victim, so a
 /// `RouteWorkspace` keeps three things alive across calls:
 ///
-/// * the bucket-queue node scheduler, so its buckets are reused instead of
-///   regrown;
-/// * the per-node `NodeScratch` table (offer ranks, adoption/chain epoch
-///   stamps — epoch-stamped, never re-zeroed); and
+/// * the delta pass's bucket-queue node scheduler, so its buckets are
+///   reused instead of regrown;
+/// * the delta pass's per-node `NodeScratch` table (offer ranks and
+///   adoption stamps — epoch-stamped, never re-zeroed); and
 /// * a small LRU cache of clean passes keyed by `(victim, prepending
 ///   config)` — each entry `Arc`-shares its route table (hits never clone
 ///   it), so repeated computations over the same victim skip the redundant
@@ -87,7 +88,7 @@ impl CleanEntry {
 /// Results are **bit-identical** to [`RoutingEngine::compute`]: the clean
 /// pass is deterministic, so replaying a cached copy and recomputing it
 /// produce the same routes, and the delta pass falls back to the full
-/// second pass whenever incremental re-convergence could diverge. The cache
+/// pass whenever incremental re-convergence could diverge. The cache
 /// watches the graph's [`id`](AsGraph::id) and is dropped automatically if
 /// the workspace is reused against a different graph.
 ///
@@ -212,21 +213,20 @@ impl RouteWorkspace {
         self.delta_fallbacks
     }
 
-    /// Number of passes that started by epoch-bumping an already-sized
+    /// Number of delta passes that started by epoch-bumping an already-sized
     /// scratch table instead of growing it — the amortization the batch
     /// engine ([`crate::batch`]) buys by keeping one workspace alive across
-    /// many victims.
+    /// many victims. Full passes use no scratch table and are not counted.
     #[must_use]
     pub fn scratch_reuses(&self) -> u64 {
         self.scratch_reuses
     }
 
-    /// Starts a fresh propagation pass over a graph of `n` nodes: empties
-    /// the queue (a voided delta attempt leaves nodes behind), bumps the
-    /// pass epoch (retiring every offer, adoption and chain mark in O(1),
-    /// without re-zeroing the scratch array) and marks `chain` as the
-    /// attacker's claimed AS chain.
-    pub(super) fn begin_pass(&mut self, n: usize, chain: &[usize]) {
+    /// Starts a fresh delta pass over a graph of `n` nodes: empties the
+    /// queue (a voided delta attempt leaves nodes behind) and bumps the pass
+    /// epoch, retiring every offer and adoption in O(1), without re-zeroing
+    /// the scratch array.
+    pub(super) fn begin_pass(&mut self, n: usize) {
         self.queue.clear();
         if self.scratch.len() < n {
             self.scratch.resize(n, NodeScratch::default());
@@ -238,9 +238,6 @@ impl RouteWorkspace {
             // u32 wrap: re-zero once so stale stamps can't alias epoch 1.
             self.scratch.fill(NodeScratch::default());
             self.epoch = 1;
-        }
-        for &i in chain {
-            self.scratch[i].chain_epoch = self.epoch;
         }
     }
 
@@ -266,9 +263,7 @@ impl RouteWorkspace {
         }
         self.misses += 1;
         counters::incr(Counter::CleanCacheMiss);
-        let pass = propagate::<false, _>(graph, spec, v_idx, self, None, None, &NoDefense)
-            .expect("only a delta pass aborts");
-        let pass = Arc::new(pass);
+        let pass = Arc::new(full_pass(graph, spec, v_idx, None, &NoDefense));
         if self.cache_capacity > 0 {
             self.clean_cache.truncate(self.cache_capacity - 1);
             let (victim, prepend) = spec.clean_key();

@@ -126,8 +126,9 @@ fn delta_pass_and_fallback_counts_are_exact() {
     let engine = RoutingEngine::new(&graph);
     let mut ws = RouteWorkspace::new();
     // The labels one compute pushed and the offers its lazy decrease-key
-    // dropped: the work of the one propagation loop, pinned per kind of pass
-    // so an edit to it cannot change the work silently.
+    // dropped: the work of the delta pass's queue, pinned per kind of pass
+    // so an edit to it cannot change the work silently. Full passes sweep
+    // the propagation order and push nothing.
     let mut work = |spec: &DestinationSpec, policy: Option<&DeployedPolicy>| {
         let before = MetricsSnapshot::capture();
         let _ = match policy {
@@ -209,20 +210,17 @@ fn delta_pass_and_fallback_counts_are_exact() {
         // provider AS5 and its stub AS6 onto the attacker: 2 frontier nodes
         // × 3 passes.
         assert_eq!(unpolicied.get(Counter::DeltaFrontierNode), 6);
-        // (queue_pushes, filter_drops) per kind of pass, read off the
-        // two-loop engine this one replaced. Clean pass + delta: AS2→AS1,
-        // AS1→{AS3, AS5}, AS5→AS6 (AS5's offer back to AS3 loses to AS1's),
-        // then the attacker's offer to AS5 and AS5's to AS6.
-        assert_eq!(cold, (6, 1));
+        // (queue_pushes, filter_drops) per kind of pass. The cold compute's
+        // clean pass is a sweep, so it pushes only what the delta pass
+        // does: the attacker's offer to AS5 and AS5's to AS6.
+        assert_eq!(cold, (2, 0));
         assert_eq!(surviving_delta, (2, 0));
         // The voided attempt pushed the attacker's offer to AS5; the full
-        // pass pushes it again beside AS2→AS1 and AS5→AS6, and AS1's
-        // peer-class offer to AS5 loses to it at the filter.
-        assert_eq!(aborted_delta_then_full, (4, 1));
+        // pass that follows pushes nothing.
+        assert_eq!(aborted_delta_then_full, (1, 0));
         // The voided attempt pushed the attacker's poisoned offer to AS5;
-        // the full pass pushes it again beside AS2→AS1 and AS5→AS6, and
-        // AS1's peer-class offer to AS5 loses to it at the filter.
-        assert_eq!(poisoned_delta_then_full, (4, 1));
+        // the full pass that follows pushes nothing.
+        assert_eq!(poisoned_delta_then_full, (1, 0));
         // AS1 is on the chain and AS5 refuses, so the delta pass pushes
         // nothing: one policy check, one reject, one surviving pass.
         assert_eq!(policied, (0, 0));
@@ -233,10 +231,9 @@ fn delta_pass_and_fallback_counts_are_exact() {
         // The voided attempt pushed the hijack's offers to AS1 and AS5, and
         // AS1's peer-class re-export to AS5 lost to the queued customer
         // offer; AS5 settled and offered AS6, which refused. The full pass
-        // pushes AS2→AS1 and the same two hijack offers, drops AS1's
-        // re-export again, and AS6 refuses again: (2 + 3, 1 + 1) labels and
-        // drops, two checks, two rejects, one fallback.
-        assert_eq!(orphaned_then_full, (5, 2));
+        // pushes nothing, and AS6 refuses AS5's offer again: two labels,
+        // one drop, two checks, two rejects, one fallback.
+        assert_eq!(orphaned_then_full, (2, 1));
         assert_eq!(orphan.get(Counter::DeltaFallback), 1);
         assert_eq!(orphan.get(Counter::PolicyCheck), 2);
         assert_eq!(orphan.get(Counter::PolicyReject), 2);
@@ -248,35 +245,49 @@ fn delta_pass_and_fallback_counts_are_exact() {
 #[test]
 fn queue_counters_track_propagation_work() {
     let _guard = LOCK.lock().unwrap();
-    let graph = diamond();
+    let graph = dual_homed();
     let engine = RoutingEngine::new(&graph);
-
-    let before = MetricsSnapshot::capture();
-    // Cache disabled: one full clean propagation, nothing else.
+    // Cache disabled: every compute runs its clean pass again.
     let mut cold = RouteWorkspace::with_cache_capacity(0);
+
+    // A clean compute is one full pass: it sweeps, and queues nothing.
+    let before = MetricsSnapshot::capture();
     let _ = engine.compute_with(&DestinationSpec::new(Asn(2)).origin_padding(1), &mut cold);
     let delta = MetricsSnapshot::capture().since(&before);
-
     if MetricsSnapshot::compiled_in() {
-        // AS2 exports to AS1; AS1 exports to AS3 and AS4 (not back to its
-        // customer of origin), and stubs re-export nothing upward: three
-        // labels total, all short enough for the buckets.
-        assert_eq!(delta.get(Counter::QueuePush), 3);
-        assert_eq!(delta.get(Counter::QueueSpill), 0);
-        assert_eq!(delta.get(Counter::FilterDrop), 0);
+        assert_eq!(delta.get(Counter::QueuePush), 0);
         assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
     } else {
         assert!(delta.is_empty(), "disabled build must report empty metrics");
     }
 
-    // The same propagation at λ=300: every label is longer than the bucket
-    // range, so all three spill.
+    // The λ=4 strip survives as a delta pass: the attacker's offer to AS5
+    // and AS5's to AS6, both short enough for the buckets.
     let before = MetricsSnapshot::capture();
-    let _ = engine.compute_with(&DestinationSpec::new(Asn(2)).origin_padding(300), &mut cold);
+    let _ = engine.compute_with(&attacked_spec(4), &mut cold);
     let delta = MetricsSnapshot::capture().since(&before);
     if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::QueuePush), 3);
-        assert_eq!(delta.get(Counter::QueueSpill), 3);
+        assert_eq!(delta.get(Counter::DeltaPass), 1);
+        assert_eq!(delta.get(Counter::QueuePush), 2);
+        assert_eq!(delta.get(Counter::QueueSpill), 0);
+        assert_eq!(delta.get(Counter::FilterDrop), 0);
+        assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
+    }
+
+    // The same delta pass at λ=300 keeping 256 origin copies: both labels
+    // are longer than the bucket range, so both spill.
+    let spec = DestinationSpec::new(Asn(2)).origin_padding(300).attacker(
+        AttackerModel::new(Asn(3))
+            .mode(ExportMode::ViolateValleyFree)
+            .keep(256),
+    );
+    let before = MetricsSnapshot::capture();
+    let _ = engine.compute_with(&spec, &mut cold);
+    let delta = MetricsSnapshot::capture().since(&before);
+    if MetricsSnapshot::compiled_in() {
+        assert_eq!(delta.get(Counter::DeltaPass), 1);
+        assert_eq!(delta.get(Counter::QueuePush), 2);
+        assert_eq!(delta.get(Counter::QueueSpill), 2);
     }
 }
 

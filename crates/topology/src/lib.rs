@@ -34,6 +34,8 @@ pub mod gen;
 mod graph;
 pub mod infer;
 pub mod io;
+mod order;
 pub mod tier;
 
 pub use graph::{AsGraph, AsGraphBuilder, CsrEntry, GraphError};
+pub use order::PropagationOrder;

@@ -108,6 +108,89 @@ proptest! {
     }
 }
 
+/// `InternetConfig::small()` (seed `seed`) with random sibling links
+/// between the ASes `siblings` picks and one customer→provider cycle
+/// spliced in through the three ASes `cycle` picks — shapes no generator
+/// preset makes. Any link already joining two ASes of the cycle is
+/// replaced; a sibling link that would duplicate a link is skipped.
+fn looped_internet(seed: u64, siblings: &[(usize, usize)], cycle: [usize; 3]) -> AsGraph {
+    let graph = InternetConfig::small().seed(seed).build();
+    let asns: Vec<Asn> = graph.asns().collect();
+    let pick = |i: usize| asns[i % asns.len()];
+    let mut builder = graph.to_builder();
+    for &(x, y) in siblings {
+        let _ = builder.add_sibling(pick(x), pick(y));
+    }
+    let [a, b, c] = cycle.map(pick);
+    for (provider, customer) in [(a, b), (b, c), (c, a)] {
+        builder.remove_link(provider, customer);
+        builder.add_provider_customer(provider, customer).unwrap();
+    }
+    builder.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Sibling links and a provider loop put the full pass's climb through
+    /// cycles it settles by a local fixpoint: the engine must still agree
+    /// with the message-level simulator route for route — the clean pass
+    /// and every attack strategy in both export modes — and every outcome,
+    /// an ASPA-policied one included, must audit clean.
+    #[test]
+    fn sibling_and_provider_loop_equivalence(
+        seed in any::<u64>(),
+        siblings in proptest::collection::vec((0usize..200, 0usize..200), 1..6),
+        cycle in (0usize..200, 1usize..200, 1usize..200),
+        picks in (0usize..200, 0usize..200, 0usize..200),
+        pad in 1usize..6,
+    ) {
+        // Three distinct ASes of the 149.
+        let n = InternetConfig::small().total_ases();
+        let (a, b) = (cycle.0 % n, (cycle.0 + 1 + cycle.1 % (n - 1)) % n);
+        let c = (0..n).map(|i| (cycle.2 + i) % n).find(|&c| c != a && c != b).unwrap();
+        let graph = looped_internet(seed, &siblings, [a, b, c]);
+        prop_assert!(!graph.propagation_order().cycles().is_empty());
+        let asns: Vec<Asn> = graph.asns().collect();
+        let victim = asns[picks.0 % asns.len()];
+        let attacker = asns[picks.1 % asns.len()];
+        if victim == attacker {
+            return Ok(());
+        }
+
+        let audited = |outcome: &RoutingOutcome<'_>| {
+            let report = aspp_core::routing::audit::audit_outcome(outcome);
+            assert!(report.is_clean(), "{report}");
+        };
+        let clean = DestinationSpec::new(victim).origin_padding(pad);
+        let mut specs = vec![clean.clone()];
+        for strategy in [
+            AttackStrategy::StripPadding { keep: 1 },
+            AttackStrategy::StripAllPadding,
+            AttackStrategy::ForgeDirect,
+            AttackStrategy::OriginHijack,
+            AttackStrategy::PoisonPath { poisoned: asns[picks.2 % asns.len()] },
+        ] {
+            for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
+                let model = AttackerModel::new(attacker).strategy(strategy).mode(mode);
+                specs.push(clean.clone().attacker(model));
+            }
+        }
+        for spec in &specs {
+            assert_equivalent(&graph, spec);
+            audited(&RoutingEngine::new(&graph).compute(spec));
+        }
+
+        let deployers = DeploymentMap::from_asns(&graph, asns.iter().copied().step_by(2));
+        let aspa = DeployedPolicy::new(PolicyKind::Aspa, deployers);
+        let spec = clean.attacker(AttackerModel::new(attacker).mode(ExportMode::ViolateValleyFree));
+        let outcome = RoutingEngine::new(&graph).compute_with_policy(&spec, &mut RouteWorkspace::new(), &aspa);
+        let report = aspp_core::routing::audit::audit_outcome_with(&outcome, &aspa);
+        prop_assert!(report.is_clean(), "{}", report);
+        prop_assert_eq!(aspp_core::routing::audit::full_pass_divergence(&outcome, &aspa), None);
+    }
+}
+
 // Shrunk failure cases formerly persisted in
 // `engine_equivalence.proptest-regressions`, promoted to explicit tests so
 // they run on every `cargo test` regardless of the property runner's case
@@ -174,18 +257,28 @@ fn sibling_chain_equivalence() {
 
 #[test]
 fn spill_heap_equilibria_equivalence() {
-    // λ=300 pushes every clean label past the engine's 256-length bucket
-    // range into the spill heap; the strip brings the malicious labels back
-    // into the buckets, so the attacked pass drains both in one scan.
+    // λ=300 with the attacker keeping 256 origin copies: every label the
+    // delta pass queues is longer than the engine's 256-length bucket range
+    // and spills into the heap, and the pass survives to be compared.
     let graph = InternetConfig::small().seed(61).build();
     let clean = DestinationSpec::new(Asn(20_003)).origin_padding(300);
-    let attacked = clean.clone().attacker(AttackerModel::new(Asn(100)));
+    let attacked = clean
+        .clone()
+        .attacker(AttackerModel::new(Asn(100)).keep(256));
+    let mut ws = RouteWorkspace::new();
     for spec in [clean, attacked] {
         assert_equivalent(&graph, &spec);
-        let outcome = RoutingEngine::new(&graph).compute(&spec);
+        let outcome = RoutingEngine::new(&graph).compute_with(&spec, &mut ws);
         let report = aspp_core::routing::audit::audit_outcome(&outcome);
         assert!(report.is_clean(), "{report}");
+        if outcome.has_attack() {
+            assert!(
+                outcome.polluted_count() > 0,
+                "the delta pass queued nothing"
+            );
+        }
     }
+    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (1, 0));
 }
 
 #[test]
