@@ -22,8 +22,10 @@
 //!   clean equilibrium — across *all* deployment maps — forms one steal
 //!   unit served from one cached clean pass per worker that joins it.
 //!   Policied attacked passes are re-converged from that clean pass like
-//!   undefended ones, and fall back to the full propagation only where a
-//!   deployer refuses its own clean parent's attacker-derived offer.
+//!   undefended ones, and fall back to the full propagation where a
+//!   receiver refuses its own clean parent's attacker-derived offer, or
+//!   where the attack is wide enough (an origin hijack often is) that the
+//!   full pass's sweeps are the cheaper way to compute it.
 
 use std::fmt;
 use std::sync::Arc;

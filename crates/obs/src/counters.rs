@@ -68,8 +68,9 @@ counters! {
     /// frontier size across all delta passes.
     (DeltaFrontierNode, "delta_frontier_nodes"),
     /// Delta attempts that aborted — a node did not take its own clean
-    /// parent's offer — and fell back to a full second propagation
-    /// (delta→full aborts).
+    /// parent's offer, or the pass outgrew its scan budget of adjacency
+    /// entries — and fell back to a full second propagation (delta→full
+    /// aborts).
     (DeltaFallback, "delta_fallbacks"),
     /// Equilibria checked by the invariant auditor.
     (AuditCheck, "audit_checks"),

@@ -63,8 +63,10 @@
 //! attacker-derived imports — so every cell of a unit still serves from the
 //! one cached clean pass regardless of which [`DefensePolicy`] each cell
 //! carries, and re-converges each cell's attacked pass from it (the full
-//! pass runs only where a deployer refuses its own clean parent's
-//! attacker-derived offer). [`BatchRunner::run`] is the [`NoDefense`]
+//! pass runs where a receiver refuses its own clean parent's
+//! attacker-derived offer, or where the attack pollutes so much of the
+//! graph that the delta pass outgrows its scan budget).
+//! [`BatchRunner::run`] is the [`NoDefense`]
 //! specialization; because `NoDefense` sets
 //! [`DefensePolicy::NOOP`], that instantiation monomorphizes
 //! back to the exact pre-policy hot loop and keeps the bit-identity

@@ -190,7 +190,10 @@ impl<'g> RoutingEngine<'g> {
     /// its import filter or loop prevention refuses it, or it ranks below
     /// the node's clean route — would keep a route its parent no longer
     /// exports; the delta attempt then aborts to the full from-scratch
-    /// propagation, so the result is the full pass's either way.
+    /// propagation, so the result is the full pass's either way. An attempt
+    /// that outgrows its scan budget (an attack that pollutes a wide share
+    /// of the graph, which the full pass computes faster) aborts the same
+    /// way.
     /// [`audit::full_pass_divergence`](crate::audit::full_pass_divergence)
     /// replays that full pass for any outcome — the oracle of
     /// `tests/{delta,flat,defense}_equivalence.rs` and of the `debug-audit`
@@ -355,7 +358,8 @@ impl<'g> RoutingEngine<'g> {
 
     /// The attacked equilibrium for `seed`, and whether a delta pass
     /// produced it: re-converged from `clean` unless a receiver does not
-    /// take its clean parent's offer, computed by a full pass otherwise.
+    /// take its clean parent's offer or the pass outgrows its scan budget,
+    /// computed by a full pass otherwise.
     fn attacked_pass<P: DefensePolicy>(
         &self,
         spec: &DestinationSpec,

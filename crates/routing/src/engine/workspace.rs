@@ -206,8 +206,8 @@ impl RouteWorkspace {
     }
 
     /// Number of attacked passes where the delta pass aborted — a node did
-    /// not take its own clean parent's offer — and fell back to a full
-    /// propagation.
+    /// not take its own clean parent's offer, or the pass outgrew its scan
+    /// budget of adjacency entries — and fell back to a full propagation.
     #[must_use]
     pub fn delta_fallbacks(&self) -> u64 {
         self.delta_fallbacks
