@@ -79,9 +79,11 @@ struct NodeState {
     adj_rib_in: BTreeMap<usize, RibRoute>,
     /// The selected best route (`None` at the origin, which self-originates).
     best: Option<(usize, RibRoute)>,
-    /// What we last advertised to each neighbor (`None` entries mean we
-    /// advertised and then withdrew; absent means never advertised).
-    advertised: BTreeMap<usize, Option<AsPath>>,
+    /// What we last advertised to each neighbor, path and class (`None`
+    /// entries mean we advertised and then withdrew; absent means never
+    /// advertised). The class matters across sibling links, which inherit
+    /// it: a best route that changes class but not path is news there.
+    advertised: BTreeMap<usize, Option<(AsPath, RouteClass)>>,
 }
 
 /// The converged result of a message-level simulation.
@@ -352,7 +354,7 @@ impl<'g> BgpSimulation<'g> {
             };
             for (nbr, payload) in exports {
                 let already = nodes[to].advertised.get(&nbr);
-                let new_path = payload.as_ref().map(|r| r.path.clone());
+                let new_path = payload.as_ref().map(|r| (r.path.clone(), r.class));
                 let old_path = already.and_then(|p| p.clone());
                 if already.is_some() && old_path == new_path {
                     continue; // nothing new for this neighbor
