@@ -21,11 +21,9 @@
 //!   single [`BatchRunner::run_with_policy`] call, so every cell sharing a
 //!   clean equilibrium — across *all* deployment maps — forms one steal
 //!   unit served from one cached clean pass per worker that joins it.
-//!   Policied attacked passes are re-converged from that clean pass like
-//!   undefended ones, and fall back to the full propagation where a
-//!   receiver refuses its own clean parent's attacker-derived offer, or
-//!   where the attack is wide enough (an origin hijack often is) that the
-//!   full pass's sweeps are the cheaper way to compute it.
+//!   Policied attacked passes are delta passes from that clean pass like
+//!   undefended ones; a receiver that refuses its own clean parent's
+//!   attacker-derived offer re-selects within the pass.
 
 use std::fmt;
 use std::sync::Arc;

@@ -54,24 +54,12 @@ counters! {
     (CleanCacheHit, "clean_cache_hits"),
     /// Clean passes that had to be computed from scratch.
     (CleanCacheMiss, "clean_cache_misses"),
-    /// Labels pushed into the bucket-queue scheduler (spills included).
-    (QueuePush, "queue_pushes"),
-    /// Labels whose effective length overflowed the per-length buckets into
-    /// the per-class spill heap.
-    (QueueSpill, "queue_spills"),
-    /// Offers dropped at push time by the lazy decrease-key filter (a
-    /// better offer for the same node was already queued).
-    (FilterDrop, "filter_drops"),
-    /// Attacked passes served by delta re-convergence.
+    /// Attacked passes, each a delta pass: the propagation loop over the
+    /// nodes the attack can reach, from the clean equilibrium.
     (DeltaPass, "delta_passes"),
-    /// Nodes re-converged by delta frontiers, cumulatively — the total
-    /// frontier size across all delta passes.
+    /// Nodes the delta passes visited, cumulatively — the total size of
+    /// their dirty sets.
     (DeltaFrontierNode, "delta_frontier_nodes"),
-    /// Delta attempts that aborted — a node did not take its own clean
-    /// parent's offer, or the pass outgrew its scan budget of adjacency
-    /// entries — and fell back to a full second propagation (delta→full
-    /// aborts).
-    (DeltaFallback, "delta_fallbacks"),
     /// Equilibria checked by the invariant auditor.
     (AuditCheck, "audit_checks"),
     /// Invariant violations found by the auditor.
@@ -212,12 +200,6 @@ impl MetricsSnapshot {
         self.get(Counter::CleanCacheHit)
     }
 
-    /// Delta→full aborts.
-    #[must_use]
-    pub fn delta_fallbacks(&self) -> u64 {
-        self.get(Counter::DeltaFallback)
-    }
-
     /// The counter-wise difference `self - earlier` (saturating, so a
     /// snapshot from another process epoch cannot underflow).
     #[must_use]
@@ -286,21 +268,21 @@ mod tests {
     #[test]
     fn snapshot_diff_and_render() {
         let before = MetricsSnapshot::capture();
-        add(Counter::QueuePush, 5);
-        incr(Counter::QueueSpill);
+        add(Counter::DeltaFrontierNode, 5);
+        incr(Counter::DeltaPass);
         let delta = MetricsSnapshot::capture().since(&before);
         if MetricsSnapshot::compiled_in() {
-            assert!(delta.get(Counter::QueuePush) >= 5);
+            assert!(delta.get(Counter::DeltaFrontierNode) >= 5);
         } else {
             assert!(delta.is_empty());
         }
         let table = delta.to_string();
-        assert!(table.contains("queue_pushes"));
+        assert!(table.contains("delta_frontier_nodes"));
         let json = delta.to_json();
         assert!(json.contains("counters_compiled_in"));
         // Per-counter keys only when the counters actually exist.
         assert_eq!(
-            json.contains("\"queue_spills\""),
+            json.contains("\"delta_passes\""),
             MetricsSnapshot::compiled_in()
         );
     }

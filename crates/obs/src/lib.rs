@@ -4,8 +4,8 @@
 //! not in use:
 //!
 //! * [`counters`] — global atomic counters for the routing engine's
-//!   performance mechanisms (clean-pass cache hits, bucket-queue traffic,
-//!   delta re-convergence outcomes, audit violations). Compile-time gated
+//!   performance mechanisms (clean-pass cache hits, delta passes and the
+//!   nodes they visit, audit violations). Compile-time gated
 //!   by the `enabled` feature: without it every bump is an empty `#[inline]`
 //!   function and the instrumented hot paths cost literally nothing.
 //!   [`MetricsSnapshot`] captures the counters for printing (ASCII table or

@@ -3,29 +3,28 @@
 //! The paper's impact figures (Figs. 7–12) sweep thousands of
 //! (victim, attacker, λ, strategy, export-mode) cells. Computed one
 //! [`RoutingEngine::compute`] call at a time, every cell pays a full
-//! pass-structure lifetime: a fresh `NodeScratch` table, fresh scheduler
-//! buckets, and a clean pass recomputed from nothing even though the
+//! pass-structure lifetime: fresh dirty and stale marks, and a clean pass
+//! recomputed from nothing even though the
 //! neighboring cell shares the same clean equilibrium. This module
 //! amortizes that cost across an entire sweep:
 //!
 //! * **One pass-structure lifetime for many victims.** Each worker owns a
 //!   single [`RouteWorkspace`] for the whole batch. Starting the next
-//!   delta pass is an epoch bump over the already-sized scratch table
-//!   (O(1), no re-zeroing, no reallocation — see
-//!   [`RouteWorkspace::scratch_reuses`]) and the bucket queue's `Vec`
-//!   spines are reused as-is. The decision compare — one integer compare
+//!   delta pass clears its already-sized marks, one bit per node (no
+//!   reallocation — see [`RouteWorkspace::scratch_reuses`]). The decision
+//!   compare — one integer compare
 //!   of packed route words — is the single-shot path's own, so batched
 //!   cells decide routes exactly the way serial cells do.
 //! * **Work stealing *across* clean equilibria, not inside a pass.** A
 //!   propagation pass is inherently sequential (a sweep in propagation
-//!   order, or a bucket scan in priority order), so the parallel grain is the thing cells actually
+//!   order), so the parallel grain is the thing cells actually
 //!   share: all cells with one clean equilibrium — the same
 //!   (victim, prepending config), which is exactly the
 //!   workspace's clean-cache key — form one steal unit, claimed from a
 //!   shared atomic cursor. A Figure-9-style λ sweep over one victim is
 //!   therefore eight units, not one. A worker that claims a unit computes
 //!   its clean pass once and then serves every strategy/export-mode/policy
-//!   cell from it (attacked passes ride the delta path, policied ones
+//!   cell from it (every attacked pass is a delta pass, policied ones
 //!   included). Because a unit
 //!   *is* a cache key, a worker never revisits an earlier unit's clean
 //!   pass and its workspace holds exactly one.
@@ -62,10 +61,8 @@
 //! machinery: the clean pass is policy-*independent* — defenses only filter
 //! attacker-derived imports — so every cell of a unit still serves from the
 //! one cached clean pass regardless of which [`DefensePolicy`] each cell
-//! carries, and re-converges each cell's attacked pass from it (the full
-//! pass runs where a receiver refuses its own clean parent's
-//! attacker-derived offer, or where the attack pollutes so much of the
-//! graph that the delta pass outgrows its scan budget).
+//! carries, and computes each cell's attacked pass from it by the delta
+//! pass.
 //! [`BatchRunner::run`] is the [`NoDefense`]
 //! specialization; because `NoDefense` sets
 //! [`DefensePolicy::NOOP`], that instantiation monomorphizes

@@ -21,25 +21,21 @@
 //!
 //! Every export step weakly worsens class and strictly grows length, so the
 //! policy-routing equilibrium is unique: each AS holds the best offer it
-//! takes among those its neighbors make from their own routes, and the
-//! routes of one `(class, length)` bucket depend only on the buckets before
-//! it. Two independent loops compute it.
+//! takes among those its neighbors make from their own routes. One loop
+//! computes it ([`sweep`]): it visits the graph's
+//! [`PropagationOrder`](aspp_topology::PropagationOrder) — customers before
+//! providers, built once per graph. Origin and customer routes climb it
+//! (making their one peer hop on the way), then every route descends it in
+//! reverse; the strongly connected components that provider loops and
+//! sibling links make settle by a local fixpoint. The loop visits only the
+//! positions marked dirty:
 //!
-//! * **The full pass** ([`sweep`]) visits the graph's
-//!   [`PropagationOrder`](aspp_topology::PropagationOrder) — customers
-//!   before providers, built once per graph. Origin and customer routes
-//!   climb it (making their one peer hop on the way), then every route
-//!   descends it in reverse, in three linear sweeps; the strongly connected
-//!   components that provider loops and sibling links make settle by a
-//!   local fixpoint. Every clean pass is a full pass, as is every fallback
-//!   from an aborted delta attempt.
-//! * **The delta pass** ([`mod@propagate`]) re-converges an attacked
-//!   equilibrium from the clean one with a generalized Dijkstra over route
-//!   labels: nodes settle one `(class, length)` bucket at a time, in that
-//!   order, from a Dial-style bucket queue ([`queue`]). No offer lands in a
-//!   bucket the scan has opened, so when it opens each node in it already
-//!   holds the best offer it will ever get (kept by the lazy decrease-key),
-//!   and the order within a bucket changes no route.
+//! * **the full pass** marks every node and starts from an absent table —
+//!   every clean pass is one;
+//! * **the delta pass** starts from a copy of the clean table and marks
+//!   only the attacker's neighbors, then each node whose route changes, or
+//!   whose route came from a node whose route changed — every attacked pass
+//!   is one.
 //!
 //! Either way a node re-exports its route subject to the valley-free rule
 //! ([`RouteClass::may_export_to`]), and the victim `V` exports its `Origin`
@@ -53,32 +49,30 @@
 //! to forward intercepted traffic) while `M` exports the *stripped* route
 //! `r2 = [M ASn … AS1 V]`. ASes on `M`'s clean chain reject attacker-derived
 //! labels — their own ASN is on the claimed path, so real BGP loop
-//! prevention would discard the announcement. The second equilibrium is
-//! attempted as a delta pass, which [`mod@propagate`] argues is exact
-//! whenever it does not abort, and computed by the full pass when it does.
-//! Under `debug-audit` every delta pass is replayed by the full pass — one
-//! loop checked against the other.
+//! prevention would discard the announcement. The second equilibrium is the
+//! delta pass, which [`sweep`] argues is exact. Under `debug-audit` every
+//! delta pass is replayed by the full pass — the sparse run checked against
+//! the all-dirty one — and every outcome by the auditor.
 //!
-//! The rest of the tree: [`spec`] says what to compute, [`route`] the
-//! packed route word (a route, its rank and its clean key in one `u64`) and
-//! table, [`workspace`] the delta pass's scratch table and the clean-pass
-//! cache, [`outcome`] what comes back; this file holds the entry points.
+//! The rest of the tree: [`spec`] says what to compute, [`mod@propagate`]
+//! the rules an offer obeys, [`route`] the packed route word (a route and
+//! its rank in one `u64`) and table, [`workspace`] the delta pass's marks
+//! and the clean-pass cache, [`outcome`] what comes back; this file holds
+//! the entry points.
 
 mod outcome;
 mod propagate;
-mod queue;
 mod route;
 mod spec;
 mod sweep;
 mod workspace;
 
-use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, RouteClass};
 
 use crate::policy::{AttackFacts, DefensePolicy, NoDefense};
 use outcome::reconstruct_received;
-use propagate::{propagate, AttackSeed};
+use propagate::AttackSeed;
 use sweep::full_pass;
 
 pub use outcome::RoutingOutcome;
@@ -134,7 +128,7 @@ impl<'g> RoutingEngine<'g> {
     /// # Example
     ///
     /// Sweeping the victim's padding against a fixed attacker reuses the
-    /// cached clean pass and the delta attacked pass across iterations:
+    /// cached clean pass and the delta pass's marks across iterations:
     ///
     /// ```
     /// use aspp_routing::{AttackerModel, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine};
@@ -185,17 +179,12 @@ impl<'g> RoutingEngine<'g> {
     /// workspace's clean-pass cache stays valid (and shared) across policy
     /// configurations of the same destination.
     ///
-    /// Policied attacked passes ride delta re-convergence like unpolicied
-    /// ones. A node that does not take its own clean parent's new offer —
-    /// its import filter or loop prevention refuses it, or it ranks below
-    /// the node's clean route — would keep a route its parent no longer
-    /// exports; the delta attempt then aborts to the full from-scratch
-    /// propagation, so the result is the full pass's either way. An attempt
-    /// that outgrows its scan budget (an attack that pollutes a wide share
-    /// of the graph, which the full pass computes faster) aborts the same
-    /// way.
+    /// Policied attacked passes are delta passes like unpolicied ones. A
+    /// node that does not take its own clean parent's new offer — its
+    /// import filter or loop prevention refuses it, or it ranks below the
+    /// node's clean route — re-selects among its other neighbors' offers.
     /// [`audit::full_pass_divergence`](crate::audit::full_pass_divergence)
-    /// replays that full pass for any outcome — the oracle of
+    /// replays the full pass for any outcome — the reference of
     /// `tests/{delta,flat,defense}_equivalence.rs` and of the `debug-audit`
     /// check on every delta pass.
     ///
@@ -251,12 +240,9 @@ impl<'g> RoutingEngine<'g> {
 
         let clean = ws.clean_pass(self.graph, spec, v_idx);
 
-        // Whether the attacked pass was re-converged by a delta pass.
-        let mut delta = false;
         let attacked = attacker.and_then(|(att, m_idx)| {
             let (seed, base_path) = self.attack_seed::<P>(spec, v_idx, &clean, att, m_idx)?;
-            let (pass, by_delta) = self.attacked_pass(spec, v_idx, ws, &clean, &seed, policy);
-            delta = by_delta;
+            let pass = ws.delta_pass(self.graph, spec, v_idx, &seed, &clean, policy);
             Some((pass, base_path))
         });
         let (attacked, base_path) = attacked.unzip();
@@ -271,13 +257,12 @@ impl<'g> RoutingEngine<'g> {
             graph: self.graph,
         };
         if crate::audit::enabled() {
-            // debug-audit oracles: every delta pass is replayed by the full
-            // pass, and every equilibrium leaves the engine checked against
-            // the policy it was computed with, so no caller has to remember to.
-            if delta {
-                crate::audit::assert_matches_full_pass(&outcome, policy);
-            }
+            // debug-audit oracles: every equilibrium leaves the engine
+            // checked against the policy it was computed with, so no caller
+            // has to remember to, and every delta pass is replayed by the
+            // full pass.
             crate::audit::assert_audit_clean(&outcome, policy);
+            crate::audit::assert_matches_full_pass(&outcome, policy);
         }
         outcome
     }
@@ -354,33 +339,6 @@ impl<'g> RoutingEngine<'g> {
             },
         };
         Some((seed, base_path))
-    }
-
-    /// The attacked equilibrium for `seed`, and whether a delta pass
-    /// produced it: re-converged from `clean` unless a receiver does not
-    /// take its clean parent's offer or the pass outgrows its scan budget,
-    /// computed by a full pass otherwise.
-    fn attacked_pass<P: DefensePolicy>(
-        &self,
-        spec: &DestinationSpec,
-        v_idx: usize,
-        ws: &mut RouteWorkspace,
-        clean: &Pass,
-        seed: &AttackSeed,
-        policy: &P,
-    ) -> (Pass, bool) {
-        let delta = propagate(self.graph, spec, v_idx, ws, seed, clean, policy);
-        if let Some(pass) = delta {
-            ws.delta_passes += 1;
-            counters::incr(Counter::DeltaPass);
-            return (pass, true);
-        }
-        ws.delta_fallbacks += 1;
-        counters::incr(Counter::DeltaFallback);
-        (
-            full_pass(self.graph, spec, v_idx, Some(seed), policy),
-            false,
-        )
     }
 }
 

@@ -48,7 +48,8 @@ pub(crate) struct NodeRoute {
 pub(crate) struct PackedRoute(u64);
 
 impl PackedRoute {
-    const ABSENT: PackedRoute = PackedRoute(0);
+    /// No route; it ranks after every route.
+    pub(super) const ABSENT: PackedRoute = PackedRoute(0);
     const PRESENT: u64 = 1 << 63;
     const VIA: u64 = 1 << 62;
     const NO_PARENT: u64 = u32::MAX as u64;
@@ -110,11 +111,28 @@ impl PackedRoute {
         self.0 & Self::PRESENT != 0
     }
 
+    /// Whether the word holds a route learned from node `node`.
+    #[inline]
+    pub(super) fn learned_from(self, node: u32) -> bool {
+        self.is_present() && self.0 & Self::NO_PARENT == u64::from(node)
+    }
+
     /// Whether the word holds an origin or customer route — the routes
     /// exported to providers and peers.
     #[inline]
     pub(super) fn climbs(self) -> bool {
         self.is_present() && (self.0 >> 60) & 3 <= RouteClass::FromCustomer as u64
+    }
+
+    /// The word if it [`climbs`](Self::climbs), else [`ABSENT`](Self::ABSENT):
+    /// what its holder offers its providers and peers.
+    #[inline]
+    pub(super) fn climbing(self) -> Self {
+        if self.climbs() {
+            self
+        } else {
+            Self::ABSENT
+        }
     }
 
     /// The class of a present word.

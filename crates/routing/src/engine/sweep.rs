@@ -1,19 +1,19 @@
-//! The full pass: every clean pass, every fallback from an aborted delta
-//! attempt, and the [`crate::audit::full_pass_divergence`] replay, computed
-//! in three linear sweeps over the graph's
-//! [`PropagationOrder`] — customers before
-//! providers — instead of through the bucket queue.
+//! The engine's one propagation loop: three sweeps over the graph's
+//! [`PropagationOrder`] — customers before providers — that visit the
+//! positions a pass has marked dirty. The full pass (every clean pass, and
+//! the [`crate::audit::full_pass_divergence`] replay) marks every node
+//! dirty and starts from an absent table; the delta pass (every attacked
+//! pass) starts from a copy of the clean table and marks only what the
+//! attack reaches.
 //!
-//! # Why three sweeps reach the queue's equilibrium
+//! # Why three sweeps reach the equilibrium
 //!
 //! A node's route is the best offer it takes among those its neighbors
 //! make from their own routes (the victim's origin and the attacker's
 //! claimed path aside). Along an export step class never improves and
-//! length strictly grows, so that fixpoint is unique: the routes of one
-//! `(class, length)` bucket depend only on the buckets before it. Any
-//! schedule that offers each node's route only once it is final, and reads
-//! a node only once every offer it can take has been made, computes it —
-//! the bucket queue is one such schedule, and so is this:
+//! length strictly grows, so that fixpoint is unique, and any schedule that
+//! settles each node only once every offer it can take is final computes
+//! it. This one does:
 //!
 //! 1. **Climb.** Origin and customer routes travel only customer→provider
 //!    and sibling links, so in customer-cone rank a node comes after all of
@@ -27,15 +27,40 @@
 //!
 //! Provider loops and sibling links put nodes that feed each other in one
 //! strongly connected component of the climb. Each such component settles
-//! the class a sweep decides by a local fixpoint ([`Sweep::settle`]): a
-//! small Dijkstra over the component, whose pops run in rank order like the
-//! queue's buckets. Attacker seeding, chain masking, the [`DefensePolicy`]
-//! hook, prepending and the 28-bit length bound are those of the delta pass
-//! ([`Rules`]); every `(exporter, neighbor)` pair an export row names is
-//! offered once, so the length bound panics exactly where the queue's did.
+//! as a whole, once in the climb and once in the descent: every member
+//! re-selects from its neighbors outside the component, then a small
+//! Dijkstra over the component ([`Sweep::settle`]) passes routes along its
+//! inner links, popping them in rank order.
+//!
+//! # Why the delta pass is exact
+//!
+//! The delta pass differs from the full pass only in where it starts: the
+//! clean table, with only the attacker's neighbors dirty. A node changes
+//! only when an offer it hears changes, and an offer changes only when its
+//! exporter's route does. So each node whose route changed hands its new
+//! offer to its export row when its route is final ([`Sweep::hand`]), and
+//! marks each receiver dirty if the receiver takes it — or if the
+//! receiver's route came from it and the new offer is worse or gone. Such a
+//! receiver is *stale*: its route is withdrawn, and it re-selects from all
+//! its neighbors ([`Sweep::pull`]) when the sweep reaches it. A receiver
+//! that hears nothing new keeps its clean route: it was the best of the
+//! clean offers, and every offer but the changed ones is still made.
+//!
+//! Each receiver sits where the sweep has yet to settle it: a provider
+//! later in the climb, a peer or a customer in the descent, a member of the
+//! same component in its re-settling. That is the sweep's own argument —
+//! the order is topological over the strongly connected components — so
+//! when the sweep reaches a dirty node every route it reads is final, and
+//! the node ends on the route the full pass gives it. DESIGN.md § Why the
+//! delta pass is exact walks through the cases.
+//!
+//! Attacker seeding, chain masking, the [`DefensePolicy`] hook, prepending
+//! and the 28-bit length bound are [`Rules`]; the bound panics on an offer
+//! only a route final in its phase makes, so both passes panic alike.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use aspp_topology::{AsGraph, PropagationOrder};
 use aspp_types::{Relationship, RouteClass};
@@ -47,7 +72,8 @@ use crate::policy::DefensePolicy;
 
 /// The full pass for `spec` (victim at node `v_idx`): the clean pass when
 /// `attack` is `None`, else the attacked pass it seeds, `policy` filtering
-/// attacker-derived offers at their receivers.
+/// attacker-derived offers at their receivers. Every node is dirty and the
+/// table starts absent.
 pub(super) fn full_pass<P: DefensePolicy>(
     graph: &AsGraph,
     spec: &DestinationSpec,
@@ -55,11 +81,50 @@ pub(super) fn full_pass<P: DefensePolicy>(
     attack: Option<&AttackSeed>,
     policy: &P,
 ) -> Pass {
-    let mut sweep = Sweep {
+    let mut unread = Marks::default();
+    propagate::<P, false>(graph, spec, v_idx, attack, policy, None, &mut unread).0
+}
+
+/// The delta pass: the attacked pass `attack` seeds, starting from the
+/// clean table `clean` with only the attacker's neighbors dirty. Returns the
+/// table and the number of positions it visited. `marks` must be
+/// [`reset`](Marks::reset) to the graph's size.
+pub(super) fn delta_pass<P: DefensePolicy>(
+    graph: &AsGraph,
+    spec: &DestinationSpec,
+    v_idx: usize,
+    attack: &AttackSeed,
+    clean: &Pass,
+    policy: &P,
+    marks: &mut Marks,
+) -> (Pass, u64) {
+    propagate::<P, true>(graph, spec, v_idx, Some(attack), policy, Some(clean), marks)
+}
+
+/// The propagation loop: seeds the victim and the attacker, then climbs
+/// and descends over the dirty positions of `marks`, from `base` (the
+/// clean table) or from an absent table. `SPARSE` is false for the full
+/// pass: every position is dirty and no node is ever stale (no node holds
+/// a route from an exporter before that exporter offers), so the loop
+/// reads no marks and that bookkeeping compiles out.
+fn propagate<P: DefensePolicy, const SPARSE: bool>(
+    graph: &AsGraph,
+    spec: &DestinationSpec,
+    v_idx: usize,
+    attack: Option<&AttackSeed>,
+    policy: &P,
+    base: Option<&Pass>,
+    marks: &mut Marks,
+) -> (Pass, u64) {
+    let mut sweep = Sweep::<P, SPARSE> {
         rules: Rules::new(graph, spec, attack, policy),
         order: graph.propagation_order(),
-        best: Pass::absent(graph.len()),
+        best: base.map_or_else(|| Pass::absent(graph.len()), Pass::clone),
+        base,
+        victim: v_idx as u32,
         pinned: attack.map_or(u32::MAX, |a| a.m_idx as u32),
+        claim: attack.map_or(([None; 4], 0), |a| (a.export_row(), a.base_len)),
+        marks,
         heap: BinaryHeap::new(),
     };
     let origin = NodeRoute {
@@ -73,34 +138,173 @@ pub(super) fn full_pass<P: DefensePolicy>(
         // The attacker keeps its clean route and exports the path it claims
         // instead.
         sweep.best.set(att.m_idx, Some(att.pinned));
-        let row = att.export_row();
-        let pad = sweep.rules.pad_of(att.m_idx);
+        let m = att.m_idx as u32;
         for &entry in graph.neighbors_at(att.m_idx) {
-            if let Some(class) = row[entry.rel() as usize] {
-                let x = entry.node();
-                let len = sweep.rules.offer_len(pad, att.base_len, x);
-                sweep.offer(x, PackedRoute::new(class, len, att.m_idx as u32, true));
-            }
+            let offer = sweep.claim_to(entry.node(), entry.rel());
+            sweep.hand(entry.node(), offer, m);
         }
     }
     sweep.climb();
-    sweep.descend();
-    sweep.best
+    let visited = sweep.descend();
+    (sweep.best, visited)
 }
 
-/// One full pass in progress.
-struct Sweep<'a, P> {
+/// The positions of the propagation order a pass visits (`dirty`), and
+/// those whose node re-selects from scratch when visited (`stale`), one bit
+/// per position.
+#[derive(Debug, Default)]
+pub(super) struct Marks {
+    dirty: Vec<u64>,
+    stale: Vec<u64>,
+}
+
+impl Marks {
+    /// Clears every mark and sizes both sets for `n` positions, keeping
+    /// their allocations.
+    pub(super) fn reset(&mut self, n: usize) {
+        for bits in [&mut self.dirty, &mut self.stale] {
+            bits.clear();
+            bits.resize(n.div_ceil(64), 0);
+        }
+    }
+
+    /// The first dirty position in `from..end`.
+    fn next_dirty(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut word = self.dirty[w] & (!0 << (from % 64));
+        while word == 0 {
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            word = self.dirty[w];
+        }
+        let k = w * 64 + word.trailing_zeros() as usize;
+        (k < end).then_some(k)
+    }
+
+    /// The last dirty position in `start..end`.
+    fn prev_dirty(&self, start: usize, end: usize) -> Option<usize> {
+        if start >= end {
+            return None;
+        }
+        let last = end - 1;
+        let mut w = last / 64;
+        let mut word = self.dirty[w] & (!0 >> (63 - last % 64));
+        while word == 0 {
+            if w * 64 <= start {
+                return None;
+            }
+            w -= 1;
+            word = self.dirty[w];
+        }
+        let k = w * 64 + 63 - word.leading_zeros() as usize;
+        (k >= start).then_some(k)
+    }
+}
+
+/// The positions of every component of `order` of more than one node,
+/// ascending, between an empty range at either end: each sweep handles
+/// the positions between two neighboring ranges, then the range.
+fn components(order: &PropagationOrder) -> impl DoubleEndedIterator<Item = Range<usize>> + '_ {
+    let n = order.nodes().len();
+    let cycles = order
+        .cycles()
+        .iter()
+        .map(|r| r.start as usize..r.end as usize);
+    std::iter::once(0..0)
+        .chain(cycles)
+        .chain(std::iter::once(n..n))
+}
+
+fn set(bits: &mut [u64], k: usize) {
+    bits[k / 64] |= 1 << (k % 64);
+}
+
+fn is_set(bits: &[u64], k: usize) -> bool {
+    bits[k / 64] >> (k % 64) & 1 == 1
+}
+
+fn unset(bits: &mut [u64], k: usize) {
+    bits[k / 64] &= !(1 << (k % 64));
+}
+
+/// One pass in progress; `SPARSE` as in [`propagate`].
+struct Sweep<'a, P, const SPARSE: bool> {
     rules: Rules<'a, P>,
     order: &'a PropagationOrder,
-    /// Each node's best offer so far, final once the sweep has passed it.
+    /// Each node's best offer so far, final once the sweep has settled it.
     best: Pass,
+    /// The table the pass started from (`None`: absent): a node whose route
+    /// still equals its base route makes the offers it made there.
+    base: Option<&'a Pass>,
+    victim: u32,
     /// The attacker's node, whose route is pinned (`u32::MAX` for none).
     pinned: u32,
+    /// What the attacker claims: its export row and the claimed length.
+    claim: ([Option<RouteClass>; 4], u32),
+    marks: &'a mut Marks,
     /// [`settle`](Self::settle)'s queue, `(rank, node)`.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl<P: DefensePolicy> Sweep<'_, P> {
+impl<P: DefensePolicy, const SPARSE: bool> Sweep<'_, P, SPARSE> {
+    /// The route node `x` held in the base table.
+    #[inline]
+    fn base_word(&self, x: u32) -> PackedRoute {
+        match self.base {
+            Some(base) if SPARSE => base.word(x as usize),
+            _ => PackedRoute::ABSENT,
+        }
+    }
+
+    /// The first dirty position in `from..end`.
+    #[inline]
+    fn next_dirty(&self, from: usize, end: usize) -> Option<usize> {
+        if SPARSE {
+            self.marks.next_dirty(from, end)
+        } else {
+            (from < end).then_some(from)
+        }
+    }
+
+    /// The last dirty position in `start..end`.
+    #[inline]
+    fn prev_dirty(&self, start: usize, end: usize) -> Option<usize> {
+        if SPARSE {
+            self.marks.prev_dirty(start, end)
+        } else {
+            end.checked_sub(1).filter(|&k| k >= start)
+        }
+    }
+
+    /// Whether the node at position `k` is stale.
+    #[inline]
+    fn is_stale(&self, k: usize) -> bool {
+        SPARSE && is_set(&self.marks.stale, k)
+    }
+
+    /// The attacker's claimed route as offered to its neighbor `y`, which
+    /// is its `rel`; absent where its export row forbids it.
+    fn claim_to(&self, y: u32, rel: Relationship) -> PackedRoute {
+        let Some(class) = self.claim.0[rel as usize] else {
+            return PackedRoute::ABSENT;
+        };
+        let pad = self.rules.pad_of(self.pinned as usize);
+        let len = self.rules.offer_len(pad, self.claim.1, y);
+        PackedRoute::new(class, len, self.pinned, true)
+    }
+
+    /// Whether node `y` takes the present offer `word`: only
+    /// attacker-derived offers are ever refused.
+    #[inline]
+    fn takes(&self, y: u32, word: PackedRoute) -> bool {
+        !word.via_attacker() || !self.rules.refuses(y, word.class())
+    }
+
     /// Records `word` at `node` when it ranks before the node's best so far
     /// and the node takes it; returns whether it did. The victim's origin
     /// outranks every offer, and the attacker's pinned route takes none.
@@ -109,48 +313,128 @@ impl<P: DefensePolicy> Sweep<'_, P> {
         if word.rank() >= self.best.rank(node as usize) || node == self.pinned {
             return false;
         }
-        if word.via_attacker() && self.rules.refuses(node, word.class()) {
+        if !self.takes(node, word) {
             return false;
         }
         self.best.set_word(node as usize, word);
         true
     }
 
-    /// Sweeps 1 and 2: in rank order, each node offers its origin or
-    /// customer route — final, since its customers went before it — to its
-    /// providers and its peers; a cycle first settles customer routes
-    /// inside. Peer routes then pass among siblings once every peer hop is
-    /// made.
-    fn climb(&mut self) {
-        let order = self.order;
-        let mut pos = 0;
-        for cycle in order.cycles() {
-            let (start, end) = (cycle.start as usize, cycle.end as usize);
-            for &x in &order.nodes()[pos..start] {
-                self.push_up(x);
+    /// Node `x`, whose route is final and differs from its base route, now
+    /// offers `word` (absent: nothing) to its neighbor `y`. `y` takes a
+    /// better offer. If `y`'s route came from `x`, it takes the new offer
+    /// when it is no worse; otherwise its route is withdrawn and it is
+    /// marked stale, to re-select when the sweep reaches it. A receiver
+    /// whose route changed is marked dirty.
+    #[inline]
+    fn hand(&mut self, y: u32, word: PackedRoute, x: u32) {
+        let route = self.best.word(y as usize);
+        if self.offer(y, word) {
+            if SPARSE {
+                set(&mut self.marks.dirty, self.order.position(y as usize));
             }
-            let members = &order.nodes()[start..end];
-            self.settle(members, RouteClass::FromCustomer);
-            for &x in members {
-                self.push_up(x);
-            }
-            pos = end;
-        }
-        for &x in &order.nodes()[pos..] {
-            self.push_up(x);
-        }
-        for cycle in order.cycles() {
-            let members = &order.nodes()[cycle.start as usize..cycle.end as usize];
-            self.settle(members, RouteClass::FromPeer);
+        } else if SPARSE && route.learned_from(x) && word != route && y != self.pinned {
+            self.replace(y, word, route);
         }
     }
 
-    /// Node `x` offers its origin or customer route, if it holds one, to
-    /// its providers (as a customer route) and its peers (as a peer route).
+    /// `y`'s route `route` came from a node that now offers it `word`, no
+    /// better: `y` takes it if it is the same route but for its via bit,
+    /// and is marked stale otherwise.
+    #[cold]
+    fn replace(&mut self, y: u32, word: PackedRoute, route: PackedRoute) {
+        let k = self.order.position(y as usize);
+        if word.rank() == route.rank() && self.takes(y, word) {
+            self.best.set_word(y as usize, word);
+        } else {
+            self.best.set_word(y as usize, PackedRoute::ABSENT);
+            set(&mut self.marks.stale, k);
+        }
+        set(&mut self.marks.dirty, k);
+    }
+
+    /// Node `x` re-selects: its route becomes the best offer it takes among
+    /// those its neighbors outside `members` make from their current routes
+    /// (the attacker: from the path it claims), of class `FromCustomer` when
+    /// `up`, of the other classes otherwise. The sweep calls it where those
+    /// routes are final.
+    fn pull(&mut self, x: u32, members: &[u32], up: bool) {
+        let graph = self.rules.graph;
+        let mut best = PackedRoute::ABSENT;
+        for &entry in graph.neighbors_at(x as usize) {
+            let z = entry.node();
+            let to_x = entry.rel().reverse() as usize;
+            let (class, len, via) = if z == self.pinned {
+                (self.claim.0[to_x], self.claim.1, true)
+            } else {
+                let route = self.best.word(z as usize);
+                if !route.is_present() || members.binary_search(&z).is_ok() {
+                    continue;
+                }
+                let row = export_row(route.class());
+                (row[to_x], route.length(), route.via_attacker())
+            };
+            let Some(class) = class.filter(|&c| (c == RouteClass::FromCustomer) == up) else {
+                continue;
+            };
+            let len = self.rules.offer_len(self.rules.pad_of(z as usize), len, x);
+            let offer = PackedRoute::new(class, len, z, via);
+            if offer.rank() < best.rank() && self.takes(x, offer) {
+                best = offer;
+            }
+        }
+        self.best.set_word(x as usize, best);
+    }
+
+    /// Whether a member of a component re-selects when it settles: every
+    /// node but the victim and the attacker, whose routes are fixed.
+    #[inline]
+    fn reselects(&self, x: u32) -> bool {
+        x != self.victim && x != self.pinned
+    }
+
+    /// Sweeps 1 and 2, over the dirty positions in rank order: a stale node
+    /// re-selects its customer route, a component re-settles its customer
+    /// routes, and each node whose customer route changed offers it to its
+    /// providers and peers.
+    fn climb(&mut self) {
+        let order = self.order;
+        let mut from = 0;
+        for cycle in components(order) {
+            while let Some(k) = self.next_dirty(from, cycle.start) {
+                let x = order.nodes()[k];
+                if self.is_stale(k) {
+                    self.pull(x, &[], true);
+                    if self.best.word(x as usize).climbs() {
+                        unset(&mut self.marks.stale, k);
+                    }
+                }
+                self.push_up(x);
+                from = k + 1;
+            }
+            if self.next_dirty(cycle.start, cycle.end).is_some() {
+                let members = &order.nodes()[cycle.clone()];
+                for &x in members {
+                    if self.reselects(x) {
+                        self.pull(x, members, true);
+                    }
+                }
+                self.settle(members, RouteClass::FromCustomer);
+                for &x in members {
+                    self.push_up(x);
+                }
+            }
+            from = cycle.end;
+        }
+    }
+
+    /// Node `x` offers its origin or customer route, if it holds one and it
+    /// differs from its base one, to its providers (as a customer route)
+    /// and its peers (as a peer route).
     #[inline]
     fn push_up(&mut self, x: u32) {
-        let route = self.best.word(x as usize);
-        if !route.climbs() || x == self.pinned {
+        let route = self.best.word(x as usize).climbing();
+        if route == self.base_word(x).climbing() || x == self.pinned {
             return;
         }
         let pad = self.rules.pad_of(x as usize);
@@ -162,40 +446,66 @@ impl<P: DefensePolicy> Sweep<'_, P> {
                 _ => continue,
             };
             let y = entry.node();
-            let len = self.rules.offer_len(pad, route.length(), y);
-            self.offer(y, PackedRoute::new(class, len, x, via));
+            let offer = if route.is_present() {
+                let len = self.rules.offer_len(pad, route.length(), y);
+                PackedRoute::new(class, len, x, via)
+            } else {
+                PackedRoute::ABSENT
+            };
+            self.hand(y, offer, x);
         }
     }
 
-    /// Sweep 3: in reverse rank order, each node offers its route to its
-    /// customers; a cycle first settles provider routes inside.
-    fn descend(&mut self) {
+    /// Sweep 3, over the dirty positions in reverse rank order: a stale
+    /// node re-selects its peer or provider route, a component re-settles
+    /// its peer and provider routes, and each node whose route changed
+    /// offers it to its customers. Returns how many positions it visited.
+    fn descend(&mut self) -> u64 {
         let order = self.order;
-        let mut end = order.nodes().len();
-        for cycle in order.cycles().iter().rev() {
-            let (start, stop) = (cycle.start as usize, cycle.end as usize);
-            for k in (stop..end).rev() {
+        let (mut end, mut visited) = (order.nodes().len(), 0);
+        for cycle in components(order).rev() {
+            while let Some(k) = self.prev_dirty(cycle.end, end) {
+                if self.is_stale(k) {
+                    self.pull(order.nodes()[k], &[], false);
+                }
                 self.push_down(k);
+                visited += 1;
+                end = k;
             }
-            self.settle(&order.nodes()[start..stop], RouteClass::FromProvider);
-            for k in (start..stop).rev() {
-                self.push_down(k);
+            if self.prev_dirty(cycle.start, cycle.end).is_some() {
+                let members = &order.nodes()[cycle.clone()];
+                for &x in members {
+                    if self.reselects(x) && !self.best.word(x as usize).climbs() {
+                        self.pull(x, members, false);
+                    }
+                }
+                self.settle(members, RouteClass::FromPeer);
+                self.settle(members, RouteClass::FromProvider);
+                for k in cycle.clone().rev() {
+                    self.push_down(k);
+                }
+                visited += cycle.len() as u64;
             }
-            end = start;
+            end = cycle.start;
         }
-        for k in (0..end).rev() {
-            self.push_down(k);
-        }
+        visited
     }
 
-    /// The node at position `k` offers its route to each of its customers.
+    /// The node at position `k` offers its route, if it differs from its
+    /// base one, to each of its customers.
     #[inline]
     fn push_down(&mut self, k: usize) {
         let order = self.order;
         let customers = order.customers_at(k);
         let x = order.nodes()[k];
         let route = self.best.word(x as usize);
-        if customers.is_empty() || !route.is_present() || x == self.pinned {
+        if customers.is_empty() || route == self.base_word(x) || x == self.pinned {
+            return;
+        }
+        if !route.is_present() {
+            for &y in customers {
+                self.hand(y, PackedRoute::ABSENT, x);
+            }
             return;
         }
         let via = route.via_attacker();
@@ -204,22 +514,25 @@ impl<P: DefensePolicy> Sweep<'_, P> {
             let len = self.rules.offer_len(None, route.length(), customers[0]);
             let offer = PackedRoute::new(RouteClass::FromProvider, len, x, via);
             for &y in customers {
-                self.offer(y, offer);
+                self.hand(y, offer, x);
             }
             return;
         };
         for &y in customers {
             let len = self.rules.offer_len(Some(pad), route.length(), y);
-            self.offer(y, PackedRoute::new(RouteClass::FromProvider, len, x, via));
+            self.hand(
+                y,
+                PackedRoute::new(RouteClass::FromProvider, len, x, via),
+                x,
+            );
         }
     }
 
-    /// The local fixpoint of one cycle (`members`, sorted) for the routes
-    /// of class `class`: every member's route is popped in rank order and
-    /// offered over each link inside the cycle whose export row yields
-    /// `class`. A popped route is final — every offer ranks after its
-    /// exporter's route — so a member settles on the best offer it takes,
-    /// as under the bucket queue.
+    /// The local fixpoint of one component (`members`, sorted) for the
+    /// routes of class `class`: every member's route is popped in rank order
+    /// and offered over each link inside the component whose export row
+    /// yields `class`. A popped route is final — every offer ranks after its
+    /// exporter's route — so a member settles on the best offer it takes.
     fn settle(&mut self, members: &[u32], class: RouteClass) {
         let graph = self.rules.graph;
         self.heap.clear();

@@ -1,8 +1,5 @@
-//! Reusable per-thread pass state: the epoch-stamped [`NodeScratch`] table
-//! the delta pass filters its offers through, and the [`RouteWorkspace`]
-//! that owns it together with the delta pass's node queue and the
-//! clean-pass cache. Full passes need neither: they sweep the graph's
-//! propagation order into a fresh route table.
+//! Reusable per-thread pass state: the [`RouteWorkspace`] that owns the
+//! delta pass's dirty and stale marks and the clean-pass cache.
 
 use std::sync::Arc;
 
@@ -10,43 +7,12 @@ use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::Asn;
 
-use super::queue::BucketQueue;
-use super::route::{PackedRoute, Pass};
+use super::propagate::AttackSeed;
+use super::route::Pass;
 use super::spec::DestinationSpec;
-use super::sweep::full_pass;
-use crate::policy::NoDefense;
+use super::sweep::{delta_pass, full_pass, Marks};
+use crate::policy::{DefensePolicy, NoDefense};
 use crate::prepend::PrependConfig;
-
-/// All per-node scratch state of one delta pass, packed into 16 aligned
-/// bytes so the per-edge push filter costs one random memory access and
-/// the whole table stays cache-resident on paper-scale topologies.
-///
-/// The epochs implement O(1) whole-array invalidation: a field is live only
-/// while its epoch equals the workspace's current pass epoch, so starting a
-/// new pass is one counter bump and nothing is re-zeroed. (A `u32` epoch
-/// wraps after 2³² passes; [`RouteWorkspace::begin_pass`] re-zeroes the
-/// table at the wrap so stale stamps can never collide.)
-///
-/// * `offer_rank` (with `offer_epoch`) is a lazy decrease-key: the best
-///   offer this node has received so far, as the [`PackedRoute`] word it
-///   settles on — the queue holds only node ids — and whose
-///   [`rank`](PackedRoute::rank) orders it. An offer that does not beat it
-///   is dropped at push. Strict `(class, len)` scan progress guarantees that
-///   nothing better arrives once the node's bucket is opened.
-/// * `adopted_epoch` marks a settled node: adopted-malicious, or the
-///   victim and the attacker, settled before the pass starts.
-///
-/// A delta pass compares against each node's clean route, which it reads
-/// from the clean [`Pass`] itself: the same word ranks both. Membership in
-/// the attacker's claimed chain is not stored per node: only
-/// attacker-derived offers ask, and the chain is a handful of nodes.
-#[derive(Clone, Copy, Debug, Default)]
-#[repr(align(16))]
-pub(super) struct NodeScratch {
-    pub(super) offer_rank: PackedRoute,
-    pub(super) offer_epoch: u32,
-    pub(super) adopted_epoch: u32,
-}
 
 /// One memoized clean (no-attack) pass, keyed by everything that influences
 /// it: the victim and the prepending configuration.
@@ -75,20 +41,17 @@ impl CleanEntry {
 /// evaluations — issue thousands of such calls against the same victim, so a
 /// `RouteWorkspace` keeps three things alive across calls:
 ///
-/// * the delta pass's bucket-queue node scheduler, so its buckets are
-///   reused instead of regrown;
-/// * the delta pass's per-node `NodeScratch` table (offer ranks and
-///   adoption stamps — epoch-stamped, never re-zeroed); and
+/// * the delta pass's dirty and stale marks, one bit per node, so they are
+///   cleared instead of reallocated; and
 /// * a small LRU cache of clean passes keyed by `(victim, prepending
 ///   config)` — each entry `Arc`-shares its route table (hits never clone
 ///   it), so repeated computations over the same victim skip the redundant
 ///   clean pass entirely and give the **delta attacked pass** its starting
-///   equilibrium, whose route words are also its pruning ranks, for free.
+///   equilibrium for free.
 ///
 /// Results are **bit-identical** to [`RoutingEngine::compute`]: the clean
 /// pass is deterministic, so replaying a cached copy and recomputing it
-/// produce the same routes, and the delta pass falls back to the full
-/// pass whenever incremental re-convergence could diverge. The cache
+/// produce the same routes, and the delta pass is exact. The cache
 /// watches the graph's [`id`](AsGraph::id) and is dropped automatically if
 /// the workspace is reused against a different graph.
 ///
@@ -117,10 +80,9 @@ impl CleanEntry {
 /// ```
 #[derive(Debug)]
 pub struct RouteWorkspace {
-    pub(super) queue: BucketQueue,
-    /// One [`NodeScratch`] per node; all epoch fields key off `epoch`.
-    pub(super) scratch: Vec<NodeScratch>,
-    pub(super) epoch: u32,
+    marks: Marks,
+    /// The largest graph, in nodes, the marks were sized for.
+    sized: usize,
     clean_cache: Vec<CleanEntry>,
     cache_capacity: usize,
     /// [`AsGraph::id`] of the graph the cached passes were computed
@@ -129,8 +91,7 @@ pub struct RouteWorkspace {
     stamp: Option<u64>,
     hits: u64,
     misses: u64,
-    pub(super) delta_passes: u64,
-    pub(super) delta_fallbacks: u64,
+    delta_passes: u64,
     scratch_reuses: u64,
 }
 
@@ -153,27 +114,25 @@ impl RouteWorkspace {
     }
 
     /// A workspace whose clean-pass cache holds at most `capacity` passes
-    /// (`0` disables caching; the scheduler buckets are still reused).
+    /// (`0` disables caching; the marks are still reused).
     #[must_use]
     pub fn with_cache_capacity(capacity: usize) -> Self {
         RouteWorkspace {
-            queue: BucketQueue::default(),
-            scratch: Vec::new(),
-            epoch: 0,
+            marks: Marks::default(),
+            sized: 0,
             clean_cache: Vec::new(),
             cache_capacity: capacity,
             stamp: None,
             hits: 0,
             misses: 0,
             delta_passes: 0,
-            delta_fallbacks: 0,
             scratch_reuses: 0,
         }
     }
 
     /// Drops all cached passes, keeping the configured capacity, the
-    /// counters, and — deliberately — every scratch allocation (scheduler
-    /// buckets, scratch table, cache slots), so a cleared workspace computes
+    /// counters, and — deliberately — every scratch allocation (marks,
+    /// cache slots), so a cleared workspace computes
     /// again without growing the heap.
     pub fn clear(&mut self) {
         self.clean_cache.clear();
@@ -199,46 +158,44 @@ impl RouteWorkspace {
         self.clean_cache.len()
     }
 
-    /// Number of attacked passes served by delta re-convergence.
+    /// Number of attacked passes computed, each by a delta pass.
     #[must_use]
     pub fn delta_passes(&self) -> u64 {
         self.delta_passes
     }
 
-    /// Number of attacked passes where the delta pass aborted — a node did
-    /// not take its own clean parent's offer, or the pass outgrew its scan
-    /// budget of adjacency entries — and fell back to a full propagation.
-    #[must_use]
-    pub fn delta_fallbacks(&self) -> u64 {
-        self.delta_fallbacks
-    }
-
-    /// Number of delta passes that started by epoch-bumping an already-sized
-    /// scratch table instead of growing it — the amortization the batch
-    /// engine ([`crate::batch`]) buys by keeping one workspace alive across
-    /// many victims. Full passes use no scratch table and are not counted.
+    /// Number of delta passes that started by clearing already-sized marks
+    /// instead of growing them — the amortization the batch engine
+    /// ([`crate::batch`]) buys by keeping one workspace alive across many
+    /// victims. Full passes keep no marks here and are not counted.
     #[must_use]
     pub fn scratch_reuses(&self) -> u64 {
         self.scratch_reuses
     }
 
-    /// Starts a fresh delta pass over a graph of `n` nodes: empties the
-    /// queue (a voided delta attempt leaves nodes behind) and bumps the pass
-    /// epoch, retiring every offer and adoption in O(1), without re-zeroing
-    /// the scratch array.
-    pub(super) fn begin_pass(&mut self, n: usize) {
-        self.queue.clear();
-        if self.scratch.len() < n {
-            self.scratch.resize(n, NodeScratch::default());
+    /// The attacked pass `seed` seeds for `spec` (victim at node `v_idx`),
+    /// by the delta pass from the clean table `clean` under `policy`.
+    pub(super) fn delta_pass<P: DefensePolicy>(
+        &mut self,
+        graph: &AsGraph,
+        spec: &DestinationSpec,
+        v_idx: usize,
+        seed: &AttackSeed,
+        clean: &Pass,
+        policy: &P,
+    ) -> Pass {
+        let n = graph.len();
+        if self.sized < n {
+            self.sized = n;
         } else if n > 0 {
             self.scratch_reuses += 1;
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // u32 wrap: re-zero once so stale stamps can't alias epoch 1.
-            self.scratch.fill(NodeScratch::default());
-            self.epoch = 1;
-        }
+        self.marks.reset(n);
+        self.delta_passes += 1;
+        counters::incr(Counter::DeltaPass);
+        let (pass, visited) = delta_pass(graph, spec, v_idx, seed, clean, policy, &mut self.marks);
+        counters::add(Counter::DeltaFrontierNode, visited);
+        pass
     }
 
     /// Looks up (or computes and caches) the clean equilibrium for `spec`.

@@ -100,8 +100,9 @@ use crate::engine::{AttackStrategy, Pass, RoutingOutcome};
 ///
 /// Implementations must also be **pure**: the verdict is a function of the
 /// arguments alone. The engine may ask about the same offer more than once
-/// — a delta attempt that aborts is followed by the full pass, which
-/// consults the policy again, and the audit re-derives every verdict — so
+/// — a node that re-selects is offered its clean parent's route again,
+/// the `debug-audit` replay consults it again, and the audit re-derives
+/// every verdict — so
 /// a policy whose answer depends on how often it was asked makes the
 /// outcome depend on the engine's schedule.
 pub trait DefensePolicy {

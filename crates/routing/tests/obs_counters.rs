@@ -120,65 +120,59 @@ fn batch_unit_is_one_clean_miss_then_hits() {
 }
 
 #[test]
-fn delta_pass_and_fallback_counts_are_exact() {
+fn delta_pass_counts_are_exact() {
     let _guard = LOCK.lock().unwrap();
     let graph = dual_homed();
     let engine = RoutingEngine::new(&graph);
     let mut ws = RouteWorkspace::new();
-    // The labels one compute pushed and the offers its lazy decrease-key
-    // dropped: the work of the delta pass's queue, pinned per kind of pass
-    // so an edit to it cannot change the work silently. Full passes sweep
-    // the propagation order and push nothing.
+    // The positions one compute's delta pass visited — its dirty set —
+    // pinned per kind of pass, so an edit to the propagation loop cannot
+    // change its work silently. Clean passes visit every node and are not
+    // counted.
     let mut work = |spec: &DestinationSpec, policy: Option<&DeployedPolicy>| {
         let before = MetricsSnapshot::capture();
         let _ = match policy {
             Some(policy) => engine.compute_with_policy(spec, &mut ws, policy),
             None => engine.compute_with(spec, &mut ws),
         };
-        let delta = MetricsSnapshot::capture().since(&before);
-        (
-            delta.get(Counter::QueuePush),
-            delta.get(Counter::FilterDrop),
-        )
+        MetricsSnapshot::capture()
+            .since(&before)
+            .get(Counter::DeltaFrontierNode)
     };
 
     let start = MetricsSnapshot::capture();
-    // λ=4: stripping to one origin copy
-    // shortens the off-chain offers strictly, so the delta pass survives.
-    // Three runs = three delta passes (the first also pays the clean-pass
-    // miss).
+    // λ=4: stripping to one origin copy shortens the off-chain offers
+    // strictly. AS5 takes the attacker's customer-class offer and AS6
+    // AS5's shorter re-export: two nodes visited, every run (the first
+    // also pays the clean-pass miss).
     let spec = attacked_spec(4);
     let cold = work(&spec, None);
     let _ = work(&spec, None);
-    let surviving_delta = work(&spec, None);
+    let warm = work(&spec, None);
     // λ=1: nothing to strip, so the attacker's length-3 customer-class
     // offer displaces AS5's length-2 peer-class clean route — policy beats
     // length, the adoption lengthens the route, and AS5's provider-class
     // re-export to AS6 (length 4) ranks below AS6's clean route through AS5
-    // (length 3). AS6 does not take its clean parent's offer, so the delta
-    // attempt aborts after AS5's exports: a deterministic delta→full
-    // fallback, every run.
+    // (length 3). AS6 does not take its clean parent's offer, so it
+    // re-selects, and takes it as the best left: two nodes visited.
     let corner = attacked_spec(1);
     let _ = work(&corner, None);
-    let aborted_delta_then_full = work(&corner, None);
+    let lengthened = work(&corner, None);
     // Poisoning an AS absent from the topology claims `[3 99 1 2]`, one
-    // hop longer than the attacker's own clean route `[1 2]`. The attacker
-    // has no clean children, so its seed exports void nothing: AS5 adopts
-    // the length-4 customer-class offer, and its length-5 re-export ranks
-    // below AS6's clean route through it, so the attempt aborts after AS5's
-    // exports, as in the λ=1 corner.
+    // hop longer than the attacker's own clean route `[1 2]`: AS5 adopts
+    // the length-4 customer-class offer, and AS6 re-selects its length-5
+    // re-export, as in the λ=1 corner.
     let poisoned = DestinationSpec::new(Asn(2)).attacker(
         AttackerModel::new(Asn(3))
             .mode(ExportMode::ViolateValleyFree)
             .strategy(AttackStrategy::PoisonPath { poisoned: Asn(99) }),
     );
     let _ = work(&poisoned, None);
-    let poisoned_delta_then_full = work(&poisoned, None);
+    let poisoned_pass = work(&poisoned, None);
     let unpolicied = MetricsSnapshot::capture().since(&start);
-    // ASPA everywhere on the λ=4 attack: a delta attempt like any other.
-    // AS5 refuses the provider-learned route the attacker re-announces,
-    // but AS5's clean parent is AS1, not the attacker, so nobody is
-    // orphaned and the attempt survives having re-converged nobody.
+    // ASPA everywhere on the λ=4 attack: AS5 refuses the provider-learned
+    // route the attacker re-announces, and AS1 is on the chain, so the
+    // pass visits nobody.
     let aspa = DeployedPolicy::new(
         PolicyKind::Aspa,
         DeploymentMap::from_indices(graph.len(), 0..graph.len()),
@@ -188,7 +182,8 @@ fn delta_pass_and_fallback_counts_are_exact() {
     let policy = MetricsSnapshot::capture().since(&before);
     // An origin hijack by AS3 at λ=4 with ROV at stub AS6 alone: AS1 and AS5
     // adopt the forged origin, and AS6 refuses it from AS5, its own clean
-    // parent — an orphan, so the delta attempt aborts to the full pass.
+    // parent. AS6 re-selects, is refused again, and ends routeless: three
+    // nodes visited.
     let hijack = DestinationSpec::new(Asn(2)).origin_padding(4).attacker(
         AttackerModel::new(Asn(3))
             .mode(ExportMode::ViolateValleyFree)
@@ -196,45 +191,26 @@ fn delta_pass_and_fallback_counts_are_exact() {
     );
     let rov = DeployedPolicy::new(PolicyKind::Rov, DeploymentMap::from_asns(&graph, [Asn(6)]));
     let before = MetricsSnapshot::capture();
-    let orphaned_then_full = work(&hijack, Some(&rov));
+    let orphaned = work(&hijack, Some(&rov));
     let orphan = MetricsSnapshot::capture().since(&before);
     let total = MetricsSnapshot::capture().since(&start);
 
-    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (4, 5));
+    // Every attacked compute is one delta pass.
+    assert_eq!(ws.delta_passes(), 9);
     if MetricsSnapshot::compiled_in() {
-        assert_eq!(unpolicied.get(Counter::DeltaPass), 3);
-        assert_eq!(unpolicied.get(Counter::DeltaFallback), 4);
+        assert_eq!(unpolicied.get(Counter::DeltaPass), 7);
         assert_eq!(total.get(Counter::DeltaPass), ws.delta_passes());
-        assert_eq!(total.get(Counter::DeltaFallback), ws.delta_fallbacks());
-        // Each surviving unpolicied delta pass re-converged the off-chain
-        // provider AS5 and its stub AS6 onto the attacker: 2 frontier nodes
-        // × 3 passes.
-        assert_eq!(unpolicied.get(Counter::DeltaFrontierNode), 6);
-        // (queue_pushes, filter_drops) per kind of pass. The cold compute's
-        // clean pass is a sweep, so it pushes only what the delta pass
-        // does: the attacker's offer to AS5 and AS5's to AS6.
-        assert_eq!(cold, (2, 0));
-        assert_eq!(surviving_delta, (2, 0));
-        // The voided attempt pushed the attacker's offer to AS5; the full
-        // pass that follows pushes nothing.
-        assert_eq!(aborted_delta_then_full, (1, 0));
-        // The voided attempt pushed the attacker's poisoned offer to AS5;
-        // the full pass that follows pushes nothing.
-        assert_eq!(poisoned_delta_then_full, (1, 0));
-        // AS1 is on the chain and AS5 refuses, so the delta pass pushes
-        // nothing: one policy check, one reject, one surviving pass.
-        assert_eq!(policied, (0, 0));
+        assert_eq!(unpolicied.get(Counter::DeltaFrontierNode), 7 * 2);
+        assert_eq!((cold, warm, lengthened, poisoned_pass), (2, 2, 2, 2));
+        // One policy check (AS5's), one reject, no node visited.
+        assert_eq!(policied, 0);
         assert_eq!(policy.get(Counter::DeltaPass), 1);
-        assert_eq!(policy.get(Counter::DeltaFrontierNode), 0);
         assert_eq!(policy.get(Counter::PolicyCheck), 1);
         assert_eq!(policy.get(Counter::PolicyReject), 1);
-        // The voided attempt pushed the hijack's offers to AS1 and AS5, and
-        // AS1's peer-class re-export to AS5 lost to the queued customer
-        // offer; AS5 settled and offered AS6, which refused. The full pass
-        // pushes nothing, and AS6 refuses AS5's offer again: two labels,
-        // one drop, two checks, two rejects, one fallback.
-        assert_eq!(orphaned_then_full, (2, 1));
-        assert_eq!(orphan.get(Counter::DeltaFallback), 1);
+        // AS6 refuses the offer of its clean parent and then, re-selecting,
+        // the same offer again: two checks, two rejects.
+        assert_eq!(orphaned, 3);
+        assert_eq!(orphan.get(Counter::DeltaPass), 1);
         assert_eq!(orphan.get(Counter::PolicyCheck), 2);
         assert_eq!(orphan.get(Counter::PolicyReject), 2);
     } else {
@@ -243,39 +219,37 @@ fn delta_pass_and_fallback_counts_are_exact() {
 }
 
 #[test]
-fn queue_counters_track_propagation_work() {
+fn dirty_set_counters_track_propagation_work() {
     let _guard = LOCK.lock().unwrap();
     let graph = dual_homed();
     let engine = RoutingEngine::new(&graph);
     // Cache disabled: every compute runs its clean pass again.
     let mut cold = RouteWorkspace::with_cache_capacity(0);
 
-    // A clean compute is one full pass: it sweeps, and queues nothing.
+    // A clean compute is one full pass: no delta pass, nothing counted.
     let before = MetricsSnapshot::capture();
     let _ = engine.compute_with(&DestinationSpec::new(Asn(2)).origin_padding(1), &mut cold);
     let delta = MetricsSnapshot::capture().since(&before);
     if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::QueuePush), 0);
+        assert_eq!(delta.get(Counter::DeltaPass), 0);
+        assert_eq!(delta.get(Counter::DeltaFrontierNode), 0);
         assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
     } else {
         assert!(delta.is_empty(), "disabled build must report empty metrics");
     }
 
-    // The λ=4 strip survives as a delta pass: the attacker's offer to AS5
-    // and AS5's to AS6, both short enough for the buckets.
+    // The λ=4 strip: AS5 and AS6 change.
     let before = MetricsSnapshot::capture();
     let _ = engine.compute_with(&attacked_spec(4), &mut cold);
     let delta = MetricsSnapshot::capture().since(&before);
     if MetricsSnapshot::compiled_in() {
         assert_eq!(delta.get(Counter::DeltaPass), 1);
-        assert_eq!(delta.get(Counter::QueuePush), 2);
-        assert_eq!(delta.get(Counter::QueueSpill), 0);
-        assert_eq!(delta.get(Counter::FilterDrop), 0);
+        assert_eq!(delta.get(Counter::DeltaFrontierNode), 2);
         assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
     }
 
-    // The same delta pass at λ=300 keeping 256 origin copies: both labels
-    // are longer than the bucket range, so both spill.
+    // The same delta pass at λ=300 keeping 256 origin copies: lengths are
+    // no bound on the loop, which visits the same two nodes.
     let spec = DestinationSpec::new(Asn(2)).origin_padding(300).attacker(
         AttackerModel::new(Asn(3))
             .mode(ExportMode::ViolateValleyFree)
@@ -286,8 +260,7 @@ fn queue_counters_track_propagation_work() {
     let delta = MetricsSnapshot::capture().since(&before);
     if MetricsSnapshot::compiled_in() {
         assert_eq!(delta.get(Counter::DeltaPass), 1);
-        assert_eq!(delta.get(Counter::QueuePush), 2);
-        assert_eq!(delta.get(Counter::QueueSpill), 2);
+        assert_eq!(delta.get(Counter::DeltaFrontierNode), 2);
     }
 }
 

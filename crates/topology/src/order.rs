@@ -18,7 +18,8 @@ use crate::AsGraph;
 
 /// A graph's nodes in customer-cone rank: the strongly connected components
 /// of the customer→provider and sibling links, topologically sorted with
-/// customers first, and each node's customers indexed by its position.
+/// customers first, each node's position in that order, and each node's
+/// customers indexed by its position.
 ///
 /// Built once per graph, on first use, by
 /// [`AsGraph::propagation_order`]. The components of more than one node
@@ -36,6 +37,7 @@ use crate::AsGraph;
 /// let g = b.finish();
 /// let order = g.propagation_order();
 /// assert_eq!(order.nodes(), &[2, 1, 0]);
+/// assert_eq!(order.position(0), 2);
 /// assert_eq!(order.customers_at(1), &[2]);
 /// assert!(order.cycles().is_empty());
 /// ```
@@ -43,6 +45,8 @@ use crate::AsGraph;
 pub struct PropagationOrder {
     /// Node indices, every customer before its providers.
     nodes: Vec<u32>,
+    /// `positions[v]`: where node `v` sits in `nodes`.
+    positions: Vec<u32>,
     /// `offsets[k]..offsets[k + 1]` brackets the customers of `nodes[k]`.
     offsets: Vec<u32>,
     /// Customer node indices, grouped by the position of their provider.
@@ -140,8 +144,13 @@ impl PropagationOrder {
                 }
             }
         }
+        let mut positions = vec![0; n];
+        for (k, &v) in nodes.iter().enumerate() {
+            positions[v as usize] = k as u32;
+        }
         PropagationOrder {
             nodes,
+            positions,
             offsets,
             customers,
             cycles,
@@ -153,6 +162,17 @@ impl PropagationOrder {
     #[must_use]
     pub fn nodes(&self) -> &[u32] {
         &self.nodes
+    }
+
+    /// The position of node `node` in [`nodes`](Self::nodes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of the graph.
+    #[inline]
+    #[must_use]
+    pub fn position(&self, node: usize) -> usize {
+        self.positions[node] as usize
     }
 
     /// The customers of the node at position `pos` of
@@ -198,6 +218,7 @@ mod tests {
             pos[v as usize] = k;
         }
         assert!(pos.iter().all(|&k| k < n), "every node listed");
+        assert!((0..n).all(|v| order.position(v) == pos[v]));
         let mut component: Vec<usize> = (0..n).collect();
         for (c, range) in order.cycles().iter().enumerate() {
             let members = &order.nodes()[range.start as usize..range.end as usize];

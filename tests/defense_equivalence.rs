@@ -4,7 +4,8 @@
 //! empty-deployment `DeployedPolicy` are the same equilibrium as plain
 //! `compute_with` and as the full-pass reference, across the full
 //! 4-strategy × 2-export-mode × λ matrix — policied attacked passes, which
-//! ride delta re-convergence with an orphan abort, must equal the full pass
+//! are delta passes in which a node refused by its clean parent re-selects,
+//! must equal the full pass
 //! under every policy kind and deployment, and policies that are
 //! *semantically blind* to an attack must not perturb it at any deployment
 //! fraction (ROV vs ASPP stripping, the repository's headline negative
@@ -139,15 +140,16 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
     );
 }
 
-/// Whether some AS adopted an attacker-derived route longer than its clean
-/// one — the adoption that can hand a clean child an offer below its clean
-/// key. A delta attempt that fell back on an outcome without one was voided
-/// by a receiver refusing its clean parent's offer: an orphan.
-fn worsened_somewhere(outcome: &RoutingOutcome<'_>) -> bool {
+/// Whether some AS ranks its attacked route worse than its clean one, or
+/// lost its route: the cells where a node's clean parent offered it less
+/// than before, so that the delta pass had it re-select.
+fn ranks_worse_somewhere(outcome: &RoutingOutcome<'_>) -> bool {
+    let key = |r: RouteInfo| (r.class, r.effective_len, r.next_hop);
     outcome
         .asns()
         .any(|a| match (outcome.route(a), outcome.clean_route(a)) {
-            (Some(r), Some(c)) => r.via_attacker && r.effective_len > c.effective_len,
+            (Some(r), Some(c)) => key(r) > key(c),
+            (None, Some(_)) => true,
             _ => false,
         })
 }
@@ -176,7 +178,8 @@ fn nested_deployments(graph: &AsGraph, kind: PolicyKind, seed: u64) -> Vec<Deplo
 /// computed on one warm workspace, must equal the full-pass reference route
 /// for route. Cases are drawn like a proptest's (the deterministic per-test
 /// RNG), in an explicit loop so the coverage asserts can span the whole
-/// run: policied delta passes and orphan fallbacks must both occur.
+/// run: policied delta passes, and cells where some AS ranks worse than
+/// clean, must both occur.
 #[test]
 fn policied_delta_passes_match_the_full_pass() {
     const CASES: usize = 8;
@@ -189,7 +192,7 @@ fn policied_delta_passes_match_the_full_pass() {
         (0usize..100, 0usize..100, 0usize..100),
         1usize..=5,
     );
-    let (mut policied_deltas, mut orphan_fallbacks) = (0, 0);
+    let (mut policied_deltas, mut worse_than_clean) = (0, 0);
     for case in 1..=CASES {
         let (seed, picks, lambda) = inputs.generate(&mut rng);
         let graph = InternetConfig::small()
@@ -219,7 +222,7 @@ fn policied_delta_passes_match_the_full_pass() {
                     .attacker(AttackerModel::new(attacker).mode(mode).strategy(strategy));
                 for kind in PolicyKind::ALL {
                     for policy in nested_deployments(&graph, kind, seed) {
-                        let (passes, fallbacks) = (ws.delta_passes(), ws.delta_fallbacks());
+                        let passes = ws.delta_passes();
                         let outcome = engine.compute_with_policy(&spec, &mut ws, &policy);
                         assert_eq!(
                             full_pass_divergence(&outcome, &policy),
@@ -230,8 +233,8 @@ fn policied_delta_passes_match_the_full_pass() {
                         if policy.map().deployed_count() > 0 {
                             policied_deltas += ws.delta_passes() - passes;
                         }
-                        if ws.delta_fallbacks() > fallbacks && !worsened_somewhere(&outcome) {
-                            orphan_fallbacks += 1;
+                        if ranks_worse_somewhere(&outcome) {
+                            worse_than_clean += 1;
                         }
                     }
                 }
@@ -240,18 +243,18 @@ fn policied_delta_passes_match_the_full_pass() {
     }
     assert!(policied_deltas > 0, "no policied cell took the delta path");
     assert!(
-        orphan_fallbacks > 0,
-        "no policied cell exercised the orphan abort"
+        worse_than_clean > 0,
+        "no cell had an AS rank its route worse than clean"
     );
 }
 
-/// The orphan abort on the Figure 1 graph: AS9318 hijacks Facebook's
-/// prefix, and ROV deployer AS4134, whose clean route runs through AS9318,
-/// refuses the forged origin from its own clean parent. Its clean route is
-/// gone and no other neighbor may export to it, so it ends routeless — the
-/// re-selection only the full pass models, so the delta attempt falls back.
+/// An orphan on the Figure 1 graph: AS9318 hijacks Facebook's prefix, and
+/// ROV deployer AS4134, whose clean route runs through AS9318, refuses the
+/// forged origin from its own clean parent. Its clean route is gone and no
+/// other neighbor may export to it, so it re-selects and ends routeless,
+/// within the delta pass.
 #[test]
-fn rov_deployer_orphaned_by_its_clean_parent_falls_back_to_the_full_pass() {
+fn rov_deployer_orphaned_by_its_clean_parent_re_selects() {
     use well_known::*;
     let graph = fixtures::facebook_topology();
     let spec = DestinationSpec::new(FACEBOOK)
@@ -267,7 +270,7 @@ fn rov_deployer_orphaned_by_its_clean_parent_falls_back_to_the_full_pass() {
         Some(KOREA_TELECOM)
     );
     assert_eq!(outcome.route(CHINA_TELECOM), None);
-    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (0, 1));
+    assert_eq!(ws.delta_passes(), 1);
     assert_eq!(full_pass_divergence(&outcome, &rov), None);
 }
 

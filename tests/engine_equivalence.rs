@@ -256,10 +256,10 @@ fn sibling_chain_equivalence() {
 }
 
 #[test]
-fn spill_heap_equilibria_equivalence() {
-    // λ=300 with the attacker keeping 256 origin copies: every label the
-    // delta pass queues is longer than the engine's 256-length bucket range
-    // and spills into the heap, and the pass survives to be compared.
+fn long_claim_equilibria_equivalence() {
+    // λ=300 with the attacker keeping 256 origin copies: every route the
+    // attack changes is hundreds of hops long, and the delta pass that
+    // computes them is compared.
     let graph = InternetConfig::small().seed(61).build();
     let clean = DestinationSpec::new(Asn(20_003)).origin_padding(300);
     let attacked = clean
@@ -274,11 +274,11 @@ fn spill_heap_equilibria_equivalence() {
         if outcome.has_attack() {
             assert!(
                 outcome.polluted_count() > 0,
-                "the delta pass queued nothing"
+                "the delta pass changed nothing"
             );
         }
     }
-    assert_eq!((ws.delta_passes(), ws.delta_fallbacks()), (1, 0));
+    assert_eq!(ws.delta_passes(), 1);
 }
 
 #[test]
