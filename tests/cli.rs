@@ -195,7 +195,7 @@ fn lambda_flags_are_bounded_where_they_enter() {
             assert!(!stderr.contains("panicked"), "{flag} {lambda}: {stderr}");
         }
     }
-    // The bound itself is a legal λ (and lands far into the spill heap).
+    // The bound itself is a legal λ.
     let out = aspp(&[&simulate[..], &["--padding", "65535"]].concat());
     assert!(out.status.success());
     assert!(stdout(&out).contains("λ=65535"));
