@@ -2,7 +2,7 @@
 # Usage: assert-audited.sh METRICS_FILE
 #
 # Reads the `--metrics json` capture of an `aspp` run built with
-# `--features obs,debug-audit` and asserts the run audited every equilibrium
+# `--features debug-audit` and asserts the run audited every equilibrium
 # it computed. Each compute is exactly one clean-cache hit or miss, and the
 # engine audits each outcome it returns exactly once, so `audit_checks` must
 # be nonzero and equal their sum — a caller that computed un-audited (or

@@ -23,7 +23,7 @@
 //!   withdraw/re-announce episodes, and injected ASPP interceptions at
 //!   configurable rates — for throughput measurement and file replay.
 //!
-//! With the `obs` feature the crate feeds the workspace-wide counters
+//! The crate feeds the workspace-wide counters
 //! (`feed_records_in`, `feed_frames_bad`, `feed_alarms`,
 //! `feed_checkpoint_writes`, `feed_checkpoint_restores`, `serve_queries`)
 //! and opens a `feed` trace span per ingest.

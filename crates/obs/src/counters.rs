@@ -1,11 +1,9 @@
-//! Feature-gated global atomic counters for the engine's performance
-//! mechanisms.
+//! Global atomic counters for the engine's performance mechanisms.
 //!
-//! With the `enabled` feature the counters are relaxed `AtomicU64`s; without
-//! it every mutation is an empty `#[inline(always)]` function, so the
-//! instrumentation in `aspp-routing`'s per-edge hot loops compiles to
-//! nothing (verified by the disabled-configuration bench comparison in
-//! `EXPERIMENTS.md`).
+//! The counters are relaxed `AtomicU64`s, always present. Each call site
+//! bumps at most once per pass, batch, ingest call, command, checkpoint or
+//! bad frame — never inside a per-offer or per-edge loop — so they cost
+//! nothing measurable (`EXPERIMENTS.md` § Counter overhead).
 //!
 //! Counters are process-global and monotone. Code that needs a per-phase
 //! reading captures a [`MetricsSnapshot`] before and after and diffs with
@@ -13,6 +11,7 @@
 
 use crate::json::JsonWriter;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Declares [`Counter`] from one table of `(Variant, "wire_name")` rows
 /// (each row's doc comment becomes the variant's): the enum, `COUNT`, `ALL`
@@ -76,9 +75,9 @@ counters! {
     /// wire name `batch_victims` predates that grain and is kept for the
     /// CI greps and checked-in artifacts that read it.
     (BatchVictim, "batch_victims"),
-    /// Propagation passes that began by epoch-bumping an already-sized
-    /// scratch table instead of allocating one — the batch engine's
-    /// cross-victim pass-structure reuse.
+    /// Delta passes that began by clearing already-sized dirty marks
+    /// instead of growing them — the batch engine's cross-victim reuse of
+    /// one workspace.
     (BatchScratchReuse, "batch_scratch_reuses"),
     /// Steal units a batch worker served beyond its first, with other
     /// workers present: extra units pulled off the shared cursor plus units
@@ -91,11 +90,9 @@ counters! {
     (FeedCheckpointRestore, "feed_checkpoint_restores"),
     /// JSONL commands answered by the resident detection service.
     (ServeQuery, "serve_queries"),
-    /// Attacker-derived route offers evaluated by a deploying AS's defense
-    /// policy (offers at non-deploying ASes are not checks).
-    (PolicyCheck, "policy_checks"),
-    /// Attacker-derived route offers rejected by a deploying AS's defense
-    /// policy.
+    /// Attacker-derived route offers a deploying AS's defense policy
+    /// refused in the engine's own passes (the auditor's and the full-pass
+    /// replay's consultations are not counted).
     (PolicyReject, "policy_rejects"),
     /// Timeline steps executed by the scenario engine (one equilibrium
     /// table per step).
@@ -108,59 +105,31 @@ counters! {
     (McResample, "mc_resamples"),
 }
 
-#[cfg(feature = "enabled")]
-mod backing {
-    use super::Counter;
-    use std::sync::atomic::{AtomicU64, Ordering};
+static COUNTERS: [AtomicU64; Counter::COUNT] = [const { AtomicU64::new(0) }; Counter::COUNT];
 
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    static COUNTERS: [AtomicU64; Counter::COUNT] = [ZERO; Counter::COUNT];
-
-    #[inline]
-    pub(super) fn add(counter: Counter, n: u64) {
-        COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(super) fn load(counter: Counter) -> u64 {
-        COUNTERS[counter as usize].load(Ordering::Relaxed)
-    }
-}
-
-/// Adds `n` to `counter`. A no-op (empty inline function) without the
-/// `enabled` feature.
-#[inline(always)]
+/// Adds `n` to `counter`.
+#[inline]
 pub fn add(counter: Counter, n: u64) {
-    #[cfg(feature = "enabled")]
-    backing::add(counter, n);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (counter, n);
+    COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
 }
 
-/// Increments `counter` by one. A no-op without the `enabled` feature.
-#[inline(always)]
+/// Increments `counter` by one.
+#[inline]
 pub fn incr(counter: Counter) {
     add(counter, 1);
 }
 
 /// A point-in-time reading of every [`Counter`].
 ///
-/// Capturing is cheap (one relaxed load per counter); without the `enabled` feature
-/// the snapshot is always all-zero ([`is_empty`](Self::is_empty)).
+/// Capturing is cheap (one relaxed load per counter).
 ///
 /// # Example
 ///
 /// ```
 /// use aspp_obs::MetricsSnapshot;
 ///
-/// let snap = MetricsSnapshot::capture();
-/// let json = snap.to_json();
-/// assert!(json.contains("counters_compiled_in"));
-/// // Per-counter keys appear only when the counters are compiled in.
-/// assert_eq!(
-///     json.contains("\"clean_cache_hits\""),
-///     MetricsSnapshot::compiled_in()
-/// );
+/// let json = MetricsSnapshot::capture().to_json();
+/// assert!(json.contains("\"clean_cache_hits\":"));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -169,23 +138,12 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Reads every counter. All-zero when the `enabled` feature is off.
+    /// Reads every counter.
     #[must_use]
     pub fn capture() -> Self {
-        #[allow(unused_mut)]
-        let mut values = [0u64; Counter::COUNT];
-        #[cfg(feature = "enabled")]
-        for c in Counter::ALL {
-            values[c as usize] = backing::load(c);
+        MetricsSnapshot {
+            values: Counter::ALL.map(|c| COUNTERS[c as usize].load(Ordering::Relaxed)),
         }
-        MetricsSnapshot { values }
-    }
-
-    /// `true` when this build carries real counters (the `enabled` feature
-    /// of `aspp-obs` is active).
-    #[must_use]
-    pub fn compiled_in() -> bool {
-        cfg!(feature = "enabled")
     }
 
     /// The value of one counter.
@@ -211,26 +169,12 @@ impl MetricsSnapshot {
         MetricsSnapshot { values }
     }
 
-    /// `true` when every counter is zero — the guaranteed state of a build
-    /// without the `enabled` feature.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.iter().all(|&v| v == 0)
-    }
-
-    /// Renders the snapshot as a JSON object: a `"counters_compiled_in"`
-    /// flag plus, **only when the counters are compiled in**, one key per
-    /// counter. Builds without the `enabled` feature emit just the flag —
-    /// an all-zero block would read as "nothing happened" when the truth
-    /// is "nothing was measured".
+    /// Renders the snapshot as a JSON object, one key per counter.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::object();
-        w.field_bool("counters_compiled_in", Self::compiled_in());
-        if Self::compiled_in() {
-            for c in Counter::ALL {
-                w.field_u64(c.name(), self.get(c));
-            }
+        for c in Counter::ALL {
+            w.field_u64(c.name(), self.get(c));
         }
         w.finish()
     }
@@ -245,15 +189,7 @@ impl fmt::Display for MetricsSnapshot {
             .map(|c| c.name().len())
             .max()
             .unwrap_or(0);
-        writeln!(
-            f,
-            "metrics ({})",
-            if Self::compiled_in() {
-                "counters compiled in"
-            } else {
-                "counters compiled out — all zero; rebuild with --features obs"
-            }
-        )?;
+        writeln!(f, "metrics")?;
         for c in Counter::ALL {
             writeln!(f, "  {:width$}  {}", c.name(), self.get(c))?;
         }
@@ -271,20 +207,13 @@ mod tests {
         add(Counter::DeltaFrontierNode, 5);
         incr(Counter::DeltaPass);
         let delta = MetricsSnapshot::capture().since(&before);
-        if MetricsSnapshot::compiled_in() {
-            assert!(delta.get(Counter::DeltaFrontierNode) >= 5);
-        } else {
-            assert!(delta.is_empty());
-        }
+        assert_eq!(delta.get(Counter::DeltaFrontierNode), 5);
+        assert_eq!(delta.get(Counter::DeltaPass), 1);
         let table = delta.to_string();
         assert!(table.contains("delta_frontier_nodes"));
         let json = delta.to_json();
-        assert!(json.contains("counters_compiled_in"));
-        // Per-counter keys only when the counters actually exist.
-        assert_eq!(
-            json.contains("\"delta_passes\""),
-            MetricsSnapshot::compiled_in()
-        );
+        assert!(json.starts_with("{\"clean_cache_hits\":"), "{json}");
+        assert!(json.contains("\"delta_passes\":"), "{json}");
     }
 
     #[test]
@@ -292,6 +221,6 @@ mod tests {
         let mut high = MetricsSnapshot::default();
         high.values[0] = 3;
         let diff = MetricsSnapshot::default().since(&high);
-        assert!(diff.is_empty());
+        assert_eq!(diff, MetricsSnapshot::default());
     }
 }

@@ -1,13 +1,11 @@
 //! Observability layer for the ASPP workspace.
 //!
-//! Three independent mechanisms, all free (or compiled away entirely) when
-//! not in use:
+//! Three independent mechanisms, all cheap enough to stay in every build:
 //!
 //! * [`counters`] — global atomic counters for the routing engine's
 //!   performance mechanisms (clean-pass cache hits, delta passes and the
-//!   nodes they visit, audit violations). Compile-time gated
-//!   by the `enabled` feature: without it every bump is an empty `#[inline]`
-//!   function and the instrumented hot paths cost literally nothing.
+//!   nodes they visit, audit violations). Relaxed atomics, bumped at most
+//!   once per pass, batch or command, never per offer.
 //!   [`MetricsSnapshot`] captures the counters for printing (ASCII table or
 //!   JSON) and for before/after diffing.
 //! * [`trace`] — lightweight span tracing. Spans are always compiled in but
@@ -31,11 +29,7 @@
 //! let before = MetricsSnapshot::capture();
 //! counters::incr(counters::Counter::CleanCacheHit);
 //! let delta = MetricsSnapshot::capture().since(&before);
-//! if MetricsSnapshot::compiled_in() {
-//!     assert_eq!(delta.cache_hits(), 1);
-//! } else {
-//!     assert!(delta.is_empty());
-//! }
+//! assert_eq!(delta.cache_hits(), 1);
 //! ```
 
 #![forbid(unsafe_code)]

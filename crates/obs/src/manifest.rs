@@ -70,8 +70,7 @@ pub struct RunManifest {
     /// The whole run's measured wall time, in milliseconds: at least the
     /// sum of `phases`, since not every step of a run is a recorded phase.
     pub total_wall_ms: f64,
-    /// Engine counters accumulated during the run (all-zero when the
-    /// `obs` feature is compiled out — see `"counters_compiled_in"`).
+    /// Engine counters accumulated during the run.
     pub metrics: MetricsSnapshot,
 }
 
@@ -147,11 +146,7 @@ impl RunManifest {
         }
         w.field_raw("wall_ms", &ph.finish());
         w.field_f64("total_wall_ms", self.total_wall_ms);
-        // Without compiled-in counters a metrics block would be all-zero
-        // noise masquerading as a measurement; omit it entirely.
-        if MetricsSnapshot::compiled_in() {
-            w.field_raw("metrics", &self.metrics.to_json());
-        }
+        w.field_raw("metrics", &self.metrics.to_json());
         w.finish()
     }
 
@@ -216,14 +211,10 @@ mod tests {
             "\"strategy_matrix\":[\"StripPadding keep=1\"]",
             "\"fig9\":3.250",
             "\"total_wall_ms\":5.500",
+            "\"metrics\":{\"clean_cache_hits\":0,",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        // The metrics block is present exactly when counters exist.
-        assert_eq!(
-            json.contains("\"metrics\":{"),
-            MetricsSnapshot::compiled_in()
-        );
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl BatchRunner {
             // ever hits; more would keep finished units' passes alive.
             let mut ws = RouteWorkspace::with_cache_capacity(1);
             let mut done: Vec<(usize, T)> = Vec::new();
-            let mut served = 0usize;
+            let mut served = 0u64;
             // Claim whole units off the shared cursor; once it runs dry,
             // finish whatever the other workers are still draining. Cell
             // claims only ever advance, so one forward scan finds it all.
@@ -217,13 +217,11 @@ impl BatchRunner {
                     debug_assert!(ws.cached_passes() <= 1, "a worker hoards clean passes");
                     done.push((i, reduce(i, &outcome)));
                 }
-                if done.len() > before {
-                    served += 1;
-                    // A lone worker has nobody to steal from.
-                    if served > 1 && workers > 1 {
-                        counters::incr(Counter::BatchSteal);
-                    }
-                }
+                served += u64::from(done.len() > before);
+            }
+            // A lone worker has nobody to steal from.
+            if workers > 1 {
+                counters::add(Counter::BatchSteal, served.saturating_sub(1));
             }
             counters::add(Counter::BatchScratchReuse, ws.scratch_reuses());
             done

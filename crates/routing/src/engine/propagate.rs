@@ -122,6 +122,8 @@ pub(super) struct Rules<'a, P> {
     chain: &'a [usize],
     policy: &'a P,
     facts: AttackFacts,
+    /// Offers the policy has refused so far in this pass.
+    pub(super) policy_rejects: u64,
 }
 
 impl<'a, P: DefensePolicy> Rules<'a, P> {
@@ -137,6 +139,7 @@ impl<'a, P: DefensePolicy> Rules<'a, P> {
             chain: attack.map_or(&[][..], |a| &a.chain),
             policy,
             facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
+            policy_rejects: 0,
         }
     }
 
@@ -161,14 +164,18 @@ impl<'a, P: DefensePolicy> Rules<'a, P> {
     /// Whether `node` refuses an attacker-derived offer arriving with class
     /// `class`: it is on the claimed chain (loop prevention) or, under a
     /// policy that is not the compile-time `NOOP`, its [`DefensePolicy`]
-    /// drops it.
+    /// drops it (tallied in `policy_rejects`).
     #[inline]
-    pub(super) fn refuses(&self, node: u32, class: RouteClass) -> bool {
-        self.chain.binary_search(&(node as usize)).is_ok()
-            || (!P::NOOP
-                && !self
-                    .policy
-                    .accepts_attacker_route(node as usize, class, &self.facts))
+    pub(super) fn refuses(&mut self, node: u32, class: RouteClass) -> bool {
+        if self.chain.binary_search(&(node as usize)).is_ok() {
+            return true;
+        }
+        let rejected = !P::NOOP
+            && !self
+                .policy
+                .accepts_attacker_route(node as usize, class, &self.facts);
+        self.policy_rejects += u64::from(rejected);
+        rejected
     }
 }
 

@@ -85,10 +85,18 @@ pub(super) fn full_pass<P: DefensePolicy>(
     propagate::<P, false>(graph, spec, v_idx, attack, policy, None, &mut unread).0
 }
 
+/// What a delta pass did, for the engine's counters.
+pub(super) struct DeltaWork {
+    /// Positions of the propagation order it visited.
+    pub(super) visited: u64,
+    /// Attacker-derived offers its policy refused.
+    pub(super) policy_rejects: u64,
+}
+
 /// The delta pass: the attacked pass `attack` seeds, starting from the
 /// clean table `clean` with only the attacker's neighbors dirty. Returns the
-/// table and the number of positions it visited. `marks` must be
-/// [`reset`](Marks::reset) to the graph's size.
+/// table and the work it did. `marks` must be [`reset`](Marks::reset) to
+/// the graph's size.
 pub(super) fn delta_pass<P: DefensePolicy>(
     graph: &AsGraph,
     spec: &DestinationSpec,
@@ -97,7 +105,7 @@ pub(super) fn delta_pass<P: DefensePolicy>(
     clean: &Pass,
     policy: &P,
     marks: &mut Marks,
-) -> (Pass, u64) {
+) -> (Pass, DeltaWork) {
     propagate::<P, true>(graph, spec, v_idx, Some(attack), policy, Some(clean), marks)
 }
 
@@ -115,7 +123,7 @@ fn propagate<P: DefensePolicy, const SPARSE: bool>(
     policy: &P,
     base: Option<&Pass>,
     marks: &mut Marks,
-) -> (Pass, u64) {
+) -> (Pass, DeltaWork) {
     let mut sweep = Sweep::<P, SPARSE> {
         rules: Rules::new(graph, spec, attack, policy),
         order: graph.propagation_order(),
@@ -145,8 +153,11 @@ fn propagate<P: DefensePolicy, const SPARSE: bool>(
         }
     }
     sweep.climb();
-    let visited = sweep.descend();
-    (sweep.best, visited)
+    let work = DeltaWork {
+        visited: sweep.descend(),
+        policy_rejects: sweep.rules.policy_rejects,
+    };
+    (sweep.best, work)
 }
 
 /// The positions of the propagation order a pass visits (`dirty`), and
@@ -301,7 +312,7 @@ impl<P: DefensePolicy, const SPARSE: bool> Sweep<'_, P, SPARSE> {
     /// Whether node `y` takes the present offer `word`: only
     /// attacker-derived offers are ever refused.
     #[inline]
-    fn takes(&self, y: u32, word: PackedRoute) -> bool {
+    fn takes(&mut self, y: u32, word: PackedRoute) -> bool {
         !word.via_attacker() || !self.rules.refuses(y, word.class())
     }
 

@@ -192,9 +192,10 @@ impl RouteWorkspace {
         }
         self.marks.reset(n);
         self.delta_passes += 1;
+        let (pass, work) = delta_pass(graph, spec, v_idx, seed, clean, policy, &mut self.marks);
         counters::incr(Counter::DeltaPass);
-        let (pass, visited) = delta_pass(graph, spec, v_idx, seed, clean, policy, &mut self.marks);
-        counters::add(Counter::DeltaFrontierNode, visited);
+        counters::add(Counter::DeltaFrontierNode, work.visited);
+        counters::add(Counter::PolicyReject, work.policy_rejects);
         pass
     }
 

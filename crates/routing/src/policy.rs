@@ -80,7 +80,6 @@
 
 use std::sync::Arc;
 
-use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::{Asn, Relationship, RouteClass};
 
@@ -431,8 +430,7 @@ impl DeploymentMap {
 /// One [`PolicyKind`] deployed at a subset of ASes — the concrete
 /// [`DefensePolicy`] the deployment sweeps run. Non-deploying ASes accept
 /// everything (plain Gao–Rexford); deploying ASes apply
-/// [`PolicyKind::accepts`] and feed the `policy_checks` /
-/// `policy_rejects` observability counters.
+/// [`PolicyKind::accepts`].
 ///
 /// # Example: a hand-rolled deployment sweep
 ///
@@ -495,15 +493,7 @@ impl DeployedPolicy {
 impl DefensePolicy for DeployedPolicy {
     #[inline]
     fn accepts_attacker_route(&self, node: usize, class: RouteClass, facts: &AttackFacts) -> bool {
-        if !self.map.deploys(node) {
-            return true;
-        }
-        counters::incr(Counter::PolicyCheck);
-        let ok = self.kind.accepts(class, facts);
-        if !ok {
-            counters::incr(Counter::PolicyReject);
-        }
-        ok
+        !self.map.deploys(node) || self.kind.accepts(class, facts)
     }
 }
 

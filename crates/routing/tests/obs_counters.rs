@@ -5,9 +5,8 @@
 //! serializes on [`LOCK`] — the snapshots taken here never race another
 //! test's engine work.
 //!
-//! Without `--features obs` the counters compile to no-ops; the same
-//! scripted scenarios then assert the regression guarantee that a disabled
-//! build reports an all-zero [`MetricsSnapshot`].
+//! The counts hold with and without `--features debug-audit`: the
+//! engine's own audits and full-pass replays count no engine work.
 
 use std::sync::Mutex;
 
@@ -72,15 +71,11 @@ fn clean_cache_hits_and_misses_match_workspace() {
     let _ = engine.compute_with(&attacked_spec(4), &mut ws);
     let delta = MetricsSnapshot::capture().since(&before);
 
-    if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::CleanCacheHit), 4);
-        assert_eq!(delta.get(Counter::CleanCacheMiss), 2);
-        // The global counters and the workspace's own tallies agree.
-        assert_eq!(delta.cache_hits(), ws.cache_hits());
-        assert_eq!(delta.get(Counter::CleanCacheMiss), ws.cache_misses());
-    } else {
-        assert!(delta.is_empty(), "disabled build must report empty metrics");
-    }
+    assert_eq!(delta.get(Counter::CleanCacheHit), 4);
+    assert_eq!(delta.get(Counter::CleanCacheMiss), 2);
+    // The global counters and the workspace's own tallies agree.
+    assert_eq!(delta.cache_hits(), ws.cache_hits());
+    assert_eq!(delta.get(Counter::CleanCacheMiss), ws.cache_misses());
 }
 
 #[test]
@@ -110,13 +105,10 @@ fn batch_unit_is_one_clean_miss_then_hits() {
     let delta = MetricsSnapshot::capture().since(&before);
 
     assert_eq!(polluted.len(), 16);
-    if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::BatchVictim), 8, "one unit per λ");
-        assert_eq!(delta.get(Counter::CleanCacheMiss), 8);
-        assert_eq!(delta.get(Counter::CleanCacheHit), 8);
-    } else {
-        assert!(delta.is_empty(), "disabled build must report empty metrics");
-    }
+    assert_eq!(delta.get(Counter::BatchVictim), 8, "one unit per λ");
+    assert_eq!(delta.get(Counter::CleanCacheMiss), 8);
+    assert_eq!(delta.get(Counter::CleanCacheHit), 8);
+    assert_eq!(delta.get(Counter::BatchSteal), 0, "a lone worker");
 }
 
 #[test]
@@ -197,25 +189,20 @@ fn delta_pass_counts_are_exact() {
 
     // Every attacked compute is one delta pass.
     assert_eq!(ws.delta_passes(), 9);
-    if MetricsSnapshot::compiled_in() {
-        assert_eq!(unpolicied.get(Counter::DeltaPass), 7);
-        assert_eq!(total.get(Counter::DeltaPass), ws.delta_passes());
-        assert_eq!(unpolicied.get(Counter::DeltaFrontierNode), 7 * 2);
-        assert_eq!((cold, warm, lengthened, poisoned_pass), (2, 2, 2, 2));
-        // One policy check (AS5's), one reject, no node visited.
-        assert_eq!(policied, 0);
-        assert_eq!(policy.get(Counter::DeltaPass), 1);
-        assert_eq!(policy.get(Counter::PolicyCheck), 1);
-        assert_eq!(policy.get(Counter::PolicyReject), 1);
-        // AS6 refuses the offer of its clean parent and then, re-selecting,
-        // the same offer again: two checks, two rejects.
-        assert_eq!(orphaned, 3);
-        assert_eq!(orphan.get(Counter::DeltaPass), 1);
-        assert_eq!(orphan.get(Counter::PolicyCheck), 2);
-        assert_eq!(orphan.get(Counter::PolicyReject), 2);
-    } else {
-        assert!(total.is_empty(), "disabled build must report empty metrics");
-    }
+    assert_eq!(unpolicied.get(Counter::DeltaPass), 7);
+    assert_eq!(total.get(Counter::DeltaPass), ws.delta_passes());
+    assert_eq!(unpolicied.get(Counter::DeltaFrontierNode), 7 * 2);
+    assert_eq!(unpolicied.get(Counter::PolicyReject), 0);
+    assert_eq!((cold, warm, lengthened, poisoned_pass), (2, 2, 2, 2));
+    // One reject (AS5's), no node visited.
+    assert_eq!(policied, 0);
+    assert_eq!(policy.get(Counter::DeltaPass), 1);
+    assert_eq!(policy.get(Counter::PolicyReject), 1);
+    // AS6 refuses the offer of its clean parent and then, re-selecting,
+    // the same offer again: two rejects.
+    assert_eq!(orphaned, 3);
+    assert_eq!(orphan.get(Counter::DeltaPass), 1);
+    assert_eq!(orphan.get(Counter::PolicyReject), 2);
 }
 
 #[test]
@@ -230,23 +217,17 @@ fn dirty_set_counters_track_propagation_work() {
     let before = MetricsSnapshot::capture();
     let _ = engine.compute_with(&DestinationSpec::new(Asn(2)).origin_padding(1), &mut cold);
     let delta = MetricsSnapshot::capture().since(&before);
-    if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::DeltaPass), 0);
-        assert_eq!(delta.get(Counter::DeltaFrontierNode), 0);
-        assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
-    } else {
-        assert!(delta.is_empty(), "disabled build must report empty metrics");
-    }
+    assert_eq!(delta.get(Counter::DeltaPass), 0);
+    assert_eq!(delta.get(Counter::DeltaFrontierNode), 0);
+    assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
 
     // The λ=4 strip: AS5 and AS6 change.
     let before = MetricsSnapshot::capture();
     let _ = engine.compute_with(&attacked_spec(4), &mut cold);
     let delta = MetricsSnapshot::capture().since(&before);
-    if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::DeltaPass), 1);
-        assert_eq!(delta.get(Counter::DeltaFrontierNode), 2);
-        assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
-    }
+    assert_eq!(delta.get(Counter::DeltaPass), 1);
+    assert_eq!(delta.get(Counter::DeltaFrontierNode), 2);
+    assert_eq!(delta.get(Counter::CleanCacheMiss), 1);
 
     // The same delta pass at λ=300 keeping 256 origin copies: lengths are
     // no bound on the loop, which visits the same two nodes.
@@ -258,10 +239,8 @@ fn dirty_set_counters_track_propagation_work() {
     let before = MetricsSnapshot::capture();
     let _ = engine.compute_with(&spec, &mut cold);
     let delta = MetricsSnapshot::capture().since(&before);
-    if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::DeltaPass), 1);
-        assert_eq!(delta.get(Counter::DeltaFrontierNode), 2);
-    }
+    assert_eq!(delta.get(Counter::DeltaPass), 1);
+    assert_eq!(delta.get(Counter::DeltaFrontierNode), 2);
 }
 
 #[test]
@@ -271,16 +250,14 @@ fn audit_counters_record_checks_and_violations() {
     let engine = RoutingEngine::new(&graph);
     let mut ws = RouteWorkspace::new();
 
-    let before = MetricsSnapshot::capture();
+    // The compute stays outside the bracket: under `debug-audit` the
+    // engine audits its own outcome too.
     let outcome = engine.compute_with(&attacked_spec(3), &mut ws);
+    let before = MetricsSnapshot::capture();
     let report = aspp_routing::audit::audit_outcome(&outcome);
-    assert!(report.is_clean());
     let delta = MetricsSnapshot::capture().since(&before);
 
-    if MetricsSnapshot::compiled_in() {
-        assert_eq!(delta.get(Counter::AuditCheck), 1);
-        assert_eq!(delta.get(Counter::AuditViolation), 0);
-    } else {
-        assert!(delta.is_empty(), "disabled build must report empty metrics");
-    }
+    assert!(report.is_clean());
+    assert_eq!(delta.get(Counter::AuditCheck), 1);
+    assert_eq!(delta.get(Counter::AuditViolation), 0);
 }

@@ -246,9 +246,9 @@ pub fn estimate_with(graph: &AsGraph, config: &EstimatorConfig, runner: &BatchRu
         .map(|(v, m, _)| spec_for(config, *v, *m))
         .collect();
     let measured: Vec<(f64, f64)> = runner.run(graph, &specs, |i, outcome| {
-        counters::incr(Counter::McSample);
         measure(outcome, config, draws[i].2.as_deref())
     });
+    counters::add(Counter::McSample, specs.len() as u64);
 
     let points: Vec<SamplePoint> = draws
         .iter()
@@ -300,10 +300,9 @@ pub fn exact_enumeration(
         })
         .collect();
     let specs: Vec<DestinationSpec> = cells.iter().map(|&(v, m)| spec_for(config, v, m)).collect();
-    let measured: Vec<(f64, f64)> = runner.run(graph, &specs, |_, outcome| {
-        counters::incr(Counter::McSample);
-        measure(outcome, config, None)
-    });
+    let measured: Vec<(f64, f64)> =
+        runner.run(graph, &specs, |_, outcome| measure(outcome, config, None));
+    counters::add(Counter::McSample, specs.len() as u64);
     let pollution: Vec<f64> = measured.iter().map(|&(p, _)| p).collect();
     let interception: Vec<f64> = measured.iter().map(|&(_, i)| i).collect();
     ExactEnumeration {
@@ -328,9 +327,9 @@ fn bootstrap_ci(values: &[f64], resamples: usize, rng: &mut StdRng) -> (f64, f64
         let m = mean(values);
         return (m, m);
     }
+    counters::add(Counter::McResample, resamples as u64);
     let mut means = Vec::with_capacity(resamples);
     for _ in 0..resamples {
-        counters::incr(Counter::McResample);
         let sum: f64 = (0..values.len())
             .map(|_| values[rng.gen_range(0..values.len())])
             .sum();

@@ -99,12 +99,30 @@ fn estimate_exact_runs_on_the_requested_workers_with_identical_output() {
     };
     let (serial, metrics) = run("1");
     assert_eq!(serial, run("2").0);
-    // With the counters compiled in (`--features obs`): one worker claims
-    // every victim in turn and never steals, in the estimate and in the
-    // exact enumeration alike.
-    if metrics.contains("\"counters_compiled_in\":true") {
-        assert!(metrics.contains("\"batch_steals\":0"), "{metrics}");
-    }
+    // One worker claims every victim in turn and never steals, in the
+    // estimate and in the exact enumeration alike.
+    assert!(metrics.contains("\"batch_steals\":0"), "{metrics}");
+}
+
+#[test]
+fn default_build_reports_engine_counters() {
+    let out = aspp(&[
+        "impact",
+        "--scale",
+        "smoke",
+        "--figure",
+        "12",
+        "--seed",
+        "2024",
+        "--metrics",
+        "json",
+    ]);
+    assert!(out.status.success());
+    let metrics = String::from_utf8_lossy(&out.stderr);
+    // Figure 12 sweeps λ per pair under both export modes: the second mode
+    // of each λ is served from the clean-pass cache.
+    assert!(metrics.contains("\"clean_cache_hits\":"), "{metrics}");
+    assert!(!metrics.contains("\"clean_cache_hits\":0,"), "{metrics}");
 }
 
 #[test]

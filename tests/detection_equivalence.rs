@@ -6,8 +6,7 @@
 //! must compute each drawn experiment's equilibrium at most once.
 //!
 //! The last check reads the process-global `aspp-obs` counters, so every
-//! test here serializes on [`LOCK`] (the `obs_counters.rs` convention);
-//! without `--features obs` it asserts the all-zero snapshot instead.
+//! test here serializes on [`LOCK`] (the `obs_counters.rs` convention).
 
 use std::sync::Mutex;
 
@@ -141,17 +140,13 @@ fn vantage_selection_computes_each_drawn_experiment_at_most_once() {
     let delta = MetricsSnapshot::capture().since(&before);
     assert_eq!(study.comparisons.len(), 2);
 
-    if MetricsSnapshot::compiled_in() {
-        // Smoke scale draws 12 training + 12 held-out experiments. Each half
-        // is one batch, prepared once for both budgets and all three
-        // strategies: at most one steal unit, one clean pass and one
-        // attacked pass per experiment drawn.
-        let drawn = 24;
-        let units = delta.get(Counter::BatchVictim);
-        assert!((1..=drawn).contains(&units), "batch_victims = {units}");
-        let clean = delta.get(Counter::CleanCacheHit) + delta.get(Counter::CleanCacheMiss);
-        assert_eq!(clean, drawn, "one equilibrium per experiment");
-    } else {
-        assert!(delta.is_empty());
-    }
+    // Smoke scale draws 12 training + 12 held-out experiments. Each half
+    // is one batch, prepared once for both budgets and all three
+    // strategies: at most one steal unit, one clean pass and one attacked
+    // pass per experiment drawn.
+    let drawn = 24;
+    let units = delta.get(Counter::BatchVictim);
+    assert!((1..=drawn).contains(&units), "batch_victims = {units}");
+    let clean = delta.get(Counter::CleanCacheHit) + delta.get(Counter::CleanCacheMiss);
+    assert_eq!(clean, drawn, "one equilibrium per experiment");
 }
