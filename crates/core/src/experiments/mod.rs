@@ -34,19 +34,18 @@ use aspp_topology::gen::InternetConfig;
 use aspp_topology::AsGraph;
 
 /// Experiment scale: `Smoke` for fast CI runs, `Paper` for the sizes the
-/// figures in `EXPERIMENTS.md` were produced at, `Internet` for
-/// routing-system scale (~80k ASes), and `InternetSmoke` for its CI-sized
-/// ~20k cut.
+/// figures in `EXPERIMENTS.md` were produced at, and `Internet` for
+/// routing-system scale (~80k ASes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// ~150-AS Internet, reduced instance counts; seconds end-to-end.
     Smoke,
     /// ~1500-AS Internet, paper-matching instance counts.
     Paper,
-    /// ~80,000-AS Internet; instance counts cut to keep runs in minutes.
+    /// ~80,000-AS Internet; instance counts cut so that a run takes about
+    /// a second (`impact`, `sweep`, `defense`, `estimate`, `scenario`:
+    /// 0.4–0.5 s in release on 2 cores at seed 2024).
     Internet,
-    /// ~20,000-AS Internet; the `Internet` tier shrunk for CI.
-    InternetSmoke,
 }
 
 impl Scale {
@@ -57,7 +56,6 @@ impl Scale {
             Scale::Smoke => InternetConfig::small().seed(seed).build(),
             Scale::Paper => InternetConfig::medium().seed(seed).build(),
             Scale::Internet => InternetConfig::internet().seed(seed).build(),
-            Scale::InternetSmoke => InternetConfig::internet_smoke().seed(seed).build(),
         }
     }
 
@@ -68,7 +66,6 @@ impl Scale {
             Scale::Smoke => 10,
             Scale::Paper => 80,
             Scale::Internet => 6,
-            Scale::InternetSmoke => 6,
         }
     }
 
@@ -79,7 +76,6 @@ impl Scale {
             Scale::Smoke => 8,
             Scale::Paper => 27,
             Scale::Internet => 6,
-            Scale::InternetSmoke => 6,
         }
     }
 
@@ -91,7 +87,6 @@ impl Scale {
             Scale::Smoke => 15,
             Scale::Paper => 200,
             Scale::Internet => 12,
-            Scale::InternetSmoke => 10,
         }
     }
 
@@ -102,7 +97,6 @@ impl Scale {
             Scale::Smoke => vec![5, 20, 60],
             Scale::Paper => vec![10, 30, 50, 70, 100, 150, 200, 300],
             Scale::Internet => vec![10, 50, 100, 200],
-            Scale::InternetSmoke => vec![5, 20, 60],
         }
     }
 
@@ -113,7 +107,6 @@ impl Scale {
             Scale::Smoke => 30,
             Scale::Paper => 150,
             Scale::Internet => 100,
-            Scale::InternetSmoke => 30,
         }
     }
 
@@ -124,7 +117,6 @@ impl Scale {
             Scale::Smoke => 60,
             Scale::Paper => 400,
             Scale::Internet => 80,
-            Scale::InternetSmoke => 40,
         }
     }
 
@@ -138,7 +130,6 @@ impl Scale {
             Scale::Smoke => 4,
             Scale::Paper => 8,
             Scale::Internet => 3,
-            Scale::InternetSmoke => 3,
         }
     }
 
@@ -149,7 +140,6 @@ impl Scale {
             Scale::Smoke => 4,
             Scale::Paper => 8,
             Scale::Internet => 3,
-            Scale::InternetSmoke => 2,
         }
     }
 
@@ -160,7 +150,6 @@ impl Scale {
             Scale::Smoke => 40,
             Scale::Paper => 120,
             Scale::Internet => 160,
-            Scale::InternetSmoke => 60,
         }
     }
 
@@ -169,7 +158,7 @@ impl Scale {
     #[must_use]
     pub fn selection_sizes(self) -> (usize, Vec<usize>) {
         match self {
-            Scale::Smoke | Scale::InternetSmoke => (12, vec![4, 10]),
+            Scale::Smoke => (12, vec![4, 10]),
             Scale::Paper => (40, vec![10, 30, 70]),
             Scale::Internet => (16, vec![10, 30]),
         }
@@ -182,19 +171,17 @@ impl Scale {
             Scale::Smoke => 20,
             Scale::Paper => 45,
             Scale::Internet => 30,
-            Scale::InternetSmoke => 20,
         }
     }
 
     /// Cap on the sources probed per scenario step for the longest-prefix-
     /// match capture fraction (`None` probes every AS). Capped at the
-    /// Internet tiers, where 80k per-step walks would dominate wall time.
+    /// Internet tier, where 80k per-step walks would dominate wall time.
     #[must_use]
     pub fn scenario_capture_sources(self) -> Option<usize> {
         match self {
             Scale::Smoke | Scale::Paper => None,
             Scale::Internet => Some(2000),
-            Scale::InternetSmoke => Some(500),
         }
     }
 
@@ -207,7 +194,6 @@ impl Scale {
             Scale::Smoke => (10, 10),
             Scale::Paper => (25, 25),
             Scale::Internet => (40, 40),
-            Scale::InternetSmoke => (20, 20),
         }
     }
 
@@ -219,7 +205,6 @@ impl Scale {
             Scale::Smoke => 120,
             Scale::Paper => 1000,
             Scale::Internet => 600,
-            Scale::InternetSmoke => 200,
         }
     }
 
@@ -233,14 +218,13 @@ impl Scale {
     }
 
     /// Per-sample vantage-subset size for the estimator (`None` measures
-    /// the full population; the Internet tiers subsample as Sermpezis et
+    /// the full population; the Internet tier subsamples as Sermpezis et
     /// al. do with real vantage points).
     #[must_use]
     pub fn estimator_vantages(self) -> Option<usize> {
         match self {
             Scale::Smoke | Scale::Paper => None,
             Scale::Internet => Some(1000),
-            Scale::InternetSmoke => Some(500),
         }
     }
 }

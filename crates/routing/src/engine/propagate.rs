@@ -194,7 +194,7 @@ mod tests {
     /// delta passes, and both equal the all-dirty run.
     #[test]
     fn wide_and_narrow_delta_passes_match_the_full_pass() {
-        let graph = InternetConfig::internet_smoke().seed(2024).build();
+        let graph = InternetConfig::internet().seed(2024).build();
         let engine = RoutingEngine::new(&graph);
         let mut ws = RouteWorkspace::new();
         let cell = |attacker| {

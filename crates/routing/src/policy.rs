@@ -15,12 +15,11 @@
 //! The policy hook is monomorphized. [`NoDefense`] sets
 //! [`DefensePolicy::NOOP`] to `true` and the engine guards every policy
 //! check behind `!P::NOOP`, a compile-time constant — with the default
-//! policy the generated hot-path code is identical to the pre-policy
-//! engine, which is why
+//! policy the generated hot-path code has no policy check at all, and
 //! [`RoutingEngine::compute_with`](crate::RoutingEngine::compute_with)
-//! carries no
-//! measurable overhead and stays bit-identical (pinned by
-//! `tests/defense_equivalence.rs` and the `fig9_sweep_internet` bench).
+//! computes the same equilibrium as an empty deployment (pinned by
+//! `tests/defense_equivalence.rs`); the benchmark's `impact-internet` and
+//! `estimate-internet` workloads time that default path.
 //!
 //! # The modeled filters
 //!

@@ -41,7 +41,6 @@ pub const CONTENT_BASE: u32 = 90_000;
 ///
 /// Use one of the presets ([`small`](InternetConfig::small),
 /// [`medium`](InternetConfig::medium),
-/// [`internet_smoke`](InternetConfig::internet_smoke),
 /// [`internet`](InternetConfig::internet)) and refine with the builder
 /// methods.
 ///
@@ -140,28 +139,6 @@ impl InternetConfig {
             tier2_tier1_peer_prob: 0.2,
             tier3_peer_prob: 0.003,
             content_peer_fraction: 0.015,
-            seed: 0,
-        }
-    }
-
-    /// ~20,000-AS Internet: the CI-sized cut of
-    /// [`internet`](Self::internet) (the `--scale internet-smoke` tier),
-    /// preserving its tier proportions and density character.
-    #[must_use]
-    pub fn internet_smoke() -> Self {
-        InternetConfig {
-            num_tier1: 15,
-            num_tier2: 1_200,
-            num_tier3: 4_000,
-            num_stubs: 14_600,
-            num_content: 185,
-            tier2_provider_range: (2, 4),
-            tier3_provider_range: (1, 3),
-            stub_provider_range: (1, 2),
-            tier2_peer_prob: 0.03,
-            tier2_tier1_peer_prob: 0.2,
-            tier3_peer_prob: 0.004,
-            content_peer_fraction: 0.02,
             seed: 0,
         }
     }
@@ -781,31 +758,22 @@ mod tests {
     }
 
     #[test]
-    fn preset_fingerprints_are_pinned() {
-        // The topologies of `aspp gen --scale smoke|paper|internet-smoke
-        // --seed 2024`, which the checked-in results were computed on.
-        for (cfg, want) in [
+    fn preset_fingerprints_are_pinned_and_the_internet_is_well_formed() {
+        // The topologies of `aspp gen --scale smoke|paper|internet --seed
+        // 2024`, which the checked-in results were computed on.
+        let [.., g] = [
             (InternetConfig::small(), 0x8225_a0ce_9ce3_02c1),
             (InternetConfig::medium(), 0xedfe_acae_17eb_a5c6),
-            (InternetConfig::internet_smoke(), 0xcd70_1175_83c4_b5c7),
-        ] {
-            assert_eq!(cfg.seed(2024).build().fingerprint(), want);
-        }
-    }
-
-    #[test]
-    fn internet_presets_are_sized_to_their_tiers() {
-        assert_eq!(InternetConfig::internet().total_ases(), 80_000);
-        assert_eq!(InternetConfig::internet_smoke().total_ases(), 20_000);
-    }
-
-    #[test]
-    fn internet_smoke_builds_a_well_formed_graph() {
-        let cfg = InternetConfig::internet_smoke().seed(13);
-        let g = cfg.build();
-        assert_eq!(g.len(), 20_000);
+            (InternetConfig::internet(), 0xb0f3_3d03_c69e_07e4),
+        ]
+        .map(|(cfg, want)| {
+            let g = cfg.seed(2024).build();
+            assert_eq!(g.fingerprint(), want);
+            g
+        });
+        assert_eq!(g.len(), 80_000);
         let tiers = TierMap::classify(&g);
-        assert_eq!(tiers.tier1().count(), 15);
+        assert_eq!(tiers.tier1().count(), 20);
         assert!(tiers.verify_tier1_clique(&g).is_ok());
         // No self-links or duplicate links anywhere, including the sampled
         // peering and unchecked provider-attachment fast paths.
@@ -823,8 +791,7 @@ mod tests {
         // Every non-tier-1 AS bought transit, so the graph hangs together
         // through the core.
         for asn in g.asns() {
-            let is_tier1 = (TIER1_BASE..TIER1_BASE + 100).contains(&asn.value());
-            if !is_tier1 {
+            if !(TIER1_BASE..TIER2_BASE).contains(&asn.value()) {
                 assert!(
                     g.providers(asn).next().is_some(),
                     "AS{asn} should have a provider"

@@ -172,7 +172,6 @@ fn builder_presets_scale_monotonically() {
     let presets = [
         InternetConfig::small(),
         InternetConfig::medium(),
-        InternetConfig::internet_smoke(),
         InternetConfig::internet(),
     ];
     for pair in presets.windows(2) {

@@ -298,11 +298,10 @@ const COMMANDS: &[Command] = &[
 ];
 
 /// The scale names `--scale` accepts, and the manifest's label for each.
-const SCALES: [(&str, Scale); 4] = [
+const SCALES: [(&str, Scale); 3] = [
     ("smoke", Scale::Smoke),
     ("paper", Scale::Paper),
     ("internet", Scale::Internet),
-    ("internet-smoke", Scale::InternetSmoke),
 ];
 
 /// The `aspp help` text, generated from [`COMMANDS`].
@@ -346,8 +345,8 @@ fn usage_text() -> String {
         .map(|c| c.name)
         .collect();
     text.push_str(&format!(
-        "\nSCALES ({}):\n  --scale {}   (~150 / ~1.5k / ~80k / ~20k\n  \
-         ASes; --paper is shorthand for --scale paper)\n\n\
+        "\nSCALES ({}):\n  --scale {}   (~150 / ~1.5k / ~80k ASes;\n  \
+         --paper is shorthand for --scale paper)\n\n\
          OBSERVABILITY (every subcommand; see README.md):\n  \
          --trace-json PATH     write span timings as JSON lines to PATH\n  \
          --metrics table|json  print an engine-counter snapshot to stderr\n  \
@@ -776,15 +775,33 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
     use aspp_core::feed::{decode_records, decode_records_lenient, encode_records, run_feed};
     use std::sync::Arc;
 
+    // Each mode reads only its own flags; one of the other mode's is an
+    // error, not a no-op. Checked before the topology is built.
+    const SYNTHESIS: [&str; 6] = [
+        "--prefixes",
+        "--monitors",
+        "--attack-ratio",
+        "--withdraw-ratio",
+        "--out",
+        "--corpus-out",
+    ];
+    if run.has("--in") {
+        if let Some(flag) = SYNTHESIS.into_iter().find(|f| run.has(f)) {
+            return Err(format!("{flag} cannot be combined with --in FILE"));
+        }
+        if !run.has("--corpus") {
+            return Err("--in requires --corpus FILE (the RIB seed corpus)".into());
+        }
+    } else if let Some(flag) = ["--corpus", "--lenient"].into_iter().find(|f| run.has(f)) {
+        return Err(format!("{flag} requires --in FILE"));
+    }
     let shards = run.threads("--shards")?.unwrap_or(4).max(1);
     let graph = run.internet();
 
     // Acquire the stream: decode a wire file, or synthesize one.
     let t0 = Instant::now();
-    let (seeds, updates, attacks) = if let Some(path) = run.value("--in") {
-        let corpus_path = run
-            .value("--corpus")
-            .ok_or("--in requires --corpus FILE (the RIB seed corpus)")?;
+    let replay = run.value("--in").zip(run.value("--corpus"));
+    let (seeds, updates, attacks) = if let Some((path, corpus_path)) = replay {
         let text = std::fs::read_to_string(corpus_path)
             .map_err(|e| format!("reading {corpus_path}: {e}"))?;
         let seeds = Corpus::parse_strict(&text).map_err(|e| format!("{corpus_path}: {e}"))?;

@@ -1,7 +1,7 @@
 //! Counter-backed guarantee that `RouteWorkspace` scratch state is reused:
 //! once warm, repeated `compute_with` calls perform a fixed number of
-//! allocations per round — the bucket-queue scheduler, the chain mask, and
-//! the clean-pass cache must not be regrown call after call.
+//! allocations per round — the sweep's dirty and stale marks and the
+//! clean-pass cache must not be regrown call after call.
 //!
 //! The allocator counts per thread: the test harness's own threads
 //! allocate concurrently with the test (the thread that spawned it records
@@ -73,9 +73,9 @@ fn warm_workspace_rounds_allocate_identically() {
     let graph = InternetConfig::small().seed(41).build();
     let mut ws = RouteWorkspace::new();
 
-    // Two warm-up rounds: the first grows the scheduler buckets, the chain
-    // mask, and the clean-pass cache to their steady-state sizes; the
-    // second flushes any one-off lazy growth.
+    // Two warm-up rounds: the first grows the sweep's marks and the
+    // clean-pass cache to their steady-state sizes; the second flushes any
+    // one-off lazy growth.
     run_round(&graph, &mut ws);
     run_round(&graph, &mut ws);
 
@@ -94,7 +94,7 @@ fn warm_workspace_rounds_allocate_identically() {
 
     // `clear()` keeps allocations: the next round may re-fill the clean
     // cache (those passes are freshly computed either way) but must not
-    // regrow the scheduler — so a post-clear round can never allocate more
+    // regrow the marks — so a post-clear round can never allocate more
     // than the very first cold round did.
     let cold = {
         let mut fresh = RouteWorkspace::new();

@@ -304,6 +304,74 @@ fn feed_ratio_flags_reject_values_outside_the_unit_interval() {
 }
 
 #[test]
+fn feed_replay_flags_require_in() {
+    // Without --in the stream is synthesized; a replay flag used to be
+    // ignored, and the run exited 0 without reading the file it names.
+    for args in [&["--lenient"][..], &["--corpus", "/nonexistent/seeds.txt"]] {
+        let out = aspp(&[&["feed", "--scale", "smoke"][..], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{} requires --in FILE", args[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn feed_synthesis_flags_are_refused_with_in() {
+    // With --in the stream is replayed; a synthesis flag used to be
+    // ignored, so `--out` wrote nothing and the run exited 0.
+    let dir = std::env::temp_dir().join("aspp_cli_feed_modes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let written = dir.join("never_written.bin");
+    let written = written.to_str().unwrap();
+    let replay = "feed --in /nonexistent/s.bin --corpus /nonexistent/c.txt";
+    for (flag, value) in [
+        ("--prefixes", "999"),
+        ("--monitors", "5"),
+        ("--attack-ratio", "0.9"),
+        ("--withdraw-ratio", "0.1"),
+        ("--out", written),
+        ("--corpus-out", written),
+    ] {
+        let args: Vec<&str> = replay.split(' ').chain([flag, value]).collect();
+        let out = aspp(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} cannot be combined with --in FILE")),
+            "{flag}: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(written).exists());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn scales_are_named_and_unknown_ones_refused() {
+    for name in ["internet-smoke", "galactic"] {
+        let out = aspp(&["impact", "--scale", name]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "unknown scale {name:?} (expected smoke, paper, internet)"
+            )),
+            "{name}: {stderr}"
+        );
+    }
+    let dir = std::env::temp_dir().join("aspp_cli_scales");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("gen_paper.json");
+    let out = aspp(&["gen", "--paper", "--manifest", file.to_str().unwrap()]);
+    assert!(out.status.success());
+    let manifest = std::fs::read_to_string(&file).unwrap();
+    std::fs::remove_dir_all(dir).ok();
+    assert!(manifest.contains("\"scale\":\"paper\""), "{manifest}");
+}
+
+#[test]
 fn corpus_then_measure_round_trips() {
     let dir = std::env::temp_dir().join("aspp_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
