@@ -566,16 +566,17 @@ fn cmd_usage(run: &mut Run) -> Result<(), String> {
 
 fn cmd_impact(run: &mut Run) -> Result<(), String> {
     let (scale, seed) = (run.scale, run.seed);
-    let graph = run.internet();
     let which = run.value("--figure").unwrap_or("all");
-    let mut printed = false;
+    if !matches!(which, "all" | "7" | "8" | "9" | "10" | "11" | "12") {
+        return Err(format!("unknown figure {which:?} (use 7..12 or all)"));
+    }
+    let graph = run.internet();
     let mut figure = |name: &str, strategy: &str, text: &dyn Fn() -> String| {
         if which == "all" || which == name {
             let t0 = Instant::now();
             out!("{}", text());
             run.manifest.push_phase(&format!("fig{name}"), ms(t0));
             run.manifest.push_strategy(strategy);
-            printed = true;
         }
     };
     figure("7", "fig7: tier1 pairs, StripPadding sweep", &|| {
@@ -596,11 +597,7 @@ fn cmd_impact(run: &mut Run) -> Result<(), String> {
     figure("12", "fig12: small victim vs small attacker", &|| {
         impact::fig12(&graph).render()
     });
-    if printed {
-        Ok(())
-    } else {
-        Err(format!("unknown figure {which:?} (use 7..12 or all)"))
-    }
+    Ok(())
 }
 
 fn cmd_detection(run: &mut Run) -> Result<(), String> {
@@ -646,13 +643,6 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
     }
     let padding = run.lambda("--padding")?.unwrap_or(3);
     let keep = run.parsed::<usize>("--keep")?.unwrap_or(1);
-    let graph = run.internet();
-    for (role, asn) in [("victim", victim), ("attacker", attacker)] {
-        if !graph.contains(asn) {
-            return Err(format!("{role} AS{asn} not in the generated topology"));
-        }
-    }
-
     let strategy = match run.value("--strategy").unwrap_or("strip") {
         "strip" => AttackStrategy::StripPadding { keep },
         "strip-all" => AttackStrategy::StripAllPadding,
@@ -670,6 +660,12 @@ fn cmd_simulate(run: &mut Run) -> Result<(), String> {
     } else {
         ExportMode::Compliant
     };
+    let graph = run.internet();
+    for (role, asn) in [("victim", victim), ("attacker", attacker)] {
+        if !graph.contains(asn) {
+            return Err(format!("{role} AS{asn} not in the generated topology"));
+        }
+    }
 
     run.manifest.push_strategy(&format!(
         "victim=AS{victim} attacker=AS{attacker} {strategy:?} {mode:?} padding={padding}"
@@ -715,6 +711,12 @@ fn cmd_corpus(run: &mut Run) -> Result<(), String> {
     run.write_out(&corpus.to_text())?;
     out!("wrote {out}: {}", corpus_counts(&corpus));
     Ok(())
+}
+
+/// Reads and strictly parses the corpus file at `path`.
+fn read_corpus(path: &str) -> Result<Corpus, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    Corpus::parse_strict(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn corpus_counts(corpus: &Corpus) -> String {
@@ -796,15 +798,19 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
         return Err(format!("{flag} requires --in FILE"));
     }
     let shards = run.threads("--shards")?.unwrap_or(4).max(1);
+    let prefixes = run.parsed("--prefixes")?;
+    let synthesis = ReplayConfig::new(prefixes.unwrap_or(run.scale.feed_prefixes()))
+        .monitors_top_degree(run.parsed("--monitors")?.unwrap_or(30))
+        .attack_ratio(run.ratio("--attack-ratio")?.unwrap_or(0.15))
+        .withdraw_ratio(run.ratio("--withdraw-ratio")?.unwrap_or(0.3))
+        .seed(run.seed);
     let graph = run.internet();
 
     // Acquire the stream: decode a wire file, or synthesize one.
     let t0 = Instant::now();
     let replay = run.value("--in").zip(run.value("--corpus"));
     let (seeds, updates, attacks) = if let Some((path, corpus_path)) = replay {
-        let text = std::fs::read_to_string(corpus_path)
-            .map_err(|e| format!("reading {corpus_path}: {e}"))?;
-        let seeds = Corpus::parse_strict(&text).map_err(|e| format!("{corpus_path}: {e}"))?;
+        let seeds = read_corpus(corpus_path)?;
         let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
         let updates = if run.has("--lenient") {
             let (updates, report) = decode_records_lenient(&bytes);
@@ -818,18 +824,7 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
         };
         (seeds, updates, 0)
     } else {
-        let prefixes = run
-            .parsed::<usize>("--prefixes")?
-            .unwrap_or(run.scale.feed_prefixes());
-        let monitors = run.parsed::<usize>("--monitors")?.unwrap_or(30);
-        let attack_ratio = run.ratio("--attack-ratio")?.unwrap_or(0.15);
-        let withdraw_ratio = run.ratio("--withdraw-ratio")?.unwrap_or(0.3);
-        let feed = ReplayConfig::new(prefixes)
-            .monitors_top_degree(monitors)
-            .attack_ratio(attack_ratio)
-            .withdraw_ratio(withdraw_ratio)
-            .seed(run.seed)
-            .generate(&graph);
+        let feed = synthesis.generate(&graph);
         if let Some(path) = run.value("--out") {
             let bytes = encode_records(feed.updates());
             std::fs::write(path, &bytes).map_err(|e| format!("writing {path}: {e}"))?;
@@ -935,25 +930,25 @@ fn cmd_serve(run: &mut Run) -> Result<(), String> {
     use std::sync::Arc;
 
     let shards = run.threads("--shards")?.unwrap_or(4).max(1);
+    let every = run.parsed::<u64>("--checkpoint-every")?;
+    if every.is_some() && !run.has("--checkpoint") {
+        return Err("--checkpoint-every requires --checkpoint FILE".into());
+    }
+    let seeds = run.value("--corpus").map(read_corpus).transpose()?;
     let graph = run.internet();
     run.manifest
         .push_strategy(&format!("serve shards={shards}"));
 
     let mut engine = FeedEngine::new(Arc::new(graph), &FeedConfig::new(shards));
-    if let Some(path) = run.value("--corpus") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let seeds = Corpus::parse_strict(&text).map_err(|e| format!("{path}: {e}"))?;
-        engine.seed_from_corpus(&seeds);
+    if let Some(seeds) = &seeds {
+        engine.seed_from_corpus(seeds);
     }
 
     let mut service = DetectionService::new(engine);
     if let Some(path) = run.value("--checkpoint") {
         service = service.checkpoint_file(path);
     }
-    if let Some(every) = run.parsed::<u64>("--checkpoint-every")? {
-        if !run.has("--checkpoint") {
-            return Err("--checkpoint-every requires --checkpoint FILE".into());
-        }
+    if let Some(every) = every {
         service = service.checkpoint_every(every);
     }
     if let Some(path) = run.value("--restore") {
@@ -1229,9 +1224,7 @@ fn cmd_gen(run: &mut Run) -> Result<(), String> {
 }
 
 fn cmd_measure(run: &mut Run) -> Result<(), String> {
-    let path = run.positional.ok_or("a corpus FILE is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let corpus = Corpus::parse_strict(&text).map_err(|e| format!("{path}: {e}"))?;
+    let corpus = read_corpus(run.positional.ok_or("a corpus FILE is required")?)?;
     let summary = measure::usage_summary(&corpus);
     out!(
         "monitors: {}   table entries: {}   updates: {}",

@@ -287,6 +287,100 @@ fn thread_counts_are_bounded_where_they_enter() {
 }
 
 #[test]
+fn flag_values_are_checked_before_the_topology_is_built() {
+    // Each of these used to fail only after the topology was built, which
+    // the manifest showed: it recorded the 149-AS `topology`.
+    let dir = std::env::temp_dir().join("aspp_cli_flags_first");
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("run.json");
+    let manifest = manifest.to_str().unwrap();
+    let cases: [(&str, &str); 7] = [
+        (
+            "serve --checkpoint-every 5",
+            "--checkpoint-every requires --checkpoint FILE",
+        ),
+        (
+            "serve --checkpoint-every x",
+            "invalid value for --checkpoint-every: \"x\"",
+        ),
+        ("serve --corpus /nonexistent", "reading /nonexistent"),
+        ("feed --attack-ratio 2", "--attack-ratio 2 outside [0, 1]"),
+        ("feed --prefixes x", "invalid value for --prefixes: \"x\""),
+        (
+            "impact --figure 13",
+            "unknown figure \"13\" (use 7..12 or all)",
+        ),
+        (
+            "simulate --victim 20000 --attacker 100 --strategy poison",
+            "--strategy poison requires --poison ASN",
+        ),
+    ];
+    for (args, error) in cases {
+        let args: Vec<&str> = args.split(' ').collect();
+        let common = ["--scale", "smoke", "--manifest", manifest];
+        let out = aspp(&[&args[..], &common].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {error}")),
+            "{args:?}: {stderr}"
+        );
+        let written = std::fs::read_to_string(manifest).unwrap();
+        assert!(
+            !written.contains("\"topology\""),
+            "{args:?} built the topology: {written}"
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn defense_list_flags_are_checked_item_by_item() {
+    let defense = ["defense", "--scale", "smoke", "--pairs", "1"];
+    for (flag, value, error) in [
+        (
+            "--policy",
+            "rov,bogus",
+            "unknown policy \"bogus\" (expected rov, aspa, peerlock, first-as)",
+        ),
+        (
+            "--deploy",
+            "sideways",
+            "unknown deployment strategy \"sideways\" (expected random, by-tier, top-degree)",
+        ),
+        ("--fractions", "0,1.5", "fraction 1.5 outside [0, 1]"),
+        ("--fractions", "0,x", "invalid fraction \"x\""),
+    ] {
+        let out = aspp(&[&defense[..], &[flag, value]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {error}")),
+            "{flag} {value}: {stderr}"
+        );
+    }
+    let dir = std::env::temp_dir().join("aspp_cli_defense_lists");
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("defense.json");
+    let lists = "--policy rov --deploy top-degree --fractions 0,1 --manifest";
+    let args: Vec<&str> = lists.split(' ').collect();
+    let out = aspp(&[&defense[..], &args, &[manifest.to_str().unwrap()]].concat());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::remove_dir_all(dir).ok();
+    assert!(
+        written.contains(
+            "\"defense grid: 1 policies x 1 strategies x 2 fractions x 1 pairs (lambda=3)\""
+        ),
+        "{written}"
+    );
+}
+
+#[test]
 fn feed_ratio_flags_reject_values_outside_the_unit_interval() {
     // NaN slips through `clamp` into the generator's Bernoulli draws, which
     // panicked (exit 101) before the flags were checked where they enter.

@@ -1,7 +1,8 @@
 //! Integration of the relationship-inference pipeline (paper Section IV-A):
 //! observed monitor paths → Gao / degree / consensus inference → accuracy
-//! against the generator's ground truth.
+//! against the generator's ground truth, and Figure 7 on the inferred graph.
 
+use aspp_core::experiments::{impact, Scale};
 use aspp_core::prelude::*;
 use aspp_core::topology::infer::{
     consensus_infer, degree_infer, gao_infer, InferParams, InferenceAccuracy,
@@ -25,19 +26,62 @@ fn observed_paths(graph: &AsGraph, destinations: &[Asn]) -> Vec<AsPath> {
     paths
 }
 
+/// Every pair of `graph`'s tier-1 ASes: the clique the inference is seeded
+/// with.
+fn tier1_clique(graph: &AsGraph) -> Vec<(Asn, Asn)> {
+    let mut t1: Vec<Asn> = TierMap::classify(graph).tier1().collect();
+    t1.sort();
+    t1.iter()
+        .enumerate()
+        .flat_map(|(i, &a)| t1[i + 1..].iter().map(move |&b| (a, b)))
+        .collect()
+}
+
 fn setup() -> (AsGraph, Vec<AsPath>, Vec<(Asn, Asn)>) {
     let graph = InternetConfig::small().seed(4242).build();
     let destinations: Vec<Asn> = (0..15).map(|i| Asn(20_000 + i)).collect();
     let paths = observed_paths(&graph, &destinations);
-    let tiers = TierMap::classify(&graph);
-    let mut t1: Vec<Asn> = tiers.tier1().collect();
-    t1.sort();
-    let seed: Vec<(Asn, Asn)> = t1
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &a)| t1[i + 1..].iter().map(move |&b| (a, b)))
-        .collect();
+    let seed = tier1_clique(&graph);
     (graph, paths, seed)
+}
+
+/// Figure 7's tail below 5 % pollution appears once the topology is
+/// inferred, as the paper's was, from what the Figure 5 corpus's monitors
+/// saw: the paper counts ≈30 of 80 tier-1 instances there, the generated
+/// graph none. Inferred from every table and update path of the
+/// paper-scale corpus (≈47 % of the links, ≈58 % of them with the right
+/// relationship), it counts 32/80, 42/72 and 42/80 at these seeds.
+/// Release only: ≈0.5 s for the three seeds on 2 cores.
+#[test]
+#[ignore = "paper scale; run in release with --ignored"]
+fn figure7_tail_appears_on_the_inferred_topology() {
+    let below_5pct = |graph: &AsGraph, seed: u64| {
+        let fig7 = impact::fig7(graph, Scale::Paper, seed);
+        let impacts = fig7.impacts.iter();
+        (
+            impacts.filter(|i| i.after_fraction < 0.05).count(),
+            fig7.impacts.len(),
+        )
+    };
+    for seed in [2024, 2025, 7] {
+        let graph = Scale::Paper.internet(seed);
+        let corpus = CorpusConfig::new(Scale::Paper.corpus_prefixes())
+            .monitors_top_degree(Scale::Paper.corpus_monitors())
+            .seed(seed)
+            .generate(&graph);
+        let tables = corpus.tables().flat_map(|(_, t)| t.iter().map(|(_, p)| p));
+        let updates = corpus.updates().iter().filter_map(|u| u.path());
+        let paths: Vec<AsPath> = tables.chain(updates).cloned().collect();
+        let inferred = consensus_infer(&paths, &tier1_clique(&graph), InferParams::default());
+
+        let (generated, n) = below_5pct(&graph, seed);
+        assert_eq!(
+            generated, 0,
+            "seed {seed}: {generated}/{n} on the generated graph"
+        );
+        let (tail, n) = below_5pct(&inferred, seed);
+        assert!(tail >= 20, "seed {seed}: {tail}/{n} on the inferred graph");
+    }
 }
 
 #[test]
