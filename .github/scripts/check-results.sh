@@ -51,9 +51,9 @@ table=(
   "feed_paper        feed   feed_records_in,feed_alarms feed --paper --seed 2024 --baseline"
   "-                 -      clean_cache_hits         impact --scale smoke --figure 12 --seed 2024"
   "-                 -      mc_samples,mc_resamples  estimate --scale smoke --seed 2024 --exact"
-  "-                 -      policy_rejects,delta_passes defense --scale smoke --seed 2024 --pairs 2 --deploy top-degree --fractions 0,0.5,1"
+  "-                 -      policy_rejects=36,delta_passes=48 defense --scale smoke --seed 2024 --pairs 2 --deploy top-degree --fractions 0,0.5,1"
   "-                 -      batch_victims,batch_scratch_reuses sweep --scale internet --seed 2024"
-  "-                 -      delta_passes             defense --scale internet --seed 2024 --deploy top-degree"
+  "-                 -      policy_rejects=141,delta_passes=192 defense --scale internet --seed 2024 --deploy top-degree"
   "-                 -      scenario_steps           scenario --scale internet --seed 2024"
   "-                 -      batch_victims            detection --scale internet --seed 2024"
 )

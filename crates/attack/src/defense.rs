@@ -18,9 +18,9 @@
 //!   non-increasing along each curve by construction, not by luck.
 //! * **One batch, one clean pass per (victim, λ).** The whole
 //!   policy × strategy × fraction × experiment grid is flattened into a
-//!   single [`BatchRunner::run_with_policy`] call, so every cell sharing a
-//!   clean equilibrium — across *all* deployment maps — forms one steal
-//!   unit served from one cached clean pass per worker that joins it.
+//!   single [`BatchRunner::run`] call over defended specs, so every cell
+//!   sharing a clean equilibrium — across *all* deployment maps — forms one
+//!   steal unit served from one cached clean pass per worker that joins it.
 //!   Policied attacked passes are delta passes from that clean pass like
 //!   undefended ones; a receiver that refuses its own clean parent's
 //!   attacker-derived offer re-selects within the pass.
@@ -226,11 +226,15 @@ pub fn run_defense_sweep(
     // keyed by clean equilibrium (victim, λ), so one
     // experiment's cells across all deployment maps share one cached clean
     // pass regardless of this ordering.
-    let cells: Vec<(DestinationSpec, Arc<DeployedPolicy>)> = grid
+    let cells: Vec<DestinationSpec> = grid
         .iter()
-        .flat_map(|cell| specs.iter().map(|s| (s.clone(), Arc::clone(&cell.policy))))
+        .flat_map(|cell| {
+            specs
+                .iter()
+                .map(|s| s.clone().defense(Arc::clone(&cell.policy)))
+        })
         .collect();
-    let fractions_pair: Vec<(f64, f64)> = runner.run_with_policy(graph, &cells, |_, outcome| {
+    let fractions_pair: Vec<(f64, f64)> = runner.run(graph, &cells, |_, outcome| {
         (outcome.baseline_fraction(), outcome.polluted_fraction())
     });
 

@@ -58,9 +58,8 @@ pub mod prelude {
     pub use aspp_obs::{MetricsSnapshot, RunManifest, TopologyInfo};
     pub use aspp_routing::{
         bgp, AttackStrategy, AttackerModel, AuditReport, AuditViolation, BatchRunner,
-        DefensePolicy, DeployedPolicy, DeploymentMap, DestinationSpec, ExportMode, NoDefense,
-        OutcomeAudit, PolicyKind, PrependConfig, PrependingPolicy, RouteTable, RouteWorkspace,
-        RoutingEngine, RoutingOutcome,
+        DeployedPolicy, DeploymentMap, DestinationSpec, ExportMode, OutcomeAudit, PolicyKind,
+        PrependConfig, PrependingPolicy, RouteTable, RouteWorkspace, RoutingEngine, RoutingOutcome,
     };
     pub use aspp_scenario::{
         estimate as mc_estimate, timeline, Action, Estimate, EstimatorConfig, Scenario,

@@ -29,14 +29,14 @@
 //!
 //! Violations carry the offending AS so a failure reads like a diagnostic,
 //! not a boolean. When auditing is [`enabled`] — compiled in via the
-//! `debug-audit` cargo feature — [`compute_with_policy`] audits every
-//! outcome it returns against the policy it was computed with and panics
-//! with the report on a violation, so no caller can run un-audited; it also
-//! replays every delta attacked pass through the full propagation
+//! `debug-audit` cargo feature — [`compute_with`] audits every outcome it
+//! returns against its spec, defense included, and panics with the report
+//! on a violation, so no caller can run un-audited; it also replays every
+//! delta attacked pass through the full propagation
 //! ([`full_pass_divergence`], public for the equivalence tests) and asserts
 //! bit identity. Without the feature both checks compile out.
 //!
-//! [`compute_with_policy`]: crate::RoutingEngine::compute_with_policy
+//! [`compute_with`]: crate::RoutingEngine::compute_with
 
 use std::fmt;
 
@@ -46,7 +46,7 @@ use crate::engine::{
     chain_of, class_at_receiver, export_row, full_attacked_pass, AttackStrategy, ExportMode, Pass,
     RouteInfo, RoutingOutcome,
 };
-use crate::policy::{AttackFacts, DefensePolicy, NoDefense};
+use crate::policy::AttackFacts;
 
 /// Returns `true` when outcome auditing (and the delta-vs-full oracle) is
 /// compiled in, i.e. under the `debug-audit` cargo feature.
@@ -168,8 +168,8 @@ pub enum AuditViolation {
         offered_by: Asn,
     },
     /// A policy-deploying AS adopted an attacker-derived route its own
-    /// [`DefensePolicy`] rejects — e.g. an ASPA adopter holding a route
-    /// that violates its authorization set.
+    /// [`DeployedPolicy`](crate::DeployedPolicy) rejects — e.g. an ASPA
+    /// adopter holding a route that violates its authorization set.
     PolicyViolation {
         /// The deploying AS holding the forbidden route.
         asn: Asn,
@@ -340,34 +340,24 @@ impl fmt::Display for OutcomeAudit {
 }
 
 /// Audits both equilibria of `outcome` and returns the full report.
+///
+/// When the outcome's spec carries a
+/// [`defense`](crate::DestinationSpec::defense), the attacked pass is also
+/// checked against the per-policy invariant: a deploying AS never holds an
+/// attacker-derived route its own policy rejects, and local optimality
+/// treats policy-rejected offers as nonexistent (a deployer that filtered
+/// the attacker's shorter route is *not* sub-optimal for keeping its clean
+/// one) — the policy is part of the equilibrium's definition.
 #[must_use]
 pub fn audit_outcome(outcome: &RoutingOutcome<'_>) -> OutcomeAudit {
-    audit_outcome_with(outcome, &NoDefense)
-}
-
-/// Audits both equilibria of an outcome computed with `policy` (see
-/// [`RoutingEngine::compute_with_policy`](crate::RoutingEngine::compute_with_policy)).
-///
-/// Beyond the policy-free invariants, the attacked pass is checked against
-/// the per-policy invariant: a deploying AS never holds an attacker-derived
-/// route its own policy rejects, and local optimality treats
-/// policy-rejected offers as nonexistent (a deployer that filtered the
-/// attacker's shorter route is *not* sub-optimal for keeping its clean
-/// one). Auditing with the wrong policy therefore flags a perfectly
-/// converged outcome — the policy is part of the equilibrium's definition.
-#[must_use]
-pub fn audit_outcome_with<P: DefensePolicy>(
-    outcome: &RoutingOutcome<'_>,
-    policy: &P,
-) -> OutcomeAudit {
     let _span = aspp_obs::trace::span("audit.outcome");
     aspp_obs::counters::incr(aspp_obs::counters::Counter::AuditCheck);
     let audit = OutcomeAudit {
-        clean: audit_pass(outcome, PassKind::Clean, policy),
+        clean: audit_pass(outcome, PassKind::Clean),
         attacked: outcome
             .attacked_pass_ref()
             .is_some()
-            .then(|| audit_pass(outcome, PassKind::Attacked, policy)),
+            .then(|| audit_pass(outcome, PassKind::Attacked)),
     };
     aspp_obs::counters::add(
         aspp_obs::counters::Counter::AuditViolation,
@@ -376,11 +366,11 @@ pub fn audit_outcome_with<P: DefensePolicy>(
     audit
 }
 
-/// The engine's own exit check (`compute_with_policy`, when auditing is
+/// The engine's own exit check (`compute_with`, when auditing is
 /// [`enabled`]): panics with the full report if `outcome` violates any
-/// invariant under the `policy` it was computed with.
-pub(crate) fn assert_audit_clean<P: DefensePolicy>(outcome: &RoutingOutcome<'_>, policy: &P) {
-    let audit = audit_outcome_with(outcome, policy);
+/// invariant.
+pub(crate) fn assert_audit_clean(outcome: &RoutingOutcome<'_>) {
+    let audit = audit_outcome(outcome);
     assert!(
         audit.is_clean(),
         "routing invariant audit failed for victim AS{}:\n{audit}",
@@ -411,21 +401,18 @@ impl fmt::Display for PassDivergence {
 }
 
 /// The full-pass oracle: recomputes `outcome`'s attacked pass from scratch
-/// with the full propagation under `policy` (the policy the outcome was
-/// computed with) and names the first AS whose route differs, or `None`
-/// when the two tables are bit-identical or no attack ran.
+/// with the full propagation under its spec's defense and names the first
+/// AS whose route differs, or `None` when the two tables are bit-identical
+/// or no attack ran.
 ///
 /// An outcome whose attacked pass the engine re-converged by a delta pass
 /// must match; one it computed by the full pass matches trivially. The
 /// `debug-audit` build runs this on every delta pass, and the equivalence
 /// tests run it on every cell they compute.
 #[must_use]
-pub fn full_pass_divergence<P: DefensePolicy>(
-    outcome: &RoutingOutcome<'_>,
-    policy: &P,
-) -> Option<PassDivergence> {
+pub fn full_pass_divergence(outcome: &RoutingOutcome<'_>) -> Option<PassDivergence> {
     let attacked = outcome.attacked_pass_ref()?;
-    let full = full_attacked_pass(outcome, policy)?;
+    let full = full_attacked_pass(outcome)?;
     let i = (0..full.len()).find(|&i| attacked.get(i) != full.get(i))?;
     let asn = outcome.graph().asn_at(i);
     Some(PassDivergence {
@@ -435,11 +422,11 @@ pub fn full_pass_divergence<P: DefensePolicy>(
     })
 }
 
-/// The engine's delta exit check (`compute_with_policy`, when auditing is
+/// The engine's delta exit check (`compute_with`, when auditing is
 /// [`enabled`]): panics naming the first divergent AS if `outcome`'s delta
-/// pass is not bit-identical to the full propagation under `policy`.
-pub(crate) fn assert_matches_full_pass<P: DefensePolicy>(outcome: &RoutingOutcome<'_>, policy: &P) {
-    if let Some(d) = full_pass_divergence(outcome, policy) {
+/// pass is not bit-identical to the full propagation.
+pub(crate) fn assert_matches_full_pass(outcome: &RoutingOutcome<'_>) {
+    if let Some(d) = full_pass_divergence(outcome) {
         panic!(
             "debug-audit: delta re-convergence diverged from the full pass at {d} (victim AS{})",
             outcome.victim(),
@@ -520,14 +507,11 @@ fn attack_ctx(outcome: &RoutingOutcome<'_>) -> AttackCtx {
     }
 }
 
-fn audit_pass<P: DefensePolicy>(
-    outcome: &RoutingOutcome<'_>,
-    kind: PassKind,
-    policy: &P,
-) -> AuditReport {
+fn audit_pass(outcome: &RoutingOutcome<'_>, kind: PassKind) -> AuditReport {
     let graph = outcome.graph();
     let spec = outcome.spec();
     let prepend = spec.prepending();
+    let policy = spec.defense_policy();
     let v_idx = outcome.victim_index();
     let pass: &Pass = match kind {
         PassKind::Clean => outcome.clean_pass_ref(),
@@ -564,11 +548,9 @@ fn audit_pass<P: DefensePolicy>(
             }
             // Per-policy invariant: a deployer never holds an
             // attacker-derived route its own policy rejects.
-            if !P::NOOP {
-                if let Some(r) = route.filter(|r| r.via_attacker) {
-                    if !policy.accepts_attacker_route(i, r.class, &ctx.facts) {
-                        violations.push(AuditViolation::PolicyViolation { asn });
-                    }
+            if let (Some(policy), Some(r)) = (policy, route.filter(|r| r.via_attacker)) {
+                if !policy.accepts_attacker_route(i, r.class, &ctx.facts) {
+                    violations.push(AuditViolation::PolicyViolation { asn });
                 }
             }
         }
@@ -684,7 +666,7 @@ fn audit_pass<P: DefensePolicy>(
             if via && attack.is_some_and(|c| c.on_chain[i]) {
                 continue;
             }
-            if via && !P::NOOP {
+            if let Some(policy) = policy.filter(|_| via) {
                 let ctx = attack.expect("via offers imply an attacked pass");
                 if !policy.accepts_attacker_route(i, class, &ctx.facts) {
                     continue;
@@ -776,10 +758,13 @@ fn audit_pass<P: DefensePolicy>(
 mod tests {
     use super::*;
     use crate::engine::tests_support::facebook_graph;
+    use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
     use crate::{
         AttackStrategy, AttackerModel, DestinationSpec, ExportMode, RouteInfo, RoutingEngine,
     };
+    use aspp_topology::AsGraph;
     use aspp_types::well_known::*;
+    use std::sync::Arc;
 
     fn all_specs() -> Vec<DestinationSpec> {
         let mut specs = vec![DestinationSpec::new(FACEBOOK).origin_padding(3)];
@@ -915,16 +900,15 @@ mod tests {
 
     #[test]
     fn policied_outcomes_audit_clean_with_their_policy() {
-        use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
         let graph = facebook_graph();
         let engine = RoutingEngine::new(&graph);
         let mut ws = crate::RouteWorkspace::new();
         let full = DeploymentMap::from_indices(graph.len(), 0..graph.len());
         for spec in all_specs() {
             for kind in PolicyKind::ALL {
-                let policy = DeployedPolicy::new(kind, full.clone());
-                let outcome = engine.compute_with_policy(&spec, &mut ws, &policy);
-                let audit = audit_outcome_with(&outcome, &policy);
+                let policy = Arc::new(DeployedPolicy::new(kind, full.clone()));
+                let outcome = engine.compute_with(&spec.clone().defense(policy), &mut ws);
+                let audit = audit_outcome(&outcome);
                 assert!(
                     audit.is_clean(),
                     "spec {spec:?} with {kind} failed audit:\n{audit}"
@@ -935,7 +919,6 @@ mod tests {
 
     #[test]
     fn origin_hijackers_pinned_route_may_dangle_under_partial_rov() {
-        use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
         use aspp_topology::AsGraphBuilder;
         use aspp_types::Asn;
         // AS5 -> {victim AS1, AS4}; AS4 -> {AS2, AS3}; AS2, AS3 -> hijacker
@@ -949,100 +932,57 @@ mod tests {
                 .unwrap();
         }
         let graph = graph.finish();
-        let spec = DestinationSpec::new(Asn(1))
-            .attacker(AttackerModel::new(Asn(9)).strategy(AttackStrategy::OriginHijack));
         let policy =
             DeployedPolicy::new(PolicyKind::Rov, DeploymentMap::from_asns(&graph, [Asn(2)]));
-        let outcome = RoutingEngine::new(&graph).compute_with_policy(
-            &spec,
-            &mut crate::RouteWorkspace::new(),
-            &policy,
-        );
+        let spec = DestinationSpec::new(Asn(1))
+            .attacker(AttackerModel::new(Asn(9)).strategy(AttackStrategy::OriginHijack))
+            .defense(Arc::new(policy));
+        let outcome = RoutingEngine::new(&graph).compute(&spec);
         assert!(outcome.is_polluted(Asn(4)) && outcome.route(Asn(2)).is_none());
         assert_eq!(outcome.route(Asn(9)).unwrap().next_hop, Some(Asn(2)));
-        let audit = audit_outcome_with(&outcome, &policy);
+        let audit = audit_outcome(&outcome);
         assert!(audit.is_clean(), "{audit}");
+    }
+
+    /// AT&T's clean route is peer-learned, so its stripped announcement is
+    /// ASPA-invalid: NTT (an off-chain peer) adopts it undefended and
+    /// filters it with ASPA deployed.
+    fn ntt_under_aspa(graph: &AsGraph) -> (RoutingOutcome<'_>, RouteInfo) {
+        let engine = RoutingEngine::new(graph);
+        let spec = DestinationSpec::new(FACEBOOK)
+            .origin_padding(4)
+            .attacker(AttackerModel::new(ATT).mode(ExportMode::ViolateValleyFree));
+        let undefended = engine.compute(&spec);
+        assert!(undefended.is_polluted(NTT), "NTT adopts when undefended");
+        let aspa = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::from_asns(graph, [NTT]));
+        let defended = engine.compute(&spec.defense(Arc::new(aspa)));
+        assert!(!defended.is_polluted(NTT), "NTT's ASPA filters the route");
+        (defended, undefended.route(NTT).expect("NTT has a route"))
     }
 
     #[test]
     fn policy_forbidden_adoption_is_flagged() {
-        use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
+        // Plant the undefended adoption in the defended outcome: NTT now
+        // holds a peer-learned attacker route its own ASPA rejects.
         let graph = facebook_graph();
-        let engine = RoutingEngine::new(&graph);
-        // AT&T's clean route is peer-learned, so its stripped announcement
-        // is ASPA-invalid; NTT (off-chain peer) adopts it when undefended.
-        let spec = DestinationSpec::new(FACEBOOK)
-            .origin_padding(4)
-            .attacker(AttackerModel::new(ATT).mode(ExportMode::ViolateValleyFree));
-        let outcome = engine.compute(&spec);
-        assert!(outcome.is_polluted(NTT), "NTT adopts when undefended");
-        // Re-audit the undefended equilibrium as if NTT deployed ASPA: its
-        // adopted peer-learned attacker route now violates its own policy.
-        let policy = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::from_asns(&graph, [NTT]));
-        let audit = audit_outcome_with(&outcome, &policy);
+        let (mut outcome, adopted) = ntt_under_aspa(&graph);
+        outcome.override_route_unchecked(NTT, Some(adopted));
+        let audit = audit_outcome(&outcome);
         assert!(audit
             .violations()
             .any(|v| matches!(v, AuditViolation::PolicyViolation { asn } if *asn == NTT)));
         assert!(audit.to_string().contains("defense policy rejects"));
     }
 
-    /// A policy double that rejects the first two attacker-derived offers it
-    /// is consulted on and accepts every later one: strict while the pass
-    /// runs, lenient by the time the outcome is audited. A real policy must
-    /// be pure (see [`DefensePolicy`]); this one is not, on purpose, to make
-    /// the engine return an outcome that violates its own policy.
-    ///
-    /// On the Facebook interception both consultations are China Telecom's:
-    /// the attacker's seeding offers it Korea Telecom's stripped route,
-    /// China Telecom refuses the offer of its own clean parent, and when it
-    /// re-selects it is offered the route again.
-    struct LenientAfterThePass(std::cell::Cell<u32>);
-
-    impl DefensePolicy for LenientAfterThePass {
-        fn accepts_attacker_route(&self, _: usize, _: RouteClass, _: &AttackFacts) -> bool {
-            let asked = self.0.get();
-            self.0.set(asked + 1);
-            asked >= 2
-        }
-    }
-
-    /// Computes the Facebook interception under [`LenientAfterThePass`] and
-    /// returns the caller-side audit of what came back.
-    fn audit_under_a_policy_that_turns_lenient() -> OutcomeAudit {
+    /// The engine's exit check panics with the report on an outcome that
+    /// violates its own defense; under `debug-audit` every compute runs it.
+    #[test]
+    #[should_panic(expected = "adopted an attacker-derived route its own defense policy rejects")]
+    fn exit_check_panics_on_an_unclean_outcome() {
         let graph = facebook_graph();
-        let spec = DestinationSpec::new(FACEBOOK)
-            .origin_padding(5)
-            .attacker(AttackerModel::new(KOREA_TELECOM));
-        let policy = LenientAfterThePass(Default::default());
-        let mut ws = crate::RouteWorkspace::new();
-        let outcome = RoutingEngine::new(&graph).compute_with_policy(&spec, &mut ws, &policy);
-        assert_eq!(ws.delta_passes(), 1);
-        audit_outcome_with(&outcome, &policy)
-    }
-
-    /// Auditing is the engine's job, not the caller's: with `debug-audit`
-    /// the compute itself panics with the report…
-    #[cfg(feature = "debug-audit")]
-    #[test]
-    #[should_panic(
-        expected = "AS4134 has no route although its neighbor AS9318 legally exports one"
-    )]
-    fn engine_panics_on_its_own_unclean_outcome() {
-        let _ = audit_under_a_policy_that_turns_lenient();
-    }
-
-    /// …and without it the same call hands the outcome back: China Telecom
-    /// filtered its only route during the pass and would take it now, which
-    /// only the caller's audit sees.
-    #[cfg(not(feature = "debug-audit"))]
-    #[test]
-    fn engine_returns_an_unclean_outcome_when_auditing_is_off() {
-        let audit = audit_under_a_policy_that_turns_lenient();
-        let hidden = AuditViolation::HiddenRoute {
-            asn: CHINA_TELECOM,
-            offered_by: KOREA_TELECOM,
-        };
-        assert_eq!(audit.violations().collect::<Vec<_>>(), [&hidden]);
+        let (mut outcome, adopted) = ntt_under_aspa(&graph);
+        outcome.override_route_unchecked(NTT, Some(adopted));
+        assert_audit_clean(&outcome);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   workspace's clean-cache key — form one steal unit, claimed from a
 //!   shared atomic cursor. A Figure-9-style λ sweep over one victim is
 //!   therefore eight units, not one. A worker that claims a unit computes
-//!   its clean pass once and then serves every strategy/export-mode/policy
-//!   cell from it (every attacked pass is a delta pass, policied ones
+//!   its clean pass once and then serves every strategy/export-mode/defense
+//!   cell from it (every attacked pass is a delta pass, defended ones
 //!   included). Because a unit
 //!   *is* a cache key, a worker never revisits an earlier unit's clean
 //!   pass and its workspace holds exactly one.
@@ -42,32 +42,26 @@
 //! [`RoutingEngine::compute_with`] over the specs serially (and therefore
 //! to [`RoutingEngine::compute`], per the [`RouteWorkspace`] equivalence
 //! guarantee). This holds by construction: each cell is still computed by
-//! `compute_with` against an isolated per-worker workspace, workspace
-//! state only ever changes *which* of two bit-identical paths (cached vs
-//! recomputed clean pass, delta vs full attacked pass) produces the
-//! result, and cells never exchange data across workers — a worker that
-//! joins another's unit recomputes the clean pass rather than borrowing it.
+//! `compute_with` against an isolated per-worker workspace, and workspace
+//! state only ever decides whether the clean pass is served from the cache
+//! or recomputed, the same table either way. Cells never exchange data
+//! across workers: a worker that joins another's unit recomputes the clean
+//! pass rather than borrowing it.
 //! Scheduling order affects wall-clock (and the scheduling counters
 //! `batch_steals` and, with several workers, `clean_cache_misses`) only;
 //! results are written back by input index. `tests/batch_equivalence.rs`
 //! pins this across the full 4-strategy × 2-export-mode × λ=1..8 matrix and
 //! on one-unit batches at every worker count.
 //!
-//! # Per-cell defense policies
+//! # Defended cells
 //!
-//! [`BatchRunner::run_with_policy`] generalizes the sweep cell from a bare
-//! [`DestinationSpec`] to a `(spec, policy)` pair, which is how deployment
-//! sweeps (policy × strategy × adoption-fraction grids) ride the same
-//! machinery: the clean pass is policy-*independent* — defenses only filter
-//! attacker-derived imports — so every cell of a unit still serves from the
-//! one cached clean pass regardless of which [`DefensePolicy`] each cell
-//! carries, and computes each cell's attacked pass from it by the delta
-//! pass.
-//! [`BatchRunner::run`] is the [`NoDefense`]
-//! specialization; because `NoDefense` sets
-//! [`DefensePolicy::NOOP`], that instantiation monomorphizes
-//! back to the exact pre-policy hot loop and keeps the bit-identity
-//! guarantee above.
+//! A cell may carry its own [`defense`](DestinationSpec::defense), which is
+//! how deployment sweeps (policy × strategy × adoption-fraction grids) ride
+//! the same machinery: the clean pass is policy-*independent* — defenses
+//! only filter attacker-derived imports — and the steal-unit key ignores
+//! the defense, so every cell of a unit serves from the one cached clean
+//! pass whichever deployment it carries, and computes its attacked pass
+//! from it by the delta pass.
 //!
 //! # Example
 //!
@@ -96,7 +90,6 @@ use aspp_topology::AsGraph;
 use aspp_types::Asn;
 
 use crate::engine::{DestinationSpec, RouteWorkspace, RoutingEngine, RoutingOutcome};
-use crate::policy::{DefensePolicy, NoDefense};
 
 /// A batch equilibrium runner: computes many victims' clean and attacked
 /// equilibria inside one pass-structure lifetime per worker.
@@ -141,7 +134,8 @@ impl BatchRunner {
     /// worker that computed the cell, so the (potentially large) outcome
     /// never crosses a thread boundary — only the reduced value does.
     /// Specs sharing a clean equilibrium (victim, prepending config) form
-    /// one steal unit and are claimed in input order within the unit.
+    /// one steal unit, whatever their attackers and defenses, and are
+    /// claimed in input order within the unit.
     ///
     /// # Panics
     ///
@@ -153,47 +147,10 @@ impl BatchRunner {
         T: Send,
         F: Fn(usize, &RoutingOutcome<'g>) -> T + Sync,
     {
-        let cells: Vec<(DestinationSpec, NoDefense)> =
-            specs.iter().map(|s| (s.clone(), NoDefense)).collect();
-        self.run_with_policy(graph, &cells, reduce)
-    }
-
-    /// Like [`BatchRunner::run`], but every cell carries its own defense
-    /// policy: cell `i` is computed via
-    /// [`RoutingEngine::compute_with_policy`] with `cells[i].1`.
-    ///
-    /// Cells sharing a clean equilibrium still form one steal unit and
-    /// serve from one cached clean pass even when their policies differ —
-    /// defenses filter attacker-derived imports only, so the clean
-    /// equilibrium is the same under every policy. This is what makes
-    /// deployment sweeps (one spec × many deployment maps) cheap: only the
-    /// attacked pass is recomputed per cell.
-    ///
-    /// `P` is typically [`std::sync::Arc`]`<`[`DeployedPolicy`]`>` so a
-    /// whole fraction-grid of cells can share a handful of deployment
-    /// maps; passing [`NoDefense`] makes this exactly [`BatchRunner::run`].
-    ///
-    /// [`DeployedPolicy`]: crate::policy::DeployedPolicy
-    ///
-    /// # Panics
-    ///
-    /// Same as [`BatchRunner::run`].
-    #[must_use]
-    pub fn run_with_policy<'g, P, T, F>(
-        &self,
-        graph: &'g AsGraph,
-        cells: &[(DestinationSpec, P)],
-        reduce: F,
-    ) -> Vec<T>
-    where
-        P: DefensePolicy + Sync,
-        T: Send,
-        F: Fn(usize, &RoutingOutcome<'g>) -> T + Sync,
-    {
         let _span = aspp_obs::trace::span("batch");
-        let units = steal_units(cells.iter().map(|(spec, _)| spec));
+        let units = steal_units(specs);
         counters::add(Counter::BatchVictim, units.len() as u64);
-        let workers = self.worker_count(cells.len());
+        let workers = self.worker_count(specs.len());
         let engine = RoutingEngine::new(graph);
         let next_unit = AtomicUsize::new(0);
 
@@ -212,8 +169,7 @@ impl BatchRunner {
             for unit in claimed.chain(unfinished) {
                 let before = done.len();
                 while let Some(i) = unit.claim() {
-                    let (spec, policy) = &cells[i];
-                    let outcome = engine.compute_with_policy(spec, &mut ws, policy);
+                    let outcome = engine.compute_with(&specs[i], &mut ws);
                     debug_assert!(ws.cached_passes() <= 1, "a worker hoards clean passes");
                     done.push((i, reduce(i, &outcome)));
                 }
@@ -240,7 +196,7 @@ impl BatchRunner {
             }
             done
         });
-        let mut out: Vec<Option<T>> = (0..cells.len()).map(|_| None).collect();
+        let mut out: Vec<Option<T>> = (0..specs.len()).map(|_| None).collect();
         for (i, t) in done {
             out[i] = Some(t);
         }
@@ -363,12 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn policied_batch_matches_serial_compute_with_policy() {
+    fn defended_batch_matches_serial_compute_with() {
         use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
         use std::sync::Arc;
         let g = graph();
         // Same spec grid, alternating deployment maps: cells sharing a
-        // victim but carrying different policies must still serve from one
+        // victim but carrying different defenses must still serve from one
         // cached clean pass without contaminating each other.
         let maps = [
             Arc::new(DeployedPolicy::new(
@@ -380,37 +336,25 @@ mod tests {
                 DeploymentMap::from_indices(g.len(), 0..g.len()),
             )),
         ];
-        let cells: Vec<(DestinationSpec, Arc<DeployedPolicy>)> = matrix_specs()
+        let cells: Vec<DestinationSpec> = matrix_specs()
             .into_iter()
             .enumerate()
-            .map(|(i, s)| (s, Arc::clone(&maps[i % 2])))
+            .map(|(i, s)| s.defense(Arc::clone(&maps[i % 2])))
             .collect();
         let engine = RoutingEngine::new(&g);
         let mut ws = RouteWorkspace::new();
         let expected: Vec<(usize, usize)> = cells
             .iter()
-            .map(|(s, p)| polluted(&engine.compute_with_policy(s, &mut ws, p)))
+            .map(|s| polluted(&engine.compute_with(s, &mut ws)))
             .collect();
         for runner in [
             BatchRunner::new(),
             BatchRunner::new().workers(1),
             BatchRunner::new().workers(3),
         ] {
-            let got = runner.run_with_policy(&g, &cells, |_, o| polluted(o));
+            let got = runner.run(&g, &cells, |_, o| polluted(o));
             assert_eq!(got, expected);
         }
-    }
-
-    #[test]
-    fn nodefense_cells_match_plain_run() {
-        let g = graph();
-        let specs = matrix_specs();
-        let cells: Vec<(DestinationSpec, NoDefense)> =
-            specs.iter().map(|s| (s.clone(), NoDefense)).collect();
-        let runner = BatchRunner::new().workers(1);
-        let via_run = runner.run(&g, &specs, |_, o| polluted(o));
-        let via_cells = runner.run_with_policy(&g, &cells, |_, o| polluted(o));
-        assert_eq!(via_run, via_cells);
     }
 
     #[test]

@@ -210,10 +210,17 @@ impl<'g> BgpSimulation<'g> {
     /// # Panics
     ///
     /// Panics if the victim (or attacker) is not in the graph, if attacker
-    /// equals victim, or if the message budget is exhausted (which would
+    /// equals victim, if the spec carries a
+    /// [`defense`](DestinationSpec::defense) (the simulator models no import
+    /// filter yet), or if the message budget is exhausted (which would
     /// indicate a policy-dispute bug, impossible under Gao–Rexford).
     #[must_use]
     pub fn run(&self, spec: &DestinationSpec) -> BgpOutcome {
+        assert!(
+            spec.defense_policy().is_none(),
+            "BgpSimulation models no import filter: a defended spec waits for \
+             the ROADMAP item \"An independent oracle for policied passes\""
+        );
         let n = self.graph.len();
         let v_idx = self
             .graph
@@ -665,6 +672,16 @@ mod tests {
             "7018 4134 9318 32934 32934 32934"
         );
         assert!(sim.polluted_fraction(Some(KOREA_TELECOM)) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "An independent oracle for policied passes")]
+    fn defended_spec_panics() {
+        use crate::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
+        let g = crate::engine::tests_support::facebook_graph();
+        let rov = DeployedPolicy::new(PolicyKind::Rov, DeploymentMap::empty(g.len()));
+        let spec = DestinationSpec::new(well_known::FACEBOOK).defense(Arc::new(rov));
+        let _ = BgpSimulation::new(&g).run(&spec);
     }
 
     #[test]

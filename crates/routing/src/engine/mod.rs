@@ -67,10 +67,12 @@ mod spec;
 mod sweep;
 mod workspace;
 
+use std::sync::Arc;
+
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, RouteClass};
 
-use crate::policy::{AttackFacts, DefensePolicy, NoDefense};
+use crate::policy::{AttackFacts, DeployedPolicy};
 use outcome::reconstruct_received;
 use propagate::AttackSeed;
 use sweep::full_pass;
@@ -156,41 +158,24 @@ impl<'g> RoutingEngine<'g> {
     /// assert!(!outcome.clean_route(Asn(5)).unwrap().via_attacker);
     /// ```
     ///
-    /// # Panics
+    /// # Defense
     ///
-    /// Panics if the victim (or configured attacker) is not in the graph, or
-    /// if attacker == victim.
-    #[must_use]
-    pub fn compute_with(
-        &self,
-        spec: &DestinationSpec,
-        ws: &mut RouteWorkspace,
-    ) -> RoutingOutcome<'g> {
-        self.compute_with_policy(spec, ws, &NoDefense)
-    }
-
-    /// Like [`compute_with`](Self::compute_with) with a per-AS
-    /// [`DefensePolicy`] filtering attacker-derived announcements at import
-    /// time (see [`crate::policy`]).
-    ///
-    /// With [`NoDefense`] this is *exactly* `compute_with` — the policy hook
-    /// is monomorphized away — and with any policy the clean equilibrium is
-    /// untouched: policies only filter attacker-derived offers, so the
-    /// workspace's clean-pass cache stays valid (and shared) across policy
-    /// configurations of the same destination.
-    ///
-    /// Policied attacked passes are delta passes like unpolicied ones. A
-    /// node that does not take its own clean parent's new offer — its
-    /// import filter or loop prevention refuses it, or it ranks below the
-    /// node's clean route — re-selects among its other neighbors' offers.
+    /// A spec that carries a [`defense`](DestinationSpec::defense) has its
+    /// deployers filter attacker-derived announcements at import (see
+    /// [`crate::policy`]). The clean equilibrium is untouched — policies
+    /// only filter attacker-derived offers — so the workspace's clean-pass
+    /// cache serves a defended spec and the undefended one alike. A node
+    /// that does not take its own clean parent's new offer — its import
+    /// filter or loop prevention refuses it, or it ranks below the node's
+    /// clean route — re-selects among its other neighbors' offers.
     /// [`audit::full_pass_divergence`](crate::audit::full_pass_divergence)
     /// replays the full pass for any outcome — the reference of
     /// `tests/{delta,flat,defense}_equivalence.rs` and of the `debug-audit`
     /// check on every delta pass.
     ///
-    /// # Example
-    ///
     /// ```
+    /// use std::sync::Arc;
+    ///
     /// use aspp_routing::policy::{DeployedPolicy, DeploymentMap, PolicyKind};
     /// use aspp_routing::{AttackerModel, DestinationSpec, RouteWorkspace, RoutingEngine};
     /// use aspp_topology::gen::InternetConfig;
@@ -207,7 +192,7 @@ impl<'g> RoutingEngine<'g> {
     ///     PolicyKind::Rov,
     ///     DeploymentMap::from_indices(graph.len(), 0..graph.len()),
     /// );
-    /// let defended = engine.compute_with_policy(&spec, &mut ws, &rov);
+    /// let defended = engine.compute_with(&spec.clone().defense(Arc::new(rov)), &mut ws);
     /// let undefended = engine.compute_with(&spec, &mut ws);
     /// assert_eq!(defended.polluted_count(), undefended.polluted_count());
     /// ```
@@ -217,13 +202,12 @@ impl<'g> RoutingEngine<'g> {
     /// Panics if the victim (or configured attacker) is not in the graph, or
     /// if attacker == victim — and, when auditing is
     /// [`enabled`](crate::audit::enabled), with the audit report if the
-    /// outcome violates an equilibrium invariant under `policy`.
+    /// outcome violates an equilibrium invariant.
     #[must_use]
-    pub fn compute_with_policy<P: DefensePolicy>(
+    pub fn compute_with(
         &self,
         spec: &DestinationSpec,
         ws: &mut RouteWorkspace,
-        policy: &P,
     ) -> RoutingOutcome<'g> {
         let _span = aspp_obs::trace::span("engine.compute");
         let victim = spec.victim();
@@ -241,8 +225,8 @@ impl<'g> RoutingEngine<'g> {
         let clean = ws.clean_pass(self.graph, spec, v_idx);
 
         let attacked = attacker.and_then(|(att, m_idx)| {
-            let (seed, base_path) = self.attack_seed::<P>(spec, v_idx, &clean, att, m_idx)?;
-            let pass = ws.delta_pass(self.graph, spec, v_idx, &seed, &clean, policy);
+            let (seed, base_path) = self.attack_seed(spec, v_idx, &clean, att, m_idx)?;
+            let pass = ws.delta_pass(self.graph, spec, v_idx, &seed, &clean);
             Some((pass, base_path))
         });
         let (attacked, base_path) = attacked.unzip();
@@ -258,19 +242,32 @@ impl<'g> RoutingEngine<'g> {
         };
         if crate::audit::enabled() {
             // debug-audit oracles: every equilibrium leaves the engine
-            // checked against the policy it was computed with, so no caller
-            // has to remember to, and every delta pass is replayed by the
-            // full pass.
-            crate::audit::assert_audit_clean(&outcome, policy);
-            crate::audit::assert_matches_full_pass(&outcome, policy);
+            // checked against its spec, defense included, so no caller has
+            // to remember to, and every delta pass is replayed by the full
+            // pass.
+            crate::audit::assert_audit_clean(&outcome);
+            crate::audit::assert_matches_full_pass(&outcome);
         }
         outcome
+    }
+
+    /// [`compute_with`](Self::compute_with) on `spec` defended by `policy`.
+    /// Kept only until the benchmark's engine adapter (ROADMAP benchmark
+    /// item (a)) calls `compute_with`.
+    #[must_use]
+    pub fn compute_with_policy(
+        &self,
+        spec: &DestinationSpec,
+        ws: &mut RouteWorkspace,
+        policy: &DeployedPolicy,
+    ) -> RoutingOutcome<'g> {
+        self.compute_with(&spec.clone().defense(Arc::new(policy.clone())), ws)
     }
 
     /// What attacker `att` (at node `m_idx`) announces against the clean
     /// equilibrium `clean`: the seed of its attacked pass and the base path
     /// it claims, or `None` when it has no clean route to announce from.
-    fn attack_seed<P: DefensePolicy>(
+    fn attack_seed(
         &self,
         spec: &DestinationSpec,
         v_idx: usize,
@@ -330,32 +327,28 @@ impl<'g> RoutingEngine<'g> {
             mode: att.export_mode(),
             pinned: m_route,
             chain,
-            // Elided (with the hook itself) for the NOOP default.
-            facts: if P::NOOP {
-                AttackFacts::default()
-            } else {
+            // Read only by a defense.
+            facts: if spec.defense_policy().is_some() {
                 let class = m_route.class;
                 crate::policy::facts_for(self.graph, strategy, clean, m_idx, v_idx, class)
+            } else {
+                AttackFacts::default()
             },
         };
         Some((seed, base_path))
     }
 }
 
-/// `outcome`'s attacked pass recomputed from scratch by the full pass
-/// under `policy`: the reference of
-/// [`crate::audit::full_pass_divergence`]. `None` when the outcome has no
-/// attacked pass.
-pub(crate) fn full_attacked_pass<P: DefensePolicy>(
-    outcome: &RoutingOutcome<'_>,
-    policy: &P,
-) -> Option<Pass> {
+/// `outcome`'s attacked pass recomputed from scratch by the full pass: the
+/// reference of [`crate::audit::full_pass_divergence`]. `None` when the
+/// outcome has no attacked pass.
+pub(crate) fn full_attacked_pass(outcome: &RoutingOutcome<'_>) -> Option<Pass> {
     outcome.attacked_pass_ref()?;
     let engine = RoutingEngine::new(outcome.graph);
     let (spec, v_idx) = (&outcome.spec, outcome.v_idx);
     let att = spec.attacker_model()?;
-    let (seed, _) = engine.attack_seed::<P>(spec, v_idx, &outcome.clean, att, outcome.m_idx?)?;
-    Some(full_pass(outcome.graph, spec, v_idx, Some(&seed), policy))
+    let (seed, _) = engine.attack_seed(spec, v_idx, &outcome.clean, att, outcome.m_idx?)?;
+    Some(full_pass(outcome.graph, spec, v_idx, Some(&seed)))
 }
 
 /// Shared fixtures for this crate's tests (the Figure 1 topology).

@@ -6,7 +6,7 @@ use aspp_types::{Relationship, RouteClass};
 
 use super::route::{NodeRoute, PackedRoute};
 use super::spec::{DestinationSpec, ExportMode};
-use crate::policy::{AttackFacts, DefensePolicy};
+use crate::policy::{AttackFacts, DeployedPolicy};
 use crate::prepend::PrependingPolicy;
 
 /// Everything about one attack that its attacked pass reads.
@@ -18,8 +18,8 @@ pub(super) struct AttackSeed {
     pub(super) pinned: NodeRoute,
     /// The ASes that refuse the claimed path, sorted.
     pub(super) chain: Vec<usize>,
-    /// Per-attack policy inputs, computed once so the per-offer hook is
-    /// branch-and-mask only; the default (unread) under a `NOOP` policy.
+    /// Per-attack policy inputs, computed once so the per-offer check is
+    /// branch-and-mask only; the default (unread) for an undefended spec.
     pub(super) facts: AttackFacts,
 }
 
@@ -114,30 +114,29 @@ const TOO_LONG: &str = "effective route length exceeds 268435455, the 28-bit max
 
 /// What decides an offer besides the routes: the graph, the pass's
 /// prepending, and who refuses attacker-derived offers — the attacker's
-/// claimed chain (loop prevention) and the [`DefensePolicy`].
-pub(super) struct Rules<'a, P> {
+/// claimed chain (loop prevention) and the spec's [`DeployedPolicy`].
+pub(super) struct Rules<'a> {
     pub(super) graph: &'a AsGraph,
     pad: Padding<'a>,
     /// The attacker's claimed chain, sorted; empty in a clean pass.
     chain: &'a [usize],
-    policy: &'a P,
+    policy: Option<&'a DeployedPolicy>,
     facts: AttackFacts,
     /// Offers the policy has refused so far in this pass.
     pub(super) policy_rejects: u64,
 }
 
-impl<'a, P: DefensePolicy> Rules<'a, P> {
+impl<'a> Rules<'a> {
     pub(super) fn new(
         graph: &'a AsGraph,
         spec: &'a DestinationSpec,
         attack: Option<&'a AttackSeed>,
-        policy: &'a P,
     ) -> Self {
         Rules {
             graph,
             pad: Padding::new(graph, spec),
             chain: attack.map_or(&[][..], |a| &a.chain),
-            policy,
+            policy: spec.defense_policy(),
             facts: attack.map_or_else(AttackFacts::default, |a| a.facts),
             policy_rejects: 0,
         }
@@ -162,18 +161,17 @@ impl<'a, P: DefensePolicy> Rules<'a, P> {
     }
 
     /// Whether `node` refuses an attacker-derived offer arriving with class
-    /// `class`: it is on the claimed chain (loop prevention) or, under a
-    /// policy that is not the compile-time `NOOP`, its [`DefensePolicy`]
-    /// drops it (tallied in `policy_rejects`).
+    /// `class`: it is on the claimed chain (loop prevention) or, in a
+    /// defended spec, the [`DeployedPolicy`] drops it (tallied in
+    /// `policy_rejects`).
     #[inline]
     pub(super) fn refuses(&mut self, node: u32, class: RouteClass) -> bool {
         if self.chain.binary_search(&(node as usize)).is_ok() {
             return true;
         }
-        let rejected = !P::NOOP
-            && !self
-                .policy
-                .accepts_attacker_route(node as usize, class, &self.facts);
+        let rejected = self
+            .policy
+            .is_some_and(|p| !p.accepts_attacker_route(node as usize, class, &self.facts));
         self.policy_rejects += u64::from(rejected);
         rejected
     }
@@ -184,7 +182,6 @@ mod tests {
     use super::*;
     use crate::audit::full_pass_divergence;
     use crate::engine::Pass;
-    use crate::policy::NoDefense;
     use crate::{AttackerModel, RouteWorkspace, RoutingEngine};
     use aspp_topology::gen::{InternetConfig, TIER1_BASE, TIER2_BASE, TIER3_BASE};
     use aspp_types::Asn;
@@ -206,13 +203,13 @@ mod tests {
         let wide = engine.compute_with(&cell(TIER1_BASE), &mut ws);
         assert_eq!(ws.delta_passes(), 1);
         assert!(wide.polluted_count() > graph.len() / 4);
-        assert_eq!(full_pass_divergence(&wide, &NoDefense), None);
+        assert_eq!(full_pass_divergence(&wide), None);
 
         let narrow = engine.compute_with(&cell(TIER3_BASE + 1), &mut ws);
         assert_eq!(ws.delta_passes(), 2);
         assert!(narrow.polluted_count() > 0);
         assert!(narrow.polluted_count() < graph.len() / 100);
-        assert_eq!(full_pass_divergence(&narrow, &NoDefense), None);
+        assert_eq!(full_pass_divergence(&narrow), None);
     }
 
     #[test]

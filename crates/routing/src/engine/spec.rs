@@ -1,9 +1,11 @@
-//! What to compute: the destination, its prepending, and the attacker.
+//! What to compute: the destination, its prepending, the attacker, and the
+//! defense deployed against it.
 
 use std::sync::Arc;
 
 use aspp_types::Asn;
 
+use crate::policy::DeployedPolicy;
 use crate::prepend::{PrependConfig, PrependingPolicy};
 
 /// How the attacker exports its stripped route (paper Figures 11–12).
@@ -157,7 +159,8 @@ impl AttackerModel {
 /// Everything needed to compute routes toward one destination.
 ///
 /// A spec with an attacker is one cell of the paper's experiments (victim,
-/// attacker, λ); equality compares the prepending configuration by value.
+/// attacker, λ); a defended spec is one cell of a deployment sweep. Equality
+/// compares the prepending configuration and the defense by value.
 ///
 /// # Example
 ///
@@ -178,6 +181,9 @@ pub struct DestinationSpec {
     // outcome embedding) bumps a refcount instead of copying the policy map.
     prepend: Arc<PrependConfig>,
     attacker: Option<AttackerModel>,
+    // Arc-shared for the same reason: a deployment grid's cells share a
+    // handful of deployment maps.
+    defense: Option<Arc<DeployedPolicy>>,
 }
 
 impl DestinationSpec {
@@ -188,6 +194,7 @@ impl DestinationSpec {
             victim,
             prepend: Arc::new(PrependConfig::new()),
             attacker: None,
+            defense: None,
         }
     }
 
@@ -220,6 +227,16 @@ impl DestinationSpec {
         self
     }
 
+    /// Deploys `policy`: its deployers filter attacker-derived
+    /// announcements at import (see [`crate::policy`]). The clean
+    /// equilibrium does not depend on it, so a defended spec shares its
+    /// clean pass with the undefended one.
+    #[must_use]
+    pub fn defense(mut self, policy: Arc<DeployedPolicy>) -> Self {
+        self.defense = Some(policy);
+        self
+    }
+
     /// The destination (victim) AS.
     #[must_use]
     pub fn victim(&self) -> Asn {
@@ -230,6 +247,12 @@ impl DestinationSpec {
     #[must_use]
     pub fn attacker_model(&self) -> Option<&AttackerModel> {
         self.attacker.as_ref()
+    }
+
+    /// The deployed defense, if any.
+    #[must_use]
+    pub fn defense_policy(&self) -> Option<&DeployedPolicy> {
+        self.defense.as_deref()
     }
 
     /// λ: the copies of its ASN the victim announces, as set by
@@ -250,9 +273,9 @@ impl DestinationSpec {
     }
 
     /// What the clean equilibrium depends on: specs with equal keys share
-    /// one clean pass whatever their attackers do. Both the workspace cache
-    /// and the batch scheduler's steal units ([`crate::batch`]) are keyed
-    /// by it.
+    /// one clean pass whatever their attackers and defenses do. Both the
+    /// workspace cache and the batch scheduler's steal units
+    /// ([`crate::batch`]) are keyed by it.
     pub(crate) fn clean_key(&self) -> (Asn, &Arc<PrependConfig>) {
         (self.victim, &self.prepend)
     }

@@ -54,8 +54,8 @@
 //! the node ends on the route the full pass gives it. DESIGN.md § Why the
 //! delta pass is exact walks through the cases.
 //!
-//! Attacker seeding, chain masking, the [`DefensePolicy`] hook, prepending
-//! and the 28-bit length bound are [`Rules`]; the bound panics on an offer
+//! Attacker seeding, chain masking, the spec's defense, prepending and the
+//! 28-bit length bound are [`Rules`]; the bound panics on an offer
 //! only a route final in its phase makes, so both passes panic alike.
 
 use std::cmp::Reverse;
@@ -68,21 +68,19 @@ use aspp_types::{Relationship, RouteClass};
 use super::propagate::{export_row, AttackSeed, Rules};
 use super::route::{NodeRoute, PackedRoute, Pass};
 use super::spec::DestinationSpec;
-use crate::policy::DefensePolicy;
 
 /// The full pass for `spec` (victim at node `v_idx`): the clean pass when
-/// `attack` is `None`, else the attacked pass it seeds, `policy` filtering
-/// attacker-derived offers at their receivers. Every node is dirty and the
-/// table starts absent.
-pub(super) fn full_pass<P: DefensePolicy>(
+/// `attack` is `None`, else the attacked pass it seeds, the spec's defense
+/// filtering attacker-derived offers at their receivers. Every node is
+/// dirty and the table starts absent.
+pub(super) fn full_pass(
     graph: &AsGraph,
     spec: &DestinationSpec,
     v_idx: usize,
     attack: Option<&AttackSeed>,
-    policy: &P,
 ) -> Pass {
     let mut unread = Marks::default();
-    propagate::<P, false>(graph, spec, v_idx, attack, policy, None, &mut unread).0
+    propagate::<false>(graph, spec, v_idx, attack, None, &mut unread).0
 }
 
 /// What a delta pass did, for the engine's counters.
@@ -97,16 +95,15 @@ pub(super) struct DeltaWork {
 /// clean table `clean` with only the attacker's neighbors dirty. Returns the
 /// table and the work it did. `marks` must be [`reset`](Marks::reset) to
 /// the graph's size.
-pub(super) fn delta_pass<P: DefensePolicy>(
+pub(super) fn delta_pass(
     graph: &AsGraph,
     spec: &DestinationSpec,
     v_idx: usize,
     attack: &AttackSeed,
     clean: &Pass,
-    policy: &P,
     marks: &mut Marks,
 ) -> (Pass, DeltaWork) {
-    propagate::<P, true>(graph, spec, v_idx, Some(attack), policy, Some(clean), marks)
+    propagate::<true>(graph, spec, v_idx, Some(attack), Some(clean), marks)
 }
 
 /// The propagation loop: seeds the victim and the attacker, then climbs
@@ -115,17 +112,16 @@ pub(super) fn delta_pass<P: DefensePolicy>(
 /// pass: every position is dirty and no node is ever stale (no node holds
 /// a route from an exporter before that exporter offers), so the loop
 /// reads no marks and that bookkeeping compiles out.
-fn propagate<P: DefensePolicy, const SPARSE: bool>(
+fn propagate<const SPARSE: bool>(
     graph: &AsGraph,
     spec: &DestinationSpec,
     v_idx: usize,
     attack: Option<&AttackSeed>,
-    policy: &P,
     base: Option<&Pass>,
     marks: &mut Marks,
 ) -> (Pass, DeltaWork) {
-    let mut sweep = Sweep::<P, SPARSE> {
-        rules: Rules::new(graph, spec, attack, policy),
+    let mut sweep = Sweep::<SPARSE> {
+        rules: Rules::new(graph, spec, attack),
         order: graph.propagation_order(),
         best: base.map_or_else(|| Pass::absent(graph.len()), Pass::clone),
         base,
@@ -244,8 +240,8 @@ fn unset(bits: &mut [u64], k: usize) {
 }
 
 /// One pass in progress; `SPARSE` as in [`propagate`].
-struct Sweep<'a, P, const SPARSE: bool> {
-    rules: Rules<'a, P>,
+struct Sweep<'a, const SPARSE: bool> {
+    rules: Rules<'a>,
     order: &'a PropagationOrder,
     /// Each node's best offer so far, final once the sweep has settled it.
     best: Pass,
@@ -262,7 +258,7 @@ struct Sweep<'a, P, const SPARSE: bool> {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl<P: DefensePolicy, const SPARSE: bool> Sweep<'_, P, SPARSE> {
+impl<const SPARSE: bool> Sweep<'_, SPARSE> {
     /// The route node `x` held in the base table.
     #[inline]
     fn base_word(&self, x: u32) -> PackedRoute {

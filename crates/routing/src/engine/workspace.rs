@@ -11,7 +11,6 @@ use super::propagate::AttackSeed;
 use super::route::Pass;
 use super::spec::DestinationSpec;
 use super::sweep::{delta_pass, full_pass, Marks};
-use crate::policy::{DefensePolicy, NoDefense};
 use crate::prepend::PrependConfig;
 
 /// One memoized clean (no-attack) pass, keyed by everything that influences
@@ -39,14 +38,15 @@ impl CleanEntry {
 /// attacker is present, recomputes the clean (no-attack) equilibrium for
 /// every call. Sweeps — λ sweeps, attacker-placement sweeps, detection
 /// evaluations — issue thousands of such calls against the same victim, so a
-/// `RouteWorkspace` keeps three things alive across calls:
+/// `RouteWorkspace` keeps two things alive across calls:
 ///
 /// * the delta pass's dirty and stale marks, one bit per node, so they are
 ///   cleared instead of reallocated; and
 /// * a small LRU cache of clean passes keyed by `(victim, prepending
-///   config)` — each entry `Arc`-shares its route table (hits never clone
-///   it), so repeated computations over the same victim skip the redundant
-///   clean pass entirely and give the **delta attacked pass** its starting
+///   config)`, whatever the attacker and the defense — each entry
+///   `Arc`-shares its route table (hits never clone it), so repeated
+///   computations over the same victim skip the redundant clean pass
+///   entirely and give the **delta attacked pass** its starting
 ///   equilibrium for free.
 ///
 /// Results are **bit-identical** to [`RoutingEngine::compute`]: the clean
@@ -174,15 +174,14 @@ impl RouteWorkspace {
     }
 
     /// The attacked pass `seed` seeds for `spec` (victim at node `v_idx`),
-    /// by the delta pass from the clean table `clean` under `policy`.
-    pub(super) fn delta_pass<P: DefensePolicy>(
+    /// by the delta pass from the clean table `clean`.
+    pub(super) fn delta_pass(
         &mut self,
         graph: &AsGraph,
         spec: &DestinationSpec,
         v_idx: usize,
         seed: &AttackSeed,
         clean: &Pass,
-        policy: &P,
     ) -> Pass {
         let n = graph.len();
         if self.sized < n {
@@ -192,7 +191,7 @@ impl RouteWorkspace {
         }
         self.marks.reset(n);
         self.delta_passes += 1;
-        let (pass, work) = delta_pass(graph, spec, v_idx, seed, clean, policy, &mut self.marks);
+        let (pass, work) = delta_pass(graph, spec, v_idx, seed, clean, &mut self.marks);
         counters::incr(Counter::DeltaPass);
         counters::add(Counter::DeltaFrontierNode, work.visited);
         counters::add(Counter::PolicyReject, work.policy_rejects);
@@ -221,7 +220,7 @@ impl RouteWorkspace {
         }
         self.misses += 1;
         counters::incr(Counter::CleanCacheMiss);
-        let pass = Arc::new(full_pass(graph, spec, v_idx, None, &NoDefense));
+        let pass = Arc::new(full_pass(graph, spec, v_idx, None));
         if self.cache_capacity > 0 {
             self.clean_cache.truncate(self.cache_capacity - 1);
             let (victim, prepend) = spec.clean_key();

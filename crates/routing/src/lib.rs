@@ -20,8 +20,9 @@
 //!   would see;
 //! * **per-AS defense policies** ([`policy`]): ROV, ASPA, peerlock-lite and
 //!   first-AS enforcement as import filters over attacker-derived
-//!   announcements, deployable at any subset of ASes — the Gao–Rexford
-//!   default stays a zero-cost monomorphization ([`NoDefense`]);
+//!   announcements, deployable at any subset of ASes — a
+//!   [`DeployedPolicy`] the experiment cell carries
+//!   ([`DestinationSpec::defense`]);
 //! * **churn events** ([`events`]) for generating realistic update streams.
 //!
 //! # Example
@@ -58,8 +59,6 @@ pub use engine::{
     AttackStrategy, AttackerModel, DestinationSpec, ExportMode, RouteInfo, RouteWorkspace,
     RoutingEngine, RoutingOutcome,
 };
-pub use policy::{
-    AttackFacts, DefensePolicy, DeployedPolicy, DeploymentMap, NoDefense, PolicyKind,
-};
+pub use policy::{AttackFacts, DeployedPolicy, DeploymentMap, PolicyKind};
 pub use prepend::{PrependConfig, PrependingPolicy};
 pub use table::RouteTable;

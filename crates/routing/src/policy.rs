@@ -1,25 +1,25 @@
 //! Per-AS defense policies over the route-adoption decision.
 //!
 //! The engine's decision core is Gao–Rexford: class, then effective length,
-//! then the lowest neighbor ASN. A [`DefensePolicy`] layers *import filtering* on top —
-//! each AS may additionally reject an **attacker-derived** announcement
-//! before it enters the decision process, exactly where real-world ASes
-//! apply ROV, ASPA, or peerlock filters. Policies never touch clean
-//! (genuine) routes: every modeled filter validates properties that hold by
-//! construction on honest announcements in a valley-free equilibrium, so
-//! the clean pass — and the workspace's clean-pass cache — is policy-
-//! independent.
+//! then the lowest neighbor ASN. A [`DeployedPolicy`] — one [`PolicyKind`]
+//! deployed at a set of ASes, carried by the experiment cell itself
+//! ([`DestinationSpec::defense`](crate::DestinationSpec::defense)) — layers
+//! *import filtering* on top: each deploying AS may additionally reject an
+//! **attacker-derived** announcement before it enters the decision process,
+//! exactly where real-world ASes apply ROV, ASPA, or peerlock filters.
+//! Policies never touch clean (genuine) routes: every modeled filter
+//! validates properties that hold by construction on honest announcements
+//! in a valley-free equilibrium, so the clean pass — and the workspace's
+//! clean-pass cache — is policy-independent.
 //!
-//! # Zero-cost default
+//! # The undefended default
 //!
-//! The policy hook is monomorphized. [`NoDefense`] sets
-//! [`DefensePolicy::NOOP`] to `true` and the engine guards every policy
-//! check behind `!P::NOOP`, a compile-time constant — with the default
-//! policy the generated hot-path code has no policy check at all, and
-//! [`RoutingEngine::compute_with`](crate::RoutingEngine::compute_with)
-//! computes the same equilibrium as an empty deployment (pinned by
-//! `tests/defense_equivalence.rs`); the benchmark's `impact-internet` and
-//! `estimate-internet` workloads time that default path.
+//! A spec without a defense runs plain Gao–Rexford. The engine consults the
+//! policy only on an attacker-derived offer the claimed chain has not
+//! already refused, and there the check is one `Option` test; the per-attack
+//! [`AttackFacts`] are computed only for a defended spec. An empty
+//! deployment computes the same equilibrium as no defense (pinned by
+//! `tests/defense_equivalence.rs`).
 //!
 //! # The modeled filters
 //!
@@ -38,123 +38,11 @@
 //! negative results: the ASPP interception forges neither the origin nor
 //! the first hop, so their deployment curves stay flat (property-tested in
 //! `tests/defense_equivalence.rs`).
-//!
-//! # Writing a custom policy
-//!
-//! Any type implementing [`DefensePolicy`] can be threaded through
-//! [`RoutingEngine::compute_with_policy`](crate::RoutingEngine::compute_with_policy).
-//! A policy that rejects every
-//! attacker-derived announcement everywhere reduces pollution to zero:
-//!
-//! ```
-//! use aspp_routing::policy::{AttackFacts, DefensePolicy};
-//! use aspp_routing::{AttackerModel, DestinationSpec, RouteWorkspace, RoutingEngine};
-//! use aspp_topology::gen::InternetConfig;
-//! use aspp_types::{Asn, RouteClass};
-//!
-//! /// Drops every attacker-derived announcement at every AS.
-//! struct DropAll;
-//!
-//! impl DefensePolicy for DropAll {
-//!     fn accepts_attacker_route(
-//!         &self,
-//!         _node: usize,
-//!         _class: RouteClass,
-//!         _facts: &AttackFacts,
-//!     ) -> bool {
-//!         false
-//!     }
-//! }
-//!
-//! let graph = InternetConfig::small().seed(7).build();
-//! let engine = RoutingEngine::new(&graph);
-//! let mut ws = RouteWorkspace::new();
-//! let spec = DestinationSpec::new(Asn(20_000))
-//!     .origin_padding(4)
-//!     .attacker(AttackerModel::new(Asn(20_001)));
-//! let outcome = engine.compute_with_policy(&spec, &mut ws, &DropAll);
-//! // Nobody can adopt what everybody filters.
-//! assert_eq!(outcome.polluted_count(), 0);
-//! ```
-
-use std::sync::Arc;
 
 use aspp_topology::AsGraph;
 use aspp_types::{Asn, Relationship, RouteClass};
 
 use crate::engine::{AttackStrategy, Pass, RoutingOutcome};
-
-/// An import filter one AS may apply to **attacker-derived** announcements.
-///
-/// The engine consults the policy once per attacker-derived route offer, at
-/// the receiving node, before the offer enters the decision process; a
-/// rejected offer is dropped exactly as if the export never happened.
-/// Clean-pass announcements are never filtered (see the module docs for why
-/// that is faithful).
-///
-/// Implementations must be cheap: the hook sits on the propagation hot
-/// path and is called once per (deployed) receiver per attacker-derived
-/// edge relaxation.
-///
-/// Implementations must also be **pure**: the verdict is a function of the
-/// arguments alone. The engine may ask about the same offer more than once
-/// — a node that re-selects is offered its clean parent's route again,
-/// the `debug-audit` replay consults it again, and the audit re-derives
-/// every verdict — so
-/// a policy whose answer depends on how often it was asked makes the
-/// outcome depend on the engine's schedule.
-pub trait DefensePolicy {
-    /// Marks the policy as a compile-time no-op. When `true` the engine
-    /// elides the hook entirely (the monomorphized hot path is identical
-    /// to the pre-policy engine).
-    ///
-    /// Only [`NoDefense`] should set this.
-    const NOOP: bool = false;
-
-    /// Whether `node` accepts an attacker-derived announcement arriving
-    /// with receiving class `class`, given the per-attack [`AttackFacts`].
-    /// Must be a pure function of its arguments (see the trait docs).
-    fn accepts_attacker_route(&self, node: usize, class: RouteClass, facts: &AttackFacts) -> bool;
-}
-
-/// The default policy: every AS runs plain Gao–Rexford with no import
-/// filtering. `NOOP = true`, so the engine compiles the policy hook away —
-/// [`RoutingEngine::compute_with`](crate::RoutingEngine::compute_with) is
-/// exactly `compute_with_policy(spec, ws, &NoDefense)`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoDefense;
-
-impl DefensePolicy for NoDefense {
-    const NOOP: bool = true;
-
-    #[inline(always)]
-    fn accepts_attacker_route(
-        &self,
-        _node: usize,
-        _class: RouteClass,
-        _facts: &AttackFacts,
-    ) -> bool {
-        true
-    }
-}
-
-impl<P: DefensePolicy + ?Sized> DefensePolicy for &P {
-    const NOOP: bool = P::NOOP;
-
-    #[inline(always)]
-    fn accepts_attacker_route(&self, node: usize, class: RouteClass, facts: &AttackFacts) -> bool {
-        (**self).accepts_attacker_route(node, class, facts)
-    }
-}
-
-impl<P: DefensePolicy + ?Sized> DefensePolicy for Arc<P> {
-    const NOOP: bool = P::NOOP;
-
-    #[inline(always)]
-    fn accepts_attacker_route(&self, node: usize, class: RouteClass, facts: &AttackFacts) -> bool {
-        (**self).accepts_attacker_route(node, class, facts)
-    }
-}
 
 /// Path-validity facts about one attack announcement, precomputed once per
 /// attacked pass so the per-offer policy check is branch-and-mask only.
@@ -162,7 +50,7 @@ impl<P: DefensePolicy + ?Sized> DefensePolicy for Arc<P> {
 /// Every fact is a property of the attacker's *claimed* announcement (the
 /// forged segment of the path), constant across all receivers; what varies
 /// per receiver is the arrival class, which
-/// [`DefensePolicy::accepts_attacker_route`] receives separately.
+/// [`DeployedPolicy::accepts_attacker_route`] receives separately.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AttackFacts {
     /// The announcement claims an origin that does not own the prefix
@@ -426,9 +314,9 @@ impl DeploymentMap {
     }
 }
 
-/// One [`PolicyKind`] deployed at a subset of ASes — the concrete
-/// [`DefensePolicy`] the deployment sweeps run. Non-deploying ASes accept
-/// everything (plain Gao–Rexford); deploying ASes apply
+/// One [`PolicyKind`] deployed at a subset of ASes — the defense a
+/// [`DestinationSpec`](crate::DestinationSpec) carries. Non-deploying ASes
+/// accept everything (plain Gao–Rexford); deploying ASes apply
 /// [`PolicyKind::accepts`].
 ///
 /// # Example: a hand-rolled deployment sweep
@@ -438,6 +326,8 @@ impl DeploymentMap {
 /// rejection only ever prunes the attacker's frontier:
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use aspp_routing::policy::{DeploymentMap, DeployedPolicy, PolicyKind};
 /// use aspp_routing::{AttackerModel, DestinationSpec, ExportMode, RouteWorkspace, RoutingEngine};
 /// use aspp_topology::gen::InternetConfig;
@@ -455,9 +345,9 @@ impl DeploymentMap {
 /// for fraction in [0.0, 0.25, 0.5, 1.0] {
 ///     let adopters = (fraction * by_degree.len() as f64).ceil() as usize;
 ///     let map = DeploymentMap::from_asns(&graph, by_degree[..adopters].iter().copied());
-///     let policy = DeployedPolicy::new(PolicyKind::Aspa, map);
+///     let policy = Arc::new(DeployedPolicy::new(PolicyKind::Aspa, map));
 ///     let polluted = engine
-///         .compute_with_policy(&spec, &mut ws, &policy)
+///         .compute_with(&spec.clone().defense(policy), &mut ws)
 ///         .polluted_count();
 ///     assert!(polluted <= last, "wider deployment must not widen pollution");
 ///     last = polluted;
@@ -487,11 +377,18 @@ impl DeployedPolicy {
     pub fn map(&self) -> &DeploymentMap {
         &self.map
     }
-}
 
-impl DefensePolicy for DeployedPolicy {
+    /// Whether `node` accepts an attacker-derived announcement arriving
+    /// with receiving class `class`, given the per-attack [`AttackFacts`]:
+    /// the engine's per-offer check and the audit's re-derivation of it.
     #[inline]
-    fn accepts_attacker_route(&self, node: usize, class: RouteClass, facts: &AttackFacts) -> bool {
+    #[must_use]
+    pub fn accepts_attacker_route(
+        &self,
+        node: usize,
+        class: RouteClass,
+        facts: &AttackFacts,
+    ) -> bool {
         !self.map.deploys(node) || self.kind.accepts(class, facts)
     }
 }
@@ -503,6 +400,7 @@ mod tests {
     use crate::engine::{AttackerModel, DestinationSpec, ExportMode, RoutingEngine};
     use crate::RouteWorkspace;
     use aspp_types::well_known;
+    use std::sync::Arc;
 
     #[test]
     fn deployment_map_basics() {
@@ -644,16 +542,16 @@ mod tests {
 
         let full = DeploymentMap::from_indices(graph.len(), 0..graph.len());
         for kind in [PolicyKind::Rov, PolicyKind::EnforceFirstAs] {
-            let policy = DeployedPolicy::new(kind, full.clone());
-            let defended = engine.compute_with_policy(&spec, &mut ws, &policy);
+            let policy = Arc::new(DeployedPolicy::new(kind, full.clone()));
+            let defended = engine.compute_with(&spec.clone().defense(policy), &mut ws);
             assert_eq!(
                 defended.polluted_count(),
                 undefended.polluted_count(),
                 "{kind} must be blind to the strip"
             );
         }
-        let aspa = DeployedPolicy::new(PolicyKind::Aspa, full);
-        let defended = engine.compute_with_policy(&spec, &mut ws, &aspa);
+        let aspa = Arc::new(DeployedPolicy::new(PolicyKind::Aspa, full));
+        let defended = engine.compute_with(&spec.defense(aspa), &mut ws);
         assert!(
             defended.polluted_count() < undefended.polluted_count(),
             "full ASPA must prune leak-labeled adoptions"

@@ -8,7 +8,7 @@
 //! The counts hold with and without `--features debug-audit`: the
 //! engine's own audits and full-pass replays count no engine work.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use aspp_obs::counters::Counter;
 use aspp_obs::MetricsSnapshot;
@@ -121,12 +121,9 @@ fn delta_pass_counts_are_exact() {
     // pinned per kind of pass, so an edit to the propagation loop cannot
     // change its work silently. Clean passes visit every node and are not
     // counted.
-    let mut work = |spec: &DestinationSpec, policy: Option<&DeployedPolicy>| {
+    let mut work = |spec: &DestinationSpec| {
         let before = MetricsSnapshot::capture();
-        let _ = match policy {
-            Some(policy) => engine.compute_with_policy(spec, &mut ws, policy),
-            None => engine.compute_with(spec, &mut ws),
-        };
+        let _ = engine.compute_with(spec, &mut ws);
         MetricsSnapshot::capture()
             .since(&before)
             .get(Counter::DeltaFrontierNode)
@@ -138,9 +135,9 @@ fn delta_pass_counts_are_exact() {
     // AS5's shorter re-export: two nodes visited, every run (the first
     // also pays the clean-pass miss).
     let spec = attacked_spec(4);
-    let cold = work(&spec, None);
-    let _ = work(&spec, None);
-    let warm = work(&spec, None);
+    let cold = work(&spec);
+    let _ = work(&spec);
+    let warm = work(&spec);
     // λ=1: nothing to strip, so the attacker's length-3 customer-class
     // offer displaces AS5's length-2 peer-class clean route — policy beats
     // length, the adoption lengthens the route, and AS5's provider-class
@@ -148,8 +145,8 @@ fn delta_pass_counts_are_exact() {
     // (length 3). AS6 does not take its clean parent's offer, so it
     // re-selects, and takes it as the best left: two nodes visited.
     let corner = attacked_spec(1);
-    let _ = work(&corner, None);
-    let lengthened = work(&corner, None);
+    let _ = work(&corner);
+    let lengthened = work(&corner);
     // Poisoning an AS absent from the topology claims `[3 99 1 2]`, one
     // hop longer than the attacker's own clean route `[1 2]`: AS5 adopts
     // the length-4 customer-class offer, and AS6 re-selects its length-5
@@ -159,8 +156,8 @@ fn delta_pass_counts_are_exact() {
             .mode(ExportMode::ViolateValleyFree)
             .strategy(AttackStrategy::PoisonPath { poisoned: Asn(99) }),
     );
-    let _ = work(&poisoned, None);
-    let poisoned_pass = work(&poisoned, None);
+    let _ = work(&poisoned);
+    let poisoned_pass = work(&poisoned);
     let unpolicied = MetricsSnapshot::capture().since(&start);
     // ASPA everywhere on the λ=4 attack: AS5 refuses the provider-learned
     // route the attacker re-announces, and AS1 is on the chain, so the
@@ -170,7 +167,7 @@ fn delta_pass_counts_are_exact() {
         DeploymentMap::from_indices(graph.len(), 0..graph.len()),
     );
     let before = MetricsSnapshot::capture();
-    let policied = work(&spec, Some(&aspa));
+    let policied = work(&spec.defense(Arc::new(aspa)));
     let policy = MetricsSnapshot::capture().since(&before);
     // An origin hijack by AS3 at λ=4 with ROV at stub AS6 alone: AS1 and AS5
     // adopt the forged origin, and AS6 refuses it from AS5, its own clean
@@ -183,7 +180,7 @@ fn delta_pass_counts_are_exact() {
     );
     let rov = DeployedPolicy::new(PolicyKind::Rov, DeploymentMap::from_asns(&graph, [Asn(6)]));
     let before = MetricsSnapshot::capture();
-    let orphaned = work(&hijack, Some(&rov));
+    let orphaned = work(&hijack.defense(Arc::new(rov)));
     let orphan = MetricsSnapshot::capture().since(&before);
     let total = MetricsSnapshot::capture().since(&start);
 
@@ -198,6 +195,9 @@ fn delta_pass_counts_are_exact() {
     assert_eq!(policied, 0);
     assert_eq!(policy.get(Counter::DeltaPass), 1);
     assert_eq!(policy.get(Counter::PolicyReject), 1);
+    // The defended cell shares the undefended cells' clean pass.
+    assert_eq!(policy.get(Counter::CleanCacheHit), 1);
+    assert_eq!(policy.get(Counter::CleanCacheMiss), 0);
     // AS6 refuses the offer of its clean parent and then, re-selecting,
     // the same offer again: two rejects.
     assert_eq!(orphaned, 3);

@@ -804,24 +804,32 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
         .attack_ratio(run.ratio("--attack-ratio")?.unwrap_or(0.15))
         .withdraw_ratio(run.ratio("--withdraw-ratio")?.unwrap_or(0.3))
         .seed(run.seed);
-    let graph = run.internet();
 
-    // Acquire the stream: decode a wire file, or synthesize one.
+    // Acquire the stream: decode a wire file, before the topology is built
+    // so that a bad file fails fast, or synthesize one.
     let t0 = Instant::now();
-    let replay = run.value("--in").zip(run.value("--corpus"));
-    let (seeds, updates, attacks) = if let Some((path, corpus_path)) = replay {
-        let seeds = read_corpus(corpus_path)?;
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let updates = if run.has("--lenient") {
-            let (updates, report) = decode_records_lenient(&bytes);
-            out!("{path}: {report}");
-            for note in &report.notes {
-                out!("  {note}");
-            }
-            updates
-        } else {
-            decode_records(&bytes).map_err(|e| format!("{path}: {e}"))?
-        };
+    let replay = match run.value("--in").zip(run.value("--corpus")) {
+        Some((path, corpus_path)) => {
+            let seeds = read_corpus(corpus_path)?;
+            let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let updates = if run.has("--lenient") {
+                let (updates, report) = decode_records_lenient(&bytes);
+                out!("{path}: {report}");
+                for note in &report.notes {
+                    out!("  {note}");
+                }
+                updates
+            } else {
+                decode_records(&bytes).map_err(|e| format!("{path}: {e}"))?
+            };
+            Some((seeds, updates))
+        }
+        None => None,
+    };
+    let decode_ms = ms(t0);
+    let graph = run.internet();
+    let t0 = Instant::now();
+    let (seeds, updates, attacks) = if let Some((seeds, updates)) = replay {
         (seeds, updates, 0)
     } else {
         let feed = synthesis.generate(&graph);
@@ -839,7 +847,7 @@ fn cmd_feed(run: &mut Run) -> Result<(), String> {
         let updates = feed.updates().to_vec();
         (feed.corpus, updates, attacks)
     };
-    run.manifest.push_phase("generate", ms(t0));
+    run.manifest.push_phase("generate", decode_ms + ms(t0));
     run.manifest.push_strategy(&format!("shards={shards}"));
 
     let graph = Arc::new(graph);

@@ -104,10 +104,10 @@ fn one_unit_batch_is_finished_by_every_worker_and_matches_per_cell_compute() {
         Arc::new(DeployedPolicy::new(PolicyKind::Aspa, everyone)),
         Arc::new(DeployedPolicy::new(PolicyKind::PeerlockLite, half)),
     ];
-    let cells: Vec<(DestinationSpec, Arc<DeployedPolicy>)> = specs
+    let cells: Vec<DestinationSpec> = specs
         .iter()
         .enumerate()
-        .map(|(i, s)| (s.clone(), Arc::clone(&policies[i % 2])))
+        .map(|(i, s)| s.clone().defense(Arc::clone(&policies[i % 2])))
         .collect();
 
     let engine = RoutingEngine::new(&graph);
@@ -117,9 +117,9 @@ fn one_unit_batch_is_finished_by_every_worker_and_matches_per_cell_compute() {
         .collect();
     let expected_policied: Vec<_> = cells
         .iter()
-        .map(|(s, p)| {
+        .map(|s| {
             let mut cold = RouteWorkspace::with_cache_capacity(0);
-            route_table(&engine.compute_with_policy(s, &mut cold, p))
+            route_table(&engine.compute_with(s, &mut cold))
         })
         .collect();
     assert_ne!(expected, expected_policied, "the policies must bite");
@@ -145,10 +145,10 @@ fn one_unit_batch_is_finished_by_every_worker_and_matches_per_cell_compute() {
             arrive();
             route_table(outcome)
         });
-        assert_eq!(got, expected, "NoDefense at workers({workers})");
+        assert_eq!(got, expected, "undefended at workers({workers})");
         assert_eq!(seen.lock().unwrap().len(), workers);
 
-        let got = runner.run_with_policy(&graph, &cells, |_, outcome| route_table(outcome));
+        let got = runner.run(&graph, &cells, |_, outcome| route_table(outcome));
         assert_eq!(got, expected_policied, "policied at workers({workers})");
     }
 }

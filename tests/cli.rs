@@ -294,7 +294,7 @@ fn flag_values_are_checked_before_the_topology_is_built() {
     std::fs::create_dir_all(&dir).unwrap();
     let manifest = dir.join("run.json");
     let manifest = manifest.to_str().unwrap();
-    let cases: [(&str, &str); 7] = [
+    let cases: [(&str, &str); 8] = [
         (
             "serve --checkpoint-every 5",
             "--checkpoint-every requires --checkpoint FILE",
@@ -306,6 +306,10 @@ fn flag_values_are_checked_before_the_topology_is_built() {
         ("serve --corpus /nonexistent", "reading /nonexistent"),
         ("feed --attack-ratio 2", "--attack-ratio 2 outside [0, 1]"),
         ("feed --prefixes x", "invalid value for --prefixes: \"x\""),
+        (
+            "feed --in /nonexistent.bin --corpus /nonexistent.txt",
+            "reading /nonexistent.txt",
+        ),
         (
             "impact --figure 13",
             "unknown figure \"13\" (use 7..12 or all)",

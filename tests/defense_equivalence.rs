@@ -1,15 +1,14 @@
-//! Defense-policy equivalence: the `DefensePolicy` refactor of the
-//! adoption/export decision core must leave the default path **bit
-//! identical** to the pre-policy engine — `NoDefense` and an
-//! empty-deployment `DeployedPolicy` are the same equilibrium as plain
-//! `compute_with` and as the full-pass reference, across the full
-//! 4-strategy × 2-export-mode × λ matrix — policied attacked passes, which
-//! are delta passes in which a node refused by its clean parent re-selects,
-//! must equal the full pass
-//! under every policy kind and deployment, and policies that are
+//! Defense-policy equivalence: a spec defended by an empty deployment is
+//! the same equilibrium as the undefended spec and as the full-pass
+//! reference, across the full 4-strategy × 2-export-mode × λ matrix, and
+//! shares its clean pass; defended attacked passes, which are delta passes
+//! in which a node refused by its clean parent re-selects, must equal the
+//! full pass under every policy kind and deployment; and policies that are
 //! *semantically blind* to an attack must not perturb it at any deployment
 //! fraction (ROV vs ASPP stripping, the repository's headline negative
 //! result).
+
+use std::sync::Arc;
 
 use aspp_core::attack::defense::{
     deploy_count, deployment_order, run_defense_sweep, DeployStrategy,
@@ -54,22 +53,28 @@ fn nodefense_and_empty_deployment_match_the_default_engine_exactly() {
     assert_eq!(matrix.len(), 4 * 2 * 8, "full grid for one pair");
 
     let engine = RoutingEngine::new(&graph);
-    let empty = DeployedPolicy::new(PolicyKind::Aspa, DeploymentMap::empty(graph.len()));
-    let mut default_ws = RouteWorkspace::new();
-    let mut nodefense_ws = RouteWorkspace::new();
-    let mut empty_ws = RouteWorkspace::new();
+    let empty = Arc::new(DeployedPolicy::new(
+        PolicyKind::Aspa,
+        DeploymentMap::empty(graph.len()),
+    ));
+    let mut warm = RouteWorkspace::new();
     for spec in &matrix {
-        let default = engine.compute_with(spec, &mut default_ws);
-        assert_eq!(full_pass_divergence(&default, &NoDefense), None, "{spec:?}");
-        let default = tables(&default);
-        let nodefense = tables(&engine.compute_with_policy(spec, &mut nodefense_ws, &NoDefense));
+        let default = engine.compute_with(spec, &mut warm);
+        assert_eq!(full_pass_divergence(&default), None, "{spec:?}");
+        // An undefended and a defended spec of one victim on one fresh
+        // workspace: one clean pass computed, then served.
+        let mut ws = RouteWorkspace::new();
+        let undefended = tables(&engine.compute_with(spec, &mut ws));
+        let defended = spec.clone().defense(Arc::clone(&empty));
+        let undeployed = tables(&engine.compute_with(&defended, &mut ws));
+        assert_eq!((ws.cache_misses(), ws.cache_hits()), (1, 1), "{spec:?}");
         assert_eq!(
-            default, nodefense,
-            "NoDefense diverges from the default engine for {spec:?}"
+            tables(&default),
+            undefended,
+            "a warm workspace diverges from a fresh one for {spec:?}"
         );
-        let undeployed = tables(&engine.compute_with_policy(spec, &mut empty_ws, &empty));
         assert_eq!(
-            default, undeployed,
+            undefended, undeployed,
             "an empty deployment map diverges from the default engine for {spec:?}"
         );
     }
@@ -108,10 +113,10 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
     let graph = Scale::Smoke.internet(53);
     let pair = &random_pair_experiments(&graph, 1, 4, 53)[0];
     let engine = RoutingEngine::new(&graph);
-    let rov_everywhere = DeployedPolicy::new(
+    let rov_everywhere = Arc::new(DeployedPolicy::new(
         PolicyKind::Rov,
         DeploymentMap::from_indices(graph.len(), 0..graph.len()),
-    );
+    ));
     let mut ws = RouteWorkspace::new();
 
     let hijack = remodel(pair, |m| {
@@ -122,7 +127,7 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
         engine.compute_with(&hijack, &mut ws).polluted_count() > 0,
         "undefended origin hijack must pollute for the contrast to mean anything"
     );
-    let defended = engine.compute_with_policy(&hijack, &mut ws, &rov_everywhere);
+    let defended = engine.compute_with(&hijack.defense(Arc::clone(&rov_everywhere)), &mut ws);
     assert_eq!(
         defended.polluted_count(),
         0,
@@ -131,8 +136,8 @@ fn universal_rov_extinguishes_origin_hijack_but_not_the_strip() {
 
     let strip = remodel(pair, |m| m.mode(ExportMode::ViolateValleyFree));
     let undefended = engine.compute_with(&strip, &mut ws);
-    let rov_defended = engine.compute_with_policy(&strip, &mut ws, &rov_everywhere);
-    assert_eq!(full_pass_divergence(&rov_defended, &rov_everywhere), None);
+    let rov_defended = engine.compute_with(&strip.clone().defense(rov_everywhere), &mut ws);
+    assert_eq!(full_pass_divergence(&rov_defended), None);
     assert_eq!(
         tables(&undefended),
         tables(&rov_defended),
@@ -157,14 +162,14 @@ fn ranks_worse_somewhere(outcome: &RoutingOutcome<'_>) -> bool {
 /// The nested deployments of `kind` the differential test sweeps: nobody,
 /// ≈10 %, ≈50 % and everybody, along a random and a top-degree adoption
 /// order (the shared empty and full maps once).
-fn nested_deployments(graph: &AsGraph, kind: PolicyKind, seed: u64) -> Vec<DeployedPolicy> {
-    let mut policies: Vec<DeployedPolicy> = Vec::new();
+fn nested_deployments(graph: &AsGraph, kind: PolicyKind, seed: u64) -> Vec<Arc<DeployedPolicy>> {
+    let mut policies: Vec<Arc<DeployedPolicy>> = Vec::new();
     for strategy in [DeployStrategy::Random, DeployStrategy::TopDegree] {
         let order = deployment_order(graph, strategy, seed);
         for fraction in [0.0, 0.1, 0.5, 1.0] {
             let k = deploy_count(order.len(), fraction);
             let map = DeploymentMap::from_asns(graph, order[..k].iter().copied());
-            let policy = DeployedPolicy::new(kind, map);
+            let policy = Arc::new(DeployedPolicy::new(kind, map));
             if !policies.contains(&policy) {
                 policies.push(policy);
             }
@@ -223,14 +228,14 @@ fn policied_delta_passes_match_the_full_pass() {
                 for kind in PolicyKind::ALL {
                     for policy in nested_deployments(&graph, kind, seed) {
                         let passes = ws.delta_passes();
-                        let outcome = engine.compute_with_policy(&spec, &mut ws, &policy);
+                        let deployers = policy.map().deployed_count();
+                        let outcome = engine.compute_with(&spec.clone().defense(policy), &mut ws);
                         assert_eq!(
-                            full_pass_divergence(&outcome, &policy),
+                            full_pass_divergence(&outcome),
                             None,
-                            "case {case}/{CASES}: {spec:?} under {kind} at {} deployers",
-                            policy.map().deployed_count()
+                            "case {case}/{CASES}: {spec:?} under {kind} at {deployers} deployers",
                         );
-                        if policy.map().deployed_count() > 0 {
+                        if deployers > 0 {
                             policied_deltas += ws.delta_passes() - passes;
                         }
                         if ranks_worse_somewhere(&outcome) {
@@ -264,14 +269,14 @@ fn rov_deployer_orphaned_by_its_clean_parent_re_selects() {
         DeploymentMap::from_asns(&graph, [CHINA_TELECOM]),
     );
     let mut ws = RouteWorkspace::new();
-    let outcome = RoutingEngine::new(&graph).compute_with_policy(&spec, &mut ws, &rov);
+    let outcome = RoutingEngine::new(&graph).compute_with(&spec.defense(Arc::new(rov)), &mut ws);
     assert_eq!(
         outcome.clean_route(CHINA_TELECOM).unwrap().next_hop,
         Some(KOREA_TELECOM)
     );
     assert_eq!(outcome.route(CHINA_TELECOM), None);
     assert_eq!(ws.delta_passes(), 1);
-    assert_eq!(full_pass_divergence(&outcome, &rov), None);
+    assert_eq!(full_pass_divergence(&outcome), None);
 }
 
 proptest! {
@@ -292,10 +297,10 @@ proptest! {
         let strategy = DeployStrategy::ALL[strategy_idx];
         let order = deployment_order(&graph, strategy, seed);
         let k = (percent * order.len()).div_ceil(100);
-        let rov = DeployedPolicy::new(
+        let rov = Arc::new(DeployedPolicy::new(
             PolicyKind::Rov,
             DeploymentMap::from_asns(&graph, order[..k].iter().copied()),
-        );
+        ));
         let pair = &random_pair_experiments(&graph, 1, lambda, seed)[0];
         let engine = RoutingEngine::new(&graph);
         let mut ws = RouteWorkspace::new();
@@ -306,8 +311,8 @@ proptest! {
             for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
                 let spec = remodel(pair, |m| m.mode(mode).strategy(attack));
                 let undefended = tables(&engine.compute_with(&spec, &mut ws));
-                let defended = engine.compute_with_policy(&spec, &mut ws, &rov);
-                prop_assert_eq!(full_pass_divergence(&defended, &rov), None);
+                let defended = engine.compute_with(&spec.defense(Arc::clone(&rov)), &mut ws);
+                prop_assert_eq!(full_pass_divergence(&defended), None);
                 let defended = tables(&defended);
                 prop_assert_eq!(
                     &undefended,

@@ -81,7 +81,7 @@ proptest! {
         let mut ws_delta = RouteWorkspace::new();
         for spec in all_experiments(victim, attacker, poisoned) {
             let delta = engine.compute_with(&spec, &mut ws_delta);
-            prop_assert_eq!(full_pass_divergence(&delta, &NoDefense), None, "{:?}", spec);
+            prop_assert_eq!(full_pass_divergence(&delta), None, "{:?}", spec);
 
             // The cold per-cell impact numbers must agree bit-for-bit too.
             let impact = run_experiment(&graph, &spec);
@@ -158,7 +158,7 @@ fn lengthened_adoption_that_costs_no_child_rides_the_delta_pass() {
     );
     assert!(attacked.via_attacker && attacked.effective_len > clean.effective_len);
     assert_eq!(ws.delta_passes(), 1);
-    assert_eq!(full_pass_divergence(&outcome, &NoDefense), None);
+    assert_eq!(full_pass_divergence(&outcome), None);
 }
 
 /// A graph derived from another must not be served the workspace's cached

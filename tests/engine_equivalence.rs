@@ -5,6 +5,8 @@
 //! best route, for every victim, padding level, attacker placement, export
 //! mode, and attack strategy.
 
+use std::sync::Arc;
+
 use aspp_core::experiments::Scale;
 use aspp_core::prelude::*;
 use aspp_core::routing::bgp::BgpSimulation;
@@ -182,12 +184,14 @@ proptest! {
         }
 
         let deployers = DeploymentMap::from_asns(&graph, asns.iter().copied().step_by(2));
-        let aspa = DeployedPolicy::new(PolicyKind::Aspa, deployers);
-        let spec = clean.attacker(AttackerModel::new(attacker).mode(ExportMode::ViolateValleyFree));
-        let outcome = RoutingEngine::new(&graph).compute_with_policy(&spec, &mut RouteWorkspace::new(), &aspa);
-        let report = aspp_core::routing::audit::audit_outcome_with(&outcome, &aspa);
+        let aspa = Arc::new(DeployedPolicy::new(PolicyKind::Aspa, deployers));
+        let spec = clean
+            .attacker(AttackerModel::new(attacker).mode(ExportMode::ViolateValleyFree))
+            .defense(aspa);
+        let outcome = RoutingEngine::new(&graph).compute(&spec);
+        let report = aspp_core::routing::audit::audit_outcome(&outcome);
         prop_assert!(report.is_clean(), "{}", report);
-        prop_assert_eq!(aspp_core::routing::audit::full_pass_divergence(&outcome, &aspa), None);
+        prop_assert_eq!(aspp_core::routing::audit::full_pass_divergence(&outcome), None);
     }
 }
 
@@ -342,7 +346,7 @@ fn construction_order_does_not_change_route_tables() {
     let asns: Vec<Asn> = graph.asns().collect();
     let aspa = |g: &AsGraph| {
         let deployers = DeploymentMap::from_asns(g, asns.iter().copied().step_by(3));
-        DeployedPolicy::new(PolicyKind::Aspa, deployers)
+        Arc::new(DeployedPolicy::new(PolicyKind::Aspa, deployers))
     };
     let same = |outcome: &RoutingOutcome<'_>, reference: &RoutingOutcome<'_>| {
         for &asn in &asns {
@@ -378,11 +382,11 @@ fn construction_order_does_not_change_route_tables() {
         }
         let spec = clean.attacker(AttackerModel::new(attacker));
         let mut ws = RouteWorkspace::new();
-        let reference =
-            RoutingEngine::new(&graph).compute_with_policy(&spec, &mut ws, &aspa(&graph));
+        let defended = |g| spec.clone().defense(aspa(g));
+        let reference = RoutingEngine::new(&graph).compute_with(&defended(&graph), &mut ws);
         for g in [&reversed, &shuffled] {
             same(
-                &RoutingEngine::new(g).compute_with_policy(&spec, &mut ws, &aspa(g)),
+                &RoutingEngine::new(g).compute_with(&defended(g), &mut ws),
                 &reference,
             );
         }

@@ -132,7 +132,7 @@ fn paper_matrix_flat_tables_and_paths_match_references() {
     for spec in &matrix {
         let outcome = engine.compute_with(spec, &mut ws);
         assert_eq!(
-            full_pass_divergence(&outcome, &NoDefense),
+            full_pass_divergence(&outcome),
             None,
             "delta route table diverges from full oracle for {spec:?}"
         );

@@ -22,8 +22,10 @@
 //! all-dirty run only:
 //! `cargo test --release --test small_graphs -- --ignored`.
 
+use std::sync::Arc;
+
 use aspp_core::prelude::*;
-use aspp_core::routing::audit::{audit_outcome_with, full_pass_divergence};
+use aspp_core::routing::audit::{audit_outcome, full_pass_divergence};
 use aspp_core::routing::bgp::BgpSimulation;
 use aspp_core::topology::AsGraphBuilder;
 
@@ -107,17 +109,17 @@ fn cases(lambda: usize) -> Vec<DestinationSpec> {
     specs
 }
 
-/// Checks one computed `outcome` against the all-dirty run and the auditor
-/// under `policy`, naming the graph and case on failure.
-fn check_engine<P: DefensePolicy>(graph: &AsGraph, outcome: &RoutingOutcome<'_>, policy: &P) {
+/// Checks one computed `outcome` against the all-dirty run and the auditor,
+/// naming the graph and case on failure.
+fn check_engine(graph: &AsGraph, outcome: &RoutingOutcome<'_>) {
     let spec = outcome.spec();
     assert_eq!(
-        full_pass_divergence(outcome, policy),
+        full_pass_divergence(outcome),
         None,
         "{spec:?} on {}",
         describe(graph)
     );
-    let audit = audit_outcome_with(outcome, policy);
+    let audit = audit_outcome(outcome);
     assert!(
         audit.is_clean(),
         "{spec:?} on {}:\n{audit}",
@@ -184,7 +186,7 @@ fn acyclic_three_ways() -> (usize, usize) {
         for lambda in 1..=3 {
             for spec in cases(lambda) {
                 let outcome = engine.compute_with(&spec, &mut ws);
-                check_engine(&graph, &outcome, &NoDefense);
+                check_engine(&graph, &outcome);
                 check_simulator(&graph, &outcome);
                 checked += 1;
             }
@@ -218,7 +220,7 @@ fn every_four_as_graph_with_siblings_and_loops_agrees_three_ways() {
         for lambda in 1..=3 {
             for spec in cases(lambda) {
                 let outcome = engine.compute_with(&spec, &mut ws);
-                check_engine(&graph, &outcome, &NoDefense);
+                check_engine(&graph, &outcome);
                 check_simulator(&graph, &outcome);
             }
         }
@@ -240,11 +242,12 @@ fn every_policy_over_every_deployment_subset_audits_clean() {
         for kind in PolicyKind::ALL {
             for subset in 1..16usize {
                 let deployers = (0..4).filter(|i| subset >> i & 1 == 1).map(|i| ASNS[i]);
-                let policy = DeployedPolicy::new(kind, DeploymentMap::from_asns(&graph, deployers));
+                let map = DeploymentMap::from_asns(&graph, deployers);
+                let policy = Arc::new(DeployedPolicy::new(kind, map));
                 for lambda in 1..=3 {
                     for spec in cases(lambda) {
-                        let outcome = engine.compute_with_policy(&spec, &mut ws, &policy);
-                        check_engine(&graph, &outcome, &policy);
+                        let spec = spec.defense(Arc::clone(&policy));
+                        check_engine(&graph, &engine.compute_with(&spec, &mut ws));
                     }
                 }
             }
