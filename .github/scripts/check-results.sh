@@ -33,7 +33,7 @@ mkdir "$work/results"
 
 table=(
   "case_study        stdout -                        case-study --seed 2024"
-  "usage_paper       stdout -                        usage --paper --seed 2024"
+  "usage_paper       stdout clean_cache_misses=520   usage --paper --seed 2024"
   "impact_paper      stdout -                        impact --paper --seed 2024"
   "detection_paper   stdout batch_victims            detection --paper --seed 2024"
   "mitigation_paper  stdout -                        mitigate --paper --seed 2024"
@@ -56,6 +56,7 @@ table=(
   "-                 -      policy_rejects=141,delta_passes=192 defense --scale internet --seed 2024 --deploy top-degree"
   "-                 -      scenario_steps           scenario --scale internet --seed 2024"
   "-                 -      batch_victims            detection --scale internet --seed 2024"
+  "-                 -      clean_cache_misses=110   usage --scale internet --seed 2024"
 )
 
 mask() { sed -E 's/[0-9]+\.[0-9]+ ms/X ms/g' "$1"; }

@@ -47,7 +47,7 @@ impl DefenseConfig {
     #[must_use]
     pub fn at_scale(scale: Scale, seed: u64) -> Self {
         DefenseConfig {
-            pairs: scale.defense_pairs(),
+            pairs: scale.preset().defense_pairs,
             lambda: 3,
             kinds: PolicyKind::ALL.to_vec(),
             strategies: DeployStrategy::ALL.to_vec(),

@@ -55,10 +55,10 @@ impl AccuracyCurve {
 /// monitors, >99% at 150).
 #[must_use]
 pub fn fig13(graph: &AsGraph, scale: Scale, seed: u64) -> AccuracyCurve {
-    let specs = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
-    let counts = scale.monitor_counts();
+    let preset = scale.preset();
+    let specs = random_pair_experiments(graph, preset.detection_pairs, 3, seed);
     AccuracyCurve {
-        points: accuracy_vs_monitors(graph, &specs, &counts, &BatchRunner::new()),
+        points: accuracy_vs_monitors(graph, &specs, preset.monitor_counts, &BatchRunner::new()),
     }
 }
 
@@ -93,12 +93,14 @@ impl DetectionLatency {
     }
 }
 
-/// Figure 14: with the top-`scale.latency_monitors()` monitors, how much of
-/// the Internet is already polluted when the alarm fires.
+/// Figure 14: with the top-degree
+/// [`latency_monitors`](super::Preset::latency_monitors) monitors, how much
+/// of the Internet is already polluted when the alarm fires.
 #[must_use]
 pub fn fig14(graph: &AsGraph, scale: Scale, seed: u64) -> DetectionLatency {
-    let specs = random_pair_experiments(graph, scale.detection_pairs(), 3, seed);
-    let monitors = top_degree(graph, scale.latency_monitors());
+    let preset = scale.preset();
+    let specs = random_pair_experiments(graph, preset.detection_pairs, 3, seed);
+    let monitors = top_degree(graph, preset.latency_monitors);
     // One entry per effective attack, the same set Figure 13 evaluates.
     let detected_at = effective_attacks(graph, &specs, &BatchRunner::new(), |outcome| {
         polluted_before_detection(outcome, &monitors)
@@ -145,12 +147,12 @@ impl SelectionStudy {
 /// Runs the selection study at the given scale.
 #[must_use]
 pub fn vantage_selection(graph: &AsGraph, scale: Scale, seed: u64) -> SelectionStudy {
-    let (train_n, budgets) = scale.selection_sizes();
+    let preset = scale.preset();
     // One without-replacement draw split in half: training and held-out
     // batches share no (victim, attacker) pair, so the greedy monitor set is
     // never evaluated on an attack it was fitted to. (Two independent draws
     // — the old scheme — overlap with high probability on small graphs.)
-    let mut pool = random_pair_experiments(graph, 2 * train_n, 3, seed);
+    let mut pool = random_pair_experiments(graph, 2 * preset.selection_pairs, 3, seed);
     let held_out = pool.split_off(pool.len() / 2);
     // Each half's equilibria are computed once and shared by every budget
     // and strategy below.
@@ -158,9 +160,10 @@ pub fn vantage_selection(graph: &AsGraph, scale: Scale, seed: u64) -> SelectionS
     let training = prepare(graph, &pool, &runner);
     let held_out = prepare(graph, &held_out, &runner);
     SelectionStudy {
-        comparisons: budgets
-            .into_iter()
-            .map(|b| compare_selections(graph, &training, &held_out, b, seed))
+        comparisons: preset
+            .selection_budgets
+            .iter()
+            .map(|&b| compare_selections(graph, &training, &held_out, b, seed))
             .collect(),
     }
 }
@@ -173,7 +176,10 @@ mod tests {
     fn fig13_monotone_in_monitors() {
         let g = Scale::Smoke.internet(55);
         let curve = fig13(&g, Scale::Smoke, 5);
-        assert_eq!(curve.points.len(), Scale::Smoke.monitor_counts().len());
+        assert_eq!(
+            curve.points.len(),
+            Scale::Smoke.preset().monitor_counts.len()
+        );
         assert!(curve
             .points
             .windows(2)

@@ -65,7 +65,7 @@ impl RankedImpacts {
 /// Figure 7: tier-1 attacker vs tier-1 victim instances at λ = 3.
 #[must_use]
 pub fn fig7(graph: &AsGraph, scale: Scale, seed: u64) -> RankedImpacts {
-    let exps = tier1_pair_experiments(graph, scale.tier1_instances(), 3, seed);
+    let exps = tier1_pair_experiments(graph, scale.preset().tier1_instances, 3, seed);
     RankedImpacts {
         label: "Figure 7 — polluted ASes in attacks between tier-1 ASes (λ=3)",
         impacts: run_ranked(graph, &exps),
@@ -75,7 +75,7 @@ pub fn fig7(graph: &AsGraph, scale: Scale, seed: u64) -> RankedImpacts {
 /// Figure 8: randomly sampled attacker/victim pairs at λ = 3.
 #[must_use]
 pub fn fig8(graph: &AsGraph, scale: Scale, seed: u64) -> RankedImpacts {
-    let exps = random_pair_experiments(graph, scale.random_instances(), 3, seed);
+    let exps = random_pair_experiments(graph, scale.preset().random_instances, 3, seed);
     RankedImpacts {
         label: "Figure 8 — polluted ASes in attacks between random ASes (λ=3)",
         impacts: run_ranked(graph, &exps),
@@ -300,7 +300,7 @@ mod tests {
     fn fig7_shape() {
         let g = graph();
         let result = fig7(&g, Scale::Smoke, 1);
-        assert_eq!(result.impacts.len(), Scale::Smoke.tier1_instances());
+        assert_eq!(result.impacts.len(), Scale::Smoke.preset().tier1_instances);
         // Ranked descending.
         assert!(result
             .impacts

@@ -35,197 +35,159 @@ use aspp_topology::AsGraph;
 
 /// Experiment scale: `Smoke` for fast CI runs, `Paper` for the sizes the
 /// figures in `EXPERIMENTS.md` were produced at, and `Internet` for
-/// routing-system scale (~80k ASes).
+/// routing-system scale (~80k ASes). Each names one [`Preset`] row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// ~150-AS Internet, reduced instance counts; seconds end-to-end.
     Smoke,
     /// ~1500-AS Internet, paper-matching instance counts.
     Paper,
-    /// ~80,000-AS Internet; instance counts cut so that a run takes about
-    /// a second (`impact`, `sweep`, `defense`, `estimate`, `scenario`:
-    /// 0.4–0.5 s in release on 2 cores at seed 2024).
+    /// ~80,000-AS Internet; instance counts cut so that a run takes well
+    /// under a second (`impact`, `sweep`, `defense --deploy top-degree`,
+    /// `estimate`, `scenario`: 0.25–0.41 s in release on 2 cores at seed
+    /// 2024).
     Internet,
 }
 
-impl Scale {
-    /// Builds the synthetic Internet used at this scale.
-    #[must_use]
-    pub fn internet(self, seed: u64) -> AsGraph {
-        match self {
-            Scale::Smoke => InternetConfig::small().seed(seed).build(),
-            Scale::Paper => InternetConfig::medium().seed(seed).build(),
-            Scale::Internet => InternetConfig::internet().seed(seed).build(),
-        }
-    }
-
-    /// Number of sampled tier-1 hijack instances (paper Figure 7: 80).
-    #[must_use]
-    pub fn tier1_instances(self) -> usize {
-        match self {
-            Scale::Smoke => 10,
-            Scale::Paper => 80,
-            Scale::Internet => 6,
-        }
-    }
-
-    /// Number of random hijack instances (paper Figure 8: 27).
-    #[must_use]
-    pub fn random_instances(self) -> usize {
-        match self {
-            Scale::Smoke => 8,
-            Scale::Paper => 27,
-            Scale::Internet => 6,
-        }
-    }
-
-    /// Number of attacker/victim pairs for the detection evaluation
-    /// (paper Section VI-C: 200).
-    #[must_use]
-    pub fn detection_pairs(self) -> usize {
-        match self {
-            Scale::Smoke => 15,
-            Scale::Paper => 200,
-            Scale::Internet => 12,
-        }
-    }
-
+/// Every size the scales differ in: one row per [`Scale`].
+#[derive(Debug)]
+pub struct Preset {
+    /// The `--scale` spelling and the manifest's label.
+    pub name: &'static str,
+    /// The synthetic Internet's generator preset.
+    pub graph: fn() -> InternetConfig,
+    /// Sampled tier-1 hijack instances (paper Figure 7: 80).
+    pub tier1_instances: usize,
+    /// Random hijack instances (paper Figure 8: 27).
+    pub random_instances: usize,
+    /// Attacker/victim pairs for the detection evaluation (paper
+    /// Section VI-C: 200).
+    pub detection_pairs: usize,
     /// Monitor-count sweep for Figure 13.
-    #[must_use]
-    pub fn monitor_counts(self) -> Vec<usize> {
-        match self {
-            Scale::Smoke => vec![5, 20, 60],
-            Scale::Paper => vec![10, 30, 50, 70, 100, 150, 200, 300],
-            Scale::Internet => vec![10, 50, 100, 200],
-        }
-    }
-
+    pub monitor_counts: &'static [usize],
     /// Monitors used for the Figure 14 latency experiment (paper: top 150).
-    #[must_use]
-    pub fn latency_monitors(self) -> usize {
-        match self {
-            Scale::Smoke => 30,
-            Scale::Paper => 150,
-            Scale::Internet => 100,
-        }
-    }
-
-    /// Number of prefixes in the Figure 5/6 corpus.
-    #[must_use]
-    pub fn corpus_prefixes(self) -> usize {
-        match self {
-            Scale::Smoke => 60,
-            Scale::Paper => 400,
-            Scale::Internet => 80,
-        }
-    }
-
+    pub latency_monitors: usize,
+    /// Prefixes in the Figure 5/6 corpus.
+    pub corpus_prefixes: usize,
+    /// Monitors contributing tables to the Figure 5/6 corpus.
+    pub corpus_monitors: usize,
     /// Sampled attacker/victim pairs per cell of the defense-deployment
     /// grid (see [`defense`]). Smaller than the impact-figure instance
     /// counts because every pair is re-evaluated at every
     /// policy × strategy × fraction cell.
-    #[must_use]
-    pub fn defense_pairs(self) -> usize {
-        match self {
-            Scale::Smoke => 4,
-            Scale::Paper => 8,
-            Scale::Internet => 3,
-        }
-    }
-
+    pub defense_pairs: usize,
     /// Victim/attacker pairs `aspp sweep` runs its strategy matrix over.
-    #[must_use]
-    pub fn sweep_pairs(self) -> usize {
-        match self {
-            Scale::Smoke => 4,
-            Scale::Paper => 8,
-            Scale::Internet => 3,
-        }
-    }
-
+    pub sweep_pairs: usize,
     /// Prefixes `aspp feed` replays by default.
-    #[must_use]
-    pub fn feed_prefixes(self) -> usize {
-        match self {
-            Scale::Smoke => 40,
-            Scale::Paper => 120,
-            Scale::Internet => 160,
-        }
-    }
-
+    pub feed_prefixes: usize,
     /// [`detection::vantage_selection`]'s training pairs (as many are held
-    /// out) and the monitor budgets it compares.
-    #[must_use]
-    pub fn selection_sizes(self) -> (usize, Vec<usize>) {
-        match self {
-            Scale::Smoke => (12, vec![4, 10]),
-            Scale::Paper => (40, vec![10, 30, 70]),
-            Scale::Internet => (16, vec![10, 30]),
-        }
-    }
-
-    /// Monitors contributing tables to the Figure 5/6 corpus.
-    #[must_use]
-    pub fn corpus_monitors(self) -> usize {
-        match self {
-            Scale::Smoke => 20,
-            Scale::Paper => 45,
-            Scale::Internet => 30,
-        }
-    }
-
+    /// out).
+    pub selection_pairs: usize,
+    /// The monitor budgets [`detection::vantage_selection`] compares.
+    pub selection_budgets: &'static [usize],
     /// Cap on the sources probed per scenario step for the longest-prefix-
     /// match capture fraction (`None` probes every AS). Capped at the
     /// Internet tier, where 80k per-step walks would dominate wall time.
-    #[must_use]
-    pub fn scenario_capture_sources(self) -> Option<usize> {
-        match self {
-            Scale::Smoke | Scale::Paper => None,
-            Scale::Internet => Some(2000),
-        }
-    }
-
+    pub scenario_capture_sources: Option<usize>,
     /// Victim- and attacker-pool sizes for the Monte-Carlo impact
     /// estimator. The pools bound the exact-enumeration cross-validation
     /// (pool product cells) as well as the MC draw universe.
-    #[must_use]
-    pub fn estimator_pools(self) -> (usize, usize) {
-        match self {
-            Scale::Smoke => (10, 10),
-            Scale::Paper => (25, 25),
-            Scale::Internet => (40, 40),
-        }
-    }
-
+    pub estimator_pools: (usize, usize),
     /// Monte-Carlo draws for the impact estimator (the cross-validation
     /// pins the exact mean inside the 95% CI at the Paper count).
-    #[must_use]
-    pub fn estimator_samples(self) -> usize {
-        match self {
-            Scale::Smoke => 120,
-            Scale::Paper => 1000,
-            Scale::Internet => 600,
-        }
-    }
-
+    pub estimator_samples: usize,
     /// Bootstrap resamples behind the estimator's confidence intervals.
-    #[must_use]
-    pub fn estimator_resamples(self) -> usize {
-        match self {
-            Scale::Smoke => 300,
-            _ => 1000,
-        }
-    }
-
+    pub estimator_resamples: usize,
     /// Per-sample vantage-subset size for the estimator (`None` measures
     /// the full population; the Internet tier subsamples as Sermpezis et
     /// al. do with real vantage points).
+    pub estimator_vantages: Option<usize>,
+}
+
+const SMOKE: Preset = Preset {
+    name: "smoke",
+    graph: InternetConfig::small,
+    tier1_instances: 10,
+    random_instances: 8,
+    detection_pairs: 15,
+    monitor_counts: &[5, 20, 60],
+    latency_monitors: 30,
+    corpus_prefixes: 60,
+    corpus_monitors: 20,
+    defense_pairs: 4,
+    sweep_pairs: 4,
+    feed_prefixes: 40,
+    selection_pairs: 12,
+    selection_budgets: &[4, 10],
+    scenario_capture_sources: None,
+    estimator_pools: (10, 10),
+    estimator_samples: 120,
+    estimator_resamples: 300,
+    estimator_vantages: None,
+};
+
+const PAPER: Preset = Preset {
+    name: "paper",
+    graph: InternetConfig::medium,
+    tier1_instances: 80,
+    random_instances: 27,
+    detection_pairs: 200,
+    monitor_counts: &[10, 30, 50, 70, 100, 150, 200, 300],
+    latency_monitors: 150,
+    corpus_prefixes: 400,
+    corpus_monitors: 45,
+    defense_pairs: 8,
+    sweep_pairs: 8,
+    feed_prefixes: 120,
+    selection_pairs: 40,
+    selection_budgets: &[10, 30, 70],
+    scenario_capture_sources: None,
+    estimator_pools: (25, 25),
+    estimator_samples: 1000,
+    estimator_resamples: 1000,
+    estimator_vantages: None,
+};
+
+const INTERNET: Preset = Preset {
+    name: "internet",
+    graph: InternetConfig::internet,
+    tier1_instances: 6,
+    random_instances: 6,
+    detection_pairs: 12,
+    monitor_counts: &[10, 50, 100, 200],
+    latency_monitors: 100,
+    corpus_prefixes: 80,
+    corpus_monitors: 30,
+    defense_pairs: 3,
+    sweep_pairs: 3,
+    feed_prefixes: 160,
+    selection_pairs: 16,
+    selection_budgets: &[10, 30],
+    scenario_capture_sources: Some(2000),
+    estimator_pools: (40, 40),
+    estimator_samples: 600,
+    estimator_resamples: 1000,
+    estimator_vantages: Some(1000),
+};
+
+impl Scale {
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Smoke, Scale::Paper, Scale::Internet];
+
+    /// The sizes this scale runs at.
     #[must_use]
-    pub fn estimator_vantages(self) -> Option<usize> {
+    pub fn preset(self) -> &'static Preset {
         match self {
-            Scale::Smoke | Scale::Paper => None,
-            Scale::Internet => Some(1000),
+            Scale::Smoke => &SMOKE,
+            Scale::Paper => &PAPER,
+            Scale::Internet => &INTERNET,
         }
+    }
+
+    /// Builds the synthetic Internet used at this scale.
+    #[must_use]
+    pub fn internet(self, seed: u64) -> AsGraph {
+        (self.preset().graph)().seed(seed).build()
     }
 }
 
@@ -234,13 +196,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scales_build_internets() {
-        let small = Scale::Smoke.internet(1);
-        assert!(small.len() < 400);
-        assert_eq!(Scale::Paper.tier1_instances(), 80);
-        assert_eq!(Scale::Paper.random_instances(), 27);
-        assert_eq!(Scale::Paper.detection_pairs(), 200);
-        assert!(Scale::Paper.monitor_counts().contains(&150));
-        assert_eq!(Scale::Paper.latency_monitors(), 150);
+    fn the_preset_table_names_every_scale_once() {
+        let expected = [("smoke", 149), ("paper", 1_490), ("internet", 80_000)];
+        assert_eq!(Scale::ALL.len(), expected.len());
+        for (scale, (name, ases)) in Scale::ALL.into_iter().zip(expected) {
+            let preset = scale.preset();
+            assert_eq!(preset.name, name);
+            assert_eq!((preset.graph)().total_ases(), ases, "{name}");
+        }
+        let paper = Scale::Paper.preset();
+        assert_eq!(paper.tier1_instances, 80);
+        assert_eq!(paper.random_instances, 27);
+        assert_eq!(paper.detection_pairs, 200);
+        assert_eq!(paper.latency_monitors, 150);
+        assert!(paper.monitor_counts.contains(&150));
     }
 }

@@ -54,8 +54,8 @@ pub fn canonical_timeline(graph: &AsGraph, scale: Scale, seed: u64) -> Scenario 
     let (victim, primary, competitor) = canonical_actors(graph);
     Scenario::new(victim, canonical_prefix())
         .base_lambda(5)
-        .monitors(scale.latency_monitors().min(60))
-        .capture_sources(scale.scenario_capture_sources())
+        .monitors(scale.preset().latency_monitors.min(60))
+        .capture_sources(scale.preset().scenario_capture_sources)
         .seed(seed)
         .at(0, Action::attack(primary))
         .at(1, Action::Escalate { lambda: 8 })
@@ -106,13 +106,14 @@ pub fn run_with_runner(
 /// The estimator configuration the given scale runs at.
 #[must_use]
 pub fn estimator_config(scale: Scale, seed: u64) -> EstimatorConfig {
-    let (victims, attackers) = scale.estimator_pools();
+    let preset = scale.preset();
+    let (victims, attackers) = preset.estimator_pools;
     EstimatorConfig {
         victims,
         attackers,
-        samples: scale.estimator_samples(),
-        resamples: scale.estimator_resamples(),
-        vantages: scale.estimator_vantages(),
+        samples: preset.estimator_samples,
+        resamples: preset.estimator_resamples,
+        vantages: preset.estimator_vantages,
         lambda: 5,
         strategy: AttackStrategy::StripPadding { keep: 1 },
         mode: ExportMode::Compliant,

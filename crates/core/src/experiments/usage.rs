@@ -37,8 +37,8 @@ pub struct UsageResult {
 #[must_use]
 pub fn run(scale: Scale, seed: u64) -> UsageResult {
     let graph = scale.internet(seed);
-    let corpus = CorpusConfig::new(scale.corpus_prefixes())
-        .monitors_top_degree(scale.corpus_monitors())
+    let corpus = CorpusConfig::new(scale.preset().corpus_prefixes)
+        .monitors_top_degree(scale.preset().corpus_monitors)
         .seed(seed)
         .generate(&graph);
 

@@ -65,8 +65,8 @@ fn figure7_tail_appears_on_the_inferred_topology() {
     };
     for seed in [2024, 2025, 7] {
         let graph = Scale::Paper.internet(seed);
-        let corpus = CorpusConfig::new(Scale::Paper.corpus_prefixes())
-            .monitors_top_degree(Scale::Paper.corpus_monitors())
+        let corpus = CorpusConfig::new(Scale::Paper.preset().corpus_prefixes)
+            .monitors_top_degree(Scale::Paper.preset().corpus_monitors)
             .seed(seed)
             .generate(&graph);
         let tables = corpus.tables().flat_map(|(_, t)| t.iter().map(|(_, p)| p));
